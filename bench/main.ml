@@ -19,6 +19,11 @@ let section title claim =
 
 let ratio a b = float_of_int a /. float_of_int (max b 1)
 
+(* constructive row placement of a gate netlist, as standard-cell artwork *)
+let place ~name circuit =
+  Sc_place.Placer.to_layout ~name
+    (Sc_place.Placer.ordered (Sc_place.Placer.problem_of_circuit circuit))
+
 (* cache directories are sharded into subdirectories now; a flat
    readdir+remove no longer clears them *)
 let rec rm_rf path =
@@ -276,7 +281,7 @@ let e6 () =
       let c =
         (Sc_synth.Synth.gates (Sc_core.Designs.parse src)).Sc_synth.Synth.circuit
       in
-      let core = Sc_core.Compiler.layout_of_circuit ~name c in
+      let core = place ~name c in
       let a = Sc_chip.Assemble.assemble ~name:(name ^ "_chip") ~core ~pads () in
       Printf.printf "%-10s %5d %12d %12d %9.2f %6s\n" name pads
         a.Sc_chip.Assemble.core_area a.Sc_chip.Assemble.chip_area
@@ -314,8 +319,7 @@ let e7 () =
     (fun (name, src, _, _, _) ->
       let d = Sc_core.Designs.parse src in
       let g = Sc_synth.Synth.gates d in
-      check name "gates"
-        (Sc_core.Compiler.layout_of_circuit ~name g.Sc_synth.Synth.circuit);
+      check name "gates" (place ~name g.Sc_synth.Synth.circuit);
       match Sc_synth.Synth.pla_fsm d with
       | _, pla -> check name "pla" pla.Sc_pla.Generator.layout
       | exception Sc_pipeline.Diag.Error _ -> ())
@@ -587,8 +591,8 @@ let profile () =
   Printf.printf "%-12s" "stage";
   List.iter (fun (name, _, _, _) -> Printf.printf " %9s" name) runs;
   Printf.printf "\n";
-  let row label path =
-    Printf.printf "%-12s" label;
+  let row path =
+    Printf.printf "%-12s" path;
     List.iter
       (fun (_, table, _, _) ->
         match
@@ -599,9 +603,19 @@ let profile () =
       runs;
     Printf.printf "\n"
   in
-  List.iter
-    (fun stage -> row stage stage)
-    [ "parse"; "compile"; "optimize"; "place"; "route"; "drc"; "emit" ];
+  (* one row per top-level span any run recorded, in first-seen order:
+     the rows are exactly what the total below sums *)
+  let stages =
+    List.fold_left
+      (fun acc (_, table, _, _) ->
+        List.fold_left
+          (fun acc (r : Sc_obs.Obs.row) ->
+            if r.rdepth = 0 && not (List.mem r.rpath acc) then acc @ [ r.rpath ]
+            else acc)
+          acc table)
+      [] runs
+  in
+  List.iter row stages;
   Printf.printf "%-12s" "total";
   List.iter
     (fun (_, table, _, _) ->
@@ -631,9 +645,9 @@ let profile () =
     ; "route.height"; "drc.violations"; "cif.commands"; "cif.bytes"
     ];
   Printf.printf
-    "\nthe drc and emit stages dominate (geometry volume), synthesis is \
-     cheap; `scc isp DESIGN --stats --trace out.json` reproduces any row \
-     with a loadable Chrome trace\n";
+    "\nthe geometry stages dominate (drc, then measure's transistor count), \
+     synthesis is cheap; `scc compile DESIGN --stats --trace out.json` \
+     reproduces any row with a loadable Chrome trace\n";
   (* the same data, machine-readable: one metrics snapshot per design,
      the perf trajectory a future commit diffs against *)
   let json =
@@ -890,7 +904,7 @@ let e11 () =
       let d = Sc_core.Designs.parse src in
       let circuit = (Sc_synth.Synth.gates d).Sc_synth.Synth.circuit in
       let problem = Sc_place.Placer.problem_of_circuit circuit in
-      let layout = Sc_core.Compiler.layout_of_circuit ~name circuit in
+      let layout = place ~name circuit in
       let flat = Sc_layout.Flatten.run layout in
       let row stage f check_same =
         let results = List.map (fun j -> with_pool j f) levels in
@@ -904,7 +918,7 @@ let e11 () =
       row "place"
         (fun pool ->
           let pl = Sc_place.Placer.best_of ~pool ~seeds:7 problem in
-          Sc_core.Compiler.to_cif (Sc_place.Placer.to_layout ~name pl))
+          Sc_cif.Emit.to_string (Sc_place.Placer.to_layout ~name pl))
         (fun cifs -> List.for_all (String.equal (List.hd cifs)) cifs))
     [ ("counter", Sc_core.Designs.counter_src)
     ; ("traffic", Sc_core.Designs.traffic_src)
@@ -1893,7 +1907,9 @@ let () =
     | "e17" -> e17 ()
     | "ablate" -> ablate ()
     | "micro" -> micro ()
-    | other -> Printf.eprintf "unknown experiment %S\n" other
+    | other ->
+      Printf.eprintf "unknown experiment %S\n" other;
+      exit 2
   in
   match what with
   | "all" ->

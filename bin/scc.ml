@@ -1,10 +1,11 @@
 (* scc — the silicon compiler command line.
 
    Subcommands:
-     scc layout FILE    compile a layout-language program to CIF
-     scc behavior FILE  compile an ISP behavioral description to CIF
-     scc isp DESIGN     compile a builtin design (or ISP file), with profiling
-     scc verilog FILE   compile a synthesizable-Verilog module to CIF
+     scc compile SRC    compile a textual description to layout: a
+                        builtin design or ISP file, a Verilog module
+                        (.v) or a layout-language program (.lsl)
+     scc isp SRC        alias of compile
+     scc verilog SRC    alias of compile
      scc drc FILE       design-rule-check a CIF file
      scc stats FILE     report area/device statistics of a CIF file
      scc sim FILE       interpret an ISP description with a trivial stimulus
@@ -14,20 +15,19 @@
      scc report FILE    render a metrics snapshot as a human table
      scc diff BASE CUR  classify metric deltas against a baseline;
                         exit 1 on a QoR regression
+     scc serve          run the compile daemon
+     scc client VERB    talk to a running daemon
 
-   layout/behavior also take --verify, which formally certifies the
-   stage: behavior equivalence-checks the optimizer's output against the
-   raw translation, layout equivalence-checks the primitive cell
-   artwork (extracted and exhaustively tabulated at switch level)
-   against its gate specification.
-
-   layout/behavior/isp take --stats (per-stage time/counter table from
-   the Sc_obs spans), --trace FILE (Chrome trace-event JSON for
-   chrome://tracing or ui.perfetto.dev) and --metrics FILE (versioned
-   QoR + runtime snapshot JSON, the input of report/diff).  They also
-   take --stage-cache DIR (persist every pass artifact of the
-   Sc_pipeline pass manager, so recompiles are incremental) and
-   --explain (print which passes ran vs hit the cache). *)
+   compile prints a netlist/cell summary on stderr and writes CIF only
+   with -o.  It takes --stats (per-stage time/counter table on stdout,
+   from the Sc_obs spans), --trace FILE (Chrome trace-event JSON for
+   chrome://tracing or ui.perfetto.dev), --metrics FILE (versioned QoR +
+   runtime snapshot JSON, the input of report/diff), --stage-cache DIR
+   (persist every pass artifact of the Sc_pipeline pass manager, so
+   recompiles are incremental) and --explain (print which passes ran vs
+   hit the cache).  On a .lsl source --verify certifies the primitive
+   cell artwork (extracted and exhaustively tabulated at switch level)
+   against its gate specification. *)
 
 open Cmdliner
 
@@ -55,8 +55,6 @@ let report_compiled (c : Sc_core.Compiler.compiled) =
     (if c.Sc_core.Compiler.drc_violations = 0 then "clean"
      else string_of_int c.Sc_core.Compiler.drc_violations ^ " violations")
 
-(* --- layout --- *)
-
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Input file.")
 
@@ -65,24 +63,6 @@ let output_arg =
     value
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Write CIF to $(docv).")
-
-let entry_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "e"; "entry" ] ~docv:"CELL" ~doc:"Entry cell (default: last defined).")
-
-let args_arg =
-  Arg.(
-    value
-    & opt (list int) []
-    & info [ "a"; "args" ] ~docv:"INTS" ~doc:"Entry cell arguments.")
-
-let verify_arg =
-  Arg.(
-    value & flag
-    & info [ "verify" ]
-        ~doc:"Formally certify the compilation stage with the BDD engine.")
 
 (* --- parallelism / caching --- *)
 
@@ -111,13 +91,6 @@ let stage_cache_arg =
            across processes: recompiling after a $(b,--restarts) \
            change reruns only place and later passes, and an \
            unchanged source reruns nothing.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Deprecated alias for $(b,--stage-cache).")
 
 let explain_arg =
   Arg.(
@@ -159,21 +132,17 @@ let inject_fault_arg =
            leaves the optimize pass (fault-injection demo — with \
            $(b,--certify) the pipeline must refuse it).")
 
-(* stage-cache plumbing shared by the compile commands: enable the
-   pipeline store (when asked) and certification (when asked), run,
-   then print the per-pass outcomes (--explain) and cache stats to
-   stderr *)
-let with_pipeline ~stage_cache ~cache_dir ~explain ?(certify = false) k =
-  let dir = match stage_cache with Some _ -> stage_cache | None -> cache_dir in
-  (match dir with
-  | Some dir -> Sc_pipeline.Pipeline.enable_cache ~dir ()
-  | None -> ());
+(* enable the pipeline store (when asked) and certification (when
+   asked), run, then print the per-pass outcomes (--explain) and cache
+   stats to stderr *)
+let with_pipeline ~stage_cache ~explain ~certify k =
+  Option.iter (fun dir -> Sc_pipeline.Pipeline.enable_cache ~dir ()) stage_cache;
   if certify then Sc_pipeline.Pipeline.enable_certify ();
   Sc_pipeline.Pipeline.reset_log ();
   let r = k () in
   if explain then
     Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain ();
-  if dir <> None then
+  if stage_cache <> None then
     List.iter
       (fun (name, s) ->
         Printf.eprintf "cache %s: %s\n%!" name
@@ -212,13 +181,11 @@ let metrics_arg =
            JSON) to $(docv); render it with $(b,scc report), compare \
            against a baseline with $(b,scc diff).")
 
-(* [instrumented ~stats ~trace ~metrics ~design ~table k] runs [k] with
-   the span recorder on when any sink was requested; [table] is where
-   the summary goes (stdout for isp, stderr for the CIF-printing
-   commands).  The snapshot is captured before the recorder is
-   disabled, even when [k] fails, so a crashing compile still leaves
-   its partial telemetry behind. *)
-let instrumented ~stats ~trace ~metrics ~design ~table k =
+(* [instrumented ~stats ~trace ~metrics ~design k] runs [k] with the
+   span recorder on when any sink was requested.  The snapshot is
+   captured before the recorder is disabled, even when [k] fails, so a
+   crashing compile still leaves its partial telemetry behind. *)
+let instrumented ~stats ~trace ~metrics ~design k =
   let want = stats || trace <> None || metrics <> None in
   if want then begin
     Sc_obs.Obs.reset ();
@@ -226,7 +193,7 @@ let instrumented ~stats ~trace ~metrics ~design ~table k =
   end;
   let finish () =
     if want then begin
-      if stats then Format.fprintf table "%a@?" Sc_obs.Obs.pp_summary ();
+      if stats then Format.printf "%a@?" Sc_obs.Obs.pp_summary ();
       (match trace with
       | Some path ->
         Sc_obs.Obs.write_trace path;
@@ -294,214 +261,187 @@ let verify_cell_library () =
       end)
     bad Sc_netlist.Gate.all
 
-let layout_cmd =
-  let run file entry args output verify stats trace metrics jobs stage_cache
-      cache_dir explain certify =
-    with_jobs jobs @@ fun () ->
-    with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-    instrumented ~stats ~trace ~metrics ~design:(design_of_path file)
-      ~table:Format.err_formatter (fun () ->
-        match Sc_core.Compiler.compile_layout ?entry ~args (read_file file) with
-        | Error d -> report_diag d
-        | Ok c ->
-          report_compiled c;
-          write_out output c.Sc_core.Compiler.cif;
-          if verify then (if verify_cell_library () = 0 then 0 else 1) else 0)
-  in
-  Cmd.v
-    (Cmd.info "layout" ~doc:"Compile a layout-language program to CIF.")
-    Term.(
-      const run $ file_arg $ entry_arg $ args_arg $ output_arg $ verify_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ jobs_arg $ stage_cache_arg
-      $ cache_dir_arg $ explain_arg $ certify_arg)
+(* --- compile: one front door for every textual description --- *)
 
-(* --- behavior --- *)
+type kind = Isp | Verilog | Layout
+
+let kind_name = function
+  | Isp -> "ISP"
+  | Verilog -> "Verilog"
+  | Layout -> "layout-language"
+
+(* A builtin design name or any file is ISP unless its suffix names
+   another language.  Shared by compile and the client verbs. *)
+let resolve_source src =
+  match Sc_core.Designs.builtin src with
+  | Some text -> Ok (Isp, text)
+  | None when Sys.file_exists src ->
+    let kind =
+      if Filename.check_suffix src ".v" then Verilog
+      else if Filename.check_suffix src ".lsl" then Layout
+      else Isp
+    in
+    Ok (kind, read_file src)
+  | None -> Error (src ^ " is neither a builtin design nor a file")
+
+let usage_error msg =
+  Printf.eprintf "error: %s\n" msg;
+  2
+
+let src_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"SRC"
+        ~doc:
+          "A builtin design ($(b,counter), $(b,traffic), $(b,alu4), \
+           $(b,gray), $(b,seqdet), $(b,pdp8), $(b,pdp8_dp), \
+           $(b,system)), a Verilog file ($(b,*.v)), a layout-language \
+           file ($(b,*.lsl)), or any other file as ISP.")
 
 let style_arg =
   Arg.(
     value
-    & opt (enum [ ("gates", Sc_core.Compiler.Random_logic); ("pla", Sc_core.Compiler.Pla_control) ])
-        Sc_core.Compiler.Random_logic
+    & opt
+        (some
+           (enum
+              [ ("gates", Sc_core.Compiler.Random_logic)
+              ; ("pla", Sc_core.Compiler.Pla_control)
+              ]))
+        None
     & info [ "s"; "style" ] ~docv:"STYLE"
-        ~doc:"Control style: $(b,gates) (random logic) or $(b,pla).")
+        ~doc:
+          "ISP control style: $(b,gates) (random logic, the default) or \
+           $(b,pla).")
 
 let modular_arg =
   Arg.(
     value & flag
     & info [ "modular" ]
         ~doc:
-          "Require separate compilation: the source must carry a \
+          "Require separate compilation: the ISP source must carry a \
            top-level $(b,chip) block binding module instances \
            (detected automatically otherwise).  Each module block \
            compiles through its own stage-cached sub-pipeline and the \
            chip is macro-assembled from the per-module layouts; with \
            $(b,--explain), per-module rows appear as module:pass.")
 
-let check_modular ~modular src k =
-  if modular && not (Sc_core.Chipdesc.is_modular src) then begin
-    Printf.eprintf
-      "error: --modular requires a chip block binding module instances\n";
-    2
-  end
-  else k ()
+let dump_isp_arg =
+  Arg.(
+    value & flag
+    & info [ "dump-isp" ]
+        ~doc:
+          "Print the elaborated Verilog design in the ISP-level IR \
+           instead of compiling (shows exactly what the shared pipeline \
+           will see).")
 
-let behavior_run ?restarts ?inject_fault src style output verify =
-  match Sc_core.Compiler.compile_behavior ~style ?restarts ?inject_fault src with
-  | Error d -> report_diag d
-  | Ok (c, circuit) ->
-    let s = Sc_netlist.Circuit.stats circuit in
-    Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-      s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops;
-    report_compiled c;
-    (match output with
-    | Some _ -> write_out output c.Sc_core.Compiler.cif
-    | None -> print_string c.Sc_core.Compiler.cif);
-    if verify then begin
-      (* the self-check re-synthesizes and proves the optimized netlist
-         equivalent to the raw translation *)
-      match Sc_rtl.Parser.parse src with
-      | Error e ->
-        Printf.eprintf "verify: parse error: %s\n" e;
-        1
-      | Ok design -> (
-        match Sc_synth.Synth.gates ~selfcheck:true design with
-        | _ ->
-          Printf.eprintf
-            "verify: optimized netlist proven equivalent to raw \
-             translation\n%!";
-          0
-        | exception Sc_pipeline.Diag.Error d ->
-          Printf.eprintf "verify: %s\n" (Sc_pipeline.Diag.to_string d);
-          1)
-    end
-    else 0
+let entry_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "e"; "entry" ] ~docv:"CELL"
+        ~doc:"Layout-language entry cell (default: last defined).")
 
-let behavior_cmd =
-  let run file style output verify stats trace metrics jobs stage_cache
-      cache_dir explain restarts certify inject_fault modular =
-    let src = read_file file in
-    check_modular ~modular src @@ fun () ->
-    with_jobs jobs @@ fun () ->
-    with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-    instrumented ~stats ~trace ~metrics ~design:(design_of_path file)
-      ~table:Format.err_formatter (fun () ->
-        behavior_run ~restarts ?inject_fault src style output verify)
-  in
-  Cmd.v
-    (Cmd.info "behavior" ~doc:"Compile an ISP behavioral description to CIF.")
-    Term.(
-      const run $ file_arg $ style_arg $ output_arg $ verify_arg $ stats_arg
-      $ trace_arg $ metrics_arg $ jobs_arg $ stage_cache_arg $ cache_dir_arg
-      $ explain_arg $ restarts_arg $ certify_arg $ inject_fault_arg
-      $ modular_arg)
+let args_arg =
+  Arg.(
+    value
+    & opt (list int) []
+    & info [ "a"; "args" ] ~docv:"INTS" ~doc:"Layout-language entry cell arguments.")
 
-(* --- isp: builtin designs (or files) through the full behavioral path,
-   built for profiling: the stage table goes to stdout, CIF is written
-   only on -o *)
+let verify_arg =
+  Arg.(
+    value & flag
+    & info [ "verify" ]
+        ~doc:
+          "With a layout-language source, prove the primitive cells' \
+           extracted artwork equal to their gates with the BDD engine.")
 
-let isp_cmd =
-  let design_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"DESIGN"
-          ~doc:
-            "A builtin design ($(b,counter), $(b,traffic), $(b,alu4), \
-             $(b,gray), $(b,seqdet), $(b,pdp8), $(b,pdp8_dp), $(b,system)) or an ISP \
-             file path.")
-  in
-  let run design style output stats trace metrics jobs stage_cache cache_dir
-      explain restarts certify inject_fault modular =
-    let src =
-      match Sc_core.Designs.builtin design with
-      | Some _ as s -> s
-      | None when Sys.file_exists design -> Some (read_file design)
-      | None -> None
+let compile_run src output style modular dump_isp entry args verify stats
+    trace metrics jobs stage_cache explain restarts certify inject_fault =
+  match resolve_source src with
+  | Error e -> usage_error e
+  | Ok (kind, text) -> (
+    (* flags that apply to some source kinds only *)
+    let misapplied =
+      List.find_opt
+        (fun (_, given, kinds) -> given && not (List.mem kind kinds))
+        [ ("--style", style <> None, [ Isp ])
+        ; ("--modular", modular, [ Isp ])
+        ; ("--dump-isp", dump_isp, [ Verilog ])
+        ; ("--entry", entry <> None, [ Layout ])
+        ; ("--args", args <> [], [ Layout ])
+        ; ("--verify", verify, [ Layout ])
+        ; ("--restarts", restarts <> 0, [ Isp; Verilog ])
+        ; ("--inject-fault", inject_fault <> None, [ Isp; Verilog ])
+        ]
     in
-    match src with
-    | None ->
-      Printf.eprintf "error: %s is neither a builtin design nor a file\n"
-        design;
-      2
-    | Some src ->
-      check_modular ~modular src @@ fun () ->
-      with_jobs jobs @@ fun () ->
-      with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-      instrumented ~stats ~trace ~metrics ~design:(design_of_path design)
-        ~table:Format.std_formatter (fun () ->
-          match
-            Sc_core.Compiler.compile_behavior ~style ~restarts ?inject_fault
-              src
-          with
-          | Error d -> report_diag d
-          | Ok (c, circuit) ->
-            let s = Sc_netlist.Circuit.stats circuit in
-            Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-              s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops;
-            report_compiled c;
-            (match output with
-            | Some _ -> write_out output c.Sc_core.Compiler.cif
-            | None -> ());
-            0)
-  in
-  Cmd.v
-    (Cmd.info "isp"
-       ~doc:
-         "Compile a builtin ISP design (or file) to layout, reporting \
-          where the time and area go (see --stats/--trace).")
-    Term.(
-      const run $ design_arg $ style_arg $ output_arg $ stats_arg $ trace_arg
-      $ metrics_arg $ jobs_arg $ stage_cache_arg $ cache_dir_arg $ explain_arg
-      $ restarts_arg $ certify_arg $ inject_fault_arg $ modular_arg)
-
-(* --- verilog: the second behavioral frontend; elaborates to the same
-   design IR as the ISP parser and runs the identical gates pipeline *)
-
-let verilog_cmd =
-  let dump_isp_arg =
-    Arg.(
-      value & flag
-      & info [ "dump-isp" ]
-          ~doc:
-            "Print the elaborated design in the ISP-level IR instead of \
-             compiling (shows exactly what the shared pipeline will see).")
-  in
-  let run file output dump_isp stats trace metrics jobs stage_cache cache_dir
-      explain restarts certify inject_fault =
-    let src = read_file file in
-    if dump_isp then (
-      match Sc_core.Compiler.verilog_design src with
+    match misapplied with
+    | Some (flag, _, _) ->
+      usage_error
+        (Printf.sprintf "%s does not apply to %s sources" flag (kind_name kind))
+    | None when modular && not (Sc_core.Chipdesc.is_modular text) ->
+      usage_error "--modular requires a chip block binding module instances"
+    | None when dump_isp -> (
+      match Sc_core.Compiler.verilog_design text with
       | Error d -> report_diag d
       | Ok design ->
         Format.printf "%a@." Sc_rtl.Ast.pp design;
         0)
-    else
+    | None -> (
       with_jobs jobs @@ fun () ->
-      with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-      instrumented ~stats ~trace ~metrics ~design:(design_of_path file)
-        ~table:Format.std_formatter (fun () ->
-          match Sc_core.Compiler.compile_verilog ~restarts ?inject_fault src with
-          | Error d -> report_diag d
-          | Ok (c, circuit) ->
+      with_pipeline ~stage_cache ~explain ~certify @@ fun () ->
+      instrumented ~stats ~trace ~metrics ~design:(design_of_path src)
+      @@ fun () ->
+      let with_circuit = Result.map (fun (c, circuit) -> (c, Some circuit)) in
+      let compiled =
+        match kind with
+        | Isp ->
+          with_circuit
+            (Sc_core.Compiler.compile_behavior ?style ~restarts ?inject_fault
+               text)
+        | Verilog ->
+          with_circuit
+            (Sc_core.Compiler.compile_verilog ~restarts ?inject_fault text)
+        | Layout ->
+          Result.map
+            (fun c -> (c, None))
+            (Sc_core.Compiler.compile_layout ?entry ~args text)
+      in
+      match compiled with
+      | Error d -> report_diag d
+      | Ok (c, circuit) ->
+        Option.iter
+          (fun circuit ->
             let s = Sc_netlist.Circuit.stats circuit in
             Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-              s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops;
-            report_compiled c;
-            (match output with
-            | Some _ -> write_out output c.Sc_core.Compiler.cif
-            | None -> ());
-            0)
-  in
+              s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops)
+          circuit;
+        report_compiled c;
+        if output <> None then write_out output c.Sc_core.Compiler.cif;
+        if verify && verify_cell_library () > 0 then 1 else 0))
+
+let compile_term =
+  Term.(
+    const compile_run $ src_arg $ output_arg $ style_arg $ modular_arg
+    $ dump_isp_arg $ entry_arg $ args_arg $ verify_arg $ stats_arg
+    $ trace_arg $ metrics_arg $ jobs_arg $ stage_cache_arg $ explain_arg
+    $ restarts_arg $ certify_arg $ inject_fault_arg)
+
+let compile_cmd =
   Cmd.v
-    (Cmd.info "verilog"
+    (Cmd.info "compile"
        ~doc:
-         "Compile a synthesizable-Verilog module to layout through the \
-          shared behavioral pipeline (the supported subset is documented \
-          in docs/VERILOG.md).")
-    Term.(
-      const run $ file_arg $ output_arg $ dump_isp_arg $ stats_arg $ trace_arg
-      $ metrics_arg $ jobs_arg $ stage_cache_arg $ cache_dir_arg $ explain_arg
-      $ restarts_arg $ certify_arg $ inject_fault_arg)
+         "Compile a textual description to layout: ISP (a builtin design \
+          or a file) and Verilog ($(b,*.v), the subset in \
+          docs/VERILOG.md) through synthesis, placement and routing; a \
+          layout-language program ($(b,*.lsl)) straight to artwork.  \
+          Prints a summary on stderr and writes CIF only with $(b,-o); \
+          see $(b,--stats)/$(b,--trace) for where the time and area go.")
+    compile_term
+
+(* the names compile had before it was one command; scripts still use them *)
+let alias name =
+  Cmd.v (Cmd.info name ~doc:"Alias of $(b,compile).") compile_term
 
 (* --- drc / stats on CIF files --- *)
 
@@ -611,35 +551,13 @@ let sim_cmd =
 
 (* --- equiv --- *)
 
-(* A circuit spec is one of:
-     hand:NAME   a hand-built baseline from Sc_core.Designs
-     isp:NAME    a builtin ISP source, synthesized
-     PATH        an ISP file, synthesized *)
+(* A circuit spec is hand:NAME or isp:NAME (Sc_core.Designs.circuit), or
+   an ISP or Verilog (.v) file path, synthesized *)
 let resolve_circuit spec =
-  let synth src =
-    (Sc_synth.Synth.gates (Sc_core.Designs.parse src)).Sc_synth.Synth.circuit
-  in
-  try
-    match String.index_opt spec ':' with
-  | Some i when String.sub spec 0 i = "hand" -> (
-    match String.sub spec (i + 1) (String.length spec - i - 1) with
-    | "counter" -> Ok (Sc_core.Designs.hand_counter ())
-    | "traffic" -> Ok (Sc_core.Designs.hand_traffic ())
-    | "alu" -> Ok (Sc_core.Designs.hand_alu ())
-    | "pdp8" -> Ok (Sc_core.Designs.hand_pdp8 ())
-    | "pdp8_dp" -> Ok (Sc_core.Designs.hand_pdp8_dp ())
-    | n -> Error ("unknown hand design " ^ n))
-  | Some i when String.sub spec 0 i = "isp" -> (
-    match
-      Sc_core.Designs.builtin
-        (String.sub spec (i + 1) (String.length spec - i - 1))
-    with
-    | Some src -> Ok (synth src)
-    | None ->
-      Error
-        ("unknown builtin design "
-        ^ String.sub spec (i + 1) (String.length spec - i - 1)))
-    | _ ->
+  match Sc_core.Designs.circuit spec with
+  | Some r -> r
+  | None -> (
+    try
       if not (Sys.file_exists spec) then Error ("no such file: " ^ spec)
       else if Filename.check_suffix spec ".v" then (
         match Sc_core.Compiler.verilog_design (read_file spec) with
@@ -649,8 +567,8 @@ let resolve_circuit spec =
         match Sc_rtl.Parser.parse (read_file spec) with
         | Error e -> Error (spec ^ ": " ^ e)
         | Ok design -> Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit)
-  with Sc_pipeline.Diag.Error d ->
-    Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d)
+    with Sc_pipeline.Diag.Error d ->
+      Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d))
 
 let equiv_cmd =
   let spec_arg idx name =
@@ -939,33 +857,36 @@ let serve_cmd =
 (* client compile specs are sent with the source inlined, so the
    daemon's dedup key is a pure function of the frame: resolve builtin
    names and file paths here, before anything hits the wire *)
-let resolve_spec ?(certify = false) design style restarts =
-  let style =
-    match style with
-    | Sc_core.Compiler.Pla_control -> "pla"
-    | Sc_core.Compiler.Random_logic -> "gates"
-  in
-  match Sc_core.Designs.builtin design with
-  | Some source ->
-    Ok { Sc_serve.Protocol.design; source; style; restarts; certify }
-  | None when Sys.file_exists design ->
+let resolve_spec ?(certify = false) src style restarts =
+  match resolve_source src with
+  | Error e -> Error e
+  | Ok (Layout, _) ->
+    Error (src ^ ": the daemon compiles ISP and Verilog sources only")
+  | Ok (Verilog, _) when style <> None ->
+    Error "--style does not apply to Verilog sources"
+  | Ok (kind, source) ->
+    let style =
+      match (kind, style) with
+      | Verilog, _ -> "verilog"
+      | _, Some Sc_core.Compiler.Pla_control -> "pla"
+      | _ -> "gates"
+    in
     Ok
-      { Sc_serve.Protocol.design = design_of_path design
-      ; source = read_file design
+      { Sc_serve.Protocol.design = design_of_path src
+      ; source
       ; style
       ; restarts
       ; certify
       }
-  | None ->
-    Error (design ^ " is neither a builtin design nor a file")
 
-let client_design_arg =
+let client_src_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"DESIGN"
-        ~doc:"A builtin design name or an ISP file path (read locally; \
-              the source text is sent inline).")
+    & info [] ~docv:"SRC"
+        ~doc:
+          "A builtin design name, an ISP file or a Verilog file \
+           ($(b,*.v)), read locally; the source text is sent inline.")
 
 (* one RPC against the daemon; protocol/transport failures exit 2 *)
 let client_call socket req k =
@@ -982,11 +903,18 @@ let unexpected () =
   Printf.eprintf "error: unexpected response from daemon\n";
   2
 
-(* send a Compile RPC and render the daemon's reply (shared by the ISP
-   and Verilog client verbs) *)
-let client_compile_rpc socket spec metrics explain =
-  client_call socket (Sc_serve.Protocol.Compile spec) (function
-    | Sc_serve.Protocol.Compiled r ->
+let client_compile_cmd =
+  let baseline_arg =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Instead of printing the summary, diff the daemon's snapshot \
+             against this baseline; exit 1 when the quality gate trips.")
+  in
+  let compiled spec metrics explain = function
+    | Sc_serve.Protocol.Compiled r -> (
       Printf.eprintf
         "%s: %d gates, %d flip-flops, %d transistors, area %d, CIF %d \
          bytes, DRC %s\n%!"
@@ -1000,7 +928,7 @@ let client_compile_rpc socket spec metrics explain =
         List.iter
           (fun (pass, status) -> Printf.eprintf "  %-10s %s\n%!" pass status)
           r.Sc_serve.Protocol.passes;
-      (match metrics with
+      match metrics with
       | None -> 0
       | Some path -> (
         match Sc_metrics.Metrics.of_json r.Sc_serve.Protocol.snapshot with
@@ -1011,89 +939,50 @@ let client_compile_rpc socket spec metrics explain =
           Sc_metrics.Metrics.write path s;
           Printf.eprintf "metrics written to %s\n%!" path;
           0))
-    | _ -> unexpected ())
-
-let client_compile_cmd =
-  let run socket design style restarts certify metrics explain =
-    match resolve_spec ~certify design style restarts with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      2
-    | Ok spec -> client_compile_rpc socket spec metrics explain
+    | _ -> unexpected ()
+  in
+  let diffed bpath = function
+    | Sc_serve.Protocol.Diffed { report; regressed } ->
+      print_string report;
+      if regressed then begin
+        Printf.eprintf "quality gate: REGRESSED against %s\n" bpath;
+        1
+      end
+      else 0
+    | _ -> unexpected ()
+  in
+  let run socket src style restarts certify metrics explain baseline =
+    match resolve_spec ~certify src style restarts with
+    | Error e -> usage_error e
+    | Ok spec -> (
+      match baseline with
+      | None ->
+        client_call socket (Sc_serve.Protocol.Compile spec)
+          (compiled spec metrics explain)
+      | Some bpath -> (
+        match Sc_obs.Json.parse (read_file bpath) with
+        | Error e -> usage_error (bpath ^ ": " ^ e)
+        | Ok base ->
+          client_call socket
+            (Sc_serve.Protocol.Diff { spec; baseline = base })
+            (diffed bpath)))
   in
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Compile a design through the daemon; $(b,--metrics) captures \
-          the per-request QoR snapshot, byte-identical to a single-shot \
-          $(b,scc isp) run.")
+         "Compile a design through the daemon (a $(b,*.v) source is \
+          sent with style \"verilog\"); $(b,--metrics) captures the \
+          per-request QoR snapshot, byte-identical to a single-shot \
+          $(b,scc compile) run; $(b,--baseline) diffs it against a \
+          baseline snapshot instead.")
     Term.(
-      const run $ socket_arg $ client_design_arg $ style_arg $ restarts_arg
-      $ certify_arg $ metrics_arg $ explain_arg)
-
-let client_verilog_cmd =
-  let vfile_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"A Verilog file path (read locally; the source text is \
-                sent inline with style \"verilog\").")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Instead of printing the summary, diff the daemon's snapshot \
-             against this baseline; exit 1 when the quality gate trips.")
-  in
-  let run socket file restarts certify metrics explain baseline =
-    let spec =
-      { Sc_serve.Protocol.design = design_of_path file
-      ; source = read_file file
-      ; style = "verilog"
-      ; restarts
-      ; certify
-      }
-    in
-    match baseline with
-    | None -> client_compile_rpc socket spec metrics explain
-    | Some bpath -> (
-      match Sc_obs.Json.parse (read_file bpath) with
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" bpath e;
-        2
-      | Ok base ->
-        client_call socket
-          (Sc_serve.Protocol.Diff { spec; baseline = base })
-          (function
-            | Sc_serve.Protocol.Diffed { report; regressed } ->
-              print_string report;
-              if regressed then begin
-                Printf.eprintf "quality gate: REGRESSED against %s\n" bpath;
-                1
-              end
-              else 0
-            | _ -> unexpected ()))
-  in
-  Cmd.v
-    (Cmd.info "verilog"
-       ~doc:
-         "Compile a Verilog file through the daemon (same shared \
-          pipeline and dedup as the ISP verbs); optionally diff the \
-          snapshot against a baseline.")
-    Term.(
-      const run $ socket_arg $ vfile_arg $ restarts_arg $ certify_arg
-      $ metrics_arg $ explain_arg $ baseline_arg)
+      const run $ socket_arg $ client_src_arg $ style_arg $ restarts_arg
+      $ certify_arg $ metrics_arg $ explain_arg $ baseline_arg)
 
 let client_report_cmd =
-  let run socket design style restarts =
-    match resolve_spec design style restarts with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      2
+  let run socket src style restarts =
+    match resolve_spec src style restarts with
+    | Error e -> usage_error e
     | Ok spec ->
       client_call socket (Sc_serve.Protocol.Report spec) (function
         | Sc_serve.Protocol.Reported table ->
@@ -1104,52 +993,7 @@ let client_report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Compile through the daemon and render the metrics table.")
-    Term.(const run $ socket_arg $ client_design_arg $ style_arg $ restarts_arg)
-
-let client_diff_cmd =
-  let baseline_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot JSON.")
-  in
-  let design_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"DESIGN" ~doc:"Builtin design name or ISP file path.")
-  in
-  let run socket baseline design style restarts =
-    match Sc_obs.Json.parse (read_file baseline) with
-    | Error e ->
-      Printf.eprintf "error: %s: %s\n" baseline e;
-      2
-    | Ok base -> (
-      match resolve_spec design style restarts with
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        2
-      | Ok spec ->
-        client_call socket
-          (Sc_serve.Protocol.Diff { spec; baseline = base })
-          (function
-            | Sc_serve.Protocol.Diffed { report; regressed } ->
-              print_string report;
-              if regressed then begin
-                Printf.eprintf "quality gate: REGRESSED against %s\n" baseline;
-                1
-              end
-              else 0
-            | _ -> unexpected ()))
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compile through the daemon and classify metric deltas against \
-          a baseline snapshot; exit 1 when the quality gate trips.")
-    Term.(
-      const run $ socket_arg $ baseline_arg $ design_arg $ style_arg
-      $ restarts_arg)
+    Term.(const run $ socket_arg $ client_src_arg $ style_arg $ restarts_arg)
 
 let client_equiv_cmd =
   let spec_arg idx name =
@@ -1223,9 +1067,8 @@ let client_cmd =
        ~doc:
          "Talk to a running compile daemon ($(b,scc serve)) over its \
           Unix-domain socket.")
-    [ client_compile_cmd; client_verilog_cmd; client_report_cmd
-    ; client_diff_cmd; client_equiv_cmd; client_stats_cmd
-    ; client_shutdown_cmd
+    [ client_compile_cmd; client_report_cmd; client_equiv_cmd
+    ; client_stats_cmd; client_shutdown_cmd
     ]
 
 let () =
@@ -1234,7 +1077,7 @@ let () =
     (Cmd.eval'
        (Cmd.group
           (Cmd.info "scc" ~version:"1.0" ~doc)
-          [ layout_cmd; behavior_cmd; isp_cmd; verilog_cmd; drc_cmd
-          ; stats_cmd; sim_cmd; extract_cmd; svg_cmd; equiv_cmd; report_cmd
-          ; diff_cmd; serve_cmd; client_cmd
+          [ compile_cmd; alias "isp"; alias "verilog"; drc_cmd; stats_cmd
+          ; sim_cmd; extract_cmd; svg_cmd; equiv_cmd; report_cmd; diff_cmd
+          ; serve_cmd; client_cmd
           ]))

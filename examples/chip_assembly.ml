@@ -7,8 +7,12 @@
 
    Run:  dune exec examples/chip_assembly.exe  *)
 
+let place ~name circuit =
+  Sc_place.Placer.to_layout ~name
+    (Sc_place.Placer.ordered (Sc_place.Placer.problem_of_circuit circuit))
+
 let assemble_and_report name circuit pads =
-  let core = Sc_core.Compiler.layout_of_circuit ~name circuit in
+  let core = place ~name circuit in
   let a = Sc_chip.Assemble.assemble ~name:(name ^ "_chip") ~core ~pads () in
   let clean = Sc_drc.Checker.is_clean a.Sc_chip.Assemble.chip in
   Printf.printf "%-10s %5d pads %10d core %12d chip  x%-5.2f DRC %s\n" name
@@ -42,7 +46,7 @@ let () =
   Printf.printf "\npad-count sweep on the alu core:\n";
   List.iter
     (fun pads ->
-      let core = Sc_core.Compiler.layout_of_circuit ~name:"alu4" alu in
+      let core = place ~name:"alu4" alu in
       let a = Sc_chip.Assemble.assemble ~name:"alu_chip" ~core ~pads () in
       Printf.printf "  %2d pads -> chip %d sq lambda (x%.2f)\n" pads
         a.Sc_chip.Assemble.chip_area a.Sc_chip.Assemble.overhead)

@@ -57,7 +57,9 @@ let () =
   done;
   (* and produce manufacturing data for the compiled machine *)
   let layout =
-    Sc_core.Compiler.layout_of_circuit ~name:"pdp8" compiled.Sc_synth.Synth.circuit
+    Sc_place.Placer.to_layout ~name:"pdp8"
+      (Sc_place.Placer.ordered
+         (Sc_place.Placer.problem_of_circuit compiled.Sc_synth.Synth.circuit))
   in
   let path = Filename.temp_file "pdp8" ".cif" in
   Sc_cif.Emit.write path layout;

@@ -13,7 +13,7 @@
     characters of the digest, so concurrent writers spread over
     subdirectories), and a miss consults the directory before
     recomputing, so results survive the process — a second
-    [scc --cache-dir d isp pdp8] skips compilation entirely.  Disk
+    [scc compile pdp8 --stage-cache d] skips compilation entirely.  Disk
     values go through [Marshal] behind a magic + format-version header;
     an entry written by an older build (or a torn/foreign file) reads
     back as a miss — counted as ["cache.<name>.stale"] — never as

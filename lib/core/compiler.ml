@@ -13,32 +13,6 @@ type compiled =
   ; transistors : int
   }
 
-let to_cif = Sc_cif.Emit.to_string
-
-(* DRC and CIF emission carry their own "drc" / "emit" spans, so
-   measuring a layout is what populates those rows of the stage table. *)
-let measure layout =
-  let c =
-    { layout
-    ; cif = Sc_cif.Emit.to_string layout
-    ; drc_violations = List.length (Sc_drc.Checker.check layout)
-    ; area = Cell.area layout
-    ; transistors = Stats.transistor_count layout
-    }
-  in
-  if Obs.enabled () then begin
-    Obs.gauge "area" c.area;
-    Obs.gauge "layout.transistors" c.transistors;
-    Obs.gauge "layout.cells" (List.length (Cell.all_cells layout));
-    Obs.gauge "layout.rects" (Cell.flat_rect_count layout)
-  end;
-  c
-
-let place_circuit ?(restarts = 0) circuit =
-  let problem = Sc_place.Placer.problem_of_circuit circuit in
-  if restarts <= 0 then Sc_place.Placer.ordered problem
-  else Sc_place.Placer.best_of ~seeds:restarts problem
-
 (* Routing the row channels is pure measurement on this artwork style
    (the rows stay at a fixed pitch), but it is a QoR source —
    route.tracks/height/channels — so it runs unconditionally; a
@@ -61,18 +35,6 @@ let route_placement placement =
       ; rheight = rc.Sc_place.Placer.total_height
       }
   | exception _ -> None
-
-let layout_of_circuit ?restarts ~name circuit =
-  let placement, layout =
-    Obs.span "place" (fun () ->
-        let pl = place_circuit ?restarts circuit in
-        (pl, Sc_place.Placer.to_layout ~name pl))
-  in
-  Obs.span "route" (fun () ->
-      match route_placement placement with
-      | Some s -> Obs.count "route.channels" s.rchannels
-      | None -> ());
-  layout
 
 (* --- the pass sequences ----------------------------------------------
    Every stage both compilation paths run is registered once with
@@ -102,8 +64,8 @@ type optimized =
   ; gates_out : int
   }
 
-(* Bound for per-pass translation certificates on sequential designs —
-   the same horizon Synth.gates ~selfcheck uses. *)
+(* Bound (in cycles) for per-pass translation certificates on
+   sequential designs. *)
 let certify_k = 4
 
 let cert_of_circuits reference candidate =
@@ -158,7 +120,11 @@ let place_pass : (Sc_netlist.Circuit.t * string * int, placed) P.pass =
       Obs.gauge "place.cells"
         (Array.length p.placement.Sc_place.Placer.x))
     (fun (circuit, name, restarts) ->
-      let pl = place_circuit ~restarts circuit in
+      let problem = Sc_place.Placer.problem_of_circuit circuit in
+      let pl =
+        if restarts <= 0 then Sc_place.Placer.ordered problem
+        else Sc_place.Placer.best_of ~seeds:restarts problem
+      in
       Ok { placement = pl; playout = Sc_place.Placer.to_layout ~name pl })
 
 let route_pass : (Sc_place.Placer.placement, route_summary option) P.pass =
@@ -280,11 +246,13 @@ let elaborate_pass : (string * (string option * int list), Cell.t) P.pass =
       | Ok cell -> Ok cell
       | Error e -> Error (Diag.v ~stage:"elaborate" (Sc_lang.Lang.error_to_string e)))
 
+let verilog_design src =
+  match Sc_verilog.Elaborate.design_of_source src with
+  | Ok d -> Ok d
+  | Error e -> Error (Diag.v ~stage:"verilog.parse" e)
+
 let parse_verilog_pass : (string, Sc_rtl.Ast.design) P.pass =
-  P.register ~name:"verilog.parse" (fun src ->
-      match Sc_verilog.Elaborate.design_of_source src with
-      | Error e -> Error (Diag.v ~stage:"verilog.parse" e)
-      | Ok design -> Ok design)
+  P.register ~name:"verilog.parse" verilog_design
 
 (* --- drivers --- *)
 
@@ -367,11 +335,6 @@ let compile_verilog ?recorder ?(restarts = 0) ?inject_fault src =
   in
   let* c = finish_layout layout_staged in
   Ok (c, circuit)
-
-let verilog_design src =
-  match Sc_verilog.Elaborate.design_of_source src with
-  | Ok d -> Ok d
-  | Error e -> Error (Diag.v ~stage:"verilog.parse" e)
 
 let compile_layout ?recorder ?entry ?(args = []) src =
   recorded recorder @@ fun () ->

@@ -121,24 +121,8 @@ val compile_verilog :
   (compiled * Sc_netlist.Circuit.t, Sc_pipeline.Diag.t) result
 
 (** Elaborate Verilog source to the shared design IR without running
-    the pipeline (for [scc verilog --dump-isp], equivalence drivers and
-    tests).  Same ["verilog.parse"] diagnostics as {!compile_verilog}. *)
+    the pipeline (for [scc compile FILE.v --dump-isp], equivalence
+    drivers and tests).  Same ["verilog.parse"] diagnostics as
+    {!compile_verilog}. *)
 val verilog_design :
   string -> (Sc_rtl.Ast.design, Sc_pipeline.Diag.t) result
-
-(** Place a gate-level circuit as standard-cell rows (the physical view
-    used by the behavioral path and experiments).  [restarts] > 0 runs
-    that many extra random-start placements concurrently on the default
-    worker pool ({!Sc_place.Placer.best_of}) and keeps the lowest-HPWL
-    result; the default 0 is the constructive placement alone.  The
-    route-measurement stage runs unconditionally, so
-    [route.tracks]/[route.height]/[route.channels] are always reported
-    when a recorder is on. *)
-val layout_of_circuit :
-  ?restarts:int -> name:string -> Sc_netlist.Circuit.t -> Cell.t
-
-(** Emit a cell hierarchy as CIF text ({!Sc_cif.Emit.to_string}). *)
-val to_cif : Cell.t -> string
-
-(** Measure an existing layout the same way the compilers do. *)
-val measure : Cell.t -> compiled

@@ -520,3 +520,29 @@ let builtin = function
   | "pdp8_dp" -> Some pdp8_dp_src
   | "system" -> Some system_src
   | _ -> None
+
+let circuit spec =
+  match String.index_opt spec ':' with
+  | None -> None
+  | Some i -> (
+    let name = String.sub spec (i + 1) (String.length spec - i - 1) in
+    match String.sub spec 0 i with
+    | "hand" ->
+      Some
+        (match name with
+        | "counter" -> Ok (hand_counter ())
+        | "traffic" -> Ok (hand_traffic ())
+        | "alu" | "alu4" -> Ok (hand_alu ())
+        | "pdp8" -> Ok (hand_pdp8 ())
+        | "pdp8_dp" -> Ok (hand_pdp8_dp ())
+        | n -> Error ("unknown hand design " ^ n))
+    | "isp" ->
+      Some
+        (match builtin name with
+        | None -> Error ("unknown builtin design " ^ name)
+        | Some src -> (
+          match Sc_synth.Synth.gates (parse src) with
+          | r -> Ok r.Sc_synth.Synth.circuit
+          | exception Sc_pipeline.Diag.Error d ->
+            Error (Sc_pipeline.Diag.to_string d)))
+    | _ -> None)

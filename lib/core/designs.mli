@@ -89,9 +89,16 @@ val pdp8_stim : int -> (string * int) list
 
 (** [builtin name] — the ISP source of a builtin design: [counter],
     [traffic], [alu]/[alu4], [gray], [seqdet], [pdp8], [pdp8_dp],
-    [system] (modular).  The single lookup [scc isp], [scc client] and
-    the daemon's equiv resolver all share. *)
+    [system] (modular).  The single lookup [scc compile], [scc client]
+    and {!circuit} all share. *)
 val builtin : string -> string option
+
+(** [circuit spec] — the circuit a spec names, for [scc equiv] and the
+    daemon's equiv verb: [hand:NAME] is a hand baseline ([counter],
+    [traffic], [alu]/[alu4], [pdp8], [pdp8_dp]), [isp:NAME] a {!builtin}
+    source synthesized to gates.  [None] when [spec] has neither prefix
+    (the CLI then reads it as a file path). *)
+val circuit : string -> (Circuit.t, string) result option
 
 (** (name, ISP source, hand baseline if any, stimulus, verify cycles) *)
 val all :

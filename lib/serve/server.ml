@@ -132,7 +132,7 @@ let maybe_trace st ~recorder ~design ~key =
     end
 
 (* The per-request sequence inside the domain — fresh recorder, enable,
-   compile, capture — is exactly the single-shot [scc isp D --metrics]
+   compile, capture — is exactly the single-shot [scc compile D --metrics]
    sequence, which is what keeps a daemon snapshot byte-identical to
    the committed baselines.  [with_certify] scopes certification to
    this request: a concurrent plain compile never sees a neighbour's
@@ -248,28 +248,10 @@ let compile st spec =
 
 (* --- equiv --- *)
 
+(* the daemon never reads client paths: only builtin specs resolve *)
 let resolve_circuit spec =
-  match String.index_opt spec ':' with
-  | Some i -> (
-    let kind = String.sub spec 0 i in
-    let name = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match kind with
-    | "hand" -> (
-      match name with
-      | "counter" -> Ok (Sc_core.Designs.hand_counter ())
-      | "traffic" -> Ok (Sc_core.Designs.hand_traffic ())
-      | "alu" | "alu4" -> Ok (Sc_core.Designs.hand_alu ())
-      | "pdp8" -> Ok (Sc_core.Designs.hand_pdp8 ())
-      | "pdp8_dp" -> Ok (Sc_core.Designs.hand_pdp8_dp ())
-      | n -> Error ("unknown hand design " ^ n))
-    | "isp" -> (
-      match Sc_core.Designs.builtin name with
-      | Some src -> (
-        match Sc_synth.Synth.gates (Sc_core.Designs.parse src) with
-        | r -> Ok r.Sc_synth.Synth.circuit
-        | exception Diag.Error d -> Error (Diag.to_string d))
-      | None -> Error ("unknown builtin design " ^ name))
-    | k -> Error ("unknown circuit kind " ^ k ^ " (expected hand: or isp:)"))
+  match Sc_core.Designs.circuit spec with
+  | Some r -> r
   | None -> Error (spec ^ ": expected hand:NAME or isp:NAME")
 
 let do_equiv st ~a ~b ~k =

@@ -241,23 +241,9 @@ let optimize_result ?inject circuit =
   in
   result_of simplified
 
-let gates ?(optimize = true) ?(selfcheck = false) design =
+let gates ?(optimize = true) design =
   let raw = translate design in
-  if not optimize then result_of raw
-  else begin
-    let r = optimize_result raw in
-    if selfcheck then begin
-      (* certify the optimizer preserved the synthesized function — a
-         combinational proof, or a bounded one when registers are present *)
-      match Sc_equiv.Checker.check ~k:4 raw r.circuit with
-      | Sc_equiv.Checker.Equivalent -> ()
-      | Sc_equiv.Checker.Not_equivalent _ as v ->
-        Sc_pipeline.Diag.failf ~stage:"selfcheck"
-          "optimizer divergence for %s: %a" design.Ast.name
-          Sc_equiv.Checker.pp_verdict v
-    end;
-    r
-  end
+  if optimize then optimize_result raw else result_of raw
 
 (* --- the PLA backend: FSM extraction through the reference semantics --- *)
 

@@ -49,17 +49,12 @@ val replay_gauges : result -> unit
     {!optimize_result} would have emitted — used by stage-cache hits to
     keep warm QoR snapshots identical to cold ones. *)
 
-(** [gates ?optimize ?selfcheck design] — [optimize] (default true) runs
+(** [gates ?optimize design] — [optimize] (default true) runs
     {!Sc_netlist.Optimize.simplify} on the result (constant folding, CSE,
-    dead-gate removal); the E2 ablation toggles it.  [selfcheck] (default
-    false) formally equivalence-checks the optimized circuit against the
-    raw translation with {!Sc_equiv.Checker.check} (bounded to 4 cycles
-    when registers are present) — the compiler certifying its own
-    optimizer.
+    dead-gate removal); the E2 ablation toggles it.
     @raise Sc_pipeline.Diag.Error when the design fails
-    {!Sc_rtl.Check.check} (stage ["compile"]) or the self-check
-    diverges (stage ["selfcheck"]). *)
-val gates : ?optimize:bool -> ?selfcheck:bool -> Sc_rtl.Ast.design -> result
+    {!Sc_rtl.Check.check} (stage ["compile"]). *)
+val gates : ?optimize:bool -> Sc_rtl.Ast.design -> result
 
 (** Largest state+input bit count {!pla_fsm} will enumerate (the FSM
     extraction tabulates all [2^n] points of the transition function). *)

@@ -130,6 +130,21 @@ let test_behavior_error_reporting () =
       (String.length (Sc_pipeline.Diag.to_string d) > 0)
   | Ok _ -> Alcotest.fail "expected check error"
 
+(* the spec lookup scc equiv and the daemon share *)
+let test_circuit_specs () =
+  let resolves spec =
+    match Designs.circuit spec with Some (Ok _) -> true | _ -> false
+  in
+  List.iter
+    (fun spec -> check_bool (spec ^ " resolves") true (resolves spec))
+    [ "hand:alu"; "hand:alu4"; "hand:counter"; "isp:alu4"; "isp:counter" ];
+  check_bool "unknown hand design is an error" true
+    (match Designs.circuit "hand:nonesuch" with
+    | Some (Error _) -> true
+    | _ -> false);
+  check_bool "a path is not a spec" true
+    (Designs.circuit "counter.isp" = None)
+
 let suite =
   [ Alcotest.test_case "sources check clean" `Quick test_all_sources_check_clean
   ; Alcotest.test_case "hand baselines are clean" `Quick test_hand_baselines_are_clean_circuits
@@ -141,4 +156,5 @@ let suite =
   ; Alcotest.test_case "behavior compile path" `Quick test_compile_behavior_path
   ; Alcotest.test_case "behavior PLA path" `Quick test_compile_behavior_pla_path
   ; Alcotest.test_case "behavior errors" `Quick test_behavior_error_reporting
+  ; Alcotest.test_case "circuit specs resolve" `Quick test_circuit_specs
   ]

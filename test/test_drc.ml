@@ -173,7 +173,9 @@ let test_pdp8_drc_time_budget () =
   let d = Sc_core.Designs.parse Sc_core.Designs.pdp8_src in
   let r = Sc_synth.Synth.gates d in
   let layout =
-    Sc_core.Compiler.layout_of_circuit ~name:"pdp8" r.Sc_synth.Synth.circuit
+    Sc_place.Placer.to_layout ~name:"pdp8"
+      (Sc_place.Placer.ordered
+         (Sc_place.Placer.problem_of_circuit r.Sc_synth.Synth.circuit))
   in
   let flat = Flatten.run layout in
   let t0 = Sys.time () in

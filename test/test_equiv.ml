@@ -285,17 +285,6 @@ let test_optimize_roundtrip_pdp8_datapath () =
   expect_equivalent "pdp8_dp raw vs optimized"
     (Checker.check raw (Optimize.simplify raw))
 
-(* --- synthesis self-check mode --- *)
-
-let test_synth_selfcheck_passes () =
-  List.iter
-    (fun src ->
-      ignore
-        (Sc_synth.Synth.gates ~selfcheck:true (Sc_core.Designs.parse src)))
-    [ Sc_core.Designs.counter_src; Sc_core.Designs.gray_src
-    ; Sc_core.Designs.pdp8_dp_src
-    ]
-
 (* --- unrolling semantics --- *)
 
 let test_unroll_matches_simulation () =
@@ -435,8 +424,6 @@ let suite =
       test_optimize_roundtrips
   ; Alcotest.test_case "optimize round-trip pdp8 datapath" `Quick
       test_optimize_roundtrip_pdp8_datapath
-  ; Alcotest.test_case "synth selfcheck passes" `Quick
-      test_synth_selfcheck_passes
   ; Alcotest.test_case "unroll matches simulation" `Quick
       test_unroll_matches_simulation
   ; Alcotest.test_case "check_covers negative" `Quick test_check_covers_negative

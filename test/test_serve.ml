@@ -266,6 +266,9 @@ let test_server_verbs_and_errors () =
   (match rpc socket (P.Equiv { a = "isp:counter"; b = "hand:counter"; k = 8 }) with
   | P.Equiv_verdict { equivalent = true; _ } -> ()
   | _ -> Alcotest.fail "counter should be equivalent to its hand baseline");
+  (match rpc socket (P.Equiv { a = "hand:alu4"; b = "hand:alu"; k = 4 }) with
+  | P.Equiv_verdict { equivalent = true; _ } -> ()
+  | _ -> Alcotest.fail "hand:alu4 and hand:alu name the same baseline");
   (match rpc socket (P.Equiv { a = "isp:nonsuch"; b = "hand:counter"; k = 8 }) with
   | P.Error_reply _ -> ()
   | _ -> Alcotest.fail "unknown design must be a structured error");
