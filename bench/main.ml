@@ -34,6 +34,120 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+(* wall-clock time of [f]: seconds, or milliseconds *)
+let wall f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let wall_ms f =
+  let r, s = wall f in
+  (r, s *. 1000.)
+
+let fail msg =
+  Printf.printf "\nFAIL: %s\n" msg;
+  exit 1
+
+(* a JSON number rounded to [digits] decimals *)
+let rounded digits t =
+  let k = 10. ** float_of_int digits in
+  Sc_obs.Json.Num (Float.round (t *. k) /. k)
+
+let round3 = rounded 3
+
+let json_statuses log =
+  Sc_obs.Json.Obj
+    (List.map
+       (fun (n, st) ->
+         (n, Sc_obs.Json.Str (Sc_pipeline.Pipeline.status_to_string st)))
+       log)
+
+(* BENCH_<experiment>.json: the machine-readable twin of a table *)
+let write_bench ~what experiment fields =
+  let file = "BENCH_" ^ experiment ^ ".json" in
+  let json =
+    Sc_obs.Json.Obj
+      (("schema", Sc_obs.Json.Str "scc-bench")
+      :: ("experiment", Sc_obs.Json.Str experiment)
+      :: fields)
+  in
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (Sc_obs.Json.to_string json);
+      output_char oc '\n');
+  Printf.printf "machine-readable %s written to %s\n" what file
+
+(* the committed baseline QoR of each builtin design *)
+let builtin_src name =
+  match Sc_core.Designs.builtin name with
+  | Some s -> s
+  | None -> fail ("no builtin design " ^ name)
+
+let baseline_qors designs =
+  let dir =
+    if Sys.file_exists "bench/baselines" then "bench/baselines"
+    else "baselines"
+  in
+  List.map
+    (fun name ->
+      let path = Filename.concat dir (name ^ ".json") in
+      match Sc_metrics.Metrics.read path with
+      | Ok s -> (name, Sc_metrics.Metrics.qor_string s)
+      | Error e -> fail (path ^ ": " ^ e))
+    designs
+
+(* an in-process daemon on a temp socket over a fresh disk stage cache *)
+type daemon =
+  { dsocket : string
+  ; dcache : string
+  ; dthread : Thread.t
+  ; dexit : int ref
+  }
+
+let start_daemon ?trace_dir name =
+  let tmp = Filename.get_temp_dir_name () in
+  let dsocket = Filename.concat tmp ("scc-" ^ name ^ ".sock") in
+  let dcache = Filename.concat tmp ("scc-" ^ name ^ "-cache") in
+  rm_rf dcache;
+  (try Sys.remove dsocket with Sys_error _ -> ());
+  let dexit = ref (-1) in
+  let dthread =
+    Thread.create
+      (fun () ->
+        dexit :=
+          Sc_serve.Server.run ~jobs:1 ~stage_cache:dcache ~handle_signals:false
+            ?trace_dir ~socket:dsocket ())
+      ()
+  in
+  let rec await n =
+    if n = 0 then fail "daemon did not come up"
+    else if not (Sys.file_exists dsocket) then begin
+      Thread.delay 0.05;
+      await (n - 1)
+    end
+  in
+  await 100;
+  { dsocket; dcache; dthread; dexit }
+
+let one_shot socket req =
+  match Sc_serve.Client.one_shot socket req with
+  | Ok r -> r
+  | Error e -> fail ("rpc: " ^ e)
+
+(* shut down over the protocol and check the daemon drained cleanly *)
+let stop_daemon d =
+  (match one_shot d.dsocket Sc_serve.Protocol.Shutdown with
+  | Sc_serve.Protocol.Bye -> ()
+  | _ -> fail "shutdown: expected Bye");
+  Thread.join d.dthread;
+  if !(d.dexit) <> 0 then fail (Printf.sprintf "daemon exited %d" !(d.dexit));
+  if Sys.file_exists d.dsocket then fail "daemon left its socket behind";
+  rm_rf d.dcache;
+  Sc_pipeline.Pipeline.disable_cache ();
+  Sc_pipeline.Pipeline.clear_caches ()
+
 (* ------------------------------------------------------------------ *)
 (* E1: compiled PDP-8 vs hand design (claim C4)                        *)
 (* ------------------------------------------------------------------ *)
@@ -650,23 +764,11 @@ let profile () =
      reproduces any row with a loadable Chrome trace\n";
   (* the same data, machine-readable: one metrics snapshot per design,
      the perf trajectory a future commit diffs against *)
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e10")
-      ; ( "snapshots"
-        , Sc_obs.Json.Arr
-            (List.map (fun (_, _, _, s) -> Sc_metrics.Metrics.to_json s) runs)
-        )
-      ]
-  in
-  let oc = open_out "BENCH_e10.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable snapshots written to BENCH_e10.json\n"
+  write_bench ~what:"snapshots" "e10"
+    [ ( "snapshots"
+      , Sc_obs.Json.Arr
+          (List.map (fun (_, _, _, s) -> Sc_metrics.Metrics.to_json s) runs) )
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -860,17 +962,12 @@ let e11 () =
        " — wall-clock speedup is bounded at 1.0x here; the table still \
         demonstrates determinism and bounded overhead"
      else "");
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
   let levels = [ 1; 2; 4; 8 ] in
   let with_pool j f =
     let pool = Sc_par.Pool.create ~domains:j () in
     Fun.protect
       ~finally:(fun () -> Sc_par.Pool.shutdown pool)
-      (fun () -> wall (fun () -> f pool))
+      (fun () -> wall_ms (fun () -> f pool))
   in
   Printf.printf "%-8s %-6s %9s %9s %9s %9s %7s %s\n" "design" "stage"
     "j=1 ms" "j=2 ms" "j=4 ms" "j=8 ms" "x at 4" "identical";
@@ -885,8 +982,7 @@ let e11 () =
         ; ( "ms"
           , Sc_obs.Json.Obj
               (List.map2
-                 (fun j t ->
-                   (Printf.sprintf "j%d" j, Sc_obs.Json.Num (Float.round (t *. 1000.) /. 1000.)))
+                 (fun j t -> (Printf.sprintf "j%d" j, round3 t))
                  levels times) )
         ; ("identical", Sc_obs.Json.Bool same)
         ]
@@ -943,10 +1039,7 @@ let e11 () =
       cone_runs
   in
   print_row "pdp8_dp" "equiv" (List.map snd cone_runs) verdicts_ok;
-  if not !all_identical then begin
-    Printf.printf "\nFAIL: output varied with the pool width\n";
-    exit 1
-  end;
+  if not !all_identical then fail "output varied with the pool width";
   Printf.printf "\nall outputs byte-identical at every pool width\n";
   (* the result cache: hit in memory, then from disk after a "restart" *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e11-cache" in
@@ -958,11 +1051,11 @@ let e11 () =
     | Error d -> failwith (Sc_pipeline.Diag.to_string d)
   in
   Sc_pipeline.Pipeline.enable_cache ~dir ();
-  let (), cold = wall compile in
-  let (), warm = wall compile in
+  let (), cold = wall_ms compile in
+  let (), warm = wall_ms compile in
   (* a "restart": drop every in-memory store, keep the disk artifacts *)
   Sc_pipeline.Pipeline.clear_caches ();
-  let (), disk = wall compile in
+  let (), disk = wall_ms compile in
   Sc_pipeline.Pipeline.disable_cache ();
   Sc_pipeline.Pipeline.clear_caches ();
   Printf.printf
@@ -971,28 +1064,16 @@ let e11 () =
     cold warm
     (cold /. Float.max warm 0.001)
     disk;
-  let round3 t = Sc_obs.Json.Num (Float.round (t *. 1000.) /. 1000.) in
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e11")
-      ; ("identical", Sc_obs.Json.Bool !all_identical)
-      ; ("rows", Sc_obs.Json.Arr (List.rev !json_rows))
-      ; ( "result_cache_ms"
-        , Sc_obs.Json.Obj
-            [ ("cold", round3 cold)
-            ; ("memory_hit", round3 warm)
-            ; ("disk_hit", round3 disk)
-            ] )
-      ]
-  in
-  let oc = open_out "BENCH_e11.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable rows written to BENCH_e11.json\n"
+  write_bench ~what:"rows" "e11"
+    [ ("identical", Sc_obs.Json.Bool !all_identical)
+    ; ("rows", Sc_obs.Json.Arr (List.rev !json_rows))
+    ; ( "result_cache_ms"
+      , Sc_obs.Json.Obj
+          [ ("cold", round3 cold)
+          ; ("memory_hit", round3 warm)
+          ; ("disk_hit", round3 disk)
+          ] )
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E13: incremental recompilation through the typed pass manager       *)
@@ -1004,26 +1085,21 @@ let e13 () =
      an identical input hits every stage; editing --restarts reruns \
      only place and the passes downstream of it";
   let module P = Sc_pipeline.Pipeline in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e13-cache" in
   (* the directory persists across bench runs: start genuinely cold *)
   rm_rf dir;
   let compile restarts =
-    P.reset_log ();
     match
-      Sc_core.Compiler.compile_behavior ~restarts Sc_core.Designs.pdp8_src
+      P.with_log (fun () ->
+          Sc_core.Compiler.compile_behavior ~restarts Sc_core.Designs.pdp8_src)
     with
-    | Ok _ -> P.log ()
-    | Error d -> failwith (Sc_pipeline.Diag.to_string d)
+    | Ok _, log -> log
+    | Error d, _ -> failwith (Sc_pipeline.Diag.to_string d)
   in
   P.enable_cache ~dir ();
-  let log_cold, cold = wall (fun () -> compile 2) in
-  let log_warm, warm = wall (fun () -> compile 2) in
-  let log_edit, edit = wall (fun () -> compile 5) in
+  let log_cold, cold = wall_ms (fun () -> compile 2) in
+  let log_warm, warm = wall_ms (fun () -> compile 2) in
+  let log_edit, edit = wall_ms (fun () -> compile 5) in
   P.disable_cache ();
   P.clear_caches ();
   Printf.printf "%-10s %-14s %-14s %-14s\n" "pass" "cold" "warm (same)"
@@ -1046,10 +1122,6 @@ let e13 () =
       (fun (n, st) -> if st = P.Ran || st = P.Failed then Some n else None)
       lg
   in
-  let fail msg =
-    Printf.printf "\nFAIL: %s\n" msg;
-    exit 1
-  in
   if ran log_warm <> [] then
     fail
       ("identical input re-ran: " ^ String.concat ", " (ran log_warm));
@@ -1060,35 +1132,17 @@ let e13 () =
   Printf.printf
     "\nidentical input: all-stage hit; --restarts edit: \
      parse/compile/optimize reused, place..measure recomputed\n";
-  let round3 t = Sc_obs.Json.Num (Float.round (t *. 1000.) /. 1000.) in
-  let statuses lg =
-    Sc_obs.Json.Obj
-      (List.map
-         (fun (n, st) -> (n, Sc_obs.Json.Str (P.status_to_string st)))
-         lg)
-  in
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e13")
-      ; ( "ms"
-        , Sc_obs.Json.Obj
-            [ ("cold", round3 cold)
-            ; ("warm_identical", round3 warm)
-            ; ("warm_after_restarts_edit", round3 edit)
-            ] )
-      ; ("cold", statuses log_cold)
-      ; ("warm_identical", statuses log_warm)
-      ; ("warm_after_restarts_edit", statuses log_edit)
-      ]
-  in
-  let oc = open_out "BENCH_e13.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable timings written to BENCH_e13.json\n"
+  write_bench ~what:"timings" "e13"
+    [ ( "ms"
+      , Sc_obs.Json.Obj
+          [ ("cold", round3 cold)
+          ; ("warm_identical", round3 warm)
+          ; ("warm_after_restarts_edit", round3 edit)
+          ] )
+    ; ("cold", json_statuses log_cold)
+    ; ("warm_identical", json_statuses log_warm)
+    ; ("warm_after_restarts_edit", json_statuses log_edit)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: the compile daemon under concurrent load                       *)
@@ -1101,34 +1155,8 @@ let e14 () =
      throughput while every response's QoR stays byte-identical to the \
      committed baselines";
   let module P = Sc_serve.Protocol in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let fail msg =
-    Printf.printf "\nFAIL: %s\n" msg;
-    exit 1
-  in
   let designs = [ "counter"; "traffic"; "alu4"; "pdp8" ] in
-  let src_of name =
-    match Sc_core.Designs.builtin name with
-    | Some s -> s
-    | None -> fail ("no builtin design " ^ name)
-  in
-  let baseline_dir =
-    if Sys.file_exists "bench/baselines" then "bench/baselines"
-    else "baselines"
-  in
-  let baseline_qor =
-    List.map
-      (fun name ->
-        let path = Filename.concat baseline_dir (name ^ ".json") in
-        match Sc_metrics.Metrics.read path with
-        | Ok s -> (name, Sc_metrics.Metrics.qor_string s)
-        | Error e -> fail (path ^ ": " ^ e))
-      designs
-  in
+  let baseline_qor = baseline_qors designs in
   (* --- sequential single-shot baseline, measured BEFORE the daemon
      takes over the process-global cache configuration: each run pays
      the full cold pipeline, exactly like one `scc isp D` process --- *)
@@ -1140,7 +1168,7 @@ let e14 () =
         for _ = 1 to seq_rounds do
           List.iter
             (fun name ->
-              match Sc_core.Compiler.compile_behavior (src_of name) with
+              match Sc_core.Compiler.compile_behavior (builtin_src name) with
               | Ok _ -> ()
               | Error d ->
                 fail (name ^ ": " ^ Sc_pipeline.Diag.to_string d))
@@ -1154,39 +1182,15 @@ let e14 () =
     seq_n seq_time seq_rps;
   Sc_pipeline.Pipeline.clear_caches ();
   (* --- start the daemon in-process on a temp socket --- *)
-  let tmp = Filename.get_temp_dir_name () in
-  let socket = Filename.concat tmp "scc-e14.sock" in
-  let cache_dir = Filename.concat tmp "scc-e14-cache" in
-  rm_rf cache_dir;
-  let server_exit = ref (-1) in
-  let server =
-    Thread.create
-      (fun () ->
-        server_exit :=
-          Sc_serve.Server.run ~jobs:1 ~stage_cache:cache_dir
-            ~handle_signals:false ~socket ())
-      ()
-  in
-  let rec await n =
-    if n = 0 then fail "daemon did not come up"
-    else if not (Sys.file_exists socket) then begin
-      Thread.delay 0.05;
-      await (n - 1)
-    end
-  in
-  await 100;
+  let daemon = start_daemon "e14" in
+  let socket = daemon.dsocket in
   let rpc fd req =
     match Sc_serve.Client.rpc fd req with
     | Ok r -> r
     | Error e -> fail ("rpc: " ^ e)
   in
-  let one_shot req =
-    match Sc_serve.Client.one_shot socket req with
-    | Ok r -> r
-    | Error e -> fail ("rpc: " ^ e)
-  in
   let stat key =
-    match one_shot P.Stats with
+    match one_shot socket P.Stats with
     | P.Stats_reply s -> (
       match List.assoc_opt key s.P.counters with
       | Some v -> v
@@ -1194,7 +1198,7 @@ let e14 () =
     | _ -> fail "unexpected stats response"
   in
   let spec name restarts =
-    { P.design = name; source = src_of name; style = "gates"; restarts
+    { P.design = name; source = builtin_src name; style = "gates"; restarts
     ; certify = false
     }
   in
@@ -1206,7 +1210,8 @@ let e14 () =
   let threads =
     List.init clients (fun i ->
         Thread.create
-          (fun () -> replies.(i) <- Some (one_shot (P.Compile (spec "pdp8" 0))))
+          (fun () ->
+            replies.(i) <- Some (one_shot socket (P.Compile (spec "pdp8" 0))))
           ())
   in
   List.iter Thread.join threads;
@@ -1309,37 +1314,17 @@ let e14 () =
      restarts variants self-consistent)\n"
     (total - ((total / 83) + 1));
   (* --- clean shutdown over the protocol --- *)
-  (match one_shot P.Shutdown with
-  | P.Bye -> ()
-  | _ -> fail "shutdown: expected Bye");
-  Thread.join server;
-  if !server_exit <> 0 then
-    fail (Printf.sprintf "daemon exited %d" !server_exit);
-  if Sys.file_exists socket then fail "daemon left its socket behind";
+  stop_daemon daemon;
   Printf.printf "clean shutdown: daemon drained, exit 0, socket unlinked\n";
-  Sc_pipeline.Pipeline.disable_cache ();
-  Sc_pipeline.Pipeline.clear_caches ();
-  let round1 t = Sc_obs.Json.Num (Float.round (t *. 10.) /. 10.) in
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e14")
-      ; ("sequential_rps", round1 seq_rps)
-      ; ("daemon_rps", round1 daemon_rps)
-      ; ("speedup", round1 (daemon_rps /. seq_rps))
-      ; ("requests", Sc_obs.Json.Num (float_of_int total))
-      ; ("executions", Sc_obs.Json.Num (float_of_int executions_total))
-      ; ("dedup_hits", Sc_obs.Json.Num (float_of_int dedup_total))
-      ; ("qor_identical", Sc_obs.Json.Bool true)
-      ]
-  in
-  let oc = open_out "BENCH_e14.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable results written to BENCH_e14.json\n"
+  write_bench ~what:"results" "e14"
+    [ ("sequential_rps", rounded 1 seq_rps)
+    ; ("daemon_rps", rounded 1 daemon_rps)
+    ; ("speedup", rounded 1 (daemon_rps /. seq_rps))
+    ; ("requests", Sc_obs.Json.Num (float_of_int total))
+    ; ("executions", Sc_obs.Json.Num (float_of_int executions_total))
+    ; ("dedup_hits", Sc_obs.Json.Num (float_of_int dedup_total))
+    ; ("qor_identical", Sc_obs.Json.Bool true)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: the certified pipeline — what translation validation costs     *)
@@ -1353,45 +1338,36 @@ let e15 () =
      with the stage artifacts, and the proof overhead is a bounded \
      fraction of the cold compile";
   let module P = Sc_pipeline.Pipeline in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  let fail msg =
-    Printf.printf "\nFAIL: %s\n" msg;
-    exit 1
-  in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e15-cache" in
   rm_rf dir;
-  let compile ?inject_fault () =
-    P.reset_log ();
+  let compile ?(certify = true) ?inject_fault () =
     match
-      Sc_core.Compiler.compile_behavior ?inject_fault Sc_core.Designs.pdp8_src
+      P.with_certify certify (fun () ->
+          P.with_log (fun () ->
+              Sc_core.Compiler.compile_behavior ?inject_fault
+                Sc_core.Designs.pdp8_src))
     with
-    | Ok _ -> (P.log (), None)
-    | Error d -> (P.log (), Some d)
+    | Ok _, log -> (log, None)
+    | Error d, log -> (log, Some d)
   in
   (* plain cold compile first, as the overhead baseline (its own cache
      so the certified run below is also genuinely cold) *)
-  let (_, err_plain), plain_ms = wall (fun () -> compile ()) in
+  let (_, err_plain), plain_ms = wall_ms (fun () -> compile ~certify:false ()) in
   (match err_plain with
   | None -> ()
   | Some d -> fail ("plain compile failed: " ^ Sc_pipeline.Diag.to_string d));
   P.enable_cache ~dir ();
-  P.enable_certify ();
   Fun.protect
     ~finally:(fun () ->
-      P.disable_certify ();
       P.disable_cache ();
       P.clear_caches ())
   @@ fun () ->
-  let (log_cold, err_cold), cold_ms = wall (fun () -> compile ()) in
+  let (log_cold, err_cold), cold_ms = wall_ms (fun () -> compile ()) in
   (match err_cold with
   | None -> ()
   | Some d ->
     fail ("certified compile refused: " ^ Sc_pipeline.Diag.to_string d));
-  let (log_warm, err_warm), warm_ms = wall (fun () -> compile ()) in
+  let (log_warm, err_warm), warm_ms = wall_ms (fun () -> compile ()) in
   (match err_warm with
   | None -> ()
   | Some d ->
@@ -1412,7 +1388,7 @@ let e15 () =
     "certified warm" warm_ms (List.length log_warm);
   (* the checker is live: an injected miscompile must be refused naming
      the pass, and must sail through when certification is off *)
-  let (_, err_inject), _ = wall (fun () -> compile ~inject_fault:1 ()) in
+  let (_, err_inject), _ = wall_ms (fun () -> compile ~inject_fault:1 ()) in
   (match err_inject with
   | Some d when d.Sc_pipeline.Diag.stage = "optimize" ->
     Printf.printf "\ninjected fault (gate 1 flipped): refused — %s\n"
@@ -1422,9 +1398,9 @@ let e15 () =
       ("injected fault refused by the wrong pass: "
       ^ Sc_pipeline.Diag.to_string d)
   | None -> fail "injected miscompile was certified");
-  P.disable_certify ();
-  let (_, err_uncert), _ = wall (fun () -> compile ~inject_fault:1 ()) in
-  P.enable_certify ();
+  let (_, err_uncert), _ =
+    wall_ms (fun () -> compile ~certify:false ~inject_fault:1 ())
+  in
   (match err_uncert with
   | None ->
     Printf.printf
@@ -1432,39 +1408,18 @@ let e15 () =
        certification closes\n"
   | Some d ->
     fail ("uncertified injected compile failed: " ^ Sc_pipeline.Diag.to_string d));
-  let round3 t = Sc_obs.Json.Num (Float.round (t *. 1000.) /. 1000.) in
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e15")
-      ; ( "ms"
-        , Sc_obs.Json.Obj
-            [ ("plain_cold", round3 plain_ms)
-            ; ("certified_cold", round3 cold_ms)
-            ; ("certified_warm", round3 warm_ms)
-            ] )
-      ; ( "certify_overhead_x"
-        , round3 (cold_ms /. Float.max plain_ms 0.001) )
-      ; ("injected_fault_refused", Sc_obs.Json.Bool true)
-      ; ( "cold"
-        , Sc_obs.Json.Obj
-            (List.map
-               (fun (n, st) -> (n, Sc_obs.Json.Str (P.status_to_string st)))
-               log_cold) )
-      ; ( "warm"
-        , Sc_obs.Json.Obj
-            (List.map
-               (fun (n, st) -> (n, Sc_obs.Json.Str (P.status_to_string st)))
-               log_warm) )
-      ]
-  in
-  let oc = open_out "BENCH_e15.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable results written to BENCH_e15.json\n"
+  write_bench ~what:"results" "e15"
+    [ ( "ms"
+      , Sc_obs.Json.Obj
+          [ ("plain_cold", round3 plain_ms)
+          ; ("certified_cold", round3 cold_ms)
+          ; ("certified_warm", round3 warm_ms)
+          ] )
+    ; ("certify_overhead_x", round3 (cold_ms /. Float.max plain_ms 0.001))
+    ; ("injected_fault_refused", Sc_obs.Json.Bool true)
+    ; ("cold", json_statuses log_cold)
+    ; ("warm", json_statuses log_warm)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E16: per-request observability under concurrency                    *)
@@ -1477,36 +1432,10 @@ let e16 () =
      observability lock — and each response's measured QoR stays \
      byte-identical to the committed baselines";
   let module P = Sc_serve.Protocol in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let fail msg =
-    Printf.printf "\nFAIL: %s\n" msg;
-    exit 1
-  in
   let designs = [ "counter"; "traffic"; "alu4"; "pdp8" ] in
-  let src_of name =
-    match Sc_core.Designs.builtin name with
-    | Some s -> s
-    | None -> fail ("no builtin design " ^ name)
-  in
-  let baseline_dir =
-    if Sys.file_exists "bench/baselines" then "bench/baselines"
-    else "baselines"
-  in
-  let baseline_qor =
-    List.map
-      (fun name ->
-        let path = Filename.concat baseline_dir (name ^ ".json") in
-        match Sc_metrics.Metrics.read path with
-        | Ok s -> (name, Sc_metrics.Metrics.qor_string s)
-        | Error e -> fail (path ^ ": " ^ e))
-      designs
-  in
+  let baseline_qor = baseline_qors designs in
   let spec ?(restarts = 0) name =
-    { P.design = name; source = src_of name; style = "gates"; restarts
+    { P.design = name; source = builtin_src name; style = "gates"; restarts
     ; certify = false
     }
   in
@@ -1521,43 +1450,10 @@ let e16 () =
      cache, so the only variable is whether the four instrumented
      compiles are issued sequentially or concurrently *)
   let with_daemon ?trace_dir tag f =
-    let socket = Filename.concat tmp ("scc-e16-" ^ tag ^ ".sock") in
-    let cache_dir = Filename.concat tmp ("scc-e16-" ^ tag ^ "-cache") in
-    rm_rf cache_dir;
-    (try Sys.remove socket with Sys_error _ -> ());
-    let server_exit = ref (-1) in
-    let server =
-      Thread.create
-        (fun () ->
-          server_exit :=
-            Sc_serve.Server.run ~jobs:1 ~stage_cache:cache_dir
-              ~handle_signals:false ?trace_dir ~socket ())
-        ()
-    in
-    let rec await n =
-      if n = 0 then fail "daemon did not come up"
-      else if not (Sys.file_exists socket) then begin
-        Thread.delay 0.05;
-        await (n - 1)
-      end
-    in
-    await 100;
-    let r = f socket in
-    (match Sc_serve.Client.one_shot socket P.Shutdown with
-    | Ok P.Bye -> ()
-    | _ -> fail "shutdown: expected Bye");
-    Thread.join server;
-    if !server_exit <> 0 then
-      fail (Printf.sprintf "daemon exited %d" !server_exit);
-    rm_rf cache_dir;
-    Sc_pipeline.Pipeline.disable_cache ();
-    Sc_pipeline.Pipeline.clear_caches ();
+    let d = start_daemon ?trace_dir ("e16-" ^ tag) in
+    let r = f d.dsocket in
+    stop_daemon d;
     r
-  in
-  let one_shot socket req =
-    match Sc_serve.Client.one_shot socket req with
-    | Ok r -> r
-    | Error e -> fail ("rpc: " ^ e)
   in
   let qor_of name = function
     | P.Compiled c -> (
@@ -1718,35 +1614,23 @@ let e16 () =
          "concurrent instrumented compiles did not overlap: %.2f s \
           concurrent vs %.2f s sum-of-solos on %d cores"
          t_par t_seq cores);
-  let round2 t = Sc_obs.Json.Num (Float.round (t *. 100.) /. 100.) in
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e16")
-      ; ("designs_sequential_s", round2 t_designs_seq)
-      ; ("designs_concurrent_s", round2 t_designs_par)
-      ; ("heavy_sequential_s", round2 t_seq)
-      ; ("heavy_concurrent_s", round2 t_par)
-      ; ("speedup", round2 speedup)
-      ; ("cores", Sc_obs.Json.Num (float_of_int cores))
-      ; ("peak_executions", Sc_obs.Json.Num (float_of_int peak))
-      ; ( "compile_latency_us"
-        , Sc_obs.Json.Obj
-            [ ("p50", Sc_obs.Json.Num (float_of_int p50))
-            ; ("p95", Sc_obs.Json.Num (float_of_int p95))
-            ; ("p99", Sc_obs.Json.Num (float_of_int p99))
-            ] )
-      ; ("traces", Sc_obs.Json.Num (float_of_int (List.length traces)))
-      ; ("qor_identical", Sc_obs.Json.Bool true)
-      ]
-  in
-  let oc = open_out "BENCH_e16.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable results written to BENCH_e16.json\n"
+  write_bench ~what:"results" "e16"
+    [ ("designs_sequential_s", rounded 2 t_designs_seq)
+    ; ("designs_concurrent_s", rounded 2 t_designs_par)
+    ; ("heavy_sequential_s", rounded 2 t_seq)
+    ; ("heavy_concurrent_s", rounded 2 t_par)
+    ; ("speedup", rounded 2 speedup)
+    ; ("cores", Sc_obs.Json.Num (float_of_int cores))
+    ; ("peak_executions", Sc_obs.Json.Num (float_of_int peak))
+    ; ( "compile_latency_us"
+      , Sc_obs.Json.Obj
+          [ ("p50", Sc_obs.Json.Num (float_of_int p50))
+          ; ("p95", Sc_obs.Json.Num (float_of_int p95))
+          ; ("p99", Sc_obs.Json.Num (float_of_int p99))
+          ] )
+    ; ("traces", Sc_obs.Json.Num (float_of_int (List.length traces)))
+    ; ("qor_identical", Sc_obs.Json.Bool true)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E17: separate compilation — per-module pipelines + macro assembly   *)
@@ -1760,15 +1644,6 @@ let e17 () =
      the modular QoR snapshot is byte-identical cold vs warm and at \
      -j1 vs -j4";
   let module P = Sc_pipeline.Pipeline in
-  let fail msg =
-    Printf.printf "\nFAIL: %s\n" msg;
-    exit 1
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
   let replace ~sub ~by s =
     let n = String.length sub in
     let rec find i =
@@ -1786,11 +1661,9 @@ let e17 () =
     Sc_par.Pool.set_default_size jobs;
     Sc_obs.Obs.reset ();
     Sc_obs.Obs.enable ();
-    P.reset_log ();
-    match Sc_core.Compiler.compile_behavior s with
-    | Error d -> fail ("e17: " ^ Sc_pipeline.Diag.to_string d)
-    | Ok _ ->
-      let lg = P.log () in
+    match P.with_log (fun () -> Sc_core.Compiler.compile_behavior s) with
+    | Error d, _ -> fail ("e17: " ^ Sc_pipeline.Diag.to_string d)
+    | Ok _, lg ->
       Sc_obs.Obs.disable ();
       let qor =
         Sc_metrics.Metrics.qor_string
@@ -1801,13 +1674,13 @@ let e17 () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e17-cache" in
   rm_rf dir;
   P.enable_cache ~dir ();
-  let (log_cold, qor_cold), cold = wall (fun () -> compile ~jobs:4 src) in
-  let (log_warm, qor_warm), warm = wall (fun () -> compile ~jobs:1 src) in
-  let (log_edit, qor_edit), edit = wall (fun () -> compile ~jobs:4 edited) in
+  let (log_cold, qor_cold), cold = wall_ms (fun () -> compile ~jobs:4 src) in
+  let (log_warm, qor_warm), warm = wall_ms (fun () -> compile ~jobs:1 src) in
+  let (log_edit, qor_edit), edit = wall_ms (fun () -> compile ~jobs:4 edited) in
   P.disable_cache ();
   P.clear_caches ();
   (* a cacheless -j1 rebuild from scratch: pure scheduling determinism *)
-  let (_, qor_j1), _ = wall (fun () -> compile ~jobs:1 src) in
+  let (_, qor_j1), _ = wall_ms (fun () -> compile ~jobs:1 src) in
   Sc_par.Pool.set_default_size 1;
   Printf.printf "%-16s %-14s %-14s %-14s\n" "pass" "cold (-j4)"
     "warm (-j1)" "mixer edited";
@@ -1853,36 +1726,18 @@ let e17 () =
      mixer's sub-pipeline + assembly recomputed\n";
   Printf.printf
     "QoR snapshots byte-identical cold -j4 / warm -j1 / cacheless -j1\n";
-  let round3 t = Sc_obs.Json.Num (Float.round (t *. 1000.) /. 1000.) in
-  let statuses lg =
-    Sc_obs.Json.Obj
-      (List.map
-         (fun (n, st) -> (n, Sc_obs.Json.Str (P.status_to_string st)))
-         lg)
-  in
-  let json =
-    Sc_obs.Json.Obj
-      [ ("schema", Sc_obs.Json.Str "scc-bench")
-      ; ("experiment", Sc_obs.Json.Str "e17")
-      ; ( "ms"
-        , Sc_obs.Json.Obj
-            [ ("cold_j4", round3 cold)
-            ; ("warm_j1", round3 warm)
-            ; ("warm_after_mixer_edit", round3 edit)
-            ] )
-      ; ("cold", statuses log_cold)
-      ; ("warm_identical", statuses log_warm)
-      ; ("warm_after_mixer_edit", statuses log_edit)
-      ; ("qor_identical", Sc_obs.Json.Bool true)
-      ]
-  in
-  let oc = open_out "BENCH_e17.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable timings written to BENCH_e17.json\n"
+  write_bench ~what:"timings" "e17"
+    [ ( "ms"
+      , Sc_obs.Json.Obj
+          [ ("cold_j4", round3 cold)
+          ; ("warm_j1", round3 warm)
+          ; ("warm_after_mixer_edit", round3 edit)
+          ] )
+    ; ("cold", json_statuses log_cold)
+    ; ("warm_identical", json_statuses log_warm)
+    ; ("warm_after_mixer_edit", json_statuses log_edit)
+    ; ("qor_identical", Sc_obs.Json.Bool true)
+    ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -132,16 +132,17 @@ let inject_fault_arg =
            leaves the optimize pass (fault-injection demo — with \
            $(b,--certify) the pipeline must refuse it).")
 
-(* enable the pipeline store (when asked) and certification (when
-   asked), run, then print the per-pass outcomes (--explain) and cache
-   stats to stderr *)
+(* enable the pipeline store (when asked), run certified (when asked),
+   then print the per-pass outcomes (--explain) and cache stats to
+   stderr *)
 let with_pipeline ~stage_cache ~explain ~certify k =
   Option.iter (fun dir -> Sc_pipeline.Pipeline.enable_cache ~dir ()) stage_cache;
-  if certify then Sc_pipeline.Pipeline.enable_certify ();
-  Sc_pipeline.Pipeline.reset_log ();
-  let r = k () in
+  let r, log =
+    Sc_pipeline.Pipeline.with_certify certify (fun () ->
+        Sc_pipeline.Pipeline.with_log k)
+  in
   if explain then
-    Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain ();
+    Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain log;
   if stage_cache <> None then
     List.iter
       (fun (name, s) ->
@@ -843,7 +844,7 @@ let serve_cmd =
          "Run the compile daemon: a long-running process multiplexing \
           concurrent compilations over one shared stage cache.  Clients \
           connect over the Unix-domain socket ($(b,scc client)); \
-          identical in-flight requests are deduplicated; each execution \
+          identical in-flight requests share one execution; each execution \
           records into its own per-request recorder, so instrumented \
           compiles overlap.  Telemetry: per-verb latency histograms \
           ($(b,scc client stats)), a structured JSONL log ($(b,--log)), \

@@ -353,10 +353,11 @@ let compile_layout ?recorder ?entry ?(args = []) src =
    A source with a [chip] block compiles at module granularity: each
    module block runs its own sub-pipeline (parse → compile → optimize →
    place → route → drc → emit → measure) keyed on that block's raw
-   text, on its own domain with its own Obs recorder and run journal;
-   the chip then assembles the per-module layouts into a macro row with
-   a routed channel (Sc_chip.Assemble.pack) inside a pad frame, and
-   whole-chip drc/emit/measure finish the job.  Editing one module
+   text, as one task on the default Sc_par pool (in the caller at -j1)
+   with its own Obs recorder and run journal; the chip then assembles
+   the per-module layouts into a macro row with a routed channel
+   (Sc_chip.Assemble.pack) inside a pad frame, and whole-chip
+   drc/emit/measure finish the job.  Editing one module
    invalidates exactly that module's stage keys plus the assembly. *)
 
 type module_compiled =
@@ -376,17 +377,18 @@ type module_run =
   ; mr_totals : (string * int) list
   }
 
-(* Runs on its own domain: a fresh recorder isolates the module's QoR
-   gauges (concurrent modules would clobber each other's last-write
-   gauges in a shared recorder), a fresh journal isolates --explain
-   rows; both are merged deterministically by the caller. *)
+(* A fresh recorder isolates the module's QoR gauges (concurrent
+   modules would clobber each other's last-write gauges in a shared
+   recorder) and [with_log] its --explain rows; the caller merges both
+   deterministically.  The certify choice is passed in because a pool
+   worker does not inherit the submitter's run context. *)
 let run_module ~record ~certify ~restarts text () =
   let rec_ = Sc_obs.Obs.Recorder.create () in
   if record then Sc_obs.Obs.Recorder.enable rec_;
   Sc_obs.Obs.with_recorder rec_ @@ fun () ->
   P.with_certify certify @@ fun () ->
-  P.reset_log ();
-  let mr =
+  let mr, mr_log =
+    P.with_log @@ fun () ->
     let* design = P.run parse_pass (P.source text) in
     let* layout_staged, circuit = gates_path ~restarts design in
     let* drc = P.run drc_pass layout_staged in
@@ -402,87 +404,13 @@ let run_module ~record ~certify ~restarts text () =
       ; mc_measure = P.value m
       }
   in
-  let mr_log = P.log () in
-  P.drop_log ();
   { mr; mr_log; mr_totals = Sc_obs.Obs.Recorder.totals rec_ }
 
 (* In-flight dedup across concurrent modular compiles (the serve
    daemon's overlapping requests): the first arrival computes, everyone
-   else blocks for the shared result.  Entries live only while the
-   compute runs — afterwards the stage cache serves repeats. *)
-let mod_inflight : (string, module_run option ref) Hashtbl.t = Hashtbl.create 8
-let mod_lock = Mutex.create ()
-let mod_cond = Condition.create ()
-
-let shared_module_run key compute =
-  Mutex.lock mod_lock;
-  match Hashtbl.find_opt mod_inflight key with
-  | Some cell ->
-    let rec await () =
-      match !cell with
-      | Some r -> r
-      | None ->
-        Condition.wait mod_cond mod_lock;
-        await ()
-    in
-    let r = await () in
-    Mutex.unlock mod_lock;
-    (`Shared, r)
-  | None ->
-    let cell = ref None in
-    Hashtbl.add mod_inflight key cell;
-    Mutex.unlock mod_lock;
-    let finish r =
-      Mutex.lock mod_lock;
-      cell := Some r;
-      Hashtbl.remove mod_inflight key;
-      Condition.broadcast mod_cond;
-      Mutex.unlock mod_lock
-    in
-    (match compute () with
-    | r ->
-      finish r;
-      (`Fresh, r)
-    | exception e ->
-      (* never leave waiters hanging: surface the exception as a Diag *)
-      finish
-        { mr = Error (Diag.of_exn ~stage:"module" e)
-        ; mr_log = []
-        ; mr_totals = []
-        };
-      raise e)
-
-(* bounded fan-out on dedicated domains: module pipelines submit their
-   own shard work to the shared Sc_par pool, so they must not run *on*
-   that pool (nested submission); one domain per in-flight module
-   mirrors the serve daemon's request isolation.  jobs <= 1 still
-   spawns (journal and recorder isolation) but strictly one at a
-   time, keeping -j1 runs deterministic by construction. *)
-let fan_out ~jobs tasks =
-  let n = Array.length tasks in
-  let results = Array.make n None in
-  if jobs <= 1 then
-    Array.iteri
-      (fun i t -> results.(i) <- Some (Domain.join (Domain.spawn t)))
-      tasks
-  else begin
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (tasks.(i) ());
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned =
-      List.init (min jobs n) (fun _ -> Domain.spawn worker)
-    in
-    List.iter Domain.join spawned
-  end;
-  Array.map Option.get results
+   else shares its run.  Afterwards the stage cache serves repeats. *)
+let module_flights : module_run Sc_par.Single_flight.t =
+  Sc_par.Single_flight.create ()
 
 (* --- the assembly pass --- *)
 
@@ -726,9 +654,8 @@ let compile_modular ?recorder ?(restarts = 0) src =
     in
     let record = Obs.enabled () in
     let certify = P.certify_enabled () in
-    let jobs = Sc_par.Pool.default_size () in
-    let tasks =
-      Array.of_list
+    let runs =
+      Sc_par.Pool.run ~label:"module" (Sc_par.Pool.default ())
         (List.map
            (fun (m : Chipdesc.source_module) () ->
              let key =
@@ -736,17 +663,15 @@ let compile_modular ?recorder ?(restarts = 0) src =
                  (Printf.sprintf "modular-module\x00%s\x00restarts=%d;certify=%b"
                     m.sm_text restarts certify)
              in
-             shared_module_run key
+             Sc_par.Single_flight.run module_flights key
                (run_module ~record ~certify ~restarts m.sm_text))
            used)
     in
-    let runs = fan_out ~jobs tasks in
-    if Obs.enabled () then Obs.gauge "modular.modules" (Array.length runs);
+    if Obs.enabled () then Obs.gauge "modular.modules" (List.length runs);
     (* merge journals and telemetry deterministically, in file order;
        a run served by the in-flight dedup reports its passes as hits *)
-    Array.iteri
-      (fun i (how, r) ->
-        let m = List.nth used i in
+    List.iter2
+      (fun (m : Chipdesc.source_module) (how, r) ->
         let entries =
           match how with
           | `Fresh -> r.mr_log
@@ -755,19 +680,16 @@ let compile_modular ?recorder ?(restarts = 0) src =
             List.map (fun (n, _) -> (n, P.Hit)) r.mr_log
         in
         P.append_log
-          (List.map
-             (fun (n, st) -> (m.Chipdesc.sm_name ^ ":" ^ n, st))
-             entries);
+          (List.map (fun (n, st) -> (m.sm_name ^ ":" ^ n, st)) entries);
         if Obs.enabled () then
           List.iter
             (fun (k, v) ->
               if runtime_total_key k then Obs.count k v
-              else
-                Obs.gauge ("module." ^ m.Chipdesc.sm_name ^ "." ^ k) v)
+              else Obs.gauge ("module." ^ m.sm_name ^ "." ^ k) v)
             r.mr_totals)
-      runs;
+      used runs;
     let* mods =
-      Array.fold_left
+      List.fold_left
         (fun acc (_, r) ->
           let* acc = acc in
           match r.mr with

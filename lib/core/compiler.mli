@@ -74,7 +74,7 @@ val compile_layout :
     parse/compile/optimize hits).  [inject_fault] deliberately
     miscompiles the optimize pass on the gates path
     ({!Sc_synth.Synth.optimize_result}'s [inject]) — a live target for
-    {!Sc_pipeline.Pipeline.enable_certify}; like restarts it is pinned
+    {!Sc_pipeline.Pipeline.with_certify}; like restarts it is pinned
     by a pass param, so faulty artifacts never share cache keys with
     honest ones (ignored by [Pla_control]). *)
 val compile_behavior :
@@ -88,8 +88,9 @@ val compile_behavior :
 (** Separate compilation: a multi-module source with a [chip] block
     ({!Sc_core.Chipdesc}).  Each module block runs its own sub-pipeline
     (parse → compile → optimize → place → route → drc → emit → measure)
-    keyed on that block's raw text, on its own domain with its own
-    recorder and run journal — editing one module re-runs exactly that
+    keyed on that block's raw text, as one task on the default
+    {!Sc_par.Pool} (in the caller at [-j 1]) with its own recorder and
+    run journal — editing one module re-runs exactly that
     module's passes plus assembly.  Concurrent compiles of the same
     module text (the serve daemon) share one in-flight run.  The
     assembly pass packs the per-module layouts into a macro row with a

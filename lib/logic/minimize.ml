@@ -227,7 +227,7 @@ let minimize ?dontcare ?exact:(want_exact = false) cover =
         irredundant ?dontcare (exact ?dontcare cover)
       else heuristic ?dontcare cover
     in
-    (* never return a worse cover than a deduplicated original *)
+    (* never return a worse cover than the original minus contained cubes *)
     let baseline =
       Cover.make ~ninputs:cover.Cover.ninputs ~noutputs:cover.Cover.noutputs
         (dedup_contained cover.Cover.cubes)

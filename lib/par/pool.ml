@@ -1,15 +1,19 @@
-(* The queue holds erased thunks; each [run] allocates its own result
-   slots and completion counter, so several runs can be in flight at
-   once — the serve daemon submits from concurrent request domains.
-   Each caller blocks until its own batch settles, helping with the
-   work (anyone's work: a helping caller may execute another batch's
-   tasks) meanwhile. *)
+(* Each [run] is a batch: its own result slots, an atomic claim index
+   and a completion counter.  The shared queue holds tickets, each of
+   which claims and runs tasks of one batch until that batch has none
+   left unclaimed; a ticket whose batch was drained by someone else is a
+   no-op.  The submitting caller claims from its own batch directly and
+   never takes a ticket, so it only ever runs its own tasks: a task
+   that calls [run] again waits on work it can always finish itself,
+   which is what makes nested submission safe.  Several batches can be
+   in flight at once — the serve daemon submits from concurrent request
+   domains. *)
 
 type t =
   { pool_size : int
   ; lock : Mutex.t
   ; work : Condition.t  (* queue non-empty, or stopping *)
-  ; settled : Condition.t  (* some batch finished a task *)
+  ; settled : Condition.t  (* some batch finished its last task *)
   ; queue : (unit -> unit) Queue.t
   ; mutable stopping : bool
   ; mutable workers : unit Domain.t list
@@ -19,26 +23,15 @@ let size t = t.pool_size
 
 let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 
-(* take one task if available; runs it outside the lock *)
-let try_step t =
-  Mutex.lock t.lock;
-  let task = Queue.take_opt t.queue in
-  Mutex.unlock t.lock;
-  match task with
-  | Some f ->
-    f ();
-    true
-  | None -> false
-
 let worker_loop t () =
   let rec loop () =
     Mutex.lock t.lock;
     while Queue.is_empty t.queue && not t.stopping do
       Condition.wait t.work t.lock
     done;
-    let task = Queue.take_opt t.queue in
+    let ticket = Queue.take_opt t.queue in
     Mutex.unlock t.lock;
-    match task with
+    match ticket with
     | Some f ->
       f ();
       loop ()
@@ -73,7 +66,6 @@ let shutdown t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-(* completed task i on behalf of [run]: record, count down, wake caller *)
 type 'a slot =
   | Pending
   | Done of 'a
@@ -82,12 +74,11 @@ type 'a slot =
 let run ?(label = "par.task") t thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
-  (* tasks inherit the submitter's ambient recorder: whoever executes a
-     task — a worker domain, or another run's caller helping via
-     [try_step] — records its spans and counters into the recorder of
-     the run that submitted it, not into its own.  Skipped when the
-     submitter is on the default recorder so the single-shot CLI path
-     pays nothing. *)
+  (* tasks inherit the submitter's ambient recorder: a worker domain
+     records a task's spans and counters into the recorder of the run
+     that submitted it, not into its own.  Skipped when the submitter
+     is on the default recorder so the single-shot CLI path pays
+     nothing. *)
   let amb = Sc_obs.Obs.ambient () in
   let obs = Sc_obs.Obs.Recorder.enabled amb in
   let exec f =
@@ -103,38 +94,48 @@ let run ?(label = "par.task") t thunks =
   end
   else begin
     let slots = Array.make n Pending in
+    let next = Atomic.make 0 in
     let remaining = ref n in
     (* which domain completed each task, for the load-imbalance gauges:
        rank 0 is the caller, workers rank by spawn order *)
     let ran_on = Array.make n (-1) in
+    let caller = (Domain.self () :> int) in
     let rank_of =
-      let caller = (Domain.self () :> int) in
       let workers =
         List.mapi (fun i d -> ((Domain.get_id d :> int), i + 1)) t.workers
       in
       fun id -> if id = caller then 0 else List.assoc id workers
     in
-    let task i () =
-      ran_on.(i) <- (Domain.self () :> int);
-      (slots.(i) <-
-        (match exec thunks.(i) with
-        | v -> Done v
-        | exception e -> Raised e));
-      Mutex.lock t.lock;
-      decr remaining;
-      if !remaining = 0 then Condition.broadcast t.settled;
-      Mutex.unlock t.lock
+    (* run the next unclaimed task; false once every task is claimed *)
+    let claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i >= n then false
+      else begin
+        ran_on.(i) <- (Domain.self () :> int);
+        (slots.(i) <-
+          (match exec thunks.(i) with
+          | v -> Done v
+          | exception e -> Raised e));
+        Mutex.lock t.lock;
+        decr remaining;
+        if !remaining = 0 then Condition.broadcast t.settled;
+        Mutex.unlock t.lock;
+        true
+      end
+    in
+    let drain () =
+      while claim () do
+        ()
+      done
     in
     Mutex.lock t.lock;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue
+    for _ = 1 to min (n - 1) (t.pool_size - 1) do
+      Queue.add drain t.queue
     done;
     Condition.broadcast t.work;
     Mutex.unlock t.lock;
-    (* the caller works the queue too, then waits for stragglers *)
-    while try_step t do
-      ()
-    done;
+    (* the caller works its own batch, then waits for stragglers *)
+    drain ();
     Mutex.lock t.lock;
     while !remaining > 0 do
       Condition.wait t.settled t.lock
@@ -144,10 +145,9 @@ let run ?(label = "par.task") t thunks =
       Sc_obs.Obs.count (label ^ ".tasks") n;
       let per_rank = Array.make t.pool_size 0 in
       Array.iter
-        (fun id -> if id >= 0 then begin
-            let r = rank_of id in
-            per_rank.(r) <- per_rank.(r) + 1
-          end)
+        (fun id ->
+          let r = rank_of id in
+          per_rank.(r) <- per_rank.(r) + 1)
         ran_on;
       Array.iteri
         (fun r c ->
@@ -172,6 +172,7 @@ let map_array ?label t f xs =
 
 let wanted = ref 1
 let current : t option ref = ref None
+let current_lock = Mutex.create ()
 
 let default_size () = !wanted
 
@@ -191,10 +192,13 @@ let set_default_size n =
     drop_current ()
   end
 
+(* locked: concurrent daemon executions must not each create (and
+   leak) a pool *)
 let default () =
-  match !current with
-  | Some p -> p
-  | None ->
-    let p = create ~domains:!wanted () in
-    current := Some p;
-    p
+  Mutex.protect current_lock (fun () ->
+      match !current with
+      | Some p -> p
+      | None ->
+        let p = create ~domains:!wanted () in
+        current := Some p;
+        p)

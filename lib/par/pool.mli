@@ -17,8 +17,11 @@
 
     The calling domain participates in the work (a pool of size [n]
     spawns [n - 1] worker domains), so no core idles while the caller
-    blocks.  Tasks must not submit work to the pool they run on
-    (the caller's slot is occupied; nested submission can deadlock).
+    blocks.  Its help covers {e its own batch only}: a caller never runs
+    another submitter's tasks, so a task runs either on its submitter's
+    domain or on a pool worker.  That makes nested submission safe — a
+    task may call [run] on the pool it runs on, and the inner caller
+    can always finish its inner batch by itself.
 
     Every task runs inside an {!Sc_obs.Obs.span} (named by [~label])
     when the recorder is enabled; spans carry the worker's domain id,

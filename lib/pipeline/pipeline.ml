@@ -28,7 +28,6 @@ type config =
   ; mutable ccap : int
   ; mutable cdisk_cap : int option
   ; mutable cenabled : bool
-  ; mutable ccertify : bool
   }
 
 let config =
@@ -36,7 +35,6 @@ let config =
   ; ccap = 256
   ; cdisk_cap = None
   ; cenabled = false
-  ; ccertify = false
   }
 
 (* --- translation certificates --- *)
@@ -112,42 +110,6 @@ let enable_cache ?(capacity = 256) ?disk_capacity ?dir () =
 let disable_cache () = config.cenabled <- false
 let cache_enabled () = config.cenabled
 
-let enable_certify () = config.ccertify <- true
-let disable_certify () = config.ccertify <- false
-
-(* The process-global flag can be overridden per (domain, thread): the
-   serve daemon decides certification per request, and concurrent
-   requests must not see each other's choice.  The override is scoped
-   by [with_certify] and consulted by every [run] on that context. *)
-let cert_overrides : (int * int, bool) Hashtbl.t = Hashtbl.create 8
-let cert_lock = Mutex.create ()
-
-let ckey () = ((Domain.self () :> int), Thread.id (Thread.self ()))
-
-let with_certify on f =
-  let k = ckey () in
-  let prev =
-    Mutex.protect cert_lock (fun () ->
-        let prev = Hashtbl.find_opt cert_overrides k in
-        Hashtbl.replace cert_overrides k on;
-        prev)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect cert_lock (fun () ->
-          match prev with
-          | None -> Hashtbl.remove cert_overrides k
-          | Some p -> Hashtbl.replace cert_overrides k p))
-    f
-
-let certify_enabled () =
-  match
-    Mutex.protect cert_lock (fun () ->
-        Hashtbl.find_opt cert_overrides (ckey ()))
-  with
-  | Some on -> on
-  | None -> config.ccertify
-
 let clear_caches () =
   Mutex.protect reg_lock (fun () -> List.iter (fun r -> r.rclear ()) !registry)
 
@@ -209,61 +171,71 @@ let status_key = function
   | Disk_hit -> "disk_hit"
   | Failed -> "failed"
 
-(* One journal per (domain, thread): concurrent compiles — the serve
-   daemon runs one per request domain — each see only their own
-   pass outcomes through [log]/[pp_explain].  Entries are kept in
-   reverse order. *)
-let journals : (int * int, (string * status) list ref) Hashtbl.t =
-  Hashtbl.create 8
+(* --- the run context ---
 
-let jlock = Mutex.create ()
+   What a compile decides for itself — whether to certify, and where
+   its pass outcomes are journaled — lives in one context per (domain,
+   thread), installed by [with_certify] / [with_log] for the extent of
+   a function and restored on the way out.  Concurrent compiles (daemon
+   requests, modules on pool workers) each see only their own; with no
+   context installed nothing is certified and nothing is journaled, so
+   no thread leaves an entry behind. *)
+type context =
+  { certify : bool
+  ; journal : (string * status) list ref option  (* newest first *)
+  }
 
-let jkey () = ((Domain.self () :> int), Thread.id (Thread.self ()))
+let contexts : (int * int, context) Hashtbl.t = Hashtbl.create 8
+let ctx_lock = Mutex.create ()
 
-let reset_log () =
-  Mutex.protect jlock (fun () -> Hashtbl.replace journals (jkey ()) (ref []))
+let ckey () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
-let drop_log () =
-  Mutex.protect jlock (fun () -> Hashtbl.remove journals (jkey ()))
+let outside = { certify = false; journal = None }
 
-let log () =
-  Mutex.protect jlock (fun () ->
-      match Hashtbl.find_opt journals (jkey ()) with
-      | Some entries -> List.rev !entries
-      | None -> [])
+let current () =
+  Option.value ~default:outside
+    (Mutex.protect ctx_lock (fun () -> Hashtbl.find_opt contexts (ckey ())))
 
+let scoped update f =
+  let k = ckey () in
+  let prev =
+    Mutex.protect ctx_lock (fun () ->
+        let prev = Hashtbl.find_opt contexts k in
+        Hashtbl.replace contexts k (update (Option.value ~default:outside prev));
+        prev)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect ctx_lock (fun () ->
+          match prev with
+          | None -> Hashtbl.remove contexts k
+          | Some p -> Hashtbl.replace contexts k p))
+    f
+
+let with_certify on f = scoped (fun c -> { c with certify = on }) f
+
+let certify_enabled () = (current ()).certify
+
+let with_log f =
+  let journal = ref [] in
+  let r = scoped (fun c -> { c with journal = Some journal }) f in
+  (r, List.rev !journal)
+
+(* only the context's own thread touches its journal: no lock needed *)
 let append_log entries =
-  Mutex.protect jlock (fun () ->
-      let k = jkey () in
-      let r =
-        match Hashtbl.find_opt journals k with
-        | Some r -> r
-        | None ->
-          let r = ref [] in
-          Hashtbl.replace journals k r;
-          r
-      in
-      List.iter (fun e -> r := e :: !r) entries)
+  match (current ()).journal with
+  | Some j -> List.iter (fun e -> j := e :: !j) entries
+  | None -> ()
 
 let note_status name st =
-  Mutex.protect jlock (fun () ->
-      let k = jkey () in
-      let entries =
-        match Hashtbl.find_opt journals k with
-        | Some r -> r
-        | None ->
-          let r = ref [] in
-          Hashtbl.replace journals k r;
-          r
-      in
-      entries := (name, st) :: !entries);
+  append_log [ (name, st) ];
   Obs.count ("pipeline." ^ name ^ "." ^ status_key st) 1
 
-let pp_explain ppf () =
+let pp_explain ppf entries =
   List.iter
     (fun (name, st) ->
       Format.fprintf ppf "explain: %-10s %s@." name (status_to_string st))
-    (log ())
+    entries
 
 (* --- the manager --- *)
 

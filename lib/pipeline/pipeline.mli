@@ -47,8 +47,8 @@
     A pass whose output claims to mean the same thing as its input (an
     optimizer, a cover minimizer) may register a [certify] hook: given
     (input, artifact) it either returns a {!cert_summary} proof summary
-    or refutes the translation with a witness message.  When
-    {!enable_certify} is on, {!run} checks the hook {e before}
+    or refutes the translation with a witness message.  Inside
+    {!with_certify}[ true], {!run} checks the hook {e before}
     accepting an artifact — fresh executions are certified before the
     artifact enters the cache (a refused artifact is never cached), and
     cache hits are certified from a parallel per-pass certificate store
@@ -158,24 +158,24 @@ val disable_cache : unit -> unit
 
 val cache_enabled : unit -> bool
 
-val enable_certify : unit -> unit
-(** Check every registered [certify] hook from here on
-    (process-global, like {!enable_cache}).  Certificates are cached
-    in per-pass ["<name>.cert"] stores when the stage cache is on. *)
+(** {2 The run context}
 
-val disable_certify : unit -> unit
+    Whether {!run} certifies, and where it journals pass outcomes, is
+    decided per (domain, thread) by scoped contexts: {!with_certify}
+    and {!with_log} install one for the extent of a function, nest, and
+    restore the outer context on exit (also on exceptions).  Concurrent
+    compiles — one per daemon request, one per module on a pool worker
+    — never see each other's choices.  Outside any context nothing is
+    certified and nothing is journaled. *)
 
 val with_certify : bool -> (unit -> 'a) -> 'a
-(** [with_certify on f] runs [f] with certification forced to [on] for
-    the calling (domain, thread) only, restoring the previous scope
-    afterwards (also on exceptions).  Overrides nest.  The serve daemon
-    wraps each request in this so one connection's [--certify] cannot
-    leak into a concurrent compile — unlike {!enable_certify}, which is
-    process-global. *)
+(** [with_certify on f] runs [f] with certification [on] for the
+    calling (domain, thread).  Certificates are cached in per-pass
+    ["<name>.cert"] stores when the stage cache is on. *)
 
 val certify_enabled : unit -> bool
-(** Whether {!run} will certify on this (domain, thread): the innermost
-    {!with_certify} if any, else the process-global flag. *)
+(** Whether {!run} will certify here: the innermost {!with_certify},
+    else [false]. *)
 
 val clear_caches : unit -> unit
 (** Drop every pass's in-memory store and its counters (disk entries
@@ -195,24 +195,18 @@ type status =
 
 val status_to_string : status -> string
 
-val reset_log : unit -> unit
-
-val log : unit -> (string * status) list
-(** Pass outcomes since {!reset_log}, in execution order.  The log is
-    scoped to the calling (domain, thread), so concurrent compiles —
-    one per daemon connection thread — never see each other's
-    entries. *)
-
-val drop_log : unit -> unit
-(** Forget the calling thread's journal entirely (a terminating daemon
-    thread calls this so dead threads don't accumulate journals). *)
+val with_log : (unit -> 'a) -> 'a * (string * status) list
+(** [with_log f] runs [f] with a fresh journal and returns its result
+    with the pass outcomes [f] produced on this (domain, thread), in
+    execution order — the [--explain] rows.  An inner [with_log] keeps
+    its entries from the outer journal. *)
 
 val append_log : (string * status) list -> unit
-(** Splice entries onto the calling thread's journal, in order.  The
-    modular driver compiles each module on its own domain with its own
-    journal, then appends the per-module entries (names prefixed
-    ["<module>:"]) back into the requesting thread's journal so
+(** Splice entries onto the innermost journal, in order (a no-op
+    outside {!with_log}).  The modular driver collects each module's
+    journal with its own {!with_log}, then appends the entries (names
+    prefixed ["<module>:"]) to the requesting compile's journal so
     [--explain] shows one merged, deterministic sequence. *)
 
-val pp_explain : Format.formatter -> unit -> unit
-(** One ["explain: <pass> <status>"] line per log entry. *)
+val pp_explain : Format.formatter -> (string * status) list -> unit
+(** One ["explain: <pass> <status>"] line per journal entry. *)

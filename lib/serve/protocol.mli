@@ -42,7 +42,7 @@ val read_frame : Unix.file_descr -> (string option, string) result
     for ISP source, ["verilog"] for Verilog source), the placement
     restart count, and whether every netlist-to-netlist pass must emit
     a translation certificate
-    ({!Sc_pipeline.Pipeline.enable_certify}).  [certify] may be absent
+    ({!Sc_pipeline.Pipeline.with_certify}).  [certify] may be absent
     on the wire (pre-certify clients): it decodes as [false]. *)
 type compile_spec =
   { design : string

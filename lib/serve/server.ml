@@ -18,7 +18,7 @@ type stats =
   ; peak_executions : int
   }
 
-(* the shared result of one deduplicated execution *)
+(* the outcome of one execution, shared by identical in-flight requests *)
 type compiled =
   { snapshot : Metrics.snapshot
   ; cif_bytes : int
@@ -32,12 +32,9 @@ type compiled =
 
 type outcome = O_ok of compiled | O_diag of Diag.t
 
-type pending = { mutable result : outcome option }
-
 type state =
-  { lock : Mutex.t  (* counters, inflight table, conns, stop flag *)
-  ; done_cond : Condition.t  (* signalled when an execution lands *)
-  ; inflight : (string, pending) Hashtbl.t
+  { lock : Mutex.t  (* counters, conns, stop flag *)
+  ; flights : outcome Sc_par.Single_flight.t  (* in-flight compiles *)
   ; mutable requests : int
   ; mutable active : int
   ; mutable dedup_hits : int
@@ -134,9 +131,9 @@ let maybe_trace st ~recorder ~design ~key =
 (* The per-request sequence inside the domain — fresh recorder, enable,
    compile, capture — is exactly the single-shot [scc compile D --metrics]
    sequence, which is what keeps a daemon snapshot byte-identical to
-   the committed baselines.  [with_certify] scopes certification to
-   this request: a concurrent plain compile never sees a neighbour's
-   [--certify]. *)
+   the committed baselines.  [with_certify] and [with_log] scope
+   certification and the pass journal to this request: a concurrent
+   plain compile never sees a neighbour's [--certify] or passes. *)
 let do_compile st ~key (spec : P.compile_spec) =
   match spec.style with
   | "gates" | "pla" | "verilog" ->
@@ -145,48 +142,44 @@ let do_compile st ~key (spec : P.compile_spec) =
         let recorder = Obs.Recorder.create () in
         Obs.Recorder.enable recorder;
         Obs.with_recorder recorder (fun () ->
-            Pipeline.with_certify spec.certify (fun () ->
-                Pipeline.reset_log ();
-                let res =
-                  match spec.style with
-                  | "verilog" ->
-                    Sc_core.Compiler.compile_verilog ~restarts:spec.restarts
-                      spec.source
-                  | "pla" ->
-                    Sc_core.Compiler.compile_behavior
-                      ~style:Sc_core.Compiler.Pla_control
-                      ~restarts:spec.restarts spec.source
-                  | _ ->
-                    Sc_core.Compiler.compile_behavior
-                      ~style:Sc_core.Compiler.Random_logic
-                      ~restarts:spec.restarts spec.source
-                in
-                let passes =
-                  List.map
-                    (fun (name, s) -> (name, Pipeline.status_to_string s))
-                    (Pipeline.log ())
-                in
-                (* this domain's id is never reused: drop its journal *)
-                Pipeline.drop_log ();
-                Obs.Recorder.disable recorder;
-                maybe_trace st ~recorder ~design:spec.design ~key;
-                match res with
-                | Ok (c, circuit) ->
-                  let snapshot =
-                    Metrics.capture ~recorder ~design:spec.design ()
-                  in
-                  let s = Sc_netlist.Circuit.stats circuit in
-                  O_ok
-                    { snapshot
-                    ; cif_bytes = String.length c.Sc_core.Compiler.cif
-                    ; gates = s.Sc_netlist.Circuit.gate_total
-                    ; flipflops = s.Sc_netlist.Circuit.flipflops
-                    ; transistors = c.Sc_core.Compiler.transistors
-                    ; area = c.Sc_core.Compiler.area
-                    ; drc_violations = c.Sc_core.Compiler.drc_violations
-                    ; passes
-                    }
-                | Error d -> O_diag d)))
+            let res, log =
+              Pipeline.with_certify spec.certify (fun () ->
+                  Pipeline.with_log (fun () ->
+                      match spec.style with
+                      | "verilog" ->
+                        Sc_core.Compiler.compile_verilog
+                          ~restarts:spec.restarts spec.source
+                      | "pla" ->
+                        Sc_core.Compiler.compile_behavior
+                          ~style:Sc_core.Compiler.Pla_control
+                          ~restarts:spec.restarts spec.source
+                      | _ ->
+                        Sc_core.Compiler.compile_behavior
+                          ~style:Sc_core.Compiler.Random_logic
+                          ~restarts:spec.restarts spec.source))
+            in
+            let passes =
+              List.map
+                (fun (name, s) -> (name, Pipeline.status_to_string s))
+                log
+            in
+            Obs.Recorder.disable recorder;
+            maybe_trace st ~recorder ~design:spec.design ~key;
+            match res with
+            | Ok (c, circuit) ->
+              let snapshot = Metrics.capture ~recorder ~design:spec.design () in
+              let s = Sc_netlist.Circuit.stats circuit in
+              O_ok
+                { snapshot
+                ; cif_bytes = String.length c.Sc_core.Compiler.cif
+                ; gates = s.Sc_netlist.Circuit.gate_total
+                ; flipflops = s.Sc_netlist.Circuit.flipflops
+                ; transistors = c.Sc_core.Compiler.transistors
+                ; area = c.Sc_core.Compiler.area
+                ; drc_violations = c.Sc_core.Compiler.drc_violations
+                ; passes
+                }
+            | Error d -> O_diag d))
   | other ->
     O_diag
       (Diag.v ~stage:"serve"
@@ -200,50 +193,18 @@ let compile_key (spec : P.compile_spec) =
     ^ (if spec.certify then "certify" else "")
     ^ "\x00" ^ spec.source)
 
-(* run [compute] once per in-flight key: the first requester executes,
-   concurrent identical requests wait and share the outcome.  Returns
-   whether this requester executed (for the request log). *)
-let deduplicated st key compute =
-  let claim =
-    locked st (fun () ->
-        match Hashtbl.find_opt st.inflight key with
-        | Some p ->
-          st.dedup_hits <- st.dedup_hits + 1;
-          `Join p
-        | None ->
-          let p = { result = None } in
-          Hashtbl.replace st.inflight key p;
-          `Execute p)
-  in
-  match claim with
-  | `Join p ->
-    Mutex.lock st.lock;
-    let rec wait () =
-      match p.result with
-      | Some r -> r
-      | None ->
-        Condition.wait st.done_cond st.lock;
-        wait ()
-    in
-    let r = wait () in
-    Mutex.unlock st.lock;
-    (r, false)
-  | `Execute p ->
-    let r =
-      try compute ()
-      with e -> O_diag (Diag.of_exn ~stage:"serve" e)
-    in
-    locked st (fun () ->
-        p.result <- Some r;
-        Hashtbl.remove st.inflight key;
-        Condition.broadcast st.done_cond);
-    (r, true)
-
+(* the first requester of a key executes; concurrent identical
+   requests share its outcome.  [executed] tells the request log which
+   one this was. *)
 let compile st spec =
   let key = compile_key spec in
-  let outcome, executed =
-    deduplicated st key (fun () -> do_compile st ~key spec)
+  let how, outcome =
+    Sc_par.Single_flight.run st.flights key (fun () ->
+        try do_compile st ~key spec
+        with e -> O_diag (Diag.of_exn ~stage:"serve" e))
   in
+  let executed = how = `Fresh in
+  if not executed then locked st (fun () -> st.dedup_hits <- st.dedup_hits + 1);
   (outcome, key, executed)
 
 (* --- equiv --- *)
@@ -569,8 +530,7 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
     let stop_r, stop_w = Unix.pipe () in
     let st =
       { lock = Mutex.create ()
-      ; done_cond = Condition.create ()
-      ; inflight = Hashtbl.create 16
+      ; flights = Sc_par.Single_flight.create ()
       ; requests = 0
       ; active = 0
       ; dedup_hits = 0

@@ -16,8 +16,8 @@
     Requests are keyed on [digest (style | restarts | certify |
     source)].  While a compilation for a key is in flight, further
     requests for the same key do not execute: they wait on the first
-    one and share its result (the server's [dedup_hits] counter records
-    each such join).  Two clients saving the same file and recompiling
+    one and share its result through one {!Sc_par.Single_flight} (the
+    server's [dedup_hits] counter records each such join).  Two clients saving the same file and recompiling
     cost one pipeline execution.
 
     {2 Observability}
@@ -26,9 +26,10 @@
     the ambient recorder for its domain ({!Sc_obs.Obs.with_recorder}),
     so instrumented compiles overlap — there is no shared recorder
     state and no lock serializing executions (the [obs_lock] of earlier
-    versions is gone).  Certification is scoped the same way
-    ({!Sc_pipeline.Pipeline.with_certify}): one request's [--certify]
-    never leaks into a concurrent compile.  The per-request sequence —
+    versions is gone).  Certification and the pass journal are scoped
+    the same way ({!Sc_pipeline.Pipeline.with_certify},
+    {!Sc_pipeline.Pipeline.with_log}): one request's [--certify] or
+    [--explain] rows never leak into a concurrent compile.  The per-request sequence —
     fresh recorder, compile, {!Sc_metrics.Metrics.capture} — is exactly
     what single-shot [scc isp D --metrics] does, so daemon snapshots
     stay byte-identical QoR to the committed baselines even under

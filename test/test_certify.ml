@@ -16,15 +16,16 @@ let check_int = Alcotest.(check int)
 let with_certified_pipeline f =
   P.disable_cache ();
   P.clear_caches ();
-  P.reset_log ();
-  P.enable_certify ();
   Fun.protect
     ~finally:(fun () ->
-      P.disable_certify ();
       P.disable_cache ();
-      P.clear_caches ();
-      P.reset_log ())
-    f
+      P.clear_caches ())
+    (fun () -> P.with_certify true f)
+
+let failed_optimize log =
+  List.exists
+    (fun (n, st) -> n = "optimize" && P.status_to_string st = "failed")
+    log
 
 (* compile under the Obs recorder and return both the result and the
    captured snapshot *)
@@ -73,8 +74,8 @@ let test_injected_miscompile_refused () =
   let rec hunt i =
     if i > 20 then Alcotest.fail "no inject index was refused in 0..20"
     else
-      match C.compile_behavior ~inject_fault:i src with
-      | Error d ->
+      match P.with_log (fun () -> C.compile_behavior ~inject_fault:i src) with
+      | Error d, log ->
         Alcotest.(check string) "the refusing pass is named" "optimize"
           d.Diag.stage;
         check_bool "the diag says the certificate was refused" true
@@ -85,40 +86,37 @@ let test_injected_miscompile_refused () =
              j + n <= m && (String.sub msg j n = sub || scan (j + 1))
            in
            scan 0);
-        i
-      | Ok _ -> hunt (i + 1)
+        (i, log)
+      | Ok _, _ -> hunt (i + 1)
   in
-  let refused = hunt 0 in
+  let refused, log = hunt 0 in
   (* the run log shows the pass failing, not running *)
-  check_bool "cert failure journaled as failed" true
-    (List.exists
-       (fun (n, st) -> n = "optimize" && P.status_to_string st = "failed")
-       (P.log ()));
+  check_bool "cert failure journaled as failed" true (failed_optimize log);
   (* certification off: the same miscompile passes silently — that gap
      is exactly what --certify closes *)
-  P.disable_certify ();
-  (match C.compile_behavior ~inject_fault:refused src with
+  match
+    P.with_certify false (fun () ->
+        C.compile_behavior ~inject_fault:refused src)
+  with
   | Ok _ -> ()
   | Error d ->
     Alcotest.failf "uncertified miscompile should compile: %s"
-      (Diag.to_string d));
-  P.enable_certify ()
+      (Diag.to_string d)
 
 let test_certified_warm_rebuild () =
   with_certified_pipeline @@ fun () ->
   P.enable_cache ();
   let src = Sc_core.Designs.counter_src in
   let _, cold = capture src in
-  P.reset_log ();
-  let r, warm = capture src in
+  let (r, warm), log = P.with_log (fun () -> capture src) in
   (match r with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "warm certified compile failed: %s" (Diag.to_string d));
   check_bool "warm run is all hits" true
-    (P.log () <> []
+    (log <> []
     && List.for_all
          (fun (_, st) -> P.status_to_string st = "hit (memory)")
-         (P.log ()));
+         log);
   Alcotest.(check string) "warm QoR bytes = cold QoR bytes (certificates included)"
     (M.qor_string cold) (M.qor_string warm);
   check_bool "warm run still reports the certificate" true
@@ -149,16 +147,12 @@ let test_refused_artifact_uncached () =
     in
     hunt 0
   in
-  P.reset_log ();
-  (match C.compile_behavior ~inject_fault:refused src with
-  | Error d ->
-    Alcotest.(check string) "refused again" "optimize" d.Diag.stage
-  | Ok _ -> Alcotest.fail "expected the miscompile to be refused again");
-  check_bool "the second refusal executed optimize (nothing was cached)"
-    true
-    (List.exists
-       (fun (n, st) -> n = "optimize" && P.status_to_string st = "failed")
-       (P.log ()))
+  match P.with_log (fun () -> C.compile_behavior ~inject_fault:refused src) with
+  | Error d, log ->
+    Alcotest.(check string) "refused again" "optimize" d.Diag.stage;
+    check_bool "the second refusal executed optimize (nothing was cached)"
+      true (failed_optimize log)
+  | Ok _, _ -> Alcotest.fail "expected the miscompile to be refused again"
 
 let suite =
   [ Alcotest.test_case "clean compile certifies" `Quick

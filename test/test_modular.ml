@@ -299,15 +299,13 @@ let test_modular_incremental () =
   Fun.protect
     ~finally:(fun () ->
       P.disable_cache ();
-      P.clear_caches ();
-      P.reset_log ())
+      P.clear_caches ())
     (fun () ->
       P.enable_cache ();
       let compile src =
-        P.reset_log ();
-        match Compiler.compile_behavior src with
-        | Ok _ -> P.log ()
-        | Error d -> Alcotest.failf "%s" (Sc_pipeline.Diag.to_string d)
+        match P.with_log (fun () -> Compiler.compile_behavior src) with
+        | Ok _, log -> log
+        | Error d, _ -> Alcotest.failf "%s" (Sc_pipeline.Diag.to_string d)
       in
       let ran lg =
         List.filter_map
@@ -328,31 +326,62 @@ let test_modular_incremental () =
         ]
         (ran (compile edited)))
 
-(* concurrent compiles of the same modular source share in-flight
-   module runs and agree on the result *)
+(* Two concurrent compiles of one modular source on a 2-wide pool, many
+   rounds: module tasks share the pool with the DRC shards they submit
+   and share in-flight module runs with each other.  A submitter that
+   helped with another compile's module could end up waiting on a
+   flight it owns further down its own stack, so a hang here is the
+   failure; the watchdog turns it into an exit instead of a stuck
+   suite.  Every round must produce the same CIF. *)
 let test_modular_concurrent_dedup () =
-  let n = 4 in
-  let results = Array.make n None in
-  let domains =
-    List.init n (fun i ->
-        Domain.spawn (fun () ->
-            results.(i) <- Some (Compiler.compile_behavior Designs.system_src)))
+  let saved = Sc_par.Pool.default_size () in
+  Sc_par.Pool.set_default_size 2;
+  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size saved)
+  @@ fun () ->
+  let rounds = 24 and deadline_s = 60. in
+  let started = Unix.gettimeofday () in
+  let compile () =
+    match Compiler.compile_behavior Designs.system_src with
+    | Ok (c, _) -> Ok c.Compiler.cif
+    | Error d -> Error (Sc_pipeline.Diag.to_string d)
   in
-  List.iter Domain.join domains;
   let cifs =
-    Array.to_list results
-    |> List.map (function
-         | Some (Ok (c, _)) -> c.Compiler.cif
-         | Some (Error d) ->
-           Alcotest.failf "concurrent compile: %s"
-             (Sc_pipeline.Diag.to_string d)
-         | None -> Alcotest.fail "missing result")
+    List.concat
+      (List.init rounds (fun _ ->
+           let finished = Atomic.make 0 in
+           let go = Atomic.make false in
+           let ds =
+             List.init 2 (fun _ ->
+                 Domain.spawn (fun () ->
+                     while not (Atomic.get go) do
+                       Domain.cpu_relax ()
+                     done;
+                     let r = compile () in
+                     Atomic.incr finished;
+                     r))
+           in
+           Atomic.set go true;
+           while Atomic.get finished < 2 do
+             if Unix.gettimeofday () -. started > deadline_s then begin
+               Printf.eprintf
+                 "FAIL: concurrent modular compiles still running after %.0f \
+                  s (deadlock)\n%!"
+                 deadline_s;
+               Unix._exit 1
+             end;
+             Unix.sleepf 0.002
+           done;
+           List.map Domain.join ds))
   in
   match cifs with
-  | first :: rest ->
+  | Ok first :: _ ->
     List.iteri
-      (fun i c -> check_string (Printf.sprintf "cif %d identical" (i + 1)) first c)
-      rest
+      (fun i r ->
+        match r with
+        | Ok c -> check_string (Printf.sprintf "cif %d identical" i) first c
+        | Error e -> Alcotest.failf "concurrent compile %d: %s" i e)
+      cifs
+  | Error e :: _ -> Alcotest.failf "concurrent compile: %s" e
   | [] -> Alcotest.fail "no results"
 
 let test_modular_rejects_pla () =

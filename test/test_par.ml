@@ -46,6 +46,149 @@ let test_earliest_exception_wins () =
   Alcotest.(check (list int)) "pool survives the failure" [ 2; 4; 6 ]
     (Pool.map_list pool (fun i -> 2 * i) [ 1; 2; 3 ])
 
+(* Two submitters share one 2-wide pool, each under its own enabled
+   recorder (the daemon's overlapping compiles).  A waiting caller
+   helps with its own batch only, so no task may run on the other
+   submitter's domain — when one did, the per-domain load gauges
+   raised [Not_found] out of [run]. *)
+let test_concurrent_submitters () =
+  with_pool 2 @@ fun pool ->
+  let batches = 300 and width = 8 in
+  let ready = Atomic.make 0 in
+  (* long enough that the two submitters' batches overlap *)
+  let task i () =
+    for _ = 1 to 2000 do
+      Domain.cpu_relax ()
+    done;
+    ((Domain.self () :> int), i)
+  in
+  let submitter () =
+    let me = (Domain.self () :> int) in
+    let r = Sc_obs.Obs.Recorder.create () in
+    Sc_obs.Obs.Recorder.enable r;
+    Sc_obs.Obs.with_recorder r @@ fun () ->
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let ran = ref [] and ordered = ref true in
+    for _ = 1 to batches do
+      let ids = Pool.run pool (List.init width task) in
+      ordered := !ordered && List.map snd ids = List.init width Fun.id;
+      ran := List.map fst ids @ !ran
+    done;
+    (me, !ran, !ordered)
+  in
+  let a = Domain.spawn submitter and b = Domain.spawn submitter in
+  let da, ran_a, ok_a = Domain.join a and db, ran_b, ok_b = Domain.join b in
+  check_bool "batches in order" true (ok_a && ok_b);
+  check_bool "no task of A ran on B's domain" false (List.mem db ran_a);
+  check_bool "no task of B ran on A's domain" false (List.mem da ran_b)
+
+(* a task may submit to the pool it runs on: results stay in order at
+   every level and the earliest failure wins across the nesting *)
+let test_nested_submission () =
+  List.iter
+    (fun n ->
+      with_pool n @@ fun pool ->
+      let got =
+        Pool.run pool
+          (List.init 6 (fun i () ->
+               Pool.map_list pool (fun j -> (10 * i) + j) [ 0; 1; 2; 3 ]))
+      in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "nested results in order at %d domains" n)
+        (List.init 6 (fun i -> List.init 4 (fun j -> (10 * i) + j)))
+        got;
+      let boom i j () =
+        if (i = 2 && j = 3) || (i = 4 && j = 0) then raise (Boom ((10 * i) + j))
+      in
+      match
+        Pool.run pool
+          (List.init 6 (fun i () ->
+               ignore (Pool.run pool (List.init 5 (fun j -> boom i j)))))
+      with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom k ->
+        check_int (Printf.sprintf "earliest nested failure at %d domains" n) 23 k)
+    [ 1; 2; 4 ]
+
+(* --- single-flight --- *)
+
+let test_single_flight_shares () =
+  let sf = Single_flight.create () in
+  let computed = Atomic.make 0 in
+  let n = 6 in
+  let started = Atomic.make 0 in
+  let release = Atomic.make false in
+  let caller () =
+    Atomic.incr started;
+    Single_flight.run sf "k" (fun () ->
+        Atomic.incr computed;
+        (* hold the flight until every caller has arrived *)
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done;
+        42)
+  in
+  let ds = List.init n (fun _ -> Domain.spawn caller) in
+  while Atomic.get started < n do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.2;
+  Atomic.set release true;
+  let rs = List.map Domain.join ds in
+  check_int "computed once" 1 (Atomic.get computed);
+  check_bool "every caller got the value" true
+    (List.for_all (fun (_, v) -> v = 42) rs);
+  check_int "one owner" 1
+    (List.length (List.filter (fun (h, _) -> h = `Fresh) rs));
+  check_int "the rest shared" (n - 1)
+    (List.length (List.filter (fun (h, _) -> h = `Shared) rs))
+
+let test_single_flight_raises () =
+  let sf = Single_flight.create () in
+  let entered = Atomic.make false and release = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        match
+          Single_flight.run sf "k" (fun () ->
+              Atomic.set entered true;
+              while not (Atomic.get release) do
+                Domain.cpu_relax ()
+              done;
+              raise (Boom 1))
+        with
+        | _ -> None
+        | exception Boom i -> Some i)
+  in
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  let arrived = Atomic.make 0 in
+  let waiters =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            match Single_flight.run sf "k" (fun () -> 0) with
+            | _ -> None
+            | exception Boom i -> Some i))
+  in
+  while Atomic.get arrived < 3 do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.2;
+  Atomic.set release true;
+  check_bool "owner sees its exception" true (Domain.join owner = Some 1);
+  List.iter
+    (fun d ->
+      check_bool "waiter sees the owner's exception" true
+        (Domain.join d = Some 1))
+    waiters;
+  match Single_flight.run sf "k" (fun () -> 7) with
+  | `Fresh, 7 -> ()
+  | _ -> Alcotest.fail "the key is freed: the next call recomputes"
+
 (* --- byte-identical pipeline stages at any width --- *)
 
 let small_circuit () =
@@ -130,6 +273,13 @@ let suite =
   ; Alcotest.test_case "empty batch" `Quick test_empty_batch
   ; Alcotest.test_case "earliest exception wins" `Quick
       test_earliest_exception_wins
+  ; Alcotest.test_case "concurrent submitters stay apart" `Quick
+      test_concurrent_submitters
+  ; Alcotest.test_case "nested submission" `Quick test_nested_submission
+  ; Alcotest.test_case "single-flight shares one computation" `Quick
+      test_single_flight_shares
+  ; Alcotest.test_case "single-flight owner exception reaches waiters" `Quick
+      test_single_flight_raises
   ; Alcotest.test_case "DRC identical at any width" `Quick
       test_drc_identical_across_widths
   ; Alcotest.test_case "placement CIF identical at any width" `Quick

@@ -16,13 +16,13 @@ let check_int = Alcotest.(check int)
 let with_clean_pipeline f =
   P.disable_cache ();
   P.clear_caches ();
-  P.reset_log ();
   Fun.protect
     ~finally:(fun () ->
       P.disable_cache ();
-      P.clear_caches ();
-      P.reset_log ())
+      P.clear_caches ())
     f
+
+let statuses log = List.map (fun (n, s) -> (n, P.status_to_string s)) log
 
 let with_recorder f =
   Obs.reset ();
@@ -66,34 +66,36 @@ let test_pass_cache_and_log () =
   in
   let input = P.inject ~tag:"n" ~repr:"21" 21 in
   (* disabled: every run executes *)
-  (match P.run double input with
-  | Ok out -> check_int "computes" 42 (P.value out)
-  | Error d -> Alcotest.fail (Diag.to_string d));
-  ignore (P.run double input);
+  let (), log =
+    P.with_log (fun () ->
+        (match P.run double input with
+        | Ok out -> check_int "computes" 42 (P.value out)
+        | Error d -> Alcotest.fail (Diag.to_string d));
+        ignore (P.run double input))
+  in
   check_int "no caching while disabled" 2 !runs;
   Alcotest.(check (list (pair string string)))
     "log records both executions"
     [ ("unit_double", "ran"); ("unit_double", "ran") ]
-    (List.map (fun (n, s) -> (n, P.status_to_string s)) (P.log ()));
+    (statuses log);
   (* enabled: miss then hit, and the hit returns the same key *)
   P.enable_cache ();
-  P.reset_log ();
-  let k1 =
+  let key () =
     match P.run double input with
     | Ok out -> P.key out
     | Error d -> Alcotest.fail (Diag.to_string d)
   in
-  let k2 =
-    match P.run double input with
-    | Ok out -> P.key out
-    | Error d -> Alcotest.fail (Diag.to_string d)
+  let (k1, k2), log =
+    P.with_log (fun () ->
+        let k1 = key () in
+        (k1, key ()))
   in
   check_int "second run is a hit" 3 !runs;
   Alcotest.(check string) "hit reproduces the key" k1 k2;
   Alcotest.(check (list (pair string string)))
     "log shows miss then hit"
     [ ("unit_double", "ran"); ("unit_double", "hit (memory)") ]
-    (List.map (fun (n, s) -> (n, P.status_to_string s)) (P.log ()));
+    (statuses log);
   (* params split the key space *)
   (match P.run ~param:"mode=a" double input with
   | Ok _ -> ()
@@ -122,20 +124,24 @@ let test_errors_are_values_and_uncached () =
         else Ok "recovered")
   in
   let input = P.inject ~tag:"u" ~repr:"()" () in
-  (match P.run boom input with
-  | Error d ->
-    Alcotest.(check string) "Diag.fail caught at the boundary"
-      "unit_boom: raised" (Diag.to_string d)
-  | Ok _ -> Alcotest.fail "expected a diag");
-  (match P.run boom input with
-  | Error d ->
-    Alcotest.(check string) "stray exception mapped to the stage"
-      "unit_boom" d.Diag.stage
-  | Ok _ -> Alcotest.fail "expected a diag");
-  (* the two failures stored nothing: the third attempt actually runs *)
-  (match P.run boom input with
-  | Ok out -> Alcotest.(check string) "third attempt runs" "recovered" (P.value out)
-  | Error d -> Alcotest.fail (Diag.to_string d));
+  let (), log =
+    P.with_log @@ fun () ->
+    (match P.run boom input with
+    | Error d ->
+      Alcotest.(check string) "Diag.fail caught at the boundary"
+        "unit_boom: raised" (Diag.to_string d)
+    | Ok _ -> Alcotest.fail "expected a diag");
+    (match P.run boom input with
+    | Error d ->
+      Alcotest.(check string) "stray exception mapped to the stage"
+        "unit_boom" d.Diag.stage
+    | Ok _ -> Alcotest.fail "expected a diag");
+    (* the two failures stored nothing: the third attempt actually runs *)
+    match P.run boom input with
+    | Ok out ->
+      Alcotest.(check string) "third attempt runs" "recovered" (P.value out)
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
   check_int "every attempt executed" 3 !attempts;
   (match List.assoc_opt "unit_boom" (P.cache_stats ()) with
   | None -> Alcotest.fail "store expected"
@@ -144,22 +150,17 @@ let test_errors_are_values_and_uncached () =
   Alcotest.(check (list (pair string string)))
     "failures logged as failed"
     [ ("unit_boom", "failed"); ("unit_boom", "failed"); ("unit_boom", "ran") ]
-    (List.map (fun (n, s) -> (n, P.status_to_string s)) (P.log ()))
+    (statuses log)
 
 (* --- the incremental matrix over the real compiler --- *)
 
 let behavior_stages =
   [ "parse"; "compile"; "optimize"; "place"; "route"; "drc"; "emit"; "measure" ]
 
-let statuses () =
-  List.map (fun (n, s) -> (n, P.status_to_string s)) (P.log ())
-
 let compile ?restarts src =
-  P.reset_log ();
-  (match C.compile_behavior ?restarts src with
-  | Ok _ -> ()
-  | Error d -> Alcotest.failf "compile failed: %s" (Diag.to_string d));
-  statuses ()
+  match P.with_log (fun () -> C.compile_behavior ?restarts src) with
+  | Ok _, log -> statuses log
+  | Error d, _ -> Alcotest.failf "compile failed: %s" (Diag.to_string d)
 
 let all st = List.map (fun n -> (n, st)) behavior_stages
 
@@ -191,12 +192,11 @@ let test_incremental_invalidation () =
     (compile ~restarts:2 (src ^ "\n"));
   (* a failing source fails at parse both times: errors are not cached *)
   let fail_log () =
-    P.reset_log ();
-    (match C.compile_behavior "definitely not ISP" with
-    | Ok _ -> Alcotest.fail "expected a parse error"
-    | Error d ->
-      Alcotest.(check string) "fails in parse" "parse" d.Diag.stage);
-    statuses ()
+    match P.with_log (fun () -> C.compile_behavior "definitely not ISP") with
+    | Ok _, _ -> Alcotest.fail "expected a parse error"
+    | Error d, log ->
+      Alcotest.(check string) "fails in parse" "parse" d.Diag.stage;
+      statuses log
   in
   Alcotest.(check (list (pair string string)))
     "first failure executes parse"
@@ -296,10 +296,9 @@ let test_store_creation_race () =
     let failures = Atomic.make 0 in
     let worker () =
       sync ();
-      (match P.run pass input with
+      match P.run pass input with
       | Ok out -> if P.value out <> 8 then Atomic.incr failures
-      | Error _ -> Atomic.incr failures);
-      P.drop_log ()
+      | Error _ -> Atomic.incr failures
     in
     let ts = List.init nthreads (fun _ -> Thread.create worker ()) in
     List.iter Thread.join ts;
@@ -318,7 +317,7 @@ let test_store_creation_race () =
   done
 
 (* two threads interleave compilations; each journal sees only its own
-   passes *)
+   passes, and nested contexts restore the outer one on exit *)
 let test_journal_isolation () =
   with_clean_pipeline @@ fun () ->
   let mk_pass name =
@@ -328,14 +327,15 @@ let test_journal_isolation () =
   let sync = barrier 2 in
   let observed = Array.make 2 [] in
   let worker idx pass n () =
-    P.reset_log ();
-    sync ();
-    for _ = 1 to n do
-      ignore (P.run pass (P.inject ~tag:"n" ~repr:"1" 1))
-    done;
-    sync ();
-    observed.(idx) <- List.map (fun (name, _) -> name) (P.log ());
-    P.drop_log ()
+    let (), log =
+      P.with_log @@ fun () ->
+      sync ();
+      for _ = 1 to n do
+        ignore (P.run pass (P.inject ~tag:"n" ~repr:"1" 1))
+      done;
+      sync ()
+    in
+    observed.(idx) <- List.map fst log
   in
   let t1 = Thread.create (worker 0 a 3) () in
   let t2 = Thread.create (worker 1 b 5) () in
@@ -350,7 +350,25 @@ let test_journal_isolation () =
     [ "unit_journal_b"; "unit_journal_b"; "unit_journal_b"; "unit_journal_b"
     ; "unit_journal_b"
     ]
-    observed.(1)
+    observed.(1);
+  let once pass = ignore (P.run pass (P.inject ~tag:"n" ~repr:"1" 1)) in
+  let (inner, certified_inside), outer =
+    P.with_log @@ fun () ->
+    once a;
+    let inner =
+      P.with_certify true @@ fun () ->
+      let (), inner = P.with_log (fun () -> once b) in
+      (inner, P.certify_enabled ())
+    in
+    once a;
+    inner
+  in
+  Alcotest.(check (list string)) "an inner journal keeps its own entries"
+    [ "unit_journal_b" ] (List.map fst inner);
+  Alcotest.(check (list string)) "the outer journal resumes after it"
+    [ "unit_journal_a"; "unit_journal_a" ] (List.map fst outer);
+  check_bool "certify scoped inside" true certified_inside;
+  check_bool "certify restored outside" false (P.certify_enabled ())
 
 (* append_log splices foreign journal entries (a module sub-pipeline's
    run log, prefixed by its driver) onto the calling thread's journal,
@@ -358,28 +376,23 @@ let test_journal_isolation () =
 let test_append_log () =
   with_clean_pipeline @@ fun () ->
   let p = P.register ~name:"unit_append" (fun n -> Ok (n + 1)) in
-  P.append_log [ ("m1:parse", P.Ran); ("m1:place", P.Hit) ];
-  ignore (P.run p (P.inject ~tag:"n" ~repr:"7" 7));
-  P.append_log [ ("m2:parse", P.Ran) ];
+  let (), log =
+    P.with_log @@ fun () ->
+    P.append_log [ ("m1:parse", P.Ran); ("m1:place", P.Hit) ];
+    ignore (P.run p (P.inject ~tag:"n" ~repr:"7" 7));
+    P.append_log [ ("m2:parse", P.Ran) ]
+  in
   Alcotest.(check (list string))
     "spliced in order"
     [ "m1:parse"; "m1:place"; "unit_append"; "m2:parse" ]
-    (List.map fst (P.log ()));
-  (match P.log () with
+    (List.map fst log);
+  (match log with
   | (_, P.Ran) :: (_, P.Hit) :: _ -> ()
   | _ -> Alcotest.fail "statuses preserved");
-  (* appending works on a thread with no journal yet: it creates one *)
-  let seen = ref [] in
-  let t =
-    Thread.create
-      (fun () ->
-        P.append_log [ ("fresh:emit", P.Ran) ];
-        seen := List.map fst (P.log ());
-        P.drop_log ())
-      ()
-  in
-  Thread.join t;
-  Alcotest.(check (list string)) "fresh journal" [ "fresh:emit" ] !seen
+  (* outside any journal, appending is a no-op that leaves nothing *)
+  P.append_log [ ("stray:emit", P.Ran) ];
+  let (), fresh = P.with_log (fun () -> ()) in
+  Alcotest.(check (list string)) "no stray entries" [] (List.map fst fresh)
 
 let suite =
   [ Alcotest.test_case "staged keys" `Quick test_staged_keys

@@ -403,12 +403,10 @@ module Obs = Sc_obs.Obs
 let with_clean_pipeline f =
   P.disable_cache ();
   P.clear_caches ();
-  P.reset_log ();
   Fun.protect
     ~finally:(fun () ->
       P.disable_cache ();
-      P.clear_caches ();
-      P.reset_log ())
+      P.clear_caches ())
     f
 
 let capture_counter12 () =
@@ -427,15 +425,15 @@ let capture_counter12 () =
 
 let test_pipeline_pass_and_diag () =
   with_clean_pipeline @@ fun () ->
-  (match Sc_core.Compiler.compile_verilog counter12_src with
-  | Ok (compiled, circuit) ->
+  (match P.with_log (fun () -> Sc_core.Compiler.compile_verilog counter12_src) with
+  | Ok (compiled, circuit), log ->
     check_bool "gates synthesized" true
       ((Sc_netlist.Circuit.stats circuit).Sc_netlist.Circuit.gate_total > 0);
-    check_bool "layout produced" true (compiled.Sc_core.Compiler.area > 0)
-  | Error d ->
+    check_bool "layout produced" true (compiled.Sc_core.Compiler.area > 0);
+    check_bool "verilog.parse ran as a pipeline pass" true
+      (List.exists (fun (n, _) -> n = "verilog.parse") log)
+  | Error d, _ ->
     Alcotest.failf "compile failed: %s" (Sc_pipeline.Diag.to_string d));
-  check_bool "verilog.parse ran as a pipeline pass" true
-    (List.exists (fun (n, _) -> n = "verilog.parse") (P.log ()));
   (* a frontend error surfaces as a Diag tagged with the pass name *)
   match Sc_core.Compiler.compile_verilog "module t(input a endmodule" with
   | Ok _ -> Alcotest.fail "malformed source must not compile"
