@@ -30,50 +30,32 @@ let rec covered target covers =
             if x0 < x1 && y0 < y1 then frags := Rect.make x0 y0 x1 y1 :: !frags
           in
           (* Left and right slabs, then the middle strips above and below. *)
-          push t.Rect.xmin t.Rect.ymin (min t.Rect.xmax c.Rect.xmin) t.Rect.ymax;
-          push (max t.Rect.xmin c.Rect.xmax) t.Rect.ymin t.Rect.xmax t.Rect.ymax;
-          let mx0 = max t.Rect.xmin c.Rect.xmin
-          and mx1 = min t.Rect.xmax c.Rect.xmax in
-          push mx0 t.Rect.ymin mx1 (min t.Rect.ymax c.Rect.ymin);
-          push mx0 (max t.Rect.ymin c.Rect.ymax) mx1 t.Rect.ymax;
+          push t.Rect.xmin t.Rect.ymin (Int.min t.Rect.xmax c.Rect.xmin) t.Rect.ymax;
+          push (Int.max t.Rect.xmin c.Rect.xmax) t.Rect.ymin t.Rect.xmax t.Rect.ymax;
+          let mx0 = Int.max t.Rect.xmin c.Rect.xmin
+          and mx1 = Int.min t.Rect.xmax c.Rect.xmax in
+          push mx0 t.Rect.ymin mx1 (Int.min t.Rect.ymax c.Rect.ymin);
+          push mx0 (Int.max t.Rect.ymin c.Rect.ymax) mx1 t.Rect.ymax;
           !frags
         in
         List.for_all (fun p -> covered p covers) pieces
 
-(* --- grouping rectangles into electrically connected regions --- *)
-let group_regions rects =
-  let n = Array.length rects in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
+(* the non-empty rectangles of each layer, by [Layer.index], the last
+   flattened first *)
+let layer_arrays flat =
+  let count = Array.make Layer.count 0 in
+  let each f =
+    List.iter
+      (fun (fb : Flatten.flat_box) ->
+        if not (Rect.is_empty fb.rect) then f (Layer.index fb.layer) fb.rect)
+      flat
   in
-  (* rects must be sorted by xmin; only neighbours whose x-ranges touch can
-     touch geometrically. *)
-  for i = 0 to n - 1 do
-    let j = ref (i + 1) in
-    while !j < n && rects.(!j).Rect.xmin <= rects.(i).Rect.xmax do
-      if Rect.touches_or_overlaps rects.(i) rects.(!j) then union i !j;
-      incr j
-    done
-  done;
-  Array.init n find
-
-let sorted_array rs =
-  let a = Array.of_list rs in
-  Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) a;
-  a
-
-(* first index in the xmin-sorted [arr] with xmin > x (all of [arr] if
-   none) — the exclusive right edge of a sweep window *)
-let upper_bound (arr : Rect.t array) x =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid).Rect.xmin <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  each (fun i _ -> count.(i) <- count.(i) + 1);
+  let layers = Array.map (fun n -> Array.make n (Rect.make 0 0 0 0)) count in
+  each (fun i r ->
+      count.(i) <- count.(i) - 1;
+      layers.(i).(count.(i)) <- r);
+  layers
 
 (* split [0, n) into at most [parts] contiguous ranges *)
 let ranges n parts =
@@ -82,24 +64,20 @@ let ranges n parts =
   List.init parts (fun k -> (k * per, min n ((k + 1) * per)))
   |> List.filter (fun (lo, hi) -> lo < hi)
 
-(* The deck is decomposed into independent tasks (per rule, per layer,
-   and — for the scan-heavy rules — per contiguous slice of the sorted
-   rectangle array) and run on the worker pool.  Each task accumulates
+(* The deck is decomposed into independent tasks (per layer, per rule,
+   and — for enclosure — per contiguous slice of the sorted inner
+   rectangles) and run on the worker pool.  Each task accumulates
    its own violations in scan order; concatenating the task results in
    submission order reproduces the sequential list exactly, so any [-j]
-   level yields byte-identical reports. *)
+   level yields byte-identical reports.
+
+   Neighbour rules find candidates through a {!Rect_index} (shared by a
+   layer's tasks, one cursor per task) and then apply the same pair
+   tests a sweep over the xmin-sorted array would: the index returns
+   every rectangle within the rule distance in ascending array order,
+   so each rectangle's violations come out in sweep order. *)
 let check_flat ?pool flat =
   let pool = match pool with Some p -> p | None -> Sc_par.Pool.default () in
-  let by_layer = Array.make Layer.count [] in
-  List.iter
-    (fun (fb : Flatten.flat_box) ->
-      if not (Rect.is_empty fb.rect) then
-        let i = Layer.index fb.layer in
-        by_layer.(i) <- fb.rect :: by_layer.(i))
-    flat;
-  let sorted = Array.map sorted_array by_layer in
-  let layer_rects l = sorted.(Layer.index l) in
-  let shards n = ranges n (4 * Sc_par.Pool.size pool) in
   let collect f =
     let violations = ref [] in
     let add rule where detail =
@@ -108,23 +86,36 @@ let check_flat ?pool flat =
     f add;
     List.rev !violations
   in
-  (* Width: one task per layer. *)
-  let width_tasks =
-    List.map
-      (fun l () ->
-        collect (fun add ->
-            let w = Rules.min_width l in
-            List.iter
-              (fun r ->
-                let narrow = min (Rect.width r) (Rect.height r) in
-                if narrow < w then
-                  add (Rules.Min_width (l, w)) r
-                    (Printf.sprintf "feature is %d lambda wide" narrow))
-              by_layer.(Layer.index l)))
+  (* First step, one task per layer: the width rule in flattening
+     order, then the layer is sorted by xmin in place and indexed for
+     the neighbour rules. *)
+  let by_layer = layer_arrays flat in
+  let layers =
+    Sc_par.Pool.map_list ~label:"drc.layer" pool
+      (fun l ->
+        let rects = by_layer.(Layer.index l) in
+        let widths =
+          collect (fun add ->
+              let w = Rules.min_width l in
+              Array.iter
+                (fun r ->
+                  let narrow = Int.min (Rect.width r) (Rect.height r) in
+                  if narrow < w then
+                    add (Rules.Min_width (l, w)) r
+                      (Printf.sprintf "feature is %d lambda wide" narrow))
+                rects)
+        in
+        Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) rects;
+        (widths, Rect_index.create rects))
       Layer.all
   in
+  let index = Array.of_list (List.map snd layers) in
+  let layer_index l = index.(Layer.index l) in
+  let shards n = ranges n (4 * Sc_par.Pool.size pool) in
   (* Same-layer spacing between distinct regions: one task per layer
-     (region grouping needs the whole layer). *)
+     (region labelling needs the whole layer).  Each pair is tested
+     from its earlier member [i], within the x-window [xmin_j <=
+     xmax_i + s]. *)
   let spacing_tasks =
     List.filter_map
       (fun l ->
@@ -133,101 +124,100 @@ let check_flat ?pool flat =
           Some
             (fun () ->
               collect (fun add ->
-                  let rects = layer_rects l in
-                  let region = group_regions rects in
-                  let n = Array.length rects in
-                  for i = 0 to n - 1 do
-                    let j = ref (i + 1) in
-                    while
-                      !j < n && rects.(!j).Rect.xmin <= rects.(i).Rect.xmax + s
-                    do
-                      if region.(i) <> region.(!j) then begin
-                        let sep = Rect.separation rects.(i) rects.(!j) in
-                        if sep < s then
-                          add
-                            (Rules.Min_spacing (l, l, s))
-                            rects.(i)
-                            (Printf.sprintf "to %s: %d < %d"
-                               (Rect.to_string rects.(!j))
-                               sep s)
-                      end;
-                      incr j
-                    done
-                  done))
+                  let idx = layer_index l in
+                  let rects = Rect_index.rects idx in
+                  let region = Rect_index.components idx in
+                  let near = Rect_index.cursor idx in
+                  Array.iteri
+                    (fun i ri ->
+                      for k = 0 to Rect_index.near near ~within:(s - 1) ri - 1 do
+                        let j = Rect_index.hit near k in
+                        let rj = rects.(j) in
+                        if j > i
+                           && rj.Rect.xmin <= ri.Rect.xmax + s
+                           && region.(i) <> region.(j)
+                        then begin
+                          let sep = Rect.separation ri rj in
+                          if sep < s then
+                            add
+                              (Rules.Min_spacing (l, l, s))
+                              ri
+                              (Printf.sprintf "to %s: %d < %d"
+                                 (Rect.to_string rj) sep s)
+                        end
+                      done)
+                    rects))
         else None)
       Layer.all
   in
   (* Cross-layer spacing; overlapping or abutting shapes are related
      (transistors, butting contacts) and exempt.  Both layers merge into
-     one xmin-sorted array and a single sweep visits exactly the pairs
-     whose x-gap can be below [s] — the same window argument
-     [group_regions] relies on: every pair is reached from its
-     smaller-xmin member.  Sliced into index ranges across the pool. *)
+     one xmin-sorted array with its own index; every pair is tested
+     from its earlier member.  One task per layer pair: building the
+     merged index costs more than the scan. *)
   let cross_tasks =
-    List.concat_map
+    List.filter_map
       (fun (la, lb) ->
         let s = Rules.cross_spacing la lb in
-        if s > 0 && not (Layer.equal la lb) then begin
-          let ra = layer_rects la and rb = layer_rects lb in
-          let merged =
-            Array.append
-              (Array.map (fun r -> (r, true)) ra)
-              (Array.map (fun r -> (r, false)) rb)
-          in
-          Array.sort
-            (fun (r1, t1) (r2, t2) ->
-              match Int.compare r1.Rect.xmin r2.Rect.xmin with
-              | 0 -> compare (t1, r1) (t2, r2)
-              | c -> c)
-            merged;
-          let n = Array.length merged in
-          List.map
-            (fun (lo, hi) () ->
+        if s > 0 && not (Layer.equal la lb) then
+          Some
+            (fun () ->
               collect (fun add ->
-                  for i = lo to hi - 1 do
-                    let ri, ti = merged.(i) in
-                    let j = ref (i + 1) in
-                    while
-                      !j < n && (fst merged.(!j)).Rect.xmin <= ri.Rect.xmax + s
-                    do
-                      let rj, tj = merged.(!j) in
-                      if ti <> tj then begin
-                        let a, b = if ti then (ri, rj) else (rj, ri) in
-                        let sep = Rect.separation a b in
-                        if (not (Rect.overlaps a b)) && sep < s then
-                          add (Rules.Min_spacing (la, lb, s)) a
-                            (Printf.sprintf "to %s on %s: %d < %d"
-                               (Rect.to_string b) (Layer.to_string lb) sep s)
-                      end;
-                      incr j
-                    done
-                  done))
-            (shards n)
-        end
-        else [])
+                  let merged =
+                    Array.append
+                      (Array.map (fun r -> (r, true)) (Rect_index.rects (layer_index la)))
+                      (Array.map (fun r -> (r, false)) (Rect_index.rects (layer_index lb)))
+                  in
+                  Array.sort
+                    (fun (r1, t1) (r2, t2) ->
+                      match Int.compare r1.Rect.xmin r2.Rect.xmin with
+                      | 0 -> (
+                        match Bool.compare t1 t2 with
+                        | 0 -> Rect.compare r1 r2
+                        | c -> c)
+                      | c -> c)
+                    merged;
+                  let near = Rect_index.cursor (Rect_index.create (Array.map fst merged)) in
+                  Array.iteri
+                    (fun i (ri, ti) ->
+                      for k = 0 to Rect_index.near near ~within:(s - 1) ri - 1 do
+                        let j = Rect_index.hit near k in
+                        let rj, tj = merged.(j) in
+                        if j > i && rj.Rect.xmin <= ri.Rect.xmax + s && ti <> tj
+                        then begin
+                          let a, b = if ti then (ri, rj) else (rj, ri) in
+                          let sep = Rect.separation a b in
+                          if (not (Rect.overlaps a b)) && sep < s then
+                            add (Rules.Min_spacing (la, lb, s)) a
+                              (Printf.sprintf "to %s on %s: %d < %d"
+                                 (Rect.to_string b) (Layer.to_string lb) sep s)
+                        end
+                      done)
+                    merged))
+        else None)
       [ (Layer.Poly, Layer.Diffusion) ]
   in
-  (* Enclosure: candidate covers for each inner rectangle are narrowed
-     by binary search on the sorted outer array before the recursive
-     cover test; sliced across the pool. *)
+  (* Enclosure: the candidate covers of each inner rectangle are the
+     outer rectangles touching it grown by the margin, in array order,
+     before the recursive cover test; sliced across the pool. *)
   let enclosure_tasks =
     List.concat_map
       (fun (inner, outer) ->
         let m = Rules.enclosure ~inner ~outer in
         if m > 0 then begin
-          let inners = layer_rects inner in
-          let outers = layer_rects outer in
+          let inners = Rect_index.rects (layer_index inner) in
+          let outers = layer_index outer in
+          let outer_rects = Rect_index.rects outers in
           List.map
             (fun (lo, hi) () ->
               collect (fun add ->
+                  let near = Rect_index.cursor outers in
                   for i = lo to hi - 1 do
                     let r = inners.(i) in
                     let target = Rect.inflate m r in
-                    let right = upper_bound outers target.Rect.xmax in
                     let candidates = ref [] in
-                    for j = right - 1 downto 0 do
-                      if outers.(j).Rect.xmax >= target.Rect.xmin then
-                        candidates := outers.(j) :: !candidates
+                    for k = Rect_index.near near ~within:0 target - 1 downto 0 do
+                      candidates := outer_rects.(Rect_index.hit near k) :: !candidates
                     done;
                     if not (covered target !candidates) then
                       add
@@ -241,9 +231,10 @@ let check_flat ?pool flat =
         else [])
       [ (Layer.Contact, Layer.Metal); (Layer.Glass, Layer.Metal) ]
   in
-  Sc_par.Pool.run ~label:"drc.shard" pool
-    (width_tasks @ spacing_tasks @ cross_tasks @ enclosure_tasks)
-  |> List.concat
+  List.concat_map fst layers
+  @ List.concat
+      (Sc_par.Pool.run ~label:"drc.shard" pool
+         (spacing_tasks @ cross_tasks @ enclosure_tasks))
 
 let check ?pool cell =
   Sc_obs.Obs.span "drc" @@ fun () ->

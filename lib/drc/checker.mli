@@ -14,15 +14,21 @@
       overlap is still flagged);
     - enclosure (contact cuts inside metal, glass inside pad metal).
 
-    Checking is O(n log n + k) by plane-sweep over x with an active set;
-    every rule — including cross-layer spacing, which sweeps a merged
-    xmin-sorted array of both layers — visits only window neighbours.
+    Each layer is sorted by xmin and put in a {!Sc_geom.Rect_index}, a
+    uniform grid of about one rectangle per tile.  The neighbour rules
+    (spacing, region labelling, cross-layer spacing over a merged index
+    of both layers, enclosure candidates) ask the index for the
+    rectangles within the rule distance, so a rectangle's cost is the
+    number of shapes near it: for layouts of bounded density the deck
+    runs in O(n log n + k) for n rectangles and k violations, however
+    many cell rows share an x-range.
 
-    The deck decomposes into independent tasks (per rule, per layer, per
-    slice of the sorted rectangle array) executed on an {!Sc_par.Pool}
-    — the process default unless [?pool] is given.  Task results are
-    concatenated in submission order, so the violation list is identical
-    at every pool size. *)
+    Sorting and indexing run one task per layer, then the rules run as
+    independent tasks (per rule, per layer, and per slice of the sorted
+    array for enclosure) on an {!Sc_par.Pool} — the process default
+    unless [?pool] is given.  Task results are concatenated in
+    submission order, so the violation list is identical at every pool
+    size. *)
 
 open Sc_geom
 open Sc_tech

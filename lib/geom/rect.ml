@@ -1,7 +1,11 @@
 type t = { xmin : int; ymin : int; xmax : int; ymax : int }
 
 let make x0 y0 x1 y1 =
-  { xmin = min x0 x1; ymin = min y0 y1; xmax = max x0 x1; ymax = max y0 y1 }
+  { xmin = Int.min x0 x1
+  ; ymin = Int.min y0 y1
+  ; xmax = Int.max x0 x1
+  ; ymax = Int.max y0 y1
+  }
 
 let of_center_wh ~cx ~cy ~w ~h =
   assert (w >= 0 && h >= 0);
@@ -55,25 +59,25 @@ let contains outer inner =
 let inter a b =
   if overlaps a b then
     Some
-      { xmin = max a.xmin b.xmin
-      ; ymin = max a.ymin b.ymin
-      ; xmax = min a.xmax b.xmax
-      ; ymax = min a.ymax b.ymax
+      { xmin = Int.max a.xmin b.xmin
+      ; ymin = Int.max a.ymin b.ymin
+      ; xmax = Int.min a.xmax b.xmax
+      ; ymax = Int.min a.ymax b.ymax
       }
   else None
 
 let union_bbox a b =
-  { xmin = min a.xmin b.xmin
-  ; ymin = min a.ymin b.ymin
-  ; xmax = max a.xmax b.xmax
-  ; ymax = max a.ymax b.ymax
+  { xmin = Int.min a.xmin b.xmin
+  ; ymin = Int.min a.ymin b.ymin
+  ; xmax = Int.max a.xmax b.xmax
+  ; ymax = Int.max a.ymax b.ymax
   }
 
 let separation a b =
-  let gap lo1 hi1 lo2 hi2 = max 0 (max (lo2 - hi1) (lo1 - hi2)) in
+  let gap lo1 hi1 lo2 hi2 = Int.max 0 (Int.max (lo2 - hi1) (lo1 - hi2)) in
   let dx = gap a.xmin a.xmax b.xmin b.xmax in
   let dy = gap a.ymin a.ymax b.ymin b.ymax in
-  max dx dy
+  Int.max dx dy
 
 let equal a b =
   a.xmin = b.xmin && a.ymin = b.ymin && a.xmax = b.xmax && a.ymax = b.ymax

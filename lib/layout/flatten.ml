@@ -3,28 +3,33 @@ open Sc_tech
 
 type flat_box = { layer : Layer.t; rect : Rect.t }
 
-let element_boxes trans e acc =
-  match e with
-  | Cell.Box (l, r) -> { layer = l; rect = Transform.apply_rect trans r } :: acc
-  | Cell.Wire (l, p) ->
-    List.fold_left
-      (fun acc r -> { layer = l; rect = r } :: acc)
-      acc
-      (Path.to_rects (Path.transform trans p))
-
-let run root =
+(* [collect keep box root] — [box layer rect] for every flattened box on
+   a layer [keep] accepts, the last one visited first; boxes on other
+   layers are never transformed or allocated *)
+let collect keep box root =
   let rec go trans (c : Cell.t) acc =
-    let acc = List.fold_left (fun acc e -> element_boxes trans e acc) acc c.elements in
+    let acc =
+      List.fold_left
+        (fun acc e ->
+          match e with
+          | Cell.Box (l, r) when keep l -> box l (Transform.apply_rect trans r) :: acc
+          | Cell.Wire (l, p) when keep l ->
+            List.fold_left
+              (fun acc r -> box l r :: acc)
+              acc
+              (Path.to_rects (Path.transform trans p))
+          | Cell.Box _ | Cell.Wire _ -> acc)
+        acc c.elements
+    in
     List.fold_left
       (fun acc (i : Cell.inst) -> go (Transform.compose trans i.trans) i.cell acc)
       acc c.instances
   in
   go Transform.identity root []
 
-let run_layer root l =
-  List.filter_map
-    (fun fb -> if Layer.equal fb.layer l then Some fb.rect else None)
-    (run root)
+let run root = collect (fun _ -> true) (fun layer rect -> { layer; rect }) root
+
+let run_layer root l = collect (Layer.equal l) (fun _ rect -> rect) root
 
 let ports root =
   let rec go prefix trans (c : Cell.t) acc =

@@ -13,7 +13,8 @@ type flat_box = { layer : Layer.t; rect : Rect.t }
 (** [run c] flattens the whole hierarchy under [c]. *)
 val run : Cell.t -> flat_box list
 
-(** [run_layer c l] keeps only layer [l]. *)
+(** [run_layer c l] is the rectangles of [run c] on layer [l], in the
+    same order; boxes on other layers are skipped, not flattened. *)
 val run_layer : Cell.t -> Layer.t -> Rect.t list
 
 (** [ports c] returns every port of every instance, transitively, in root

@@ -14,50 +14,32 @@ type t =
   }
 
 (* Gate regions = connected groups of poly/diffusion intersection
-   rectangles.  A sweep over x-sorted rectangles keeps the pair scan close
-   to linear for real layouts; the union-find merges intersections that
-   touch, so a gate drawn in several boxes is counted once. *)
+   rectangles.  A grid index over the diffusion finds the strips each
+   poly rectangle crosses; a second index over the intersections labels
+   the regions, so a gate drawn in several touching boxes is counted
+   once. *)
 let overlap_regions polys diffs =
+  let diffs = Rect_index.create (Array.of_list diffs) in
+  let diff_rects = Rect_index.rects diffs in
+  let near = Rect_index.cursor diffs in
   let inters = ref [] in
-  let diffs = List.sort (fun a b -> Int.compare a.Rect.xmin b.Rect.xmin) diffs in
   List.iter
     (fun p ->
-      List.iter
-        (fun d ->
-          if d.Rect.xmin < p.Rect.xmax && p.Rect.xmin < d.Rect.xmax then
-            match Rect.inter p d with
-            | Some r when not (Rect.is_empty r) -> inters := r :: !inters
-            | _ -> ())
-        diffs)
+      for k = 0 to Rect_index.near near ~within:0 p - 1 do
+        match Rect.inter p diff_rects.(Rect_index.hit near k) with
+        | Some r when not (Rect.is_empty r) -> inters := r :: !inters
+        | _ -> ()
+      done)
     polys;
-  let rects = Array.of_list !inters in
-  let n = Array.length rects in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rect.touches_or_overlaps rects.(i) rects.(j) then union i j
-    done
-  done;
-  let roots = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    Hashtbl.replace roots (find i) ()
-  done;
-  Hashtbl.length roots
+  let region = Rect_index.components (Rect_index.create (Array.of_list !inters)) in
+  let roots = ref 0 in
+  Array.iteri (fun i r -> if r = i then incr roots) region;
+  !roots
 
 let transistor_count c =
-  let flat = Flatten.run c in
-  let layer l =
-    List.filter_map
-      (fun (fb : Flatten.flat_box) ->
-        if Layer.equal fb.layer l then Some fb.rect else None)
-      flat
-  in
-  overlap_regions (layer Layer.Poly) (layer Layer.Diffusion)
+  overlap_regions
+    (Flatten.run_layer c Layer.Poly)
+    (Flatten.run_layer c Layer.Diffusion)
 
 let count_instances root =
   let memo = Hashtbl.create 64 in

@@ -167,9 +167,9 @@ let test_wide_outer_still_encloses () =
   check_bool "wide metal accepted as cover" true (Checker.is_clean c)
 
 let test_pdp8_drc_time_budget () =
-  (* The all-pairs deck took ~2.7 s of CPU on the pdp8 layout; the
-     sorted sweep takes ~0.5 s.  Budget at 10x the observed sweep time
-     so the test only trips if the quadratic behaviour comes back. *)
+  (* On the pdp8 layout the all-pairs deck took ~2.7 s of CPU and the
+     x-sorted sweep ~0.5 s; the grid-indexed deck takes ~0.05 s.  The
+     5 s budget only trips if the all-pairs behaviour comes back. *)
   let d = Sc_core.Designs.parse Sc_core.Designs.pdp8_src in
   let r = Sc_synth.Synth.gates d in
   let layout =
@@ -205,6 +205,217 @@ let prop_spaced_metal_clean =
          (* duplicates coincide exactly: same region, still clean *)
          Checker.is_clean (cell "grid" boxes)))
 
+(* --- differential check: the indexed kernels against all-pairs
+   references --- *)
+
+(* The checker's order: width per layer in flattening order, then
+   per-layer spacing, cross-layer spacing and enclosure, each scanning
+   rectangles in xmin order (as [Array.sort] leaves them) and pairing
+   each with every later one. *)
+let xmin_sorted rs =
+  let a = Array.of_list rs in
+  Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) a;
+  a
+
+(* coverage by coordinate compression: every elementary cell of
+   [target], cut at the covers' edges, has its centre inside a cover *)
+let covered_by target covers =
+  let cuts lo hi edges =
+    List.sort_uniq Int.compare
+      (lo :: hi :: List.filter (fun e -> lo < e && e < hi) edges)
+  in
+  let rec spans = function a :: (b :: _ as rest) -> (a, b) :: spans rest | _ -> [] in
+  let xs = cuts target.Rect.xmin target.Rect.xmax
+      (List.concat_map (fun c -> [ c.Rect.xmin; c.Rect.xmax ]) covers)
+  and ys = cuts target.Rect.ymin target.Rect.ymax
+      (List.concat_map (fun c -> [ c.Rect.ymin; c.Rect.ymax ]) covers)
+  in
+  Rect.is_empty target
+  || List.for_all
+       (fun (x0, x1) ->
+         List.for_all
+           (fun (y0, y1) ->
+             List.exists
+               (fun c ->
+                 2 * c.Rect.xmin < x0 + x1 && x0 + x1 < 2 * c.Rect.xmax
+                 && 2 * c.Rect.ymin < y0 + y1 && y0 + y1 < 2 * c.Rect.ymax)
+               covers)
+           (spans ys))
+       (spans xs)
+
+let reference_check flat =
+  let by_layer = Array.make Layer.count [] in
+  List.iter
+    (fun (fb : Flatten.flat_box) ->
+      if not (Rect.is_empty fb.rect) then
+        by_layer.(Layer.index fb.layer) <- fb.rect :: by_layer.(Layer.index fb.layer))
+    flat;
+  let sorted l = xmin_sorted by_layer.(Layer.index l) in
+  let out = ref [] in
+  let add rule where detail = out := { Checker.rule; where; detail } :: !out in
+  List.iter
+    (fun l ->
+      let w = Rules.min_width l in
+      List.iter
+        (fun r ->
+          let narrow = min (Rect.width r) (Rect.height r) in
+          if narrow < w then
+            add (Rules.Min_width (l, w)) r (Printf.sprintf "feature is %d lambda wide" narrow))
+        by_layer.(Layer.index l))
+    Layer.all;
+  List.iter
+    (fun l ->
+      let s = Rules.min_spacing l in
+      let rects = sorted l in
+      let label = Test_geom.touch_labels rects in
+      let n = Array.length rects in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let sep = Rect.separation rects.(i) rects.(j) in
+          if label.(i) <> label.(j) && sep < s then
+            add (Rules.Min_spacing (l, l, s)) rects.(i)
+              (Printf.sprintf "to %s: %d < %d" (Rect.to_string rects.(j)) sep s)
+        done
+      done)
+    Layer.all;
+  let la, lb = (Layer.Poly, Layer.Diffusion) in
+  let s = Rules.cross_spacing la lb in
+  let merged =
+    Array.append
+      (Array.map (fun r -> (r, true)) (sorted la))
+      (Array.map (fun r -> (r, false)) (sorted lb))
+  in
+  Array.sort
+    (fun (r1, t1) (r2, t2) ->
+      match Int.compare r1.Rect.xmin r2.Rect.xmin with
+      | 0 -> compare (t1, r1) (t2, r2)
+      | c -> c)
+    merged;
+  let n = Array.length merged in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let ri, ti = merged.(i) and rj, tj = merged.(j) in
+      let a, b = if ti then (ri, rj) else (rj, ri) in
+      let sep = Rect.separation a b in
+      if ti <> tj && (not (Rect.overlaps a b)) && sep < s then
+        add (Rules.Min_spacing (la, lb, s)) a
+          (Printf.sprintf "to %s on %s: %d < %d" (Rect.to_string b)
+             (Layer.to_string lb) sep s)
+    done
+  done;
+  List.iter
+    (fun (inner, outer) ->
+      let m = Rules.enclosure ~inner ~outer in
+      let covers = Array.to_list (sorted outer) in
+      Array.iter
+        (fun r ->
+          if not (covered_by (Rect.inflate m r) covers) then
+            add (Rules.Min_enclosure (inner, outer, m)) r
+              (Printf.sprintf "not enclosed by %s with margin %d"
+                 (Layer.to_string outer) m))
+        (sorted inner))
+    [ (Layer.Contact, Layer.Metal); (Layer.Glass, Layer.Metal) ];
+  List.rev !out
+
+let reference_transistors flat =
+  let on l =
+    List.filter_map
+      (fun (fb : Flatten.flat_box) -> if Layer.equal fb.layer l then Some fb.rect else None)
+      flat
+  in
+  let gates =
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun d ->
+            match Rect.inter p d with
+            | Some r when not (Rect.is_empty r) -> Some r
+            | _ -> None)
+          (on Layer.Diffusion))
+      (on Layer.Poly)
+  in
+  let label = Test_geom.touch_labels (Array.of_list gates) in
+  let roots = ref 0 in
+  Array.iteri (fun i l -> if l = i then incr roots) label;
+  !roots
+
+(* Random hierarchies: leaf cells of boxes on every layer placed as
+   translated instances, plus boxes in the top cell.  Boxes include
+   narrow and degenerate ones, rails long enough to cross many index
+   tiles, and contacts in metal drawn whole or as two abutting halves. *)
+let gen_layout =
+  let open QCheck.Gen in
+  let layer =
+    frequency
+      [ (3, pure Layer.Poly); (3, pure Layer.Diffusion); (3, pure Layer.Metal)
+      ; (2, pure Layer.Contact); (2, oneofl [ Layer.Implant; Layer.Buried; Layer.Glass ])
+      ]
+  in
+  let box =
+    let* l = layer and* x = int_range 0 40 and* y = int_range 0 40 in
+    let* w, h =
+      frequency
+        [ (12, pair (int_range 1 7) (int_range 1 7))
+        ; (1, map (fun len -> (len, 3)) (int_range 80 300))
+        ; (1, map (fun len -> (3, len)) (int_range 80 300))
+        ; (1, map (fun w -> (w, 0)) (int_range 0 6))
+        ]
+    in
+    pure [ Cell.box l (Rect.make x y (x + w) (y + h)) ]
+  in
+  let via =
+    let* x = int_range 0 40 and* y = int_range 0 40 and* split = bool and* m = int_range 0 2 in
+    let metal =
+      if split then
+        [ Rect.make (x - m) (y - m) (x + 1) (y + 2 + m); Rect.make (x + 1) (y - m) (x + 2 + m) (y + 2 + m) ]
+      else [ Rect.make (x - m) (y - m) (x + 2 + m) (y + 2 + m) ]
+    in
+    pure
+      (Cell.box Layer.Contact (Rect.make x y (x + 2) (y + 2))
+      :: List.map (Cell.box Layer.Metal) metal)
+  in
+  let boxes lo hi = map List.concat (list_size (int_range lo hi) (frequency [ (6, box); (1, via) ])) in
+  let* leaves = list_size (int_range 1 3) (boxes 2 12) in
+  let leaves = List.mapi (fun k b -> Cell.make ~name:(Printf.sprintf "leaf%d" k) b) leaves in
+  let* top = boxes 0 8 in
+  let* placed =
+    list_size (int_range 0 10)
+      (triple (int_bound (List.length leaves - 1)) (int_range (-20) 120) (int_range (-20) 120))
+  in
+  let instances =
+    List.mapi
+      (fun k (leaf, dx, dy) ->
+        Cell.instantiate ~name:(Printf.sprintf "i%d" k)
+          ~trans:(Transform.translation dx dy) (List.nth leaves leaf))
+      placed
+  in
+  pure (Cell.make ~name:"top" ~instances top)
+
+let test_matches_reference () =
+  let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
+  let seen = Hashtbl.create 16 and most_gates = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Sc_par.Pool.shutdown p1; Sc_par.Pool.shutdown p2)
+    (fun () ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 0xD1FF; 14 |])
+        (QCheck.Test.make ~name:"indexed kernels = all-pairs references" ~count:150
+           (QCheck.make ~print:(fun c -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c)) gen_layout)
+           (fun layout ->
+             let flat = Flatten.run layout in
+             let expected = reference_check flat in
+             List.iter (fun v -> Hashtbl.replace seen v.Checker.rule ()) expected;
+             let gates = reference_transistors flat in
+             most_gates := max !most_gates gates;
+             Checker.check_flat ~pool:p1 flat = expected
+             && Checker.check_flat ~pool:p2 flat = expected
+             && Stats.transistor_count layout = gates)));
+  List.iter
+    (fun rule ->
+      check_bool (Format.asprintf "some case violates %a" Rules.pp_rule rule) true
+        (Hashtbl.mem seen rule))
+    Rules.deck;
+  check_bool "some case has several gates" true (!most_gates >= 3)
+
 let suite =
   [ Alcotest.test_case "clean layout" `Quick test_clean_layout
   ; Alcotest.test_case "narrow poly flagged" `Quick test_narrow_poly
@@ -222,4 +433,6 @@ let suite =
       test_wide_outer_still_encloses
   ; Alcotest.test_case "pdp8 DRC time budget" `Slow test_pdp8_drc_time_budget
   ; prop_spaced_metal_clean
+  ; Alcotest.test_case "indexed kernels match all-pairs references" `Quick
+      test_matches_reference
   ]

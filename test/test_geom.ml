@@ -107,6 +107,100 @@ let test_orient_group_closure () =
         Transform.all_orients)
     Transform.all_orients
 
+(* --- rectangle index --- *)
+
+(* [near] must return exactly the brute-force filter, ascending *)
+let near_list idx ~within q =
+  let c = Rect_index.cursor idx in
+  List.init (Rect_index.near c ~within q) (Rect_index.hit c)
+
+let brute_near rects ~within q =
+  List.filter
+    (fun i -> Rect.separation q rects.(i) <= within)
+    (List.init (Array.length rects) Fun.id)
+
+let check_near name rects ~within q =
+  Alcotest.(check (list int)) name (brute_near rects ~within q)
+    (near_list (Rect_index.create rects) ~within q)
+
+let test_index_edge_cases () =
+  let idx = Rect_index.create [||] in
+  Alcotest.(check (list int)) "empty array" [] (near_list idx ~within:5 (Rect.make 0 0 1 1));
+  Alcotest.(check (array int)) "empty components" [||] (Rect_index.components idx);
+  (* many small boxes make small tiles; a long rail spans most of them *)
+  let grid =
+    Array.init 400 (fun k ->
+        let x = 5 * (k mod 20) and y = 5 * (k / 20) in
+        Rect.make x y (x + 2) (y + 2))
+  in
+  let rects = Array.append grid [| Rect.make (-3) 41 120 43; Rect.make 50 50 50 50 |] in
+  check_near "query spanning every tile" rects ~within:0 (Rect.make (-10) (-10) 200 200);
+  check_near "the rail's neighbours" rects ~within:2 rects.(400);
+  check_near "a degenerate query" rects ~within:0 (Rect.make 7 7 7 7);
+  check_near "a degenerate member" rects ~within:1 (Rect.make 49 49 49 49);
+  check_near "outside the bounding box" rects ~within:3 (Rect.make 300 300 310 310);
+  check_near "margin reaches in from outside" rects ~within:4 (Rect.make (-6) (-6) (-5) (-5));
+  check_near "left of every tile" rects ~within:0 (Rect.make (-50) 10 (-4) 12);
+  (* one cursor serves many queries *)
+  let idx = Rect_index.create rects in
+  let c = Rect_index.cursor idx in
+  Array.iteri
+    (fun i r ->
+      let n = Rect_index.near c ~within:1 r in
+      Alcotest.(check (list int)) (Printf.sprintf "reused cursor, query %d" i)
+        (brute_near rects ~within:1 r)
+        (List.init n (Rect_index.hit c)))
+    rects
+
+(* reference labelling: flood fill over all touching pairs; the label
+   of a region is its first member *)
+let touch_labels rects =
+  let n = Array.length rects in
+  let label = Array.make n (-1) in
+  let rec fill l i =
+    if label.(i) < 0 then begin
+      label.(i) <- l;
+      for j = 0 to n - 1 do
+        if Rect.touches_or_overlaps rects.(i) rects.(j) then fill l j
+      done
+    end
+  in
+  Array.iteri (fun i _ -> fill i i) rects;
+  label
+
+let gen_index_case =
+  let open QCheck.Gen in
+  let box =
+    let* x = int_range (-40) 40 and* y = int_range (-40) 40 in
+    let* w = frequency [ (6, int_range 0 6); (1, int_range 30 120) ]
+    and* h = frequency [ (6, int_range 0 6); (1, int_range 30 120) ] in
+    pure (Rect.make x y (x + w) (y + h))
+  in
+  triple (array_size (int_range 0 60) box) box (int_range 0 6)
+
+let prop_index_near_is_filter =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1DE5; 7 |])
+    (QCheck.Test.make ~name:"index near = brute-force filter, ascending" ~count:300
+       (QCheck.make gen_index_case) (fun (rects, q, within) ->
+         let idx = Rect_index.create rects in
+         near_list idx ~within q = brute_near rects ~within q
+         && Array.for_all (fun r -> near_list idx ~within r = brute_near rects ~within r) rects))
+
+let prop_index_components =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1DE5; 8 |])
+    (QCheck.Test.make ~name:"index components = flood fill" ~count:200
+       (QCheck.make gen_index_case) (fun (rects, _, _) ->
+         let region = Rect_index.components (Rect_index.create rects) in
+         let label = touch_labels rects in
+         let n = Array.length rects in
+         List.for_all
+           (fun i ->
+             region.(region.(i)) = region.(i)
+             && List.for_all
+                  (fun j -> region.(i) = region.(j) = (label.(i) = label.(j)))
+                  (List.init n Fun.id))
+           (List.init n Fun.id)))
+
 (* --- properties --- *)
 
 let prop_inter_subset =
@@ -164,6 +258,9 @@ let suite =
   ; Alcotest.test_case "path rejects bad input" `Quick test_path_rejects
   ; Alcotest.test_case "transform known values" `Quick test_transform_known_values
   ; Alcotest.test_case "orient group closed" `Quick test_orient_group_closure
+  ; Alcotest.test_case "index edge cases" `Quick test_index_edge_cases
+  ; prop_index_near_is_filter
+  ; prop_index_components
   ; prop_inter_subset
   ; prop_union_superset
   ; prop_separation_sym
