@@ -258,9 +258,6 @@ let suite =
   ; Alcotest.test_case "path rejects bad input" `Quick test_path_rejects
   ; Alcotest.test_case "transform known values" `Quick test_transform_known_values
   ; Alcotest.test_case "orient group closed" `Quick test_orient_group_closure
-  ; Alcotest.test_case "index edge cases" `Quick test_index_edge_cases
-  ; prop_index_near_is_filter
-  ; prop_index_components
   ; prop_inter_subset
   ; prop_union_superset
   ; prop_separation_sym
@@ -269,4 +266,7 @@ let suite =
   ; prop_invert_roundtrip
   ; prop_apply_rect_matches_corners
   ; prop_rect_area_preserved
+  ; Alcotest.test_case "index edge cases" `Quick test_index_edge_cases
+  ; prop_index_near_is_filter
+  ; prop_index_components
   ]
