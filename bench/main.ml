@@ -98,6 +98,45 @@ let baseline_qors designs =
       | Error e -> fail (path ^ ": " ^ e))
     designs
 
+(* why [qor] is not [name]'s committed baseline QoR, if it is not *)
+let qor_mismatch baselines name qor =
+  match List.assoc_opt name baselines with
+  | Some want when String.equal want qor -> None
+  | Some _ -> Some (name ^ ": QoR differs from committed baseline")
+  | None -> Some ("no baseline for " ^ name)
+
+(* the QoR section of a daemon compile reply, or why there is none *)
+let reply_qor = function
+  | Sc_serve.Protocol.Compiled c -> (
+    match Sc_metrics.Metrics.of_json c.Sc_serve.Protocol.snapshot with
+    | Ok snap -> Ok (Sc_metrics.Metrics.qor_string snap)
+    | Error e -> Error ("bad snapshot: " ^ e))
+  | Sc_serve.Protocol.Error_reply { stage; message } ->
+    Error (stage ^ ": " ^ message)
+  | _ -> Error "unexpected response"
+
+(* the passes a journal shows executing (ran or failed), in order *)
+let ran =
+  List.filter_map (function
+    | n, Sc_pipeline.Pipeline.(Ran | Failed) -> Some n
+    | _ -> None)
+
+(* one row per pass, one status column per journal *)
+let print_pass_table ~width columns =
+  let row name cells =
+    Printf.printf "%-*s %s\n" width name
+      (String.concat " " (List.map (Printf.sprintf "%-14s") cells))
+  in
+  row "pass" (List.map fst columns);
+  List.iteri
+    (fun i (name, _) ->
+      row name
+        (List.map
+           (fun (_, lg) ->
+             Sc_pipeline.Pipeline.status_to_string (snd (List.nth lg i)))
+           columns))
+    (snd (List.hd columns))
+
 (* an in-process daemon on a temp socket over a fresh disk stage cache *)
 type daemon =
   { dsocket : string
@@ -135,6 +174,60 @@ let one_shot socket req =
   match Sc_serve.Client.one_shot socket req with
   | Ok r -> r
   | Error e -> fail ("rpc: " ^ e)
+
+(* run each job on its own thread at once: the results in job order,
+   and the wall time of the whole batch *)
+let concurrently jobs =
+  let jobs = Array.of_list jobs in
+  let replies = Array.make (Array.length jobs) None in
+  let (), t =
+    wall (fun () ->
+        let threads =
+          Array.to_list
+            (Array.mapi
+               (fun i job ->
+                 Thread.create (fun () -> replies.(i) <- Some (job ())) ())
+               jobs)
+        in
+        List.iter Thread.join threads)
+  in
+  ( Array.to_list
+      (Array.map
+         (function Some r -> r | None -> fail "a client got no reply")
+         replies)
+  , t )
+
+(* a daemon's counters, and one of them *)
+let daemon_stats socket =
+  match one_shot socket Sc_serve.Protocol.Stats with
+  | Sc_serve.Protocol.Stats_reply s -> s.Sc_serve.Protocol.counters
+  | _ -> fail "unexpected stats response"
+
+let stat counters key =
+  match List.assoc_opt key counters with
+  | Some v -> v
+  | None -> fail ("no stat " ^ key)
+
+(* a plain gates compile of a builtin design *)
+let builtin_spec ?(restarts = 0) name =
+  { Sc_serve.Protocol.design = name; source = builtin_src name
+  ; style = "gates"; restarts; certify = false
+  }
+
+(* [with_fresh_cache name f] runs [f] over an empty disk stage cache
+   (its directory outlives a bench run, so start genuinely cold), then
+   turns the cache off and drops its in-memory stores *)
+let with_fresh_cache name f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) ("scc-" ^ name ^ "-cache")
+  in
+  rm_rf dir;
+  Sc_pipeline.Pipeline.enable_cache ~dir ();
+  Fun.protect
+    ~finally:(fun () ->
+      Sc_pipeline.Pipeline.disable_cache ();
+      Sc_pipeline.Pipeline.clear_caches ())
+    f
 
 (* shut down over the protocol and check the daemon drained cleanly *)
 let stop_daemon d =
@@ -676,8 +769,7 @@ let profile () =
      flow-graph stage — every scc run can now answer where the time and \
      area went";
   (* Bechamel's CLOCK_MONOTONIC stub replaces the default wall clock *)
-  Sc_obs.Obs.set_clock (fun () ->
-      Int64.to_float (Monotonic_clock.now ()) /. 1e9);
+  let clock () = Int64.to_float (Monotonic_clock.now ()) /. 1e9 in
   let designs =
     [ ("counter", Sc_core.Designs.counter_src)
     ; ("traffic", Sc_core.Designs.traffic_src)
@@ -688,17 +780,20 @@ let profile () =
   let runs =
     List.map
       (fun (name, src) ->
-        Sc_obs.Obs.reset ();
-        Sc_obs.Obs.enable ();
-        (match Sc_core.Compiler.compile_behavior src with
+        let recorder = Sc_obs.Obs.Recorder.create ~clock () in
+        Sc_obs.Obs.Recorder.enable recorder;
+        (match
+           Sc_obs.Obs.with_recorder recorder (fun () ->
+               Sc_core.Compiler.compile_behavior src)
+         with
         | Ok _ -> ()
         | Error d ->
           failwith ("profile: " ^ name ^ ": " ^ Sc_pipeline.Diag.to_string d));
-        Sc_obs.Obs.disable ();
+        Sc_obs.Obs.Recorder.disable recorder;
         ( name
-        , Sc_obs.Obs.stage_table ()
-        , Sc_obs.Obs.totals ()
-        , Sc_metrics.Metrics.capture ~design:name () ))
+        , Sc_obs.Obs.Recorder.stage_table recorder
+        , Sc_obs.Obs.Recorder.totals recorder
+        , Sc_metrics.Metrics.capture ~recorder ~design:name () ))
       designs
   in
   Printf.printf "stage cost, ms (one full behavioral compilation each):\n\n";
@@ -1042,22 +1137,20 @@ let e11 () =
   if not !all_identical then fail "output varied with the pool width";
   Printf.printf "\nall outputs byte-identical at every pool width\n";
   (* the result cache: hit in memory, then from disk after a "restart" *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e11-cache" in
-  (* the directory persists across bench runs: start genuinely cold *)
-  rm_rf dir;
   let compile () =
     match Sc_core.Compiler.compile_behavior Sc_core.Designs.pdp8_src with
     | Ok _ -> ()
     | Error d -> failwith (Sc_pipeline.Diag.to_string d)
   in
-  Sc_pipeline.Pipeline.enable_cache ~dir ();
-  let (), cold = wall_ms compile in
-  let (), warm = wall_ms compile in
-  (* a "restart": drop every in-memory store, keep the disk artifacts *)
-  Sc_pipeline.Pipeline.clear_caches ();
-  let (), disk = wall_ms compile in
-  Sc_pipeline.Pipeline.disable_cache ();
-  Sc_pipeline.Pipeline.clear_caches ();
+  let cold, warm, disk =
+    with_fresh_cache "e11" @@ fun () ->
+    let (), cold = wall_ms compile in
+    let (), warm = wall_ms compile in
+    (* a "restart": drop every in-memory store, keep the disk artifacts *)
+    Sc_pipeline.Pipeline.clear_caches ();
+    let (), disk = wall_ms compile in
+    (cold, warm, disk)
+  in
   Printf.printf
     "stage cache (pdp8): cold %.1f ms, memory hit %.1f ms (%.0fx), disk \
      hit after restart %.1f ms\n"
@@ -1085,9 +1178,6 @@ let e13 () =
      an identical input hits every stage; editing --restarts reruns \
      only place and the passes downstream of it";
   let module P = Sc_pipeline.Pipeline in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e13-cache" in
-  (* the directory persists across bench runs: start genuinely cold *)
-  rm_rf dir;
   let compile restarts =
     match
       P.with_log (fun () ->
@@ -1096,20 +1186,14 @@ let e13 () =
     | Ok _, log -> log
     | Error d, _ -> failwith (Sc_pipeline.Diag.to_string d)
   in
-  P.enable_cache ~dir ();
-  let log_cold, cold = wall_ms (fun () -> compile 2) in
-  let log_warm, warm = wall_ms (fun () -> compile 2) in
-  let log_edit, edit = wall_ms (fun () -> compile 5) in
-  P.disable_cache ();
-  P.clear_caches ();
-  Printf.printf "%-10s %-14s %-14s %-14s\n" "pass" "cold" "warm (same)"
-    "warm (edited)";
-  List.iteri
-    (fun i (name, _) ->
-      let at lg = P.status_to_string (snd (List.nth lg i)) in
-      Printf.printf "%-10s %-14s %-14s %-14s\n" name (at log_cold)
-        (at log_warm) (at log_edit))
-    log_cold;
+  let (log_cold, cold), (log_warm, warm), (log_edit, edit) =
+    with_fresh_cache "e13" @@ fun () ->
+    let cold = wall_ms (fun () -> compile 2) in
+    let warm = wall_ms (fun () -> compile 2) in
+    (cold, warm, wall_ms (fun () -> compile 5))
+  in
+  print_pass_table ~width:10
+    [ ("cold", log_cold); ("warm (same)", log_warm); ("warm (edited)", log_edit) ];
   Printf.printf
     "\ntimings: cold %.1f ms; identical input %.1f ms (%.0fx); after a \
      --restarts edit %.1f ms (%.1fx)\n"
@@ -1117,11 +1201,6 @@ let e13 () =
     (cold /. Float.max warm 0.001)
     edit
     (cold /. Float.max edit 0.001);
-  let ran lg =
-    List.filter_map
-      (fun (n, st) -> if st = P.Ran || st = P.Failed then Some n else None)
-      lg
-  in
   if ran log_warm <> [] then
     fail
       ("identical input re-ran: " ^ String.concat ", " (ran log_warm));
@@ -1189,35 +1268,19 @@ let e14 () =
     | Ok r -> r
     | Error e -> fail ("rpc: " ^ e)
   in
-  let stat key =
-    match one_shot socket P.Stats with
-    | P.Stats_reply s -> (
-      match List.assoc_opt key s.P.counters with
-      | Some v -> v
-      | None -> fail ("no stat " ^ key))
-    | _ -> fail "unexpected stats response"
-  in
-  let spec name restarts =
-    { P.design = name; source = builtin_src name; style = "gates"; restarts
-    ; certify = false
-    }
-  in
+  let stat key = stat (daemon_stats socket) key in
   (* --- in-flight dedup: concurrent identical cold requests share one
      execution (pdp8 is ~hundreds of ms cold, a comfortable window) --- *)
   let before = stat "serve.executions" in
   let clients = 4 in
-  let replies = Array.make clients None in
-  let threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            replies.(i) <- Some (one_shot socket (P.Compile (spec "pdp8" 0))))
-          ())
+  let replies, _ =
+    concurrently
+      (List.init clients (fun _ () ->
+           one_shot socket (P.Compile (builtin_spec "pdp8"))))
   in
-  List.iter Thread.join threads;
-  Array.iter
+  List.iter
     (function
-      | Some (P.Compiled _) -> ()
+      | P.Compiled _ -> ()
       | _ -> fail "dedup phase: a client did not get a Compiled reply")
     replies;
   let executions = stat "serve.executions" - before in
@@ -1239,7 +1302,7 @@ let e14 () =
        (cold the first time a (design, restarts) pair appears) *)
     let name = darr.(i mod Array.length darr) in
     let restarts = if i mod 83 = 7 then 1 + (i / 83 mod 3) else 0 in
-    spec name restarts
+    builtin_spec ~restarts name
   in
   let errors = Mutex.create () and errs = ref [] in
   let err m =
@@ -1250,12 +1313,8 @@ let e14 () =
   let variant_lock = Mutex.create () in
   let variants : (string * int, string) Hashtbl.t = Hashtbl.create 16 in
   let check_qor (s : P.compile_spec) qor =
-    if s.P.restarts = 0 then begin
-      match List.assoc_opt s.P.design baseline_qor with
-      | Some want when String.equal want qor -> ()
-      | Some _ -> err (s.P.design ^ ": QoR differs from committed baseline")
-      | None -> err ("no baseline for " ^ s.P.design)
-    end
+    if s.P.restarts = 0 then
+      Option.iter err (qor_mismatch baseline_qor s.P.design qor)
     else
       Mutex.protect variant_lock (fun () ->
           let key = (s.P.design, s.P.restarts) in
@@ -1277,15 +1336,9 @@ let e14 () =
           let i = ref w in
           while !i < total do
             let s = spec_of !i in
-            (match rpc fd (P.Compile s) with
-            | P.Compiled r -> (
-              match Sc_metrics.Metrics.of_json r.P.snapshot with
-              | Ok snap ->
-                check_qor s (Sc_metrics.Metrics.qor_string snap)
-              | Error e -> err ("bad snapshot: " ^ e))
-            | P.Error_reply { stage; message } ->
-              err (stage ^ ": " ^ message)
-            | _ -> err "unexpected response");
+            (match reply_qor (rpc fd (P.Compile s)) with
+            | Ok qor -> check_qor s qor
+            | Error e -> err e);
             i := !i + workers
           done)
   in
@@ -1338,8 +1391,6 @@ let e15 () =
      with the stage artifacts, and the proof overhead is a bounded \
      fraction of the cold compile";
   let module P = Sc_pipeline.Pipeline in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e15-cache" in
-  rm_rf dir;
   let compile ?(certify = true) ?inject_fault () =
     match
       P.with_certify certify (fun () ->
@@ -1356,12 +1407,7 @@ let e15 () =
   (match err_plain with
   | None -> ()
   | Some d -> fail ("plain compile failed: " ^ Sc_pipeline.Diag.to_string d));
-  P.enable_cache ~dir ();
-  Fun.protect
-    ~finally:(fun () ->
-      P.disable_cache ();
-      P.clear_caches ())
-  @@ fun () ->
+  with_fresh_cache "e15" @@ fun () ->
   let (log_cold, err_cold), cold_ms = wall_ms (fun () -> compile ()) in
   (match err_cold with
   | None -> ()
@@ -1372,11 +1418,6 @@ let e15 () =
   | None -> ()
   | Some d ->
     fail ("warm certified compile refused: " ^ Sc_pipeline.Diag.to_string d));
-  let ran lg =
-    List.filter_map
-      (fun (n, st) -> if st = P.Ran || st = P.Failed then Some n else None)
-      lg
-  in
   if ran log_warm <> [] then
     fail
       ("warm certified rebuild re-ran: " ^ String.concat ", " (ran log_warm));
@@ -1434,17 +1475,12 @@ let e16 () =
   let module P = Sc_serve.Protocol in
   let designs = [ "counter"; "traffic"; "alu4"; "pdp8" ] in
   let baseline_qor = baseline_qors designs in
-  let spec ?(restarts = 0) name =
-    { P.design = name; source = builtin_src name; style = "gates"; restarts
-    ; certify = false
-    }
-  in
   (* the overlap-timing workload: four pdp8 placements with different
      restart budgets — four distinct dedup keys, each ~1 s of genuine
      pipeline work, so concurrency shortens the critical path instead
      of hiding behind one dominant design *)
   let heavy = [ 1; 2; 3; 4 ] in
-  let heavy_spec r = spec ~restarts:r "pdp8" in
+  let heavy_spec r = builtin_spec ~restarts:r "pdp8" in
   let tmp = Filename.get_temp_dir_name () in
   (* both phases run the same daemon path against a fresh cold stage
      cache, so the only variable is whether the four instrumented
@@ -1455,29 +1491,15 @@ let e16 () =
     stop_daemon d;
     r
   in
-  let qor_of name = function
-    | P.Compiled c -> (
-      match Sc_metrics.Metrics.of_json c.P.snapshot with
-      | Ok snap -> Sc_metrics.Metrics.qor_string snap
-      | Error e -> fail (name ^ ": bad snapshot: " ^ e))
-    | P.Error_reply { stage; message } ->
-      fail (name ^ ": " ^ stage ^ ": " ^ message)
-    | _ -> fail (name ^ ": unexpected response")
+  let qor_of name reply =
+    match reply_qor reply with
+    | Ok qor -> qor
+    | Error e -> fail (name ^ ": " ^ e)
   in
   let check_qor qors =
     List.iter
-      (fun (name, qor) ->
-        match List.assoc_opt name baseline_qor with
-        | Some want when String.equal want qor -> ()
-        | Some _ -> fail (name ^ ": QoR differs from committed baseline")
-        | None -> fail ("no baseline for " ^ name))
+      (fun (name, qor) -> Option.iter fail (qor_mismatch baseline_qor name qor))
       qors
-  in
-  let must_compile tag = function
-    | P.Compiled _ -> ()
-    | P.Error_reply { stage; message } ->
-      fail (tag ^ ": " ^ stage ^ ": " ^ message)
-    | _ -> fail (tag ^ ": unexpected response")
   in
   (* --- phase A: everything sequential — the four baseline designs
      (QoR-checked), then the four heavy variants (the sum of solos) --- *)
@@ -1489,16 +1511,17 @@ let e16 () =
                 (List.map
                    (fun name ->
                      ( name
-                     , qor_of name (one_shot socket (P.Compile (spec name))) ))
+                     , qor_of name (one_shot socket (P.Compile (builtin_spec name))) ))
                    designs))
         in
         let (), t_heavy =
           wall (fun () ->
               List.iter
                 (fun r ->
-                  must_compile
-                    (Printf.sprintf "pdp8 --restarts %d" r)
-                    (one_shot socket (P.Compile (heavy_spec r))))
+                  ignore
+                    (qor_of
+                       (Printf.sprintf "pdp8 --restarts %d" r)
+                       (one_shot socket (P.Compile (heavy_spec r)))))
                 heavy)
         in
         (t_designs, t_heavy))
@@ -1511,32 +1534,12 @@ let e16 () =
      on its own domain with its own recorder and trace --- *)
   let trace_dir = Filename.concat tmp "scc-e16-traces" in
   rm_rf trace_dir;
-  let concurrently jobs =
-    let jobs = Array.of_list jobs in
-    let replies = Array.make (Array.length jobs) None in
-    let (), t =
-      wall (fun () ->
-          let threads =
-            Array.to_list
-              (Array.mapi
-                 (fun i job ->
-                   Thread.create (fun () -> replies.(i) <- Some (job ())) ())
-                 jobs)
-          in
-          List.iter Thread.join threads)
-    in
-    ( Array.to_list
-        (Array.map
-           (function Some r -> r | None -> fail "a client got no reply")
-           replies)
-    , t )
-  in
   let (stats, t_designs_par, t_par) =
     with_daemon ~trace_dir "par" (fun socket ->
         let replies, t_designs =
           concurrently
             (List.map
-               (fun name () -> one_shot socket (P.Compile (spec name)))
+               (fun name () -> one_shot socket (P.Compile (builtin_spec name)))
                designs)
         in
         check_qor
@@ -1549,20 +1552,11 @@ let e16 () =
         in
         List.iter2
           (fun r reply ->
-            must_compile (Printf.sprintf "pdp8 --restarts %d" r) reply)
+            ignore (qor_of (Printf.sprintf "pdp8 --restarts %d" r) reply))
           heavy heavies;
-        let stats =
-          match one_shot socket P.Stats with
-          | P.Stats_reply s -> s
-          | _ -> fail "unexpected stats response"
-        in
-        (stats, t_designs, t_heavy))
+        (daemon_stats socket, t_designs, t_heavy))
   in
-  let stat key =
-    match List.assoc_opt key stats.P.counters with
-    | Some v -> v
-    | None -> fail ("no stat " ^ key)
-  in
+  let stat = stat stats in
   let peak = stat "serve.peak_executions" in
   Printf.printf
     "concurrent: %d cold instrumented compiles in %.2f s, %d heavy \
@@ -1659,37 +1653,36 @@ let e17 () =
   let edited = replace ~sub:"y := a ^ b" ~by:"y := a | b" src in
   let compile ~jobs s =
     Sc_par.Pool.set_default_size jobs;
-    Sc_obs.Obs.reset ();
-    Sc_obs.Obs.enable ();
-    match P.with_log (fun () -> Sc_core.Compiler.compile_behavior s) with
+    let recorder = Sc_obs.Obs.Recorder.create () in
+    Sc_obs.Obs.Recorder.enable recorder;
+    match
+      Sc_obs.Obs.with_recorder recorder (fun () ->
+          P.with_log (fun () -> Sc_core.Compiler.compile_behavior s))
+    with
     | Error d, _ -> fail ("e17: " ^ Sc_pipeline.Diag.to_string d)
     | Ok _, lg ->
-      Sc_obs.Obs.disable ();
+      Sc_obs.Obs.Recorder.disable recorder;
       let qor =
         Sc_metrics.Metrics.qor_string
-          (Sc_metrics.Metrics.capture ~design:"system" ())
+          (Sc_metrics.Metrics.capture ~recorder ~design:"system" ())
       in
       (lg, qor)
   in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "scc-e17-cache" in
-  rm_rf dir;
-  P.enable_cache ~dir ();
-  let (log_cold, qor_cold), cold = wall_ms (fun () -> compile ~jobs:4 src) in
-  let (log_warm, qor_warm), warm = wall_ms (fun () -> compile ~jobs:1 src) in
-  let (log_edit, qor_edit), edit = wall_ms (fun () -> compile ~jobs:4 edited) in
-  P.disable_cache ();
-  P.clear_caches ();
+  let ( ((log_cold, qor_cold), cold)
+      , ((log_warm, qor_warm), warm)
+      , ((log_edit, qor_edit), edit) ) =
+    with_fresh_cache "e17" @@ fun () ->
+    let cold = wall_ms (fun () -> compile ~jobs:4 src) in
+    let warm = wall_ms (fun () -> compile ~jobs:1 src) in
+    (cold, warm, wall_ms (fun () -> compile ~jobs:4 edited))
+  in
   (* a cacheless -j1 rebuild from scratch: pure scheduling determinism *)
   let (_, qor_j1), _ = wall_ms (fun () -> compile ~jobs:1 src) in
   Sc_par.Pool.set_default_size 1;
-  Printf.printf "%-16s %-14s %-14s %-14s\n" "pass" "cold (-j4)"
-    "warm (-j1)" "mixer edited";
-  List.iteri
-    (fun i (name, _) ->
-      let at lg = P.status_to_string (snd (List.nth lg i)) in
-      Printf.printf "%-16s %-14s %-14s %-14s\n" name (at log_cold)
-        (at log_warm) (at log_edit))
-    log_cold;
+  print_pass_table ~width:16
+    [ ("cold (-j4)", log_cold); ("warm (-j1)", log_warm)
+    ; ("mixer edited", log_edit)
+    ];
   Printf.printf
     "\ntimings: cold %.1f ms; warm %.1f ms (%.0fx); after the mixer edit \
      %.1f ms (%.1fx)\n"
@@ -1697,11 +1690,6 @@ let e17 () =
     (cold /. Float.max warm 0.001)
     edit
     (cold /. Float.max edit 0.001);
-  let ran lg =
-    List.filter_map
-      (fun (n, st) -> if st = P.Ran || st = P.Failed then Some n else None)
-      lg
-  in
   if ran log_warm <> [] then
     fail ("e17: identical input re-ran: " ^ String.concat ", " (ran log_warm));
   let expected_edit =

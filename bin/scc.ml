@@ -182,33 +182,30 @@ let metrics_arg =
            JSON) to $(docv); render it with $(b,scc report), compare \
            against a baseline with $(b,scc diff).")
 
-(* [instrumented ~stats ~trace ~metrics ~design k] runs [k] with the
-   span recorder on when any sink was requested.  The snapshot is
-   captured before the recorder is disabled, even when [k] fails, so a
-   crashing compile still leaves its partial telemetry behind. *)
+(* [instrumented ~stats ~trace ~metrics ~design k] runs [k] under a
+   recorder that is enabled when any sink was requested.  The sinks are
+   written even when [k] fails, so a crashing compile still leaves its
+   partial telemetry behind. *)
 let instrumented ~stats ~trace ~metrics ~design k =
-  let want = stats || trace <> None || metrics <> None in
-  if want then begin
-    Sc_obs.Obs.reset ();
-    Sc_obs.Obs.enable ()
-  end;
+  let r = Sc_obs.Obs.Recorder.create () in
+  if stats || trace <> None || metrics <> None then
+    Sc_obs.Obs.Recorder.enable r;
   let finish () =
-    if want then begin
-      if stats then Format.printf "%a@?" Sc_obs.Obs.pp_summary ();
-      (match trace with
-      | Some path ->
-        Sc_obs.Obs.write_trace path;
-        Printf.eprintf "trace written to %s\n%!" path
-      | None -> ());
-      (match metrics with
-      | Some path ->
-        Sc_metrics.Metrics.write path (Sc_metrics.Metrics.capture ~design ());
-        Printf.eprintf "metrics written to %s\n%!" path
-      | None -> ());
-      Sc_obs.Obs.disable ()
-    end
+    Sc_obs.Obs.Recorder.disable r;
+    if stats then Format.printf "%a@?" Sc_obs.Obs.Recorder.pp_summary r;
+    Option.iter
+      (fun path ->
+        Sc_obs.Obs.Recorder.write_trace r path;
+        Printf.eprintf "trace written to %s\n%!" path)
+      trace;
+    Option.iter
+      (fun path ->
+        Sc_metrics.Metrics.write path
+          (Sc_metrics.Metrics.capture ~recorder:r ~design ());
+        Printf.eprintf "metrics written to %s\n%!" path)
+      metrics
   in
-  match k () with
+  match Sc_obs.Obs.with_recorder r k with
   | code ->
     finish ();
     code
@@ -315,18 +312,6 @@ let style_arg =
           "ISP control style: $(b,gates) (random logic, the default) or \
            $(b,pla).")
 
-let modular_arg =
-  Arg.(
-    value & flag
-    & info [ "modular" ]
-        ~doc:
-          "Require separate compilation: the ISP source must carry a \
-           top-level $(b,chip) block binding module instances \
-           (detected automatically otherwise).  Each module block \
-           compiles through its own stage-cached sub-pipeline and the \
-           chip is macro-assembled from the per-module layouts; with \
-           $(b,--explain), per-module rows appear as module:pass.")
-
 let dump_isp_arg =
   Arg.(
     value & flag
@@ -357,8 +342,8 @@ let verify_arg =
           "With a layout-language source, prove the primitive cells' \
            extracted artwork equal to their gates with the BDD engine.")
 
-let compile_run src output style modular dump_isp entry args verify stats
-    trace metrics jobs stage_cache explain restarts certify inject_fault =
+let compile_run src output style dump_isp entry args verify stats trace metrics
+    jobs stage_cache explain restarts certify inject_fault =
   match resolve_source src with
   | Error e -> usage_error e
   | Ok (kind, text) -> (
@@ -367,7 +352,6 @@ let compile_run src output style modular dump_isp entry args verify stats
       List.find_opt
         (fun (_, given, kinds) -> given && not (List.mem kind kinds))
         [ ("--style", style <> None, [ Isp ])
-        ; ("--modular", modular, [ Isp ])
         ; ("--dump-isp", dump_isp, [ Verilog ])
         ; ("--entry", entry <> None, [ Layout ])
         ; ("--args", args <> [], [ Layout ])
@@ -380,8 +364,6 @@ let compile_run src output style modular dump_isp entry args verify stats
     | Some (flag, _, _) ->
       usage_error
         (Printf.sprintf "%s does not apply to %s sources" flag (kind_name kind))
-    | None when modular && not (Sc_core.Chipdesc.is_modular text) ->
-      usage_error "--modular requires a chip block binding module instances"
     | None when dump_isp -> (
       match Sc_core.Compiler.verilog_design text with
       | Error d -> report_diag d
@@ -423,10 +405,10 @@ let compile_run src output style modular dump_isp entry args verify stats
 
 let compile_term =
   Term.(
-    const compile_run $ src_arg $ output_arg $ style_arg $ modular_arg
-    $ dump_isp_arg $ entry_arg $ args_arg $ verify_arg $ stats_arg
-    $ trace_arg $ metrics_arg $ jobs_arg $ stage_cache_arg $ explain_arg
-    $ restarts_arg $ certify_arg $ inject_fault_arg)
+    const compile_run $ src_arg $ output_arg $ style_arg $ dump_isp_arg
+    $ entry_arg $ args_arg $ verify_arg $ stats_arg $ trace_arg $ metrics_arg
+    $ jobs_arg $ stage_cache_arg $ explain_arg $ restarts_arg $ certify_arg
+    $ inject_fault_arg)
 
 let compile_cmd =
   Cmd.v

@@ -301,19 +301,8 @@ let gates_path ~restarts ?inject design =
   let* _route = P.run route_pass (P.map (fun p -> p.placement) placed) in
   Ok (P.map (fun p -> p.playout) placed, circuit)
 
-(* [?recorder] on the drivers installs a per-run Obs recorder around
-   the whole pass sequence (see [Sc_obs.Obs.with_recorder]): every
-   span/counter below — including pool tasks the passes fan out —
-   lands in that recorder.  Omitted, the ambient recorder applies and
-   single-shot callers are unchanged. *)
-let recorded recorder f =
-  match recorder with
-  | None -> f ()
-  | Some r -> Sc_obs.Obs.with_recorder r f
-
-let compile_behavior_flat ?recorder ?(style = Random_logic) ?(restarts = 0)
-    ?inject_fault src =
-  recorded recorder @@ fun () ->
+let compile_behavior_flat ?(style = Random_logic) ?(restarts = 0) ?inject_fault
+    src =
   let* design = P.run parse_pass (P.source src) in
   let* layout_staged, circuit =
     match style with
@@ -327,8 +316,7 @@ let compile_behavior_flat ?recorder ?(style = Random_logic) ?(restarts = 0)
   let* c = finish_layout layout_staged in
   Ok (c, circuit)
 
-let compile_verilog ?recorder ?(restarts = 0) ?inject_fault src =
-  recorded recorder @@ fun () ->
+let compile_verilog ?(restarts = 0) ?inject_fault src =
   let* design = P.run parse_verilog_pass (P.source src) in
   let* layout_staged, circuit =
     gates_path ~restarts ?inject:inject_fault design
@@ -336,8 +324,7 @@ let compile_verilog ?recorder ?(restarts = 0) ?inject_fault src =
   let* c = finish_layout layout_staged in
   Ok (c, circuit)
 
-let compile_layout ?recorder ?entry ?(args = []) src =
-  recorded recorder @@ fun () ->
+let compile_layout ?entry ?(args = []) src =
   let param =
     Printf.sprintf "entry=%s;args=%s"
       (Option.value ~default:"" entry)
@@ -380,13 +367,11 @@ type module_run =
 (* A fresh recorder isolates the module's QoR gauges (concurrent
    modules would clobber each other's last-write gauges in a shared
    recorder) and [with_log] its --explain rows; the caller merges both
-   deterministically.  The certify choice is passed in because a pool
-   worker does not inherit the submitter's run context. *)
-let run_module ~record ~certify ~restarts text () =
-  let rec_ = Sc_obs.Obs.Recorder.create () in
-  if record then Sc_obs.Obs.Recorder.enable rec_;
-  Sc_obs.Obs.with_recorder rec_ @@ fun () ->
-  P.with_certify certify @@ fun () ->
+   deterministically. *)
+let run_module ~restarts text () =
+  let rec_ = Obs.Recorder.create () in
+  if Obs.enabled () then Obs.Recorder.enable rec_;
+  Obs.with_recorder rec_ @@ fun () ->
   let mr, mr_log =
     P.with_log @@ fun () ->
     let* design = P.run parse_pass (P.source text) in
@@ -404,7 +389,7 @@ let run_module ~record ~certify ~restarts text () =
       ; mc_measure = P.value m
       }
   in
-  { mr; mr_log; mr_totals = Sc_obs.Obs.Recorder.totals rec_ }
+  { mr; mr_log; mr_totals = Obs.Recorder.totals rec_ }
 
 (* In-flight dedup across concurrent modular compiles (the serve
    daemon's overlapping requests): the first arrival computes, everyone
@@ -624,20 +609,7 @@ let stitch chip mods nets =
 
 (* --- the modular driver --- *)
 
-let runtime_total_key k =
-  let has_prefix p =
-    String.length k >= String.length p && String.sub k 0 (String.length p) = p
-  in
-  let has_suffix s =
-    let n = String.length s and m = String.length k in
-    m >= n && String.sub k (m - n) n = s
-  in
-  has_prefix "stage." || has_prefix "cache." || has_prefix "pool."
-  || has_prefix "pipeline." || has_suffix ".tasks" || has_suffix ".calls"
-  || has_suffix "_us"
-
-let compile_modular ?recorder ?(restarts = 0) src =
-  recorded recorder @@ fun () ->
+let compile_modular ?(restarts = 0) src =
   match Chipdesc.split src with
   | Error e -> Error (Diag.v ~stage:"chip" e)
   | Ok { Chipdesc.chip = None; _ } ->
@@ -652,7 +624,6 @@ let compile_modular ?recorder ?(restarts = 0) src =
             chip.Chipdesc.ch_insts)
         modules
     in
-    let record = Obs.enabled () in
     let certify = P.certify_enabled () in
     let runs =
       Sc_par.Pool.run ~label:"module" (Sc_par.Pool.default ())
@@ -664,7 +635,7 @@ let compile_modular ?recorder ?(restarts = 0) src =
                     m.sm_text restarts certify)
              in
              Sc_par.Single_flight.run module_flights key
-               (run_module ~record ~certify ~restarts m.sm_text))
+               (run_module ~restarts m.sm_text))
            used)
     in
     if Obs.enabled () then Obs.gauge "modular.modules" (List.length runs);
@@ -684,7 +655,7 @@ let compile_modular ?recorder ?(restarts = 0) src =
         if Obs.enabled () then
           List.iter
             (fun (k, v) ->
-              if runtime_total_key k then Obs.count k v
+              if Sc_metrics.Metrics.is_runtime_key k then Obs.count k v
               else Obs.gauge ("module." ^ m.sm_name ^ "." ^ k) v)
             r.mr_totals)
       used runs;
@@ -728,13 +699,12 @@ let compile_modular ?recorder ?(restarts = 0) src =
 
 (* the behavioral front door dispatches on the source: a [chip] block
    means separate compilation, anything else takes the flat path *)
-let compile_behavior ?recorder ?(style = Random_logic) ?(restarts = 0)
-    ?inject_fault src =
+let compile_behavior ?(style = Random_logic) ?(restarts = 0) ?inject_fault src =
   if Chipdesc.is_modular src then
     match style with
     | Pla_control ->
       Error
         (Diag.v ~stage:"chip"
            "modular designs use the gates style (no --style pla)")
-    | Random_logic -> compile_modular ?recorder ~restarts src
-  else compile_behavior_flat ?recorder ~style ~restarts ?inject_fault src
+    | Random_logic -> compile_modular ~restarts src
+  else compile_behavior_flat ~style ~restarts ?inject_fault src

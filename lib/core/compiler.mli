@@ -46,17 +46,16 @@ type compiled =
   ; transistors : int
   }
 
-(** Every front door takes an optional [recorder]: the whole pass
-    sequence — spans, counters, pool tasks it fans out — records into
-    that {!Sc_obs.Obs.Recorder.t} (installed as ambient for the run,
-    see {!Sc_obs.Obs.with_recorder}).  Omitted, the caller's ambient
-    recorder applies; single-shot tools never pass it.  The serve
-    daemon passes a fresh recorder per request so concurrent compiles
-    record independently. *)
+(** Every front door records into the recorder in scope
+    ({!Sc_obs.Obs.with_recorder}) — the whole pass sequence, and the
+    pool tasks it fans out — and certifies and journals as the
+    caller's {!Sc_pipeline.Pipeline.with_certify} /
+    {!Sc_pipeline.Pipeline.with_log} say.  The serve daemon binds a
+    fresh recorder per request so concurrent compiles record
+    independently. *)
 
 (** Structural path: layout-language source to artwork. *)
 val compile_layout :
-  ?recorder:Sc_obs.Obs.Recorder.t ->
   ?entry:string ->
   ?args:int list ->
   string ->
@@ -78,7 +77,6 @@ val compile_layout :
     by a pass param, so faulty artifacts never share cache keys with
     honest ones (ignored by [Pla_control]). *)
 val compile_behavior :
-  ?recorder:Sc_obs.Obs.Recorder.t ->
   ?style:behavior_style ->
   ?restarts:int ->
   ?inject_fault:int ->
@@ -90,18 +88,17 @@ val compile_behavior :
     (parse → compile → optimize → place → route → drc → emit → measure)
     keyed on that block's raw text, as one task on the default
     {!Sc_par.Pool} (in the caller at [-j 1]) with its own recorder and
-    run journal — editing one module re-runs exactly that
-    module's passes plus assembly.  Concurrent compiles of the same
-    module text (the serve daemon) share one in-flight run.  The
-    assembly pass packs the per-module layouts into a macro row with a
-    routed channel ({!Sc_chip.Assemble.pack}) inside the pad frame;
-    whole-chip drc/emit/measure finish.  The returned circuit is the
+    run journal, certifying when the caller does — editing one module
+    re-runs exactly that module's passes plus assembly.  Concurrent
+    compiles of the same module text (the serve daemon) share one
+    in-flight run.  The assembly pass packs the per-module layouts into
+    a macro row with a routed channel ({!Sc_chip.Assemble.pack}) inside
+    the pad frame; whole-chip drc/emit/measure finish.  The returned circuit is the
     hierarchical stitch of the optimized module circuits under the
     chip's connections.  Per-module journal rows appear as
-    [module:pass]; per-module QoR totals merge into the ambient
-    recorder as [module.NAME.key] gauges. *)
+    [module:pass]; per-module QoR totals merge into the recorder in
+    scope as [module.NAME.key] gauges. *)
 val compile_modular :
-  ?recorder:Sc_obs.Obs.Recorder.t ->
   ?restarts:int ->
   string ->
   (compiled * Sc_netlist.Circuit.t, Sc_pipeline.Diag.t) result
@@ -115,7 +112,6 @@ val compile_modular :
     carry [line:col:] positions.  [inject_fault] as in
     {!compile_behavior}. *)
 val compile_verilog :
-  ?recorder:Sc_obs.Obs.Recorder.t ->
   ?restarts:int ->
   ?inject_fault:int ->
   string ->

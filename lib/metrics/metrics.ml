@@ -31,8 +31,7 @@ let round_us ms = Float.round (ms *. 1000.0)
 
 let by_key (a, _) (b, _) = String.compare a b
 
-let capture ?recorder ~design () =
-  let r = match recorder with Some r -> r | None -> Obs.ambient () in
+let capture ~recorder:r ~design () =
   let qor, runtime =
     List.fold_left
       (fun (q, r) (k, v) ->

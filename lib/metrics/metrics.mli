@@ -41,15 +41,14 @@ val schema_version : int
 
 val is_runtime_key : string -> bool
 (** Keys under ["stage."], ["cache."], ["pool."], ["pipeline."] or
-    ending in [".tasks"]/[".calls"] are runtime; everything else is
-    QoR. *)
+    ending in [".tasks"]/[".calls"]/["_us"] are runtime; everything
+    else is QoR. *)
 
 val capture :
-  ?recorder:Sc_obs.Obs.Recorder.t -> design:string -> unit -> snapshot
-(** Build a snapshot from an [Obs] recorder's state — [recorder] if
-    given, the ambient recorder otherwise: global counters and gauges
-    split into the two sections by {!is_runtime_key}, and the per-stage
-    table folded in as
+  recorder:Sc_obs.Obs.Recorder.t -> design:string -> unit -> snapshot
+(** Build a snapshot from [recorder]'s state: global counters and
+    gauges split into the two sections by {!is_runtime_key}, and the
+    per-stage table folded in as
     ["stage.<path>.total_us"/".self_us"/".calls"].  Times are rounded
     to whole microseconds.  Reads completed events, so it also works
     after the recorder is disabled. *)

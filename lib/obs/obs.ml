@@ -1,13 +1,11 @@
 (* Recorder instances.  A [Recorder.t] carries its own span stacks,
-   counters, clock and enabled flag; [default] is the process-wide
-   instance behind the classic global API, and [with_recorder] installs
-   a different instance for the current (domain, thread) so a serve
-   daemon can record many requests at once without sharing state.
+   counters, clock and enabled flag; [with_recorder] binds one in the
+   calling context's {!Scope}, and the instrumentation entry points
+   record into whichever recorder is bound there — or do nothing.
 
    Everything below the [on] check is only reachable when recording, so
-   the disabled cost of a span on the default recorder is one atomic
-   load, one field load and a branch (plus the closure call the caller
-   already paid for).
+   the cost of a span with no enabled recorder is one scope lookup and
+   a branch (plus the closure call the caller already paid for).
 
    Concurrency: a recorder keys its span stacks by (domain id, thread
    id), so spans opened on an [Sc_par] worker domain — or on another
@@ -56,7 +54,7 @@ type row =
 module Recorder = struct
   type t =
     { mutable on : bool
-    ; mutable clock : unit -> float
+    ; clock : unit -> float
     ; mutable epoch : float
     ; mutable generation : int
     ; lock : Mutex.t
@@ -81,10 +79,8 @@ module Recorder = struct
 
   let locked t f = Mutex.protect t.lock f
 
-  let ctx () = ((Domain.self () :> int), Thread.id (Thread.self ()))
-
   let stack t =
-    let k = ctx () in
+    let k = Scope.context () in
     locked t (fun () ->
         match Hashtbl.find_opt t.stacks k with
         | Some r -> r
@@ -93,14 +89,11 @@ module Recorder = struct
           Hashtbl.add t.stacks k r;
           r)
 
-  let enabled t = t.on
-
   let enable t =
     if t.epoch = 0.0 then t.epoch <- t.clock ();
     t.on <- true
 
   let disable t = t.on <- false
-  let set_clock t f = t.clock <- f
 
   let reset t =
     locked t (fun () ->
@@ -326,64 +319,11 @@ module Recorder = struct
       (fun () -> output_string oc (chrome_trace t))
 end
 
-(* --- ambient dispatch ---
+(* --- the recorder in scope: unbound, a recorder nobody can enable --- *)
 
-   The classic global API routes to the recorder installed for the
-   current (domain, thread) by [with_recorder], falling back to
-   [default].  The override table is consulted only when at least one
-   override is installed (tracked by an atomic counter), so a process
-   that never calls [with_recorder] — the CLI, the tests, the
-   benchmarks — pays one atomic load on top of the old cost. *)
-
-let default = Recorder.create ()
-
-let overrides : (int * int, Recorder.t) Hashtbl.t = Hashtbl.create 8
-let overrides_lock = Mutex.create ()
-let override_count = Atomic.make 0
-
-let ambient () =
-  if Atomic.get override_count = 0 then default
-  else begin
-    let k = Recorder.ctx () in
-    match
-      Mutex.protect overrides_lock (fun () -> Hashtbl.find_opt overrides k)
-    with
-    | Some r -> r
-    | None -> default
-  end
-
-let with_recorder r f =
-  let k = Recorder.ctx () in
-  let prev =
-    Mutex.protect overrides_lock (fun () ->
-        let prev = Hashtbl.find_opt overrides k in
-        Hashtbl.replace overrides k r;
-        if prev = None then Atomic.incr override_count;
-        prev)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect overrides_lock (fun () ->
-          match prev with
-          | None ->
-            Hashtbl.remove overrides k;
-            Atomic.decr override_count
-          | Some p -> Hashtbl.replace overrides k p))
-    f
-
-(* --- the global API, a shim over the ambient recorder --- *)
-
-let enabled () = Recorder.enabled (ambient ())
-let enable () = Recorder.enable (ambient ())
-let disable () = Recorder.disable (ambient ())
-let reset () = Recorder.reset (ambient ())
-let set_clock f = Recorder.set_clock (ambient ()) f
-let span name f = Recorder.span (ambient ()) name f
-let count name n = Recorder.count (ambient ()) name n
-let gauge name v = Recorder.gauge (ambient ()) name v
-let events () = Recorder.events (ambient ())
-let totals () = Recorder.totals (ambient ())
-let stage_table () = Recorder.stage_table (ambient ())
-let pp_summary ppf () = Recorder.pp_summary ppf (ambient ())
-let chrome_trace () = Recorder.chrome_trace (ambient ())
-let write_trace path = Recorder.write_trace (ambient ()) path
+let current = Scope.key (Recorder.create ())
+let with_recorder r f = Scope.with_ current r f
+let enabled () = (Scope.get current).Recorder.on
+let span name f = Recorder.span (Scope.get current) name f
+let count name n = Recorder.count (Scope.get current) name n
+let gauge name v = Recorder.gauge (Scope.get current) name v

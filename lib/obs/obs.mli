@@ -4,47 +4,46 @@
 
     Every compilation stage wraps its work in {!span} and reports sizes
     through {!count}/{!gauge} ("gates", "bdd.nodes", "cif.rects",
-    "route.tracks", ...).  Instrumentation is free when disabled: each
-    entry point is a single branch on one flag (plus one atomic load
-    for the ambient-recorder lookup), so the hot paths the Bechamel
+    "route.tracks", ...).  These entry points record into the
+    {!Recorder.t} that {!with_recorder} bound in the calling context's
+    {!Scope}; with none bound — or a disabled one — they do nothing but
+    the lookup and a branch, so the hot paths the Bechamel
     micro-benchmarks measure are unaffected until someone asks for data
     (`scc ... --stats --trace out.json`, or `bench/main.exe --
     profile`).
 
-    Recording state lives in {!Recorder.t} instances.  The module-level
-    functions are a compatibility shim over the {e ambient} recorder:
-    {!default} unless {!with_recorder} installed another one for the
-    current (domain, thread).  Single-shot tools use the global API and
-    never notice; the serve daemon gives every request its own recorder
-    via {!with_recorder}, so instrumented compiles record concurrently
-    without sharing a single event buffer.  The ~60 instrumentation
-    sites across the compiler libraries keep calling the global
-    {!span}/{!count}/{!gauge} — attribution is decided by whoever
-    installed the recorder above them on the stack, not by threading a
-    handle through every signature.
+    Whoever records creates a recorder, binds it around the work, and
+    reads that recorder back: the CLI once per command, the serve
+    daemon once per request, so concurrent compiles never share an
+    event buffer.  The ~60 instrumentation sites across the compiler
+    libraries never see a handle — attribution is decided by the
+    binding above them, not by threading a recorder through every
+    signature.  [Sc_par.Pool] tasks run in their submitter's scope, so
+    spans and counters from pool tasks land in the submitter's
+    recorder, whichever domain ran them.
 
     Spans nest by dynamic scope: a span opened while another is running
     becomes its child, and its path is the dot-joined ancestry
     (["place"] inside nothing, ["route.channel"] for a channel routed
     during the route stage).
 
-    Each recorder is domain- and thread-safe: span stacks are keyed by
-    (domain, thread), so spans opened on an [Sc_par] worker domain nest
-    within that domain and carry its {!event.tid}; the Chrome trace
-    shows one track per domain.  Completed events and global counters
-    are shared per recorder, under its mutex.  [Sc_par.Pool] workers
-    inherit the submitter's ambient recorder, so counters bumped inside
-    pool tasks land in the recorder of the request that spawned them.
+    Each recorder is domain- and thread-safe: span stacks are kept per
+    execution context ({!Scope.context}), so spans opened on an
+    [Sc_par] worker domain nest within that domain and carry its
+    {!event.tid}; the Chrome trace shows one track per domain.
+    Completed events and global counters are shared per recorder,
+    under its mutex.
 
     Two sinks:
 
-    - {!pp_summary} / {!stage_table}: one row per distinct span path —
-      call count, total and self milliseconds, share of the run, and
-      the counters attributed to that span;
-    - {!chrome_trace} / {!write_trace}: the Chrome trace-event JSON
-      format (load in [chrome://tracing] or [ui.perfetto.dev]); spans
-      become complete ("ph":"X") events with their counters as [args],
-      global counters become counter ("ph":"C") tracks. *)
+    - {!Recorder.pp_summary} / {!Recorder.stage_table}: one row per
+      distinct span path — call count, total and self milliseconds,
+      share of the run, and the counters attributed to that span;
+    - {!Recorder.chrome_trace} / {!Recorder.write_trace}: the Chrome
+      trace-event JSON format (load in [chrome://tracing] or
+      [ui.perfetto.dev]); spans become complete ("ph":"X") events with
+      their counters as [args], global counters become counter
+      ("ph":"C") tracks. *)
 
 (** {2 Events and rows} *)
 
@@ -54,7 +53,7 @@ type event =
   ; name : string  (** the name passed to {!span} *)
   ; depth : int  (** 0 = top level *)
   ; tid : int  (** id of the domain that recorded the span (0 = main) *)
-  ; start_us : float  (** microseconds since the epoch ({!reset}) *)
+  ; start_us : float  (** microseconds since the epoch ({!Recorder.reset}) *)
   ; dur_us : float
   ; self_us : float  (** [dur_us] minus time spent in child spans *)
   ; counters : (string * int) list  (** counts attributed to this occurrence *)
@@ -79,12 +78,16 @@ module Recorder : sig
       share across domains and threads. *)
 
   val create : ?clock:(unit -> float) -> unit -> t
-  (** A fresh, disabled recorder.  [clock] defaults to
-      [Unix.gettimeofday]. *)
+  (** A fresh, disabled recorder.  [clock] (seconds, arbitrary epoch,
+      monotone non-decreasing) defaults to [Unix.gettimeofday];
+      [bench/main.exe] passes Bechamel's [CLOCK_MONOTONIC] stub. *)
 
-  val enabled : t -> bool
   val enable : t -> unit
+  (** Start recording.  The first [enable] (or any {!reset}) stamps the
+      trace epoch all timestamps are relative to. *)
+
   val disable : t -> unit
+  (** Stop recording; already-collected events are kept. *)
 
   val reset : t -> unit
   (** Drop all events and counters and restamp the epoch.  Safe while
@@ -93,64 +96,45 @@ module Recorder : sig
       nothing), so the event buffer and the span stacks can never
       disagree about what the current recording contains. *)
 
-  val set_clock : t -> (unit -> float) -> unit
-
   val span : t -> string -> (unit -> 'a) -> 'a
-  val count : t -> string -> int -> unit
-  val gauge : t -> string -> int -> unit
 
   val events : t -> event list
+  (** All completed spans, in start order. *)
+
   val totals : t -> (string * int) list
+  (** Global counter/gauge values, sorted by name. *)
+
   val stage_table : t -> row list
+  (** Events aggregated by path, ordered so children follow their
+      parent (by first start time, parents first). *)
+
   val pp_summary : Format.formatter -> t -> unit
+  (** The per-stage table plus the global counters, human-readable.
+      Percentages are of the summed top-level span time. *)
+
   val chrome_trace : t -> string
+  (** The whole recording as Chrome trace-event JSON (an object with a
+      ["traceEvents"] array).  Parses back with {!Json.parse}. *)
+
   val write_trace : t -> string -> unit
+  (** [write_trace r path] writes {!chrome_trace} to [path]. *)
 end
 
-val default : Recorder.t
-(** The process-wide recorder the global API uses when no override is
-    installed. *)
-
-val ambient : unit -> Recorder.t
-(** The recorder the global API currently routes to on this
-    (domain, thread): the innermost {!with_recorder}, else
-    {!default}. *)
-
 val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
-(** [with_recorder r f] runs [f] with [r] installed as the ambient
-    recorder for the current (domain, thread); restores the previous
-    ambient recorder afterwards (also on exceptions).  Overrides are
-    per-context: other threads are unaffected, which is what lets one
-    daemon process record overlapping requests into disjoint
-    recorders. *)
+(** [with_recorder r f] runs [f] with [r] as the recorder in scope
+    (see {!Scope.with_}): other threads are unaffected, which is what
+    lets one daemon process record overlapping requests into disjoint
+    recorders, and pool tasks [f] submits record into [r] too. *)
 
-(** {2 Switch (ambient recorder)} *)
+(** {2 Recording (the recorder in scope)} *)
 
 val enabled : unit -> bool
-
-val enable : unit -> unit
-(** Start recording.  The first [enable] (or any {!reset}) stamps the
-    trace epoch all timestamps are relative to. *)
-
-val disable : unit -> unit
-(** Stop recording; already-collected events are kept. *)
-
-val reset : unit -> unit
-(** Drop all events and counters and restamp the epoch (does not change
-    the enabled flag).  See {!Recorder.reset} for the live-span
-    semantics. *)
-
-val set_clock : (unit -> float) -> unit
-(** Replace the time source (seconds, arbitrary epoch, must be
-    monotone non-decreasing).  The default is [Unix.gettimeofday];
-    [bench/main.exe] installs Bechamel's [CLOCK_MONOTONIC] stub. *)
-
-(** {2 Recording (ambient recorder)} *)
+(** Whether a recorder is in scope and enabled. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()], timing it as one hierarchical span.  The
     event is recorded even when [f] raises (the exception propagates).
-    A single branch when disabled.
+    Nothing but the lookup and a branch when not recording.
 
     Re-entrant spans merge: opening [span "x"] while the innermost open
     span on this context is already named ["x"] does not start a child —
@@ -162,32 +146,9 @@ val span : string -> (unit -> 'a) -> 'a
 val count : string -> int -> unit
 (** [count name n] adds [n] to counter [name], both globally and on the
     innermost open span (that is what the summary table shows per
-    stage).  No-op when disabled. *)
+    stage).  No-op when not recording. *)
 
 val gauge : string -> int -> unit
 (** [gauge name v] sets counter [name] to [v] (last write wins) —
     for absolute quantities like "gates" or "bdd.nodes" where adding
     across stages would be meaningless. *)
-
-(** {2 Inspection (ambient recorder)} *)
-
-val events : unit -> event list
-(** All completed spans, in start order. *)
-
-val totals : unit -> (string * int) list
-(** Global counter/gauge values, sorted by name. *)
-
-val stage_table : unit -> row list
-(** Events aggregated by path, ordered so children follow their parent
-    (by first start time, parents first). *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** The per-stage table plus the global counters, human-readable.
-    Percentages are of the summed top-level span time. *)
-
-val chrome_trace : unit -> string
-(** The whole recording as Chrome trace-event JSON (an object with a
-    ["traceEvents"] array).  Parses back with {!Json.parse}. *)
-
-val write_trace : string -> unit
-(** [write_trace path] writes {!chrome_trace} to [path]. *)

@@ -74,17 +74,13 @@ type 'a slot =
 let run ?(label = "par.task") t thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
-  (* tasks inherit the submitter's ambient recorder: a worker domain
-     records a task's spans and counters into the recorder of the run
-     that submitted it, not into its own.  Skipped when the submitter
-     is on the default recorder so the single-shot CLI path pays
-     nothing. *)
-  let amb = Sc_obs.Obs.ambient () in
-  let obs = Sc_obs.Obs.Recorder.enabled amb in
+  (* every task runs in its submitter's whole scope — recorder, certify
+     flag, journal — whichever domain claims it *)
+  let scope = Sc_obs.Scope.capture () in
+  let obs = Sc_obs.Obs.enabled () in
   let exec f =
-    let f = if obs then fun () -> Sc_obs.Obs.span label f else f in
-    if amb == Sc_obs.Obs.default then f ()
-    else Sc_obs.Obs.with_recorder amb f
+    Sc_obs.Scope.within scope
+      (if obs then fun () -> Sc_obs.Obs.span label f else f)
   in
   if obs then Sc_obs.Obs.gauge "pool.width" t.pool_size;
   if t.pool_size <= 1 || n <= 1 then begin

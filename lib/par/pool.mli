@@ -23,8 +23,12 @@
     task may call [run] on the pool it runs on, and the inner caller
     can always finish its inner batch by itself.
 
-    Every task runs inside an {!Sc_obs.Obs.span} (named by [~label])
-    when the recorder is enabled; spans carry the worker's domain id,
+    Every task runs in its submitter's {!Sc_obs.Scope}: whatever the
+    submitter had bound — its recorder, whether it certifies, the
+    journal its pass outcomes go to — is bound for the task too, on
+    any domain, so no caller threads that state into its tasks by
+    hand.  Every task runs inside an {!Sc_obs.Obs.span} (named by
+    [~label]) when recording; spans carry the worker's domain id,
     so a Chrome trace shows one track per domain and the summary table
     aggregates per-label totals across domains.  Each [run] also
     records the pool width (gauge ["pool.width"]) and per-domain

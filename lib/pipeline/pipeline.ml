@@ -174,57 +174,41 @@ let status_key = function
 (* --- the run context ---
 
    What a compile decides for itself — whether to certify, and where
-   its pass outcomes are journaled — lives in one context per (domain,
-   thread), installed by [with_certify] / [with_log] for the extent of
-   a function and restored on the way out.  Concurrent compiles (daemon
-   requests, modules on pool workers) each see only their own; with no
-   context installed nothing is certified and nothing is journaled, so
-   no thread leaves an entry behind. *)
-type context =
-  { certify : bool
-  ; journal : (string * status) list ref option  (* newest first *)
+   its pass outcomes are journaled — is one {!Sc_obs.Scope} key, bound
+   by [with_certify] / [with_log] for the extent of a function.  Pool
+   tasks run in their submitter's scope, so a journal can be appended
+   to from several domains at once: it carries its own lock. *)
+type journal =
+  { jlock : Mutex.t
+  ; mutable entries : (string * status) list  (* newest first *)
   }
 
-let contexts : (int * int, context) Hashtbl.t = Hashtbl.create 8
-let ctx_lock = Mutex.create ()
+type context =
+  { certify : bool
+  ; journal : journal option
+  }
 
-let ckey () = ((Domain.self () :> int), Thread.id (Thread.self ()))
+let context = Sc_obs.Scope.key { certify = false; journal = None }
 
-let outside = { certify = false; journal = None }
+let with_certify on f =
+  Sc_obs.Scope.with_ context { (Sc_obs.Scope.get context) with certify = on } f
 
-let current () =
-  Option.value ~default:outside
-    (Mutex.protect ctx_lock (fun () -> Hashtbl.find_opt contexts (ckey ())))
-
-let scoped update f =
-  let k = ckey () in
-  let prev =
-    Mutex.protect ctx_lock (fun () ->
-        let prev = Hashtbl.find_opt contexts k in
-        Hashtbl.replace contexts k (update (Option.value ~default:outside prev));
-        prev)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect ctx_lock (fun () ->
-          match prev with
-          | None -> Hashtbl.remove contexts k
-          | Some p -> Hashtbl.replace contexts k p))
-    f
-
-let with_certify on f = scoped (fun c -> { c with certify = on }) f
-
-let certify_enabled () = (current ()).certify
+let certify_enabled () = (Sc_obs.Scope.get context).certify
 
 let with_log f =
-  let journal = ref [] in
-  let r = scoped (fun c -> { c with journal = Some journal }) f in
-  (r, List.rev !journal)
+  let j = { jlock = Mutex.create (); entries = [] } in
+  let r =
+    Sc_obs.Scope.with_ context
+      { (Sc_obs.Scope.get context) with journal = Some j }
+      f
+  in
+  (r, List.rev j.entries)
 
-(* only the context's own thread touches its journal: no lock needed *)
 let append_log entries =
-  match (current ()).journal with
-  | Some j -> List.iter (fun e -> j := e :: !j) entries
+  match (Sc_obs.Scope.get context).journal with
+  | Some j ->
+    Mutex.protect j.jlock (fun () ->
+        j.entries <- List.rev_append entries j.entries)
   | None -> ()
 
 let note_status name st =
@@ -249,7 +233,7 @@ let emit_certificate name s us =
   Obs.count "equiv.certificate_us" us;
   Obs.count ("pipeline." ^ name ^ ".certified") 1
 
-let run_ambient ~param pass input =
+let run ?(param = "") pass input =
   let out_key =
     Cache.digest
       (pass.name ^ "#" ^ string_of_int pass.version ^ "|" ^ param ^ "|"
@@ -340,8 +324,3 @@ let run_ambient ~param pass input =
           ok Ran v
         | Error d -> failed d)
       | Error d -> failed d))
-
-let run ?(param = "") ?recorder pass input =
-  match recorder with
-  | None -> run_ambient ~param pass input
-  | Some r -> Obs.with_recorder r (fun () -> run_ambient ~param pass input)

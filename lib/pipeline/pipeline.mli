@@ -122,25 +122,14 @@ val register :
     The artifact type must be [Marshal]-safe (no closures) for the
     disk layer. *)
 
-val run :
-  ?param:string ->
-  ?recorder:Sc_obs.Obs.Recorder.t ->
-  ('a, 'b) pass ->
-  'a staged ->
-  ('b staged, Diag.t) result
+val run : ?param:string -> ('a, 'b) pass -> 'a staged -> ('b staged, Diag.t) result
 (** Run a pass on a staged input: derive the output key, consult the
     pass's cache (when enabled), execute inside an Obs span on a miss,
     certify the artifact (when enabled and the pass has a hook),
     record the outcome in the run log.  Errors — including certificate
-    refusals — are returned as values and never enter the cache.
-
-    [recorder] runs the pass with that {!Sc_obs.Obs.Recorder.t}
-    installed as the ambient recorder (see
-    {!Sc_obs.Obs.with_recorder}): its span, counters and replay output
-    land there instead of in the caller's ambient one.  Omitted, the
-    caller's ambient recorder applies — which is how the serve daemon
-    attributes a whole compile to a per-request recorder with one
-    [with_recorder] at the top. *)
+    refusals — are returned as values and never enter the cache.  The
+    span, counters and replay output go to the recorder in scope
+    ({!Sc_obs.Obs.with_recorder}). *)
 
 (** {2 Cache control} *)
 
@@ -161,16 +150,18 @@ val cache_enabled : unit -> bool
 (** {2 The run context}
 
     Whether {!run} certifies, and where it journals pass outcomes, is
-    decided per (domain, thread) by scoped contexts: {!with_certify}
-    and {!with_log} install one for the extent of a function, nest, and
-    restore the outer context on exit (also on exceptions).  Concurrent
-    compiles — one per daemon request, one per module on a pool worker
-    — never see each other's choices.  Outside any context nothing is
-    certified and nothing is journaled. *)
+    one {!Sc_obs.Scope} key: {!with_certify} and {!with_log} bind it
+    for the extent of a function on the calling context, nest, and
+    restore the outer binding on exit (also on exceptions).
+    Concurrent compiles — one per daemon request — never see each
+    other's choices, while {!Sc_par.Pool} tasks see their submitter's:
+    a module compiled on a worker domain certifies when its requester
+    does, and journals into the requester's {!with_log}.  Outside any
+    binding nothing is certified and nothing is journaled. *)
 
 val with_certify : bool -> (unit -> 'a) -> 'a
-(** [with_certify on f] runs [f] with certification [on] for the
-    calling (domain, thread).  Certificates are cached in per-pass
+(** [with_certify on f] runs [f] (and the pool tasks it submits) with
+    certification [on].  Certificates are cached in per-pass
     ["<name>.cert"] stores when the stage cache is on. *)
 
 val certify_enabled : unit -> bool
@@ -197,9 +188,10 @@ val status_to_string : status -> string
 
 val with_log : (unit -> 'a) -> 'a * (string * status) list
 (** [with_log f] runs [f] with a fresh journal and returns its result
-    with the pass outcomes [f] produced on this (domain, thread), in
+    with the pass outcomes [f] and its pool tasks produced, in
     execution order — the [--explain] rows.  An inner [with_log] keeps
-    its entries from the outer journal. *)
+    its entries from the outer journal.  Appends are safe from any
+    domain. *)
 
 val append_log : (string * status) list -> unit
 (** Splice entries onto the innermost journal, in order (a no-op

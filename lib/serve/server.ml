@@ -68,14 +68,12 @@ let jnum i = Json.Num (float_of_int i)
 (* --- the execution path --- *)
 
 (* Every pipeline execution runs on a freshly spawned domain with a
-   per-request [Obs.Recorder.t] installed as the ambient one, so
-   instrumented compiles record concurrently into disjoint recorders —
-   no shared observability state, no lock.  (The old design serialized
-   every execution on an [obs_lock] because the recorder was
-   process-global.)  Spawning a domain rather than running on the
-   connection's systhread also buys wall-clock overlap: systhreads of
-   one domain share the runtime lock, domains do not, and the joining
-   connection thread releases the lock while it waits.  A bounded slot
+   per-request [Obs.Recorder.t] bound around it, so instrumented
+   compiles record concurrently into disjoint recorders — no shared
+   observability state, no lock.  Spawning a domain rather than running
+   on the connection's systhread also buys wall-clock overlap:
+   systhreads of one domain share the runtime lock, domains do not, and
+   the joining connection thread releases the lock while it waits.  A bounded slot
    count keeps a burst of cold compiles from spawning domains without
    limit; [peak_executions] records the high-water mark of concurrently
    running executions, which bench e16 asserts exceeds 1. *)

@@ -22,11 +22,10 @@
 
     {2 Observability}
 
-    Every execution gets its own {!Sc_obs.Obs.Recorder.t}, installed as
-    the ambient recorder for its domain ({!Sc_obs.Obs.with_recorder}),
-    so instrumented compiles overlap — there is no shared recorder
-    state and no lock serializing executions (the [obs_lock] of earlier
-    versions is gone).  Certification and the pass journal are scoped
+    Every execution gets its own {!Sc_obs.Obs.Recorder.t}, bound around
+    it with {!Sc_obs.Obs.with_recorder}, so instrumented compiles
+    overlap — there is no shared recorder state and no lock
+    serializing executions.  Certification and the pass journal are scoped
     the same way ({!Sc_pipeline.Pipeline.with_certify},
     {!Sc_pipeline.Pipeline.with_log}): one request's [--certify] or
     [--explain] rows never leak into a concurrent compile.  The per-request sequence —

@@ -30,15 +30,13 @@ let failed_optimize log =
 (* compile under the Obs recorder and return both the result and the
    captured snapshot *)
 let capture ?style ?inject_fault src =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-  @@ fun () ->
-  let r = C.compile_behavior ?style ?inject_fault src in
-  (r, M.capture ~design:"certify" ())
+  let recorder = Obs.Recorder.create () in
+  Obs.Recorder.enable recorder;
+  let r =
+    Obs.with_recorder recorder (fun () ->
+        C.compile_behavior ?style ?inject_fault src)
+  in
+  (r, M.capture ~recorder ~design:"certify" ())
 
 let qor key s = List.assoc_opt key s.M.qor
 

@@ -1,19 +1,14 @@
 (* lib/metrics: QoR snapshots, JSON roundtrip, diff classification and
-   the quality gate.  These tests capture from the shared default
-   recorder, so every test that captures disables and resets it on the
-   way out. *)
+   the quality gate.  Every test that captures records into a fresh
+   recorder of its own. *)
 
 module Obs = Sc_obs.Obs
 module M = Sc_metrics.Metrics
 
 let with_recorder f =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    f
+  let r = Obs.Recorder.create () in
+  Obs.Recorder.enable r;
+  Obs.with_recorder r (fun () -> f r)
 
 let snap ?(design = "t") ?(qor = []) ?(runtime = []) () =
   { M.version = M.schema_version; design; qor; runtime }
@@ -55,11 +50,11 @@ let test_roundtrip () =
 
 let test_capture_sections () =
   let s =
-    with_recorder @@ fun () ->
+    with_recorder @@ fun r ->
     Obs.span "stage_a" (fun () -> Obs.count "gates" 42);
     Obs.gauge "area" 1000;
     Obs.count "cache.unit.hit" 3;
-    M.capture ~design:"d" ()
+    M.capture ~recorder:r ~design:"d" ()
   in
   let has section k = List.mem_assoc k section in
   Alcotest.(check bool) "gates is QoR" true (has s.M.qor "gates");
@@ -164,14 +159,14 @@ let test_thresholds () =
   | Error _ -> ()
 
 let capture_counter () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   (match
      Sc_core.Compiler.compile_behavior ~restarts:3 Sc_core.Designs.counter_src
    with
   | Ok _ -> ()
   | Error d ->
     Alcotest.failf "counter compile failed: %s" (Sc_pipeline.Diag.to_string d));
-  M.capture ~design:"counter" ()
+  M.capture ~recorder:r ~design:"counter" ()
 
 let test_qor_pool_identity () =
   let saved = Sc_par.Pool.default_size () in

@@ -266,19 +266,19 @@ let test_modular_module_diag () =
 (* determinism: -j1 and -j4 fan-outs produce byte-identical QoR *)
 let qor_at ~jobs src =
   Sc_par.Pool.set_default_size jobs;
-  Sc_obs.Obs.reset ();
-  Sc_obs.Obs.enable ();
-  let r = Compiler.compile_behavior src in
-  Sc_obs.Obs.disable ();
+  let recorder = Sc_obs.Obs.Recorder.create () in
+  Sc_obs.Obs.Recorder.enable recorder;
+  let r =
+    Sc_obs.Obs.with_recorder recorder (fun () -> Compiler.compile_behavior src)
+  in
   Sc_par.Pool.set_default_size 1;
   match r with
   | Error d -> Alcotest.failf "compile: %s" (Sc_pipeline.Diag.to_string d)
   | Ok (c, _) ->
     let s =
       Sc_metrics.Metrics.qor_string
-        (Sc_metrics.Metrics.capture ~design:"system" ())
+        (Sc_metrics.Metrics.capture ~recorder ~design:"system" ())
     in
-    Sc_obs.Obs.reset ();
     (c.Compiler.cif, s)
 
 let test_modular_determinism () =

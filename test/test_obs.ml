@@ -1,33 +1,36 @@
 (* lib/obs: spans, counters, the stage table and Chrome trace export.
-   These tests drive the global API, which is a shim over the default
-   Recorder instance — so every test disables and resets it on the way
-   out.  Recorder isolation, ambient dispatch and reset-under-live-span
-   are covered at the bottom. *)
+   Each test records into a fresh Recorder bound around its body and
+   reads that recorder back.  Recorder isolation, per-thread binding and
+   reset-under-live-span are covered at the bottom. *)
 
 module Obs = Sc_obs.Obs
+module R = Obs.Recorder
 module Json = Sc_obs.Json
 
+(* run [f r] with a fresh enabled recorder [r] bound *)
 let with_recorder f =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    f
+  let r = R.create () in
+  R.enable r;
+  Obs.with_recorder r (fun () -> f r)
 
 let test_disabled_noop () =
-  Obs.reset ();
-  Obs.disable ();
-  let r = Obs.span "stage" (fun () -> 17) in
-  Alcotest.(check int) "span passes the result through" 17 r;
-  Obs.count "gates" 5;
-  Obs.gauge "area" 100;
-  Alcotest.(check int) "no events recorded" 0 (List.length (Obs.events ()));
-  Alcotest.(check int) "no counters recorded" 0 (List.length (Obs.totals ()))
+  let work () =
+    let v = Obs.span "stage" (fun () -> 17) in
+    Obs.count "gates" 5;
+    Obs.gauge "area" 100;
+    v
+  in
+  Alcotest.(check int) "no recorder: span passes the result through" 17
+    (work ());
+  Alcotest.(check bool) "no recorder: not enabled" false (Obs.enabled ());
+  let r = R.create () in
+  Alcotest.(check int) "disabled recorder: result passes through" 17
+    (Obs.with_recorder r work);
+  Alcotest.(check int) "no events recorded" 0 (List.length (R.events r));
+  Alcotest.(check int) "no counters recorded" 0 (List.length (R.totals r))
 
 let test_span_nesting () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun rc ->
   let r =
     Obs.span "outer" (fun () ->
         Obs.span "inner" (fun () -> ignore (Sys.opaque_identity 1));
@@ -35,7 +38,7 @@ let test_span_nesting () =
         "done")
   in
   Alcotest.(check string) "result" "done" r;
-  let evs = Obs.events () in
+  let evs = R.events rc in
   Alcotest.(check int) "three events" 3 (List.length evs);
   let outer = List.find (fun (e : Obs.event) -> e.name = "outer") evs in
   let inners = List.filter (fun (e : Obs.event) -> e.name = "inner") evs in
@@ -54,40 +57,40 @@ let test_span_nesting () =
     (outer.self_us <= outer.dur_us -. children +. 1.0)
 
 let test_counter_aggregation () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   Obs.span "a" (fun () ->
       Obs.count "gates" 3;
       Obs.span "b" (fun () -> Obs.count "gates" 4);
       Obs.count "gates" 5);
   Obs.gauge "nodes" 7;
   Obs.gauge "nodes" 9;
-  let ev name = List.find (fun (e : Obs.event) -> e.name = name) (Obs.events ()) in
+  let ev name = List.find (fun (e : Obs.event) -> e.name = name) (R.events r) in
   Alcotest.(check (option int)) "innermost span owns its counts" (Some 4)
     (List.assoc_opt "gates" (ev "b").counters);
   Alcotest.(check (option int)) "outer span keeps only its own" (Some 8)
     (List.assoc_opt "gates" (ev "a").counters);
   Alcotest.(check (option int)) "global counter sums everything" (Some 12)
-    (List.assoc_opt "gates" (Obs.totals ()));
+    (List.assoc_opt "gates" (R.totals r));
   Alcotest.(check (option int)) "gauge: last write wins" (Some 9)
-    (List.assoc_opt "nodes" (Obs.totals ()))
+    (List.assoc_opt "nodes" (R.totals r))
 
 let test_exception_safety () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   (try Obs.span "boom" (fun () -> failwith "expected") with Failure _ -> ());
-  let evs = Obs.events () in
+  let evs = R.events r in
   Alcotest.(check int) "event recorded despite the raise" 1 (List.length evs);
   Alcotest.(check string) "named" "boom" (List.hd evs).Obs.path;
   (* the stack unwound: a new span is top-level again *)
   Obs.span "after" (fun () -> ());
-  let after = List.find (fun (e : Obs.event) -> e.name = "after") (Obs.events ()) in
+  let after = List.find (fun (e : Obs.event) -> e.name = "after") (R.events r) in
   Alcotest.(check int) "stack unwound" 0 after.Obs.depth
 
 let test_stage_table () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   Obs.span "x" (fun () -> Obs.count "n" 1);
   Obs.span "x" (fun () -> Obs.count "n" 2);
   Obs.span "y" (fun () -> ());
-  let rows = Obs.stage_table () in
+  let rows = R.stage_table r in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   let x = List.find (fun (r : Obs.row) -> r.rpath = "x") rows in
   Alcotest.(check int) "x called twice" 2 x.calls;
@@ -97,11 +100,11 @@ let test_stage_table () =
   Alcotest.(check string) "x first" "x" (List.hd rows).Obs.rpath
 
 let test_trace_roundtrip () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   Obs.span "parse" (fun () -> ());
   Obs.span "place" (fun () ->
       Obs.span "route" (fun () -> Obs.count "route.tracks" 12));
-  let text = Obs.chrome_trace () in
+  let text = R.chrome_trace r in
   match Json.parse text with
   | Error e -> Alcotest.failf "trace does not parse back: %s" e
   | Ok json -> (
@@ -172,27 +175,27 @@ let test_json_parser () =
 
 (* the whole point: a real compilation, observed end to end *)
 let test_compiler_stages () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   (match Sc_core.Compiler.compile_behavior Sc_core.Designs.counter_src with
   | Ok _ -> ()
   | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d));
-  let rows = Obs.stage_table () in
+  let rows = R.stage_table r in
   List.iter
     (fun stage ->
       Alcotest.(check bool) ("stage " ^ stage ^ " recorded") true
         (List.exists (fun (r : Obs.row) -> r.rpath = stage) rows))
     [ "parse"; "compile"; "optimize"; "place"; "route"; "drc"; "emit" ];
-  (match Json.parse (Obs.chrome_trace ()) with
+  (match Json.parse (R.chrome_trace r) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "compiler trace does not parse: %s" e);
-  let totals = Obs.totals () in
+  let totals = R.totals r in
   List.iter
     (fun key ->
       Alcotest.(check bool) ("counter " ^ key) true
         (List.assoc_opt key totals <> None))
     [ "gates"; "transistors"; "route.tracks"; "cif.bytes"; "drc.violations" ]
 
-(* --- recorder instances: isolation, ambient dispatch, reset safety --- *)
+(* --- recorder instances: isolation, per-thread binding, reset safety --- *)
 
 let test_recorder_isolation () =
   let a = Obs.Recorder.create () in
@@ -212,14 +215,15 @@ let test_recorder_isolation () =
     (List.assoc_opt "gates" (Obs.Recorder.totals a));
   Alcotest.(check (option int)) "b's counter" (Some 5)
     (List.assoc_opt "gates" (Obs.Recorder.totals b));
-  (* the default instance saw nothing *)
-  Alcotest.(check int) "default untouched" 0
-    (List.length (Obs.Recorder.events Obs.default))
+  (* outside both bindings nothing records *)
+  Obs.span "work" (fun () -> Obs.count "gates" 7);
+  Alcotest.(check int) "a unchanged" 1 (List.length (Obs.Recorder.events a));
+  Alcotest.(check int) "b unchanged" 2 (List.length (Obs.Recorder.events b))
 
 let test_ambient_dispatch () =
-  (* inside with_recorder the global API routes to that instance; the
-     override is scoped to the installing thread, so concurrent threads
-     each see their own recorder *)
+  (* inside with_recorder the instrumentation records into that
+     instance; the binding is scoped to the installing thread, so
+     concurrent threads each see their own recorder *)
   let n = 4 in
   let recorders = Array.init n (fun _ -> Obs.Recorder.create ()) in
   Array.iter Obs.Recorder.enable recorders;
@@ -230,8 +234,8 @@ let test_ambient_dispatch () =
            Thread.create
              (fun () ->
                Obs.with_recorder r (fun () ->
-                   Alcotest.(check bool) "ambient is mine" true
-                     (Obs.ambient () == r);
+                   Alcotest.(check bool) "my recorder is in scope" true
+                     (Obs.enabled ());
                    for _ = 1 to i + 1 do
                      Obs.span "tick" (fun () -> Obs.count "n" 1)
                    done))
@@ -250,9 +254,9 @@ let test_ambient_dispatch () =
         (Some (i + 1))
         (List.assoc_opt "n" (Obs.Recorder.totals r)))
     recorders;
-  (* outside any with_recorder, ambient is the default instance *)
-  Alcotest.(check bool) "ambient falls back to default" true
-    (Obs.ambient () == Obs.default)
+  (* outside any with_recorder, nothing is in scope *)
+  Alcotest.(check bool) "no recorder outside the bindings" false
+    (Obs.enabled ())
 
 let test_reset_under_live_span () =
   (* regression: reset inside an open span used to leave the span stack
@@ -262,7 +266,7 @@ let test_reset_under_live_span () =
   Obs.Recorder.enable r;
   Obs.with_recorder r (fun () ->
       Obs.span "outer" (fun () ->
-          Obs.span "doomed" (fun () -> Obs.reset ());
+          Obs.span "doomed" (fun () -> Obs.Recorder.reset r);
           (* still inside outer's body after the reset wiped the stack *)
           Obs.span "fresh" (fun () -> Obs.count "n" 1)));
   let evs = Obs.Recorder.events r in

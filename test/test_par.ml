@@ -266,6 +266,46 @@ let test_equiv_cones_across_widths () =
   Alcotest.(check string) "same differing port" o1 o4;
   check_int "same differing bit" b1 b4
 
+(* a task runs in its submitter's whole scope, whichever domain claims
+   it: the recorder, the certify flag and the journal all carry over,
+   and none of them outlives the batch on a worker *)
+let test_tasks_inherit_scope () =
+  let module Obs = Sc_obs.Obs in
+  let module P = Sc_pipeline.Pipeline in
+  List.iter
+    (fun n ->
+      with_pool n @@ fun pool ->
+      let r = Obs.Recorder.create () in
+      Obs.Recorder.enable r;
+      let certified, log =
+        Obs.with_recorder r @@ fun () ->
+        P.with_certify true @@ fun () ->
+        P.with_log @@ fun () ->
+        Pool.run pool
+          (List.init 64 (fun i () ->
+               Obs.count "scoped.count" 1;
+               P.append_log [ (string_of_int i, P.Ran) ];
+               P.certify_enabled ()))
+      in
+      let at = Printf.sprintf " at %d domains" n in
+      check_bool ("every task certifies" ^ at) true
+        (List.for_all Fun.id certified);
+      Alcotest.(check (option int))
+        ("every task records into the submitter's recorder" ^ at)
+        (Some 64)
+        (List.assoc_opt "scoped.count" (Obs.Recorder.totals r));
+      Alcotest.(check (list int))
+        ("every task journals into the submitter's log" ^ at)
+        (List.init 64 Fun.id)
+        (List.sort compare (List.map (fun (k, _) -> int_of_string k) log));
+      let leaked =
+        Pool.run pool
+          (List.init 64 (fun _ () -> P.certify_enabled () || Obs.enabled ()))
+      in
+      check_bool ("no scope outlives its batch" ^ at) false
+        (List.exists Fun.id leaked))
+    [ 1; 2; 4 ]
+
 let suite =
   [ Alcotest.test_case "map keeps submission order" `Quick test_map_ordered
   ; Alcotest.test_case "size-1 pool is sequential" `Quick test_sequential_pool
@@ -286,4 +326,6 @@ let suite =
       test_placement_cif_identical_across_widths
   ; Alcotest.test_case "equiv cones identical at any width" `Quick
       test_equiv_cones_across_widths
+  ; Alcotest.test_case "pool tasks run in their submitter's scope" `Quick
+      test_tasks_inherit_scope
   ]

@@ -25,13 +25,9 @@ let with_clean_pipeline f =
 let statuses log = List.map (fun (n, s) -> (n, P.status_to_string s)) log
 
 let with_recorder f =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    f
+  let r = Obs.Recorder.create () in
+  Obs.Recorder.enable r;
+  Obs.with_recorder r (fun () -> f r)
 
 (* --- staged values --- *)
 
@@ -210,11 +206,11 @@ let test_incremental_invalidation () =
 (* --- route is unconditional and its QoR reaches the snapshot --- *)
 
 let capture_counter ?restarts () =
-  with_recorder @@ fun () ->
+  with_recorder @@ fun r ->
   (match C.compile_behavior ?restarts Sc_core.Designs.counter_src with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "compile failed: %s" (Diag.to_string d));
-  M.capture ~design:"counter" ()
+  M.capture ~recorder:r ~design:"counter" ()
 
 let test_route_in_snapshot () =
   with_clean_pipeline @@ fun () ->

@@ -410,18 +410,16 @@ let with_clean_pipeline f =
     f
 
 let capture_counter12 () =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    (fun () ->
-      (match Sc_core.Compiler.compile_verilog counter12_src with
-      | Ok _ -> ()
-      | Error d ->
-        Alcotest.failf "compile failed: %s" (Sc_pipeline.Diag.to_string d));
-      M.capture ~design:"counter12" ())
+  let recorder = Obs.Recorder.create () in
+  Obs.Recorder.enable recorder;
+  (match
+     Obs.with_recorder recorder (fun () ->
+         Sc_core.Compiler.compile_verilog counter12_src)
+   with
+  | Ok _ -> ()
+  | Error d ->
+    Alcotest.failf "compile failed: %s" (Sc_pipeline.Diag.to_string d));
+  M.capture ~recorder ~design:"counter12" ()
 
 let test_pipeline_pass_and_diag () =
   with_clean_pipeline @@ fun () ->
