@@ -8,8 +8,7 @@
 
    Run everything:        dune exec bench/main.exe
    Run one experiment:    dune exec bench/main.exe -- e3
-   Options:               e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e13 e14 e15 e16 e17
-                          profile ablate micro all
+   Options:               e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 profile ablate micro all
    (e10 and profile are synonyms: the stage-cost profile of the full
    behavioral path, regenerating the EXPERIMENTS.md E10 table.) *)
 
@@ -23,44 +22,6 @@ let ratio a b = float_of_int a /. float_of_int (max b 1)
 let place ~name circuit =
   Sc_place.Placer.to_layout ~name
     (Sc_place.Placer.ordered (Sc_place.Placer.problem_of_circuit circuit))
-
-(* cache directories are sharded into subdirectories now; a flat
-   readdir+remove no longer clears them *)
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-(* wall-clock time of [f]: seconds, or milliseconds *)
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let wall_ms f =
-  let r, s = wall f in
-  (r, s *. 1000.)
-
-let fail msg =
-  Printf.printf "\nFAIL: %s\n" msg;
-  exit 1
-
-(* a JSON number rounded to [digits] decimals *)
-let rounded digits t =
-  let k = 10. ** float_of_int digits in
-  Sc_obs.Json.Num (Float.round (t *. k) /. k)
-
-let round3 = rounded 3
-
-let json_statuses log =
-  Sc_obs.Json.Obj
-    (List.map
-       (fun (n, st) ->
-         (n, Sc_obs.Json.Str (Sc_pipeline.Pipeline.status_to_string st)))
-       log)
 
 (* BENCH_<experiment>.json: the machine-readable twin of a table *)
 let write_bench ~what experiment fields =
@@ -78,168 +39,6 @@ let write_bench ~what experiment fields =
       output_string oc (Sc_obs.Json.to_string json);
       output_char oc '\n');
   Printf.printf "machine-readable %s written to %s\n" what file
-
-(* the committed baseline QoR of each builtin design *)
-let builtin_src name =
-  match Sc_core.Designs.builtin name with
-  | Some s -> s
-  | None -> fail ("no builtin design " ^ name)
-
-let baseline_qors designs =
-  let dir =
-    if Sys.file_exists "bench/baselines" then "bench/baselines"
-    else "baselines"
-  in
-  List.map
-    (fun name ->
-      let path = Filename.concat dir (name ^ ".json") in
-      match Sc_metrics.Metrics.read path with
-      | Ok s -> (name, Sc_metrics.Metrics.qor_string s)
-      | Error e -> fail (path ^ ": " ^ e))
-    designs
-
-(* why [qor] is not [name]'s committed baseline QoR, if it is not *)
-let qor_mismatch baselines name qor =
-  match List.assoc_opt name baselines with
-  | Some want when String.equal want qor -> None
-  | Some _ -> Some (name ^ ": QoR differs from committed baseline")
-  | None -> Some ("no baseline for " ^ name)
-
-(* the QoR section of a daemon compile reply, or why there is none *)
-let reply_qor = function
-  | Sc_serve.Protocol.Compiled c -> (
-    match Sc_metrics.Metrics.of_json c.Sc_serve.Protocol.snapshot with
-    | Ok snap -> Ok (Sc_metrics.Metrics.qor_string snap)
-    | Error e -> Error ("bad snapshot: " ^ e))
-  | Sc_serve.Protocol.Error_reply { stage; message } ->
-    Error (stage ^ ": " ^ message)
-  | _ -> Error "unexpected response"
-
-(* the passes a journal shows executing (ran or failed), in order *)
-let ran =
-  List.filter_map (function
-    | n, Sc_pipeline.Pipeline.(Ran | Failed) -> Some n
-    | _ -> None)
-
-(* one row per pass, one status column per journal *)
-let print_pass_table ~width columns =
-  let row name cells =
-    Printf.printf "%-*s %s\n" width name
-      (String.concat " " (List.map (Printf.sprintf "%-14s") cells))
-  in
-  row "pass" (List.map fst columns);
-  List.iteri
-    (fun i (name, _) ->
-      row name
-        (List.map
-           (fun (_, lg) ->
-             Sc_pipeline.Pipeline.status_to_string (snd (List.nth lg i)))
-           columns))
-    (snd (List.hd columns))
-
-(* an in-process daemon on a temp socket over a fresh disk stage cache *)
-type daemon =
-  { dsocket : string
-  ; dcache : string
-  ; dthread : Thread.t
-  ; dexit : int ref
-  }
-
-let start_daemon ?trace_dir name =
-  let tmp = Filename.get_temp_dir_name () in
-  let dsocket = Filename.concat tmp ("scc-" ^ name ^ ".sock") in
-  let dcache = Filename.concat tmp ("scc-" ^ name ^ "-cache") in
-  rm_rf dcache;
-  (try Sys.remove dsocket with Sys_error _ -> ());
-  let dexit = ref (-1) in
-  let dthread =
-    Thread.create
-      (fun () ->
-        dexit :=
-          Sc_serve.Server.run ~jobs:1 ~stage_cache:dcache ~handle_signals:false
-            ?trace_dir ~socket:dsocket ())
-      ()
-  in
-  let rec await n =
-    if n = 0 then fail "daemon did not come up"
-    else if not (Sys.file_exists dsocket) then begin
-      Thread.delay 0.05;
-      await (n - 1)
-    end
-  in
-  await 100;
-  { dsocket; dcache; dthread; dexit }
-
-let one_shot socket req =
-  match Sc_serve.Client.one_shot socket req with
-  | Ok r -> r
-  | Error e -> fail ("rpc: " ^ e)
-
-(* run each job on its own thread at once: the results in job order,
-   and the wall time of the whole batch *)
-let concurrently jobs =
-  let jobs = Array.of_list jobs in
-  let replies = Array.make (Array.length jobs) None in
-  let (), t =
-    wall (fun () ->
-        let threads =
-          Array.to_list
-            (Array.mapi
-               (fun i job ->
-                 Thread.create (fun () -> replies.(i) <- Some (job ())) ())
-               jobs)
-        in
-        List.iter Thread.join threads)
-  in
-  ( Array.to_list
-      (Array.map
-         (function Some r -> r | None -> fail "a client got no reply")
-         replies)
-  , t )
-
-(* a daemon's counters, and one of them *)
-let daemon_stats socket =
-  match one_shot socket Sc_serve.Protocol.Stats with
-  | Sc_serve.Protocol.Stats_reply s -> s.Sc_serve.Protocol.counters
-  | _ -> fail "unexpected stats response"
-
-let stat counters key =
-  match List.assoc_opt key counters with
-  | Some v -> v
-  | None -> fail ("no stat " ^ key)
-
-(* a plain gates compile of a builtin design *)
-let builtin_spec ?(restarts = 0) name =
-  { Sc_serve.Protocol.design = name; source = builtin_src name
-  ; style = "gates"; restarts; certify = false
-  }
-
-(* [with_fresh_cache name f] runs [f] over an empty disk stage cache
-   (its directory outlives a bench run, so start genuinely cold), then
-   turns the cache off and drops its in-memory stores *)
-let with_fresh_cache name f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) ("scc-" ^ name ^ "-cache")
-  in
-  rm_rf dir;
-  Sc_pipeline.Pipeline.enable_cache ~dir ();
-  Fun.protect
-    ~finally:(fun () ->
-      Sc_pipeline.Pipeline.disable_cache ();
-      Sc_pipeline.Pipeline.clear_caches ())
-    f
-
-(* shut down over the protocol and check the daemon drained cleanly *)
-let stop_daemon d =
-  (match one_shot d.dsocket Sc_serve.Protocol.Shutdown with
-  | Sc_serve.Protocol.Bye -> ()
-  | _ -> fail "shutdown: expected Bye");
-  Thread.join d.dthread;
-  if !(d.dexit) <> 0 then fail (Printf.sprintf "daemon exited %d" !(d.dexit));
-  if Sys.file_exists d.dsocket then fail "daemon left its socket behind";
-  rm_rf d.dcache;
-  Sc_pipeline.Pipeline.disable_cache ();
-  Sc_pipeline.Pipeline.clear_caches ()
 
 (* ------------------------------------------------------------------ *)
 (* E1: compiled PDP-8 vs hand design (claim C4)                        *)
@@ -1043,691 +842,6 @@ let micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* E11: domain-pool scaling and the content-hash result cache          *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  section "E11: domain-pool scaling and the content-hash result cache"
-    "DRC sharding, multi-seed placement and per-cone equivalence run on \
-     an OCaml 5 domain pool with byte-identical output at every pool \
-     width; a content-addressed cache makes identical recompiles free";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "host: %d core(s) available to the runtime%s\n\n" cores
-    (if cores = 1 then
-       " — wall-clock speedup is bounded at 1.0x here; the table still \
-        demonstrates determinism and bounded overhead"
-     else "");
-  let levels = [ 1; 2; 4; 8 ] in
-  let with_pool j f =
-    let pool = Sc_par.Pool.create ~domains:j () in
-    Fun.protect
-      ~finally:(fun () -> Sc_par.Pool.shutdown pool)
-      (fun () -> wall_ms (fun () -> f pool))
-  in
-  Printf.printf "%-8s %-6s %9s %9s %9s %9s %7s %s\n" "design" "stage"
-    "j=1 ms" "j=2 ms" "j=4 ms" "j=8 ms" "x at 4" "identical";
-  let all_identical = ref true in
-  let json_rows = ref [] in
-  let print_row name stage times same =
-    if not same then all_identical := false;
-    json_rows :=
-      Sc_obs.Json.Obj
-        [ ("design", Sc_obs.Json.Str name)
-        ; ("stage", Sc_obs.Json.Str stage)
-        ; ( "ms"
-          , Sc_obs.Json.Obj
-              (List.map2
-                 (fun j t -> (Printf.sprintf "j%d" j, round3 t))
-                 levels times) )
-        ; ("identical", Sc_obs.Json.Bool same)
-        ]
-      :: !json_rows;
-    match times with
-    | [ t1; t2; t4; t8 ] ->
-      Printf.printf "%-8s %-6s %9.1f %9.1f %9.1f %9.1f %7.2f %s\n" name stage
-        t1 t2 t4 t8
-        (t1 /. Float.max t4 0.001)
-        (if same then "yes" else "NO")
-    | _ -> assert false
-  in
-  List.iter
-    (fun (name, src) ->
-      let d = Sc_core.Designs.parse src in
-      let circuit = (Sc_synth.Synth.gates d).Sc_synth.Synth.circuit in
-      let problem = Sc_place.Placer.problem_of_circuit circuit in
-      let layout = place ~name circuit in
-      let flat = Sc_layout.Flatten.run layout in
-      let row stage f check_same =
-        let results = List.map (fun j -> with_pool j f) levels in
-        print_row name stage
-          (List.map snd results)
-          (check_same (List.map fst results))
-      in
-      row "drc"
-        (fun pool -> Sc_drc.Checker.check_flat ~pool flat)
-        (fun vs -> List.for_all (( = ) (List.hd vs)) vs);
-      row "place"
-        (fun pool ->
-          let pl = Sc_place.Placer.best_of ~pool ~seeds:7 problem in
-          Sc_cif.Emit.to_string (Sc_place.Placer.to_layout ~name pl))
-        (fun cifs -> List.for_all (String.equal (List.hd cifs)) cifs))
-    [ ("counter", Sc_core.Designs.counter_src)
-    ; ("traffic", Sc_core.Designs.traffic_src)
-    ; ("alu4", Sc_core.Designs.alu_src)
-    ; ("pdp8", Sc_core.Designs.pdp8_src)
-    ];
-  (* equivalence by output cone: the 48-input pdp8 datapath, one BDD
-     manager per cone *)
-  let dp = Sc_core.Designs.parse Sc_core.Designs.pdp8_dp_src in
-  let synth_dp = (Sc_synth.Synth.gates dp).Sc_synth.Synth.circuit in
-  let hand_dp = Sc_core.Designs.hand_pdp8_dp () in
-  let cone_runs =
-    List.map
-      (fun j ->
-        with_pool j (fun pool ->
-            Sc_equiv.Checker.check_cones ~pool synth_dp hand_dp))
-      levels
-  in
-  let verdicts_ok =
-    List.for_all
-      (fun (v, _) -> v = Sc_equiv.Checker.Equivalent)
-      cone_runs
-  in
-  print_row "pdp8_dp" "equiv" (List.map snd cone_runs) verdicts_ok;
-  if not !all_identical then fail "output varied with the pool width";
-  Printf.printf "\nall outputs byte-identical at every pool width\n";
-  (* the result cache: hit in memory, then from disk after a "restart" *)
-  let compile () =
-    match Sc_core.Compiler.compile_behavior Sc_core.Designs.pdp8_src with
-    | Ok _ -> ()
-    | Error d -> failwith (Sc_pipeline.Diag.to_string d)
-  in
-  let cold, warm, disk =
-    with_fresh_cache "e11" @@ fun () ->
-    let (), cold = wall_ms compile in
-    let (), warm = wall_ms compile in
-    (* a "restart": drop every in-memory store, keep the disk artifacts *)
-    Sc_pipeline.Pipeline.clear_caches ();
-    let (), disk = wall_ms compile in
-    (cold, warm, disk)
-  in
-  Printf.printf
-    "stage cache (pdp8): cold %.1f ms, memory hit %.1f ms (%.0fx), disk \
-     hit after restart %.1f ms\n"
-    cold warm
-    (cold /. Float.max warm 0.001)
-    disk;
-  write_bench ~what:"rows" "e11"
-    [ ("identical", Sc_obs.Json.Bool !all_identical)
-    ; ("rows", Sc_obs.Json.Arr (List.rev !json_rows))
-    ; ( "result_cache_ms"
-      , Sc_obs.Json.Obj
-          [ ("cold", round3 cold)
-          ; ("memory_hit", round3 warm)
-          ; ("disk_hit", round3 disk)
-          ] )
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E13: incremental recompilation through the typed pass manager       *)
-(* ------------------------------------------------------------------ *)
-
-let e13 () =
-  section "E13: incremental recompilation (per-stage cache, lib/pipeline)"
-    "the pass manager turns whole-run memoization into per-pass reuse: \
-     an identical input hits every stage; editing --restarts reruns \
-     only place and the passes downstream of it";
-  let module P = Sc_pipeline.Pipeline in
-  let compile restarts =
-    match
-      P.with_log (fun () ->
-          Sc_core.Compiler.compile_behavior ~restarts Sc_core.Designs.pdp8_src)
-    with
-    | Ok _, log -> log
-    | Error d, _ -> failwith (Sc_pipeline.Diag.to_string d)
-  in
-  let (log_cold, cold), (log_warm, warm), (log_edit, edit) =
-    with_fresh_cache "e13" @@ fun () ->
-    let cold = wall_ms (fun () -> compile 2) in
-    let warm = wall_ms (fun () -> compile 2) in
-    (cold, warm, wall_ms (fun () -> compile 5))
-  in
-  print_pass_table ~width:10
-    [ ("cold", log_cold); ("warm (same)", log_warm); ("warm (edited)", log_edit) ];
-  Printf.printf
-    "\ntimings: cold %.1f ms; identical input %.1f ms (%.0fx); after a \
-     --restarts edit %.1f ms (%.1fx)\n"
-    cold warm
-    (cold /. Float.max warm 0.001)
-    edit
-    (cold /. Float.max edit 0.001);
-  if ran log_warm <> [] then
-    fail
-      ("identical input re-ran: " ^ String.concat ", " (ran log_warm));
-  if ran log_edit <> [ "place"; "route"; "drc"; "emit"; "measure" ] then
-    fail
-      ("--restarts edit re-ran: " ^ String.concat ", " (ran log_edit)
-     ^ " (expected place route drc emit measure)");
-  Printf.printf
-    "\nidentical input: all-stage hit; --restarts edit: \
-     parse/compile/optimize reused, place..measure recomputed\n";
-  write_bench ~what:"timings" "e13"
-    [ ( "ms"
-      , Sc_obs.Json.Obj
-          [ ("cold", round3 cold)
-          ; ("warm_identical", round3 warm)
-          ; ("warm_after_restarts_edit", round3 edit)
-          ] )
-    ; ("cold", json_statuses log_cold)
-    ; ("warm_identical", json_statuses log_warm)
-    ; ("warm_after_restarts_edit", json_statuses log_edit)
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E14: the compile daemon under concurrent load                       *)
-(* ------------------------------------------------------------------ *)
-
-let e14 () =
-  section "E14: the compile daemon under concurrent load (scc serve)"
-    "a long-running daemon multiplexing concurrent compilations over one \
-     shared stage cache beats sequential single-shot compilation on \
-     throughput while every response's QoR stays byte-identical to the \
-     committed baselines";
-  let module P = Sc_serve.Protocol in
-  let designs = [ "counter"; "traffic"; "alu4"; "pdp8" ] in
-  let baseline_qor = baseline_qors designs in
-  (* --- sequential single-shot baseline, measured BEFORE the daemon
-     takes over the process-global cache configuration: each run pays
-     the full cold pipeline, exactly like one `scc isp D` process --- *)
-  Sc_pipeline.Pipeline.disable_cache ();
-  Sc_pipeline.Pipeline.clear_caches ();
-  let seq_rounds = 2 in
-  let (), seq_time =
-    wall (fun () ->
-        for _ = 1 to seq_rounds do
-          List.iter
-            (fun name ->
-              match Sc_core.Compiler.compile_behavior (builtin_src name) with
-              | Ok _ -> ()
-              | Error d ->
-                fail (name ^ ": " ^ Sc_pipeline.Diag.to_string d))
-            designs
-        done)
-  in
-  let seq_n = seq_rounds * List.length designs in
-  let seq_rps = float_of_int seq_n /. seq_time in
-  Printf.printf
-    "sequential single-shot: %d cold compiles in %.1f s (%.1f req/s)\n"
-    seq_n seq_time seq_rps;
-  Sc_pipeline.Pipeline.clear_caches ();
-  (* --- start the daemon in-process on a temp socket --- *)
-  let daemon = start_daemon "e14" in
-  let socket = daemon.dsocket in
-  let rpc fd req =
-    match Sc_serve.Client.rpc fd req with
-    | Ok r -> r
-    | Error e -> fail ("rpc: " ^ e)
-  in
-  let stat key = stat (daemon_stats socket) key in
-  (* --- in-flight dedup: concurrent identical cold requests share one
-     execution (pdp8 is ~hundreds of ms cold, a comfortable window) --- *)
-  let before = stat "serve.executions" in
-  let clients = 4 in
-  let replies, _ =
-    concurrently
-      (List.init clients (fun _ () ->
-           one_shot socket (P.Compile (builtin_spec "pdp8"))))
-  in
-  List.iter
-    (function
-      | P.Compiled _ -> ()
-      | _ -> fail "dedup phase: a client did not get a Compiled reply")
-    replies;
-  let executions = stat "serve.executions" - before in
-  let dedup = stat "serve.dedup_hits" in
-  Printf.printf
-    "dedup: %d concurrent identical cold requests -> %d execution(s), %d \
-     dedup hit(s)\n"
-    clients executions dedup;
-  if dedup < 1 then
-    fail "concurrent identical requests did not share an execution";
-  (* --- the load: thousands of mixed warm/cold requests across the four
-     designs over persistent connections; restarts variants add cold
-     executions mid-stream --- *)
-  let total = 2000 in
-  let workers = 8 in
-  let darr = Array.of_list designs in
-  let spec_of i =
-    (* deterministic mix: every 83rd request is a --restarts variant
-       (cold the first time a (design, restarts) pair appears) *)
-    let name = darr.(i mod Array.length darr) in
-    let restarts = if i mod 83 = 7 then 1 + (i / 83 mod 3) else 0 in
-    builtin_spec ~restarts name
-  in
-  let errors = Mutex.create () and errs = ref [] in
-  let err m =
-    Mutex.protect errors (fun () -> errs := m :: !errs)
-  in
-  (* restarts variants have no committed baseline (restarts changes
-     placement QoR); they are checked for self-consistency instead *)
-  let variant_lock = Mutex.create () in
-  let variants : (string * int, string) Hashtbl.t = Hashtbl.create 16 in
-  let check_qor (s : P.compile_spec) qor =
-    if s.P.restarts = 0 then
-      Option.iter err (qor_mismatch baseline_qor s.P.design qor)
-    else
-      Mutex.protect variant_lock (fun () ->
-          let key = (s.P.design, s.P.restarts) in
-          match Hashtbl.find_opt variants key with
-          | None -> Hashtbl.replace variants key qor
-          | Some want ->
-            if not (String.equal want qor) then
-              err
-                (Printf.sprintf "%s --restarts %d: QoR varied across requests"
-                   s.P.design s.P.restarts))
-  in
-  let worker w () =
-    match Sc_serve.Client.connect socket with
-    | Error e -> err e
-    | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> Sc_serve.Client.close fd)
-        (fun () ->
-          let i = ref w in
-          while !i < total do
-            let s = spec_of !i in
-            (match reply_qor (rpc fd (P.Compile s)) with
-            | Ok qor -> check_qor s qor
-            | Error e -> err e);
-            i := !i + workers
-          done)
-  in
-  let (), load_time =
-    wall (fun () ->
-        let ts = List.init workers (fun w -> Thread.create (worker w) ()) in
-        List.iter Thread.join ts)
-  in
-  (match !errs with
-  | [] -> ()
-  | e :: _ ->
-    fail (Printf.sprintf "%d bad response(s), first: %s" (List.length !errs) e));
-  let daemon_rps = float_of_int total /. load_time in
-  let executions_total = stat "serve.executions" in
-  let dedup_total = stat "serve.dedup_hits" in
-  Printf.printf
-    "daemon: %d mixed warm/cold requests over %d connections in %.1f s \
-     (%.0f req/s, %d pipeline executions, %d dedup hits)\n"
-    total workers load_time daemon_rps executions_total dedup_total;
-  Printf.printf "speedup over sequential single-shot: %.0fx\n"
-    (daemon_rps /. seq_rps);
-  if daemon_rps <= seq_rps then
-    fail "daemon throughput did not beat sequential single-shot compilation";
-  Printf.printf
-    "every response QoR byte-identical (%d against committed baselines, \
-     restarts variants self-consistent)\n"
-    (total - ((total / 83) + 1));
-  (* --- clean shutdown over the protocol --- *)
-  stop_daemon daemon;
-  Printf.printf "clean shutdown: daemon drained, exit 0, socket unlinked\n";
-  write_bench ~what:"results" "e14"
-    [ ("sequential_rps", rounded 1 seq_rps)
-    ; ("daemon_rps", rounded 1 daemon_rps)
-    ; ("speedup", rounded 1 (daemon_rps /. seq_rps))
-    ; ("requests", Sc_obs.Json.Num (float_of_int total))
-    ; ("executions", Sc_obs.Json.Num (float_of_int executions_total))
-    ; ("dedup_hits", Sc_obs.Json.Num (float_of_int dedup_total))
-    ; ("qor_identical", Sc_obs.Json.Bool true)
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E15: the certified pipeline — what translation validation costs     *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  section "E15: certified compilation (per-pass translation validation)"
-    "with --certify every netlist-to-netlist pass proves its output \
-     equivalent to its input before the pipeline continues: an injected \
-     miscompile is refused naming the pass, certificates are cached \
-     with the stage artifacts, and the proof overhead is a bounded \
-     fraction of the cold compile";
-  let module P = Sc_pipeline.Pipeline in
-  let compile ?(certify = true) ?inject_fault () =
-    match
-      P.with_certify certify (fun () ->
-          P.with_log (fun () ->
-              Sc_core.Compiler.compile_behavior ?inject_fault
-                Sc_core.Designs.pdp8_src))
-    with
-    | Ok _, log -> (log, None)
-    | Error d, log -> (log, Some d)
-  in
-  (* plain cold compile first, as the overhead baseline (its own cache
-     so the certified run below is also genuinely cold) *)
-  let (_, err_plain), plain_ms = wall_ms (fun () -> compile ~certify:false ()) in
-  (match err_plain with
-  | None -> ()
-  | Some d -> fail ("plain compile failed: " ^ Sc_pipeline.Diag.to_string d));
-  with_fresh_cache "e15" @@ fun () ->
-  let (log_cold, err_cold), cold_ms = wall_ms (fun () -> compile ()) in
-  (match err_cold with
-  | None -> ()
-  | Some d ->
-    fail ("certified compile refused: " ^ Sc_pipeline.Diag.to_string d));
-  let (log_warm, err_warm), warm_ms = wall_ms (fun () -> compile ()) in
-  (match err_warm with
-  | None -> ()
-  | Some d ->
-    fail ("warm certified compile refused: " ^ Sc_pipeline.Diag.to_string d));
-  if ran log_warm <> [] then
-    fail
-      ("warm certified rebuild re-ran: " ^ String.concat ", " (ran log_warm));
-  Printf.printf "%-28s %10s\n" "compile (pdp8, gates)" "wall";
-  Printf.printf "%-28s %8.1f ms\n" "plain cold" plain_ms;
-  Printf.printf "%-28s %8.1f ms  (%.2fx plain)\n" "certified cold" cold_ms
-    (cold_ms /. Float.max plain_ms 0.001);
-  Printf.printf "%-28s %8.1f ms  (all %d passes hit, certificates included)\n"
-    "certified warm" warm_ms (List.length log_warm);
-  (* the checker is live: an injected miscompile must be refused naming
-     the pass, and must sail through when certification is off *)
-  let (_, err_inject), _ = wall_ms (fun () -> compile ~inject_fault:1 ()) in
-  (match err_inject with
-  | Some d when d.Sc_pipeline.Diag.stage = "optimize" ->
-    Printf.printf "\ninjected fault (gate 1 flipped): refused — %s\n"
-      (Sc_pipeline.Diag.to_string d)
-  | Some d ->
-    fail
-      ("injected fault refused by the wrong pass: "
-      ^ Sc_pipeline.Diag.to_string d)
-  | None -> fail "injected miscompile was certified");
-  let (_, err_uncert), _ =
-    wall_ms (fun () -> compile ~certify:false ~inject_fault:1 ())
-  in
-  (match err_uncert with
-  | None ->
-    Printf.printf
-      "same fault without --certify: compiles silently — the gap \
-       certification closes\n"
-  | Some d ->
-    fail ("uncertified injected compile failed: " ^ Sc_pipeline.Diag.to_string d));
-  write_bench ~what:"results" "e15"
-    [ ( "ms"
-      , Sc_obs.Json.Obj
-          [ ("plain_cold", round3 plain_ms)
-          ; ("certified_cold", round3 cold_ms)
-          ; ("certified_warm", round3 warm_ms)
-          ] )
-    ; ("certify_overhead_x", round3 (cold_ms /. Float.max plain_ms 0.001))
-    ; ("injected_fault_refused", Sc_obs.Json.Bool true)
-    ; ("cold", json_statuses log_cold)
-    ; ("warm", json_statuses log_warm)
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E16: per-request observability under concurrency                    *)
-(* ------------------------------------------------------------------ *)
-
-let e16 () =
-  section "E16: per-request observability under concurrency"
-    "every daemon execution carries its own recorder, so instrumented \
-     compiles overlap instead of serializing behind a global \
-     observability lock — and each response's measured QoR stays \
-     byte-identical to the committed baselines";
-  let module P = Sc_serve.Protocol in
-  let designs = [ "counter"; "traffic"; "alu4"; "pdp8" ] in
-  let baseline_qor = baseline_qors designs in
-  (* the overlap-timing workload: four pdp8 placements with different
-     restart budgets — four distinct dedup keys, each ~1 s of genuine
-     pipeline work, so concurrency shortens the critical path instead
-     of hiding behind one dominant design *)
-  let heavy = [ 1; 2; 3; 4 ] in
-  let heavy_spec r = builtin_spec ~restarts:r "pdp8" in
-  let tmp = Filename.get_temp_dir_name () in
-  (* both phases run the same daemon path against a fresh cold stage
-     cache, so the only variable is whether the four instrumented
-     compiles are issued sequentially or concurrently *)
-  let with_daemon ?trace_dir tag f =
-    let d = start_daemon ?trace_dir ("e16-" ^ tag) in
-    let r = f d.dsocket in
-    stop_daemon d;
-    r
-  in
-  let qor_of name reply =
-    match reply_qor reply with
-    | Ok qor -> qor
-    | Error e -> fail (name ^ ": " ^ e)
-  in
-  let check_qor qors =
-    List.iter
-      (fun (name, qor) -> Option.iter fail (qor_mismatch baseline_qor name qor))
-      qors
-  in
-  (* --- phase A: everything sequential — the four baseline designs
-     (QoR-checked), then the four heavy variants (the sum of solos) --- *)
-  let t_designs_seq, t_seq =
-    with_daemon "seq" (fun socket ->
-        let (), t_designs =
-          wall (fun () ->
-              check_qor
-                (List.map
-                   (fun name ->
-                     ( name
-                     , qor_of name (one_shot socket (P.Compile (builtin_spec name))) ))
-                   designs))
-        in
-        let (), t_heavy =
-          wall (fun () ->
-              List.iter
-                (fun r ->
-                  ignore
-                    (qor_of
-                       (Printf.sprintf "pdp8 --restarts %d" r)
-                       (one_shot socket (P.Compile (heavy_spec r)))))
-                heavy)
-        in
-        (t_designs, t_heavy))
-  in
-  Printf.printf
-    "sequential: %d cold instrumented compiles in %.2f s, then %d heavy \
-     placement variants in %.2f s\n"
-    (List.length designs) t_designs_seq (List.length heavy) t_seq;
-  (* --- phase B: the same work from concurrent clients, each execution
-     on its own domain with its own recorder and trace --- *)
-  let trace_dir = Filename.concat tmp "scc-e16-traces" in
-  rm_rf trace_dir;
-  let (stats, t_designs_par, t_par) =
-    with_daemon ~trace_dir "par" (fun socket ->
-        let replies, t_designs =
-          concurrently
-            (List.map
-               (fun name () -> one_shot socket (P.Compile (builtin_spec name)))
-               designs)
-        in
-        check_qor
-          (List.map2 (fun name r -> (name, qor_of name r)) designs replies);
-        let heavies, t_heavy =
-          concurrently
-            (List.map
-               (fun r () -> one_shot socket (P.Compile (heavy_spec r)))
-               heavy)
-        in
-        List.iter2
-          (fun r reply ->
-            ignore (qor_of (Printf.sprintf "pdp8 --restarts %d" r) reply))
-          heavy heavies;
-        (daemon_stats socket, t_designs, t_heavy))
-  in
-  let stat = stat stats in
-  let peak = stat "serve.peak_executions" in
-  Printf.printf
-    "concurrent: %d cold instrumented compiles in %.2f s, %d heavy \
-     variants in %.2f s (peak %d executions in flight)\n"
-    (List.length designs) t_designs_par (List.length heavy) t_par peak;
-  if peak < 2 then
-    fail "instrumented compiles serialized: peak concurrent executions < 2";
-  (* the per-verb latency histogram saw exactly the compile requests *)
-  let sent = List.length designs + List.length heavy in
-  let compile_count = stat "latency.compile.count" in
-  if compile_count <> sent then
-    fail
-      (Printf.sprintf "latency.compile.count = %d, expected %d" compile_count
-         sent);
-  let p50 = stat "latency.compile.p50_us" in
-  let p95 = stat "latency.compile.p95_us" in
-  let p99 = stat "latency.compile.p99_us" in
-  if p50 <= 0 || p95 < p50 || p99 < p95 then
-    fail
-      (Printf.sprintf "implausible compile percentiles p50=%d p95=%d p99=%d"
-         p50 p95 p99);
-  Printf.printf "compile latency: p50 %d us, p95 %d us, p99 %d us\n" p50 p95
-    p99;
-  (* every execution wrote its own Chrome trace *)
-  let traces =
-    if Sys.file_exists trace_dir then
-      Sys.readdir trace_dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".trace.json")
-    else []
-  in
-  if List.length traces <> sent then
-    fail
-      (Printf.sprintf "expected %d traces, found %d" sent
-         (List.length traces));
-  Printf.printf "per-request traces: %d written to %s\n" (List.length traces)
-    trace_dir;
-  rm_rf trace_dir;
-  Printf.printf
-    "every response QoR byte-identical to the committed baselines in both \
-     phases\n";
-  let cores = Domain.recommended_domain_count () in
-  let speedup = t_seq /. Float.max t_par 0.001 in
-  Printf.printf
-    "overlap: heavy batch %.2fx over the sum of solos on %d cores\n" speedup
-    cores;
-  if cores >= 4 && t_par >= 0.7 *. t_seq then
-    fail
-      (Printf.sprintf
-         "concurrent instrumented compiles did not overlap: %.2f s \
-          concurrent vs %.2f s sum-of-solos on %d cores"
-         t_par t_seq cores);
-  write_bench ~what:"results" "e16"
-    [ ("designs_sequential_s", rounded 2 t_designs_seq)
-    ; ("designs_concurrent_s", rounded 2 t_designs_par)
-    ; ("heavy_sequential_s", rounded 2 t_seq)
-    ; ("heavy_concurrent_s", rounded 2 t_par)
-    ; ("speedup", rounded 2 speedup)
-    ; ("cores", Sc_obs.Json.Num (float_of_int cores))
-    ; ("peak_executions", Sc_obs.Json.Num (float_of_int peak))
-    ; ( "compile_latency_us"
-      , Sc_obs.Json.Obj
-          [ ("p50", Sc_obs.Json.Num (float_of_int p50))
-          ; ("p95", Sc_obs.Json.Num (float_of_int p95))
-          ; ("p99", Sc_obs.Json.Num (float_of_int p99))
-          ] )
-    ; ("traces", Sc_obs.Json.Num (float_of_int (List.length traces)))
-    ; ("qor_identical", Sc_obs.Json.Bool true)
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E17: separate compilation — per-module pipelines + macro assembly   *)
-(* ------------------------------------------------------------------ *)
-
-let e17 () =
-  section "E17: separate compilation (per-module pipelines, macro assembly)"
-    "a multi-module chip compiles each module through its own \
-     stage-cached sub-pipeline: editing one module re-runs exactly that \
-     module's passes plus assembly, every other module is all-hit, and \
-     the modular QoR snapshot is byte-identical cold vs warm and at \
-     -j1 vs -j4";
-  let module P = Sc_pipeline.Pipeline in
-  let replace ~sub ~by s =
-    let n = String.length sub in
-    let rec find i =
-      if i + n > String.length s then fail ("e17: no " ^ sub ^ " in source")
-      else if String.sub s i n = sub then i
-      else find (i + 1)
-    in
-    let i = find 0 in
-    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
-  in
-  let src = Sc_core.Designs.system_src in
-  (* the edit: one operator inside the mixer module body *)
-  let edited = replace ~sub:"y := a ^ b" ~by:"y := a | b" src in
-  let compile ~jobs s =
-    Sc_par.Pool.set_default_size jobs;
-    let recorder = Sc_obs.Obs.Recorder.create () in
-    Sc_obs.Obs.Recorder.enable recorder;
-    match
-      Sc_obs.Obs.with_recorder recorder (fun () ->
-          P.with_log (fun () -> Sc_core.Compiler.compile_behavior s))
-    with
-    | Error d, _ -> fail ("e17: " ^ Sc_pipeline.Diag.to_string d)
-    | Ok _, lg ->
-      Sc_obs.Obs.Recorder.disable recorder;
-      let qor =
-        Sc_metrics.Metrics.qor_string
-          (Sc_metrics.Metrics.capture ~recorder ~design:"system" ())
-      in
-      (lg, qor)
-  in
-  let ( ((log_cold, qor_cold), cold)
-      , ((log_warm, qor_warm), warm)
-      , ((log_edit, qor_edit), edit) ) =
-    with_fresh_cache "e17" @@ fun () ->
-    let cold = wall_ms (fun () -> compile ~jobs:4 src) in
-    let warm = wall_ms (fun () -> compile ~jobs:1 src) in
-    (cold, warm, wall_ms (fun () -> compile ~jobs:4 edited))
-  in
-  (* a cacheless -j1 rebuild from scratch: pure scheduling determinism *)
-  let (_, qor_j1), _ = wall_ms (fun () -> compile ~jobs:1 src) in
-  Sc_par.Pool.set_default_size 1;
-  print_pass_table ~width:16
-    [ ("cold (-j4)", log_cold); ("warm (-j1)", log_warm)
-    ; ("mixer edited", log_edit)
-    ];
-  Printf.printf
-    "\ntimings: cold %.1f ms; warm %.1f ms (%.0fx); after the mixer edit \
-     %.1f ms (%.1fx)\n"
-    cold warm
-    (cold /. Float.max warm 0.001)
-    edit
-    (cold /. Float.max edit 0.001);
-  if ran log_warm <> [] then
-    fail ("e17: identical input re-ran: " ^ String.concat ", " (ran log_warm));
-  let expected_edit =
-    [ "mixer:parse"; "mixer:compile"; "mixer:optimize"; "mixer:place"
-    ; "mixer:route"; "mixer:drc"; "mixer:emit"; "mixer:measure"
-    ; "assemble"; "drc"; "emit"; "measure"
-    ]
-  in
-  if ran log_edit <> expected_edit then
-    fail
-      ("e17: mixer edit re-ran: "
-      ^ String.concat ", " (ran log_edit)
-      ^ " (expected " ^ String.concat ", " expected_edit ^ ")");
-  if qor_warm <> qor_cold then
-    fail "e17: warm -j1 QoR differs from cold -j4 QoR";
-  if qor_j1 <> qor_cold then
-    fail "e17: cacheless -j1 QoR differs from cold -j4 QoR";
-  if qor_edit = qor_cold then
-    fail "e17: the mixer edit left the QoR snapshot unchanged";
-  Printf.printf
-    "\nidentical input: all-stage hit; mixer edit: accum all-hit, \
-     mixer's sub-pipeline + assembly recomputed\n";
-  Printf.printf
-    "QoR snapshots byte-identical cold -j4 / warm -j1 / cacheless -j1\n";
-  write_bench ~what:"timings" "e17"
-    [ ( "ms"
-      , Sc_obs.Json.Obj
-          [ ("cold_j4", round3 cold)
-          ; ("warm_j1", round3 warm)
-          ; ("warm_after_mixer_edit", round3 edit)
-          ] )
-    ; ("cold", json_statuses log_cold)
-    ; ("warm_identical", json_statuses log_warm)
-    ; ("warm_after_mixer_edit", json_statuses log_edit)
-    ; ("qor_identical", Sc_obs.Json.Bool true)
-    ]
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -1742,12 +856,6 @@ let () =
     | "e8" -> e8 ()
     | "e9" -> e9 ()
     | "e10" | "profile" -> profile ()
-    | "e11" -> e11 ()
-    | "e13" -> e13 ()
-    | "e14" -> e14 ()
-    | "e15" -> e15 ()
-    | "e16" -> e16 ()
-    | "e17" -> e17 ()
     | "ablate" -> ablate ()
     | "micro" -> micro ()
     | other ->
@@ -1757,7 +865,7 @@ let () =
   match what with
   | "all" ->
     List.iter run
-      [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11"
-      ; "e13"; "e14"; "e15"; "e16"; "e17"; "ablate"; "micro"
+      [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "ablate"
+      ; "micro"
       ]
   | w -> run w

@@ -41,7 +41,7 @@ val pdp8_dp_src : string
 
 (** The modular reference design: a combinational mixer module feeding
     an accumulator module, bound by a [chip] block — the separate
-    compilation workload ({!Sc_core.Chipdesc}, bench e17). *)
+    compilation workload ({!Sc_core.Chipdesc}). *)
 val system_src : string
 
 (** Parsed designs (panics on internal parse error — these are fixtures). *)

@@ -47,8 +47,8 @@ val size : t -> int
 (** Number of domains the pool executes on, including the caller. *)
 
 val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count], capped at 8 — the sizes bench
-    e11 sweeps. *)
+(** [Domain.recommended_domain_count], capped at 8 — the widest pool
+    the width-determinism tests use. *)
 
 val run : ?label:string -> t -> (unit -> 'a) list -> 'a list
 (** [run pool thunks] executes every thunk and returns their results in

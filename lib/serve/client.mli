@@ -3,9 +3,9 @@
 
     Connections are plain Unix-domain stream sockets; a connection may
     carry any number of request/response pairs ([scc client] uses one
-    per invocation, bench e14 keeps one per worker thread).  All
-    failures — daemon not running, protocol violations, the daemon's
-    own [Error_reply] — come back as values. *)
+    per invocation, the benchmark's [daemon] workload keeps one per
+    client).  All failures — daemon not running, protocol violations,
+    the daemon's own [Error_reply] — come back as values. *)
 
 val connect : string -> (Unix.file_descr, string) result
 (** [connect path] — open a connection to the daemon listening on

@@ -76,7 +76,7 @@ let jnum i = Json.Num (float_of_int i)
    the joining connection thread releases the lock while it waits.  A bounded slot
    count keeps a burst of cold compiles from spawning domains without
    limit; [peak_executions] records the high-water mark of concurrently
-   running executions, which bench e16 asserts exceeds 1. *)
+   running executions, which the serve-smoke CI job asserts reaches 2. *)
 let run_on_domain st f =
   Mutex.lock st.lock;
   while st.exec_active >= st.exec_slots do

@@ -30,9 +30,10 @@
     {!Sc_pipeline.Pipeline.with_log}): one request's [--certify] or
     [--explain] rows never leak into a concurrent compile.  The per-request sequence —
     fresh recorder, compile, {!Sc_metrics.Metrics.capture} — is exactly
-    what single-shot [scc isp D --metrics] does, so daemon snapshots
+    what single-shot [scc compile D --metrics] does, so daemon snapshots
     stay byte-identical QoR to the committed baselines even under
-    concurrency, which bench e16 and the serve-smoke CI job assert.
+    concurrency, which the serve-smoke CI job and the benchmark's
+    [daemon] workload assert.
     Executions are throttled by [exec_domains] slots; the high-water
     mark of concurrently running executions is served as
     [serve.peak_executions].

@@ -304,7 +304,7 @@ let test_modular_incremental () =
       P.enable_cache ();
       let compile src =
         match P.with_log (fun () -> Compiler.compile_behavior src) with
-        | Ok _, log -> log
+        | Ok (c, _), log -> (c.Compiler.cif, log)
         | Error d, _ -> Alcotest.failf "%s" (Sc_pipeline.Diag.to_string d)
       in
       let ran lg =
@@ -312,19 +312,23 @@ let test_modular_incremental () =
           (fun (n, st) -> if st = P.Ran then Some n else None)
           lg
       in
-      let _cold = compile Designs.system_src in
-      let warm = compile Designs.system_src in
+      let cold_cif, _ = compile Designs.system_src in
+      let warm_cif, warm = compile Designs.system_src in
       Alcotest.(check (list string)) "warm all-hit" [] (ran warm);
+      check_string "warm CIF identical to cold" cold_cif warm_cif;
       let edited =
         replace ~sub:"y := a ^ b" ~by:"y := a | b" Designs.system_src
       in
+      let edited_cif, edited_log = compile edited in
       Alcotest.(check (list string))
         "mixer edit re-runs mixer + assembly only"
         [ "mixer:parse"; "mixer:compile"; "mixer:optimize"; "mixer:place"
         ; "mixer:route"; "mixer:drc"; "mixer:emit"; "mixer:measure"
         ; "assemble"; "drc"; "emit"; "measure"
         ]
-        (ran (compile edited)))
+        (ran edited_log);
+      check_bool "the mixer edit changes the CIF" false
+        (String.equal cold_cif edited_cif))
 
 (* Two concurrent compiles of one modular source on a 2-wide pool, many
    rounds: module tasks share the pool with the DRC shards they submit

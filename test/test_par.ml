@@ -241,18 +241,20 @@ let test_placement_cif_identical_across_widths () =
         (String.equal seq (cif n)))
     [ 2; 4 ]
 
-let test_equiv_cones_across_widths () =
-  let c = small_circuit () in
-  let o = Sc_netlist.Optimize.simplify c in
+let equivalent_at_widths what a b widths =
   List.iter
     (fun n ->
       with_pool n @@ fun pool ->
-      match Sc_equiv.Checker.check_cones ~pool c o with
+      match Sc_equiv.Checker.check_cones ~pool a b with
       | Sc_equiv.Checker.Equivalent -> ()
       | v ->
-        Alcotest.failf "equivalent at %d domains expected, got %a" n
+        Alcotest.failf "%s equivalent at %d domains expected, got %a" what n
           Sc_equiv.Checker.pp_verdict v)
-    [ 1; 4 ];
+    widths
+
+let test_equiv_cones_across_widths () =
+  let c = small_circuit () in
+  equivalent_at_widths "adder" c (Sc_netlist.Optimize.simplify c) [ 1; 4 ];
   (* a real difference reports the same first output port at any width *)
   let bad = Sc_equiv.Checker.mutate (Sc_netlist.Circuit.flatten c) 0 in
   let port n =
@@ -264,7 +266,13 @@ let test_equiv_cones_across_widths () =
   in
   let o1, b1 = port 1 and o4, b4 = port 4 in
   Alcotest.(check string) "same differing port" o1 o4;
-  check_int "same differing bit" b1 b4
+  check_int "same differing bit" b1 b4;
+  (* the 48-input pdp8 datapath: synthesized from ISP vs the hand
+     design, one BDD manager per cone *)
+  let dp = Sc_core.Designs.parse Sc_core.Designs.pdp8_dp_src in
+  let synth_dp = (Sc_synth.Synth.gates dp).Sc_synth.Synth.circuit in
+  equivalent_at_widths "pdp8_dp" synth_dp (Sc_core.Designs.hand_pdp8_dp ())
+    [ 1; 2; 4; 8 ]
 
 (* a task runs in its submitter's whole scope, whichever domain claims
    it: the recorder, the certify flag and the journal all carry over,

@@ -180,7 +180,9 @@ let with_server ?log ?log_level ?trace_dir ?trace_sample f =
   Fun.protect
     ~finally:(fun () ->
       (match Sc_serve.Client.one_shot socket P.Shutdown with
-      | Ok P.Bye | Ok _ | Error _ -> ());
+      | Ok P.Bye -> ()
+      | Ok _ -> Alcotest.fail "shutdown: expected Bye"
+      | Error e -> Alcotest.failf "shutdown: %s" e);
       Thread.join server;
       check_int "daemon exits 0" 0 !exit_code;
       check_bool "socket unlinked on shutdown" false (Sys.file_exists socket);
@@ -384,12 +386,18 @@ let test_stats_telemetry () =
   (match List.assoc_opt "latency.compile.count" s.P.counters with
   | Some n -> check_int "histogram count matches verb count" 2 n
   | None -> Alcotest.fail "no latency histogram for compile");
-  List.iter
-    (fun q ->
-      match List.assoc_opt ("latency.compile." ^ q) s.P.counters with
-      | Some v -> check_bool ("compile " ^ q ^ " positive") true (v > 0)
-      | None -> Alcotest.failf "no latency.compile.%s" q)
-    [ "p50_us"; "p95_us"; "p99_us" ];
+  let quantile q =
+    match List.assoc_opt ("latency.compile." ^ q) s.P.counters with
+    | Some v ->
+      check_bool ("compile " ^ q ^ " positive") true (v > 0);
+      v
+    | None -> Alcotest.failf "no latency.compile.%s" q
+  in
+  let p50 = quantile "p50_us" in
+  let p95 = quantile "p95_us" in
+  let p99 = quantile "p99_us" in
+  check_bool "p50 <= p95" true (p50 <= p95);
+  check_bool "p95 <= p99" true (p95 <= p99);
   check_bool "peak_executions served" true
     (stat socket "serve.peak_executions" >= 1)
 
