@@ -15,8 +15,9 @@ type compiled =
 
 (* Routing the row channels is pure measurement on this artwork style
    (the rows stay at a fixed pitch), but it is a QoR source —
-   route.tracks/height/channels — so it runs unconditionally; a
-   pathological channel is reported as "no summary", never an abort. *)
+   route.tracks/height/channels — so it runs unconditionally; an
+   unroutable channel is reported as "no summary", never an abort.  Any
+   other exception is a bug and reaches the pass's Diag boundary. *)
 type route_summary =
   { rchannels : int
   ; rtracks : int
@@ -34,7 +35,7 @@ let route_placement placement =
             0 rc.Sc_place.Placer.channels
       ; rheight = rc.Sc_place.Placer.total_height
       }
-  | exception _ -> None
+  | exception Sc_route.Channel.Unroutable _ -> None
 
 (* --- the pass sequences ----------------------------------------------
    Every stage both compilation paths run is registered once with

@@ -278,75 +278,78 @@ let to_layout ?(channel = 30) ~name pl =
 type routed_channels =
   { channels : Sc_route.Channel.routed list
   ; total_height : int
-  ; total_trunk : int
   }
 
 (* Pin assignment: one pin per net per channel side, snapped onto a
    14-lambda grid.  Bottom pins sit on even half-grid slots and top pins
    on odd ones, so no column ever carries pins of two different nets and
    the vertical constraint graph stays empty. *)
-let route_channels pl =
+let channel_specs pl =
   let grid = 14 in
-  let n = Array.length pl.problem.kinds in
+  let nets = pl.problem.nets in
   let centre i = pl.x.(i) + (pl.problem.widths.(i) / 2) in
-  let channels = ref [] in
-  for boundary = 0 to pl.nrows - 2 do
-    (* nets with gates on both sides of the boundary *)
-    let crossing =
-      Array.to_list pl.problem.nets
-      |> List.filter_map (fun net ->
-             let below = Array.exists (fun i -> pl.row.(i) <= boundary) net in
-             let above = Array.exists (fun i -> pl.row.(i) > boundary) net in
-             if below && above then Some net else None)
-    in
-    if crossing <> [] then begin
-      let slot_of used x =
-        (* snap to the grid, then probe for a free slot *)
-        let s = ref (max 0 (x / grid)) in
-        while Hashtbl.mem used !s do
-          incr s
+  let max_centre = ref 0 in
+  for i = 0 to Array.length pl.problem.kinds - 1 do
+    max_centre := max !max_centre (centre i)
+  done;
+  (* a net crosses boundary b (between rows b and b+1) iff lo <= b < hi *)
+  let lo = Array.map (Array.fold_left (fun m i -> min m pl.row.(i)) max_int) nets in
+  let hi = Array.map (Array.fold_left (fun m i -> max m pl.row.(i)) min_int) nets in
+  let specs = ref [] in
+  for boundary = pl.nrows - 2 downto 0 do
+    let crossing = ref [] in
+    for k = Array.length nets - 1 downto 0 do
+      if lo.(k) <= boundary && boundary < hi.(k) then crossing := k :: !crossing
+    done;
+    if !crossing <> [] then begin
+      let crossing = Array.of_list !crossing in
+      let count = Array.length crossing in
+      (* the last of k pins lands at most k-1 slots past the largest snap *)
+      let size = (!max_centre / grid) + count + 1 in
+      let bottom_slots = Sc_route.Next_free.create size
+      and top_slots = Sc_route.Next_free.create size in
+      let slot slots x =
+        let s = Sc_route.Next_free.find slots (max 0 (x / grid)) in
+        Sc_route.Next_free.take slots s;
+        s
+      in
+      (* slots go to the nets in order: the first net to want a slot
+         gets it *)
+      let bx = Array.make count 0 and tx = Array.make count 0 in
+      for netid = 0 to count - 1 do
+        let net = nets.(crossing.(netid)) in
+        let bsum = ref 0 and bcount = ref 0 and tsum = ref 0 and tcount = ref 0 in
+        for m = 0 to Array.length net - 1 do
+          let i = net.(m) in
+          if pl.row.(i) <= boundary then begin
+            bsum := !bsum + centre i;
+            incr bcount
+          end
+          else begin
+            tsum := !tsum + centre i;
+            incr tcount
+          end
         done;
-        Hashtbl.replace used !s ();
-        !s
-      in
-      let used_bottom = Hashtbl.create 16 and used_top = Hashtbl.create 16 in
-      let pins =
-        List.mapi
-          (fun netid net ->
-            let side_centre keep =
-              let xs =
-                Array.to_list net
-                |> List.filter keep
-                |> List.map centre
-              in
-              List.fold_left ( + ) 0 xs / max 1 (List.length xs)
-            in
-            let bx = side_centre (fun i -> pl.row.(i) <= boundary) in
-            let tx = side_centre (fun i -> pl.row.(i) > boundary) in
-            let bslot = slot_of used_bottom bx in
-            let tslot = slot_of used_top tx in
-            ( { Sc_route.Channel.x = bslot * grid; net = netid }
-            , { Sc_route.Channel.x = (tslot * grid) + (grid / 2); net = netid } ))
-          crossing
-      in
-      let bottom = List.map fst pins and top = List.map snd pins in
-      let width =
-        List.fold_left
-          (fun m (p : Sc_route.Channel.pin) -> max m (p.x + 2))
-          0 (bottom @ top)
-      in
-      channels := Sc_route.Channel.route { top; bottom; width } :: !channels
+        bx.(netid) <- slot bottom_slots (!bsum / !bcount) * grid;
+        tx.(netid) <- (slot top_slots (!tsum / !tcount) * grid) + (grid / 2)
+      done;
+      let bottom = ref [] and top = ref [] and width = ref 0 in
+      for netid = count - 1 downto 0 do
+        bottom := { Sc_route.Channel.x = bx.(netid); net = netid } :: !bottom;
+        top := { Sc_route.Channel.x = tx.(netid); net = netid } :: !top;
+        width := max !width (max bx.(netid) tx.(netid) + 2)
+      done;
+      specs := { Sc_route.Channel.top = !top; bottom = !bottom; width = !width } :: !specs
     end
   done;
-  ignore n;
-  let channels = List.rev !channels in
+  !specs
+
+let route_channels pl =
+  let specs = Sc_obs.Obs.span "pins" (fun () -> channel_specs pl) in
+  let channels = List.map (fun spec -> Sc_route.Channel.route spec) specs in
   { channels
   ; total_height =
       List.fold_left (fun a (c : Sc_route.Channel.routed) -> a + c.height) 0 channels
-  ; total_trunk =
-      List.fold_left
-        (fun a (c : Sc_route.Channel.routed) -> a + c.trunk_length)
-        0 channels
   }
 
 let pp ppf pl =

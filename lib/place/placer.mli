@@ -72,14 +72,24 @@ val to_layout : ?channel:int -> name:string -> placement -> Sc_layout.Cell.t
     top and bottom pins on alternating half-grids so vertical constraints
     never conflict) and the real channel router assigns tracks.
 
-    The result is the aggregate channel height and trunk wirelength —
-    the E4 metric: structured placement needs fewer tracks. *)
+    The result is the aggregate channel height — the E4 metric:
+    structured placement needs fewer tracks. *)
 type routed_channels =
   { channels : Sc_route.Channel.routed list
   ; total_height : int  (** sum of channel heights, lambda *)
-  ; total_trunk : int  (** sum of horizontal trunk wire, lambda *)
   }
 
+(** [route_channels placement] routes one channel per row boundary that
+    some net crosses, bottom boundary first.
+
+    Pin assignment runs in an {!Sc_obs.Obs.span} named ["pins"] (each
+    channel then routes in its own ["channel"] span).  Per boundary it
+    costs one pass over the nets plus near-linear time in the pins:
+    every net's lowest and highest row are found once, each side's
+    centre is one integer sum, and a colliding
+    pin takes the next free grid slot through a path-compressed
+    next-free array ({!Sc_route.Next_free}) sized by the largest cell
+    centre. *)
 val route_channels : placement -> routed_channels
 
 val pp : Format.formatter -> placement -> unit

@@ -23,153 +23,184 @@ let track_pitch = 7
 
 type side = Top | Bottom
 
-(* A routable unit: one trunk interval of one net, with the pin columns it
-   must drop branches to.  Without doglegs a net is one segment spanning
-   all pins; with doglegs, one segment per consecutive pin pair. *)
+(* A routable unit: one trunk interval of one net, with the pins it must
+   drop branches to (positions in the column order below).  Without
+   doglegs a net is one segment spanning all pins; with doglegs, one
+   segment per consecutive pin pair. *)
 type segment =
   { net : int
   ; x0 : int
-  ; x1 : int
-  ; pins : (int * side) list  (** columns this segment contacts *)
-  ; id : int
+  ; x1 : int  (** >= x0 *)
+  ; pins : int list
   }
 
-let validate spec =
-  let all = spec.top @ spec.bottom in
-  List.iter
-    (fun p ->
-      if p.x < 0 || p.x + 2 > spec.width then
-        invalid_arg (Printf.sprintf "Channel.route: pin x=%d outside width %d" p.x spec.width))
-    all;
-  let check_side pins what =
-    let sorted = List.sort (fun a b -> Int.compare a.x b.x) pins in
-    let rec go = function
-      | a :: (b :: _ as rest) ->
-        if b.x - a.x < 7 then
-          invalid_arg
-            (Printf.sprintf "Channel.route: %s pins at %d and %d closer than 7" what a.x b.x);
-        go rest
-      | [ _ ] | [] -> ()
-    in
-    go sorted
+(* Every pin of the channel in column order; where a bottom and a top
+   pin share a column the bottom one comes first.  Each edge is sorted
+   once, and that one order serves the spacing check, each net's pin
+   order and the shared-column walk of the constraint graph. *)
+let columns spec =
+  let check (p : pin) =
+    if p.x < 0 || p.x + 2 > spec.width then
+      invalid_arg (Printf.sprintf "Channel.route: pin x=%d outside width %d" p.x spec.width)
   in
-  check_side spec.top "top";
-  check_side spec.bottom "bottom"
+  List.iter check spec.top;
+  List.iter check spec.bottom;
+  let sorted what pins =
+    let pins = Array.of_list pins in
+    Array.stable_sort (fun (a : pin) b -> Int.compare a.x b.x) pins;
+    for k = 1 to Array.length pins - 1 do
+      if pins.(k).x - pins.(k - 1).x < 7 then
+        invalid_arg
+          (Printf.sprintf "Channel.route: %s pins at %d and %d closer than 7" what
+             pins.(k - 1).x pins.(k).x)
+    done;
+    pins
+  in
+  let top = sorted "top" spec.top in
+  let bottom = sorted "bottom" spec.bottom in
+  let nt = Array.length top and nb = Array.length bottom in
+  let t = ref 0 and b = ref 0 in
+  Array.init (nt + nb) (fun _ ->
+      if !b < nb && (!t = nt || bottom.(!b).x <= top.(!t).x) then begin
+        incr b;
+        (bottom.(!b - 1), Bottom)
+      end
+      else begin
+        incr t;
+        (top.(!t - 1), Top)
+      end)
 
-(* segment ids are placeholders here; [route] renumbers every segment
-   with its own channel-wide counter *)
-let segments_of_net ~dogleg net pins =
-  let pins = List.sort (fun (x, _) (y, _) -> Int.compare x y) pins in
-  match pins with
+let segments_of_net ~dogleg (pins : (pin * side) array) net = function
   | [] | [ _ ] -> []
-  | _ when not dogleg ->
-    let xs = List.map fst pins in
-    [ { net
-      ; x0 = List.fold_left min max_int xs
-      ; x1 = List.fold_left max min_int xs
-      ; pins
-      ; id = 0
-      }
-    ]
-  | _ ->
+  | first :: rest as ks when not dogleg ->
+    let last = List.fold_left (fun _ k -> k) first rest in
+    [ { net; x0 = (fst pins.(first)).x; x1 = (fst pins.(last)).x; pins = ks } ]
+  | ks ->
     let rec pairs = function
-      | (xa, sa) :: ((xb, sb) :: _ as rest) ->
-        { net; x0 = xa; x1 = xb; pins = [ (xa, sa); (xb, sb) ]; id = 0 }
-        :: pairs rest
+      | a :: (b :: _ as rest) ->
+        { net; x0 = (fst pins.(a)).x; x1 = (fst pins.(b)).x; pins = [ a; b ] } :: pairs rest
       | [ _ ] | [] -> []
     in
-    pairs pins
+    pairs ks
 
-let route ?(dogleg = false) spec =
-  Sc_obs.Obs.span "channel" @@ fun () ->
-  validate spec;
-  (* group pins by net *)
-  let by_net = Hashtbl.create 16 in
-  let add side (p : pin) =
-    let cur = try Hashtbl.find by_net p.net with Not_found -> [] in
-    Hashtbl.replace by_net p.net ((p.x, side) :: cur)
+(* The segment order fixes left-edge ties and the order of the layout's
+   elements, so it must not drift: segments come out in reverse
+   [Hashtbl.iter] order of a net table filled in pin order (top pins,
+   then bottom).  A net with just a top and a bottom pin in one column
+   is a through-branch, not a segment. *)
+let segments ~dogleg spec (pins : (pin * side) array) =
+  let ids = Hashtbl.create 16 in
+  let register (p : pin) =
+    if not (Hashtbl.mem ids p.net) then Hashtbl.add ids p.net (Hashtbl.length ids)
   in
-  List.iter (add Top) spec.top;
-  List.iter (add Bottom) spec.bottom;
-  (* through nets: two pins, same column, opposite sides *)
+  List.iter register spec.top;
+  List.iter register spec.bottom;
+  let of_net = Array.make (Hashtbl.length ids) [] in
+  for k = Array.length pins - 1 downto 0 do
+    let id = Hashtbl.find ids (fst pins.(k)).net in
+    of_net.(id) <- k :: of_net.(id)
+  done;
   let throughs = ref [] in
   let segments = ref [] in
-  let seg_id = ref 0 in
   Hashtbl.iter
-    (fun net pins ->
-      match pins with
-      | [ (xa, Top); (xb, Bottom) ] | [ (xa, Bottom); (xb, Top) ] when xa = xb ->
-        throughs := xa :: !throughs
-      | _ ->
-        List.iter
-          (fun s ->
-            incr seg_id;
-            segments := { s with id = !seg_id } :: !segments)
-          (segments_of_net ~dogleg net pins))
-    by_net;
-  let segs = Array.of_list !segments in
+    (fun net id ->
+      match of_net.(id) with
+      | [ b; t ] when (fst pins.(b)).x = (fst pins.(t)).x ->
+        throughs := (fst pins.(b)).x :: !throughs
+      | ks ->
+        List.iter (fun s -> segments := s :: !segments) (segments_of_net ~dogleg pins net ks))
+    ids;
+  (Array.of_list !segments, !throughs)
+
+(* Vertical constraint graph: in a column with a top pin of net a and a
+   bottom pin of net b (a <> b), every a-segment at that column must lie
+   above every b-segment there.  Such a column is a bottom pin followed
+   by a top pin at the same x in column order.  [succs.(i)] lists the
+   segments that must wait for [i], [waiting.(j)] counts the edges into
+   [j]. *)
+let constraints (pins : (pin * side) array) segs =
   let nsegs = Array.length segs in
-  (* vertical constraint graph between segments: in a column with a top pin
-     of net a and a bottom pin of net b (a <> b), every a-segment at that
-     column must be above every b-segment at that column *)
-  let at_column = Hashtbl.create 32 in
-  Array.iteri
-    (fun i s ->
+  let at = Array.make (Array.length pins) [] in
+  Array.iteri (fun i s -> List.iter (fun k -> at.(k) <- i :: at.(k)) s.pins) segs;
+  let succs = Array.make nsegs [] and waiting = Array.make nsegs 0 in
+  for k = 1 to Array.length pins - 1 do
+    let (b : pin), _ = pins.(k - 1) and (t : pin), side = pins.(k) in
+    if side = Top && b.x = t.x && b.net <> t.net then
       List.iter
-        (fun (x, side) ->
-          let cur = try Hashtbl.find at_column x with Not_found -> [] in
-          Hashtbl.replace at_column x ((i, side, s.net) :: cur))
-        s.pins)
-    segs;
-  let preds = Array.make nsegs [] in
-  Hashtbl.iter
-    (fun _x entries ->
-      List.iter
-        (fun (i, si, ni) ->
+        (fun i ->
           List.iter
-            (fun (j, sj, nj) ->
-              if ni <> nj && si = Top && sj = Bottom then
-                (* i above j: i is a predecessor of j in top-down filling *)
-                preds.(j) <- i :: preds.(j))
-            entries)
-        entries)
-    at_column;
-  (* top-down left-edge with constraints *)
+            (fun j ->
+              succs.(i) <- j :: succs.(i);
+              waiting.(j) <- waiting.(j) + 1)
+            at.(k - 1))
+        at.(k)
+  done;
+  (succs, waiting)
+
+(* Top-down left-edge with constraints.  Segments are sorted by left
+   edge once (stably, so ties keep segment order).  Each track walks the
+   unplaced ones in that order and takes every segment whose constraint
+   predecessors all sit on strictly earlier tracks and whose trunk
+   clears the one taken before it on the track.  Taken segments are
+   spliced out of the walk ({!Next_free}), and after each take the walk
+   jumps by binary search to the first left edge that clears the new
+   trunk: an unconstrained channel costs one sort plus O(log n) per
+   segment, and a constrained one steps over each waiting segment once
+   per track it waits. *)
+let assign_tracks ~dogleg pins segs =
+  let nsegs = Array.length segs in
+  let succs, waiting = constraints pins segs in
+  let order = Array.init nsegs Fun.id in
+  Array.stable_sort (fun a b -> Int.compare segs.(a).x0 segs.(b).x0) order;
+  let x0 = Array.map (fun i -> segs.(i).x0) order in
+  (* the first position >= p whose segment starts at or after x *)
+  let clearing p x =
+    let lo = ref p and hi = ref nsegs in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if x0.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let unplaced = Next_free.create nsegs in
   let track_of = Array.make nsegs (-1) in
   let remaining = ref nsegs in
   let track = ref 0 in
   while !remaining > 0 do
-    let placeable =
-      List.filter
-        (fun i ->
-          track_of.(i) = -1
-          && List.for_all
-               (fun j -> track_of.(j) >= 0 && track_of.(j) < !track)
-               preds.(i))
-        (List.init nsegs (fun i -> i))
-    in
-    if placeable = [] then
+    let placed = ref [] in
+    let p = ref (Next_free.find unplaced 0) in
+    while !p < nsegs do
+      let i = order.(!p) in
+      if waiting.(i) = 0 then begin
+        track_of.(i) <- !track;
+        placed := i :: !placed;
+        Next_free.take unplaced !p;
+        (* occupied intervals include contact surrounds: the next trunk's
+           x0 - 1 must lie 3 past this one's x1 + 3 *)
+        p := Next_free.find unplaced (clearing (!p + 1) (segs.(i).x1 + 7))
+      end
+      else p := Next_free.find unplaced (!p + 1)
+    done;
+    if !placed = [] then
       raise
         (Unroutable
            (if dogleg then "cyclic vertical constraints despite doglegs"
             else "cyclic vertical constraints (try dogleg)"));
-    let sorted =
-      List.sort (fun a b -> Int.compare segs.(a).x0 segs.(b).x0) placeable
-    in
-    let last_end = ref min_int in
+    (* released only now: a successor never shares its predecessor's track *)
     List.iter
       (fun i ->
-        (* effective occupied interval includes contact surrounds *)
-        let left = segs.(i).x0 - 1 and right = segs.(i).x1 + 3 in
-        if left >= !last_end + 3 then begin
-          track_of.(i) <- !track;
-          decr remaining;
-          last_end := right
-        end)
-      sorted;
+        decr remaining;
+        List.iter (fun j -> waiting.(j) <- waiting.(j) - 1) succs.(i))
+      !placed;
     incr track
   done;
-  let ntracks = !track in
+  (track_of, !track)
+
+let route ?(dogleg = false) spec =
+  Sc_obs.Obs.span "channel" @@ fun () ->
+  let pins = columns spec in
+  let segs, throughs = segments ~dogleg spec pins in
+  let track_of, ntracks = assign_tracks ~dogleg pins segs in
   let height = max 4 (track_pitch * ntracks) in
   (* trunk y of a track, numbered from the top *)
   let trunk_y k = height - 5 - (track_pitch * k) in
@@ -179,15 +210,12 @@ let route ?(dogleg = false) spec =
   Array.iteri
     (fun i s ->
       let ty = trunk_y track_of.(i) in
-      if s.x1 > s.x0 then begin
-        add (Cell.box Layer.Metal (Rect.make (s.x0 - 1) ty (s.x1 + 3) (ty + 3)));
-        trunk_length := !trunk_length + (s.x1 - s.x0)
-      end
-      else
-        (* degenerate trunk: just the contact pad *)
-        add (Cell.box Layer.Metal (Rect.make (s.x0 - 1) ty (s.x0 + 3) (ty + 3)));
+      (* a degenerate trunk (x0 = x1) is just the contact pad *)
+      add (Cell.box Layer.Metal (Rect.make (s.x0 - 1) ty (s.x1 + 3) (ty + 3)));
+      trunk_length := !trunk_length + (s.x1 - s.x0);
       List.iter
-        (fun (x, side) ->
+        (fun k ->
+          let ({ x; _ } : pin), side = pins.(k) in
           (* contact cut joining branch and trunk *)
           add (Cell.box Layer.Contact (Rect.make x ty (x + 2) (ty + 2)));
           add (Cell.box Layer.Metal (Rect.make (x - 1) (ty - 1) (x + 3) (ty + 3)));
@@ -198,7 +226,7 @@ let route ?(dogleg = false) spec =
     segs;
   List.iter
     (fun x -> add (Cell.box Layer.Poly (Rect.make x 0 (x + 2) height)))
-    !throughs;
+    throughs;
   let layout = Cell.make ~name:"channel" (List.rev !elements) in
   Sc_obs.Obs.count "route.tracks" ntracks;
   Sc_obs.Obs.count "route.height" height;

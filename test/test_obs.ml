@@ -195,6 +195,23 @@ let test_compiler_stages () =
         (List.assoc_opt key totals <> None))
     [ "gates"; "transistors"; "route.tracks"; "cif.bytes"; "drc.violations" ]
 
+(* route's time splits into pin assignment and the channel router, so
+   the stage has no unexplained self time *)
+let test_route_subspans () =
+  with_recorder @@ fun r ->
+  (match Sc_core.Compiler.compile_behavior Sc_core.Designs.counter_src with
+  | Ok _ -> ()
+  | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d));
+  let rows = R.stage_table r in
+  List.iter
+    (fun path ->
+      match List.find_opt (fun (row : Obs.row) -> row.rpath = path) rows with
+      | Some row -> Alcotest.(check int) (path ^ " is a child of route") 1 row.rdepth
+      | None -> Alcotest.failf "no %s span" path)
+    [ "route.pins"; "route.channel" ];
+  let pins = List.find (fun (row : Obs.row) -> row.rpath = "route.pins") rows in
+  Alcotest.(check int) "pins assigned once per compile" 1 pins.calls
+
 (* --- recorder instances: isolation, per-thread binding, reset safety --- *)
 
 let test_recorder_isolation () =
@@ -300,4 +317,6 @@ let suite =
       test_ambient_dispatch
   ; Alcotest.test_case "reset under a live span" `Quick
       test_reset_under_live_span
+  ; Alcotest.test_case "route records pins and channel sub-spans" `Quick
+      test_route_subspans
   ]

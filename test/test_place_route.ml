@@ -249,6 +249,185 @@ let prop_random_channels_route_clean =
          let r = route { top; bottom; width } in
          Sc_drc.Checker.is_clean r.layout))
 
+let prop_next_free_is_linear_probing =
+  (* the model is probing a set of taken slots one by one: the answer
+     is the first untaken slot at or after the request *)
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC4A7; 16 |])
+    (QCheck.Test.make ~name:"next-free slots = linear probing" ~count:300
+       QCheck.(list_of_size Gen.(int_range 0 60) (int_range 0 40))
+       (fun requests ->
+         let size = 41 + List.length requests in
+         let slots = Sc_route.Next_free.create size in
+         let used = Hashtbl.create 16 in
+         List.for_all
+           (fun s ->
+             let probe = ref s in
+             while Hashtbl.mem used !probe do
+               incr probe
+             done;
+             Hashtbl.add used !probe ();
+             let got = Sc_route.Next_free.find slots s in
+             Sc_route.Next_free.take slots got;
+             got = !probe)
+           requests
+         && Sc_route.Next_free.find slots 0 = Option.value ~default:size
+              (List.find_opt (fun k -> not (Hashtbl.mem used k)) (List.init size Fun.id))))
+
+(* --- differential: the near-linear router against the reference --- *)
+
+let outcome f =
+  match f () with
+  | r -> Ok r
+  | exception Unroutable m -> Error ("Unroutable: " ^ m)
+  | exception Invalid_argument m -> Error ("Invalid_argument: " ^ m)
+
+let same_routed (a : routed) (b : routed) =
+  a.tracks = b.tracks && a.height = b.height
+  && a.trunk_length = b.trunk_length
+  && a.layout.Sc_layout.Cell.elements = b.layout.Sc_layout.Cell.elements
+
+let same_outcome same a b =
+  match (a, b) with
+  | Ok a, Ok b -> same a b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let routes_like_reference pl =
+  same_outcome
+    (fun (rc : Sc_place.Placer.routed_channels) (channels, total_height) ->
+      rc.total_height = total_height
+      && List.length rc.channels = List.length channels
+      && List.for_all2 same_routed rc.channels channels)
+    (outcome (fun () -> Sc_place.Placer.route_channels pl))
+    (outcome (fun () -> Route_reference.route_channels pl))
+
+let builtin_problem =
+  let memo = Hashtbl.create 8 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some p -> p
+    | None ->
+      let p =
+        match Sc_core.Designs.circuit ("isp:" ^ name) with
+        | Some (Ok c) -> Sc_place.Placer.problem_of_circuit c
+        | _ -> Alcotest.failf "builtin %s does not synthesize" name
+      in
+      Hashtbl.add memo name p;
+      p
+
+type start = Random_start of int | Ordered_start | Improved of int
+
+let prop_placements_route_like_reference =
+  let gen =
+    QCheck.Gen.(
+      let* design = oneofl [ "counter"; "traffic"; "alu4"; "gray"; "seqdet"; "pdp8_dp" ] in
+      let* start =
+        oneof
+          [ map (fun s -> Random_start s) (int_range 0 999)
+          ; return Ordered_start
+          ; map (fun s -> Improved s) (int_range 0 999)
+          ]
+      in
+      let* nrows = opt (int_range 1 40) in
+      return (design, start, nrows))
+  in
+  let print (design, start, nrows) =
+    Printf.sprintf "%s %s nrows=%s" design
+      (match start with
+      | Random_start s -> Printf.sprintf "random ~seed:%d" s
+      | Ordered_start -> "ordered"
+      | Improved s -> Printf.sprintf "improve (random ~seed:%d)" s)
+      (match nrows with Some r -> string_of_int r | None -> "default")
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC4A7; 17 |])
+    (QCheck.Test.make ~name:"placements route exactly as the reference" ~count:200
+       (QCheck.make ~print gen) (fun (design, start, nrows) ->
+         let p = builtin_problem design in
+         let pl =
+           match start with
+           | Random_start seed -> Sc_place.Placer.random ~seed ?nrows p
+           | Ordered_start -> Sc_place.Placer.ordered ?nrows p
+           | Improved seed ->
+             Sc_place.Placer.improve ~iters:300 (Sc_place.Placer.random ~seed ?nrows p)
+         in
+         routes_like_reference pl))
+
+let test_pdp8_routes_like_reference () =
+  let pl = Sc_place.Placer.ordered (builtin_problem "pdp8") in
+  check_bool "pdp8 channels identical to the reference" true (routes_like_reference pl)
+
+(* Candidate columns 3 to 8 lambda apart; each side keeps a random
+   subset at least 7 apart, so the sides share some columns (vertical
+   constraints, and cycles among a few nets) and trunks end anywhere
+   relative to each other (the left-edge clearance boundary).  The pin
+   lists are shuffled, since their order decides the router's
+   tie-breaks.  One case in ten is broken on purpose: a pin crowding
+   another on one edge or on both, the width too narrow, or a pin below
+   zero. *)
+let gen_spec =
+  QCheck.Gen.(
+    let* gaps = list_size (int_range 1 24) (int_range 3 8) in
+    let columns = List.rev (snd (List.fold_left (fun (x, acc) g -> (x + g, x :: acc)) (0, []) gaps)) in
+    let* nets = int_range 1 8 in
+    let* labels = array_repeat nets (int_range (-50) 1_000_000) in
+    let side =
+      let* picks =
+        flatten_l
+          (List.map
+             (fun x ->
+               let* keep = bool and* net = oneofa labels in
+               return (keep, x, net))
+             columns)
+      in
+      shuffle_l
+        (snd
+           (List.fold_left
+              (fun (last, acc) (keep, x, net) ->
+                if keep && x - last >= 7 then (x, { x; net } :: acc) else (last, acc))
+              (-7, []) picks))
+    in
+    let* top = side and* bottom = side in
+    let width = List.fold_left max 0 columns + 2 in
+    let* dogleg = bool in
+    let* flaw = int_range 0 39 in
+    let crowd = function [] -> [] | p :: _ as pins -> { p with x = p.x + 1 } :: pins in
+    return
+      ( dogleg
+      , match flaw with
+        | 0 -> { top = crowd top; bottom; width }
+        | 1 -> { top = crowd top; bottom = crowd bottom; width }
+        | 2 -> { top; bottom; width = width - 3 }
+        | 3 -> { top; bottom = List.map (fun p -> { p with x = p.x - 1 }) bottom; width }
+        | _ -> { top; bottom; width } ))
+
+let print_spec (dogleg, spec) =
+  let pins ps = String.concat " " (List.map (fun p -> Printf.sprintf "%d:%d" p.x p.net) ps) in
+  Printf.sprintf "dogleg=%b width=%d\n  top    %s\n  bottom %s" dogleg spec.width
+    (pins spec.top) (pins spec.bottom)
+
+let test_channels_route_like_reference () =
+  let seen = Hashtbl.create 8 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0xC4A7; 18 |])
+    (QCheck.Test.make ~name:"channel specs route exactly as the reference" ~count:500
+       (QCheck.make ~print:print_spec gen_spec) (fun (dogleg, spec) ->
+         let expected = outcome (fun () -> Route_reference.route ~dogleg spec) in
+         let kind =
+           match expected with
+           | Ok r when r.tracks > 1 -> "several tracks"
+           | Ok _ -> "at most one track"
+           | Error m -> List.hd (String.split_on_char ':' m)
+         in
+         Hashtbl.replace seen (kind, dogleg) ();
+         same_outcome same_routed (outcome (fun () -> route ~dogleg spec)) expected));
+  List.iter
+    (fun case ->
+      List.iter
+        (fun dogleg ->
+          check_bool (Printf.sprintf "some case (dogleg=%b): %s" dogleg case) true
+            (Hashtbl.mem seen (case, dogleg)))
+        [ false; true ])
+    [ "several tracks"; "at most one track"; "Unroutable"; "Invalid_argument" ]
+
 let suite =
   [ Alcotest.test_case "problem extraction" `Quick test_problem_extraction
   ; Alcotest.test_case "placements disjoint" `Quick test_placements_disjoint
@@ -271,4 +450,10 @@ let suite =
   ; Alcotest.test_case "route channels from placement" `Quick test_route_channels
   ; Alcotest.test_case "routed channels: structure helps" `Quick test_route_channels_structure_helps
   ; prop_random_channels_route_clean
+    ; prop_next_free_is_linear_probing
+  ; prop_placements_route_like_reference
+  ; Alcotest.test_case "pdp8 routes exactly as the reference" `Quick
+      test_pdp8_routes_like_reference
+  ; Alcotest.test_case "channel specs route exactly as the reference" `Quick
+      test_channels_route_like_reference
   ]
