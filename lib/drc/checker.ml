@@ -9,36 +9,14 @@ type violation =
   }
 
 (* --- rectangle cover: is [target] fully covered by the union of [covers]?
-   Recursive splitting: find a cover overlapping the target, split the
-   uncovered remainder into at most four rectangles and recurse. *)
+   Recursive splitting: find a cover overlapping the target and recurse
+   on the at most four pieces of the target outside it. *)
 let rec covered target covers =
-  if Rect.is_empty target then true
-  else
-    match
-      List.find_opt
-        (fun c -> Rect.overlaps c target || Rect.contains c target)
-        covers
-    with
-    | None -> false
-    | Some c ->
-      if Rect.contains c target then true
-      else
-        let pieces =
-          let t = target in
-          let frags = ref [] in
-          let push x0 y0 x1 y1 =
-            if x0 < x1 && y0 < y1 then frags := Rect.make x0 y0 x1 y1 :: !frags
-          in
-          (* Left and right slabs, then the middle strips above and below. *)
-          push t.Rect.xmin t.Rect.ymin (Int.min t.Rect.xmax c.Rect.xmin) t.Rect.ymax;
-          push (Int.max t.Rect.xmin c.Rect.xmax) t.Rect.ymin t.Rect.xmax t.Rect.ymax;
-          let mx0 = Int.max t.Rect.xmin c.Rect.xmin
-          and mx1 = Int.min t.Rect.xmax c.Rect.xmax in
-          push mx0 t.Rect.ymin mx1 (Int.min t.Rect.ymax c.Rect.ymin);
-          push mx0 (Int.max t.Rect.ymin c.Rect.ymax) mx1 t.Rect.ymax;
-          !frags
-        in
-        List.for_all (fun p -> covered p covers) pieces
+  Rect.is_empty target
+  ||
+  match List.find_opt (fun c -> Rect.overlaps c target) covers with
+  | None -> false
+  | Some c -> List.for_all (fun p -> covered p covers) (Rect.minus target c)
 
 (* the non-empty rectangles of each layer, by [Layer.index], the last
    flattened first *)

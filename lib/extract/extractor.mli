@@ -13,13 +13,22 @@
       crossings are the transistor channels);
     - contact cuts join metal to the poly or diffusion under them;
       buried contacts join poly to diffusion directly;
-    - every poly-over-diffusion crossing is a transistor: gate = the poly
-      region, source/drain = the two severed diffusion regions flanking
-      the channel; an implant over the channel marks depletion mode.
+    - every poly-over-diffusion crossing outside a buried contact is a
+      transistor channel ({!Sc_layout.Stats.channels}; touching pieces
+      are one channel): gate = the poly region, source/drain = the
+      severed diffusion regions flanking it; an implant over the channel
+      marks depletion mode.  So the device count always equals
+      {!Sc_layout.Stats.transistor_count}.
 
-    Extraction warns (rather than fails) on analog oddities: a channel
-    with fewer or more than two flanking diffusion regions, or a device
-    none of whose terminals reach a named port. *)
+    Extraction warns (rather than fails) on oddities: a contact with no
+    metal or nothing under it, a buried contact that joins nothing, a
+    channel with other than two flanking diffusion regions, or a port
+    that touches no conductor.
+
+    Cost: one flattening, then grid-index queries ({!Sc_geom.Rect_index})
+    for every candidate search, so near-linear in the rectangle count
+    for locally sparse layouts; cutting a diffusion strip crossed by [k]
+    gates costs O(k{^ 2}). *)
 
 type device =
   { gate : int  (** node id *)

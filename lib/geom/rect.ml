@@ -66,6 +66,22 @@ let inter a b =
       }
   else None
 
+let minus a b =
+  if not (overlaps a b) then [ a ]
+  else begin
+    let pieces = ref [] in
+    let piece x0 y0 x1 y1 =
+      if x0 < x1 && y0 < y1 then pieces := make x0 y0 x1 y1 :: !pieces
+    in
+    (* left and right slabs, then the middle strips below and above *)
+    piece a.xmin a.ymin (Int.min a.xmax b.xmin) a.ymax;
+    piece (Int.max a.xmin b.xmax) a.ymin a.xmax a.ymax;
+    let mx0 = Int.max a.xmin b.xmin and mx1 = Int.min a.xmax b.xmax in
+    piece mx0 a.ymin mx1 (Int.min a.ymax b.ymin);
+    piece mx0 (Int.max a.ymin b.ymax) mx1 a.ymax;
+    !pieces
+  end
+
 let union_bbox a b =
   { xmin = Int.min a.xmin b.xmin
   ; ymin = Int.min a.ymin b.ymin

@@ -51,6 +51,12 @@ val contains : t -> t -> bool
 val inter : t -> t -> t option
 (** Intersection, [None] if the interiors are disjoint. *)
 
+(** [minus a b] is the parts of [a] outside [b]: [[a]] itself unless
+    they {!overlaps}, otherwise at most four non-empty rectangles with
+    disjoint interiors, listed top strip, bottom strip, right slab, left
+    slab (the strips span [b]'s columns, the slabs [a]'s full height). *)
+val minus : t -> t -> t list
+
 val union_bbox : t -> t -> t
 
 (** [separation a b] is the Euclidean-free rectilinear separation used by

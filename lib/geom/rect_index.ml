@@ -162,32 +162,25 @@ let near c ~within (r : Rect.t) =
 (* Two touching rectangles share at least one tile, so unioning the
    touching pairs within each tile joins every region. *)
 let components t =
-  let n = Array.length t.rects in
-  let parent = Array.init n Fun.id in
-  (* path halving: every visited node skips to its grandparent *)
-  let rec find i =
-    let p = parent.(i) in
-    if p = i then i
-    else begin
-      let g = parent.(p) in
-      parent.(i) <- g;
-      if g = p then p else find g
-    end
-  in
+  let uf = Union_find.create (Array.length t.rects) in
   for k = 0 to Array.length t.start - 2 do
     let last = t.start.(k + 1) - 1 in
     for a = t.start.(k) to last do
       let i = t.items.(a) in
       for b = a + 1 to last do
         let j = t.items.(b) in
-        if Rect.touches_or_overlaps t.rects.(i) t.rects.(j) then begin
-          let ri = find i and rj = find j in
-          if ri <> rj then parent.(ri) <- rj
-        end
+        if Rect.touches_or_overlaps t.rects.(i) t.rects.(j) then
+          Union_find.union uf i j
       done
     done
   done;
-  for i = 0 to n - 1 do
-    parent.(i) <- find i
+  Union_find.labels uf
+
+let subtract c r =
+  let cuts = c.index.rects in
+  let pieces = ref [ r ] in
+  for k = 0 to near c ~within:0 r - 1 do
+    let cut = cuts.(hit c k) in
+    pieces := List.concat_map (fun p -> Rect.minus p cut) !pieces
   done;
-  parent
+  !pieces

@@ -44,3 +44,8 @@ val hit : cursor -> int -> int
     chain of rectangles, each touching or overlapping the next.  A
     label is the index of one member of its region. *)
 val components : t -> int array
+
+(** [subtract c r] is the parts of [r] outside every indexed rectangle:
+    [r] is cut by each rectangle it overlaps with {!Rect.minus}, in
+    ascending index order.  It uses [c] for its own query. *)
+val subtract : cursor -> Rect.t -> Rect.t list

@@ -13,33 +13,38 @@ type t =
   ; instances : int
   }
 
-(* Gate regions = connected groups of poly/diffusion intersection
-   rectangles.  A grid index over the diffusion finds the strips each
-   poly rectangle crosses; a second index over the intersections labels
-   the regions, so a gate drawn in several touching boxes is counted
-   once. *)
-let overlap_regions polys diffs =
-  let diffs = Rect_index.create (Array.of_list diffs) in
-  let diff_rects = Rect_index.rects diffs in
-  let near = Rect_index.cursor diffs in
-  let inters = ref [] in
-  List.iter
+type channels = { pieces : Rect_index.t; region : int array }
+
+(* A grid index over the diffusion finds the strips each poly rectangle
+   crosses, and one over the buried contacts the cuts each crossing
+   loses; a third index over the pieces labels the regions, so a gate
+   drawn in several touching boxes is one channel. *)
+let channels ~poly ~diffusion ~buried =
+  let near_diff = Rect_index.cursor (Rect_index.create diffusion) in
+  let near_cut = Rect_index.cursor (Rect_index.create buried) in
+  let pieces = ref [] in
+  Array.iter
     (fun p ->
-      for k = 0 to Rect_index.near near ~within:0 p - 1 do
-        match Rect.inter p diff_rects.(Rect_index.hit near k) with
-        | Some r when not (Rect.is_empty r) -> inters := r :: !inters
+      for k = 0 to Rect_index.near near_diff ~within:0 p - 1 do
+        match Rect.inter p diffusion.(Rect_index.hit near_diff k) with
+        | Some g when not (Rect.is_empty g) ->
+          pieces := List.rev_append (Rect_index.subtract near_cut g) !pieces
         | _ -> ()
       done)
-    polys;
-  let region = Rect_index.components (Rect_index.create (Array.of_list !inters)) in
+    poly;
+  let pieces = Rect_index.create (Array.of_list (List.rev !pieces)) in
+  { pieces; region = Rect_index.components pieces }
+
+let transistor_count c =
+  let on = Flatten.run_layers c [ Layer.Poly; Layer.Diffusion; Layer.Buried ] in
+  let layer l = Array.of_list on.(Layer.index l) in
+  let { region; _ } =
+    channels ~poly:(layer Layer.Poly) ~diffusion:(layer Layer.Diffusion)
+      ~buried:(layer Layer.Buried)
+  in
   let roots = ref 0 in
   Array.iteri (fun i r -> if r = i then incr roots) region;
   !roots
-
-let transistor_count c =
-  overlap_regions
-    (Flatten.run_layer c Layer.Poly)
-    (Flatten.run_layer c Layer.Diffusion)
 
 let count_instances root =
   let memo = Hashtbl.create 64 in

@@ -13,7 +13,7 @@ type t =
   ; width : int
   ; height : int
   ; layer_area : int array  (** drawn area per layer, by [Layer.index] *)
-  ; transistors : int  (** poly-diffusion crossings in the flat layout *)
+  ; transistors : int  (** transistor channels in the flat layout *)
   ; rects : int  (** flattened rectangle count *)
   ; cells : int  (** distinct cells in the hierarchy *)
   ; instances : int  (** total instantiations, transitively *)
@@ -21,10 +21,28 @@ type t =
 
 val measure : Cell.t -> t
 
-(** [transistor_count c] counts distinct poly-over-diffusion overlap
-    regions in the flattened layout; overlapping poly rectangles over one
-    diffusion strip are merged so a gate drawn as two abutting boxes counts
-    once. *)
+(** Transistor channels: poly over diffusion minus buried-contact area
+    (a buried contact joins the two layers; it is not a gate).
+    [pieces] holds each poly rectangle's crossings with the diffusion,
+    in poly order, each cut by the buried contacts it overlaps
+    ({!Sc_geom.Rect_index.subtract}); [region] labels touching pieces
+    alike ({!Sc_geom.Rect_index.components}).  A region is one
+    transistor, however many boxes draw it. *)
+type channels = { pieces : Sc_geom.Rect_index.t; region : int array }
+
+(** [channels ~poly ~diffusion ~buried] recognises the channels of flat
+    rectangles given per layer.  Every candidate search is a grid-index
+    query: near-linear in the rectangle count for locally sparse
+    layouts. *)
+val channels :
+  poly:Sc_geom.Rect.t array ->
+  diffusion:Sc_geom.Rect.t array ->
+  buried:Sc_geom.Rect.t array ->
+  channels
+
+(** [transistor_count c] is the number of channel regions in the
+    flattened layout; [Sc_extract.Extractor.extract] makes one device
+    per region, so the two always agree. *)
 val transistor_count : Cell.t -> int
 
 val layer_area : t -> Layer.t -> int

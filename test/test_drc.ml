@@ -317,28 +317,6 @@ let reference_check flat =
     [ (Layer.Contact, Layer.Metal); (Layer.Glass, Layer.Metal) ];
   List.rev !out
 
-let reference_transistors flat =
-  let on l =
-    List.filter_map
-      (fun (fb : Flatten.flat_box) -> if Layer.equal fb.layer l then Some fb.rect else None)
-      flat
-  in
-  let gates =
-    List.concat_map
-      (fun p ->
-        List.filter_map
-          (fun d ->
-            match Rect.inter p d with
-            | Some r when not (Rect.is_empty r) -> Some r
-            | _ -> None)
-          (on Layer.Diffusion))
-      (on Layer.Poly)
-  in
-  let label = Test_geom.touch_labels (Array.of_list gates) in
-  let roots = ref 0 in
-  Array.iteri (fun i l -> if l = i then incr roots) label;
-  !roots
-
 (* Random hierarchies: leaf cells of boxes on every layer placed as
    translated instances, plus boxes in the top cell.  Boxes include
    narrow and degenerate ones, rails long enough to cross many index
@@ -404,7 +382,7 @@ let test_matches_reference () =
              let flat = Flatten.run layout in
              let expected = reference_check flat in
              List.iter (fun v -> Hashtbl.replace seen v.Checker.rule ()) expected;
-             let gates = reference_transistors flat in
+             let gates = List.length (Extract_reference.extract layout).devices in
              most_gates := max !most_gates gates;
              Checker.check_flat ~pool:p1 flat = expected
              && Checker.check_flat ~pool:p2 flat = expected

@@ -283,6 +283,114 @@ let test_routed_chain_cif_roundtrip () =
   check_bool "roundtrips" true
     (Sc_cif.Elaborate.roundtrip_ok (Sc_stdcell.Nmos.routed_chain 4))
 
+(* --- the indexed extractor against the all-pairs oracle --- *)
+
+(* What two extractions must share, up to node renumbering: counts, the
+   port partition, the devices with every node named by its least port
+   name ("?" when it has none), and the warnings (channel warnings name
+   a sample rectangle of the channel, so only their number). *)
+let summary (net : Extractor.netlist) =
+  let least = Hashtbl.create 16 in
+  List.iter
+    (fun (p, n) ->
+      match Hashtbl.find_opt least n with
+      | Some q when q <= p -> ()
+      | _ -> Hashtbl.replace least n p)
+    net.named;
+  let name n = Option.value (Hashtbl.find_opt least n) ~default:"?" in
+  let partition =
+    List.sort compare
+      (Hashtbl.fold
+         (fun n _ acc ->
+           List.sort compare
+             (List.filter_map (fun (p, m) -> if m = n then Some p else None) net.named)
+           :: acc)
+         least [])
+  in
+  let device (d : Extractor.device) =
+    (name d.gate, List.sort compare (List.map name d.terminals), d.depletion)
+  in
+  let channel w = String.starts_with ~prefix:"channel" w in
+  ( (net.node_count, devices net, depletions net)
+  , partition
+  , List.sort compare (List.map device net.devices)
+  , List.filter (fun w -> not (channel w)) net.warnings
+  , List.length (List.filter channel net.warnings) )
+
+(* test_drc's random hierarchies, with ports on some of the top cell's
+   conductor boxes (a degenerate box's port touches nothing) *)
+let gen_ported =
+  let open QCheck.Gen in
+  let* layout = Test_drc.gen_layout in
+  let conductors =
+    List.filter_map
+      (function
+        | Cell.Box (((Sc_tech.Layer.Poly | Diffusion | Metal) as l), r) -> Some (l, r)
+        | _ -> None)
+      layout.Cell.elements
+  in
+  let* keep = list_repeat (List.length conductors) (float_bound_exclusive 1.) in
+  let ports =
+    List.concat
+      (List.mapi
+         (fun k ((l, r), u) ->
+           if u < 0.6 then [ Cell.port (Printf.sprintf "p%d" k) l r ] else [])
+         (List.combine conductors keep))
+  in
+  pure (Cell.add_ports layout ports)
+
+(* a poly/diffusion crossing overlapped by a buried contact *)
+let buried_cuts_channel layout =
+  let on l = (Flatten.run_layers layout [ l ]).(Sc_tech.Layer.index l) in
+  List.exists
+    (fun p ->
+      List.exists
+        (fun d ->
+          match Sc_geom.Rect.inter p d with
+          | Some g -> List.exists (Sc_geom.Rect.overlaps g) (on Sc_tech.Layer.Buried)
+          | None -> false)
+        (on Sc_tech.Layer.Diffusion))
+    (on Sc_tech.Layer.Poly)
+
+let test_matches_reference () =
+  let cut = ref false and depletion = ref false and warned = ref false in
+  let most = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0xE87; 18 |])
+    (QCheck.Test.make ~name:"indexed extractor = all-pairs oracle" ~count:200
+       (QCheck.make
+          ~print:(fun c -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c))
+          gen_ported)
+       (fun layout ->
+         let expected = Extract_reference.extract layout in
+         if buried_cuts_channel layout then cut := true;
+         if depletions expected > 0 then depletion := true;
+         if expected.warnings <> [] then warned := true;
+         most := max !most (devices expected);
+         summary (Extractor.extract layout) = summary expected));
+  check_bool "some case has a buried contact cutting a channel" true !cut;
+  check_bool "some device is depletion" true !depletion;
+  check_bool "some case warns" true !warned;
+  check_bool "some case has several devices" true (!most >= 3)
+
+(* --- chip scale --- *)
+
+let test_pdp8_extraction () =
+  (* The all-pairs extractor took ~6 s of CPU on pdp8; the indexed one
+     takes ~0.05 s.  The 1 s budget only trips if all-pairs behaviour
+     comes back. *)
+  match Sc_core.Compiler.compile_behavior Sc_core.Designs.pdp8_src with
+  | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d)
+  | Ok (compiled, _) ->
+    let t0 = Sys.time () in
+    let net = Extractor.extract compiled.Sc_core.Compiler.layout in
+    let dt = Sys.time () -. t0 in
+    check_int "nodes" 9362 net.node_count;
+    check_int "devices" 7294 (devices net);
+    check_int "the transistor count agrees" compiled.transistors (devices net);
+    check_int "depletion" 2620 (depletions net);
+    Alcotest.(check (list string)) "no warnings" [] net.warnings;
+    check_bool (Printf.sprintf "extraction under budget (%.2fs cpu)" dt) true (dt < 1.0)
+
 let suite =
   [ Alcotest.test_case "inv extraction" `Quick test_inv_extraction
   ; Alcotest.test_case "primitive device counts" `Quick test_primitive_device_counts
@@ -301,4 +409,7 @@ let suite =
   ; prop_random_pla_artwork_computes
   ; Alcotest.test_case "routed chain artwork" `Quick test_routed_chain_artwork
   ; Alcotest.test_case "routed chain CIF roundtrip" `Quick test_routed_chain_cif_roundtrip
+  ; Alcotest.test_case "indexed extractor matches the all-pairs oracle" `Quick
+      test_matches_reference
+  ; Alcotest.test_case "pdp8 extraction" `Slow test_pdp8_extraction
   ]

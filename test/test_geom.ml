@@ -249,6 +249,20 @@ let prop_rect_area_preserved =
     (QCheck.make (QCheck.Gen.pair gen_transform gen_rect))
     (fun (t, r) -> Rect.area (Transform.apply_rect t r) = Rect.area r)
 
+let prop_minus_pieces =
+  qtest "minus: disjoint pieces of a outside b" 1000 arb_rect2 (fun (a, b) ->
+      let pieces = Rect.minus a b in
+      let rec disjoint = function
+        | [] -> true
+        | p :: rest ->
+          List.for_all (fun q -> not (Rect.overlaps p q)) rest && disjoint rest
+      in
+      let cut = match Rect.inter a b with Some i -> Rect.area i | None -> 0 in
+      List.length pieces <= 4
+      && List.for_all (fun p -> Rect.contains a p && not (Rect.overlaps p b)) pieces
+      && disjoint pieces
+      && List.fold_left (fun s p -> s + Rect.area p) 0 pieces = Rect.area a - cut)
+
 let suite =
   [ Alcotest.test_case "rect normalizes" `Quick test_rect_normalizes
   ; Alcotest.test_case "rect center/corner constructors" `Quick test_rect_center_corner
@@ -269,4 +283,5 @@ let suite =
   ; Alcotest.test_case "index edge cases" `Quick test_index_edge_cases
   ; prop_index_near_is_filter
   ; prop_index_components
+  ; prop_minus_pieces
   ]

@@ -138,7 +138,18 @@ let test_transistor_count () =
       ; Cell.box Layer.Poly (Rect.make 4 4 6 8)
       ]
   in
-  check_int "split gate counts once" 1 (Stats.transistor_count split)
+  check_int "split gate counts once" 1 (Stats.transistor_count split);
+  (* buried-contact area joins poly to diffusion: it is not a channel *)
+  let buried =
+    Cell.make ~name:"t3"
+      [ Cell.box Layer.Poly (Rect.make 0 4 10 6)
+      ; Cell.box Layer.Diffusion (Rect.make 4 0 6 10)
+      ; Cell.box Layer.Buried (Rect.make 3 3 7 7)
+      ]
+  in
+  check_int "no gate under a buried contact" 0 (Stats.transistor_count buried);
+  check_int "the extractor agrees" 0
+    (List.length (Sc_extract.Extractor.extract buried).Sc_extract.Extractor.devices)
 
 let test_stats_measure () =
   let t = tile () in

@@ -44,7 +44,9 @@ let test_row_abutment_clean_and_connected () =
   check_bool "row DRC clean" true (Sc_drc.Checker.is_clean r);
   (* rails must merge into one region per rail: flatten metal and check the
      bottom rail spans the full width *)
-  let metal = Flatten.run_layer r Sc_tech.Layer.Metal in
+  let metal =
+    (Flatten.run_layers r [ Sc_tech.Layer.Metal ]).(Sc_tech.Layer.index Sc_tech.Layer.Metal)
+  in
   let width = Cell.width r in
   let bottom_covered =
     List.exists
