@@ -55,31 +55,97 @@ let check file =
   (match !in_def with Some n -> err "unterminated DS %d" n | None -> ());
   List.rev !errs
 
-let pp_trans ppf = function
-  | Translate (x, y) -> Format.fprintf ppf "T %d %d" x y
-  | Mirror_x -> Format.fprintf ppf "M X"
-  | Mirror_y -> Format.fprintf ppf "M Y"
-  | Rotate (a, b) -> Format.fprintf ppf "R %d %d" a b
+(* Decimal digits of [n <= 0], most significant first; working on the
+   negative side keeps [min_int] exact. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
 
-let pp_points ppf pts =
-  List.iter (fun (x, y) -> Format.fprintf ppf " %d %d" x y) pts
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
 
-let pp_command ppf = function
-  | Def_start (n, a, b) -> Format.fprintf ppf "DS %d %d %d;" n a b
-  | Def_finish -> Format.fprintf ppf "DF;"
-  | Def_delete n -> Format.fprintf ppf "DD %d;" n
-  | Layer l -> Format.fprintf ppf "L %s;" l
-  | Box b -> Format.fprintf ppf "B %d %d %d %d;" b.length b.width b.cx b.cy
-  | Polygon pts -> Format.fprintf ppf "P%a;" pp_points pts
-  | Wire w -> Format.fprintf ppf "W %d%a;" w.width pp_points w.points
+let add_pair b x y =
+  add_int b x;
+  Buffer.add_char b ' ';
+  add_int b y
+
+let add_trans b = function
+  | Translate (x, y) ->
+    Buffer.add_string b "T ";
+    add_pair b x y
+  | Mirror_x -> Buffer.add_string b "M X"
+  | Mirror_y -> Buffer.add_string b "M Y"
+  | Rotate (x, y) ->
+    Buffer.add_string b "R ";
+    add_pair b x y
+
+let add_points b pts =
+  List.iter
+    (fun (x, y) ->
+      Buffer.add_char b ' ';
+      add_pair b x y)
+    pts
+
+let add_command b cmd =
+  (match cmd with
+  | Def_start (n, a, d) ->
+    Buffer.add_string b "DS ";
+    add_int b n;
+    Buffer.add_char b ' ';
+    add_pair b a d;
+    Buffer.add_char b ';'
+  | Def_finish -> Buffer.add_string b "DF;"
+  | Def_delete n ->
+    Buffer.add_string b "DD ";
+    add_int b n;
+    Buffer.add_char b ';'
+  | Layer l ->
+    Buffer.add_string b "L ";
+    Buffer.add_string b l;
+    Buffer.add_char b ';'
+  | Box x ->
+    Buffer.add_string b "B ";
+    add_pair b x.length x.width;
+    Buffer.add_char b ' ';
+    add_pair b x.cx x.cy;
+    Buffer.add_char b ';'
+  | Polygon pts ->
+    Buffer.add_char b 'P';
+    add_points b pts;
+    Buffer.add_char b ';'
+  | Wire w ->
+    Buffer.add_string b "W ";
+    add_int b w.width;
+    add_points b w.points;
+    Buffer.add_char b ';'
   | Call (n, ops) ->
-    Format.fprintf ppf "C %d" n;
-    List.iter (fun op -> Format.fprintf ppf " %a" pp_trans op) ops;
-    Format.fprintf ppf ";"
-  | Comment s -> Format.fprintf ppf "(%s);" s
+    Buffer.add_string b "C ";
+    add_int b n;
+    List.iter
+      (fun op ->
+        Buffer.add_char b ' ';
+        add_trans b op)
+      ops;
+    Buffer.add_char b ';'
+  | Comment s ->
+    Buffer.add_char b '(';
+    Buffer.add_string b s;
+    Buffer.add_string b ");"
   | User (d, s) ->
-    if s = "" then Format.fprintf ppf "%d;" d else Format.fprintf ppf "%d %s;" d s
-  | End -> Format.fprintf ppf "E"
+    add_int b d;
+    if s <> "" then begin
+      Buffer.add_char b ' ';
+      Buffer.add_string b s
+    end;
+    Buffer.add_char b ';'
+  | End -> Buffer.add_char b 'E');
+  Buffer.add_char b '\n'
 
-let pp ppf file =
-  List.iter (fun c -> Format.fprintf ppf "%a@\n" pp_command c) file
+let to_string file =
+  let b = Buffer.create 4096 in
+  List.iter (add_command b) file;
+  Buffer.contents b

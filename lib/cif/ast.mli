@@ -31,6 +31,14 @@ type file = command list
     terminated by [End].  Returns the list of violations (empty = ok). *)
 val check : file -> string list
 
-val pp_command : Format.formatter -> command -> unit
+(** [add_command b c] appends [c]'s text and a newline to [b]: one line
+    of a CIF file.  This is the only CIF printer; it writes integers
+    itself, without [Printf] or [Format]. *)
+val add_command : Buffer.t -> command -> unit
 
-val pp : Format.formatter -> file -> unit
+(** [add_int b n] appends [n] in decimal, as {!add_command} writes
+    every number. *)
+val add_int : Buffer.t -> int -> unit
+
+(** The file's text: each command on its own line, in order. *)
+val to_string : file -> string

@@ -7,23 +7,25 @@ open Sc_layout
 let scale_a = Rules.centimicrons_per_lambda / 2
 let scale_b = 1
 
-let orient_ops : Transform.orient -> Ast.trans_op list = function
-  | Transform.R0 -> []
-  | Transform.R90 -> [ Ast.Rotate (0, 1) ]
-  | Transform.R180 -> [ Ast.Rotate (-1, 0) ]
-  | Transform.R270 -> [ Ast.Rotate (0, -1) ]
-  | Transform.MX -> [ Ast.Mirror_y ]
-  | Transform.MY -> [ Ast.Mirror_x ]
-  | Transform.MX90 -> [ Ast.Mirror_y; Ast.Rotate (0, 1) ]
-  | Transform.MY90 -> [ Ast.Mirror_x; Ast.Rotate (0, 1) ]
+(* the orientation's CIF operations, in front of [rest] *)
+let orient_ops (o : Transform.orient) rest =
+  match o with
+  | Transform.R0 -> rest
+  | Transform.R90 -> Ast.Rotate (0, 1) :: rest
+  | Transform.R180 -> Ast.Rotate (-1, 0) :: rest
+  | Transform.R270 -> Ast.Rotate (0, -1) :: rest
+  | Transform.MX -> Ast.Mirror_y :: rest
+  | Transform.MY -> Ast.Mirror_x :: rest
+  | Transform.MX90 -> Ast.Mirror_y :: Ast.Rotate (0, 1) :: rest
+  | Transform.MY90 -> Ast.Mirror_x :: Ast.Rotate (0, 1) :: rest
+
+let legal = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' -> true
+  | _ -> false
 
 let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' -> c
-      | _ -> '_')
-    name
+  if String.for_all legal name then name
+  else String.map (fun c -> if legal c then c else '_') name
 
 let box_command (r : Rect.t) =
   Ast.Box
@@ -33,89 +35,74 @@ let box_command (r : Rect.t) =
     ; cy = r.Rect.ymin + r.Rect.ymax
     }
 
-let element_rects = function
-  | Cell.Box (l, r) -> [ (l, r) ]
-  | Cell.Wire (l, p) -> List.map (fun r -> (l, r)) (Path.to_rects p)
+(* [symbol f label number c numbering] feeds [f] the commands defining [c]:
+   its name, its geometry grouped by layer (one L command per layer, in
+   [Layer.all] order, each layer's boxes in element order), its port
+   labels and its instance calls.  [label] is scratch for the labels. *)
+let symbol f label number (c : Cell.t) numbering =
+  f (Ast.Def_start (number, scale_a, scale_b));
+  f (Ast.User (9, sanitize c.name));
+  List.iter
+    (fun layer ->
+      let started = ref false in
+      let box r =
+        if not !started then begin
+          started := true;
+          f (Ast.Layer (Layer.cif_name layer))
+        end;
+        f (box_command r)
+      in
+      List.iter
+        (function
+          | Cell.Box (l, r) when Layer.equal l layer -> box r
+          | Cell.Wire (l, p) when Layer.equal l layer -> List.iter box (Path.to_rects p)
+          | Cell.Box _ | Cell.Wire _ -> ())
+        c.elements)
+    Layer.all;
+  List.iter
+    (fun (p : Cell.port) ->
+      (* "94 name x y layer": user extension 9, subcommand 4 (point label).
+         xmin+xmax is the exact doubled centre in half-lambda units. *)
+      Buffer.clear label;
+      Buffer.add_string label "4 ";
+      Buffer.add_string label (sanitize p.pname);
+      Buffer.add_char label ' ';
+      Ast.add_int label (p.rect.Rect.xmin + p.rect.Rect.xmax);
+      Buffer.add_char label ' ';
+      Ast.add_int label (p.rect.Rect.ymin + p.rect.Rect.ymax);
+      Buffer.add_char label ' ';
+      Buffer.add_string label (Layer.cif_name p.layer);
+      f (Ast.User (9, Buffer.contents label)))
+    c.ports;
+  List.iter
+    (fun (i : Cell.inst) ->
+      let shift = i.trans.Transform.shift in
+      f
+        (Ast.Call
+           ( Hashtbl.find numbering i.cell.Cell.id
+           , orient_ops i.trans.Transform.orient
+               [ Ast.Translate (2 * shift.Point.x, 2 * shift.Point.y) ] )))
+    c.instances;
+  f Ast.Def_finish
 
-let symbol_commands number (c : Cell.t) numbering =
-  let header =
-    [ Ast.Def_start (number, scale_a, scale_b); Ast.User (9, sanitize c.name) ]
-  in
-  let rects = List.concat_map element_rects c.elements in
-  (* Group rectangles by layer so each run needs a single L command. *)
-  let by_layer =
-    List.stable_sort (fun (a, _) (b, _) -> Layer.compare a b) rects
-  in
-  let geometry =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (current, acc) (l, r) ->
-              let acc =
-                if current = Some l then box_command r :: acc
-                else box_command r :: Ast.Layer (Layer.cif_name l) :: acc
-              in
-              (Some l, acc))
-            (None, []) by_layer))
-  in
-  let ports =
-    List.map
-      (fun (p : Cell.port) ->
-        (* "94 name x y layer": user extension 9, subcommand 4 (point label).
-           xmin+xmax is the exact doubled centre in half-lambda units. *)
-        Ast.User
-          ( 9
-          , Printf.sprintf "4 %s %d %d %s" (sanitize p.pname)
-              (p.rect.Rect.xmin + p.rect.Rect.xmax)
-              (p.rect.Rect.ymin + p.rect.Rect.ymax)
-              (Layer.cif_name p.layer) ))
-      c.ports
-  in
-  let calls =
-    List.map
-      (fun (i : Cell.inst) ->
-        let n = Hashtbl.find numbering i.cell.Cell.id in
-        let t = i.trans in
-        let shift = t.Transform.shift in
-        Ast.Call
-          ( n
-          , orient_ops t.Transform.orient
-            @ [ Ast.Translate (2 * shift.Point.x, 2 * shift.Point.y) ] ))
-      c.instances
-  in
-  header @ geometry @ ports @ calls @ [ Ast.Def_finish ]
-
-let file_of_cell root =
+(* The one CIF generator: feeds [f] every command of [root]'s file in
+   order, one symbol per distinct cell, then the root call. *)
+let commands f root =
   let cells = Cell.all_cells root in
   let numbering = Hashtbl.create 64 in
   List.iteri (fun i (c : Cell.t) -> Hashtbl.add numbering c.id (i + 1)) cells;
-  let defs =
-    List.concat_map
-      (fun (c : Cell.t) ->
-        symbol_commands (Hashtbl.find numbering c.Cell.id) c numbering)
-      cells
-  in
-  (Ast.Comment "CIF 2.0 generated by the silicon compiler" :: defs)
-  @ [ Ast.Call (Hashtbl.find numbering root.Cell.id, []); Ast.End ]
-
-(* Per-layer box-command counts for the QoR snapshot: walk the command
-   stream tracking the active layer, exactly as a CIF consumer would. *)
-let census ast =
-  let per_layer = Hashtbl.create 8 in
-  let current = ref "" in
+  let label = Buffer.create 64 in
+  f (Ast.Comment "CIF 2.0 generated by the silicon compiler");
   List.iter
-    (function
-      | Ast.Layer l -> current := l
-      | Ast.Box _ ->
-        Hashtbl.replace per_layer !current
-          (1 + Option.value ~default:0 (Hashtbl.find_opt per_layer !current))
-      | _ -> ())
-    ast;
-  let rects =
-    Hashtbl.fold (fun layer n acc -> (layer, n) :: acc) per_layer []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  (rects, List.fold_left (fun a (_, n) -> a + n) 0 rects)
+    (fun (c : Cell.t) -> symbol f label (Hashtbl.find numbering c.Cell.id) c numbering)
+    cells;
+  f (Ast.Call (Hashtbl.find numbering root.Cell.id, []));
+  f Ast.End
+
+let file_of_cell root =
+  let file = ref [] in
+  commands (fun c -> file := c :: !file) root;
+  List.rev !file
 
 type emitted =
   { text : string
@@ -130,22 +117,41 @@ let replay_counters e =
   List.iter (fun (l, n) -> Sc_obs.Obs.count ("cif.rects." ^ l) n) e.rects;
   Sc_obs.Obs.count "cif.rects" e.rects_total
 
+(* One walk prints every command into one buffer and takes the census
+   for the QoR snapshot: the command count and the boxes per layer,
+   tracking the active layer exactly as a CIF consumer would. *)
 let emit cell =
   Sc_obs.Obs.span "emit" @@ fun () ->
-  let ast = file_of_cell cell in
-  let text = Format.asprintf "%a" Ast.pp ast in
-  let rects, rects_total = census ast in
-  let e = { text; commands = List.length ast; rects; rects_total } in
+  let buf = Buffer.create 65536 in
+  let count = ref 0 and current = ref "" in
+  let per_layer = Hashtbl.create 8 in
+  commands
+    (fun c ->
+      Ast.add_command buf c;
+      incr count;
+      match c with
+      | Ast.Layer l -> current := l
+      | Ast.Box _ ->
+        Hashtbl.replace per_layer !current
+          (1 + Option.value ~default:0 (Hashtbl.find_opt per_layer !current))
+      | _ -> ())
+    cell;
+  let rects =
+    Hashtbl.fold (fun layer n acc -> (layer, n) :: acc) per_layer []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let e =
+    { text = Buffer.contents buf
+    ; commands = !count
+    ; rects
+    ; rects_total = List.fold_left (fun a (_, n) -> a + n) 0 rects
+    }
+  in
   replay_counters e;
   e
 
 let to_string cell = (emit cell).text
 
-let to_channel oc cell =
-  let ppf = Format.formatter_of_out_channel oc in
-  Ast.pp ppf (file_of_cell cell);
-  Format.pp_print_flush ppf ()
-
 let write path cell =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc cell)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string cell))

@@ -8,6 +8,8 @@
     and ports in the "94" extension ([94 name cx cy layer], doubled
     coordinates). *)
 
+(** The commands of [cell]'s CIF file, as a list: the same stream
+    {!emit} prints and counts, from the same generator. *)
 val file_of_cell : Sc_layout.Cell.t -> Ast.file
 
 type emitted =
@@ -20,8 +22,10 @@ type emitted =
 
 val emit : Sc_layout.Cell.t -> emitted
 (** Render [cell] inside an ["emit"] span and return the text together
-    with its geometry census — the pipeline's emit-pass artifact.  The
-    ["cif.*"] counters are reported as a side effect. *)
+    with its geometry census — the pipeline's emit-pass artifact.  One
+    walk of {!commands} appends each command to one buffer with
+    {!Ast.add_command} and counts it.  The ["cif.*"] counters are
+    reported as a side effect. *)
 
 val replay_counters : emitted -> unit
 (** Re-emit the ["cif.*"] counters {!emit} would have reported — used
@@ -30,7 +34,5 @@ val replay_counters : emitted -> unit
 val to_string : Sc_layout.Cell.t -> string
 (** [(emit cell).text]. *)
 
-val to_channel : out_channel -> Sc_layout.Cell.t -> unit
-
-(** [write path cell] writes the CIF file at [path]. *)
+(** [write path cell] writes [to_string cell] to the file [path]. *)
 val write : string -> Sc_layout.Cell.t -> unit

@@ -51,7 +51,7 @@ let ranges n parts =
 
    Neighbour rules find candidates through a {!Rect_index} (shared by a
    layer's tasks, one cursor per task) and then apply the same pair
-   tests a sweep over the xmin-sorted array would: the index returns
+   tests a sweep over the sorted array would: the index returns
    every rectangle within the rule distance in ascending array order,
    so each rectangle's violations come out in sweep order. *)
 let check_flat ?pool flat =
@@ -65,8 +65,8 @@ let check_flat ?pool flat =
     List.rev !violations
   in
   (* First step, one task per layer: the width rule in flattening
-     order, then the layer is sorted by xmin in place and indexed for
-     the neighbour rules. *)
+     order, then the layer is sorted into [Rect.compare] order in place
+     and indexed for the neighbour rules. *)
   let by_layer = layer_arrays flat in
   let layers =
     Sc_par.Pool.map_list ~label:"drc.layer" pool
@@ -83,7 +83,7 @@ let check_flat ?pool flat =
                       (Printf.sprintf "feature is %d lambda wide" narrow))
                 rects)
         in
-        Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) rects;
+        Rect.sort rects;
         (widths, Rect_index.create rects))
       Layer.all
   in
@@ -130,9 +130,10 @@ let check_flat ?pool flat =
   in
   (* Cross-layer spacing; overlapping or abutting shapes are related
      (transistors, butting contacts) and exempt.  Both layers merge into
-     one xmin-sorted array with its own index; every pair is tested
-     from its earlier member.  One task per layer pair: building the
-     merged index costs more than the scan. *)
+     one array, by xmin with [lb] first on ties and [Rect.compare] order
+     within a layer, with its own index; every pair is tested from its
+     earlier member.  One task per layer pair: building the merged index
+     costs more than the scan. *)
   let cross_tasks =
     List.filter_map
       (fun (la, lb) ->
@@ -141,29 +142,35 @@ let check_flat ?pool flat =
           Some
             (fun () ->
               collect (fun add ->
-                  let merged =
-                    Array.append
-                      (Array.map (fun r -> (r, true)) (Rect_index.rects (layer_index la)))
-                      (Array.map (fun r -> (r, false)) (Rect_index.rects (layer_index lb)))
-                  in
-                  Array.sort
-                    (fun (r1, t1) (r2, t2) ->
-                      match Int.compare r1.Rect.xmin r2.Rect.xmin with
-                      | 0 -> (
-                        match Bool.compare t1 t2 with
-                        | 0 -> Rect.compare r1 r2
-                        | c -> c)
-                      | c -> c)
-                    merged;
-                  let near = Rect_index.cursor (Rect_index.create (Array.map fst merged)) in
+                  let a = Rect_index.rects (layer_index la) in
+                  let b = Rect_index.rects (layer_index lb) in
+                  let na = Array.length a and nb = Array.length b in
+                  let merged = Array.make (na + nb) (Rect.make 0 0 0 0) in
+                  let on_a = Array.make (na + nb) false in
+                  let i = ref 0 and j = ref 0 in
+                  for k = 0 to na + nb - 1 do
+                    if !j < nb && (!i = na || b.(!j).Rect.xmin <= a.(!i).Rect.xmin)
+                    then begin
+                      merged.(k) <- b.(!j);
+                      incr j
+                    end
+                    else begin
+                      merged.(k) <- a.(!i);
+                      on_a.(k) <- true;
+                      incr i
+                    end
+                  done;
+                  let near = Rect_index.cursor (Rect_index.create merged) in
                   Array.iteri
-                    (fun i (ri, ti) ->
+                    (fun i ri ->
                       for k = 0 to Rect_index.near near ~within:(s - 1) ri - 1 do
                         let j = Rect_index.hit near k in
-                        let rj, tj = merged.(j) in
-                        if j > i && rj.Rect.xmin <= ri.Rect.xmax + s && ti <> tj
+                        let rj = merged.(j) in
+                        if j > i
+                           && rj.Rect.xmin <= ri.Rect.xmax + s
+                           && on_a.(i) <> on_a.(j)
                         then begin
-                          let a, b = if ti then (ri, rj) else (rj, ri) in
+                          let a, b = if on_a.(i) then (ri, rj) else (rj, ri) in
                           let sep = Rect.separation a b in
                           if (not (Rect.overlaps a b)) && sep < s then
                             add (Rules.Min_spacing (la, lb, s)) a

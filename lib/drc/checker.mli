@@ -14,14 +14,24 @@
       overlap is still flagged);
     - enclosure (contact cuts inside metal, glass inside pad metal).
 
-    Each layer is sorted by xmin and put in a {!Sc_geom.Rect_index}, a
-    uniform grid of about one rectangle per tile.  The neighbour rules
-    (spacing, region labelling, cross-layer spacing over a merged index
-    of both layers, enclosure candidates) ask the index for the
-    rectangles within the rule distance, so a rectangle's cost is the
-    number of shapes near it: for layouts of bounded density the deck
-    runs in O(n log n + k) for n rectangles and k violations, however
-    many cell rows share an x-range.
+    Each layer is sorted into {!Sc_geom.Rect.compare} order (xmin
+    first) by {!Sc_geom.Rect.sort}, a radix sort, and put in a
+    {!Sc_geom.Rect_index}, a uniform grid of about one rectangle per
+    tile.  The neighbour rules (spacing, region labelling, cross-layer
+    spacing over a linear merge of both sorted layers, enclosure
+    candidates) ask the index for the rectangles within the rule
+    distance, so a rectangle's cost is the number of shapes near it:
+    for layouts of bounded density the deck runs in near-linear time in
+    n rectangles and k violations, however many cell rows share an
+    x-range.
+
+    Violation order: width violations come first, per layer in
+    flattening order.  Spacing and enclosure violations follow in
+    {!Sc_geom.Rect.compare} order of their witness rectangles (a
+    witness's spacing violations in that order of the other rectangle),
+    and cross-layer violations in merged-array order of each pair's
+    earlier member.  Apart from the width rule, the order is a function
+    of the geometry alone, not of the order of the flattened boxes.
 
     Sorting and indexing run one task per layer, then the rules run as
     independent tasks (per rule, per layer, and per slice of the sorted

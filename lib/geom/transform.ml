@@ -37,10 +37,19 @@ let apply_orient o (p : Point.t) =
 
 let apply t p = Point.add (apply_orient t.orient p) t.shift
 
-let apply_rect t r =
-  let lo, hi = Rect.corners r in
-  let p = apply t lo and q = apply t hi in
-  Rect.make p.Point.x p.Point.y q.Point.x q.Point.y
+(* The image of each axis interval, written out per orientation: no
+   intermediate points, so flattening allocates only the result. *)
+let apply_rect t (r : Rect.t) =
+  let sx = t.shift.Point.x and sy = t.shift.Point.y in
+  match t.orient with
+  | R0 -> Rect.make (sx + r.xmin) (sy + r.ymin) (sx + r.xmax) (sy + r.ymax)
+  | R90 -> Rect.make (sx - r.ymax) (sy + r.xmin) (sx - r.ymin) (sy + r.xmax)
+  | R180 -> Rect.make (sx - r.xmax) (sy - r.ymax) (sx - r.xmin) (sy - r.ymin)
+  | R270 -> Rect.make (sx + r.ymin) (sy - r.xmax) (sx + r.ymax) (sy - r.xmin)
+  | MX -> Rect.make (sx + r.xmin) (sy - r.ymax) (sx + r.xmax) (sy - r.ymin)
+  | MY -> Rect.make (sx - r.xmax) (sy + r.ymin) (sx - r.xmin) (sy + r.ymax)
+  | MX90 -> Rect.make (sx + r.ymin) (sy + r.xmin) (sx + r.ymax) (sy + r.xmax)
+  | MY90 -> Rect.make (sx - r.ymax) (sy - r.xmax) (sx - r.ymin) (sy - r.xmin)
 
 let orient_compose o2 o1 =
   let a2, b2, c2, d2 = matrix o2 in

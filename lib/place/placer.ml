@@ -96,22 +96,35 @@ let ordered ?nrows p =
   let nrows = match nrows with Some r -> r | None -> default_rows p in
   (* barycentre iterations on a 1-D abstract coordinate *)
   let pos = Array.init n float_of_int in
-  let neighbours = Array.make n [] in
-  Array.iter
-    (fun net ->
-      Array.iter
-        (fun a ->
-          Array.iter (fun b -> if a <> b then neighbours.(a) <- b :: neighbours.(a)) net)
-        net)
-    p.nets;
+  (* Item [i]'s neighbours are [adj.(first.(i)) .. adj.(first.(i + 1) - 1)],
+     one entry per (net, other member) pair, the last visited first:
+     counted, then filled from each item's end downwards. *)
+  let first = Array.make (n + 1) 0 in
+  let pairs f =
+    Array.iter
+      (fun net -> Array.iter (fun a -> Array.iter (fun b -> if a <> b then f a b) net) net)
+      p.nets
+  in
+  pairs (fun a _ -> first.(a + 1) <- first.(a + 1) + 1);
+  for i = 1 to n do
+    first.(i) <- first.(i) + first.(i - 1)
+  done;
+  let adj = Array.make first.(n) 0 in
+  let fill = Array.sub first 1 n in
+  pairs (fun a b ->
+      fill.(a) <- fill.(a) - 1;
+      adj.(fill.(a)) <- b);
   for _pass = 1 to 12 do
     let next = Array.copy pos in
     for i = 0 to n - 1 do
-      match neighbours.(i) with
-      | [] -> ()
-      | ns ->
-        let sum = List.fold_left (fun acc j -> acc +. pos.(j)) 0.0 ns in
-        next.(i) <- (pos.(i) +. (sum /. float_of_int (List.length ns))) /. 2.0
+      let lo = first.(i) and hi = first.(i + 1) in
+      if hi > lo then begin
+        let sum = ref 0.0 in
+        for k = lo to hi - 1 do
+          sum := !sum +. pos.(adj.(k))
+        done;
+        next.(i) <- (pos.(i) +. (!sum /. float_of_int (hi - lo))) /. 2.0
+      end
     done;
     Array.blit next 0 pos 0 n;
     (* re-rank to keep positions spread *)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end checks of the scc command line: the compile front door on
-# every source kind, its exit codes, the isp alias, and the circuit
-# specs equiv resolves.
+# every source kind, its exit codes, the isp alias, the circuit specs
+# equiv resolves, and the pinned CIF text of the baseline designs.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -60,5 +60,25 @@ if ! cmp -s "$dir/compile.cif" "$dir/isp.cif"; then
 fi
 
 expect 0 "equiv hand:alu4 hand:alu" "$scc" equiv hand:alu4 hand:alu
+
+# The CIF text of the baseline designs, pinned by MD5 at two pool
+# widths.  A change that moves geometry on purpose updates these.
+while read -r design digest; do
+  for j in 1 4; do
+    expect 0 "compile $design -j $j" "$scc" compile "$design" -j "$j" -o "$dir/pinned.cif"
+    got=$(md5sum <"$dir/pinned.cif" | cut -d' ' -f1)
+    if [ "$got" != "$digest" ]; then
+      echo "FAIL: $design -j $j: CIF MD5 $got, pinned $digest" >&2
+      fail=1
+    fi
+  done
+done <<PINS
+pdp8 335a0395be2614692a6e77b4b63ee38a
+counter 482178a88e67b4689f94b6a208ae8473
+traffic d7a32a63839aa64cb17090faed5b1c7b
+alu4 9bb86dab72227f1f86394be28b45c751
+system 691c68d7ddee15da3ac71dabb70d5e3c
+$counter12 1bbf597827ccda8bb5d69110e109e36f
+PINS
 
 exit $fail

@@ -184,6 +184,80 @@ let prop_roundtrip =
     (QCheck.Test.make ~name:"random hierarchies roundtrip through CIF" ~count:100
        (QCheck.make gen_cell) Elaborate.roundtrip_ok)
 
+(* --- the buffer printer against the Format reference --- *)
+
+let gen_file =
+  let open QCheck.Gen in
+  let int =
+    frequency
+      [ (6, int_range (-50) 50); (3, int_range (-1_000_000) 1_000_000)
+      ; (1, oneofl [ min_int; max_int; 0; -1 ]) ]
+  in
+  let text =
+    frequency
+      [ (1, pure ""); (4, string_size ~gen:printable (int_range 1 12))
+      ; (1, string_size ~gen:(oneofl [ ' '; '%'; '@'; ';'; '\n'; 'x' ]) (int_range 0 200)) ]
+  in
+  let trans =
+    oneof
+      [ map2 (fun x y -> Ast.Translate (x, y)) int int; pure Ast.Mirror_x; pure Ast.Mirror_y
+      ; map2 (fun x y -> Ast.Rotate (x, y)) int int ]
+  in
+  let points = list_size (int_range 0 6) (pair int int) in
+  let command =
+    oneof
+      [ map3 (fun n a b -> Ast.Def_start (n, a, b)) int int int; pure Ast.Def_finish
+      ; map (fun n -> Ast.Def_delete n) int; map (fun l -> Ast.Layer l) text
+      ; map (fun (length, width, cx, cy) -> Ast.Box { length; width; cx; cy }) (quad int int int int)
+      ; map (fun pts -> Ast.Polygon pts) points
+      ; map2 (fun width points -> Ast.Wire { width; points }) int points
+      ; map2 (fun n ops -> Ast.Call (n, ops)) int (list_size (int_range 0 4) trans)
+      ; map (fun s -> Ast.Comment s) text; map2 (fun d s -> Ast.User (d, s)) int text
+      ; pure Ast.End ]
+  in
+  list_size (int_range 0 40) command
+
+let prop_printer_is_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC1F; 19 |])
+    (QCheck.Test.make ~name:"buffer printer = Format reference" ~count:500
+       (QCheck.make ~print:Cif_reference.to_string gen_file)
+       (fun file -> String.equal (Ast.to_string file) (Cif_reference.to_string file)))
+
+(* [emit] prints and counts the stream [file_of_cell] collects *)
+let emits_like_reference cell =
+  let e = Emit.emit cell and file = Emit.file_of_cell cell in
+  let boxes = Hashtbl.create 8 and current = ref "" in
+  List.iter
+    (function
+      | Ast.Layer l -> current := l
+      | Ast.Box _ ->
+        Hashtbl.replace boxes !current (1 + Option.value ~default:0 (Hashtbl.find_opt boxes !current))
+      | _ -> ())
+    file;
+  String.equal e.Emit.text (Cif_reference.to_string file)
+  && e.Emit.commands = List.length file
+  && List.for_all (fun (l, n) -> Hashtbl.find_opt boxes l = Some n) e.Emit.rects
+  && List.length e.Emit.rects = Hashtbl.length boxes
+  && e.Emit.rects_total = Hashtbl.fold (fun _ n a -> a + n) boxes 0
+
+let test_emit_like_reference () =
+  let odd =
+    Cell.make ~name:"odd name/1"
+      ~ports:[ Cell.port "a b" Layer.Poly (Rect.make (-3) (-5) 1 2) ]
+      ~instances:
+        [ Cell.instantiate ~name:"h"
+            ~trans:(Transform.make ~orient:Transform.MY90 (Point.make (-7) 4))
+            hierarchical ]
+      [ Cell.wire Layer.Metal ~width:4 [ Point.make 0 0; Point.make 0 9; Point.make 6 9 ]
+      ; Cell.box Layer.Glass (Rect.make 0 0 10 10) ]
+  in
+  List.iter
+    (fun c -> check_bool c.Cell.name true (emits_like_reference c))
+    [ leaf; hierarchical; odd ];
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0xE41; 19 |])
+    (QCheck.Test.make ~name:"emit = reference over file_of_cell" ~count:100
+       (QCheck.make gen_cell) emits_like_reference)
+
 let suite =
   [ Alcotest.test_case "ast check accepts emitted file" `Quick test_ast_check_ok
   ; Alcotest.test_case "ast check catches misuse" `Quick test_ast_check_catches
@@ -198,4 +272,7 @@ let suite =
   ; Alcotest.test_case "parse comments and lowercase" `Quick test_parse_comments_and_lowercase
   ; Alcotest.test_case "elaboration errors" `Quick test_errors
   ; prop_roundtrip
+  ; prop_printer_is_reference
+  ; Alcotest.test_case "emit = reference printer over file_of_cell" `Quick
+      test_emit_like_reference
   ]

@@ -210,11 +210,11 @@ let prop_spaced_metal_clean =
 
 (* The checker's order: width per layer in flattening order, then
    per-layer spacing, cross-layer spacing and enclosure, each scanning
-   rectangles in xmin order (as [Array.sort] leaves them) and pairing
-   each with every later one. *)
-let xmin_sorted rs =
+   rectangles in [Rect.compare] order and pairing each with every later
+   one. *)
+let compare_sorted rs =
   let a = Array.of_list rs in
-  Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) a;
+  Array.sort Rect.compare a;
   a
 
 (* coverage by coordinate compression: every elementary cell of
@@ -250,7 +250,7 @@ let reference_check flat =
       if not (Rect.is_empty fb.rect) then
         by_layer.(Layer.index fb.layer) <- fb.rect :: by_layer.(Layer.index fb.layer))
     flat;
-  let sorted l = xmin_sorted by_layer.(Layer.index l) in
+  let sorted l = compare_sorted by_layer.(Layer.index l) in
   let out = ref [] in
   let add rule where detail = out := { Checker.rule; where; detail } :: !out in
   List.iter
@@ -394,6 +394,32 @@ let test_matches_reference () =
     Rules.deck;
   check_bool "some case has several gates" true (!most_gates >= 3)
 
+(* Apart from the width rule, the violations are a function of the
+   geometry: shuffling the flattened boxes changes nothing else. *)
+let prop_order_is_geometric =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"non-width violations ignore box order" ~count:150
+       (QCheck.make
+          ~print:(fun (c, _) -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c))
+          QCheck.Gen.(pair gen_layout int))
+       (fun (layout, seed) ->
+         let flat = Flatten.run layout in
+         let shuffled = Array.of_list flat in
+         let rng = Random.State.make [| seed |] in
+         for i = Array.length shuffled - 1 downto 1 do
+           let j = Random.State.int rng (i + 1) in
+           let t = shuffled.(i) in
+           shuffled.(i) <- shuffled.(j);
+           shuffled.(j) <- t
+         done;
+         let neighbour flat =
+           List.filter
+             (fun v ->
+               match v.Checker.rule with Rules.Min_width _ -> false | _ -> true)
+             (Checker.check_flat flat)
+         in
+         neighbour flat = neighbour (Array.to_list shuffled)))
+
 let suite =
   [ Alcotest.test_case "clean layout" `Quick test_clean_layout
   ; Alcotest.test_case "narrow poly flagged" `Quick test_narrow_poly
@@ -413,4 +439,5 @@ let suite =
   ; prop_spaced_metal_clean
   ; Alcotest.test_case "indexed kernels match all-pairs references" `Quick
       test_matches_reference
+  ; prop_order_is_geometric
   ]

@@ -428,6 +428,64 @@ let test_channels_route_like_reference () =
         [ false; true ])
     [ "several tracks"; "at most one track"; "Unroutable"; "Invalid_argument" ]
 
+(* --- differential: the flat-array barycentre against the list one --- *)
+
+(* Random flat circuits of [Inv]..[Dffe] gates over the input bits and
+   earlier outputs; a hub input drives each gate input with probability
+   [hub]/10, so some nets fan out to well over 50 items. *)
+let gen_problem =
+  let open QCheck.Gen in
+  let kinds =
+    Array.of_list
+      (List.filter
+         (fun k -> k <> Gate.Const0 && k <> Gate.Const1)
+         Gate.all)
+  in
+  let* nin = int_range 1 6 and* ngates = int_range 2 160 and* hub = int_range 0 5 in
+  let* gates =
+    flatten_l
+      (List.init ngates (fun g ->
+           let* kind = oneofa kinds in
+           let* ins =
+             flatten_l
+               (List.init (Gate.arity kind) (fun _ ->
+                    let* to_hub = int_bound 9 in
+                    if to_hub < hub then pure 2 else int_range 2 (1 + nin + g)))
+           in
+           pure
+             { Circuit.kind; gname = Printf.sprintf "g%d" g; ins = Array.of_list ins
+             ; out = 2 + nin + g }))
+  in
+  let inputs = Array.init nin (fun i -> 2 + i) in
+  pure
+    (Sc_place.Placer.problem_of_circuit
+       (Circuit.create ~name:"rnd"
+          ~ports:[ { Circuit.port_name = "i"; dir = Circuit.In; bits = inputs } ]
+          ~gates ~insts:[] ~net_count:(2 + nin + ngates) ~net_names:[]))
+
+let prop_ordered_like_reference =
+  let fanout = ref 0 in
+  let placed_like (a : Sc_place.Placer.placement) (b : Sc_place.Placer.placement) =
+    a.x = b.x && a.row = b.row
+  in
+  let prop =
+    QCheck.Test.make ~name:"flat barycentre = neighbour lists" ~count:120
+      (QCheck.make
+         ~print:(fun (p, _, _) ->
+           Printf.sprintf "%d items, %d nets" (Array.length p.Sc_place.Placer.kinds)
+             (Array.length p.Sc_place.Placer.nets))
+         QCheck.Gen.(triple gen_problem (opt (int_range 1 6)) (int_range 0 2)))
+      (fun (p, nrows, seeds) ->
+        Array.iter (fun net -> fanout := max !fanout (Array.length net)) p.Sc_place.Placer.nets;
+        placed_like (Sc_place.Placer.ordered ?nrows p) (Placer_reference.ordered ?nrows p)
+        && placed_like
+             (Sc_place.Placer.best_of ~seeds ~iters:100 ?nrows p)
+             (Placer_reference.best_of ~seeds ~iters:100 ?nrows p))
+  in
+  Alcotest.test_case "flat barycentre = neighbour lists" `Quick (fun () ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 0xBA7C; 19 |]) prop;
+      check_bool "some net fans out to more than 50 items" true (!fanout > 50))
+
 let suite =
   [ Alcotest.test_case "problem extraction" `Quick test_problem_extraction
   ; Alcotest.test_case "placements disjoint" `Quick test_placements_disjoint
@@ -456,4 +514,5 @@ let suite =
       test_pdp8_routes_like_reference
   ; Alcotest.test_case "channel specs route exactly as the reference" `Quick
       test_channels_route_like_reference
+  ; prop_ordered_like_reference
   ]
