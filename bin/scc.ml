@@ -810,9 +810,12 @@ let serve_exec_domains_arg =
     & opt (some int) None
     & info [ "exec-domains" ] ~docv:"N"
         ~doc:
-          "Bound on concurrently executing compilations (each runs on \
-           its own domain with its own recorder).  Default: the \
-           runtime's recommended domain count, at least 2.")
+          "Number of execution domains, started once with the daemon; \
+           each runs one compilation or equivalence check at a time with \
+           its own recorder, so this bounds concurrent executions.  \
+           Default: the runtime's recommended domain count, at least 2.  \
+           A count that does not fit in the runtime's 128 domains beside \
+           the main domain and the $(b,-j) pool's workers exits 2.")
 
 let serve_cmd =
   let run socket jobs stage_cache exec_domains log log_level trace_dir

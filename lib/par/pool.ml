@@ -6,14 +6,18 @@
    never takes a ticket, so it only ever runs its own tasks: a task
    that calls [run] again waits on work it can always finish itself,
    which is what makes nested submission safe.  Several batches can be
-   in flight at once — the serve daemon submits from concurrent request
-   domains. *)
+   in flight at once — the serve daemon's executions submit from its
+   execution domains concurrently.
+
+   [offload] queues a single job instead of a batch: a worker runs it
+   and hands the result back, while the caller sleeps on [settled]
+   without claiming anything. *)
 
 type t =
   { pool_size : int
   ; lock : Mutex.t
   ; work : Condition.t  (* queue non-empty, or stopping *)
-  ; settled : Condition.t  (* some batch finished its last task *)
+  ; settled : Condition.t  (* a batch or an offloaded job finished *)
   ; queue : (unit -> unit) Queue.t
   ; mutable stopping : bool
   ; mutable workers : unit Domain.t list
@@ -23,7 +27,11 @@ let size t = t.pool_size
 
 let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 
+(* the pool a domain works for, so [offload] can tell a nested call *)
+let member : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let worker_loop t () =
+  Domain.DLS.set member (Some t);
   let rec loop () =
     Mutex.lock t.lock;
     while Queue.is_empty t.queue && not t.stopping do
@@ -71,17 +79,53 @@ type 'a slot =
   | Done of 'a
   | Raised of exn
 
+(* every task runs in its submitter's whole scope — recorder, certify
+   flag, journal — whichever domain claims it *)
+let in_scope label =
+  let scope = Sc_obs.Scope.capture () in
+  let obs = Sc_obs.Obs.enabled () in
+  ( obs
+  , fun f ->
+      Sc_obs.Scope.within scope
+        (if obs then fun () -> Sc_obs.Obs.span label f else f) )
+
+let offload t f =
+  let _, exec = in_scope "par.offload" in
+  let nested =
+    match Domain.DLS.get member with Some p -> p == t | None -> false
+  in
+  Mutex.lock t.lock;
+  if t.pool_size <= 1 || t.stopping || nested then begin
+    (* no worker to take it: a size-1 or shut-down pool, or a call from
+       one of this pool's own workers, which must not wait on itself *)
+    Mutex.unlock t.lock;
+    exec f
+  end
+  else begin
+    let slot = ref Pending in
+    Queue.add
+      (fun () ->
+        let r = match exec f with v -> Done v | exception e -> Raised e in
+        Mutex.lock t.lock;
+        slot := r;
+        Condition.broadcast t.settled;
+        Mutex.unlock t.lock)
+      t.queue;
+    Condition.signal t.work;
+    while match !slot with Pending -> true | Done _ | Raised _ -> false do
+      Condition.wait t.settled t.lock
+    done;
+    Mutex.unlock t.lock;
+    match !slot with
+    | Done v -> v
+    | Raised e -> raise e
+    | Pending -> assert false
+  end
+
 let run ?(label = "par.task") t thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
-  (* every task runs in its submitter's whole scope — recorder, certify
-     flag, journal — whichever domain claims it *)
-  let scope = Sc_obs.Scope.capture () in
-  let obs = Sc_obs.Obs.enabled () in
-  let exec f =
-    Sc_obs.Scope.within scope
-      (if obs then fun () -> Sc_obs.Obs.span label f else f)
-  in
+  let obs, exec = in_scope label in
   if obs then Sc_obs.Obs.gauge "pool.width" t.pool_size;
   if t.pool_size <= 1 || n <= 1 then begin
     (* sequential path: no queueing, natural exception propagation *)

@@ -60,6 +60,17 @@ val map_list : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : ?label:string -> t -> ('a -> 'b) -> 'a array -> 'b array
 
+val offload : t -> (unit -> 'a) -> 'a
+(** [offload pool f] runs [f] on one of the pool's [size pool - 1]
+    worker domains and returns its result; the calling thread blocks
+    meanwhile and claims no work, so other threads of its domain run on.
+    At most [size pool - 1] offloaded calls run at once; later ones queue.
+    [f] runs in the caller's {!Sc_obs.Scope} (inside a ["par.offload"]
+    span when recording), and an exception it raises is re-raised in
+    the caller — the worker carries on.  With no worker to take it (a
+    pool of size 1, or one shut down) or when called from one of the
+    pool's own workers, [f] runs inline, so nesting cannot deadlock. *)
+
 val shutdown : t -> unit
 (** Join the pool's worker domains.  Idempotent; the pool must be idle.
     Pools are also shut down automatically at process exit. *)

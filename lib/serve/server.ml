@@ -39,8 +39,7 @@ type state =
   ; mutable active : int
   ; mutable dedup_hits : int
   ; mutable executions : int
-  ; exec_cond : Condition.t  (* signalled when an execution slot frees *)
-  ; exec_slots : int  (* max concurrent execution domains *)
+  ; exec : Sc_par.Pool.t  (* its workers are the execution domains *)
   ; mutable exec_active : int
   ; mutable peak_executions : int  (* high-water mark of [exec_active] *)
   ; verb_counts : (string, int) Hashtbl.t  (* completed requests per verb *)
@@ -67,31 +66,27 @@ let jnum i = Json.Num (float_of_int i)
 
 (* --- the execution path --- *)
 
-(* Every pipeline execution runs on a freshly spawned domain with a
-   per-request [Obs.Recorder.t] bound around it, so instrumented
-   compiles record concurrently into disjoint recorders — no shared
-   observability state, no lock.  Spawning a domain rather than running
-   on the connection's systhread also buys wall-clock overlap:
-   systhreads of one domain share the runtime lock, domains do not, and
-   the joining connection thread releases the lock while it waits.  A bounded slot
-   count keeps a burst of cold compiles from spawning domains without
-   limit; [peak_executions] records the high-water mark of concurrently
+(* Every pipeline execution runs on one of the [exec] pool's worker
+   domains, spawned once at start-up, with a per-request
+   [Obs.Recorder.t] bound around it, so instrumented compiles record
+   concurrently into disjoint recorders — no shared observability
+   state, no lock.  Running on a worker rather than on the connection's
+   systhread buys wall-clock overlap: systhreads of one domain share the
+   runtime lock, domains do not, and the waiting connection thread
+   releases the lock.  The worker count bounds concurrent executions, so
+   a burst of cold compiles queues instead of multiplying domains;
+   [peak_executions] records the high-water mark of concurrently
    running executions, which the serve-smoke CI job asserts reaches 2. *)
 let run_on_domain st f =
-  Mutex.lock st.lock;
-  while st.exec_active >= st.exec_slots do
-    Condition.wait st.exec_cond st.lock
-  done;
-  st.exec_active <- st.exec_active + 1;
-  if st.exec_active > st.peak_executions then
-    st.peak_executions <- st.exec_active;
-  Mutex.unlock st.lock;
-  Fun.protect
-    ~finally:(fun () ->
+  Sc_par.Pool.offload st.exec (fun () ->
       locked st (fun () ->
-          st.exec_active <- st.exec_active - 1;
-          Condition.broadcast st.exec_cond))
-    (fun () -> Domain.join (Domain.spawn f))
+          st.exec_active <- st.exec_active + 1;
+          if st.exec_active > st.peak_executions then
+            st.peak_executions <- st.exec_active);
+      Fun.protect
+        ~finally:(fun () ->
+          locked st (fun () -> st.exec_active <- st.exec_active - 1))
+        f)
 
 let sanitize name =
   String.map
@@ -126,12 +121,13 @@ let maybe_trace st ~recorder ~design ~key =
            [ ("file", Json.Str file); ("error", Json.Str e) ])
     end
 
-(* The per-request sequence inside the domain — fresh recorder, enable,
-   compile, capture — is exactly the single-shot [scc compile D --metrics]
-   sequence, which is what keeps a daemon snapshot byte-identical to
-   the committed baselines.  [with_certify] and [with_log] scope
-   certification and the pass journal to this request: a concurrent
-   plain compile never sees a neighbour's [--certify] or passes. *)
+(* The per-request sequence on the execution domain — fresh recorder,
+   enable, compile, capture — is exactly the single-shot
+   [scc compile D --metrics] sequence, which is what keeps a daemon
+   snapshot byte-identical to the committed baselines.  [with_certify]
+   and [with_log] scope certification and the pass journal to this
+   request: a concurrent plain compile never sees a neighbour's
+   [--certify] or passes. *)
 let do_compile st ~key (spec : P.compile_spec) =
   match spec.style with
   | "gates" | "pla" | "verilog" ->
@@ -217,8 +213,9 @@ let do_equiv st ~a ~b ~k =
   match (resolve_circuit a, resolve_circuit b) with
   | Error e, _ | _, Error e -> P.Error_reply { stage = "equiv"; message = e }
   | Ok ca, Ok cb -> (
-    (* the BDD engine runs on the shared pool; like compiles it gets
-       its own execution domain and overlaps with everything else *)
+    (* like a compile, the check runs on an execution domain and
+       overlaps with everything else; its BDD cones go to the shared
+       [-j] pool *)
     match
       run_on_domain st (fun () ->
           match Sc_equiv.Checker.check_cones ~k ca cb with
@@ -488,17 +485,31 @@ let serve_connection st conn fd =
 
 (* --- the daemon --- *)
 
-let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
-    ?(log_level = Slog.Info) ?trace_dir ?(trace_sample = (1, 1)) ~socket () =
+(* OCaml 5.1's runtime runs at most 128 domains at once, the main one
+   included; spawning one more raises *)
+let max_domains = 128
+
+let exec_domain_count ~jobs requested =
+  let room = max_domains - max 1 jobs in
+  let n =
+    match requested with
+    | Some n -> max 1 n
+    | None -> max 1 (min room (max 2 (Domain.recommended_domain_count ())))
+  in
+  if n <= room then Ok n
+  else
+    Error
+      (Printf.sprintf
+         "%d execution domains do not fit: the runtime runs at most %d \
+          domains, and the main domain and -j %d's workers leave room for %d"
+         n max_domains jobs (max 0 room))
+
+let serve ~jobs ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
+    ?trace_dir ~trace_sample ~socket () =
   Sc_par.Pool.set_default_size jobs;
   (match stage_cache with
   | Some dir -> Pipeline.enable_cache ~dir ()
   | None -> Pipeline.enable_cache ());
-  let exec_slots =
-    match exec_domains with
-    | Some n -> max 1 n
-    | None -> max 2 (Domain.recommended_domain_count ())
-  in
   let trace_sample =
     let n, m = trace_sample in
     let m = max 1 m in
@@ -533,8 +544,7 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
       ; active = 0
       ; dedup_hits = 0
       ; executions = 0
-      ; exec_cond = Condition.create ()
-      ; exec_slots
+      ; exec = Sc_par.Pool.create ~domains:(exec_domains + 1) ()
       ; exec_active = 0
       ; peak_executions = 0
       ; verb_counts = Hashtbl.create 8
@@ -561,16 +571,17 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
       try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
       with Invalid_argument _ -> ()
     end;
-    Printf.eprintf "scc serve: listening on %s (%s, jobs %d, %d exec slots)\n%!"
+    Printf.eprintf
+      "scc serve: listening on %s (%s, jobs %d, %d execution domains)\n%!"
       socket
       (match stage_cache with
       | Some dir -> "stage cache " ^ dir
       | None -> "stage cache in memory")
-      jobs exec_slots;
+      jobs exec_domains;
     slog st Slog.Info ~event:"start"
       ([ ("socket", Json.Str socket)
        ; ("jobs", jnum jobs)
-       ; ("exec_slots", jnum exec_slots)
+       ; ("exec_domains", jnum exec_domains)
        ; ("version", Json.Str server_version)
        ]
       @ (match stage_cache with
@@ -615,6 +626,7 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
       (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
       conns;
     List.iter Thread.join (locked st (fun () -> st.threads));
+    Sc_par.Pool.shutdown st.exec;
     (try Unix.close listen_fd with _ -> ());
     (try Unix.close stop_r with _ -> ());
     (try Unix.close stop_w with _ -> ());
@@ -633,3 +645,13 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
        %!"
       s.requests s.executions s.dedup_hits s.peak_executions;
     0
+
+let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
+    ?(log_level = Slog.Info) ?trace_dir ?(trace_sample = (1, 1)) ~socket () =
+  match exec_domain_count ~jobs exec_domains with
+  | Error e ->
+    Printf.eprintf "scc serve: %s\n%!" e;
+    2
+  | Ok exec_domains ->
+    serve ~jobs ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
+      ?trace_dir ~trace_sample ~socket ()

@@ -4,7 +4,8 @@
     a [Shutdown] request or (by default) SIGTERM/SIGINT.  Each
     connection gets its own lightweight thread for socket I/O; each
     {e execution} (a compile or equiv the dedup table didn't already
-    have in flight) runs on its own freshly spawned domain, so the
+    have in flight) runs on one of a fixed set of execution domains,
+    spawned once at start-up ({!Sc_par.Pool.offload}), so the
     process-global pass manager ({!Sc_pipeline.Pipeline}), its
     content-addressed stage cache ({!Sc_cache.Cache}, sharded on disk
     when [stage_cache] is given) and the {!Sc_par.Pool} worker domains
@@ -34,9 +35,9 @@
     stay byte-identical QoR to the committed baselines even under
     concurrency, which the serve-smoke CI job and the benchmark's
     [daemon] workload assert.
-    Executions are throttled by [exec_domains] slots; the high-water
-    mark of concurrently running executions is served as
-    [serve.peak_executions].
+    At most [exec_domains] executions run at once, one per execution
+    domain; the rest queue.  The high-water mark of concurrently running
+    executions is served as [serve.peak_executions].
 
     {2 Telemetry}
 
@@ -87,9 +88,19 @@ val run :
     [true]) installs SIGTERM/SIGINT handlers for clean shutdown — pass
     [false] when embedding the server in a test or bench thread.
 
-    [exec_domains] bounds concurrently running executions (default
-    [max 2 (Domain.recommended_domain_count ())]).  [log] appends the
+    [exec_domains] is the number of execution domains, and so the bound
+    on concurrently running executions (default
+    [max 2 (Domain.recommended_domain_count ())]); a count that
+    {!exec_domain_count} rejects makes [run] print one line and return 2
+    before it binds the socket or starts a domain.  [log] appends the
     JSONL structured log to a file, filtered at [log_level] (default
     [Info]).  [trace_dir] enables per-execution Chrome traces, sampled
     [trace_sample = (n, m)]: the first [n] of every [m] executions
     (default [(1, 1)] — every execution). *)
+
+val exec_domain_count : jobs:int -> int option -> (int, string) result
+(** [exec_domain_count ~jobs requested] — how many execution domains
+    [run ~jobs ?exec_domains:requested] starts: [requested] (clamped to
+    at least 1) or the default, which is capped to fit.  [Error] when
+    they would not fit in the runtime's 128 domains beside the main
+    domain and the [jobs - 1] workers of the [-j] pool. *)

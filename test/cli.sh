@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end checks of the scc command line: the compile front door on
 # every source kind, its exit codes, the isp alias, the circuit specs
-# equiv resolves, and the pinned CIF text of the baseline designs.
+# equiv resolves, serve's --exec-domains bound, and the pinned CIF text
+# of the baseline designs.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -56,6 +57,16 @@ expect 0 "compile -o" "$scc" compile counter -o "$dir/compile.cif"
 expect 0 "isp -o" "$scc" isp counter -o "$dir/isp.cif"
 if ! cmp -s "$dir/compile.cif" "$dir/isp.cif"; then
   echo "FAIL: the isp alias wrote different CIF than compile" >&2
+  fail=1
+fi
+
+# an --exec-domains count the runtime cannot start is refused in one
+# line, before the daemon binds its socket or spawns a domain
+expect 2 "serve --exec-domains past the domain limit" \
+  "$scc" serve --socket "$dir/serve.sock" --exec-domains 1000
+if [ "$(wc -l <"$dir/err")" -ne 1 ] || [ -e "$dir/serve.sock" ]; then
+  echo "FAIL: serve --exec-domains 1000: want one line and no socket" >&2
+  cat "$dir/err" >&2
   fail=1
 fi
 

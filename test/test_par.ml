@@ -113,6 +113,71 @@ let test_nested_submission () =
         check_int (Printf.sprintf "earliest nested failure at %d domains" n) 23 k)
     [ 1; 2; 4 ]
 
+(* --- offload: one job on a worker while the caller sleeps --- *)
+
+let self () = (Domain.self () :> int)
+
+let test_offload_on_worker () =
+  with_pool 3 @@ fun pool ->
+  let caller = self () in
+  check_bool "the thunk runs on a worker, not the caller's domain" true
+    (List.for_all (fun d -> d <> caller)
+       (List.init 20 (fun _ -> Pool.offload pool self)));
+  let k = Sc_obs.Scope.key 0 in
+  check_int "the submitter's scope is bound inside the thunk" 42
+    (Sc_obs.Scope.with_ k 42 (fun () ->
+         Pool.offload pool (fun () -> Sc_obs.Scope.get k)))
+
+let test_offload_exception () =
+  with_pool 2 @@ fun pool ->
+  let worker = Pool.offload pool self in
+  (match Pool.offload pool (fun () -> raise (Boom 3)) with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> check_int "the exception reaches the caller" 3 i);
+  check_int "the same worker serves the next call" worker
+    (Pool.offload pool self)
+
+(* the worker count is the only bound: 8 systhreads, 2 workers *)
+let test_offload_bounded () =
+  with_pool 3 @@ fun pool ->
+  let running = Atomic.make 0 and peak = Atomic.make 0 in
+  let done_ = Atomic.make 0 in
+  let job () =
+    let now = Atomic.fetch_and_add running 1 + 1 in
+    let rec raise_peak () =
+      let p = Atomic.get peak in
+      if now > p && not (Atomic.compare_and_set peak p now) then raise_peak ()
+    in
+    raise_peak ();
+    for _ = 1 to 20_000 do
+      Domain.cpu_relax ()
+    done;
+    Atomic.decr running
+  in
+  let threads =
+    List.init 8 (fun _ ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 50 do
+              Pool.offload pool job;
+              Atomic.incr done_
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  check_int "every call completed" 400 (Atomic.get done_);
+  check_bool "at most 2 ran at once" true (Atomic.get peak <= 2)
+
+let test_offload_inline () =
+  (with_pool 2 @@ fun pool ->
+   let outer, inner =
+     Pool.offload pool (fun () -> (self (), Pool.offload pool self))
+   in
+   check_int "a call from the pool's own worker runs inline" outer inner);
+  with_pool 1 @@ fun pool ->
+  check_int "a pool with no workers runs the thunk inline" (self ())
+    (Pool.offload pool self)
+
 (* --- single-flight --- *)
 
 let test_single_flight_shares () =
@@ -324,6 +389,14 @@ let suite =
   ; Alcotest.test_case "concurrent submitters stay apart" `Quick
       test_concurrent_submitters
   ; Alcotest.test_case "nested submission" `Quick test_nested_submission
+  ; Alcotest.test_case "offload runs on a worker in the submitter's scope"
+      `Quick test_offload_on_worker
+  ; Alcotest.test_case "offload re-raises and the worker survives" `Quick
+      test_offload_exception
+  ; Alcotest.test_case "offload is bounded by the worker count" `Quick
+      test_offload_bounded
+  ; Alcotest.test_case "offload runs inline with no worker to take it"
+      `Quick test_offload_inline
   ; Alcotest.test_case "single-flight shares one computation" `Quick
       test_single_flight_shares
   ; Alcotest.test_case "single-flight owner exception reaches waiters" `Quick

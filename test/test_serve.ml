@@ -155,7 +155,8 @@ let test_frame_oversized () =
 
 (* --- the live daemon --- *)
 
-let with_server ?log ?log_level ?trace_dir ?trace_sample f =
+let with_server ?(jobs = 1) ?exec_domains ?log ?log_level ?trace_dir
+    ?trace_sample f =
   let socket =
     Filename.temp_file "scc-test-serve" ".sock"
   in
@@ -165,8 +166,8 @@ let with_server ?log ?log_level ?trace_dir ?trace_sample f =
     Thread.create
       (fun () ->
         exit_code :=
-          Sc_serve.Server.run ~jobs:1 ~handle_signals:false ?log ?log_level
-            ?trace_dir ?trace_sample ~socket ())
+          Sc_serve.Server.run ~jobs ~handle_signals:false ?exec_domains ?log
+            ?log_level ?trace_dir ?trace_sample ~socket ())
       ()
   in
   let rec await n =
@@ -189,7 +190,8 @@ let with_server ?log ?log_level ?trace_dir ?trace_sample f =
       (* the daemon enables the process-global stage cache; put the
          world back for whatever test runs next *)
       Sc_pipeline.Pipeline.disable_cache ();
-      Sc_pipeline.Pipeline.clear_caches ())
+      Sc_pipeline.Pipeline.clear_caches ();
+      Sc_par.Pool.set_default_size 1)
     (fun () -> f socket)
 
 let rpc socket req =
@@ -517,6 +519,105 @@ let test_log_and_trace () =
         | _ -> Alcotest.fail "trace missing traceEvents")
       | Error e -> Alcotest.failf "trace does not parse: %s" e)
 
+(* Executions run on the daemon's execution domains, spawned once: the
+   Chrome traces of 14 executions — sequential, concurrent, and one
+   that fails — carry at most [exec_domains] domain ids, plus one per
+   worker of the [-j] pool.  A domain per execution would give 14. *)
+let test_executions_reuse_domains jobs () =
+  let trace_dir = Filename.temp_file "scc-test-serve" ".traces" in
+  Sys.remove trace_dir;
+  Fun.protect ~finally:(fun () -> rm_rf trace_dir) @@ fun () ->
+  with_server ~jobs ~exec_domains:2 ~trace_dir ~trace_sample:(1, 1)
+  @@ fun socket ->
+  let compiled what = function
+    | P.Compiled _ -> ()
+    | P.Error_reply { stage; message } ->
+      Alcotest.failf "%s compile failed: %s: %s" what stage message
+    | _ -> Alcotest.failf "%s compile: expected Compiled" what
+  in
+  (* distinct restarts are distinct dedup keys: every request executes *)
+  let spec restarts = P.Compile { counter_spec with P.restarts } in
+  List.iter
+    (fun r -> compiled "sequential" (rpc socket (spec r)))
+    [ 0; 1; 2; 0; 1; 2 ];
+  let replies = Array.make 6 None in
+  let threads =
+    List.init 3 (fun i ->
+        Thread.create
+          (fun () ->
+            for j = 0 to 1 do
+              replies.((2 * i) + j) <- Some (rpc socket (spec (3 + i)))
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (function
+      | Some r -> compiled "concurrent" r
+      | None -> Alcotest.fail "a concurrent request got no reply")
+    replies;
+  (match rpc socket (P.Compile { counter_spec with P.source = "not ISP" }) with
+  | P.Error_reply _ -> ()
+  | _ -> Alcotest.fail "a broken source must be an Error_reply");
+  compiled "after a failure" (rpc socket (spec 0));
+  check_int "every request executed" 14 (stat socket "serve.executions");
+  let traces =
+    Sys.readdir trace_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".trace.json")
+  in
+  check_int "one trace per execution" 14 (List.length traces);
+  let tids =
+    List.concat_map
+      (fun f ->
+        match
+          Json.parse
+            (String.concat "\n" (read_lines (Filename.concat trace_dir f)))
+        with
+        | Ok v -> (
+          match Json.member "traceEvents" v with
+          | Some (Json.Arr evs) ->
+            List.filter_map
+              (fun e ->
+                match Json.member "tid" e with
+                | Some (Json.Num t) -> Some t
+                | _ -> None)
+              evs
+          | _ -> Alcotest.failf "%s: no traceEvents" f)
+        | Error e -> Alcotest.failf "%s does not parse: %s" f e)
+      traces
+    |> List.sort_uniq compare
+  in
+  check_bool
+    (Printf.sprintf "traces carry at most %d domain ids (got %d)" (jobs + 1)
+       (List.length tids))
+    true
+    (tids <> [] && List.length tids <= jobs + 1)
+
+(* --exec-domains must fit in the runtime's 128 domains: checked before
+   the daemon binds its socket or starts a domain *)
+let test_exec_domain_count () =
+  let count = Sc_serve.Server.exec_domain_count in
+  let ok what want got =
+    match got with
+    | Ok n -> check_int what want n
+    | Error e -> Alcotest.failf "%s: unexpected error %s" what e
+  in
+  ok "an explicit count is kept" 2 (count ~jobs:1 (Some 2));
+  ok "below 1 clamps to 1" 1 (count ~jobs:1 (Some 0));
+  ok "the last domain that fits beside main" 127 (count ~jobs:1 (Some 127));
+  ok "beside main and -j 4's three workers" 124 (count ~jobs:4 (Some 124));
+  (match count ~jobs:1 None with
+  | Ok n -> check_bool "the default fits" true (n >= 1 && n <= 127)
+  | Error e -> Alcotest.failf "default rejected: %s" e);
+  let rejected what got =
+    match got with
+    | Error e -> check_bool (what ^ ": one line") false (String.contains e '\n')
+    | Ok n -> Alcotest.failf "%s: accepted %d" what n
+  in
+  rejected "128 beside the main domain" (count ~jobs:1 (Some 128));
+  rejected "125 beside -j 4" (count ~jobs:4 (Some 125));
+  rejected "no room left at -j 128" (count ~jobs:128 None)
+
 (* one request's --certify must not leak into a concurrent plain
    compile: run them together and check the snapshots disagree about
    certificates the way the flags do *)
@@ -630,4 +731,10 @@ let suite =
       test_certify_isolation_concurrent
   ; Alcotest.test_case "modular design via daemon" `Quick
       test_modular_via_daemon
+  ; Alcotest.test_case "executions reuse the daemon's domains" `Quick
+      (test_executions_reuse_domains 1)
+  ; Alcotest.test_case "executions reuse the daemon's domains at -j 2" `Quick
+      (test_executions_reuse_domains 2)
+  ; Alcotest.test_case "--exec-domains bounded by the runtime" `Quick
+      test_exec_domain_count
   ]
