@@ -653,7 +653,7 @@ let profile () =
     ; "route.height"; "drc.violations"; "cif.commands"; "cif.bytes"
     ];
   Printf.printf
-    "\nphysical design dominates (drc, then emit, place and route, on the pdp8), \
+    "\nphysical design dominates (route and place, on the pdp8), \
      synthesis is cheap; `scc compile DESIGN --stats --trace out.json` \
      reproduces any row with a loadable Chrome trace\n";
   (* the same data, machine-readable: one metrics snapshot per design,

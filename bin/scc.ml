@@ -71,7 +71,7 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel stages (DRC sharding, \
+          "Worker domains for the parallel stages (DRC cells and windows, \
            placement restarts, equivalence cones).  1 (the default) is \
            strictly sequential; output is byte-identical at every level.")
 

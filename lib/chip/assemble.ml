@@ -214,16 +214,17 @@ let pack ~name ~macros ~chip_ports ~nets () =
      symbol *)
   let wrappers = ref [] in
   let wrapper_for m =
-    let k = (m.mi_cell.Cell.id, m.mi_pins) in
-    match List.assoc_opt k !wrappers with
-    | Some w -> w
+    match
+      List.find_opt (fun (c, pins, _) -> c == m.mi_cell && pins = m.mi_pins) !wrappers
+    with
+    | Some (_, _, w) -> w
     | None ->
       let w =
         macro
           ~name:("macro_" ^ m.mi_cell.Cell.name)
           ~pins:m.mi_pins m.mi_cell
       in
-      wrappers := (k, w) :: !wrappers;
+      wrappers := (m.mi_cell, m.mi_pins, w) :: !wrappers;
       w
   in
   let placed =

@@ -79,7 +79,7 @@ let symbol f label number (c : Cell.t) numbering =
       let shift = i.trans.Transform.shift in
       f
         (Ast.Call
-           ( Hashtbl.find numbering i.cell.Cell.id
+           ( Cell.Tbl.find numbering i.cell
            , orient_ops i.trans.Transform.orient
                [ Ast.Translate (2 * shift.Point.x, 2 * shift.Point.y) ] )))
     c.instances;
@@ -89,14 +89,14 @@ let symbol f label number (c : Cell.t) numbering =
    order, one symbol per distinct cell, then the root call. *)
 let commands f root =
   let cells = Cell.all_cells root in
-  let numbering = Hashtbl.create 64 in
-  List.iteri (fun i (c : Cell.t) -> Hashtbl.add numbering c.id (i + 1)) cells;
+  let numbering = Cell.Tbl.create 64 in
+  List.iteri (fun i c -> Cell.Tbl.add numbering c (i + 1)) cells;
   let label = Buffer.create 64 in
   f (Ast.Comment "CIF 2.0 generated by the silicon compiler");
   List.iter
-    (fun (c : Cell.t) -> symbol f label (Hashtbl.find numbering c.Cell.id) c numbering)
+    (fun c -> symbol f label (Cell.Tbl.find numbering c) c numbering)
     cells;
-  f (Ast.Call (Hashtbl.find numbering root.Cell.id, []));
+  f (Ast.Call (Cell.Tbl.find numbering root, []));
   f Ast.End
 
 let file_of_cell root =

@@ -179,7 +179,8 @@ let measure_pass : (Cell.t, measured) P.pass =
     (fun layout ->
       let m =
         { marea = Cell.area layout
-        ; mtransistors = Stats.transistor_count layout
+        ; mtransistors =
+            Obs.span "measure.transistor_count" (fun () -> Stats.transistor_count layout)
         ; mcells = List.length (Cell.all_cells layout)
         ; mrects = Cell.flat_rect_count layout
         }

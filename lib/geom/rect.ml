@@ -108,70 +108,6 @@ let compare a b =
       let c = Int.compare a.xmax b.xmax in
       if c <> 0 then c else Int.compare a.ymax b.ymax
 
-(* Sort keys, least significant first: (xmin, ymin, width, height) orders
-   exactly as [compare], because at equal xmin the xmax order is the width
-   order and at equal xmin, ymin and xmax the ymax order is the height
-   order.  Widths and heights span few bits, so they take few passes. *)
-let[@inline] sort_key k r =
-  match k with
-  | 0 -> r.ymax - r.ymin
-  | 1 -> r.xmax - r.xmin
-  | 2 -> r.ymin
-  | _ -> r.xmin
-
-let sort_digit_bits = 11
-
-(* Least-significant-digit radix sort: each key is offset by its minimum
-   and read in fixed-width digits, each digit one stable counting pass;
-   a pass whose digit is the same for every rectangle is skipped.  The
-   offsets are read unsigned ([lsr]), so no key range can overflow. *)
-let sort a =
-  let n = Array.length a in
-  if n > 1 then begin
-    let mask = (1 lsl sort_digit_bits) - 1 in
-    let count = Array.make (mask + 1) 0 in
-    let src = ref a and dst = ref (Array.make n a.(0)) in
-    for k = 0 to 3 do
-      let lo = ref max_int and hi = ref min_int in
-      Array.iter
-        (fun r ->
-          let v = sort_key k r in
-          if v < !lo then lo := v;
-          if v > !hi then hi := v)
-        a;
-      let lo = !lo and span = !hi - !lo in
-      let shift = ref 0 in
-      while !shift < Sys.int_size && span lsr !shift <> 0 do
-        let s = !src and d = !dst and sh = !shift in
-        let digit r = ((sort_key k r - lo) lsr sh) land mask in
-        Array.fill count 0 (mask + 1) 0;
-        for i = 0 to n - 1 do
-          let b = digit s.(i) in
-          count.(b) <- count.(b) + 1
-        done;
-        if count.(digit s.(0)) < n then begin
-          (* each bucket's first slot, then a stable scatter *)
-          let next = ref 0 in
-          for b = 0 to mask do
-            let c = count.(b) in
-            count.(b) <- !next;
-            next := !next + c
-          done;
-          for i = 0 to n - 1 do
-            let r = s.(i) in
-            let b = digit r in
-            d.(count.(b)) <- r;
-            count.(b) <- count.(b) + 1
-          done;
-          src := d;
-          dst := s
-        end;
-        shift := !shift + sort_digit_bits
-      done
-    done;
-    if !src != a then Array.blit !src 0 a 0 n
-  end
-
 let pp ppf r =
   Format.fprintf ppf "[%d,%d..%d,%d]" r.xmin r.ymin r.xmax r.ymax
 

@@ -68,12 +68,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-(** [sort a] puts [a] in ascending {!compare} order in place.  It is a
-    radix sort on 11-bit digits, so at most six counting passes per
-    key: O(n) time and n + 2048 words of scratch, however far apart the
-    coordinates are. *)
-val sort : t array -> unit
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -19,10 +19,15 @@ type t =
 and inst = { inst_name : string; cell : t; trans : Transform.t }
 
 let next_id =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
+  let counter = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add counter 1 + 1
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash c = Hashtbl.hash c.id
+end)
 
 let element_bbox = function
   | Box (_, r) -> Some r
@@ -85,9 +90,6 @@ let instantiate ?name ?(trans = Transform.identity) cell =
 let add c es =
   make ~name:c.name ~ports:c.ports ~instances:c.instances (c.elements @ es)
 
-let add_instances c is =
-  make ~name:c.name ~ports:c.ports ~instances:(c.instances @ is) c.elements
-
 let add_ports c ps =
   make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances c.elements
 
@@ -136,11 +138,11 @@ let translate_to_origin c =
         (translate_elements d c.elements)
 
 let all_cells root =
-  let seen = Hashtbl.create 64 in
+  let seen = Tbl.create 64 in
   let acc = ref [] in
   let rec visit c =
-    if not (Hashtbl.mem seen c.id) then begin
-      Hashtbl.add seen c.id ();
+    if not (Tbl.mem seen c) then begin
+      Tbl.add seen c ();
       List.iter (fun i -> visit i.cell) c.instances;
       acc := c :: !acc
     end
@@ -149,9 +151,9 @@ let all_cells root =
   List.rev !acc
 
 let flat_rect_count root =
-  let memo = Hashtbl.create 64 in
+  let memo = Tbl.create 64 in
   let rec count c =
-    match Hashtbl.find_opt memo c.id with
+    match Tbl.find_opt memo c with
     | Some n -> n
     | None ->
       let own =
@@ -165,7 +167,7 @@ let flat_rect_count root =
       let n =
         List.fold_left (fun acc i -> acc + count i.cell) own c.instances
       in
-      Hashtbl.add memo c.id n;
+      Tbl.add memo c n;
       n
   in
   count root

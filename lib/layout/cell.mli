@@ -26,10 +26,16 @@ type t = private
   ; instances : inst list
   ; ports : port list
   ; bbox : Rect.t option  (** [None] for a completely empty cell *)
-  ; id : int  (** unique per constructed cell; identity for traversals *)
+  ; id : int  (** distinct among the cells one process builds *)
   }
 
 and inst = { inst_name : string; cell : t; trans : Transform.t }
+
+(** Tables keyed by a cell's physical identity, hashed by its [id].
+    Traversals memoize with these rather than by [id] alone: a cell read
+    back from a disk cache keeps the id it had in the process that wrote
+    it, which a cell built here may have too. *)
+module Tbl : Hashtbl.S with type key = t
 
 (** [make ~name ?ports ?instances elements] builds a cell.  Port names and
     instance names must be unique within the cell.
@@ -52,8 +58,6 @@ val instantiate : ?name:string -> ?trans:Transform.t -> t -> inst
 
 (** [add c es] returns a copy of [c] with extra elements. *)
 val add : t -> element list -> t
-
-val add_instances : t -> inst list -> t
 
 val add_ports : t -> port list -> t
 
@@ -93,7 +97,5 @@ val all_cells : t -> t list
 
 (** Number of element rectangles in the fully expanded (flattened) cell. *)
 val flat_rect_count : t -> int
-
-val element_bbox : element -> Rect.t option
 
 val pp : Format.formatter -> t -> unit

@@ -47,9 +47,9 @@ let transistor_count c =
   !roots
 
 let count_instances root =
-  let memo = Hashtbl.create 64 in
+  let memo = Cell.Tbl.create 64 in
   let rec go (c : Cell.t) =
-    match Hashtbl.find_opt memo c.id with
+    match Cell.Tbl.find_opt memo c with
     | Some n -> n
     | None ->
       let n =
@@ -57,7 +57,7 @@ let count_instances root =
           (fun acc (i : Cell.inst) -> acc + 1 + go i.cell)
           0 c.instances
       in
-      Hashtbl.add memo c.id n;
+      Cell.Tbl.add memo c n;
       n
   in
   go root

@@ -25,6 +25,8 @@ type t =
 
 let size t = t.pool_size
 
+(* the default width: as many domains as the runtime recommends, at
+   most 8 (the widest pool the width-determinism tests use) *)
 let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 
 (* the pool a domain works for, so [offload] can tell a nested call *)
@@ -202,11 +204,6 @@ let run ?(label = "par.task") t thunks =
            | Pending -> assert false)
          slots)
   end
-
-let map_list ?label t f xs = run ?label t (List.map (fun x () -> f x) xs)
-
-let map_array ?label t f xs =
-  Array.of_list (run ?label t (Array.to_list (Array.map (fun x () -> f x) xs)))
 
 (* --- the process-default pool --- *)
 

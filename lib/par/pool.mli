@@ -1,7 +1,7 @@
 (** A fixed-size OCaml 5 [Domain] worker pool with deterministic,
     ordered reduction.
 
-    The pipeline's parallel stages (DRC rule sharding, multi-seed
+    The pipeline's parallel stages (DRC cells and windows, multi-seed
     placement restarts, per-output equivalence cones) all follow the
     same shape: a list of independent pure tasks whose results must come
     back {e in submission order} so that parallel runs are byte-for-byte
@@ -40,25 +40,17 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] — a pool executing on [domains] domains total
     (the caller plus [domains - 1] spawned workers).  [domains]
-    defaults to {!recommended_domains}; values below 1 are clamped
-    to 1. *)
+    defaults to [Domain.recommended_domain_count], capped at 8; values
+    below 1 are clamped to 1. *)
 
 val size : t -> int
 (** Number of domains the pool executes on, including the caller. *)
-
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count], capped at 8 — the widest pool
-    the width-determinism tests use. *)
 
 val run : ?label:string -> t -> (unit -> 'a) list -> 'a list
 (** [run pool thunks] executes every thunk and returns their results in
     submission order.  Deterministic: scheduling affects only timing,
     never results or raised exceptions (the earliest-submitted failure
     wins).  [label] names the per-task Obs spans (default ["par.task"]). *)
-
-val map_list : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_array : ?label:string -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 val offload : t -> (unit -> 'a) -> 'a
 (** [offload pool f] runs [f] on one of the pool's [size pool - 1]

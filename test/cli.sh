@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end checks of the scc command line: the compile front door on
 # every source kind, its exit codes, the isp alias, the circuit specs
-# equiv resolves, serve's --exec-domains bound, and the pinned CIF text
-# of the baseline designs.
+# equiv resolves, serve's --exec-domains bound, a warm module edit over
+# the disk stage cache, and the pinned CIF text of the baseline designs.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -71,6 +71,60 @@ if [ "$(wc -l <"$dir/err")" -ne 1 ] || [ -e "$dir/serve.sock" ]; then
 fi
 
 expect 0 "equiv hand:alu4 hand:alu" "$scc" equiv hand:alu4 hand:alu
+
+# A warm rebuild whose accum module comes from the disk stage cache,
+# written by an earlier process, and whose mixer module is new: cells
+# of the two processes may share ids, and the CIF must stay whole.
+cat >"$dir/system-edit.isp" <<'EOF'
+module mixer;
+inputs a[4], b[4];
+outputs y[4];
+behavior
+  y := ((a | b) ^ 7) + 1;
+end
+
+module accum;
+inputs d[4], reset[1];
+outputs q[4];
+registers acc[4];
+behavior
+  if reset == 1 then acc := 0;
+  else acc := acc + d;
+  end
+  q := acc;
+end
+
+chip system;
+inputs a[4], b[4], reset[1];
+outputs q[4];
+instances
+  u_mix : mixer;
+  u_acc : accum;
+connect
+  u_mix.a = a;
+  u_mix.b = b;
+  u_acc.d = u_mix.y;
+  u_acc.reset = reset;
+  q = u_acc.q;
+end
+EOF
+expect 0 "prime the stage cache" "$scc" compile system --stage-cache "$dir/stages"
+expect 0 "warm module edit" "$scc" compile "$dir/system-edit.isp" --stage-cache "$dir/stages" -o "$dir/warm.cif"
+expect 0 "cold module edit" "$scc" compile "$dir/system-edit.isp" -o "$dir/cold.cif"
+expect 0 "drc of the warm CIF" "$scc" drc "$dir/warm.cif"
+if ! grep -qx 'DRC clean' "$dir/out"; then
+  echo "FAIL: the warm module edit's CIF is not DRC clean" >&2
+  cat "$dir/out" "$dir/err" >&2
+  fail=1
+fi
+expect 0 "stats of the warm CIF" "$scc" stats "$dir/warm.cif"
+warm=$(grep -o 'transistors [0-9]*, rects [0-9]*' "$dir/out")
+expect 0 "stats of the cold CIF" "$scc" stats "$dir/cold.cif"
+cold=$(grep -o 'transistors [0-9]*, rects [0-9]*' "$dir/out")
+if [ -z "$cold" ] || [ "$warm" != "$cold" ]; then
+  echo "FAIL: warm module edit: '$warm', cold: '$cold'" >&2
+  fail=1
+fi
 
 # The CIF text of the baseline designs, pinned by MD5 at two pool
 # widths.  A change that moves geometry on purpose updates these.

@@ -166,23 +166,96 @@ let test_wide_outer_still_encloses () =
   in
   check_bool "wide metal accepted as cover" true (Checker.is_clean c)
 
+(* [with_agree f] passes [f] a function that checks a layout with the
+   hierarchical checker against the flat deck at pool sizes 1 and 2, and
+   returns the violations. *)
+let with_agree f =
+  let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Sc_par.Pool.shutdown p1; Sc_par.Pool.shutdown p2)
+    (fun () ->
+      f (fun name layout ->
+          let expected = Checker.check_flat ~pool:p1 (Flatten.run layout) in
+          check_bool (name ^ ": check = check_flat, -j 1") true
+            (Checker.check ~pool:p1 layout = expected);
+          check_bool (name ^ ": check = check_flat, -j 2") true
+            (Checker.check ~pool:p2 layout = expected);
+          expected))
+
+let compiled name = function
+  | Ok (c : Sc_core.Compiler.compiled) -> c
+  | Error d -> Alcotest.fail (name ^ ": " ^ Sc_pipeline.Diag.to_string d)
+
 let test_pdp8_drc_time_budget () =
-  (* On the pdp8 layout the all-pairs deck took ~2.7 s of CPU and the
-     x-sorted sweep ~0.5 s; the grid-indexed deck takes ~0.05 s.  The
-     5 s budget only trips if the all-pairs behaviour comes back. *)
-  let d = Sc_core.Designs.parse Sc_core.Designs.pdp8_src in
-  let r = Sc_synth.Synth.gates d in
-  let layout =
-    Sc_place.Placer.to_layout ~name:"pdp8"
-      (Sc_place.Placer.ordered
-         (Sc_place.Placer.problem_of_circuit r.Sc_synth.Synth.circuit))
+  (* On the pdp8 layout the all-pairs deck took ~2.7 s of CPU, the
+     grid-indexed flat deck ~0.05 s.  The 5 s budget only trips if
+     quadratic behaviour comes back. *)
+  with_agree @@ fun agree ->
+  let c =
+    compiled "pdp8" (Result.map fst (Sc_core.Compiler.compile_behavior Sc_core.Designs.pdp8_src))
   in
-  let flat = Flatten.run layout in
   let t0 = Sys.time () in
-  let vs = Checker.check_flat flat in
+  let vs = Checker.check c.layout in
   let dt = Sys.time () -. t0 in
   check_int "pdp8 layout is DRC clean" 0 (List.length vs);
-  check_bool (Printf.sprintf "DRC under budget (%.2fs cpu)" dt) true (dt < 5.0)
+  check_bool (Printf.sprintf "DRC under budget (%.2fs cpu)" dt) true (dt < 5.0);
+  ignore (agree "pdp8" c.layout);
+  (* through CIF: the chip under elaboration's single-instance wrapper *)
+  match Sc_cif.Elaborate.of_string c.cif with
+  | Ok cell -> ignore (agree "pdp8.cif" cell)
+  | Error e -> Alcotest.fail (Sc_cif.Elaborate.error_to_string e)
+
+let test_chip_scale_equality () =
+  with_agree @@ fun agree ->
+  let builtins = [ "counter"; "traffic"; "alu4"; "gray"; "seqdet"; "pdp8"; "pdp8_dp" ] in
+  let source name = Option.get (Sc_core.Designs.builtin name) in
+  List.iter
+    (fun name ->
+      let c = compiled name (Result.map fst (Sc_core.Compiler.compile_behavior (source name))) in
+      check_int (name ^ " is DRC clean") 0 (List.length (agree name c.layout)))
+    builtins;
+  (* a PLA realises only small state machines: the others stop at
+     compile with a diagnostic *)
+  let plas =
+    List.filter
+      (fun name ->
+        match
+          Sc_core.Compiler.compile_behavior ~style:Sc_core.Compiler.Pla_control (source name)
+        with
+        | Ok (c, _) ->
+          ignore (agree (name ^ " (pla)") c.layout);
+          true
+        | Error d ->
+          Alcotest.(check string) (name ^ " (pla) fails in compile") "compile" d.stage;
+          false)
+      builtins
+  in
+  check_bool "four builtins compile to PLAs" true (List.length plas >= 4);
+  let c = compiled "system" (Result.map fst (Sc_core.Compiler.compile_behavior (source "system"))) in
+  ignore (agree "system" c.layout);
+  let counter12 = In_channel.with_open_text "../examples/counter12.v" In_channel.input_all in
+  let c = compiled "counter12.v" (Result.map fst (Sc_core.Compiler.compile_verilog counter12)) in
+  ignore (agree "counter12.v" c.layout);
+  (* seeded violations: metal pieces too close, a contact short of its
+     surround, narrow poly and a poly-diffusion abutment, in cells
+     placed side by side, mirrored and rotated *)
+  let seeded =
+    {|
+cell gap() { box metal 0 0 4 3; box metal 5 0 9 3; }
+cell bare() { box contact 1 1 3 3; box metal 0 0 4 2; }
+cell bits() { box poly 0 0 1 6; box diff 4 0 8 4; box poly 8 0 10 4; }
+cell main() {
+  inst gap() at (0, 0);
+  inst bare() at (12, 0);
+  inst bits() at (20, 0);
+  inst gap() at (0, 10) orient MX;
+  inst bits() at (40, 10) orient R90;
+  inst bare() at (4, 0);
+}
+|}
+  in
+  let c = compiled "seeded.lsl" (Sc_core.Compiler.compile_layout seeded) in
+  check_bool "seeded violations found" true (List.length (agree "seeded.lsl" c.layout) >= 5)
 
 (* property: inflating every metal rect's position apart by >= spacing keeps
    layouts clean on the metal rules *)
@@ -317,11 +390,39 @@ let reference_check flat =
     [ (Layer.Contact, Layer.Metal); (Layer.Glass, Layer.Metal) ];
   List.rev !out
 
-(* Random hierarchies: leaf cells of boxes on every layer placed as
-   translated instances, plus boxes in the top cell.  Boxes include
-   narrow and degenerate ones, rails long enough to cross many index
-   tiles, and contacts in metal drawn whole or as two abutting halves. *)
-let gen_layout =
+(* Cells in which context decides, each built from two instances under
+   one transform: [joined] straps two metal pieces 1 lambda apart
+   ([halves] alone violates spacing), [surround] completes a contact's
+   metal surround with a neighbour's metal ([via] alone violates
+   enclosure), and [apart] puts two clean pads 2 lambda apart, a
+   spacing violation only between the instances. *)
+let gadget kind trans =
+  let part name es = Cell.make ~name es in
+  let metal x0 y0 x1 y1 = Cell.box Layer.Metal (Rect.make x0 y0 x1 y1) in
+  let two name (c1, t1) (c2, t2) =
+    Cell.make ~name
+      ~instances:
+        [ Cell.instantiate ~name:"p0" ~trans:t1 c1; Cell.instantiate ~name:"p1" ~trans:t2 c2 ]
+      []
+  in
+  match kind with
+  | `Joined ->
+    two "joined"
+      (part "halves" [ metal 0 0 4 3; metal 5 0 9 3 ], trans)
+      (part "strap" [ metal 3 0 6 3 ], trans)
+  | `Surround ->
+    two "surround"
+      ( part "via" [ Cell.box Layer.Contact (Rect.make 2 2 4 4); metal 0 0 6 3 ]
+      , trans )
+      (part "cap" [ metal 0 3 6 6 ], trans)
+  | `Apart ->
+    let pad = part "pad" [ metal 0 0 4 4 ] in
+    two "apart" (pad, trans) (pad, Transform.compose trans (Transform.translation 6 0))
+
+(* Boxes on every layer, narrow and degenerate ones among them, rails
+   long enough to cross many index tiles, and contacts in metal drawn
+   whole or as two abutting halves. *)
+let gen_boxes lo hi =
   let open QCheck.Gen in
   let layer =
     frequency
@@ -352,10 +453,15 @@ let gen_layout =
       (Cell.box Layer.Contact (Rect.make x y (x + 2) (y + 2))
       :: List.map (Cell.box Layer.Metal) metal)
   in
-  let boxes lo hi = map List.concat (list_size (int_range lo hi) (frequency [ (6, box); (1, via) ])) in
-  let* leaves = list_size (int_range 1 3) (boxes 2 12) in
+  map List.concat (list_size (int_range lo hi) (frequency [ (6, box); (1, via) ]))
+
+(* One level: leaf cells of {!gen_boxes} placed as translated
+   instances, plus boxes in the top cell. *)
+let gen_translated =
+  let open QCheck.Gen in
+  let* leaves = list_size (int_range 1 3) (gen_boxes 2 12) in
   let leaves = List.mapi (fun k b -> Cell.make ~name:(Printf.sprintf "leaf%d" k) b) leaves in
-  let* top = boxes 0 8 in
+  let* top = gen_boxes 0 8 in
   let* placed =
     list_size (int_range 0 10)
       (triple (int_bound (List.length leaves - 1)) (int_range (-20) 120) (int_range (-20) 120))
@@ -368,6 +474,98 @@ let gen_layout =
       placed
   in
   pure (Cell.make ~name:"top" ~instances top)
+
+(* Random hierarchies, three to four levels deep.  Leaf cells hold
+   {!gen_boxes}; next to them sit the {!gadget} cells.  A middle level
+   holds cells of placed leaves (own boxes too), rows of abutting leaves
+   with every odd row mirrored in x as [Placer.to_layout] builds them,
+   and arrays of one cell placed many times.  The top cell places any of
+   these in all eight orientations, and is sometimes wrapped in a
+   single-instance cell, as CIF elaboration wraps a chip. *)
+let gen_layout =
+  let open QCheck.Gen in
+  let boxes = gen_boxes in
+  let trans span =
+    let* orient = oneofl Transform.all_orients
+    and* dx = int_range (-20) span
+    and* dy = int_range (-20) span in
+    pure (Transform.make ~orient (Point.make dx dy))
+  in
+  let place cells placed =
+    List.mapi
+      (fun k (c, t) ->
+        Cell.instantiate ~name:(Printf.sprintf "i%d" k) ~trans:t (List.nth cells c))
+      placed
+  in
+  let* leaves = list_size (int_range 1 3) (boxes 2 12) in
+  let leaves = List.mapi (fun k b -> Cell.make ~name:(Printf.sprintf "leaf%d" k) b) leaves in
+  let* gadgets =
+    list_size (int_range 0 3) (pair (oneofl [ `Joined; `Surround; `Apart ]) (trans 20))
+  in
+  let base = leaves @ List.map (fun (k, t) -> gadget k t) gadgets in
+  let pick = int_bound (List.length base - 1) in
+  let placed_mid =
+    let* own = boxes 0 4 and* placed = list_size (int_range 1 4) (pair pick (trans 40)) in
+    pure (Cell.make ~name:"mid" ~instances:(place base placed) own)
+  in
+  (* rows of abutting cells; odd rows mirrored in x, [gap] apart *)
+  let rows =
+    let* nrows = int_range 1 3 and* gap = int_range 0 4 and* cols = list_size (int_range 2 4) pick in
+    let cells = List.map (List.nth base) cols in
+    let h = List.fold_left (fun h c -> max h (Cell.height c)) 0 cells in
+    let insts =
+      List.concat
+        (List.init nrows (fun r ->
+             let y = r * (h + gap) in
+             let x = ref 0 in
+             List.map
+               (fun (c : Cell.t) ->
+                 let b = Cell.bbox_or_zero c in
+                 let t =
+                   if r land 1 = 1 then
+                     Transform.make ~orient:Transform.MX
+                       (Point.make (!x - b.Rect.xmin) (y + b.Rect.ymax))
+                   else Transform.translation (!x - b.Rect.xmin) (y - b.Rect.ymin)
+                 in
+                 x := !x + Rect.width b;
+                 (c, t))
+               cells))
+    in
+    pure
+      (Cell.make ~name:"rows"
+         ~instances:
+           (List.mapi
+              (fun k (c, t) -> Cell.instantiate ~name:(Printf.sprintf "r%d" k) ~trans:t c)
+              insts)
+         [])
+  in
+  (* one cell placed many times, at a pitch that may overlap *)
+  let array =
+    let* c = pick and* nx = int_range 2 4 and* ny = int_range 2 3
+    and* gx = int_range (-2) 4 and* gy = int_range (-2) 4 and* orient = oneofl Transform.all_orients in
+    let cell = List.nth base c in
+    let w = Cell.width cell + gx and h = Cell.height cell + gy in
+    let placed =
+      List.concat
+        (List.init nx (fun i ->
+             List.init ny (fun j -> (c, Transform.make ~orient (Point.make (i * w) (j * h))))))
+    in
+    pure (Cell.make ~name:"array" ~instances:(place base placed) [])
+  in
+  let* mids = list_size (int_range 0 2) (frequency [ (2, placed_mid); (1, rows); (1, array) ]) in
+  let cells = base @ mids in
+  let* top = boxes 0 8 in
+  let any =
+    frequency
+      [ (3, int_bound (List.length leaves - 1)); (2, int_bound (List.length cells - 1)) ]
+  in
+  let* placed = list_size (int_range 0 10) (pair any (trans 120)) in
+  let top = Cell.make ~name:"top" ~instances:(place cells placed) top in
+  let* wrap = option (trans 40) in
+  pure
+    (match wrap with
+    | None -> top
+    | Some t -> Cell.make ~name:"top_top" ~instances:[ Cell.instantiate ~trans:t top ] [])
 
 let test_matches_reference () =
   let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
@@ -393,6 +591,63 @@ let test_matches_reference () =
         (Hashtbl.mem seen rule))
     Rules.deck;
   check_bool "some case has several gates" true (!most_gates >= 3)
+
+(* The hierarchical check against the flat deck on random hierarchies,
+   at pool sizes 1 and 2, checking that the hierarchies exercise what
+   they are meant to: deep nesting, every orientation, mirrored rows,
+   arrays, and each case where context decides. *)
+let test_hierarchical_matches_flat () =
+  let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
+  let seen = Hashtbl.create 16 in
+  let note k = Hashtbl.replace seen k () in
+  let metal_spacing = Rules.Min_spacing (Layer.Metal, Layer.Metal, 3) in
+  let contact_enclosure = Rules.Min_enclosure (Layer.Contact, Layer.Metal, 1) in
+  let flat c = Checker.check_flat ~pool:p1 (Flatten.run c) in
+  let violates rule c = List.exists (fun v -> v.Checker.rule = rule) (flat c) in
+  let features layout =
+    let rec depth (c : Cell.t) =
+      List.fold_left (fun d (i : Cell.inst) -> max d (1 + depth i.cell)) 0 c.instances
+    in
+    if depth layout >= 3 then note "three levels of nesting";
+    List.iter
+      (fun (c : Cell.t) ->
+        List.iter
+          (fun (i : Cell.inst) -> note (Transform.orient_to_string i.trans.orient))
+          c.instances;
+        let part k = (List.nth c.instances k).Cell.cell in
+        match c.name with
+        | "rows" when List.exists (fun (i : Cell.inst) -> i.trans.orient = Transform.MX) c.instances ->
+          note "mirrored rows"
+        | "array" when List.length c.instances >= 4 -> note "one cell placed many times"
+        | "joined" when violates metal_spacing (part 0) && flat c = [] ->
+          note "metal pieces joined only by a neighbour"
+        | "surround" when violates contact_enclosure (part 0) && flat c = [] ->
+          note "contact surround completed by a neighbour"
+        | "apart" when flat (part 0) = [] && violates metal_spacing c ->
+          note "spacing violation only between instances"
+        | _ -> ())
+      (Cell.all_cells layout)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sc_par.Pool.shutdown p1; Sc_par.Pool.shutdown p2)
+    (fun () ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 0x41E7; 21 |])
+        (QCheck.Test.make ~name:"check = check_flat after Flatten.run" ~count:300
+           (QCheck.make ~print:(fun c -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c)) gen_layout)
+           (fun layout ->
+             features layout;
+             let expected = flat layout in
+             List.iter (fun v -> Hashtbl.replace seen (Format.asprintf "%a" Rules.pp_rule v.Checker.rule) ()) expected;
+             Checker.check ~pool:p1 layout = expected
+             && Checker.check ~pool:p2 layout = expected)));
+  List.iter
+    (fun case -> check_bool ("some case has " ^ case) true (Hashtbl.mem seen case))
+    ([ "three levels of nesting"; "mirrored rows"; "one cell placed many times"
+     ; "metal pieces joined only by a neighbour"
+     ; "contact surround completed by a neighbour"
+     ; "spacing violation only between instances" ]
+    @ List.map Transform.orient_to_string Transform.all_orients
+    @ List.map (Format.asprintf "%a" Rules.pp_rule) Rules.deck)
 
 (* Apart from the width rule, the violations are a function of the
    geometry: shuffling the flattened boxes changes nothing else. *)
@@ -436,8 +691,12 @@ let suite =
   ; Alcotest.test_case "wide outer still encloses" `Quick
       test_wide_outer_still_encloses
   ; Alcotest.test_case "pdp8 DRC time budget" `Slow test_pdp8_drc_time_budget
+  ; Alcotest.test_case "check = check_flat on every compiled chip" `Slow
+      test_chip_scale_equality
   ; prop_spaced_metal_clean
   ; Alcotest.test_case "indexed kernels match all-pairs references" `Quick
       test_matches_reference
+  ; Alcotest.test_case "hierarchical check matches the flat deck" `Quick
+      test_hierarchical_matches_flat
   ; prop_order_is_geometric
   ]

@@ -317,11 +317,11 @@ let summary (net : Extractor.netlist) =
   , List.filter (fun w -> not (channel w)) net.warnings
   , List.length (List.filter channel net.warnings) )
 
-(* test_drc's random hierarchies, with ports on some of the top cell's
+(* test_drc's one-level random layouts, with ports on some of the top cell's
    conductor boxes (a degenerate box's port touches nothing) *)
 let gen_ported =
   let open QCheck.Gen in
-  let* layout = Test_drc.gen_layout in
+  let* layout = Test_drc.gen_translated in
   let conductors =
     List.filter_map
       (function

@@ -263,21 +263,6 @@ let prop_minus_pieces =
       && disjoint pieces
       && List.fold_left (fun s p -> s + Rect.area p) 0 pieces = Rect.area a - cut)
 
-(* Rect.sort against the library sort, on arrays with many ties and on
-   coordinates far apart (every digit of every key in play). *)
-let prop_sort_is_compare_order =
-  let open QCheck.Gen in
-  let coord = frequency [ (3, int_range (-8) 8); (1, int_range (-(1 lsl 60)) (1 lsl 60)) ] in
-  let rect = map (fun (a, b, c, d) -> Rect.make a b c d) (quad coord coord coord coord) in
-  qtest "sort = Array.sort Rect.compare" 500
-    (QCheck.make ~print:(fun a -> String.concat " " (List.map Rect.to_string a))
-       (list_size (int_range 0 60) rect))
-    (fun rs ->
-      let a = Array.of_list rs and b = Array.of_list rs in
-      Rect.sort a;
-      Array.sort Rect.compare b;
-      Array.for_all2 Rect.equal a b)
-
 let suite =
   [ Alcotest.test_case "rect normalizes" `Quick test_rect_normalizes
   ; Alcotest.test_case "rect center/corner constructors" `Quick test_rect_center_corner
@@ -299,5 +284,4 @@ let suite =
   ; prop_index_near_is_filter
   ; prop_index_components
   ; prop_minus_pieces
-  ; prop_sort_is_compare_order
   ]

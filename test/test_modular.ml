@@ -331,7 +331,7 @@ let test_modular_incremental () =
         (String.equal cold_cif edited_cif))
 
 (* Two concurrent compiles of one modular source on a 2-wide pool, many
-   rounds: module tasks share the pool with the DRC shards they submit
+   rounds: module tasks share the pool with the DRC tasks they submit
    and share in-flight module runs with each other.  A submitter that
    helped with another compile's module could end up waiting on a
    flight it owns further down its own stack, so a hang here is the

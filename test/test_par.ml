@@ -17,13 +17,13 @@ let test_map_ordered () =
   Alcotest.(check (list int))
     "results in submission order"
     (List.map (fun i -> i * i) xs)
-    (Pool.map_list pool (fun i -> i * i) xs)
+    (Pool.run pool (List.map (fun i () -> i * i) xs))
 
 let test_sequential_pool () =
   with_pool 1 @@ fun pool ->
   check_int "one domain" 1 (Pool.size pool);
   Alcotest.(check (list int)) "runs in the caller" [ 0; 1; 4; 9 ]
-    (Pool.map_list pool (fun i -> i * i) [ 0; 1; 2; 3 ])
+    (Pool.run pool (List.map (fun i () -> i * i) [ 0; 1; 2; 3 ]))
 
 let test_size_clamped () =
   with_pool 0 @@ fun pool -> check_int "clamped to 1" 1 (Pool.size pool)
@@ -44,7 +44,7 @@ let test_earliest_exception_wins () =
   | exception Boom i -> check_int "earliest failing task wins" 7 i);
   (* a failed batch must not wedge the pool *)
   Alcotest.(check (list int)) "pool survives the failure" [ 2; 4; 6 ]
-    (Pool.map_list pool (fun i -> 2 * i) [ 1; 2; 3 ])
+    (Pool.run pool (List.map (fun i () -> 2 * i) [ 1; 2; 3 ]))
 
 (* Two submitters share one 2-wide pool, each under its own enabled
    recorder (the daemon's overlapping compiles).  A waiting caller
@@ -94,7 +94,7 @@ let test_nested_submission () =
       let got =
         Pool.run pool
           (List.init 6 (fun i () ->
-               Pool.map_list pool (fun j -> (10 * i) + j) [ 0; 1; 2; 3 ]))
+               Pool.run pool (List.map (fun j () -> (10 * i) + j) [ 0; 1; 2; 3 ])))
       in
       Alcotest.(check (list (list int)))
         (Printf.sprintf "nested results in order at %d domains" n)
