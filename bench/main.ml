@@ -653,7 +653,7 @@ let profile () =
     ; "route.height"; "drc.violations"; "cif.commands"; "cif.bytes"
     ];
   Printf.printf
-    "\nphysical design dominates (route and place, on the pdp8), \
+    "\nphysical design dominates (place, then drc and emit, on the pdp8), \
      synthesis is cheap; `scc compile DESIGN --stats --trace out.json` \
      reproduces any row with a loadable Chrome trace\n";
   (* the same data, machine-readable: one metrics snapshot per design,
@@ -720,7 +720,7 @@ let ablate () =
   | r ->
     Printf.printf "    on:  routed in %d tracks (height %d), DRC %s\n"
       r.Sc_route.Channel.tracks r.Sc_route.Channel.height
-      (if Sc_drc.Checker.is_clean r.Sc_route.Channel.layout then "clean"
+      (if Sc_drc.Checker.is_clean (Sc_route.Channel.draw r) then "clean"
        else "FAIL")
   | exception Sc_route.Channel.Unroutable m -> Printf.printf "    on:  unroutable: %s\n" m);
   (* A3: placement algorithm *)

@@ -293,7 +293,7 @@ let pack ~name ~macros ~chip_ports ~nets () =
       ; width
       }
   in
-  let ch = routed.Sc_route.Channel.layout in
+  let ch = Sc_route.Channel.draw routed in
   let instances =
     List.map
       (fun (m, w, x) ->

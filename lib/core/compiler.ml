@@ -14,10 +14,12 @@ type compiled =
   }
 
 (* Routing the row channels is pure measurement on this artwork style
-   (the rows stay at a fixed pitch), but it is a QoR source —
-   route.tracks/height/channels — so it runs unconditionally; an
-   unroutable channel is reported as "no summary", never an abort.  Any
-   other exception is a bug and reaches the pass's Diag boundary. *)
+   (the rows stay at a fixed pitch): [Channel.route] computes each
+   channel's track assignment and draws nothing, and only these three
+   counts are kept.  It is a QoR source — route.tracks/height/channels —
+   so it runs unconditionally; an unroutable channel is reported as "no
+   summary", never an abort.  Any other exception is a bug and reaches
+   the pass's Diag boundary. *)
 type route_summary =
   { rchannels : int
   ; rtracks : int

@@ -351,7 +351,7 @@ let layer_arrays flat =
       flat
   in
   each (fun i _ -> count.(i) <- count.(i) + 1);
-  let layers = Array.map (fun n -> Array.make n (Rect.make 0 0 0 0)) count in
+  let layers = Array.map (fun n -> Array.make n Rect.zero) count in
   each (fun i r ->
       count.(i) <- count.(i) - 1;
       layers.(i).(count.(i)) <- r);
@@ -435,7 +435,7 @@ let make_view id_of (c : Cell.t) =
       | Cell.Box (l, r) -> add l r
       | Cell.Wire (l, p) -> List.iter (add l) (Path.to_rects p))
     c.elements;
-  let own = Array.map (fun rs -> Array.of_list (List.rev rs)) own in
+  let own = Array.map (fun rs -> Rect.array_of_list (List.rev rs)) own in
   let own_box =
     Array.fold_left
       (Array.fold_left (fun acc r ->
@@ -445,11 +445,11 @@ let make_view id_of (c : Cell.t) =
   let insts =
     Array.of_list (List.filter (fun (i : Cell.inst) -> i.cell.bbox <> None) c.instances)
   in
-  let boxes =
-    Array.map
-      (fun (i : Cell.inst) -> Transform.apply_rect i.trans (Cell.bbox_or_zero i.cell))
-      insts
-  in
+  let boxes = Array.make (Array.length insts) Rect.zero in
+  Array.iteri
+    (fun m (i : Cell.inst) ->
+      boxes.(m) <- Transform.apply_rect i.trans (Cell.bbox_or_zero i.cell))
+    insts;
   { own
   ; own_box
   ; local = scan inline ~shards:1 own
@@ -503,7 +503,8 @@ let inter a b =
    [(m, -1)] for each instance whose grown box touches the grown box of
    the own rectangles. *)
 let windows view =
-  let grown = Array.map (Rect.inflate reach) view.boxes in
+  let grown = Array.make (Array.length view.boxes) Rect.zero in
+  Array.iteri (fun m b -> grown.(m) <- Rect.inflate reach b) view.boxes;
   let near = Rect_index.cursor (Rect_index.create grown) in
   let pairs = ref [] in
   Array.iteri
@@ -745,21 +746,33 @@ let check ?pool cell =
   for h = 0 to Array.fold_left Int.max 0 height do
     let level = List.filter (fun v -> height.(v) = h) (List.init n Fun.id) in
     let offsets = List.map (node_offsets views verdicts) level in
+    (* a list cut into slices: an array of this many fresh tuples would
+       force a minor collection *)
     let work =
-      Array.of_list
-        (List.concat
-           (List.map2
-              (fun v (offset, _) -> List.map (fun w -> (v, offset, w)) (windows views.(v)))
-              level offsets))
+      List.concat
+        (List.map2
+           (fun v (offset, _) -> List.map (fun w -> (v, offset, w)) (windows views.(v)))
+           level offsets)
     in
-    if Array.length work > 0 then
+    let rec slices work = function
+      | [] -> []
+      | (lo, hi) :: ranges ->
+        let rec take k l =
+          match l with
+          | x :: rest when k > 0 ->
+            let slice, rest = take (k - 1) rest in
+            (x :: slice, rest)
+          | _ -> ([], l)
+        in
+        let slice, rest = take (hi - lo) work in
+        slice :: slices rest ranges
+    in
+    if work <> [] then
       Sc_par.Pool.run ~label:"drc.windows" pool
         (List.map
-           (fun (lo, hi) () ->
-             List.init (hi - lo) (fun k ->
-                 let v, offset, w = work.(lo + k) in
-                 (v, meet views verdicts offset v w)))
-           (split (Array.length work) (4 * Sc_par.Pool.size pool)))
+           (fun slice () ->
+             List.map (fun (v, offset, w) -> (v, meet views verdicts offset v w)) slice)
+           (slices work (split (List.length work) (4 * Sc_par.Pool.size pool))))
       |> List.iter (List.iter (fun (v, met) -> mets.(v) <- met :: mets.(v)));
     Sc_par.Pool.run ~label:"drc.context" pool
       (List.map2 (fun v offs () -> settle views verdicts offs v mets.(v)) level offsets)

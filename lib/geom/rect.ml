@@ -95,6 +95,14 @@ let separation a b =
   let dy = gap a.ymin a.ymax b.ymin b.ymax in
   Int.max dx dy
 
+(* a structured constant: static data, never in the minor heap *)
+let zero = { xmin = 0; ymin = 0; xmax = 0; ymax = 0 }
+
+let array_of_list rs =
+  let a = Array.make (List.length rs) zero in
+  List.iteri (fun i r -> a.(i) <- r) rs;
+  a
+
 let equal a b =
   a.xmin = b.xmin && a.ymin = b.ymin && a.xmax = b.xmax && a.ymax = b.ymax
 

@@ -59,6 +59,17 @@ val minus : t -> t -> t list
 
 val union_bbox : t -> t -> t
 
+(** [zero] is the degenerate rectangle at the origin, a static constant:
+    [Array.make n zero] never forces a minor collection, where
+    [Array.make], [Array.init], [Array.map] and [Array.of_list] empty the
+    whole minor heap first when they build an array of more than 256
+    elements from a freshly allocated one.  Fill such arrays after
+    making them on [zero]. *)
+val zero : t
+
+(** [array_of_list rs] is [Array.of_list rs], made on {!zero}. *)
+val array_of_list : t list -> t array
+
 (** [separation a b] is the Euclidean-free rectilinear separation used by
     design-rule checking: the maximum of the x-gap and y-gap between the
     two rectangles, 0 when they touch or overlap. *)

@@ -19,6 +19,11 @@ val make : ?orient:orient -> Point.t -> t
 
 val translation : int -> int -> t
 
+(** [matrix o] is the orientation as an orthogonal matrix [(a, b, c, d)]
+    mapping [(x, y)] to [(a*x + b*y, c*x + d*y)]; one of [a], [b] is 0,
+    the other ±1, and likewise [c], [d]. *)
+val matrix : orient -> int * int * int * int
+
 (** [apply t p] transforms the point: orientation first, then shift. *)
 val apply : t -> Point.t -> Point.t
 

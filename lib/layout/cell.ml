@@ -29,38 +29,61 @@ module Tbl = Hashtbl.Make (struct
   let hash c = Hashtbl.hash c.id
 end)
 
-let element_bbox = function
-  | Box (_, r) -> Some r
-  | Wire (_, p) -> Path.bbox p
-
-let union_opt a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some r1, Some r2 -> Some (Rect.union_bbox r1 r2)
-
-let inst_bbox i =
-  match i.cell.bbox with
-  | None -> None
-  | Some r -> Some (Transform.apply_rect i.trans r)
-
+(* The bounding box accumulates in four ints carried through the walk,
+   so a cell allocates only its result however many elements it has.  An
+   instance's box is the image of two opposite corners of its cell's box:
+   a Manhattan transform maps them to opposite corners of the image. *)
 let compute_bbox elements instances =
-  let eb =
-    List.fold_left (fun acc e -> union_opt acc (element_bbox e)) None elements
+  let rec over_elements x0 y0 x1 y1 = function
+    | Box (_, r) :: rest -> over_rect x0 y0 x1 y1 r rest
+    | Wire (_, p) :: rest -> (
+      match Path.bbox p with
+      | None -> over_elements x0 y0 x1 y1 rest
+      | Some r -> over_rect x0 y0 x1 y1 r rest)
+    | [] -> over_instances x0 y0 x1 y1 instances
+  and over_rect x0 y0 x1 y1 (r : Rect.t) rest =
+    over_elements (Int.min x0 r.xmin) (Int.min y0 r.ymin) (Int.max x1 r.xmax)
+      (Int.max y1 r.ymax) rest
+  and over_instances x0 y0 x1 y1 = function
+    | { cell = { bbox = Some r; _ }; trans; _ } :: rest ->
+      let a, b, c, d = Transform.matrix trans.orient in
+      let sx = trans.shift.x and sy = trans.shift.y in
+      let ax = (a * r.xmin) + (b * r.ymin) + sx
+      and ay = (c * r.xmin) + (d * r.ymin) + sy in
+      let bx = (a * r.xmax) + (b * r.ymax) + sx
+      and by = (c * r.xmax) + (d * r.ymax) + sy in
+      over_instances
+        (Int.min x0 (Int.min ax bx))
+        (Int.min y0 (Int.min ay by))
+        (Int.max x1 (Int.max ax bx))
+        (Int.max y1 (Int.max ay by))
+        rest
+    | { cell = { bbox = None; _ }; _ } :: rest -> over_instances x0 y0 x1 y1 rest
+    | [] -> if x0 > x1 then None else Some (Rect.make x0 y0 x1 y1)
   in
-  List.fold_left (fun acc i -> union_opt acc (inst_bbox i)) eb instances
+  over_elements max_int max_int min_int min_int elements
 
-let check_unique what names =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      if Hashtbl.mem tbl n then
-        invalid_arg (Printf.sprintf "Cell.make: duplicate %s %S" what n);
-      Hashtbl.add tbl n ())
-    names
+module Names = Hashtbl.Make (String)
+
+(* Names are checked in one table sized to the list, so building a cell
+   of n ports never rehashes; a name already there leaves the table's
+   size unchanged, so each name is hashed once. *)
+let check_unique what name items =
+  match items with
+  | [] | [ _ ] -> ()
+  | _ ->
+    let tbl = Names.create (List.length items) in
+    List.iter
+      (fun item ->
+        let n = name item and before = Names.length tbl in
+        Names.replace tbl n ();
+        if Names.length tbl = before then
+          invalid_arg (Printf.sprintf "Cell.make: duplicate %s %S" what n))
+      items
 
 let make ~name ?(ports = []) ?(instances = []) elements =
-  check_unique "port" (List.map (fun p -> p.pname) ports);
-  check_unique "instance" (List.map (fun i -> i.inst_name) instances);
+  check_unique "port" (fun p -> p.pname) ports;
+  check_unique "instance" (fun i -> i.inst_name) instances;
   { name
   ; elements
   ; instances
@@ -92,8 +115,6 @@ let add c es =
 
 let add_ports c ps =
   make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances c.elements
-
-let rename name c = { c with name }
 
 let find_port_opt c n = List.find_opt (fun p -> String.equal p.pname n) c.ports
 
@@ -171,9 +192,3 @@ let flat_rect_count root =
       n
   in
   count root
-
-let pp ppf c =
-  Format.fprintf ppf "cell %s: %d elems, %d insts, %d ports, bbox %a" c.name
-    (List.length c.elements) (List.length c.instances) (List.length c.ports)
-    (Format.pp_print_option Rect.pp)
-    c.bbox

@@ -61,8 +61,6 @@ val add : t -> element list -> t
 
 val add_ports : t -> port list -> t
 
-val rename : string -> t -> t
-
 (** [find_port c name] looks the port up.
     @raise Not_found when absent. *)
 val find_port : t -> string -> port
@@ -97,5 +95,3 @@ val all_cells : t -> t list
 
 (** Number of element rectangles in the fully expanded (flattened) cell. *)
 val flat_rect_count : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -1,19 +1,29 @@
 open Sc_geom
 
+(* "inst.port" in one allocation *)
+let qualified inst port =
+  let li = String.length inst and lp = String.length port in
+  let b = Bytes.create (li + 1 + lp) in
+  Bytes.blit_string inst 0 b 0 li;
+  Bytes.set b li '.';
+  Bytes.blit_string port 0 b (li + 1) lp;
+  Bytes.unsafe_to_string b
+
 (* All combinators funnel through [of_instances]: build the instance list,
-   then export each sub-port under "instname.portname". *)
+   then export each sub-port under "instname.portname", in one pass over
+   the instances' ports. *)
 let of_instances ~name insts =
-  let ports =
-    List.concat_map
-      (fun (i : Cell.inst) ->
-        List.map
-          (fun (p : Cell.port) ->
-            let q = Cell.port_in_parent i p in
-            { q with Cell.pname = i.inst_name ^ "." ^ p.pname })
-          i.cell.ports)
-      insts
+  let promote ports (i : Cell.inst) =
+    List.fold_left
+      (fun ports (p : Cell.port) ->
+        { p with
+          Cell.pname = qualified i.inst_name p.pname
+        ; rect = Transform.apply_rect i.trans p.rect
+        }
+        :: ports)
+      ports i.cell.ports
   in
-  Cell.make ~name ~ports ~instances:insts []
+  Cell.make ~name ~ports:(List.rev (List.fold_left promote [] insts)) ~instances:insts []
 
 let lower_left c =
   let lo, _ = Rect.corners (Cell.bbox_or_zero c) in
@@ -94,12 +104,6 @@ let abut ~name a pa b pb =
     [ Cell.instantiate ~name:"i0" a
     ; Cell.instantiate ~name:"i1" ~trans:(Transform.make shift) b
     ]
-
-let place ~name placements =
-  of_instances ~name
-    (List.mapi
-       (fun k (c, t) -> Cell.instantiate ~name:(Printf.sprintf "p%d" k) ~trans:t c)
-       placements)
 
 let expose cell renames =
   let all = Flatten.ports cell in

@@ -6,8 +6,6 @@
     returns a new cell whose ports are the sub-cells' ports, qualified by
     instance name so composed cells remain routable. *)
 
-open Sc_geom
-
 (** [beside ~name ?sep a b] places [b] to the right of [a], lower edges
     aligned, with [sep] lambda of separation (default 0).  Ports are
     re-exported as "i0.<p>" / "i1.<p>"; use [expose] to rename them. *)
@@ -34,8 +32,11 @@ val array : name:string -> nx:int -> ny:int -> ?dx:int -> ?dy:int -> Cell.t -> C
     @raise Not_found if a port is missing. *)
 val abut : name:string -> Cell.t -> string -> Cell.t -> string -> Cell.t
 
-(** [place ~name placements] builds a cell from explicit placements. *)
-val place : name:string -> (Cell.t * Transform.t) list -> Cell.t
+(** [of_instances ~name insts] — a cell of the given instances and no
+    geometry of its own, exporting every port of every instance as
+    "<inst>.<port>", instance by instance.  All the combinators above
+    build their cell with it. *)
+val of_instances : name:string -> Cell.inst list -> Cell.t
 
 (** [expose cell renames] re-exports selected ports under new flat names;
     [renames] maps "inst.port" to the exported name. *)

@@ -32,12 +32,12 @@ let channels ~poly ~diffusion ~buried =
         | _ -> ()
       done)
     poly;
-  let pieces = Rect_index.create (Array.of_list (List.rev !pieces)) in
+  let pieces = Rect_index.create (Rect.array_of_list (List.rev !pieces)) in
   { pieces; region = Rect_index.components pieces }
 
 let transistor_count c =
   let on = Flatten.run_layers c [ Layer.Poly; Layer.Diffusion; Layer.Buried ] in
-  let layer l = Array.of_list on.(Layer.index l) in
+  let layer l = Rect.array_of_list on.(Layer.index l) in
   let { region; _ } =
     channels ~poly:(layer Layer.Poly) ~diffusion:(layer Layer.Diffusion)
       ~buried:(layer Layer.Buried)

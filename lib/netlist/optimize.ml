@@ -1,3 +1,7 @@
+(* a structured constant (static data, never young), so the gate array
+   below is made without forcing a minor collection *)
+let placeholder = { Circuit.kind = Gate.Const0; gname = ""; ins = [||]; out = 0 }
+
 (* Union-find over nets: alias.(n) points toward the canonical net.  Only
    gate outputs are ever aliased (to an equivalent existing net), so the
    canonical net always has a real driver. *)
@@ -10,7 +14,8 @@ let simplify c =
   let alias = Array.init n (fun i -> i) in
   let rec find i = if alias.(i) = i then i else find alias.(i) in
   let union_to target src = alias.(find src) <- find target in
-  let gates = Array.of_list f.Circuit.gates in
+  let gates = Array.make (List.length f.Circuit.gates) placeholder in
+  List.iteri (fun gi g -> gates.(gi) <- g) f.Circuit.gates;
   let alive = Array.make (Array.length gates) true in
   let const_of net =
     let r = find net in

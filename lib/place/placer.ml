@@ -15,39 +15,44 @@ type placement =
   ; row_width : int
   }
 
+(* No array here is made from a fresh block: [Array.make] or
+   [Array.of_list] of more than 256 young blocks would force a minor
+   collection.  An item's touches are consecutive (its output, then its
+   inputs), so a repeated (net, item) pair is always at the head of the
+   net's list. *)
 let problem_of_circuit c =
   let f = Circuit.flatten c in
-  let gates = Array.of_list f.Circuit.gates in
-  let kinds = Array.map (fun g -> g.Circuit.kind) gates in
-  let widths =
-    Array.map (fun g -> (Sc_stdcell.Library.get g.Circuit.kind).Sc_stdcell.Library.width) gates
-  in
-  let names = Array.map (fun g -> g.Circuit.gname) gates in
+  let n = List.length f.Circuit.gates in
+  let kinds = Array.make n Gate.Const0 and widths = Array.make n 0 in
+  let names = Array.make n "" in
   let by_net = Hashtbl.create 64 in
-  (* dedup with a (net, item) set: [List.mem] on the accumulated list is
-     O(fanout) per endpoint, quadratic on high-fanout nets like clocks *)
-  let seen = Hashtbl.create 256 in
   let touch net item =
-    if not (Hashtbl.mem seen (net, item)) then begin
-      Hashtbl.add seen (net, item) ();
-      let cur = try Hashtbl.find by_net net with Not_found -> [] in
-      Hashtbl.replace by_net net (item :: cur)
-    end
+    match Hashtbl.find_opt by_net net with
+    | Some (i :: _) when i = item -> ()
+    | cur -> Hashtbl.replace by_net net (item :: Option.value cur ~default:[])
   in
-  Array.iteri
-    (fun idx g ->
-      touch g.Circuit.out idx;
-      Array.iter (fun n -> touch n idx) g.Circuit.ins)
-    gates;
-  let nets =
-    Hashtbl.fold
-      (fun _ items acc ->
-        match items with
-        | [] | [ _ ] -> acc
-        | _ -> Array.of_list items :: acc)
-      by_net []
+  List.iteri
+    (fun idx (g : Circuit.gate_inst) ->
+      kinds.(idx) <- g.kind;
+      widths.(idx) <- (Sc_stdcell.Library.get g.kind).Sc_stdcell.Library.width;
+      names.(idx) <- g.gname;
+      touch g.out idx;
+      Array.iter (fun n -> touch n idx) g.ins)
+    f.Circuit.gates;
+  let multi =
+    Hashtbl.fold (fun _ items k -> match items with [] | [ _ ] -> k | _ -> k + 1) by_net 0
   in
-  { kinds; widths; names; nets = Array.of_list nets }
+  let nets = Array.make multi [||] in
+  ignore
+    (Hashtbl.fold
+       (fun _ items k ->
+         match items with
+         | [] | [ _ ] -> k
+         | _ ->
+           nets.(k - 1) <- Array.of_list items;
+           k - 1)
+       by_net multi);
+  { kinds; widths; names; nets }
 
 let default_rows p =
   let n = Array.length p.kinds in
@@ -114,8 +119,9 @@ let ordered ?nrows p =
   pairs (fun a b ->
       fill.(a) <- fill.(a) - 1;
       adj.(fill.(a)) <- b);
+  let next = Array.make n 0.0 and ranked = Array.make n 0 in
   for _pass = 1 to 12 do
-    let next = Array.copy pos in
+    Array.blit pos 0 next 0 n;
     for i = 0 to n - 1 do
       let lo = first.(i) and hi = first.(i + 1) in
       if hi > lo then begin
@@ -128,12 +134,14 @@ let ordered ?nrows p =
     done;
     Array.blit next 0 pos 0 n;
     (* re-rank to keep positions spread *)
-    let ranked = Array.init n (fun i -> i) in
-    Array.sort (fun a b -> Float.compare pos.(a) pos.(b)) ranked;
+    for i = 0 to n - 1 do
+      ranked.(i) <- i
+    done;
+    Heapsort.by_key pos ranked;
     Array.iteri (fun rank item -> pos.(item) <- float_of_int rank) ranked
   done;
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Float.compare pos.(a) pos.(b)) order;
+  Heapsort.by_key pos order;
   fold_rows p order nrows
 
 let item_center pl i =
@@ -273,20 +281,9 @@ let to_layout ?(channel = 30) ~name pl =
       else Transform.translation pl.x.(i) y
     in
     insts :=
-      Sc_layout.Cell.instantiate ~name:(Printf.sprintf "g%d" i) ~trans cell
-      :: !insts
+      Sc_layout.Cell.instantiate ~name:("g" ^ string_of_int i) ~trans cell :: !insts
   done;
-  let ports =
-    List.concat_map
-      (fun (i : Sc_layout.Cell.inst) ->
-        List.map
-          (fun (p : Sc_layout.Cell.port) ->
-            let q = Sc_layout.Cell.port_in_parent i p in
-            { q with Sc_layout.Cell.pname = i.inst_name ^ "." ^ p.pname })
-          i.cell.Sc_layout.Cell.ports)
-      !insts
-  in
-  Sc_layout.Cell.make ~name ~ports ~instances:!insts []
+  Sc_layout.Compose.of_instances ~name !insts
 
 type routed_channels =
   { channels : Sc_route.Channel.routed list
@@ -296,75 +293,125 @@ type routed_channels =
 (* Pin assignment: one pin per net per channel side, snapped onto a
    14-lambda grid.  Bottom pins sit on even half-grid slots and top pins
    on odd ones, so no column ever carries pins of two different nets and
-   the vertical constraint graph stays empty. *)
-let channel_specs pl =
+   the vertical constraint graph stays empty.  A side's pin goes to the
+   mean centre of the net's items on that side; the boundaries are
+   visited bottom up, adding each row's items to their nets' running
+   bottom sums, so a boundary costs one pass over the nets, however
+   many items they have.  [pin_assigner pl] returns [pins_at]: called
+   for each boundary in turn, bottom up, [pins_at b] is boundary [b]'s
+   bottom and top pin x per crossing net, [None] when no net crosses
+   it. *)
+let pin_assigner pl =
   let grid = 14 in
   let nets = pl.problem.nets in
+  let nnets = Array.length nets and n = Array.length pl.problem.kinds in
   let centre i = pl.x.(i) + (pl.problem.widths.(i) / 2) in
   let max_centre = ref 0 in
-  for i = 0 to Array.length pl.problem.kinds - 1 do
-    max_centre := max !max_centre (centre i)
+  for i = 0 to n - 1 do
+    max_centre := Int.max !max_centre (centre i)
   done;
   (* a net crosses boundary b (between rows b and b+1) iff lo <= b < hi *)
-  let lo = Array.map (Array.fold_left (fun m i -> min m pl.row.(i)) max_int) nets in
-  let hi = Array.map (Array.fold_left (fun m i -> max m pl.row.(i)) min_int) nets in
-  let specs = ref [] in
-  for boundary = pl.nrows - 2 downto 0 do
-    let crossing = ref [] in
-    for k = Array.length nets - 1 downto 0 do
-      if lo.(k) <= boundary && boundary < hi.(k) then crossing := k :: !crossing
+  let lo = Array.make nnets max_int and hi = Array.make nnets min_int in
+  let sum = Array.make nnets 0 in
+  (* the items of each row, and the nets of each item *)
+  let row_at = Array.make (pl.nrows + 1) 0 and net_at = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    row_at.(pl.row.(i) + 1) <- row_at.(pl.row.(i) + 1) + 1
+  done;
+  Array.iteri
+    (fun k net ->
+      Array.iter
+        (fun i ->
+          lo.(k) <- Int.min lo.(k) pl.row.(i);
+          hi.(k) <- Int.max hi.(k) pl.row.(i);
+          sum.(k) <- sum.(k) + centre i;
+          net_at.(i + 1) <- net_at.(i + 1) + 1)
+        net)
+    nets;
+  for r = 1 to pl.nrows do
+    row_at.(r) <- row_at.(r) + row_at.(r - 1)
+  done;
+  for i = 1 to n do
+    net_at.(i) <- net_at.(i) + net_at.(i - 1)
+  done;
+  let by_row = Array.make n 0 and of_item = Array.make net_at.(n) 0 in
+  let fill = Array.sub row_at 0 pl.nrows in
+  for i = 0 to n - 1 do
+    by_row.(fill.(pl.row.(i))) <- i;
+    fill.(pl.row.(i)) <- fill.(pl.row.(i)) + 1
+  done;
+  let fill = Array.sub net_at 0 n in
+  Array.iteri
+    (fun k net ->
+      Array.iter
+        (fun i ->
+          of_item.(fill.(i)) <- k;
+          fill.(i) <- fill.(i) + 1)
+        net)
+    nets;
+  let bsum = Array.make nnets 0 and bcount = Array.make nnets 0 in
+  let bx = Array.make nnets 0 and tx = Array.make nnets 0 in
+  fun boundary ->
+    for j = row_at.(boundary) to row_at.(boundary + 1) - 1 do
+      let i = by_row.(j) in
+      for e = net_at.(i) to net_at.(i + 1) - 1 do
+        let k = of_item.(e) in
+        bsum.(k) <- bsum.(k) + centre i;
+        bcount.(k) <- bcount.(k) + 1
+      done
     done;
-    if !crossing <> [] then begin
-      let crossing = Array.of_list !crossing in
-      let count = Array.length crossing in
+    let count = ref 0 in
+    for k = 0 to nnets - 1 do
+      if lo.(k) <= boundary && boundary < hi.(k) then incr count
+    done;
+    let count = !count in
+    if count = 0 then None
+    else begin
       (* the last of k pins lands at most k-1 slots past the largest snap *)
       let size = (!max_centre / grid) + count + 1 in
       let bottom_slots = Sc_route.Next_free.create size
       and top_slots = Sc_route.Next_free.create size in
       let slot slots x =
-        let s = Sc_route.Next_free.find slots (max 0 (x / grid)) in
+        let s = Sc_route.Next_free.find slots (Int.max 0 (x / grid)) in
         Sc_route.Next_free.take slots s;
         s
       in
       (* slots go to the nets in order: the first net to want a slot
          gets it *)
-      let bx = Array.make count 0 and tx = Array.make count 0 in
-      for netid = 0 to count - 1 do
-        let net = nets.(crossing.(netid)) in
-        let bsum = ref 0 and bcount = ref 0 and tsum = ref 0 and tcount = ref 0 in
-        for m = 0 to Array.length net - 1 do
-          let i = net.(m) in
-          if pl.row.(i) <= boundary then begin
-            bsum := !bsum + centre i;
-            incr bcount
-          end
-          else begin
-            tsum := !tsum + centre i;
-            incr tcount
-          end
-        done;
-        bx.(netid) <- slot bottom_slots (!bsum / !bcount) * grid;
-        tx.(netid) <- (slot top_slots (!tsum / !tcount) * grid) + (grid / 2)
+      let netid = ref 0 in
+      for k = 0 to nnets - 1 do
+        if lo.(k) <= boundary && boundary < hi.(k) then begin
+          let tcount = Array.length nets.(k) - bcount.(k) in
+          bx.(!netid) <- slot bottom_slots (bsum.(k) / bcount.(k)) * grid;
+          tx.(!netid) <-
+            (slot top_slots ((sum.(k) - bsum.(k)) / tcount) * grid) + (grid / 2);
+          incr netid
+        end
       done;
-      let bottom = ref [] and top = ref [] and width = ref 0 in
-      for netid = count - 1 downto 0 do
-        bottom := { Sc_route.Channel.x = bx.(netid); net = netid } :: !bottom;
-        top := { Sc_route.Channel.x = tx.(netid); net = netid } :: !top;
-        width := max !width (max bx.(netid) tx.(netid) + 2)
-      done;
-      specs := { Sc_route.Channel.top = !top; bottom = !bottom; width = !width } :: !specs
+      Some (Array.sub bx 0 count, Array.sub tx 0 count)
     end
-  done;
-  !specs
 
+(* net [k]'s pins at [bottom.(k)] and [top.(k)] *)
+let spec_of (bottom, top) =
+  let bpins = ref [] and tpins = ref [] and width = ref 0 in
+  for net = Array.length bottom - 1 downto 0 do
+    bpins := { Sc_route.Channel.x = bottom.(net); net } :: !bpins;
+    tpins := { Sc_route.Channel.x = top.(net); net } :: !tpins;
+    width := Int.max !width (Int.max bottom.(net) top.(net) + 2)
+  done;
+  { Sc_route.Channel.top = !tpins; bottom = !bpins; width = !width }
+
+(* The pins of every channel are assigned first, as int arrays; each
+   channel's spec is made just before it is routed, so only one
+   channel's pin lists are live at a time. *)
 let route_channels pl =
-  let specs = Sc_obs.Obs.span "pins" (fun () -> channel_specs pl) in
-  let channels = List.map (fun spec -> Sc_route.Channel.route spec) specs in
+  let pins =
+    Sc_obs.Obs.span "pins" @@ fun () ->
+    let pins_at = pin_assigner pl in
+    List.filter_map pins_at (List.init (Int.max 0 (pl.nrows - 1)) Fun.id)
+  in
+  let channels = List.map (fun p -> Sc_route.Channel.route (spec_of p)) pins in
   { channels
   ; total_height =
       List.fold_left (fun a (c : Sc_route.Channel.routed) -> a + c.height) 0 channels
   }
-
-let pp ppf pl =
-  Format.fprintf ppf "placement: %d items in %d rows, width %d, hpwl %d"
-    (Array.length pl.problem.kinds) pl.nrows pl.row_width (hpwl pl)

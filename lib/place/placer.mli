@@ -63,7 +63,8 @@ val hpwl : placement -> int
 (** [to_layout ?channel ~name placement] — rows of library cells with
     [channel] lambda of routing space between rows (default 30).
     Alternate rows are flipped in y so that power rails of facing rows
-    line up.  Cell ports are exposed as "g<item>.<port>". *)
+    line up.  Cell ports are exposed as "g<item>.<port>": the cell is
+    {!Sc_layout.Compose.of_instances} of the placed gates. *)
 val to_layout : ?channel:int -> name:string -> placement -> Sc_layout.Cell.t
 
 (** Routed wiring-management cost of a placement: for every adjacent
@@ -83,13 +84,13 @@ type routed_channels =
     some net crosses, bottom boundary first.
 
     Pin assignment runs in an {!Sc_obs.Obs.span} named ["pins"] (each
-    channel then routes in its own ["channel"] span).  Per boundary it
-    costs one pass over the nets plus near-linear time in the pins:
-    every net's lowest and highest row are found once, each side's
-    centre is one integer sum, and a colliding
-    pin takes the next free grid slot through a path-compressed
-    next-free array ({!Sc_route.Next_free}) sized by the largest cell
-    centre. *)
+    channel then routes in its own ["channel"] span, with
+    {!Sc_route.Channel.route}: track assignments only, no geometry).
+    Per boundary it costs one pass over the nets plus near-linear time
+    in the pins: every net's lowest and highest row and total centre
+    are found once, the boundaries are visited bottom up with each
+    net's bottom-side sum kept running, and a colliding pin takes the
+    next free grid slot through a path-compressed next-free array
+    ({!Sc_route.Next_free}) sized by the largest cell centre.  Each
+    channel's pin lists are made just before it routes. *)
 val route_channels : placement -> routed_channels
-
-val pp : Format.formatter -> placement -> unit

@@ -3,13 +3,22 @@
    per-column Hashtbl for the vertical constraint graph, linear-probing
    pin slots and per-boundary rescans of every net.  Kept verbatim
    (minus the observability span) as the differential oracle for
-   [Sc_route.Channel.route] and [Sc_place.Placer.route_channels] in
-   test_place_route.ml, the way test_drc.ml keeps its all-pairs deck. *)
+   [Sc_route.Channel.route], [Sc_route.Channel.draw] and
+   [Sc_place.Placer.route_channels] in test_place_route.ml, the way
+   test_drc.ml keeps its all-pairs deck.  It routes and draws in one
+   step, as the router did then, so its result carries the layout. *)
 
 open Sc_geom
 open Sc_tech
 open Sc_layout
 open Sc_route.Channel
+
+type routed =
+  { height : int
+  ; tracks : int
+  ; layout : Cell.t
+  ; trunk_length : int
+  }
 
 let track_pitch = 7
 

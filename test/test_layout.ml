@@ -169,6 +169,83 @@ let test_flatten_ports_qualified () =
      through each instance *)
   check_bool "contains i0.e" true (List.mem "i0.e" names)
 
+(* --- Cell.make's bounding box against a fold of Rect.union_bbox --- *)
+
+(* The bounding box the old construction computed: a union over the
+   boxes, the wires' [Path.bbox] and the instances' transformed boxes. *)
+let folded_bbox elements instances =
+  let union acc r = Some (match acc with None -> r | Some b -> Rect.union_bbox b r) in
+  let acc =
+    List.fold_left
+      (fun acc e ->
+        match e with
+        | Cell.Box (_, r) -> union acc r
+        | Cell.Wire (_, p) -> Option.fold ~none:acc ~some:(union acc) (Path.bbox p))
+      None elements
+  in
+  List.fold_left
+    (fun acc (i : Cell.inst) ->
+      Option.fold ~none:acc
+        ~some:(fun r -> union acc (Transform.apply_rect i.trans r))
+        (Cell.bbox i.cell))
+    acc instances
+
+(* Up to five boxes and two Manhattan wires of even width around the
+   origin, and up to four instances, in any orientation, of cells
+   generated the same way (one level down: no instances) — some of them
+   empty. *)
+let gen_cell_parts =
+  let open QCheck.Gen in
+  let coord = int_range (-40) 40 in
+  let box =
+    map (fun (a, b, c, d) -> Cell.box Layer.Metal (Rect.make a b c d)) (quad coord coord coord coord)
+  in
+  let wire =
+    let* width = map (fun k -> 2 * k) (int_range 1 3) and* x = coord and* y = coord in
+    let* turns = list_size (int_range 0 3) (pair bool coord) in
+    let _, points =
+      List.fold_left
+        (fun ((x, y), acc) (horizontal, d) ->
+          let p = if horizontal then (x + d, y) else (x, y + d) in
+          (p, Point.make (fst p) (snd p) :: acc))
+        ((x, y), [ Point.make x y ])
+        turns
+    in
+    return (Cell.wire Layer.Poly ~width (List.rev points))
+  in
+  let elements =
+    let* boxes = list_size (int_range 0 5) box and* wires = list_size (int_range 0 2) wire in
+    return (boxes @ wires)
+  in
+  let* children = list_size (int_range 0 4) elements in
+  let* orients = list_repeat (List.length children) (oneofl Transform.all_orients) in
+  let* shifts = list_repeat (List.length children) (pair coord coord) in
+  let instances =
+    List.mapi
+      (fun k ((es, orient), (dx, dy)) ->
+        Cell.instantiate ~name:(Printf.sprintf "i%d" k)
+          ~trans:(Transform.make ~orient (Point.make dx dy))
+          (Cell.make ~name:(Printf.sprintf "c%d" k) es))
+      (List.combine (List.combine children orients) shifts)
+  in
+  let* own = elements in
+  return (own, instances)
+
+let prop_bbox_is_folded_union =
+  let seen = Hashtbl.create 8 in
+  let prop =
+    QCheck.Test.make ~name:"Cell.make bbox = folded union" ~count:500
+      (QCheck.make gen_cell_parts) (fun (elements, instances) ->
+        List.iter (fun (i : Cell.inst) -> Hashtbl.replace seen i.trans.orient ()) instances;
+        let c = Cell.make ~name:"c" ~instances elements in
+        Option.equal Rect.equal (Cell.bbox c) (folded_bbox elements instances))
+  in
+  Alcotest.test_case "Cell.make bbox = folded union" `Quick (fun () ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 0xBB0C; 22 |]) prop;
+      check_bool "an empty cell has no bbox" true (Cell.bbox (Cell.empty "e") = None);
+      check_bool "every orientation occurs" true
+        (List.for_all (Hashtbl.mem seen) Transform.all_orients))
+
 let suite =
   [ Alcotest.test_case "make rejects duplicate ports" `Quick test_make_rejects_duplicates
   ; Alcotest.test_case "bbox includes instances" `Quick test_bbox_includes_instances
@@ -184,4 +261,5 @@ let suite =
   ; Alcotest.test_case "transistor count" `Quick test_transistor_count
   ; Alcotest.test_case "stats measure" `Quick test_stats_measure
   ; Alcotest.test_case "flatten ports qualified" `Quick test_flatten_ports_qualified
+  ; prop_bbox_is_folded_union
   ]

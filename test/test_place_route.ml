@@ -119,7 +119,7 @@ let simple_spec =
 let test_route_simple () =
   let r = route simple_spec in
   check_bool "few tracks" true (r.tracks <= 2);
-  check_bool "drc clean" true (Sc_drc.Checker.is_clean r.layout)
+  check_bool "drc clean" true (Sc_drc.Checker.is_clean (draw r))
 
 let test_route_shares_track () =
   (* nets 1 and 3 do not overlap horizontally: same track *)
@@ -142,7 +142,7 @@ let test_route_through () =
   let r = route spec in
   check_int "no tracks needed" 0 r.tracks;
   check_bool "still has geometry" true
-    (Sc_layout.Cell.bbox r.layout <> None)
+    (Sc_layout.Cell.bbox (draw r) <> None)
 
 let test_vertical_constraint_ordering () =
   (* column 10: net 1 on top, net 2 on bottom -> net 1's trunk above *)
@@ -154,7 +154,7 @@ let test_vertical_constraint_ordering () =
   in
   let r = route spec in
   check_int "two tracks" 2 r.tracks;
-  check_bool "drc clean" true (Sc_drc.Checker.is_clean r.layout)
+  check_bool "drc clean" true (Sc_drc.Checker.is_clean (draw r))
 
 let test_cycle_detected () =
   let spec =
@@ -185,7 +185,7 @@ let test_dogleg_reduces_tracks () =
   let dog = route ~dogleg:true spec in
   check_bool "dogleg not worse" true (dog.tracks <= plain.tracks);
   check_bool "both clean" true
-    (Sc_drc.Checker.is_clean plain.layout && Sc_drc.Checker.is_clean dog.layout)
+    (Sc_drc.Checker.is_clean (draw plain) && Sc_drc.Checker.is_clean (draw dog))
 
 let test_pin_spacing_validated () =
   let spec =
@@ -198,8 +198,17 @@ let test_pin_spacing_validated () =
      with Invalid_argument _ -> true)
 
 let test_river () =
-  let r = river ~width:60 [ (0, 14); (10, 28); (21, 35); (35, 49) ] in
-  check_bool "clean" true (Sc_drc.Checker.is_clean r.layout);
+  (* order-preserving two-row connection: pair (xb, xt) joins the bottom
+     pin at xb to the top pin at xt, one net per pair *)
+  let pairs = [ (0, 14); (10, 28); (21, 35); (35, 49) ] in
+  let r =
+    route
+      { top = List.mapi (fun net (_, x) -> { x; net }) pairs
+      ; bottom = List.mapi (fun net (x, _) -> { x; net }) pairs
+      ; width = 60
+      }
+  in
+  check_bool "clean" true (Sc_drc.Checker.is_clean (draw r));
   check_bool "bounded tracks" true (r.tracks <= 4)
 
 
@@ -215,7 +224,7 @@ let test_route_channels () =
   (* every channel's geometry is DRC clean *)
   List.iter
     (fun (c : Sc_route.Channel.routed) ->
-      check_bool "channel clean" true (Sc_drc.Checker.is_clean c.layout))
+      check_bool "channel clean" true (Sc_drc.Checker.is_clean (draw c)))
     rc.Sc_place.Placer.channels
 
 let test_route_channels_structure_helps () =
@@ -247,7 +256,7 @@ let prop_random_channels_route_clean =
          let bottom = List.init k (fun i -> { x = (i * 14) + (7 * shift); net = i }) in
          let width = (k * 14) + (7 * shift) + 2 in
          let r = route { top; bottom; width } in
-         Sc_drc.Checker.is_clean r.layout))
+         Sc_drc.Checker.is_clean (draw r)))
 
 let prop_next_free_is_linear_probing =
   (* the model is probing a set of taken slots one by one: the answer
@@ -281,10 +290,12 @@ let outcome f =
   | exception Unroutable m -> Error ("Unroutable: " ^ m)
   | exception Invalid_argument m -> Error ("Invalid_argument: " ^ m)
 
-let same_routed (a : routed) (b : routed) =
+(* the kernel's counts against the reference's, and the drawn channel
+   against the reference's artwork, element for element *)
+let same_routed (a : routed) (b : Route_reference.routed) =
   a.tracks = b.tracks && a.height = b.height
   && a.trunk_length = b.trunk_length
-  && a.layout.Sc_layout.Cell.elements = b.layout.Sc_layout.Cell.elements
+  && (draw a).Sc_layout.Cell.elements = b.layout.Sc_layout.Cell.elements
 
 let same_outcome same a b =
   match (a, b) with
@@ -428,6 +439,66 @@ let test_channels_route_like_reference () =
         [ false; true ])
     [ "several tracks"; "at most one track"; "Unroutable"; "Invalid_argument" ]
 
+(* Routing alone, with nothing drawn, gives the reference's counts and
+   its exceptions. *)
+let prop_route_counts_like_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC4A7; 22 |])
+    (QCheck.Test.make ~name:"routing alone counts as the reference" ~count:500
+       (QCheck.make ~print:print_spec gen_spec) (fun (dogleg, spec) ->
+         same_outcome
+           (fun (a : routed) (b : Route_reference.routed) ->
+             a.tracks = b.tracks && a.height = b.height && a.trunk_length = b.trunk_length)
+           (outcome (fun () -> route ~dogleg spec))
+           (outcome (fun () -> Route_reference.route ~dogleg spec))))
+
+(* Neither routing pdp8's channels nor building its layout — neither
+   uses a domain pool — may force a minor collection ([Array.make],
+   [Array.init], [Array.map] or [Array.of_list] of more than 256 fresh
+   blocks empties the minor heap first): with the collector settled,
+   each allows one collection per minor heap's worth of words
+   allocated, plus one. *)
+let test_no_forced_minor_collections () =
+  let pl = Sc_place.Placer.ordered (builtin_problem "pdp8") in
+  let heap = float_of_int (Gc.get ()).minor_heap_size in
+  let measure what f =
+    Gc.full_major ();
+    let c0 = (Gc.quick_stat ()).minor_collections and w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    let minors = (Gc.quick_stat ()).minor_collections - c0 in
+    let words = Gc.minor_words () -. w0 in
+    let allowed = int_of_float (words /. heap) + 1 in
+    check_bool
+      (Printf.sprintf "%s: %d minor collections for %.0f words (at most %d)" what minors
+         words allowed)
+      true (minors <= allowed)
+  in
+  measure "route_channels" (fun () -> Sc_place.Placer.route_channels pl);
+  measure "to_layout" (fun () -> Sc_place.Placer.to_layout ~name:"pdp8" pl)
+
+(* The specialised heap sort leaves equal keys exactly where
+   [Array.sort] does: keys drawn from a few values, so most are tied,
+   sorting a shuffled array of indices. *)
+let prop_heapsort_like_array_sort =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5027; 22 |])
+    (QCheck.Test.make ~name:"Heapsort.by_key = Array.sort" ~count:500
+       QCheck.(triple (int_range 1 6) (list_of_size Gen.(int_range 0 300) small_nat) int)
+       (fun (values, draws, seed) ->
+         let key =
+           Array.of_list (List.map (fun d -> float_of_int (d mod values) /. 2.0) draws)
+         in
+         let start = Array.init (Array.length key) Fun.id in
+         let rng = Random.State.make [| seed |] in
+         for i = Array.length start - 1 downto 1 do
+           let j = Random.State.int rng (i + 1) in
+           let t = start.(i) in
+           start.(i) <- start.(j);
+           start.(j) <- t
+         done;
+         let expected = Array.copy start and got = Array.copy start in
+         Array.sort (fun i j -> Float.compare key.(i) key.(j)) expected;
+         Sc_place.Heapsort.by_key key got;
+         got = expected))
+
 (* --- differential: the flat-array barycentre against the list one --- *)
 
 (* Random flat circuits of [Inv]..[Dffe] gates over the input bits and
@@ -514,5 +585,9 @@ let suite =
       test_pdp8_routes_like_reference
   ; Alcotest.test_case "channel specs route exactly as the reference" `Quick
       test_channels_route_like_reference
+  ; prop_route_counts_like_reference
+  ; prop_heapsort_like_array_sort
+  ; Alcotest.test_case "pdp8 routes and lays out without forced collections" `Quick
+      test_no_forced_minor_collections
   ; prop_ordered_like_reference
   ]
