@@ -8,9 +8,9 @@
 
    Run everything:        dune exec bench/main.exe
    Run one experiment:    dune exec bench/main.exe -- e3
-   Options:               e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 profile ablate micro all
-   (e10 and profile are synonyms: the stage-cost profile of the full
-   behavioral path, regenerating the EXPERIMENTS.md E10 table.) *)
+   Options:               e1 e2 e3 e4 e5 e6 e7 e8 e9 ablate micro all
+   (E10, the stage-cost profile, is `scc compile DESIGN --stats`; the
+   script bench/e10.sh regenerates BENCH_e10.json from `--metrics`.) *)
 
 let section title claim =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=');
@@ -22,23 +22,6 @@ let ratio a b = float_of_int a /. float_of_int (max b 1)
 let place ~name circuit =
   Sc_place.Placer.to_layout ~name
     (Sc_place.Placer.ordered (Sc_place.Placer.problem_of_circuit circuit))
-
-(* BENCH_<experiment>.json: the machine-readable twin of a table *)
-let write_bench ~what experiment fields =
-  let file = "BENCH_" ^ experiment ^ ".json" in
-  let json =
-    Sc_obs.Json.Obj
-      (("schema", Sc_obs.Json.Str "scc-bench")
-      :: ("experiment", Sc_obs.Json.Str experiment)
-      :: fields)
-  in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Sc_obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "machine-readable %s written to %s\n" what file
 
 (* ------------------------------------------------------------------ *)
 (* E1: compiled PDP-8 vs hand design (claim C4)                        *)
@@ -559,112 +542,6 @@ let e9 () =
      BDD engine upgrades it to proof wherever the netlist is in reach\n"
 
 (* ------------------------------------------------------------------ *)
-(* E10: where the time goes — the obs layer profiles every stage       *)
-(* ------------------------------------------------------------------ *)
-
-let profile () =
-  section "E10: where the time goes (stage-level spans, lib/obs)"
-    "Meyer's CVC lesson: fast compilers are built by measuring each \
-     flow-graph stage — every scc run can now answer where the time and \
-     area went";
-  (* Bechamel's CLOCK_MONOTONIC stub replaces the default wall clock *)
-  let clock () = Int64.to_float (Monotonic_clock.now ()) /. 1e9 in
-  let designs =
-    [ ("counter", Sc_core.Designs.counter_src)
-    ; ("traffic", Sc_core.Designs.traffic_src)
-    ; ("alu4", Sc_core.Designs.alu_src)
-    ; ("pdp8", Sc_core.Designs.pdp8_src)
-    ]
-  in
-  let runs =
-    List.map
-      (fun (name, src) ->
-        let recorder = Sc_obs.Obs.Recorder.create ~clock () in
-        Sc_obs.Obs.Recorder.enable recorder;
-        (match
-           Sc_obs.Obs.with_recorder recorder (fun () ->
-               Sc_core.Compiler.compile_behavior src)
-         with
-        | Ok _ -> ()
-        | Error d ->
-          failwith ("profile: " ^ name ^ ": " ^ Sc_pipeline.Diag.to_string d));
-        Sc_obs.Obs.Recorder.disable recorder;
-        ( name
-        , Sc_obs.Obs.Recorder.stage_table recorder
-        , Sc_obs.Obs.Recorder.totals recorder
-        , Sc_metrics.Metrics.capture ~recorder ~design:name () ))
-      designs
-  in
-  Printf.printf "stage cost, ms (one full behavioral compilation each):\n\n";
-  Printf.printf "%-12s" "stage";
-  List.iter (fun (name, _, _, _) -> Printf.printf " %9s" name) runs;
-  Printf.printf "\n";
-  let row path =
-    Printf.printf "%-12s" path;
-    List.iter
-      (fun (_, table, _, _) ->
-        match
-          List.find_opt (fun (r : Sc_obs.Obs.row) -> r.rpath = path) table
-        with
-        | Some r -> Printf.printf " %9.2f" r.total_ms
-        | None -> Printf.printf " %9s" "-")
-      runs;
-    Printf.printf "\n"
-  in
-  (* one row per top-level span any run recorded, in first-seen order:
-     the rows are exactly what the total below sums *)
-  let stages =
-    List.fold_left
-      (fun acc (_, table, _, _) ->
-        List.fold_left
-          (fun acc (r : Sc_obs.Obs.row) ->
-            if r.rdepth = 0 && not (List.mem r.rpath acc) then acc @ [ r.rpath ]
-            else acc)
-          acc table)
-      [] runs
-  in
-  List.iter row stages;
-  Printf.printf "%-12s" "total";
-  List.iter
-    (fun (_, table, _, _) ->
-      let total =
-        List.fold_left
-          (fun a (r : Sc_obs.Obs.row) ->
-            if r.rdepth = 0 then a +. r.total_ms else a)
-          0.0 table
-      in
-      Printf.printf " %9.2f" total)
-    runs;
-  Printf.printf "\n\ncounters (gauges from the same runs):\n\n";
-  Printf.printf "%-16s" "counter";
-  List.iter (fun (name, _, _, _) -> Printf.printf " %9s" name) runs;
-  Printf.printf "\n";
-  List.iter
-    (fun key ->
-      Printf.printf "%-16s" key;
-      List.iter
-        (fun (_, _, totals, _) ->
-          match List.assoc_opt key totals with
-          | Some v -> Printf.printf " %9d" v
-          | None -> Printf.printf " %9s" "-")
-        runs;
-      Printf.printf "\n")
-    [ "gates"; "flipflops"; "transistors"; "route.channels"; "route.tracks"
-    ; "route.height"; "drc.violations"; "cif.commands"; "cif.bytes"
-    ];
-  Printf.printf
-    "\nphysical design dominates (place, then drc and emit, on the pdp8), \
-     synthesis is cheap; `scc compile DESIGN --stats --trace out.json` \
-     reproduces any row with a loadable Chrome trace\n";
-  (* the same data, machine-readable: one metrics snapshot per design,
-     the perf trajectory a future commit diffs against *)
-  write_bench ~what:"snapshots" "e10"
-    [ ( "snapshots"
-      , Sc_obs.Json.Arr
-          (List.map (fun (_, _, _, s) -> Sc_metrics.Metrics.to_json s) runs) )
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -855,7 +732,6 @@ let () =
     | "e7" -> e7 ()
     | "e8" -> e8 ()
     | "e9" -> e9 ()
-    | "e10" | "profile" -> profile ()
     | "ablate" -> ablate ()
     | "micro" -> micro ()
     | other ->
@@ -865,7 +741,5 @@ let () =
   match what with
   | "all" ->
     List.iter run
-      [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "ablate"
-      ; "micro"
-      ]
+      [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "ablate"; "micro" ]
   | w -> run w

@@ -141,10 +141,6 @@ let assemble ?(bind = []) ~name ~core ~pads () =
   ; overhead = float_of_int chip_area /. float_of_int (max core_area 1)
   }
 
-let pp ppf a =
-  Format.fprintf ppf "chip %s: %d pads, core %d, chip %d (x%.2f)"
-    a.chip.Cell.name a.pads a.core_area a.chip_area a.overhead
-
 (* --- macro assembly ---------------------------------------------------
    The generalization of the pad frame: instead of one hand core, a row
    of per-module macros with typed interface pins, connected by a

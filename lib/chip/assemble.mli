@@ -17,8 +17,6 @@ open Sc_layout
     and an inward stub carrying the ["pin"] port on its outer stub end. *)
 val pad : unit -> Cell.t
 
-val pad_size : int
-
 type assembly =
   { chip : Cell.t
   ; pads : int
@@ -36,8 +34,6 @@ type assembly =
 val assemble :
   ?bind:(int * string) list -> name:string -> core:Cell.t -> pads:int -> unit ->
   assembly
-
-val pp : Format.formatter -> assembly -> unit
 
 (** {2 Macro assembly}
 

@@ -18,10 +18,6 @@ type error =
 
 val error_to_string : error -> string
 
-(** [cell_of_file file] rebuilds the root cell: the target of the last
-    top-level call, or the last symbol defined when there is none. *)
-val cell_of_file : Ast.file -> (Sc_layout.Cell.t, error) result
-
 val of_string : string -> (Sc_layout.Cell.t, error) result
 
 (** Emission followed by elaboration is the identity on flattened

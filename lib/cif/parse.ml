@@ -232,12 +232,3 @@ let parse text =
   match loop [] with
   | file -> Ok file
   | exception Error msg -> Error msg
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse text

@@ -7,6 +7,3 @@
     command letter, '-', '(' or ';' separates tokens. *)
 
 val parse : string -> (Ast.file, string) result
-
-(** [parse_file path] reads and parses a CIF file from disk. *)
-val parse_file : string -> (Ast.file, string) result

@@ -440,6 +440,14 @@ let assemble_pass : (Chipdesc.chip_decl * module_compiled list, assembled) P.pas
       Obs.count "route.height" a.achannel_height;
       assembly_gauges a)
     (fun (chip, mods) ->
+      (* one copy of each library cell, whichever process built a
+         module's layout: the CIF then matches a cold compile's *)
+      let mods =
+        List.map
+          (fun mc ->
+            { mc with mc_layout = Sc_stdcell.Library.intern mc.mc_layout })
+          mods
+      in
       let mod_of name =
         List.find_opt (fun mc -> mc.mc_name = name) mods
       in

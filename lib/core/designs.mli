@@ -21,9 +21,6 @@ val alu_src : string
 (** 3-bit Gray-code cycle generator. *)
 val gray_src : string
 
-(** "1011" sequence detector (Mealy, 2-bit state). *)
-val seqdet_src : string
-
 (** The mini PDP-8: an 8-bit accumulator machine with a 4-bit PC, four
     8-bit scratch words in place of core memory (instructions arrive on
     an input port from an external store), and the classic instruction
@@ -67,21 +64,6 @@ val hand_pdp8 : unit -> Circuit.t
 val hand_pdp8_dp : unit -> Circuit.t
 
 (** {2 Per-design stimulus generators for verification, cycle -> inputs} *)
-
-(** Reset on cycle 0, then free-running count with occasional loads. *)
-val counter_stim : int -> (string * int) list
-
-(** Cars arriving in bursts against the timer. *)
-val traffic_stim : int -> (string * int) list
-
-(** Cycles through the opcodes with varying operands. *)
-val alu_stim : int -> (string * int) list
-
-(** Reset, then let the Gray cycle run. *)
-val gray_stim : int -> (string * int) list
-
-(** A bit stream containing (and teasing) the "1011" pattern. *)
-val seqdet_stim : int -> (string * int) list
 
 (** Drives a small program through the PDP-8: reset, arithmetic on the
     scratch words, OPR group, a JMP loop. *)

@@ -33,9 +33,6 @@ type verdict =
 (** Human-readable verdict, counterexample frames included. *)
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** Does the flattened circuit contain any flip-flop? *)
-val is_sequential : Circuit.t -> bool
-
 (** [check ?man ?order ?k a b] — formal equivalence of [a] and [b] with
     input/output correspondence by port name.  Combinational pairs are
     proved for all inputs; sequential pairs for the first [k]

@@ -180,20 +180,6 @@ let check_signatures a b =
   complain "input" (signature Circuit.In a) (signature Circuit.In b);
   complain "output" (signature Circuit.Out a) (signature Circuit.Out b)
 
-let miter env a b =
-  check_signatures a b;
-  let m = env.man in
-  let oa = outputs env a and ob = outputs env b in
-  List.fold_left
-    (fun acc (name, bits_a) ->
-      let bits_b = List.assoc name ob in
-      let diff = ref acc in
-      Array.iteri
-        (fun i ba -> diff := Bdd.or_ m !diff (Bdd.xor m ba bits_b.(i)))
-        bits_a;
-      !diff)
-    Bdd.zero oa
-
 let bdd_of_cover man (cover : Sc_logic.Cover.t) =
   let out = Array.make cover.Sc_logic.Cover.noutputs Bdd.zero in
   List.iter

@@ -56,11 +56,6 @@ val outputs : env -> Circuit.t -> (string * Bdd.t array) list
     once every manager allocates variables from the same input order. *)
 val cone_outputs : env -> Circuit.t -> string list -> (string * Bdd.t array) list
 
-(** [miter env a b] — OR over all output bits of (a_bit XOR b_bit):
-    satisfiable exactly when the circuits disagree somewhere.
-    @raise Mismatch on differing port signatures. *)
-val miter : env -> Circuit.t -> Circuit.t -> Bdd.t
-
 (** [check_signatures a b] — raise {!exception:Mismatch} unless [a] and
     [b] have identical input and output port signatures. *)
 val check_signatures : Circuit.t -> Circuit.t -> unit

@@ -44,13 +44,3 @@ let bbox p =
   match to_rects p with
   | [] -> None
   | r :: rs -> Some (List.fold_left Rect.union_bbox r rs)
-
-let equal a b =
-  a.width = b.width
-  && List.length a.points = List.length b.points
-  && List.for_all2 Point.equal a.points b.points
-
-let pp ppf p =
-  Format.fprintf ppf "path(w=%d;%a)" p.width
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "-") Point.pp)
-    p.points

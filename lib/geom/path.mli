@@ -26,7 +26,3 @@ val translate : Point.t -> t -> t
 val transform : Transform.t -> t -> t
 
 val bbox : t -> Rect.t option
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -4,13 +4,8 @@ let make x y = { x; y }
 let origin = { x = 0; y = 0 }
 let add a b = { x = a.x + b.x; y = a.y + b.y }
 let sub a b = { x = a.x - b.x; y = a.y - b.y }
-let scale k p = { x = k * p.x; y = k * p.y }
 let neg p = sub origin p
 let equal a b = a.x = b.x && a.y = b.y
-
-let compare a b =
-  let c = Int.compare a.x b.x in
-  if c <> 0 then c else Int.compare a.y b.y
 
 let manhattan a b = abs (a.x - b.x) + abs (a.y - b.y)
 
@@ -20,4 +15,3 @@ let colinear_axis a b =
   else None
 
 let pp ppf p = Format.fprintf ppf "(%d,%d)" p.x p.y
-let to_string p = Format.asprintf "%a" pp p

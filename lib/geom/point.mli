@@ -13,15 +13,10 @@ val add : t -> t -> t
 
 val sub : t -> t -> t
 
-(** [scale k p] multiplies both coordinates by [k]. *)
-val scale : int -> t -> t
-
 (** [neg p] is [sub origin p]. *)
 val neg : t -> t
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 (** Manhattan (L1) distance. *)
 val manhattan : t -> t -> int
@@ -32,5 +27,3 @@ val manhattan : t -> t -> int
 val colinear_axis : t -> t -> [ `H | `V ] option
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

@@ -49,9 +49,6 @@ let overlaps a b =
 let touches_or_overlaps a b =
   a.xmin <= b.xmax && b.xmin <= a.xmax && a.ymin <= b.ymax && b.ymin <= a.ymax
 
-let contains_point r (p : Point.t) =
-  r.xmin <= p.x && p.x <= r.xmax && r.ymin <= p.y && p.y <= r.ymax
-
 let contains outer inner =
   outer.xmin <= inner.xmin && outer.ymin <= inner.ymin
   && inner.xmax <= outer.xmax && inner.ymax <= outer.ymax

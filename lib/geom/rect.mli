@@ -43,8 +43,6 @@ val overlaps : t -> t -> bool
 
 val touches_or_overlaps : t -> t -> bool
 
-val contains_point : t -> Point.t -> bool
-
 val contains : t -> t -> bool
 (** [contains outer inner]. *)
 

@@ -38,8 +38,6 @@ val invert : t -> t
 
 val orient_compose : orient -> orient -> orient
 
-val orient_invert : orient -> orient
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

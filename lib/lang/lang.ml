@@ -611,12 +611,3 @@ let compile ?entry ?(args = []) src =
   with
   | cell -> Ok cell
   | exception Err e -> Error e
-
-let compile_file ?entry ?args path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  compile ?entry ?args src

@@ -49,6 +49,3 @@ val error_to_string : error -> string
     (default [[]]). *)
 val compile :
   ?entry:string -> ?args:int list -> string -> (Sc_layout.Cell.t, error) result
-
-val compile_file :
-  ?entry:string -> ?args:int list -> string -> (Sc_layout.Cell.t, error) result

@@ -15,8 +15,6 @@ let make ~ninputs ~noutputs cubes =
     cubes;
   { ninputs; noutputs; cubes }
 
-let empty ~ninputs ~noutputs = make ~ninputs ~noutputs []
-
 let mask_of_string s =
   let m = ref 0 in
   String.iteri
@@ -52,10 +50,6 @@ let of_function ~ninputs ~noutputs f =
     if !mask <> 0 then cubes := Cube.minterm bits !mask :: !cubes
   done;
   make ~ninputs ~noutputs (List.rev !cubes)
-
-let add t c =
-  if Cube.num_inputs c <> t.ninputs then invalid_arg "Cover.add: arity mismatch";
-  { t with cubes = c :: t.cubes }
 
 let term_count t = List.length t.cubes
 
@@ -172,11 +166,3 @@ let covered_by a b = List.for_all (fun c -> cube_covered c b) a.cubes
 let equivalent a b =
   a.ninputs = b.ninputs && a.noutputs = b.noutputs && covered_by a b
   && covered_by b a
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>.i %d .o %d .p %d@," t.ninputs t.noutputs
-    (term_count t);
-  List.iter (fun c -> Format.fprintf ppf "%a@," Cube.pp c) t.cubes;
-  Format.fprintf ppf "@]"
-
-let to_string t = Format.asprintf "%a" pp t

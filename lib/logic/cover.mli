@@ -10,8 +10,6 @@ type t = private { ninputs : int; noutputs : int; cubes : Cube.t list }
     [noutputs > 62]. *)
 val make : ninputs:int -> noutputs:int -> Cube.t list -> t
 
-val empty : ninputs:int -> noutputs:int -> t
-
 (** [of_on_sets ~ninputs rows] builds a cover from string rows
     ["01-" , "10"] (input part, output part).  Output parts use '1' for
     driven outputs. *)
@@ -22,8 +20,6 @@ val of_rows : ninputs:int -> noutputs:int -> (string * string) list -> t
 val of_function :
   ninputs:int -> noutputs:int -> (bool array -> bool array) -> t
 
-val add : t -> Cube.t -> t
-
 val term_count : t -> int
 
 (** Total number of non-Dash literals, the AND-plane contact count. *)
@@ -33,14 +29,6 @@ val literal_count : t -> int
 val output_count : t -> int
 
 val eval : t -> bool array -> bool array
-
-(** [restrict_output t o] keeps cubes driving output [o], as a
-    single-output view (masks collapsed to 1). *)
-val restrict_output : t -> int -> t
-
-(** [cofactor t cube] is the Shannon cofactor of the cover with respect to
-    a cube's input part (output masks preserved). *)
-val cofactor : t -> Cube.t -> t
 
 (** Single-output tautology: does the cover (whose cubes are taken as an
     OR regardless of masks) cover the whole input space? *)
@@ -61,7 +49,3 @@ val equivalent : t -> t -> bool
 (** [union a b]
     @raise Invalid_argument on arity mismatch. *)
 val union : t -> t -> t
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

@@ -116,15 +116,7 @@ let cofactor_lit c i v =
   | Zero, true | One, false -> None
   | _ -> Some (raise_lit c i)
 
-let restrict_outputs c mask =
-  let outputs = c.outputs land mask in
-  if outputs = 0 then None else Some { c with outputs }
-
 let equal a b = a.outputs = b.outputs && a.lits = b.lits
-
-let compare a b =
-  let c = Stdlib.compare a.lits b.lits in
-  if c <> 0 then c else Int.compare a.outputs b.outputs
 
 let to_string c =
   let buf = Buffer.create (num_inputs c + 8) in
@@ -134,5 +126,3 @@ let to_string c =
     c.lits;
   Buffer.add_string buf (Printf.sprintf "#%x" c.outputs);
   Buffer.contents buf
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)

@@ -32,16 +32,9 @@ val covers_input : t -> bool array -> bool
     mask of [c] is a superset of [c']'s. *)
 val covers : t -> t -> bool
 
-(** [input_covers c c'] — containment on the input part only. *)
-val input_covers : t -> t -> bool
-
 (** Input-part intersection, [None] if empty. The output mask of the result
     is the intersection; [None] as well if the masks are disjoint. *)
 val inter : t -> t -> t option
-
-(** Hamming-style distance of the input parts: number of variables where
-    one has 0 and the other 1. *)
-val distance : t -> t -> int
 
 (** [merge c c'] — when the input parts are at distance exactly 1 and the
     output masks intersect, the QM merge: the differing variable goes to
@@ -56,13 +49,6 @@ val raise_lit : t -> int -> t
     literal [i] erased to Dash. *)
 val cofactor_lit : t -> int -> bool -> t option
 
-(** [restrict_outputs c mask] intersects the output mask; [None] if empty. *)
-val restrict_outputs : t -> int -> t option
-
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -26,16 +26,11 @@ val xor : t -> t -> t
 
 val eval : (int -> bool) -> t -> bool
 
-(** Largest variable index + 1, 0 for a constant expression. *)
-val num_vars : t -> int
-
 (** [to_cover ~ninputs outputs] builds the multi-output cover whose output
     [o] equals [List.nth outputs o].
 
     @raise Invalid_argument if an expression mentions a variable
     [>= ninputs]. *)
 val to_cover : ninputs:int -> t list -> Cover.t
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

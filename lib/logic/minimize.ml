@@ -29,42 +29,54 @@ let primes ?dontcare cover =
       tbl []
   in
   let primes = ref [] in
-  let ones_count (c : Cube.t) =
-    Array.fold_left
-      (fun acc l -> if l = Cube.One then acc + 1 else acc)
-      0 c.Cube.lits
-  in
   (* classic QM: only cubes whose One-counts differ by exactly 1 can merge,
-     so bucket each level by popcount and compare adjacent buckets *)
+     so bucket each level by popcount and compare adjacent buckets.  Two
+     cubes merge exactly when their Dash masks are equal, their One
+     masks differ in one bit and their output tags intersect: the masks
+     (n <= 16 bits) let most pairs be refused without [Cube.merge] *)
+  let mask_of l (c : Cube.t) =
+    let m = ref 0 in
+    Array.iteri (fun i l' -> if l' = l then m := !m lor (1 lsl i)) c.Cube.lits;
+    !m
+  in
+  let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1)) in
   let rec round cubes =
     if cubes = [] then ()
     else begin
       let arr = Array.of_list cubes in
       let m = Array.length arr in
+      let dashes = Array.map (mask_of Cube.Dash) arr in
+      let ones = Array.map (mask_of Cube.One) arr in
       let checked = Array.make m false in
       let next = Hashtbl.create 64 in
       let buckets = Hashtbl.create 16 in
       Array.iteri
-        (fun i c ->
-          let k = ones_count c in
+        (fun i o ->
+          let k = popcount o in
           let cur = try Hashtbl.find buckets k with Not_found -> [] in
           Hashtbl.replace buckets k (i :: cur))
-        arr;
+        ones;
       let try_merge i j =
-        match Cube.merge arr.(i) arr.(j) with
-        | Some merged ->
-          (* a parent is fully absorbed when its whole tag survives *)
-          if merged.Cube.outputs = arr.(i).Cube.outputs then checked.(i) <- true;
-          if merged.Cube.outputs = arr.(j).Cube.outputs then checked.(j) <- true;
-          let key = Cube.to_string merged in
-          (match Hashtbl.find_opt next key with
-          | Some existing ->
-            (* same input part: keep the union of output tags *)
-            Hashtbl.replace next key
-              (Cube.make merged.Cube.lits
-                 (existing.Cube.outputs lor merged.Cube.outputs))
-          | None -> Hashtbl.replace next key merged)
-        | None -> ()
+        let d = ones.(i) lxor ones.(j) in
+        if
+          dashes.(i) = dashes.(j)
+          && d land (d - 1) = 0
+          && arr.(i).Cube.outputs land arr.(j).Cube.outputs <> 0
+        then
+          match Cube.merge arr.(i) arr.(j) with
+          | Some merged ->
+            (* a parent is fully absorbed when its whole tag survives *)
+            if merged.Cube.outputs = arr.(i).Cube.outputs then checked.(i) <- true;
+            if merged.Cube.outputs = arr.(j).Cube.outputs then checked.(j) <- true;
+            let key = Cube.to_string merged in
+            (match Hashtbl.find_opt next key with
+            | Some existing ->
+              (* same input part: keep the union of output tags *)
+              Hashtbl.replace next key
+                (Cube.make merged.Cube.lits
+                   (existing.Cube.outputs lor merged.Cube.outputs))
+            | None -> Hashtbl.replace next key merged)
+          | None -> ()
       in
       Hashtbl.iter
         (fun k lo ->

@@ -21,10 +21,6 @@ val minimize : ?dontcare:Cover.t -> ?exact:bool -> Cover.t -> Cover.t
 (** The heuristic engine directly, regardless of size. *)
 val heuristic : ?dontcare:Cover.t -> Cover.t -> Cover.t
 
-(** All multi-output prime implicants (exact; exponential in inputs).
-    @raise Invalid_argument when [ninputs > 16]. *)
-val primes : ?dontcare:Cover.t -> Cover.t -> Cube.t list
-
 (** [verify ?dontcare ~original ~minimized ()] — equivalence on the care
     set. *)
 val verify :

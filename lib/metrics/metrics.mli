@@ -78,8 +78,6 @@ type direction =
   | Higher_better  (** cache hits, proved cones *)
   | Informational  (** pool width, call counts: change is never a verdict *)
 
-val direction_of_key : string -> direction
-
 type threshold =
   { rel : float  (** |delta| / |base| at or below this is neutral *)
   ; abs : float  (** |delta| at or below this is neutral *)

@@ -67,11 +67,7 @@ let create ~name ~ports ~gates ~insts ~net_count ~net_names =
 
 let find_port_opt c n = List.find_opt (fun p -> p.port_name = n) c.ports
 
-let find_port c n =
-  match find_port_opt c n with Some p -> p | None -> raise Not_found
-
 let inputs c = List.filter (fun p -> p.dir = In) c.ports
-let outputs c = List.filter (fun p -> p.dir = Out) c.ports
 
 let rec flatten c =
   if c.insts = [] then c
@@ -305,16 +301,3 @@ let stats c =
   ; transistors = trans
   ; module_instances = !insts
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "@[<v>gates %d (ffs %d), transistors %d, instances %d@ "
-    s.gate_total s.flipflops s.transistors s.module_instances;
-  List.iter
-    (fun (k, n) -> Format.fprintf ppf "%a:%d " Gate.pp k n)
-    s.by_kind;
-  Format.fprintf ppf "@]"
-
-let pp ppf c =
-  Format.fprintf ppf "circuit %s: %d ports, %d gates, %d insts, %d nets"
-    c.cname (List.length c.ports) (List.length c.gates) (List.length c.insts)
-    c.net_count

@@ -42,13 +42,9 @@ val create :
   net_names:(net * string) list ->
   t
 
-val find_port : t -> string -> port
-
 val find_port_opt : t -> string -> port option
 
 val inputs : t -> port list
-
-val outputs : t -> port list
 
 (** [flatten c] expands all instances into one flat gate-level module.
     Port structure is preserved; internal nets are renumbered and named
@@ -82,7 +78,3 @@ type stats =
   }
 
 val stats : t -> stats
-
-val pp_stats : Format.formatter -> stats -> unit
-
-val pp : Format.formatter -> t -> unit

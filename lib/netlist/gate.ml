@@ -92,7 +92,3 @@ let to_string = function
   | Dffe -> "dffe"
   | Const0 -> "const0"
   | Const1 -> "const1"
-
-let of_string s = List.find_opt (fun k -> to_string k = s) all
-
-let pp ppf k = Format.pp_print_string ppf (to_string k)

@@ -43,7 +43,3 @@ val delay : kind -> int
 val all : kind list
 
 val to_string : kind -> string
-
-val of_string : string -> kind option
-
-val pp : Format.formatter -> kind -> unit

@@ -68,5 +68,3 @@ let compatible ~expected ~got =
       got.mname
       (if got.clocked then "clocked" else "combinational")
   | Ok () -> Ok ()
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -43,5 +43,3 @@ val compatible : expected:t -> got:t -> (unit, string) result
     and widths (module names and port order are not compared; clocking
     must match).  The error names both modules and the offending port,
     e.g. ["port y: alu_ref declares out y[4] but alu declares out y[8]"]. *)
-
-val pp : Format.formatter -> t -> unit

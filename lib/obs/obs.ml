@@ -1,5 +1,5 @@
 (* Recorder instances.  A [Recorder.t] carries its own span stacks,
-   counters, clock and enabled flag; [with_recorder] binds one in the
+   counters, epoch and enabled flag; [with_recorder] binds one in the
    calling context's {!Scope}, and the instrumentation entry points
    record into whichever recorder is bound there — or do nothing.
 
@@ -54,7 +54,6 @@ type row =
 module Recorder = struct
   type t =
     { mutable on : bool
-    ; clock : unit -> float
     ; mutable epoch : float
     ; mutable generation : int
     ; lock : Mutex.t
@@ -66,9 +65,8 @@ module Recorder = struct
          keys is cheaper than precise cleanup on every span exit. *)
     }
 
-  let create ?(clock = Unix.gettimeofday) () =
+  let create () =
     { on = false
-    ; clock
     ; epoch = 0.0
     ; generation = 0
     ; lock = Mutex.create ()
@@ -90,7 +88,7 @@ module Recorder = struct
           r)
 
   let enable t =
-    if t.epoch = 0.0 then t.epoch <- t.clock ();
+    if t.epoch = 0.0 then t.epoch <- Unix.gettimeofday ();
     t.on <- true
 
   let disable t = t.on <- false
@@ -103,7 +101,7 @@ module Recorder = struct
            but a bumped generation keeps their finish from recording *)
         Hashtbl.reset t.stacks;
         t.generation <- t.generation + 1);
-    t.epoch <- t.clock ()
+    t.epoch <- Unix.gettimeofday ()
 
   let span t name f =
     if not t.on then f ()
@@ -122,13 +120,13 @@ module Recorder = struct
         in
         let fdepth = match parent with None -> 0 | Some p -> p.fdepth + 1 in
         let fr =
-          { fname = name; fpath; fdepth; fstart = t.clock ()
+          { fname = name; fpath; fdepth; fstart = Unix.gettimeofday ()
           ; fgen = t.generation; fcounters = []; fchildren = 0.0
           }
         in
         stack := fr :: !stack;
         let finish () =
-          let dur = t.clock () -. fr.fstart in
+          let dur = Unix.gettimeofday () -. fr.fstart in
           (match !stack with
           | top :: rest when top == fr -> stack := rest
           | _ -> ());

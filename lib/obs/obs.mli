@@ -9,8 +9,7 @@
     {!Scope}; with none bound — or a disabled one — they do nothing but
     the lookup and a branch, so the hot paths the Bechamel
     micro-benchmarks measure are unaffected until someone asks for data
-    (`scc ... --stats --trace out.json`, or `bench/main.exe --
-    profile`).
+    (`scc compile ... --stats --trace out.json`).
 
     Whoever records creates a recorder, binds it around the work, and
     reads that recorder back: the CLI once per command, the serve
@@ -73,14 +72,12 @@ type row =
 
 module Recorder : sig
   type t
-  (** An independent recording: its own enabled flag, clock, epoch,
+  (** An independent recording: its own enabled flag, epoch,
       span stacks, event buffer and counter table.  Values are safe to
       share across domains and threads. *)
 
-  val create : ?clock:(unit -> float) -> unit -> t
-  (** A fresh, disabled recorder.  [clock] (seconds, arbitrary epoch,
-      monotone non-decreasing) defaults to [Unix.gettimeofday];
-      [bench/main.exe] passes Bechamel's [CLOCK_MONOTONIC] stub. *)
+  val create : unit -> t
+  (** A fresh, disabled recorder, timed by [Unix.gettimeofday]. *)
 
   val enable : t -> unit
   (** Start recording.  The first [enable] (or any {!reset}) stamps the

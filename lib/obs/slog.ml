@@ -27,14 +27,13 @@ type t =
   { oc : out_channel
   ; lock : Mutex.t
   ; level : level
-  ; clock : unit -> float
   }
 
-let create ?(level = Info) ?(clock = Unix.gettimeofday) path =
+let create ?(level = Info) path =
   match
     open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
   with
-  | oc -> Ok { oc; lock = Mutex.create (); level; clock }
+  | oc -> Ok { oc; lock = Mutex.create (); level }
   | exception Sys_error e -> Error e
 
 let would_log t lvl = severity lvl >= severity t.level
@@ -44,7 +43,7 @@ let log t lvl ~event fields =
     let line =
       Json.to_string
         (Json.Obj
-           (("ts", Json.Num (t.clock ()))
+           (("ts", Json.Num (Unix.gettimeofday ()))
            :: ("level", Json.Str (level_to_string lvl))
            :: ("event", Json.Str event)
            :: fields))

@@ -22,12 +22,10 @@ val level_of_string : string -> (level, string) result
 
 type t
 
-val create :
-  ?level:level -> ?clock:(unit -> float) -> string -> (t, string) result
+val create : ?level:level -> string -> (t, string) result
 (** [create path] opens (appending, creating if needed) the JSONL log at
-    [path].  Lines below [level] (default [Info]) are dropped.  [clock]
-    (default [Unix.gettimeofday]) stamps the ["ts"] field in epoch
-    seconds. *)
+    [path].  Lines below [level] (default [Info]) are dropped.  The
+    ["ts"] field is [Unix.gettimeofday], in epoch seconds. *)
 
 val would_log : t -> level -> bool
 (** Whether a line at this level passes the filter — lets callers skip

@@ -51,6 +51,4 @@ type design =
 
 val pp_expr : Format.formatter -> expr -> unit
 
-val pp_stmt : Format.formatter -> stmt -> unit
-
 val pp : Format.formatter -> design -> unit

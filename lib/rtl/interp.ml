@@ -29,8 +29,6 @@ let create design =
   List.iter (fun (d : Ast.decl) -> Hashtbl.replace t.outputs d.dname 0) design.wires;
   t
 
-let design t = t.design
-
 let width t name =
   match Check.find_decl t.design name with
   | Some d -> d.Ast.width
@@ -39,42 +37,6 @@ let width t name =
 let set_input t name v =
   if not (Hashtbl.mem t.inputs name) then raise Not_found;
   Hashtbl.replace t.inputs name (mask (width t name) v)
-
-(* environment during a step: pending assignments shadow pre-cycle state *)
-let lookup t pending name =
-  match Hashtbl.find_opt pending name with
-  | Some v -> v
-  | None -> (
-    match Hashtbl.find_opt t.inputs name with
-    | Some v -> v
-    | None -> (
-      match Hashtbl.find_opt t.regs name with
-      | Some v -> v
-      | None -> Hashtbl.find t.outputs name))
-
-let rec eval t pending e =
-  match (e : Ast.expr) with
-  | Ast.Const v -> v
-  | Ast.Ref n -> lookup t pending n
-  | Ast.Bit (n, i) -> (lookup t pending n lsr i) land 1
-  | Ast.Unop (Ast.Not, e') ->
-    let w = Check.expr_width t.design e' in
-    mask w (lnot (eval t pending e'))
-  | Ast.Binop (op, a, b) ->
-    let va = eval t pending a in
-    let w = Check.expr_width t.design (Ast.Binop (op, a, b)) in
-    (match op with
-    | Ast.Add -> mask w (va + eval t pending b)
-    | Ast.Sub -> mask w (va - eval t pending b)
-    | Ast.And -> va land eval t pending b
-    | Ast.Or -> va lor eval t pending b
-    | Ast.Xor -> va lxor eval t pending b
-    | Ast.Eq -> if va = eval t pending b then 1 else 0
-    | Ast.Ne -> if va <> eval t pending b then 1 else 0
-    | Ast.Lt -> if va < eval t pending b then 1 else 0
-    | Ast.Gt -> if va > eval t pending b then 1 else 0
-    | Ast.Shl -> mask w (va lsl eval t pending b)
-    | Ast.Shr -> va lsr eval t pending b)
 
 (* Register reads during a step must see PRE-cycle values even after a
    pending register assignment (non-blocking semantics).  The pending
@@ -153,13 +115,3 @@ let set_reg t name v =
   if not (List.exists (fun (d : Ast.decl) -> d.Ast.dname = name) t.design.regs)
   then raise Not_found;
   Hashtbl.replace t.regs name (mask (width t name) v)
-
-let run t cycles inputs =
-  Array.init cycles (fun cyc ->
-      List.iter (fun (n, v) -> set_input t n v) (inputs cyc);
-      step t;
-      List.map
-        (fun (d : Ast.decl) -> (d.dname, output t d.dname))
-        t.design.outputs)
-
-let eval_expr t e = eval t (Hashtbl.create 1) e

@@ -13,8 +13,6 @@ type t
 (** @raise Invalid_argument when {!Check.check} reports errors. *)
 val create : Ast.design -> t
 
-val design : t -> Ast.design
-
 (** [set_input t name v] — masked to the declared width.
     @raise Not_found on unknown input. *)
 val set_input : t -> string -> int -> unit
@@ -33,12 +31,3 @@ val reg : t -> string -> int
     enumerate the state space and by tests.
     @raise Not_found on unknown register. *)
 val set_reg : t -> string -> int -> unit
-
-(** [run t cycles inputs] — convenience: [inputs] maps cycle index to
-    input assignments; returns per-cycle output snapshots. *)
-val run :
-  t -> int -> (int -> (string * int) list) -> (string * int) list array
-
-(** Evaluate an expression in the current pre-step environment (inputs and
-    registers only; for tests). *)
-val eval_expr : t -> Ast.expr -> int

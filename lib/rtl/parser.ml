@@ -342,15 +342,6 @@ let parse text =
   | d -> Ok d
   | exception Error msg -> Error msg
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse text
-
 let parse_expr text =
   let st = { toks = tokenize text } in
   match

@@ -25,7 +25,5 @@
 
 val parse : string -> (Ast.design, string) result
 
-val parse_file : string -> (Ast.design, string) result
-
 (** Parse a single expression, for tests and tools. *)
 val parse_expr : string -> (Ast.expr, string) result

@@ -19,13 +19,6 @@
 
 (** {2 Framing} *)
 
-val max_frame : int
-(** Upper bound on a payload length (64 MiB); longer prefixes are
-    rejected without allocating. *)
-
-val encode_frame : string -> string
-(** The 4-byte length prefix plus the payload, as one string. *)
-
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one frame, looping over partial writes.  Raises [Unix_error]
     if the peer is gone. *)
@@ -109,12 +102,8 @@ type response =
     Total and inverse: every value round-trips, every decode failure is
     an [Error] with a message. *)
 
-val json_of_request : request -> Sc_obs.Json.t
-val request_of_json : Sc_obs.Json.t -> (request, string) result
 val string_of_request : request -> string
 val request_of_string : string -> (request, string) result
 
-val json_of_response : response -> Sc_obs.Json.t
-val response_of_json : Sc_obs.Json.t -> (response, string) result
 val string_of_response : response -> string
 val response_of_string : string -> (response, string) result

@@ -8,10 +8,7 @@ type t =
   ; queued : bool array  (* per gate: already scheduled *)
   ; queue : int Queue.t
   ; mutable events : int
-  ; name_index : (string, Circuit.net) Hashtbl.t
   }
-
-let circuit t = t.flat
 
 let schedule t idx =
   if not t.queued.(idx) then begin
@@ -53,10 +50,6 @@ let create c =
     (fun idx g ->
       Array.iter (fun n -> fanout.(n) <- idx :: fanout.(n)) g.Circuit.ins)
     gates;
-  let name_index = Hashtbl.create 64 in
-  List.iter
-    (fun (n, nm) -> Hashtbl.replace name_index nm n)
-    flat.Circuit.net_names;
   let t =
     { flat
     ; values
@@ -65,7 +58,6 @@ let create c =
     ; queued = Array.make (Array.length gates) false
     ; queue = Queue.create ()
     ; events = 0
-    ; name_index
     }
   in
   (* evaluate everything once so constants and defaults propagate *)
@@ -124,11 +116,6 @@ let step t =
   List.iter (fun (n, v) -> set_net t n v) !updates;
   settle t
 
-let run t n =
-  for _ = 1 to n do
-    step t
-  done
-
 let get_output t name =
   let p = port t name in
   Array.map (fun n -> t.values.(n)) p.Circuit.bits
@@ -144,10 +131,6 @@ let get_output_int t name =
       | None -> None
   in
   go 0 0
-
-let net_value t n = t.values.(n)
-
-let net_by_name t name = Hashtbl.find_opt t.name_index name
 
 let events t = t.events
 

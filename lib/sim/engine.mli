@@ -15,14 +15,6 @@ type t
     a combinational cycle. *)
 val create : Circuit.t -> t
 
-val circuit : t -> Circuit.t
-(** The flattened circuit being simulated. *)
-
-(** [set_input t name values] drives an input port (index 0 = lsb);
-    combinational logic settles immediately.
-    @raise Not_found on unknown port. *)
-val set_input : t -> string -> Value.t array -> unit
-
 (** [set_input_int t name v] drives the port with the binary encoding
     of [v]. *)
 val set_input_int : t -> string -> int -> unit
@@ -36,21 +28,12 @@ val force_registers : t -> Value.t -> unit
 (** One clock edge: flip-flops load, then logic settles. *)
 val step : t -> unit
 
-(** [run t n] — [n] clock edges. *)
-val run : t -> int -> unit
-
 (** The current three-valued settled value of an output port (lsb
     first). *)
 val get_output : t -> string -> Value.t array
 
 (** [None] when any bit is X. *)
 val get_output_int : t -> string -> int option
-
-(** The settled value of one net of the flattened circuit. *)
-val net_value : t -> Circuit.net -> Value.t
-
-(** [net_by_name t name] looks a net up by its hierarchical debug name. *)
-val net_by_name : t -> string -> Circuit.net option
 
 (** Number of gate evaluations performed so far (simulation effort). *)
 val events : t -> int

@@ -4,7 +4,6 @@ type t = V0 | V1 | VX
 
 let of_bool b = if b then V1 else V0
 let to_bool = function V0 -> Some false | V1 -> Some true | VX -> None
-let is_known v = v <> VX
 
 let inv = function V0 -> V1 | V1 -> V0 | VX -> VX
 
@@ -50,4 +49,3 @@ let eval_gate kind ins =
 
 let equal (a : t) b = a = b
 let to_char = function V0 -> '0' | V1 -> '1' | VX -> 'x'
-let pp ppf v = Format.pp_print_char ppf (to_char v)

@@ -12,24 +12,6 @@ val of_bool : bool -> t
 (** [None] on {!VX}. *)
 val to_bool : t -> bool option
 
-(** [false] exactly on {!VX}. *)
-val is_known : t -> bool
-
-(** Three-valued NOT: X stays X. *)
-val inv : t -> t
-
-(** Three-valued AND: 0 dominates, X otherwise contagious. *)
-val and_ : t -> t -> t
-
-(** Three-valued OR: 1 dominates, X otherwise contagious. *)
-val or_ : t -> t -> t
-
-(** Three-valued XOR: any X input yields X. *)
-val xor : t -> t -> t
-
-(** [mux a0 a1 sel]: X select resolves only when both ways agree. *)
-val mux : t -> t -> t -> t
-
 (** [eval_gate kind ins] — the 3-valued semantics of a combinational gate.
     @raise Invalid_argument on sequential kinds. *)
 val eval_gate : Sc_netlist.Gate.kind -> t array -> t
@@ -39,6 +21,3 @@ val equal : t -> t -> bool
 
 (** ['0'], ['1'] or ['x'] — the waveform-dump alphabet. *)
 val to_char : t -> char
-
-(** Pretty-print as {!to_char}. *)
-val pp : Format.formatter -> t -> unit

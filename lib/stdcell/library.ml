@@ -84,12 +84,49 @@ let drc_clean kind = drc_violations kind = 0
 
 let all () = List.map get Gate.all
 
+(* the same artwork and the same hierarchy, whatever the cells' ids *)
+let rec same_shape (a : Cell.t) (b : Cell.t) =
+  a == b
+  || a.name = b.name && a.elements = b.elements && a.ports = b.ports
+     && List.equal
+          (fun (i : Cell.inst) (j : Cell.inst) ->
+            i.inst_name = j.inst_name && i.trans = j.trans
+            && same_shape i.cell j.cell)
+          a.instances b.instances
+
+let intern root =
+  let library_copy (c : Cell.t) =
+    match List.find_opt (fun k -> Gate.to_string k = c.name) Gate.all with
+    | Some kind ->
+      let own = layout_of kind in
+      if same_shape own c then Some own else None
+    | None -> None
+  in
+  let memo = Cell.Tbl.create 16 in
+  let rec go (c : Cell.t) =
+    match Cell.Tbl.find_opt memo c with
+    | Some c' -> c'
+    | None ->
+      let instances =
+        List.map
+          (fun (i : Cell.inst) ->
+            let cell =
+              match library_copy i.cell with Some own -> own | None -> go i.cell
+            in
+            if cell == i.cell then i else { i with cell })
+          c.instances
+      in
+      let c' =
+        if List.for_all2 ( == ) instances c.instances then c
+        else Cell.make ~name:c.name ~ports:c.ports ~instances c.elements
+      in
+      Cell.Tbl.replace memo c c';
+      c'
+  in
+  match library_copy root with Some own -> own | None -> go root
+
 let circuit_cell_area c =
   let s = Circuit.stats c in
   List.fold_left
     (fun acc (kind, n) -> acc + (n * (get kind).area))
     0 s.Circuit.by_kind
-
-let pp_cell ppf c =
-  Format.fprintf ppf "%a: %dx%d lambda, %d transistors, delay %d" Gate.pp
-    c.kind c.width c.height c.transistors c.delay

@@ -41,8 +41,15 @@ val drc_clean : Gate.kind -> bool
 
 val all : unit -> cell list
 
+(** [intern c] — [c] with every cell that has a library cell's name and
+    artwork replaced by that library cell, so the process holds one
+    copy of each.  A layout read back from a disk cache brings its own
+    copies, and CIF emission writes one symbol per physical cell: a
+    chip assembled from such layouts must intern them to emit the same
+    text as a cold compile.  Cells above a replaced one are rebuilt;
+    the rest are returned as they are. *)
+val intern : Cell.t -> Cell.t
+
 (** Total layout area of a circuit's gates if placed with no packing
     overhead (lower bound used by E1/E2 area accounting). *)
 val circuit_cell_area : Circuit.t -> int
-
-val pp_cell : Format.formatter -> cell -> unit

@@ -56,10 +56,6 @@ val replay_gauges : result -> unit
     {!Sc_rtl.Check.check} (stage ["compile"]). *)
 val gates : ?optimize:bool -> Sc_rtl.Ast.design -> result
 
-(** Largest state+input bit count {!pla_fsm} will enumerate (the FSM
-    extraction tabulates all [2^n] points of the transition function). *)
-val max_bits : int
-
 val fsm_cover : Sc_rtl.Ast.design -> Sc_logic.Cover.t
 (** The raw, unminimized next-state/output cover of [design],
     enumerated through the {!Sc_rtl.Interp} reference semantics — the

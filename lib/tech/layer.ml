@@ -21,15 +21,6 @@ let of_cif_name = function
   | "NG" -> Some Glass
   | _ -> None
 
-let color = function
-  | Diffusion -> "green"
-  | Poly -> "red"
-  | Contact -> "black"
-  | Metal -> "blue"
-  | Implant -> "yellow"
-  | Buried -> "brown"
-  | Glass -> "grey"
-
 let index = function
   | Diffusion -> 0
   | Poly -> 1
@@ -41,6 +32,5 @@ let index = function
 
 let count = 7
 let equal (a : t) b = a = b
-let compare a b = Int.compare (index a) (index b)
 let pp ppf l = Format.pp_print_string ppf (cif_name l)
 let to_string = cif_name

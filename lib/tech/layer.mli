@@ -21,17 +21,12 @@ val cif_name : t -> string
 
 val of_cif_name : string -> t option
 
-(** Conventional Mead–Conway colour, for renderers and debug output. *)
-val color : t -> string
-
 (** Stable small index, usable as an array key; [index] enumerates [all]. *)
 val index : t -> int
 
 val count : int
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 

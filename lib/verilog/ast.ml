@@ -115,27 +115,3 @@ and pp_atom ppf e =
   match e with
   | Number _ | Id _ | Index _ | Slice _ | Concat _ -> pp_expr ppf e
   | _ -> Format.fprintf ppf "(%a)" pp_expr e
-
-let rec pp_stmt ppf = function
-  | Nonblocking { target; rhs; _ } ->
-    Format.fprintf ppf "%s <= %a;" target pp_expr rhs
-  | If { cond; then_; else_; _ } ->
-    Format.fprintf ppf "@[<v 2>if (%a) begin@ %a@]@ end" pp_expr cond pp_stmts
-      then_;
-    if else_ <> [] then
-      Format.fprintf ppf "@ @[<v 2>else begin@ %a@]@ end" pp_stmts else_
-  | Case { scrutinee; arms; default; _ } ->
-    Format.fprintf ppf "@[<v 2>case (%a)@ " pp_expr scrutinee;
-    List.iter
-      (fun (label, body) ->
-        Format.fprintf ppf "@[<v 2>%a: begin@ %a@]@ end@ " pp_expr label
-          pp_stmts body)
-      arms;
-    if default <> [] then
-      Format.fprintf ppf "@[<v 2>default: begin@ %a@]@ end@ " pp_stmts default;
-    Format.fprintf ppf "@]endcase"
-
-and pp_stmts ppf stmts =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_space ppf ())
-    pp_stmt ppf stmts

@@ -116,5 +116,3 @@ val expr_pos : expr -> Lexer.pos
 
 val pp_expr : Format.formatter -> expr -> unit
 (** Concrete-syntax rendering, for tests and diagnostics. *)
-
-val pp_stmt : Format.formatter -> stmt -> unit

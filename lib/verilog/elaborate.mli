@@ -28,12 +28,9 @@
     [{1'b0, a} + b]).  All diagnostics are positioned
     ["line:col: message"] strings — elaboration never raises. *)
 
-val elaborate : Ast.module_ -> (Sc_rtl.Ast.design, string) result
-(** Lower one parsed module.  The resulting design is
-    {!Sc_rtl.Check}-clean by construction; any residual check failure
-    is reported as an internal error rather than raised. *)
-
 val design_of_source : string -> (Sc_rtl.Ast.design, string) result
-(** [parse] composed with {!elaborate}: Verilog source text to an ISP
-    design in one step.  This is the function the pipeline's
-    [verilog.parse] pass wraps. *)
+(** [Parse.parse] composed with the lowering above: Verilog source text
+    to an ISP design in one step.  This is the function the pipeline's
+    [verilog.parse] pass wraps.  The design is {!Sc_rtl.Check}-clean by
+    construction; a residual check failure is reported as an internal
+    error rather than raised. *)

@@ -125,6 +125,12 @@ if [ -z "$cold" ] || [ "$warm" != "$cold" ]; then
   echo "FAIL: warm module edit: '$warm', cold: '$cold'" >&2
   fail=1
 fi
+# and it is the cold compile's CIF, byte for byte: the module read back
+# from disk shares this process's library cells, one symbol each
+if ! cmp "$dir/warm.cif" "$dir/cold.cif"; then
+  echo "FAIL: warm module edit's CIF differs from the cold compile's" >&2
+  fail=1
+fi
 
 # The CIF text of the baseline designs, pinned by MD5 at two pool
 # widths.  A change that moves geometry on purpose updates these.

@@ -454,26 +454,39 @@ let prop_route_counts_like_reference =
 (* Neither routing pdp8's channels nor building its layout — neither
    uses a domain pool — may force a minor collection ([Array.make],
    [Array.init], [Array.map] or [Array.of_list] of more than 256 fresh
-   blocks empties the minor heap first): with the collector settled,
-   each allows one collection per minor heap's worth of words
-   allocated, plus one. *)
+   blocks empties the minor heap first).  The runtime counts each forced
+   collection as an event; natural collections (the minor heap filling
+   up, a major cycle ending) are not counted, so the bound is 0. *)
 let test_no_forced_minor_collections () =
   let pl = Sc_place.Placer.ordered (builtin_problem "pdp8") in
-  let heap = float_of_int (Gc.get ()).minor_heap_size in
-  let measure what f =
-    Gc.full_major ();
-    let c0 = (Gc.quick_stat ()).minor_collections and w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    let minors = (Gc.quick_stat ()).minor_collections - c0 in
-    let words = Gc.minor_words () -. w0 in
-    let allowed = int_of_float (words /. heap) + 1 in
-    check_bool
-      (Printf.sprintf "%s: %d minor collections for %.0f words (at most %d)" what minors
-         words allowed)
-      true (minors <= allowed)
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let forced = ref 0 in
+  let callbacks =
+    Runtime_events.Callbacks.create
+      ~runtime_counter:(fun _ _ counter value ->
+        match counter with
+        | Runtime_events.EV_C_FORCE_MINOR_MAKE_VECT
+        | Runtime_events.EV_C_FORCE_MINOR_ALLOC_SMALL ->
+          forced := !forced + value
+        | _ -> ())
+      ()
   in
-  measure "route_channels" (fun () -> Sc_place.Placer.route_channels pl);
-  measure "to_layout" (fun () -> Sc_place.Placer.to_layout ~name:"pdp8" pl)
+  let drain () = ignore (Runtime_events.read_poll cursor callbacks None) in
+  let measure what f =
+    drain ();
+    forced := 0;
+    ignore (Sys.opaque_identity (f ()));
+    drain ();
+    check_int (what ^ ": forced minor collections") 0 !forced
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime_events.free_cursor cursor;
+      Runtime_events.pause ())
+    (fun () ->
+      measure "route_channels" (fun () -> Sc_place.Placer.route_channels pl);
+      measure "to_layout" (fun () -> Sc_place.Placer.to_layout ~name:"pdp8" pl))
 
 (* The specialised heap sort leaves equal keys exactly where
    [Array.sort] does: keys drawn from a few values, so most are tied,
