@@ -102,7 +102,7 @@ let insert t key value =
    [format_version] whenever the meaning or layout of cached artifacts
    changes. *)
 let magic = "SCCCACHE"
-let format_version = 1
+let format_version = 2
 
 (* Entries are sharded into per-prefix subdirectories so that a hot
    shared directory (many concurrent writers, e.g. under [scc serve])

@@ -27,6 +27,19 @@ let sanitize name =
   if String.for_all legal name then name
   else String.map (fun c -> if legal c then c else '_') name
 
+(* [sanitize] works per character, without a closure *)
+let add_sanitized b name =
+  for i = 0 to String.length name - 1 do
+    Buffer.add_char b (if legal name.[i] then name.[i] else '_')
+  done
+
+let rec add_path b = function
+  | [] -> ()
+  | seg :: outer ->
+    add_path b outer;
+    add_sanitized b seg;
+    Buffer.add_char b '.'
+
 let box_command (r : Rect.t) =
   Ast.Box
     { length = 2 * Rect.width r
@@ -35,11 +48,33 @@ let box_command (r : Rect.t) =
     ; cy = r.Rect.ymin + r.Rect.ymax
     }
 
-(* [symbol f label number c numbering] feeds [f] the commands defining [c]:
-   its name, its geometry grouped by layer (one L command per layer, in
-   [Layer.all] order, each layer's boxes in element order), its port
-   labels and its instance calls.  [label] is scratch for the labels. *)
-let symbol f label number (c : Cell.t) numbering =
+(* A port label's text, "4 name x y layer" (user extension 9,
+   subcommand 4: a point label), into [b]: the name is the instance path
+   (outermost first) and [name], each segment sanitized on its own —
+   '.' is legal, so that is the sanitized qualified name.  (a, b, c, d)
+   and (sx, sy) are the transform into the symbol: xmin+xmax, the exact
+   doubled centre, maps to a(xmin+xmax) + b(ymin+ymax) + 2sx. *)
+let add_label b path (p : Cell.port) (a, bb, c, d) sx sy =
+  let r = p.rect in
+  let x2 = r.Rect.xmin + r.Rect.xmax and y2 = r.Rect.ymin + r.Rect.ymax in
+  Buffer.clear b;
+  Buffer.add_string b "4 ";
+  add_path b path;
+  add_sanitized b p.pname;
+  Buffer.add_char b ' ';
+  Ast.add_int b ((a * x2) + (bb * y2) + (2 * sx));
+  Buffer.add_char b ' ';
+  Ast.add_int b ((c * x2) + (d * y2) + (2 * sy));
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Layer.cif_name p.layer)
+
+(* [symbol f label scratch number c numbering] feeds [f] the commands
+   defining [c]: its name, its geometry grouped by layer (one L command
+   per layer, in [Layer.all] order, each layer's boxes in element
+   order), its port labels and its instance calls.  Each label's text is
+   written into [scratch] and handed to [label] instead of [f], so a
+   promoted port costs no record and no string of its own. *)
+let symbol f label scratch number (c : Cell.t) numbering =
   f (Ast.Def_start (number, scale_a, scale_b));
   f (Ast.User (9, sanitize c.name));
   List.iter
@@ -59,21 +94,15 @@ let symbol f label number (c : Cell.t) numbering =
           | Cell.Box _ | Cell.Wire _ -> ())
         c.elements)
     Layer.all;
-  List.iter
-    (fun (p : Cell.port) ->
-      (* "94 name x y layer": user extension 9, subcommand 4 (point label).
-         xmin+xmax is the exact doubled centre in half-lambda units. *)
-      Buffer.clear label;
-      Buffer.add_string label "4 ";
-      Buffer.add_string label (sanitize p.pname);
-      Buffer.add_char label ' ';
-      Ast.add_int label (p.rect.Rect.xmin + p.rect.Rect.xmax);
-      Buffer.add_char label ' ';
-      Ast.add_int label (p.rect.Rect.ymin + p.rect.Rect.ymax);
-      Buffer.add_char label ' ';
-      Buffer.add_string label (Layer.cif_name p.layer);
-      f (Ast.User (9, Buffer.contents label)))
-    c.ports;
+  Cell.fold_ports
+    (fun path (t : Transform.t) own () ->
+      let m = Transform.matrix t.orient in
+      List.iter
+        (fun p ->
+          add_label scratch path p m t.shift.Point.x t.shift.Point.y;
+          label scratch)
+        own)
+    c ();
   List.iter
     (fun (i : Cell.inst) ->
       let shift = i.trans.Transform.shift in
@@ -86,22 +115,24 @@ let symbol f label number (c : Cell.t) numbering =
   f Ast.Def_finish
 
 (* The one CIF generator: feeds [f] every command of [root]'s file in
-   order, one symbol per distinct cell, then the root call. *)
-let commands f root =
+   order, one symbol per distinct cell, then the root call — except the
+   port labels, whose text ([Ast.User (9, text)]) goes to [label]. *)
+let commands f label root =
   let cells = Cell.all_cells root in
   let numbering = Cell.Tbl.create 64 in
   List.iteri (fun i c -> Cell.Tbl.add numbering c (i + 1)) cells;
-  let label = Buffer.create 64 in
+  let scratch = Buffer.create 64 in
   f (Ast.Comment "CIF 2.0 generated by the silicon compiler");
   List.iter
-    (fun c -> symbol f label (Cell.Tbl.find numbering c) c numbering)
+    (fun c -> symbol f label scratch (Cell.Tbl.find numbering c) c numbering)
     cells;
   f (Ast.Call (Cell.Tbl.find numbering root, []));
   f Ast.End
 
 let file_of_cell root =
   let file = ref [] in
-  commands (fun c -> file := c :: !file) root;
+  let add c = file := c :: !file in
+  commands add (fun text -> add (Ast.User (9, Buffer.contents text))) root;
   List.rev !file
 
 type emitted =
@@ -135,6 +166,9 @@ let emit cell =
         Hashtbl.replace per_layer !current
           (1 + Option.value ~default:0 (Hashtbl.find_opt per_layer !current))
       | _ -> ())
+    (fun text ->
+      Ast.add_user buf 9 text;
+      incr count)
     cell;
   let rects =
     Hashtbl.fold (fun layer n acc -> (layer, n) :: acc) per_layer []

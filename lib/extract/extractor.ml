@@ -142,7 +142,7 @@ let extract cell =
         | None ->
           warn "port %s touches no conductor" p.pname;
           None)
-      cell.Cell.ports
+      (Cell.ports cell)
   in
   (* number the nodes in use densely, in order of first mention *)
   let canon = Array.make (np + nd + Array.length metals) (-1) in

@@ -12,6 +12,7 @@ type t =
   ; elements : element list
   ; instances : inst list
   ; ports : port list
+  ; promotes : bool
   ; bbox : Rect.t option
   ; id : int
   }
@@ -81,16 +82,64 @@ let check_unique what name items =
           invalid_arg (Printf.sprintf "Cell.make: duplicate %s %S" what n))
       items
 
-let make ~name ?(ports = []) ?(instances = []) elements =
-  check_unique "port" (fun p -> p.pname) ports;
+(* A promoting cell's ports are its instances' ports, each group seen
+   through the instance transforms from the cell down, followed by its
+   own.  [path] holds the instance names innermost first. *)
+let fold_ports f root acc =
+  let rec go path trans c acc =
+    let acc =
+      if c.promotes then
+        List.fold_left
+          (fun acc i ->
+            go (i.inst_name :: path) (Transform.compose trans i.trans) i.cell acc)
+          acc c.instances
+      else acc
+    in
+    match c.ports with [] -> acc | own -> f path trans own acc
+  in
+  go [] Transform.identity root acc
+
+let rec ports c =
+  if not c.promotes then c.ports
+  else
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun p ->
+            { p with
+              pname = i.inst_name ^ "." ^ p.pname
+            ; rect = Transform.apply_rect i.trans p.rect
+            })
+          (ports i.cell))
+      c.instances
+    @ c.ports
+
+let has_dot s = String.contains s '.'
+
+(* A promoted name is "<inst>.<port of that instance's cell>".  When no
+   instance name and no own port name contains a '.', the text before
+   the first '.' names the instance, so distinct instance names and each
+   cell's own distinct port names make every promoted name distinct, and
+   none can equal an own port's.  Otherwise the whole list is checked. *)
+let make ~name ?ports:(own = []) ?(instances = []) ?(promote = false) elements =
+  check_unique "port" (fun p -> p.pname) own;
   check_unique "instance" (fun i -> i.inst_name) instances;
-  { name
-  ; elements
-  ; instances
-  ; ports
-  ; bbox = compute_bbox elements instances
-  ; id = next_id ()
-  }
+  let c =
+    { name
+    ; elements
+    ; instances
+    ; ports = own
+    ; promotes = promote
+    ; bbox = compute_bbox elements instances
+    ; id = next_id ()
+    }
+  in
+  if
+    c.promotes
+    && (List.exists (fun i -> has_dot i.inst_name) instances
+       || List.exists (fun p -> has_dot p.pname) own)
+  then check_unique "port" (fun p -> p.pname) (ports c);
+  c
 
 let empty name = make ~name []
 
@@ -111,19 +160,38 @@ let instantiate ?name ?(trans = Transform.identity) cell =
   { inst_name; cell; trans }
 
 let add c es =
-  make ~name:c.name ~ports:c.ports ~instances:c.instances (c.elements @ es)
+  make ~name:c.name ~ports:c.ports ~instances:c.instances ~promote:c.promotes
+    (c.elements @ es)
 
 let add_ports c ps =
-  make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances c.elements
+  make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances
+    ~promote:c.promotes c.elements
 
-let find_port_opt c n = List.find_opt (fun p -> String.equal p.pname n) c.ports
+let port_in_parent i p = { p with rect = Transform.apply_rect i.trans p.rect }
+
+(* An own port, or "<inst>.<rest>" for the instance whose name is a
+   prefix ending at a '.': names are unique, so the first hit is the
+   only one. *)
+let rec find_port_opt c n =
+  match List.find_opt (fun p -> String.equal p.pname n) c.ports with
+  | Some _ as own -> own
+  | None when c.promotes ->
+    let len = String.length n in
+    List.find_map
+      (fun i ->
+        let l = String.length i.inst_name in
+        if l < len && n.[l] = '.' && String.starts_with ~prefix:i.inst_name n then
+          Option.map
+            (fun p -> { (port_in_parent i p) with pname = n })
+            (find_port_opt i.cell (String.sub n (l + 1) (len - l - 1)))
+        else None)
+      c.instances
+  | None -> None
 
 let find_port c n =
   match find_port_opt c n with
   | Some p -> p
   | None -> raise Not_found
-
-let port_in_parent i p = { p with rect = Transform.apply_rect i.trans p.rect }
 
 let bbox c = c.bbox
 
@@ -156,6 +224,7 @@ let translate_to_origin c =
              (fun i ->
                { i with trans = Transform.compose (Transform.make d) i.trans })
              c.instances)
+        ~promote:c.promotes
         (translate_elements d c.elements)
 
 let all_cells root =

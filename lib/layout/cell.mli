@@ -7,7 +7,14 @@
     memories and PLAs) cheap to describe.
 
     The bounding box is computed eagerly at construction, so deep
-    hierarchies pay no repeated traversal cost. *)
+    hierarchies pay no repeated traversal cost.
+
+    A composed cell ({!Compose}) also has its instances' ports as ports,
+    renamed "<inst>.<port>" and seen through the instance transform.
+    Those promoted ports are not stored: {!ports} derives them from the
+    instances when asked, and CIF emission writes their labels straight
+    from the instances, so a cell of n placed gates holds n instances,
+    not also a copy of every gate's ports. *)
 
 open Sc_geom
 open Sc_tech
@@ -25,6 +32,10 @@ type t = private
   ; elements : element list
   ; instances : inst list
   ; ports : port list
+        (** the cell's own ports; {!ports} is the full list *)
+  ; promotes : bool
+        (** every instance's ports are also ports of this cell, as
+            "<inst>.<port>" *)
   ; bbox : Rect.t option  (** [None] for a completely empty cell *)
   ; id : int  (** distinct among the cells one process builds *)
   }
@@ -37,12 +48,25 @@ and inst = { inst_name : string; cell : t; trans : Transform.t }
     it, which a cell built here may have too. *)
 module Tbl : Hashtbl.S with type key = t
 
-(** [make ~name ?ports ?instances elements] builds a cell.  Port names and
-    instance names must be unique within the cell.
+(** [make ~name ?ports ?instances ?promote elements] builds a cell with
+    the own ports [ports].  With [promote] (default [false]) the
+    instances' ports are ports of the cell too (see {!ports}).  Instance
+    names and the names of all the cell's ports must be unique.
+
+    The check over promoted names costs O(instances): with unique
+    instance names none of which contains a '.', promoted names are
+    distinct by construction and cannot equal an own port name without a
+    '.'.  Only when an instance name or an own port name contains a '.'
+    does [make] build {!ports} and check every name.
 
     @raise Invalid_argument on duplicate port or instance names. *)
 val make :
-  name:string -> ?ports:port list -> ?instances:inst list -> element list -> t
+  name:string ->
+  ?ports:port list ->
+  ?instances:inst list ->
+  ?promote:bool ->
+  element list ->
+  t
 
 val empty : string -> t
 
@@ -59,9 +83,27 @@ val instantiate : ?name:string -> ?trans:Transform.t -> t -> inst
 (** [add c es] returns a copy of [c] with extra elements. *)
 val add : t -> element list -> t
 
+(** [add_ports c ps] adds own ports; on a promoting cell they follow
+    the promoted ones in {!ports}. *)
 val add_ports : t -> port list -> t
 
-(** [find_port c name] looks the port up.
+(** [ports c] — all of [c]'s ports: for a promoting cell, each
+    instance's [ports] in instance order, named "<inst>.<port>" and
+    seen through the instance transform, then [c.ports]; otherwise
+    [c.ports].  Built afresh on each call. *)
+val ports : t -> port list
+
+(** [fold_ports f c acc] folds [f path trans own] over [ports c] group
+    by group, in order, without building it.  [own] are the own ports of
+    a cell reached from [c] through promoting cells, [path] the instance
+    names leading there, innermost first, and [trans] that cell's
+    transform into [c]: [p] in [own] is the port "<path>.<p.pname>"
+    (outermost name first) on [Transform.apply_rect trans p.rect]. *)
+val fold_ports :
+  (string list -> Transform.t -> port list -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** [find_port c name] looks the port up among [ports c], descending
+    only into the instance the name starts with.
     @raise Not_found when absent. *)
 val find_port : t -> string -> port
 

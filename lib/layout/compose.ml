@@ -1,29 +1,8 @@
 open Sc_geom
 
-(* "inst.port" in one allocation *)
-let qualified inst port =
-  let li = String.length inst and lp = String.length port in
-  let b = Bytes.create (li + 1 + lp) in
-  Bytes.blit_string inst 0 b 0 li;
-  Bytes.set b li '.';
-  Bytes.blit_string port 0 b (li + 1) lp;
-  Bytes.unsafe_to_string b
-
-(* All combinators funnel through [of_instances]: build the instance list,
-   then export each sub-port under "instname.portname", in one pass over
-   the instances' ports. *)
-let of_instances ~name insts =
-  let promote ports (i : Cell.inst) =
-    List.fold_left
-      (fun ports (p : Cell.port) ->
-        { p with
-          Cell.pname = qualified i.inst_name p.pname
-        ; rect = Transform.apply_rect i.trans p.rect
-        }
-        :: ports)
-      ports i.cell.ports
-  in
-  Cell.make ~name ~ports:(List.rev (List.fold_left promote [] insts)) ~instances:insts []
+(* All combinators funnel through [of_instances]: a promoting cell of
+   the instances, whose ports are derived from theirs when read. *)
+let of_instances ~name insts = Cell.make ~name ~instances:insts ~promote:true []
 
 let lower_left c =
   let lo, _ = Rect.corners (Cell.bbox_or_zero c) in

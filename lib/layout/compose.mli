@@ -34,7 +34,8 @@ val abut : name:string -> Cell.t -> string -> Cell.t -> string -> Cell.t
 
 (** [of_instances ~name insts] — a cell of the given instances and no
     geometry of its own, exporting every port of every instance as
-    "<inst>.<port>", instance by instance.  All the combinators above
+    "<inst>.<port>", instance by instance.  The exported ports are
+    derived, not stored (see {!Cell.ports}).  All the combinators above
     build their cell with it. *)
 val of_instances : name:string -> Cell.inst list -> Cell.t
 

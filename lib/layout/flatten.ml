@@ -51,7 +51,7 @@ let ports root =
           ; rect = Transform.apply_rect trans p.rect
           }
           :: acc)
-        acc c.ports
+        acc (Cell.ports c)
     in
     List.fold_left
       (fun acc (i : Cell.inst) ->

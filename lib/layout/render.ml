@@ -62,7 +62,7 @@ let to_svg ?(scale = 3) cell =
            (((c.Point.x - ox) * scale) + (2 * scale))
            ((oy - c.Point.y) * scale)
            (3 * scale) p.Cell.pname))
-    cell.Cell.ports;
+    (Cell.ports cell);
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 

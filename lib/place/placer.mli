@@ -63,8 +63,10 @@ val hpwl : placement -> int
 (** [to_layout ?channel ~name placement] — rows of library cells with
     [channel] lambda of routing space between rows (default 30).
     Alternate rows are flipped in y so that power rails of facing rows
-    line up.  Cell ports are exposed as "g<item>.<port>": the cell is
-    {!Sc_layout.Compose.of_instances} of the placed gates. *)
+    line up.  The cell is {!Sc_layout.Compose.of_instances} of the
+    placed gates, so its ports are the gates' ports as "g<item>.<port>",
+    derived from the instances when read ({!Sc_layout.Cell.ports}):
+    building it costs words per gate, not per port. *)
 val to_layout : ?channel:int -> name:string -> placement -> Sc_layout.Cell.t
 
 (** Routed wiring-management cost of a placement: for every adjacent

@@ -88,6 +88,7 @@ let all () = List.map get Gate.all
 let rec same_shape (a : Cell.t) (b : Cell.t) =
   a == b
   || a.name = b.name && a.elements = b.elements && a.ports = b.ports
+     && a.promotes = b.promotes
      && List.equal
           (fun (i : Cell.inst) (j : Cell.inst) ->
             i.inst_name = j.inst_name && i.trans = j.trans
@@ -118,7 +119,9 @@ let intern root =
       in
       let c' =
         if List.for_all2 ( == ) instances c.instances then c
-        else Cell.make ~name:c.name ~ports:c.ports ~instances c.elements
+        else
+          Cell.make ~name:c.name ~ports:c.ports ~instances ~promote:c.promotes
+            c.elements
       in
       Cell.Tbl.replace memo c c';
       c'

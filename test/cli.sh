@@ -152,4 +152,21 @@ system 691c68d7ddee15da3ac71dabb70d5e3c
 $counter12 1bbf597827ccda8bb5d69110e109e36f
 PINS
 
+# A placed layout is stored as its instances: the composed cell keeps no
+# copy of its gates' ports, so pdp8's place entry in the stage cache,
+# which every warm rebuild reads back, stays small (362 047 bytes when
+# the 12 534 promoted ports were stored with it).
+expect 0 "compile pdp8 into a stage cache" "$scc" compile pdp8 --stage-cache "$dir/pdp8-stages"
+entries=$(find "$dir/pdp8-stages" -type f -name 'place-*')
+if [ "$(printf '%s\n' "$entries" | grep -c .)" -ne 1 ]; then
+  echo "FAIL: expected one place entry in pdp8's stage cache, found: $entries" >&2
+  fail=1
+else
+  size=$(wc -c <"$entries")
+  if [ "$size" -ge 65536 ]; then
+    echo "FAIL: pdp8's place stage-cache entry is $size bytes, at most 64 KB allowed" >&2
+    fail=1
+  fi
+fi
+
 exit $fail

@@ -223,7 +223,7 @@ let extract cell =
         | None ->
           warn "port %s touches no conductor" p.pname;
           None)
-      cell.Cell.ports
+      (Cell.ports cell)
   in
   (* canonicalize node numbers densely *)
   let canon = Hashtbl.create 32 in

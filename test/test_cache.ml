@@ -152,10 +152,17 @@ let test_disk_header_staleness () =
       output_string oc "SCCCACHE";
       output_binary_int oc 999_999);
   fresh_misses 1 "wrong version";
-  (* right header, torn payload: Marshal must not escape as a crash *)
+  (* a well-formed entry of format 1, whose cells stored their promoted
+     ports: a miss, not a value of the wrong shape *)
   write_raw (fun oc ->
       output_string oc "SCCCACHE";
       output_binary_int oc 1;
+      Marshal.to_channel oc 5 []);
+  fresh_misses 1 "format 1";
+  (* right header, torn payload: Marshal must not escape as a crash *)
+  write_raw (fun oc ->
+      output_string oc "SCCCACHE";
+      output_binary_int oc 2;
       output_string oc "torn");
   fresh_misses 1 "torn payload";
   (* an empty file (a writer that died before the header) *)

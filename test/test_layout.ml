@@ -99,8 +99,8 @@ let test_abut_aligns_ports () =
   (* b's west port centre lands on a's east port centre: b spans x=4..8 *)
   check_bool "joined bbox" true
     (Rect.equal (Cell.bbox_or_zero j) (Rect.make 0 0 8 4));
-  let pa = List.find (fun (p : Cell.port) -> p.pname = "i0.e") j.Cell.ports in
-  let pb = List.find (fun (p : Cell.port) -> p.pname = "i1.w") j.Cell.ports in
+  let pa = List.find (fun (p : Cell.port) -> p.pname = "i0.e") (Cell.ports j) in
+  let pb = List.find (fun (p : Cell.port) -> p.pname = "i1.w") (Cell.ports j) in
   check_bool "port rects coincide" true
     (Point.equal (Rect.center pa.rect) (Rect.center pb.rect))
 
@@ -246,6 +246,168 @@ let prop_bbox_is_folded_union =
       check_bool "every orientation occurs" true
         (List.for_all (Hashtbl.mem seen) Transform.all_orients))
 
+(* --- promoted ports: derived against compose_reference.ml's stored ones --- *)
+
+(* A recipe builds one hierarchy twice, with [Compose.of_instances]
+   (promoted ports derived) and with [Compose_reference.of_instances]
+   (promoted ports stored).  Step k builds cell k from earlier cells. *)
+type step =
+  | Leaf of Cell.port list * Cell.element list
+  | Composed of (string * Transform.t * int) list * Cell.port list * bool
+      (** instances (name, transform, an earlier step), own ports added
+          afterwards with [Cell.add_ports], and whether to move the
+          result to the origin *)
+
+(* Names with '.' (so promoted names can collide) and with characters
+   CIF labels cannot carry. *)
+let names = [ "a"; "b"; "c"; "a.b"; "b.c"; "x y"; "n/1"; "i0"; "p-q"; "\xc3\xa9" ]
+
+let gen_steps =
+  let open QCheck.Gen in
+  let coord = int_range (-30) 30 in
+  let rect =
+    map (fun ((x, y), (w, h)) -> Rect.make x y (x + w) (y + h))
+      (pair (pair coord coord) (pair (int_range 0 6) (int_range 0 6)))
+  in
+  let port =
+    map3 Cell.port (oneofl names) (oneofl [ Layer.Poly; Layer.Metal; Layer.Diffusion ]) rect
+  in
+  let leaf =
+    map2 (fun ps bs -> Leaf (ps, List.map (Cell.box Layer.Metal) bs))
+      (list_size (int_range 0 3) port) (list_size (int_range 0 2) rect)
+  in
+  let composed k =
+    let inst =
+      map3
+        (fun n (orient, (x, y)) j -> (n, Transform.make ~orient (Point.make x y), j))
+        (oneofl names)
+        (pair (oneofl Transform.all_orients) (pair coord coord))
+        (int_range 0 (k - 1))
+    in
+    map3 (fun is extra origin -> Composed (is, extra, origin))
+      (list_size (int_range 1 4) inst)
+      (frequency [ (3, return []); (1, list_size (int_range 1 2) port) ])
+      bool
+  in
+  let* n = int_range 1 6 in
+  let rec steps k acc =
+    if k = n then return (List.rev acc)
+    else
+      let* s = if k = 0 then leaf else frequency [ (1, leaf); (3, composed k) ] in
+      steps (k + 1) (s :: acc)
+  in
+  steps 0 []
+
+let print_steps steps =
+  let port (p : Cell.port) = Printf.sprintf "%S" p.pname in
+  String.concat "; "
+    (List.mapi
+       (fun k -> function
+         | Leaf (ps, _) -> Printf.sprintf "%d: leaf [%s]" k (String.concat " " (List.map port ps))
+         | Composed (is, extra, origin) ->
+           Printf.sprintf "%d: of [%s] + [%s]%s" k
+             (String.concat " "
+                (List.map
+                   (fun (n, (t : Transform.t), j) ->
+                     Printf.sprintf "%S=%d@%s" n j (Transform.orient_to_string t.orient))
+                   is))
+             (String.concat " " (List.map port extra))
+             (if origin then " at origin" else ""))
+       steps)
+
+(* every step's cell, or [Error] where [Cell.make] rejected a name; a
+   rejected step leaves an empty cell for later steps to instantiate *)
+let build of_instances steps =
+  let cells = Array.make (List.length steps) (Cell.empty "none") in
+  List.mapi
+    (fun k step ->
+      let name = if k mod 2 = 0 then Printf.sprintf "c%d" k else Printf.sprintf "c %d/x" k in
+      match
+        match step with
+        | Leaf (ports, elements) -> Cell.make ~name ~ports elements
+        | Composed (insts, extra, origin) ->
+          let c =
+            of_instances ~name
+              (List.map (fun (n, trans, j) -> Cell.instantiate ~name:n ~trans cells.(j)) insts)
+          in
+          let c = if extra = [] then c else Cell.add_ports c extra in
+          if origin then Cell.translate_to_origin c else c
+      with
+      | c ->
+        cells.(k) <- c;
+        Ok c
+      | exception Invalid_argument _ ->
+        cells.(k) <- Cell.empty name;
+        Error ())
+    steps
+
+let derived_like_stored (c : Cell.t) (r : Cell.t) =
+  let ports = Cell.ports c in
+  let text = (Sc_cif.Emit.emit c).text in
+  ports = r.ports
+  && List.for_all (fun (p : Cell.port) -> Cell.find_port_opt c p.pname = Some p) ports
+  && Cell.find_port_opt c "a.zz" = None
+  && Flatten.ports c = Flatten.ports r
+  && String.equal text (Cif_reference.to_string (Sc_cif.Emit.file_of_cell c))
+  && String.equal text (Sc_cif.Emit.emit r).text
+
+let prop_derived_ports_like_stored =
+  let rejected = ref 0 and nested = ref 0 and dotted = ref 0 in
+  let orients = Hashtbl.create 8 in
+  let prop =
+    QCheck.Test.make ~name:"derived ports = stored ports" ~count:400
+      (QCheck.make ~print:print_steps gen_steps) (fun steps ->
+        let got = build Compose.of_instances steps
+        and want = build Compose_reference.of_instances steps in
+        List.iter2
+          (fun step outcome ->
+            match (step, outcome) with
+            | Composed (is, _, _), Ok (c : Cell.t) ->
+              List.iter (fun (_, (t : Transform.t), _) -> Hashtbl.replace orients t.orient ()) is;
+              if List.exists (fun (i : Cell.inst) -> i.cell.promotes) c.instances then incr nested;
+              if List.exists (fun (n, _, _) -> String.contains n '.') is then incr dotted
+            | _, Error () -> incr rejected
+            | Leaf _, Ok _ -> ())
+          steps got;
+        List.for_all2
+          (fun a b ->
+            match (a, b) with
+            | Ok c, Ok r -> derived_like_stored c r
+            | Error (), Error () -> true
+            | _ -> false)
+          got want)
+  in
+  Alcotest.test_case "derived ports = stored ports" `Quick (fun () ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 0xD0C5; 24 |]) prop;
+      check_bool "some names rejected" true (!rejected > 0);
+      check_bool "some composed cells of composed cells" true (!nested > 0);
+      check_bool "some dotted instance names accepted" true (!dotted > 0);
+      check_bool "every orientation occurs" true
+        (List.for_all (Hashtbl.mem orients) Transform.all_orients))
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* the check stays exact when '.' lets two qualified names meet *)
+let test_promoted_names_checked () =
+  let leaf n = Cell.make ~name:"leaf" ~ports:[ Cell.port n Layer.Metal (Rect.make 0 0 1 1) ] [] in
+  let compose a pa b pb () =
+    Compose.of_instances ~name:"top"
+      [ Cell.instantiate ~name:a (leaf pa); Cell.instantiate ~name:b (leaf pb) ]
+  in
+  check_bool "\"a.b\" + \"c\" meets \"a\" + \"b.c\"" true
+    (raises_invalid (compose "a.b" "c" "a" "b.c"));
+  check_bool "\"a.b\" + \"c\" beside \"a\" + \"b.d\"" false
+    (raises_invalid (compose "a.b" "c" "a" "b.d"));
+  let r = Compose.row ~name:"r" [ tile (); tile () ] in
+  let add name () = Cell.add_ports r [ Cell.port name Layer.Metal (Rect.make 0 0 1 1) ] in
+  check_bool "own port named as a promoted one" true (raises_invalid (add "i1.e"));
+  check_bool "own dotted port beside the promoted ones" false (raises_invalid (add "i1.w"));
+  check_bool "own port" false (raises_invalid (add "out"));
+  let with_out = add "out" () in
+  check_bool "own ports follow the promoted ones" true
+    (List.map (fun (p : Cell.port) -> p.pname) (Cell.ports with_out) = [ "i0.e"; "i1.e"; "out" ])
+
 let suite =
   [ Alcotest.test_case "make rejects duplicate ports" `Quick test_make_rejects_duplicates
   ; Alcotest.test_case "bbox includes instances" `Quick test_bbox_includes_instances
@@ -262,4 +424,6 @@ let suite =
   ; Alcotest.test_case "stats measure" `Quick test_stats_measure
   ; Alcotest.test_case "flatten ports qualified" `Quick test_flatten_ports_qualified
   ; prop_bbox_is_folded_union
+  ; prop_derived_ports_like_stored
+  ; Alcotest.test_case "promoted names checked exactly" `Quick test_promoted_names_checked
   ]

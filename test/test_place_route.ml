@@ -488,6 +488,26 @@ let test_no_forced_minor_collections () =
       measure "route_channels" (fun () -> Sc_place.Placer.route_channels pl);
       measure "to_layout" (fun () -> Sc_place.Placer.to_layout ~name:"pdp8" pl))
 
+(* A placed layout is its instances: the composed cell stores no copy
+   of the gates' ports, so laying out pdp8's 685 gates allocates a few
+   dozen words per gate, not a record, a qualified name and a rectangle
+   for each of the 12 534 ports it exports (about 316 k words when they
+   were stored). *)
+let test_to_layout_words_per_instance () =
+  let pl = Sc_place.Placer.ordered (builtin_problem "pdp8") in
+  (* the first call builds the library cells *)
+  ignore (Sys.opaque_identity (Sc_place.Placer.to_layout ~name:"pdp8" pl));
+  let before = Gc.minor_words () in
+  let layout = Sc_place.Placer.to_layout ~name:"pdp8" pl in
+  let words = Gc.minor_words () -. before in
+  let n = List.length layout.Sc_layout.Cell.instances in
+  check_int "instances" 685 n;
+  check_bool "exports every gate's ports" true
+    (List.length (Sc_layout.Cell.ports layout) > 12_000);
+  check_bool
+    (Printf.sprintf "%.0f minor words for %d instances, at most 60 000" words n)
+    true (words <= 60_000.)
+
 (* The specialised heap sort leaves equal keys exactly where
    [Array.sort] does: keys drawn from a few values, so most are tied,
    sorting a shuffled array of indices. *)
@@ -602,5 +622,7 @@ let suite =
   ; prop_heapsort_like_array_sort
   ; Alcotest.test_case "pdp8 routes and lays out without forced collections" `Quick
       test_no_forced_minor_collections
+  ; Alcotest.test_case "pdp8 lays out in words per instance, not per port" `Quick
+      test_to_layout_words_per_instance
   ; prop_ordered_like_reference
   ]

@@ -103,8 +103,24 @@ let test_cells_roundtrip_cif () =
         (Sc_cif.Elaborate.roundtrip_ok c.layout))
     (Library.all ())
 
+(* A layout read back from a disk cache holds copies of the library
+   cells; [intern] swaps the library's own back in and rebuilds the
+   parents, which must still promote their instances' ports. *)
+let test_intern_keeps_promoted_ports () =
+  let inv = Library.layout_of Gate.Inv in
+  let copy : Cell.t = Marshal.from_string (Marshal.to_string inv []) 0 in
+  let top = Compose.row ~name:"top" [ copy; copy ] in
+  let interned = Library.intern top in
+  check_bool "library cell swapped in" true
+    (List.for_all (fun (i : Cell.inst) -> i.cell == inv) interned.instances);
+  check_bool "still promotes" true interned.promotes;
+  check_bool "same ports" true (Cell.ports interned = Cell.ports top);
+  check_bool "promoted ports present" true
+    (List.length (Cell.ports interned) = 2 * List.length (Cell.ports inv))
+
 let suite =
   [ Alcotest.test_case "all cells DRC clean" `Quick test_all_cells_drc_clean
+  ; Alcotest.test_case "intern keeps promoted ports" `Quick test_intern_keeps_promoted_ports
   ; Alcotest.test_case "uniform cell height" `Quick test_uniform_height
   ; Alcotest.test_case "primitive device counts" `Quick test_primitive_transistor_geometry
   ; Alcotest.test_case "geometry matches characterization" `Quick test_geometry_matches_characterization
