@@ -62,12 +62,3 @@ let ports root =
       acc c.instances
   in
   go "" Transform.identity root []
-
-let layer_areas root =
-  let areas = Array.make Layer.count 0 in
-  List.iter
-    (fun fb ->
-      let i = Layer.index fb.layer in
-      areas.(i) <- areas.(i) + Rect.area fb.rect)
-    (run root);
-  areas

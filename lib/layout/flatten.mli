@@ -22,7 +22,3 @@ val run_layers : Cell.t -> Layer.t list -> Rect.t list array
 (** [ports c] returns every port of every instance, transitively, in root
     coordinates, with instance-path-qualified names ("a.b.port"). *)
 val ports : Cell.t -> Cell.port list
-
-(** Total rectangle area per layer (double-counting overlaps), indexed by
-    [Layer.index]. *)
-val layer_areas : Cell.t -> int array

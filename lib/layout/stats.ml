@@ -35,43 +35,139 @@ let channels ~poly ~diffusion ~buried =
   let pieces = Rect_index.create (Rect.array_of_list (List.rev !pieces)) in
   { pieces; region = Rect_index.components pieces }
 
-let transistor_count c =
-  let on = Flatten.run_layers c [ Layer.Poly; Layer.Diffusion; Layer.Buried ] in
-  let layer l = Rect.array_of_list on.(Layer.index l) in
-  let { region; _ } =
-    channels ~poly:(layer Layer.Poly) ~diffusion:(layer Layer.Diffusion)
-      ~buried:(layer Layer.Buried)
-  in
+let count_regions { region; _ } =
   let roots = ref 0 in
   Array.iteri (fun i r -> if r = i then incr roots) region;
   !roots
 
-let count_instances root =
+(* One distinct cell, in its own coordinates: its own rectangles on the
+   channel layers (poly, diffusion, buried, in that slot order), its
+   instances that draw on them, the bounding box of all that geometry
+   (its active box), its channel count, its drawn area per layer and
+   its instantiations, transitively. *)
+type summary =
+  { own : Rect.t list array
+  ; active_insts : (Transform.t * summary) list
+  ; active : Rect.t option
+  ; count : int
+  ; area : int array
+  ; insts : int
+  }
+
+let slot = function
+  | Layer.Poly -> 0
+  | Layer.Diffusion -> 1
+  | Layer.Buried -> 2
+  | _ -> -1
+
+(* [gather on trans s] adds the channel-layer rectangles of [s]'s whole
+   subtree, seen through [trans], to [on] *)
+let rec gather on trans s =
+  for k = 0 to 2 do
+    List.iter (fun r -> on.(k) <- Transform.apply_rect trans r :: on.(k)) s.own.(k)
+  done;
+  List.iter (fun (t, child) -> gather on (Transform.compose trans t) child) s.active_insts
+
+let bbox_of = function
+  | [] -> None
+  | r :: rs -> Some (List.fold_left Rect.union_bbox r rs)
+
+(* The channels of one cell, from its nodes: its own channel-layer
+   rectangles [own] (by slot) when they have a box [own_box], and each
+   instance of [insts], whose active box in the cell is the same
+   position of [boxes].  A channel piece lies inside its poly and its
+   diffusion rectangle, and so does every piece touching it: pieces of
+   nodes whose boxes do not touch never meet, and no buried contact
+   cuts a piece outside its own node's box.  So groups of touching
+   boxes count independently.  A group of one instance counts what its
+   cell counts, in any of the eight orientations; the other groups are
+   flattened together on the channel layers and counted as flat
+   rectangles. *)
+let count_nodes own own_box insts boxes =
+  let nodes = Rect.array_of_list (Option.to_list own_box @ boxes) in
+  let n = Array.length nodes in
+  if n = 0 then 0
+  else begin
+    let group = Rect_index.components (Rect_index.create nodes) in
+    let size = Array.make n 0 in
+    Array.iter (fun g -> size.(g) <- size.(g) + 1) group;
+    let first = if own_box = None then 0 else 1 in
+    let on = if first = 1 then Array.copy own else Array.make 3 [] in
+    let lone = ref 0 in
+    List.iteri
+      (fun k (t, s) ->
+        if size.(group.(first + k)) = 1 then lone := !lone + s.count else gather on t s)
+      insts;
+    if Array.for_all (( = ) []) on then !lone
+    else begin
+      let layer k = Rect.array_of_list on.(k) in
+      !lone
+      + count_regions
+          (channels ~poly:(layer 0) ~diffusion:(layer 1) ~buried:(layer 2))
+    end
+  end
+
+(* Each distinct cell under [root] once, children first. *)
+let summarize root =
   let memo = Cell.Tbl.create 64 in
-  let rec go (c : Cell.t) =
+  let rec visit (c : Cell.t) =
     match Cell.Tbl.find_opt memo c with
-    | Some n -> n
+    | Some s -> s
     | None ->
-      let n =
-        List.fold_left
-          (fun acc (i : Cell.inst) -> acc + 1 + go i.cell)
-          0 c.instances
+      let own = Array.make 3 [] and area = Array.make Layer.count 0 in
+      let add l r =
+        let i = Layer.index l in
+        area.(i) <- area.(i) + Rect.area r;
+        let k = slot l in
+        if k >= 0 then own.(k) <- r :: own.(k)
       in
-      Cell.Tbl.add memo c n;
-      n
+      List.iter
+        (function
+          | Cell.Box (l, r) -> add l r
+          | Cell.Wire (l, p) -> List.iter (add l) (Path.to_rects p))
+        c.elements;
+      let own_box = bbox_of (own.(0) @ own.(1) @ own.(2)) in
+      let all = ref 0 in
+      let active_insts, boxes =
+        List.fold_left
+          (fun (insts, boxes) (i : Cell.inst) ->
+            let s = visit i.cell in
+            for l = 0 to Layer.count - 1 do
+              area.(l) <- area.(l) + s.area.(l)
+            done;
+            all := !all + 1 + s.insts;
+            match s.active with
+            | None -> (insts, boxes)
+            | Some b -> ((i.trans, s) :: insts, Transform.apply_rect i.trans b :: boxes))
+          ([], []) c.instances
+      in
+      let s =
+        { own
+        ; active_insts
+        ; active = bbox_of (Option.to_list own_box @ boxes)
+        ; count = count_nodes own own_box active_insts boxes
+        ; area
+        ; insts = !all
+        }
+      in
+      Cell.Tbl.add memo c s;
+      s
   in
-  go root
+  visit root
+
+let transistor_count c = (summarize c).count
 
 let measure c =
+  let s = summarize c in
   { cell_name = c.Cell.name
   ; bbox_area = Cell.area c
   ; width = Cell.width c
   ; height = Cell.height c
-  ; layer_area = Flatten.layer_areas c
-  ; transistors = transistor_count c
+  ; layer_area = s.area
+  ; transistors = s.count
   ; rects = Cell.flat_rect_count c
   ; cells = List.length (Cell.all_cells c)
-  ; instances = count_instances c
+  ; instances = s.insts
   }
 
 let layer_area t l = t.layer_area.(Layer.index l)

@@ -99,40 +99,36 @@ let random ?(seed = 42) ?nrows p =
 let ordered ?nrows p =
   let n = Array.length p.kinds in
   let nrows = match nrows with Some r -> r | None -> default_rows p in
-  (* barycentre iterations on a 1-D abstract coordinate *)
+  (* barycentre iterations on a 1-D abstract coordinate.  Item [i]'s
+     neighbour sum is its nets' position sums less its own position once
+     per net, over [degree.(i)] (net, other member) pairs.  Positions are
+     whole numbers (indices, then ranks), so every sum is exact and
+     equals the sum over the pairs. *)
   let pos = Array.init n float_of_int in
-  (* Item [i]'s neighbours are [adj.(first.(i)) .. adj.(first.(i + 1) - 1)],
-     one entry per (net, other member) pair, the last visited first:
-     counted, then filled from each item's end downwards. *)
-  let first = Array.make (n + 1) 0 in
-  let pairs f =
-    Array.iter
-      (fun net -> Array.iter (fun a -> Array.iter (fun b -> if a <> b then f a b) net) net)
-      p.nets
-  in
-  pairs (fun a _ -> first.(a + 1) <- first.(a + 1) + 1);
-  for i = 1 to n do
-    first.(i) <- first.(i) + first.(i - 1)
-  done;
-  let adj = Array.make first.(n) 0 in
-  let fill = Array.sub first 1 n in
-  pairs (fun a b ->
-      fill.(a) <- fill.(a) - 1;
-      adj.(fill.(a)) <- b);
-  let next = Array.make n 0.0 and ranked = Array.make n 0 in
+  let degree = Array.make n 0 in
+  Array.iter
+    (fun net ->
+      let d = Array.length net - 1 in
+      Array.iter (fun a -> degree.(a) <- degree.(a) + d) net)
+    p.nets;
+  let nbr = Array.make n 0.0 and ranked = Array.make n 0 in
   for _pass = 1 to 12 do
-    Array.blit pos 0 next 0 n;
-    for i = 0 to n - 1 do
-      let lo = first.(i) and hi = first.(i + 1) in
-      if hi > lo then begin
-        let sum = ref 0.0 in
-        for k = lo to hi - 1 do
-          sum := !sum +. pos.(adj.(k))
-        done;
-        next.(i) <- (pos.(i) +. (!sum /. float_of_int (hi - lo))) /. 2.0
-      end
+    Array.fill nbr 0 n 0.0;
+    for k = 0 to Array.length p.nets - 1 do
+      let net = p.nets.(k) in
+      let sum = ref 0.0 in
+      for m = 0 to Array.length net - 1 do
+        sum := !sum +. pos.(net.(m))
+      done;
+      for m = 0 to Array.length net - 1 do
+        let a = net.(m) in
+        nbr.(a) <- nbr.(a) +. (!sum -. pos.(a))
+      done
     done;
-    Array.blit next 0 pos 0 n;
+    for i = 0 to n - 1 do
+      if degree.(i) > 0 then
+        pos.(i) <- (pos.(i) +. (nbr.(i) /. float_of_int degree.(i))) /. 2.0
+    done;
     (* re-rank to keep positions spread *)
     for i = 0 to n - 1 do
       ranked.(i) <- i

@@ -16,7 +16,7 @@ type problem = private
   { kinds : Gate.kind array  (** per item *)
   ; widths : int array
   ; names : string array
-  ; nets : int array array  (** net -> connected item indices *)
+  ; nets : int array array  (** net -> connected item indices, distinct *)
   }
 
 (** [problem_of_circuit c] flattens [c]; items are gates, nets are the

@@ -1,9 +1,11 @@
-(* The constructive placer as it was before its barycentre loop moved
-   to one flat neighbour array: per-item neighbour lists summed with
-   [List.fold_left].  Kept as the differential oracle for
-   [Sc_place.Placer.ordered] and [Sc_place.Placer.best_of] in
-   test_place_route.ml: the flat array must add the same floats in the
-   same order, so placements agree bit for bit. *)
+(* The constructive placer as it was before its barycentre loop summed
+   positions per net: per-item neighbour lists, one entry per (net,
+   other member) pair, summed with [List.fold_left].  Kept as the
+   differential oracle for [Sc_place.Placer.ordered] and
+   [Sc_place.Placer.best_of] in test_place_route.ml.  Positions are
+   whole numbers, so the per-net sums need only reach the same values,
+   not add the same floats in the same order, for placements to agree
+   bit for bit. *)
 
 open Sc_place.Placer
 

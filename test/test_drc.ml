@@ -167,8 +167,9 @@ let test_wide_outer_still_encloses () =
   check_bool "wide metal accepted as cover" true (Checker.is_clean c)
 
 (* [with_agree f] passes [f] a function that checks a layout with the
-   hierarchical checker against the flat deck at pool sizes 1 and 2, and
-   returns the violations. *)
+   hierarchical checker against the flat deck at pool sizes 1 and 2,
+   and its transistor count against the flat count, and returns the
+   violations. *)
 let with_agree f =
   let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
   Fun.protect
@@ -180,6 +181,9 @@ let with_agree f =
             (Checker.check ~pool:p1 layout = expected);
           check_bool (name ^ ": check = check_flat, -j 2") true
             (Checker.check ~pool:p2 layout = expected);
+          check_int (name ^ ": transistor_count = flat count")
+            (Stats_reference.transistor_count layout)
+            (Stats.transistor_count layout);
           expected))
 
 let compiled name = function
@@ -395,10 +399,15 @@ let reference_check flat =
    ([halves] alone violates spacing), [surround] completes a contact's
    metal surround with a neighbour's metal ([via] alone violates
    enclosure), and [apart] puts two clean pads 2 lambda apart, a
-   spacing violation only between the instances. *)
+   spacing violation only between the instances.  Three more decide a
+   transistor count: [crossing] lays one instance's poly over the
+   other's diffusion, a gate that neither draws; [cut] covers a [gate]
+   with a neighbour's buried contact; and [split] abuts two mirrored
+   [half]s, each drawing half of one gate. *)
 let gadget kind trans =
   let part name es = Cell.make ~name es in
-  let metal x0 y0 x1 y1 = Cell.box Layer.Metal (Rect.make x0 y0 x1 y1) in
+  let on l x0 y0 x1 y1 = Cell.box l (Rect.make x0 y0 x1 y1) in
+  let metal = on Layer.Metal and poly = on Layer.Poly and diff = on Layer.Diffusion in
   let two name (c1, t1) (c2, t2) =
     Cell.make ~name
       ~instances:
@@ -418,6 +427,15 @@ let gadget kind trans =
   | `Apart ->
     let pad = part "pad" [ metal 0 0 4 4 ] in
     two "apart" (pad, trans) (pad, Transform.compose trans (Transform.translation 6 0))
+  | `Crossing -> two "crossing" (part "poly" [ poly 2 0 4 8 ], trans) (part "diff" [ diff 0 3 6 5 ], trans)
+  | `Cut ->
+    two "cut"
+      (part "gate" [ poly 2 0 4 8; diff 0 3 6 5 ], trans)
+      (part "buried" [ on Layer.Buried 1 2 5 6 ], trans)
+  | `Split ->
+    let half = part "half" [ poly 0 0 2 2; diff (-2) 1 4 2 ] in
+    two "split" (half, trans)
+      (half, Transform.compose trans (Transform.make ~orient:Transform.MX (Point.make 0 4)))
 
 (* Boxes on every layer, narrow and degenerate ones among them, rails
    long enough to cross many index tiles, and contacts in metal drawn
@@ -481,8 +499,9 @@ let gen_translated =
    with every odd row mirrored in x as [Placer.to_layout] builds them,
    and arrays of one cell placed many times.  The top cell places any of
    these in all eight orientations, and is sometimes wrapped in a
-   single-instance cell, as CIF elaboration wraps a chip. *)
-let gen_layout =
+   single-instance cell, as CIF elaboration wraps a chip.  [kinds] are
+   the gadgets to draw from. *)
+let gen_layout_of kinds =
   let open QCheck.Gen in
   let boxes = gen_boxes in
   let trans span =
@@ -500,7 +519,7 @@ let gen_layout =
   let* leaves = list_size (int_range 1 3) (boxes 2 12) in
   let leaves = List.mapi (fun k b -> Cell.make ~name:(Printf.sprintf "leaf%d" k) b) leaves in
   let* gadgets =
-    list_size (int_range 0 3) (pair (oneofl [ `Joined; `Surround; `Apart ]) (trans 20))
+    list_size (int_range 0 3) (pair (oneofl kinds) (trans 20))
   in
   let base = leaves @ List.map (fun (k, t) -> gadget k t) gadgets in
   let pick = int_bound (List.length base - 1) in
@@ -566,6 +585,8 @@ let gen_layout =
     (match wrap with
     | None -> top
     | Some t -> Cell.make ~name:"top_top" ~instances:[ Cell.instantiate ~trans:t top ] [])
+
+let gen_layout = gen_layout_of [ `Joined; `Surround; `Apart ]
 
 let test_matches_reference () =
   let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
@@ -649,6 +670,65 @@ let test_hierarchical_matches_flat () =
     @ List.map Transform.orient_to_string Transform.all_orients
     @ List.map (Format.asprintf "%a" Rules.pp_rule) Rules.deck)
 
+(* The hierarchical transistor count (of every distinct cell) and
+   [Stats.measure]'s sums against flat ones on random hierarchies with
+   the transistor gadgets, checking that the hierarchies exercise each case
+   where a neighbour decides the count, deep nesting and every
+   orientation. *)
+let test_transistor_count_matches_flat () =
+  let seen = Hashtbl.create 16 in
+  let note k = Hashtbl.replace seen k () in
+  let flat = Stats_reference.transistor_count in
+  let features layout =
+    let rec depth (c : Cell.t) =
+      List.fold_left (fun d (i : Cell.inst) -> max d (1 + depth i.cell)) 0 c.instances
+    in
+    if depth layout >= 3 then note "three levels of nesting";
+    List.iter
+      (fun (c : Cell.t) ->
+        List.iter
+          (fun (i : Cell.inst) -> note (Transform.orient_to_string i.trans.orient))
+          c.instances;
+        let inst k = List.nth c.instances k in
+        let part k = (inst k).Cell.cell in
+        match c.name with
+        | "crossing" when flat (part 0) = 0 && flat (part 1) = 0 && flat c > 0 ->
+          note "a gate formed only between two instances"
+        | "cut" when flat (part 0) > 0 && flat c = 0 ->
+          note "a neighbour's buried contact removing a gate"
+        | "split" ->
+          let box k = Transform.apply_rect (inst k).trans (Cell.bbox_or_zero (part k)) in
+          if flat (part 0) = 1 && flat c = 1
+             && Rect.touches_or_overlaps (box 0) (box 1)
+             && not (Rect.overlaps (box 0) (box 1))
+          then note "one gate split across two abutting instances"
+        | _ -> ())
+      (Cell.all_cells layout)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0x7C0F; 25 |])
+    (QCheck.Test.make ~name:"transistor_count = flat count" ~count:300
+       (QCheck.make
+          ~print:(fun c -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c))
+          (gen_layout_of [ `Crossing; `Cut; `Split ]))
+       (fun layout ->
+         features layout;
+         let rec instances (c : Cell.t) =
+           List.fold_left (fun n (i : Cell.inst) -> n + 1 + instances i.cell) 0 c.instances
+         in
+         let m = Stats.measure layout in
+         m.layer_area = Stats_reference.layer_areas layout
+         && m.instances = instances layout
+         && m.transistors = flat layout
+         && List.for_all
+              (fun c -> Stats.transistor_count c = flat c)
+              (Cell.all_cells layout)));
+  List.iter
+    (fun case -> check_bool ("some case has " ^ case) true (Hashtbl.mem seen case))
+    ([ "a gate formed only between two instances"
+     ; "a neighbour's buried contact removing a gate"
+     ; "one gate split across two abutting instances"; "three levels of nesting" ]
+    @ List.map Transform.orient_to_string Transform.all_orients)
+
 (* Apart from the width rule, the violations are a function of the
    geometry: shuffling the flattened boxes changes nothing else. *)
 let prop_order_is_geometric =
@@ -698,5 +778,7 @@ let suite =
       test_matches_reference
   ; Alcotest.test_case "hierarchical check matches the flat deck" `Quick
       test_hierarchical_matches_flat
+  ; Alcotest.test_case "hierarchical transistor count matches the flat count" `Quick
+      test_transistor_count_matches_flat
   ; prop_order_is_geometric
   ]

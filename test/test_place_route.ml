@@ -508,6 +508,25 @@ let test_to_layout_words_per_instance () =
     (Printf.sprintf "%.0f minor words for %d instances, at most 60 000" words n)
     true (words <= 60_000.)
 
+(* pdp8's 7 294 transistors are drawn by 25 distinct cells, and no two
+   of its instances' channel geometry touch: the count visits each cell
+   once and flattens nothing.  Flattening the chip on the channel
+   layers took about 269 k words. *)
+let test_transistor_count_words_per_cell () =
+  let layout =
+    match Sc_core.Compiler.compile_behavior Sc_core.Designs.pdp8_src with
+    | Ok (c, _) -> c.Sc_core.Compiler.layout
+    | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d)
+  in
+  ignore (Sys.opaque_identity (Sc_layout.Stats.transistor_count layout));
+  let before = Gc.minor_words () in
+  let n = Sc_layout.Stats.transistor_count layout in
+  let words = Gc.minor_words () -. before in
+  check_int "transistors" 7294 n;
+  check_bool
+    (Printf.sprintf "%.0f minor words, at most 60 000" words)
+    true (words <= 60_000.)
+
 (* The specialised heap sort leaves equal keys exactly where
    [Array.sort] does: keys drawn from a few values, so most are tied,
    sorting a shuffled array of indices. *)
@@ -624,5 +643,7 @@ let suite =
       test_no_forced_minor_collections
   ; Alcotest.test_case "pdp8 lays out in words per instance, not per port" `Quick
       test_to_layout_words_per_instance
+  ; Alcotest.test_case "pdp8's transistor count allocates per distinct cell, not per flat box"
+      `Quick test_transistor_count_words_per_cell
   ; prop_ordered_like_reference
   ]
