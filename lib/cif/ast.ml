@@ -145,14 +145,6 @@ let add_command b cmd =
   | End -> Buffer.add_char b 'E');
   Buffer.add_char b '\n'
 
-let add_user b d text =
-  add_int b d;
-  if Buffer.length text > 0 then begin
-    Buffer.add_char b ' ';
-    Buffer.add_buffer b text
-  end;
-  Buffer.add_string b ";\n"
-
 let to_string file =
   let b = Buffer.create 4096 in
   List.iter (add_command b) file;

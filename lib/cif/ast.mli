@@ -36,13 +36,5 @@ val check : file -> string list
     itself, without [Printf] or [Format]. *)
 val add_command : Buffer.t -> command -> unit
 
-(** [add_user b d text] appends what [add_command b (User (d, t))]
-    does for [t] the contents of [text], without making [t]. *)
-val add_user : Buffer.t -> int -> Buffer.t -> unit
-
-(** [add_int b n] appends [n] in decimal, as {!add_command} writes
-    every number. *)
-val add_int : Buffer.t -> int -> unit
-
 (** The file's text: each command on its own line, in order. *)
 val to_string : file -> string

@@ -87,6 +87,8 @@ type builder =
   ; mutable ports : Cell.port list
   ; mutable instances : Cell.inst list
   ; mutable layer : Layer.t
+  ; mutable pending : string option  (** a "91" name awaiting its call *)
+  ; mutable named : int  (** calls named by "91" *)
   }
 
 let parse_port_extension text =
@@ -106,9 +108,23 @@ let cell_of_file file =
     let name =
       match b.name with Some n -> n | None -> Printf.sprintf "sym%d" b.number
     in
+    let structure fmt =
+      Printf.ksprintf
+        (fun s -> fail (Structure (Printf.sprintf "symbol %d (%s): %s" b.number name s)))
+        fmt
+    in
+    Option.iter (structure "91 %s names no call") b.pending;
+    if b.named > 0 && b.named < List.length b.instances then
+      structure "%d of its %d calls have no 91 name" (List.length b.instances - b.named)
+        (List.length b.instances);
+    (* named calls are the instances whose ports this cell promotes *)
     let cell =
-      Cell.make ~name ~ports:(List.rev b.ports) ~instances:(List.rev b.instances)
-        (List.rev b.elements)
+      match
+        Cell.make ~name ~ports:(List.rev b.ports) ~instances:(List.rev b.instances)
+          ~promote:(b.named > 0) (List.rev b.elements)
+      with
+      | cell -> cell
+      | exception Invalid_argument msg -> structure "%s" msg
     in
     Hashtbl.replace table b.number cell;
     last_defined := Some cell
@@ -132,6 +148,8 @@ let cell_of_file file =
           ; ports = []
           ; instances = []
           ; layer = Layer.Diffusion
+          ; pending = None
+          ; named = 0
           }
     | Ast.Def_start (n, _, _), Some _ ->
       fail (Structure (Printf.sprintf "nested DS %d" n))
@@ -164,13 +182,26 @@ let cell_of_file file =
     | Ast.Wire _, None -> fail (Structure "W outside definition")
     | Ast.Call (n, ops), Some b ->
       let t = transform_of_ops ~a:b.scale_a ~b:b.scale_b ops in
-      b.instances <- Cell.instantiate ~trans:t (lookup n) :: b.instances
+      let name = b.pending in
+      b.pending <- None;
+      if name <> None then b.named <- b.named + 1;
+      b.instances <- Cell.instantiate ?name ~trans:t (lookup n) :: b.instances
     | Ast.Call (n, ops), None ->
       (* Top-level call: coordinates are raw centimicrons. *)
       let t = transform_of_ops ~a:1 ~b:1 ops in
       top_call := Some (lookup n, t)
-    | Ast.User (9, text), Some b
-      when not (String.length text >= 2 && String.sub text 0 2 = "4 ") ->
+    | Ast.User (9, text), Some b when String.starts_with ~prefix:"1 " text -> (
+      let name = String.trim (String.sub text 2 (String.length text - 2)) in
+      match b.pending with
+      | Some first ->
+        fail
+          (Structure
+             (Printf.sprintf "symbol %d: 91 %s follows 91 %s with no call between" b.number
+                name first))
+      | None -> b.pending <- Some name)
+    | Ast.User (9, text), None when String.starts_with ~prefix:"1 " text ->
+      fail (Structure "91 outside definition")
+    | Ast.User (9, text), Some b when not (String.starts_with ~prefix:"4 " text) ->
       b.name <- Some (String.trim text)
     | Ast.User (9, text), Some b -> (
       let text = String.sub text 2 (String.length text - 2) in
@@ -221,7 +252,19 @@ let flat_signature cell =
          , fb.rect.Rect.ymax ))
        (Flatten.run cell))
 
+(* A label carries a port's doubled centre, not its rectangle. *)
+let port_signature cell =
+  List.sort compare
+    (List.map
+       (fun (p : Cell.port) ->
+         ( p.pname
+         , Layer.index p.layer
+         , p.rect.Rect.xmin + p.rect.Rect.xmax
+         , p.rect.Rect.ymin + p.rect.Rect.ymax ))
+       (Cell.ports cell))
+
 let roundtrip_ok cell =
   match of_string (Emit.to_string cell) with
-  | Ok cell' -> flat_signature cell = flat_signature cell'
+  | Ok cell' ->
+    flat_signature cell = flat_signature cell' && port_signature cell = port_signature cell'
   | Error _ -> false

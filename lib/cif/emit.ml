@@ -27,19 +27,6 @@ let sanitize name =
   if String.for_all legal name then name
   else String.map (fun c -> if legal c then c else '_') name
 
-(* [sanitize] works per character, without a closure *)
-let add_sanitized b name =
-  for i = 0 to String.length name - 1 do
-    Buffer.add_char b (if legal name.[i] then name.[i] else '_')
-  done
-
-let rec add_path b = function
-  | [] -> ()
-  | seg :: outer ->
-    add_path b outer;
-    add_sanitized b seg;
-    Buffer.add_char b '.'
-
 let box_command (r : Rect.t) =
   Ast.Box
     { length = 2 * Rect.width r
@@ -48,33 +35,28 @@ let box_command (r : Rect.t) =
     ; cy = r.Rect.ymin + r.Rect.ymax
     }
 
-(* A port label's text, "4 name x y layer" (user extension 9,
-   subcommand 4: a point label), into [b]: the name is the instance path
-   (outermost first) and [name], each segment sanitized on its own —
-   '.' is legal, so that is the sanitized qualified name.  (a, b, c, d)
-   and (sx, sy) are the transform into the symbol: xmin+xmax, the exact
-   doubled centre, maps to a(xmin+xmax) + b(ymin+ymax) + 2sx. *)
-let add_label b path (p : Cell.port) (a, bb, c, d) sx sy =
+(* A port label, "94 name x y layer" (user extension 9, subcommand 4: a
+   point label) at the port's doubled centre. *)
+let label (p : Cell.port) =
   let r = p.rect in
-  let x2 = r.Rect.xmin + r.Rect.xmax and y2 = r.Rect.ymin + r.Rect.ymax in
-  Buffer.clear b;
-  Buffer.add_string b "4 ";
-  add_path b path;
-  add_sanitized b p.pname;
-  Buffer.add_char b ' ';
-  Ast.add_int b ((a * x2) + (bb * y2) + (2 * sx));
-  Buffer.add_char b ' ';
-  Ast.add_int b ((c * x2) + (d * y2) + (2 * sy));
-  Buffer.add_char b ' ';
-  Buffer.add_string b (Layer.cif_name p.layer)
+  Ast.User
+    ( 9
+    , String.concat " "
+        [ "4"
+        ; sanitize p.pname
+        ; string_of_int (r.Rect.xmin + r.Rect.xmax)
+        ; string_of_int (r.Rect.ymin + r.Rect.ymax)
+        ; Layer.cif_name p.layer
+        ] )
 
-(* [symbol f label scratch number c numbering] feeds [f] the commands
-   defining [c]: its name, its geometry grouped by layer (one L command
-   per layer, in [Layer.all] order, each layer's boxes in element
-   order), its port labels and its instance calls.  Each label's text is
-   written into [scratch] and handed to [label] instead of [f], so a
-   promoted port costs no record and no string of its own. *)
-let symbol f label scratch number (c : Cell.t) numbering =
+(* [symbol f number c numbering] feeds [f] the commands defining [c]:
+   its name, its geometry grouped by layer (one L command per layer, in
+   [Layer.all] order, each layer's boxes in element order), its own port
+   labels and its instance calls.  In a promoting cell each call follows
+   its instance's name ("91 name", Magic's convention): the elaborator
+   rebuilds the promoted "<inst>.<port>" ports from those names and the
+   called symbols' own labels, so no symbol repeats a port of another. *)
+let symbol f number (c : Cell.t) numbering =
   f (Ast.Def_start (number, scale_a, scale_b));
   f (Ast.User (9, sanitize c.name));
   List.iter
@@ -94,18 +76,11 @@ let symbol f label scratch number (c : Cell.t) numbering =
           | Cell.Box _ | Cell.Wire _ -> ())
         c.elements)
     Layer.all;
-  Cell.fold_ports
-    (fun path (t : Transform.t) own () ->
-      let m = Transform.matrix t.orient in
-      List.iter
-        (fun p ->
-          add_label scratch path p m t.shift.Point.x t.shift.Point.y;
-          label scratch)
-        own)
-    c ();
+  List.iter (fun p -> f (label p)) c.ports;
   List.iter
     (fun (i : Cell.inst) ->
       let shift = i.trans.Transform.shift in
+      if c.promotes then f (Ast.User (9, "1 " ^ sanitize i.inst_name));
       f
         (Ast.Call
            ( Cell.Tbl.find numbering i.cell
@@ -115,24 +90,19 @@ let symbol f label scratch number (c : Cell.t) numbering =
   f Ast.Def_finish
 
 (* The one CIF generator: feeds [f] every command of [root]'s file in
-   order, one symbol per distinct cell, then the root call — except the
-   port labels, whose text ([Ast.User (9, text)]) goes to [label]. *)
-let commands f label root =
+   order, one symbol per distinct cell, then the root call. *)
+let commands f root =
   let cells = Cell.all_cells root in
   let numbering = Cell.Tbl.create 64 in
   List.iteri (fun i c -> Cell.Tbl.add numbering c (i + 1)) cells;
-  let scratch = Buffer.create 64 in
   f (Ast.Comment "CIF 2.0 generated by the silicon compiler");
-  List.iter
-    (fun c -> symbol f label scratch (Cell.Tbl.find numbering c) c numbering)
-    cells;
+  List.iter (fun c -> symbol f (Cell.Tbl.find numbering c) c numbering) cells;
   f (Ast.Call (Cell.Tbl.find numbering root, []));
   f Ast.End
 
 let file_of_cell root =
   let file = ref [] in
-  let add c = file := c :: !file in
-  commands add (fun text -> add (Ast.User (9, Buffer.contents text))) root;
+  commands (fun c -> file := c :: !file) root;
   List.rev !file
 
 type emitted =
@@ -166,9 +136,6 @@ let emit cell =
         Hashtbl.replace per_layer !current
           (1 + Option.value ~default:0 (Hashtbl.find_opt per_layer !current))
       | _ -> ())
-    (fun text ->
-      Ast.add_user buf 9 text;
-      incr count)
     cell;
   let rects =
     Hashtbl.fold (fun layer n acc -> (layer, n) :: acc) per_layer []

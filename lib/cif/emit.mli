@@ -4,9 +4,15 @@
     and the symbol scale factor is halved (DS a = 125 for a 250
     centimicron lambda), so box centres are always integers.  Wires are
     written as their covering boxes, which keeps emission/parsing exactly
-    invertible on geometry; symbol names travel in the "9" user extension
-    and ports in the "94" extension ([94 name cx cy layer], doubled
-    coordinates). *)
+    invertible on geometry.  Three user extensions carry the rest: "9"
+    names the symbol, "94" labels each of the cell's own ports ([94 name
+    cx cy layer], doubled coordinates), and in a promoting cell (see
+    {!Sc_layout.Cell.ports}) "91" names the instance the next call makes
+    ([91 name], the convention of Berkeley Magic's CIF writer).  A
+    promoted "<inst>.<port>" port is thus the called symbol's label under
+    the instance's name, never a label of its own: the hierarchy carries
+    the ports, and the file grows with the distinct cells, not with the
+    ports of every instance. *)
 
 (** The commands of [cell]'s CIF file, as a list: the same stream
     {!emit} prints and counts, from the same generator. *)

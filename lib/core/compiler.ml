@@ -157,8 +157,9 @@ let drc_pass : (Cell.t, int) P.pass =
     ~replay:(fun _ n -> Obs.count "drc.violations" n)
     (fun layout -> Ok (List.length (Sc_drc.Checker.check layout)))
 
+(* version 2: calls named with "91" instead of flat promoted labels *)
 let emit_pass : (Cell.t, Sc_cif.Emit.emitted) P.pass =
-  P.register ~name:"emit"
+  P.register ~name:"emit" ~version:2
     ~replay:(fun _ e -> Sc_cif.Emit.replay_counters e)
     (fun layout -> Ok (Sc_cif.Emit.emit layout))
 
@@ -179,12 +180,13 @@ let measure_pass : (Cell.t, measured) P.pass =
   P.register ~name:"measure"
     ~replay:(fun _ m -> measure_gauges m)
     (fun layout ->
+      (* one walk: the transistor count is nearly all of it *)
+      let s = Obs.span "measure.transistor_count" (fun () -> Stats.measure layout) in
       let m =
-        { marea = Cell.area layout
-        ; mtransistors =
-            Obs.span "measure.transistor_count" (fun () -> Stats.transistor_count layout)
-        ; mcells = List.length (Cell.all_cells layout)
-        ; mrects = Cell.flat_rect_count layout
+        { marea = s.bbox_area
+        ; mtransistors = s.transistors
+        ; mcells = s.cells
+        ; mrects = s.rects
         }
       in
       measure_gauges m;

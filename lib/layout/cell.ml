@@ -82,23 +82,6 @@ let check_unique what name items =
           invalid_arg (Printf.sprintf "Cell.make: duplicate %s %S" what n))
       items
 
-(* A promoting cell's ports are its instances' ports, each group seen
-   through the instance transforms from the cell down, followed by its
-   own.  [path] holds the instance names innermost first. *)
-let fold_ports f root acc =
-  let rec go path trans c acc =
-    let acc =
-      if c.promotes then
-        List.fold_left
-          (fun acc i ->
-            go (i.inst_name :: path) (Transform.compose trans i.trans) i.cell acc)
-          acc c.instances
-      else acc
-    in
-    match c.ports with [] -> acc | own -> f path trans own acc
-  in
-  go [] Transform.identity root acc
-
 let rec ports c =
   if not c.promotes then c.ports
   else

@@ -12,9 +12,9 @@
     A composed cell ({!Compose}) also has its instances' ports as ports,
     renamed "<inst>.<port>" and seen through the instance transform.
     Those promoted ports are not stored: {!ports} derives them from the
-    instances when asked, and CIF emission writes their labels straight
-    from the instances, so a cell of n placed gates holds n instances,
-    not also a copy of every gate's ports. *)
+    instances when asked, and CIF emission names each instance of a
+    promoting cell instead of writing their labels, so a cell of n placed
+    gates holds n instances, not also a copy of every gate's ports. *)
 
 open Sc_geom
 open Sc_tech
@@ -92,15 +92,6 @@ val add_ports : t -> port list -> t
     seen through the instance transform, then [c.ports]; otherwise
     [c.ports].  Built afresh on each call. *)
 val ports : t -> port list
-
-(** [fold_ports f c acc] folds [f path trans own] over [ports c] group
-    by group, in order, without building it.  [own] are the own ports of
-    a cell reached from [c] through promoting cells, [path] the instance
-    names leading there, innermost first, and [trans] that cell's
-    transform into [c]: [p] in [own] is the port "<path>.<p.pname>"
-    (outermost name first) on [Transform.apply_rect trans p.rect]. *)
-val fold_ports :
-  (string list -> Transform.t -> port list -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** [find_port c name] looks the port up among [ports c], descending
     only into the instance the name starts with.

@@ -43,14 +43,15 @@ let count_regions { region; _ } =
 (* One distinct cell, in its own coordinates: its own rectangles on the
    channel layers (poly, diffusion, buried, in that slot order), its
    instances that draw on them, the bounding box of all that geometry
-   (its active box), its channel count, its drawn area per layer and
-   its instantiations, transitively. *)
+   (its active box), its channel count, its drawn area per layer, and
+   its flattened rectangles and instantiations, transitively. *)
 type summary =
   { own : Rect.t list array
   ; active_insts : (Transform.t * summary) list
   ; active : Rect.t option
   ; count : int
   ; area : int array
+  ; rects : int
   ; insts : int
   }
 
@@ -107,7 +108,9 @@ let count_nodes own own_box insts boxes =
     end
   end
 
-(* Each distinct cell under [root] once, children first. *)
+(* Each distinct cell under [root] once, children first: [root]'s
+   summary and the number of distinct cells.  A wire counts as one
+   rectangle per segment, as {!Cell.flat_rect_count} counts it. *)
 let summarize root =
   let memo = Cell.Tbl.create 64 in
   let rec visit (c : Cell.t) =
@@ -121,10 +124,15 @@ let summarize root =
         let k = slot l in
         if k >= 0 then own.(k) <- r :: own.(k)
       in
+      let rects = ref 0 in
       List.iter
         (function
-          | Cell.Box (l, r) -> add l r
-          | Cell.Wire (l, p) -> List.iter (add l) (Path.to_rects p))
+          | Cell.Box (l, r) ->
+            incr rects;
+            add l r
+          | Cell.Wire (l, p) ->
+            rects := !rects + max 1 (List.length p.Path.points - 1);
+            List.iter (add l) (Path.to_rects p))
         c.elements;
       let own_box = bbox_of (own.(0) @ own.(1) @ own.(2)) in
       let all = ref 0 in
@@ -135,6 +143,7 @@ let summarize root =
             for l = 0 to Layer.count - 1 do
               area.(l) <- area.(l) + s.area.(l)
             done;
+            rects := !rects + s.rects;
             all := !all + 1 + s.insts;
             match s.active with
             | None -> (insts, boxes)
@@ -147,26 +156,28 @@ let summarize root =
         ; active = bbox_of (Option.to_list own_box @ boxes)
         ; count = count_nodes own own_box active_insts boxes
         ; area
+        ; rects = !rects
         ; insts = !all
         }
       in
       Cell.Tbl.add memo c s;
       s
   in
-  visit root
+  let s = visit root in
+  (s, Cell.Tbl.length memo)
 
-let transistor_count c = (summarize c).count
+let transistor_count c = (fst (summarize c)).count
 
 let measure c =
-  let s = summarize c in
+  let s, cells = summarize c in
   { cell_name = c.Cell.name
   ; bbox_area = Cell.area c
   ; width = Cell.width c
   ; height = Cell.height c
   ; layer_area = s.area
   ; transistors = s.count
-  ; rects = Cell.flat_rect_count c
-  ; cells = List.length (Cell.all_cells c)
+  ; rects = s.rects
+  ; cells
   ; instances = s.insts
   }
 

@@ -2,7 +2,8 @@
 # End-to-end checks of the scc command line: the compile front door on
 # every source kind, its exit codes, the isp alias, the circuit specs
 # equiv resolves, serve's --exec-domains bound, a warm module edit over
-# the disk stage cache, and the pinned CIF text of the baseline designs.
+# the disk stage cache, the pinned CIF text of the baseline designs, the
+# size of pdp8's stage-cache entries and hostile CIF.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -144,29 +145,49 @@ while read -r design digest; do
     fi
   done
 done <<PINS
-pdp8 335a0395be2614692a6e77b4b63ee38a
-counter 482178a88e67b4689f94b6a208ae8473
-traffic d7a32a63839aa64cb17090faed5b1c7b
-alu4 9bb86dab72227f1f86394be28b45c751
-system 691c68d7ddee15da3ac71dabb70d5e3c
-$counter12 1bbf597827ccda8bb5d69110e109e36f
+pdp8 f8bddfd33c7135c47f067005c3aa443c
+counter 3a694bff220815d4f787431f02fe74cb
+traffic 51431483cb032a63e56925bb047f6e89
+alu4 2f57cc1c8e49e1686d61025d3b228827
+system e633bf78a2f1d308307f087011910894
+$counter12 a973b02bd68d68be1b9fc29bfc984da6
 PINS
 
 # A placed layout is stored as its instances: the composed cell keeps no
 # copy of its gates' ports, so pdp8's place entry in the stage cache,
 # which every warm rebuild reads back, stays small (362 047 bytes when
-# the 12 534 promoted ports were stored with it).
+# the 12 534 promoted ports were stored with it).  Its emit entry holds
+# the CIF, which names each instance instead of labelling every promoted
+# port in the top symbol (372 240 bytes with those labels).
 expect 0 "compile pdp8 into a stage cache" "$scc" compile pdp8 --stage-cache "$dir/pdp8-stages"
-entries=$(find "$dir/pdp8-stages" -type f -name 'place-*')
-if [ "$(printf '%s\n' "$entries" | grep -c .)" -ne 1 ]; then
-  echo "FAIL: expected one place entry in pdp8's stage cache, found: $entries" >&2
-  fail=1
-else
-  size=$(wc -c <"$entries")
-  if [ "$size" -ge 65536 ]; then
-    echo "FAIL: pdp8's place stage-cache entry is $size bytes, at most 64 KB allowed" >&2
+for limit in place:65536 emit:40960; do
+  stage=${limit%:*} max=${limit#*:}
+  entries=$(find "$dir/pdp8-stages" -type f -name "$stage-*")
+  if [ "$(printf '%s\n' "$entries" | grep -c .)" -ne 1 ]; then
+    echo "FAIL: expected one $stage entry in pdp8's stage cache, found: $entries" >&2
     fail=1
+  else
+    size=$(wc -c <"$entries")
+    if [ "$size" -ge "$max" ]; then
+      echo "FAIL: pdp8's $stage stage-cache entry is $size bytes, under $max required" >&2
+      fail=1
+    fi
   fi
-fi
+done
+
+# Hostile CIF is a diagnostic, never an uncaught exception (exit 125):
+# a port labelled twice in one symbol, an instance name no call follows.
+printf 'DS 1 250 1;\n9 t;\nL NM;\nB 8 8 4 4;\n94 a 4 4 NM;\n94 a 4 4 NM;\nDF;\nC 1;\nE\n' \
+  >"$dir/twice.cif"
+printf 'DS 1 250 1;\nL NM;\nB 8 8 4 4;\nDF;\nDS 2 250 1;\n91 g;\nDF;\nC 2;\nE\n' >"$dir/dangling.cif"
+for f in twice dangling; do
+  for verb in extract drc stats; do
+    expect 1 "$verb of $f.cif" "$scc" "$verb" "$dir/$f.cif"
+    if ! grep -q 'structure: symbol' "$dir/err"; then
+      echo "FAIL: $verb of $f.cif: no structure diagnostic" >&2
+      fail=1
+    fi
+  done
+done
 
 exit $fail

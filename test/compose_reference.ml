@@ -2,9 +2,10 @@
    composed cell stored every instance's ports under "inst.port", each
    a fresh record with a fresh name and a transformed rectangle.  Kept
    verbatim as the differential oracle for [Compose.of_instances],
-   [Cell.ports], [Cell.find_port_opt] and the labels [Emit] writes from
-   the instances, the way route_reference.ml keeps the old router.  Its
-   cells store their ports, so [Cell.make] checks every promoted name. *)
+   [Cell.ports], [Cell.find_port_opt] and the CIF [Emit] writes (its
+   cells label every port; read back, both files give the same ports),
+   the way route_reference.ml keeps the old router.  Its cells store
+   their ports, so [Cell.make] checks every promoted name. *)
 
 open Sc_geom
 open Sc_layout

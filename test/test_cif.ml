@@ -140,7 +140,59 @@ let test_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error"
 
-(* property: random cell hierarchies roundtrip exactly *)
+(* --- instance names ("91") and the ports they carry --- *)
+
+let count_lines text prefix =
+  List.length
+    (List.filter (String.starts_with ~prefix) (String.split_on_char '\n' text))
+
+let test_promoted_ports_by_name () =
+  let row =
+    Compose.row ~name:"row"
+      [ leaf; Cell.make ~name:"other" ~instances:[ Cell.instantiate ~name:"x" leaf ] [] ]
+  in
+  let text = Emit.to_string row in
+  (* the promoting row names its two calls; "other" promotes nothing, so
+     its call stays unnamed and none of its ports is promoted *)
+  check_int "two 91 names" 2 (count_lines text "9 1 ");
+  check_int "one label, in the leaf" 1 (count_lines text "9 4 ");
+  match Elaborate.of_string text with
+  | Error e -> Alcotest.fail (Elaborate.error_to_string e)
+  | Ok c ->
+    Alcotest.(check (list string))
+      "promoted ports rebuilt from the names" [ "i0.p" ]
+      (List.map (fun (p : Cell.port) -> p.pname) (Cell.ports c));
+    check_bool "find_port reaches into the named instance" true
+      (Point.equal (Rect.center (Cell.find_port c "i0.p").Cell.rect) (Point.make 4 1))
+
+(* Hostile symbol structure: each is a [Structure] error, never an
+   exception.  A leaf symbol 1, then the case's own text. *)
+let hostile =
+  let leaf = "DS 1 250 1;\n9 t;\nL NM;\nB 8 8 4 4;\n94 a 4 4 NM;\nDF;\n" in
+  let top body = leaf ^ "DS 2 250 1;\n" ^ body ^ "DF;\nC 2;\nE" in
+  [ ( "a label written twice"
+    , "DS 1 250 1;\n9 t;\nL NM;\nB 8 8 4 4;\n94 a 4 4 NM;\n94 a 4 4 NM;\nDF;\nC 1;\nE" )
+  ; ("one 91 name on two calls", top "91 g;\nC 1;\n91 g;\nC 1 T 40 0;\n")
+  ; ("a 91 that no call follows", top "91 g;\nC 1;\n91 h;\n")
+  ; ("a 91 outside a definition", leaf ^ "91 g;\nC 1;\nE")
+  ; ("two 91 names before one call", top "91 g;\n91 h;\nC 1;\n")
+  ; ("named and unnamed calls in one symbol", top "91 g;\nC 1;\nC 1 T 40 0;\n")
+  ; ("a 91 name meeting an own label", top "94 g.a 4 4 NM;\n91 g;\nC 1;\n")
+  ]
+
+let hostile_case (what, text) =
+  Alcotest.test_case ("hostile CIF: " ^ what) `Quick (fun () ->
+      match Elaborate.of_string text with
+      | Error (Elaborate.Structure _) -> ()
+      | Error e ->
+        Alcotest.failf "expected a structure error, got %s" (Elaborate.error_to_string e)
+      | Ok _ -> Alcotest.fail "accepted"
+      | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+
+(* property: random cell hierarchies roundtrip exactly, geometry and
+   ports.  Leaves carry ports; the two levels above them are promoting
+   ([Compose.of_instances], sometimes with an own port) or plain cells,
+   and the top may call a leaf directly. *)
 let gen_cell =
   let open QCheck.Gen in
   let gen_rect =
@@ -150,12 +202,17 @@ let gen_cell =
       (pair (int_range 0 15) (int_range 0 15))
   in
   let gen_layer = oneofl [ Layer.Diffusion; Layer.Poly; Layer.Metal; Layer.Contact ] in
+  let gen_port name =
+    map2 (Cell.port name) (oneofl [ Layer.Diffusion; Layer.Poly; Layer.Metal ]) gen_rect
+  in
   let gen_leaf =
-    map2
-      (fun boxes i ->
+    map3
+      (fun boxes ports i ->
         Cell.make ~name:(Printf.sprintf "leaf%d" i)
+          ~ports:(List.mapi (fun k p -> { p with Cell.pname = Printf.sprintf "p%d" k }) ports)
           (List.map (fun (l, r) -> Cell.box l r) boxes))
       (list_size (int_range 1 5) (pair gen_layer gen_rect))
+      (list_size (int_range 0 2) (gen_port "p"))
       (int_range 0 1000)
   in
   let gen_trans =
@@ -164,25 +221,52 @@ let gen_cell =
       (oneofl Transform.all_orients)
       (pair (int_range (-30) 30) (int_range (-30) 30))
   in
-  let* leaves = list_size (int_range 1 3) gen_leaf in
-  let* placements =
-    list_size (int_range 1 6)
-      (pair (int_range 0 (List.length leaves - 1)) gen_trans)
+  let gen_level name cells =
+    let* placements =
+      list_size (int_range 1 4) (pair (int_range 0 (List.length cells - 1)) gen_trans)
+    in
+    let insts =
+      List.mapi
+        (fun k (i, t) ->
+          Cell.instantiate ~name:(Printf.sprintf "i%d" k) ~trans:t (List.nth cells i))
+        placements
+    in
+    let* own = frequency [ (3, pure []); (1, map (fun p -> [ p ]) (gen_port "q")) ] in
+    frequency
+      [ (3, pure (Cell.add_ports (Compose.of_instances ~name insts) own))
+      ; (1, pure (Cell.make ~name ~ports:own ~instances:insts []))
+      ]
   in
-  return
-    (Cell.make ~name:"top"
-       ~instances:
-         (List.mapi
-            (fun k (i, t) ->
-              Cell.instantiate ~name:(Printf.sprintf "i%d" k) ~trans:t
-                (List.nth leaves i))
-            placements)
-       [])
+  let* leaves = list_size (int_range 1 3) gen_leaf in
+  let* mid0 = gen_level "mid0" leaves in
+  let* mid1 = gen_level "mid1" leaves in
+  gen_level "top" (mid0 :: mid1 :: leaves)
 
-let prop_roundtrip =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"random hierarchies roundtrip through CIF" ~count:100
-       (QCheck.make gen_cell) Elaborate.roundtrip_ok)
+let test_roundtrip_random () =
+  let orients = Hashtbl.create 8 and nested = ref false and own = ref false in
+  let rec note (c : Cell.t) =
+    List.iter
+      (fun (i : Cell.inst) ->
+        if c.promotes then begin
+          Hashtbl.replace orients i.trans.Transform.orient ();
+          if i.cell.promotes && i.cell.instances <> [] then nested := true
+        end;
+        note i.cell)
+      c.instances;
+    if c.promotes && c.ports <> [] then own := true
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0xC1F; 26 |])
+    (QCheck.Test.make ~name:"random hierarchies roundtrip through CIF" ~count:200
+       (QCheck.make
+          ~print:(fun c -> Printf.sprintf "%d ports" (List.length (Cell.ports c)))
+          gen_cell)
+       (fun c ->
+         note c;
+         Elaborate.roundtrip_ok c));
+  check_bool "a promoting cell inside a promoting cell" true !nested;
+  check_bool "a promoting cell with an own port" true !own;
+  check_bool "every orientation under a promoting cell" true
+    (List.for_all (Hashtbl.mem orients) Transform.all_orients)
 
 (* --- the buffer printer against the Format reference --- *)
 
@@ -271,7 +355,10 @@ let suite =
   ; Alcotest.test_case "parse rectangular polygon" `Quick test_parse_polygon_rect
   ; Alcotest.test_case "parse comments and lowercase" `Quick test_parse_comments_and_lowercase
   ; Alcotest.test_case "elaboration errors" `Quick test_errors
-  ; prop_roundtrip
+  ; Alcotest.test_case "91 names rebuild the promoted ports" `Quick test_promoted_ports_by_name
+  ]
+  @ List.map hostile_case hostile
+  @ [ Alcotest.test_case "random hierarchies roundtrip through CIF" `Quick test_roundtrip_random
   ; prop_printer_is_reference
   ; Alcotest.test_case "emit = reference printer over file_of_cell" `Quick
       test_emit_like_reference

@@ -718,6 +718,8 @@ let test_transistor_count_matches_flat () =
          let m = Stats.measure layout in
          m.layer_area = Stats_reference.layer_areas layout
          && m.instances = instances layout
+         && m.rects = Cell.flat_rect_count layout
+         && m.cells = List.length (Cell.all_cells layout)
          && m.transistors = flat layout
          && List.for_all
               (fun c -> Stats.transistor_count c = flat c)

@@ -391,6 +391,38 @@ let test_pdp8_extraction () =
     Alcotest.(check (list string)) "no warnings" [] net.warnings;
     check_bool (Printf.sprintf "extraction under budget (%.2fs cpu)" dt) true (dt < 1.0)
 
+(* The CIF writes a promoting cell's ports as instance names over each
+   symbol's own labels: read back, every compiled chip extracts to the
+   circuit its in-memory layout extracts to, named ports included. *)
+let test_compiled_chips_through_cif () =
+  let source name = Option.get (Sc_core.Designs.builtin name) in
+  let through_cif what = function
+    | Error d -> Alcotest.fail (what ^ ": " ^ Sc_pipeline.Diag.to_string d)
+    | Ok ((c : Sc_core.Compiler.compiled), _) -> (
+      match Sc_cif.Elaborate.of_string c.cif with
+      | Error e -> Alcotest.fail (what ^ ": " ^ Sc_cif.Elaborate.error_to_string e)
+      | Ok cell ->
+        check_bool (what ^ ": same circuit through CIF") true
+          (summary (Extractor.extract c.layout) = summary (Extractor.extract cell)))
+  in
+  let builtins = [ "counter"; "traffic"; "alu4"; "gray"; "seqdet"; "pdp8"; "pdp8_dp" ] in
+  let plas = ref 0 in
+  List.iter
+    (fun name ->
+      through_cif name (Sc_core.Compiler.compile_behavior (source name));
+      match
+        Sc_core.Compiler.compile_behavior ~style:Sc_core.Compiler.Pla_control (source name)
+      with
+      | Ok _ as pla ->
+        incr plas;
+        through_cif (name ^ " (pla)") pla
+      | Error _ -> ())
+    builtins;
+  check_bool "four builtins compile to PLAs" true (!plas >= 4);
+  through_cif "system" (Sc_core.Compiler.compile_behavior (source "system"));
+  let counter12 = In_channel.with_open_text "../examples/counter12.v" In_channel.input_all in
+  through_cif "counter12.v" (Sc_core.Compiler.compile_verilog counter12)
+
 let suite =
   [ Alcotest.test_case "inv extraction" `Quick test_inv_extraction
   ; Alcotest.test_case "primitive device counts" `Quick test_primitive_device_counts
@@ -412,4 +444,6 @@ let suite =
   ; Alcotest.test_case "indexed extractor matches the all-pairs oracle" `Quick
       test_matches_reference
   ; Alcotest.test_case "pdp8 extraction" `Slow test_pdp8_extraction
+  ; Alcotest.test_case "compiled chips extract alike through CIF" `Slow
+      test_compiled_chips_through_cif
   ]
