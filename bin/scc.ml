@@ -6,7 +6,8 @@
                         (.v) or a layout-language program (.lsl)
      scc isp SRC        alias of compile
      scc verilog SRC    alias of compile
-     scc drc FILE       design-rule-check a CIF file
+     scc drc FILE       design-rule-check a CIF file; drc, stats, extract
+                        and svg exit 3 when FILE does not elaborate
      scc stats FILE     report area/device statistics of a CIF file
      scc sim FILE       interpret an ISP description with a trivial stimulus
      scc extract FILE   extract the transistor circuit from CIF geometry
@@ -428,11 +429,26 @@ let alias name =
 
 (* --- drc / stats on CIF files --- *)
 
+(* The exit code of drc, stats, extract and svg when FILE cannot be
+   read or does not elaborate: a script tells it from 1, a dirty chip. *)
+let unreadable_cif = 3
+
+let cif_exits ?dirty () =
+  (match dirty with None -> [] | Some doc -> [ Cmd.Exit.info 1 ~doc ])
+  @ Cmd.Exit.info unreadable_cif
+      ~doc:
+        "when $(i,FILE) cannot be read or does not elaborate as CIF; a \
+         syntax or structure diagnostic goes to stderr."
+  :: Cmd.Exit.defaults
+
 let with_cif file k =
   match Sc_cif.Elaborate.of_string (read_file file) with
   | Error e ->
     Printf.eprintf "error: %s\n" (Sc_cif.Elaborate.error_to_string e);
-    1
+    unreadable_cif
+  | exception Sys_error msg ->
+    Printf.eprintf "error: cannot read %s: %s\n" file msg;
+    unreadable_cif
   | Ok cell -> k cell
 
 let drc_cmd =
@@ -444,7 +460,8 @@ let drc_cmd =
         if vs = [] then 0 else 1)
   in
   Cmd.v
-    (Cmd.info "drc" ~doc:"Design-rule-check a CIF file.")
+    (Cmd.info "drc" ~doc:"Design-rule-check a CIF file."
+       ~exits:(cif_exits ~dirty:"when the chip violates a design rule." ()))
     Term.(const run $ file_arg $ jobs_arg)
 
 let stats_cmd =
@@ -454,7 +471,8 @@ let stats_cmd =
         0)
   in
   Cmd.v
-    (Cmd.info "stats" ~doc:"Report area and device statistics of a CIF file.")
+    (Cmd.info "stats" ~doc:"Report area and device statistics of a CIF file."
+       ~exits:(cif_exits ()))
     Term.(const run $ file_arg)
 
 (* --- extract --- *)
@@ -473,7 +491,8 @@ let extract_cmd =
   in
   Cmd.v
     (Cmd.info "extract"
-       ~doc:"Extract the transistor circuit from a CIF file's geometry.")
+       ~doc:"Extract the transistor circuit from a CIF file's geometry."
+       ~exits:(cif_exits ~dirty:"when extraction reports a warning." ()))
     Term.(const run $ file_arg)
 
 (* --- svg --- *)
@@ -486,7 +505,7 @@ let svg_cmd =
         0)
   in
   Cmd.v
-    (Cmd.info "svg" ~doc:"Render a CIF file as SVG artwork.")
+    (Cmd.info "svg" ~doc:"Render a CIF file as SVG artwork." ~exits:(cif_exits ()))
     Term.(const run $ file_arg $ output_arg)
 
 (* --- sim --- *)

@@ -191,7 +191,7 @@ let cell_of_file file =
       let t = transform_of_ops ~a:1 ~b:1 ops in
       top_call := Some (lookup n, t)
     | Ast.User (9, text), Some b when String.starts_with ~prefix:"1 " text -> (
-      let name = String.trim (String.sub text 2 (String.length text - 2)) in
+      let name = Emit.unescape (String.trim (String.sub text 2 (String.length text - 2))) in
       match b.pending with
       | Some first ->
         fail
@@ -202,7 +202,7 @@ let cell_of_file file =
     | Ast.User (9, text), None when String.starts_with ~prefix:"1 " text ->
       fail (Structure "91 outside definition")
     | Ast.User (9, text), Some b when not (String.starts_with ~prefix:"4 " text) ->
-      b.name <- Some (String.trim text)
+      b.name <- Some (Emit.unescape (String.trim text))
     | Ast.User (9, text), Some b -> (
       let text = String.sub text 2 (String.length text - 2) in
       match parse_port_extension text with
@@ -214,7 +214,7 @@ let cell_of_file file =
         let lo v = if v >= 0 then v / 2 else (v - 1) / 2 in
         let px0 = lo dx and py0 = lo dy in
         b.ports <-
-          { Cell.pname = name
+          { Cell.pname = Emit.unescape name
           ; layer = layer_of_name layer
           ; rect = Rect.make px0 py0 (dx - px0) (dy - py0)
           }

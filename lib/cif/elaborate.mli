@@ -36,7 +36,7 @@ val of_string : string -> (Sc_layout.Cell.t, error) result
     geometry and on ports; this helper runs the roundtrip and reports
     whether the flat boxes match exactly and {!Sc_layout.Cell.ports}
     gives the same (name, layer, doubled centre) triples — a label
-    carries a port's centre, not its rectangle.  Names must be legal
-    CIF text (letters, digits, '_', '.', '-'); emission replaces any
-    other character with '_'. *)
+    carries a port's centre, not its rectangle.  Names of any bytes
+    roundtrip: emission escapes them and elaboration decodes them (see
+    {!Emit}). *)
 val roundtrip_ok : Sc_layout.Cell.t -> bool

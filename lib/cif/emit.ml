@@ -23,9 +23,61 @@ let legal = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' -> true
   | _ -> false
 
-let sanitize name =
-  if String.for_all legal name then name
-  else String.map (fun c -> if legal c then c else '_') name
+(* [Some (base, i)] when [text] is [base ^ o ^ i ^ c] for a run of
+   digits [i]: a bus bit "base[i]" (['['] and [']']) or the
+   "base_i_" it is written as (['_'] twice) *)
+let bus o c text =
+  let n = String.length text in
+  match if n > 2 && text.[n - 1] = c then String.rindex_from_opt text (n - 2) o else None with
+  | Some j
+    when j < n - 2
+         && String.for_all (fun d -> d >= '0' && d <= '9') (String.sub text (j + 1) (n - 2 - j))
+    -> Some (String.sub text 0 j, String.sub text (j + 1) (n - 2 - j))
+  | _ -> None
+
+(* A name as CIF text, in one of three forms no text is in twice:
+   - a bus bit "base[i]" of a legal base is "base_i_";
+   - any other non-empty name of legal characters that does not end in
+     "_<digits>_" stands for itself;
+   - in every other name each byte but a letter, digit, '.' or '-' ('_'
+     and '%' included) becomes '%' and two hex digits, and the empty
+     name is a lone '%'.
+   So the escape is injective and never empty, and {!unescape} undoes
+   it. *)
+let escape name =
+  match bus '[' ']' name with
+  | Some (base, i) when String.for_all legal base -> base ^ "_" ^ i ^ "_"
+  | _ when name <> "" && String.for_all legal name && bus '_' '_' name = None -> name
+  | _ when name = "" -> "%"
+  | _ ->
+    let b = Buffer.create (3 * String.length name) in
+    String.iter
+      (fun c ->
+        if legal c && c <> '_' then Buffer.add_char b c
+        else Printf.bprintf b "%%%02X" (Char.code c))
+      name;
+    Buffer.contents b
+
+let unescape text =
+  let n = String.length text in
+  let hex k = if k < n then String.index_opt "0123456789ABCDEF" text.[k] else None in
+  if text = "%" then ""
+  else if String.contains text '%' then begin
+    let b = Buffer.create n in
+    let rec go i =
+      if i < n then
+        match (text.[i], hex (i + 1), hex (i + 2)) with
+        | '%', Some h, Some l ->
+          Buffer.add_char b (Char.chr ((16 * h) + l));
+          go (i + 3)
+        | c, _, _ ->
+          Buffer.add_char b c;
+          go (i + 1)
+    in
+    go 0;
+    Buffer.contents b
+  end
+  else match bus '_' '_' text with Some (base, i) -> base ^ "[" ^ i ^ "]" | None -> text
 
 let box_command (r : Rect.t) =
   Ast.Box
@@ -43,7 +95,7 @@ let label (p : Cell.port) =
     ( 9
     , String.concat " "
         [ "4"
-        ; sanitize p.pname
+        ; escape p.pname
         ; string_of_int (r.Rect.xmin + r.Rect.xmax)
         ; string_of_int (r.Rect.ymin + r.Rect.ymax)
         ; Layer.cif_name p.layer
@@ -58,7 +110,7 @@ let label (p : Cell.port) =
    called symbols' own labels, so no symbol repeats a port of another. *)
 let symbol f number (c : Cell.t) numbering =
   f (Ast.Def_start (number, scale_a, scale_b));
-  f (Ast.User (9, sanitize c.name));
+  f (Ast.User (9, escape c.name));
   List.iter
     (fun layer ->
       let started = ref false in
@@ -80,7 +132,7 @@ let symbol f number (c : Cell.t) numbering =
   List.iter
     (fun (i : Cell.inst) ->
       let shift = i.trans.Transform.shift in
-      if c.promotes then f (Ast.User (9, "1 " ^ sanitize i.inst_name));
+      if c.promotes then f (Ast.User (9, "1 " ^ escape i.inst_name));
       f
         (Ast.Call
            ( Cell.Tbl.find numbering i.cell

@@ -12,7 +12,22 @@
     promoted "<inst>.<port>" port is thus the called symbol's label under
     the instance's name, never a label of its own: the hierarchy carries
     the ports, and the file grows with the distinct cells, not with the
-    ports of every instance. *)
+    ports of every instance.
+
+    Every name is written escaped, in one of three forms: a bus bit
+    "base[i]" of a legal base is "base_i_"; any other non-empty name of
+    letters, digits, '_', '.' and '-' that does not end in "_<digits>_"
+    stands for itself; in every other name each byte but a letter,
+    digit, '.' or '-' becomes '%' and two upper-case hex digits, and
+    the empty name is a lone '%'.  No text is in two forms, so the
+    escape is injective and never empty: any names the cell holds read
+    back as they were. *)
+
+(** [unescape text] is the name whose escape is [text]; the elaborator
+    decodes every symbol, instance and port name with it.  In text
+    from another writer a '%' not followed by two hex digits stands
+    for itself. *)
+val unescape : string -> string
 
 (** The commands of [cell]'s CIF file, as a list: the same stream
     {!emit} prints and counts, from the same generator. *)

@@ -398,7 +398,8 @@ type view =
    rectangle [i] is node [local.region.(l).(i)] (its own region's
    representative), region [c] of instance [m]'s cell is node
    [offset.(l).(m) + c], and [label.(l)] numbers the nodes' regions in
-   the whole cell [0 .. count.(l) - 1]. *)
+   the whole cell [0 .. count.(l) - 1] (empty at the root, which has no
+   parent to read them). *)
 type regions =
   { offset : int array array
   ; label : int array array
@@ -466,17 +467,20 @@ let inst_region r l m c = r.label.(l).(r.offset.(l).(m) + c)
 (* [gather views regions v t w wanted f] calls [f l r c] for every
    rectangle on a [wanted] layer [l] of view [v]'s flattened geometry
    that touches [w] (in [v]'s coordinates): [r] is the rectangle seen
-   through [t], and [c] its region in [v] (-1 on layers without
-   spacing), by the [regions] of each view.  Only instances whose
+   through [t], and [c] its region in [v] by the [regions] of each
+   view, or -1 on layers without spacing and when [regions] is [None]
+   (callers that want only the rectangles).  Only instances whose
    bounding box touches [w] are entered. *)
 let rec gather views regions v t w wanted f =
-  let view = views.(v) and r = regions v in
+  let view = views.(v) in
   Array.iteri
     (fun l rects ->
       if wanted.(l) && Array.length rects > 0 then
         each_touching view.local.index.(l) w (fun i ->
             f l (Transform.apply_rect t rects.(i))
-              (if spacing.(l) > 0 then own_region view r l i else -1)))
+              (match regions with
+               | Some regions when spacing.(l) > 0 -> own_region view (regions v) l i
+               | _ -> -1)))
     view.own;
   each_touching view.inst_index w (fun m ->
       let inst = view.insts.(m) in
@@ -484,7 +488,10 @@ let rec gather views regions v t w wanted f =
         (Transform.compose t inst.trans)
         (Transform.apply_rect (Transform.invert inst.trans) w)
         wanted
-        (fun l rect c -> f l rect (if c < 0 then c else inst_region r l m c)))
+        (match regions with
+         | None -> f
+         | Some regions ->
+           fun l rect c -> f l rect (if c < 0 then c else inst_region (regions v) l m c)))
 
 let all_layers = Array.make Layer.count true
 
@@ -569,7 +576,7 @@ let meet views verdicts offset v (m, m') =
     else begin
       let inst = view.insts.(m) in
       gather views
-        (fun u -> verdicts.(u).regions)
+        (Some (fun u -> verdicts.(u).regions))
         view.children.(m) inst.trans
         (Transform.apply_rect (Transform.invert inst.trans) w)
         all_layers
@@ -621,66 +628,80 @@ let node_offsets views verdicts v =
 
 (* Is inner rectangle [r] of enclosure rule [k] covered by the outer
    layer of view [v]'s whole flattened geometry? *)
-let covered_in views regions v k r =
+let covered_in views v k r =
   let _, _, m = enclosure_rules.(k) in
   let target = Rect.inflate m r in
   let covers = ref [] in
-  gather views regions v Transform.identity target outer_only.(k) (fun _ r _ ->
+  gather views None v Transform.identity target outer_only.(k) (fun _ r _ ->
       covers := r :: !covers);
   covered target !covers
 
 (* Settle view [v] once its instances are settled: its regions (own
    regions and instance regions joined by the windows' unions), then
    the gaps and uncovered inner rectangles found here or inherited from
-   each instance, kept only while they stay open. *)
-let settle views verdicts (offset, total) v mets =
+   each instance, kept only while they stay open.  The root has no
+   parent to number its instances' regions for: it decides each gap by
+   the union-find roots of its two nodes, building a layer's union-find
+   only when a gap on it needs one, and numbers no regions. *)
+let settle ~root views verdicts (offset, total) v mets =
   let view = views.(v) in
-  (* a layer's regions, numbered in the order of their first node *)
-  let regions_on l =
+  let union_find l =
     let uf = Union_find.create total.(l) in
     List.iter
       (fun met ->
         List.iter (fun (l', a, b) -> if l' = l then Union_find.union uf a b) met.unions)
       mets;
+    uf
+  in
+  (* a layer's regions, numbered in the order of their first node *)
+  let regions_on l =
     let id = Array.make total.(l) (-1) and next = ref 0 in
     let label =
       Array.map
-        (fun root ->
-          if id.(root) < 0 then begin
-            id.(root) <- !next;
+        (fun rep ->
+          if id.(rep) < 0 then begin
+            id.(rep) <- !next;
             incr next
           end;
-          id.(root))
-        (Union_find.labels uf)
+          id.(rep))
+        (Union_find.labels (union_find l))
     in
     (label, !next)
   in
-  let both =
-    Array.init Layer.count (fun l -> if spacing.(l) > 0 then regions_on l else ([||], 0))
+  let r, region =
+    if root then begin
+      let ufs = Array.init Layer.count (fun l -> lazy (union_find l)) in
+      ( { offset; label = [||]; count = [||] }
+      , fun l node -> Union_find.find (Lazy.force ufs.(l)) node )
+    end
+    else begin
+      let both =
+        Array.init Layer.count (fun l -> if spacing.(l) > 0 then regions_on l else ([||], 0))
+      in
+      let label = Array.map fst both in
+      ({ offset; label; count = Array.map snd both }, fun l node -> label.(l).(node))
+    end
   in
-  let r = { offset; label = Array.map fst both; count = Array.map snd both } in
-  let label = r.label in
-  let keep layer a b ra rb acc = if ra <> rb then { layer; a; b; ra; rb } :: acc else acc in
+  let keep layer a b na nb acc =
+    let ra = region layer na and rb = region layer nb in
+    if ra <> rb then { layer; a; b; ra; rb } :: acc else acc
+  in
   let gaps = ref [] in
   Array.iteri
     (fun l ps ->
+      let node = view.local.region.(l) in
       List.iter
         (fun (i, j) ->
-          gaps :=
-            keep l view.own.(l).(i) view.own.(l).(j) (own_region view r l i)
-              (own_region view r l j) !gaps)
+          gaps := keep l view.own.(l).(i) view.own.(l).(j) node.(i) node.(j) !gaps)
         ps)
     view.local.close_pairs;
   List.iter
     (fun met ->
-      List.iter
-        (fun (l, a, b, na, nb) -> gaps := keep l a b label.(l).(na) label.(l).(nb) !gaps)
-        met.met_gaps)
+      List.iter (fun (l, a, b, na, nb) -> gaps := keep l a b na nb !gaps) met.met_gaps)
     mets;
   let bare = ref [] in
-  let regions u = if u = v then r else verdicts.(u).regions in
   let still_bare k rect =
-    if not (Array.length view.insts > 0 && covered_in views regions v k rect) then
+    if not (Array.length view.insts > 0 && covered_in views v k rect) then
       bare := (k, rect) :: !bare
   in
   Array.iteri
@@ -694,9 +715,10 @@ let settle views verdicts (offset, total) v mets =
       let d = verdicts.(child) in
       List.iter
         (fun g ->
+          let o = offset.(g.layer).(m) in
           gaps :=
             keep g.layer (Transform.apply_rect t g.a) (Transform.apply_rect t g.b)
-              (inst_region r g.layer m g.ra) (inst_region r g.layer m g.rb) !gaps)
+              (o + g.ra) (o + g.rb) !gaps)
         d.gaps;
       List.iter (fun (k, rect) -> still_bare k (Transform.apply_rect t rect)) d.bare)
     view.children;
@@ -726,6 +748,7 @@ let check ?pool cell =
   let ids = Cell.Tbl.create n in
   Array.iteri (fun v c -> Cell.Tbl.replace ids c v) cells;
   let id_of c = Cell.Tbl.find ids c in
+  let root = id_of cell in
   let views =
     Array.of_list
       (Sc_par.Pool.run ~label:"drc.cells" pool
@@ -775,7 +798,9 @@ let check ?pool cell =
            (slices work (split (List.length work) (4 * Sc_par.Pool.size pool))))
       |> List.iter (List.iter (fun (v, met) -> mets.(v) <- met :: mets.(v)));
     Sc_par.Pool.run ~label:"drc.context" pool
-      (List.map2 (fun v offs () -> settle views verdicts offs v mets.(v)) level offsets)
+      (List.map2
+         (fun v offs () -> settle ~root:(v = root) views verdicts offs v mets.(v))
+         level offsets)
     |> List.iter2 (fun v d -> verdicts.(v) <- d) level
   done;
   (* expand the definite findings over every placement; what is still
@@ -802,7 +827,6 @@ let check ?pool cell =
           view.insts
       end
     in
-    let root = id_of cell in
     expand root Transform.identity;
     let close = Array.make Layer.count [] in
     List.iter (fun g -> close.(g.layer) <- (g.a, g.b) :: close.(g.layer)) verdicts.(root).gaps;
@@ -810,9 +834,7 @@ let check ?pool cell =
     List.iter (fun (k, r) -> bare.(k) <- r :: bare.(k)) verdicts.(root).bare;
     let copies l r =
       let n = ref 0 in
-      gather views
-        (fun u -> verdicts.(u).regions)
-        root Transform.identity r
+      gather views None root Transform.identity r
         (Array.init Layer.count (( = ) l))
         (fun _ r' _ -> if Rect.equal r r' then incr n);
       !n

@@ -40,7 +40,12 @@
     placement, in every parent up to the root: a spacing pair in
     distinct regions of a cell (a neighbour may join them) and an
     enclosure that fails inside a cell (a neighbour's metal may
-    complete it).  A pass stays a pass, and width and cross-layer
+    complete it).  A cell numbers its regions compactly only so that
+    its parents can number their instances' regions; the root has no
+    parent, so it numbers none: it decides each open gap by the
+    union-find roots of its two regions, and builds a layer's
+    union-find only when a gap on that layer is still open.  A pass
+    stays a pass, and width and cross-layer
     violations are definite; they are expanded once per placement,
     skipping subtrees that have none.  Per-cell scans, windows and
     per-cell settling run as pool tasks.  The result equals

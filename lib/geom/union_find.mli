@@ -1,6 +1,6 @@
 (** Disjoint sets over [0 .. n - 1], with path halving: the one
-    union-find behind {!Rect_index.components} and circuit extraction's
-    electrical nodes. *)
+    union-find behind {!Rect_index.components}, circuit extraction's
+    electrical nodes and the netlist optimizer's merged nets. *)
 
 type t
 

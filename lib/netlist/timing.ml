@@ -1,56 +1,81 @@
 exception Combinational_cycle
 
+(* a structured constant (static data, never young), so the gate array
+   below is made without forcing a minor collection *)
+let placeholder = { Circuit.kind = Gate.Const0; gname = ""; ins = [||]; out = 0 }
+
 let arrival_times ?(delay = Gate.delay) c =
   let f = Circuit.flatten c in
-  let arrival = Array.make f.Circuit.net_count 0 in
-  (* dependency counts for combinational gates only *)
-  let comb =
-    List.filter (fun g -> not (Gate.is_sequential g.Circuit.kind)) f.Circuit.gates
+  let nets = f.Circuit.net_count in
+  let arrival = Array.make nets 0 in
+  (* the combinational gates, with their pending input counts *)
+  let total_gates =
+    List.fold_left
+      (fun k g -> if Gate.is_sequential g.Circuit.kind then k else k + 1)
+      0 f.Circuit.gates
   in
-  let gates_by_input = Array.make f.Circuit.net_count [] in
-  let pending = Hashtbl.create 64 in
-  List.iteri
+  let comb = Array.make total_gates placeholder in
+  let pending = Array.make total_gates 0 in
+  (* fanout in compressed rows: the gates reading net [n] are
+     [fanout.(first.(n)) .. fanout.(first.(n + 1) - 1)], latest gate
+     first, one entry per input pin *)
+  let first = Array.make (nets + 1) 0 in
+  let comb_driven = Array.make nets false in
+  let _ =
+    List.fold_left
+      (fun idx g ->
+        if Gate.is_sequential g.Circuit.kind then idx
+        else begin
+          comb.(idx) <- g;
+          pending.(idx) <- Array.length g.Circuit.ins;
+          Array.iter (fun n -> first.(n + 1) <- first.(n + 1) + 1) g.Circuit.ins;
+          comb_driven.(g.Circuit.out) <- true;
+          idx + 1
+        end)
+      0 f.Circuit.gates
+  in
+  for n = 1 to nets do
+    first.(n) <- first.(n) + first.(n - 1)
+  done;
+  let fanout = Array.make first.(nets) 0 in
+  let fill = Array.sub first 1 nets in
+  Array.iteri
     (fun idx g ->
-      Hashtbl.replace pending idx (Array.length g.Circuit.ins);
       Array.iter
-        (fun n -> gates_by_input.(n) <- (idx, g) :: gates_by_input.(n))
+        (fun n ->
+          fill.(n) <- fill.(n) - 1;
+          fanout.(fill.(n)) <- idx)
         g.Circuit.ins)
     comb;
+  (* a net is queued once as a source or once per firing driver *)
+  let queue = Array.make (nets + total_gates) 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push n =
+    queue.(!tail) <- n;
+    incr tail
+  in
   (* sources: every net not driven by a combinational gate *)
-  let comb_driven = Array.make f.Circuit.net_count false in
-  List.iter (fun g -> comb_driven.(g.Circuit.out) <- true) comb;
-  let queue = Queue.create () in
-  for n = 0 to f.Circuit.net_count - 1 do
-    if not comb_driven.(n) then Queue.add n queue
+  for n = 0 to nets - 1 do
+    if not comb_driven.(n) then push n
   done;
   let done_gates = ref 0 in
-  let total_gates = List.length comb in
+  let fire g =
+    incr done_gates;
+    let worst = Array.fold_left (fun m i -> max m arrival.(i)) 0 g.Circuit.ins in
+    arrival.(g.Circuit.out) <- worst + delay g.Circuit.kind;
+    push g.Circuit.out
+  in
   (* zero-input gates (constants) have no trigger; settle them now *)
-  List.iteri
-    (fun idx g ->
-      if Array.length g.Circuit.ins = 0 then begin
-        Hashtbl.replace pending idx 0;
-        incr done_gates;
-        arrival.(g.Circuit.out) <- delay g.Circuit.kind;
-        Queue.add g.Circuit.out queue
-      end)
-    comb;
-  while not (Queue.is_empty queue) do
-    let n = Queue.pop queue in
-    List.iter
-      (fun (idx, g) ->
-        let k = Hashtbl.find pending idx in
-        if k = 1 then begin
-          Hashtbl.replace pending idx 0;
-          incr done_gates;
-          let worst =
-            Array.fold_left (fun m i -> max m arrival.(i)) 0 g.Circuit.ins
-          in
-          arrival.(g.Circuit.out) <- worst + delay g.Circuit.kind;
-          Queue.add g.Circuit.out queue
-        end
-        else Hashtbl.replace pending idx (k - 1))
-      gates_by_input.(n)
+  Array.iter (fun g -> if Array.length g.Circuit.ins = 0 then fire g) comb;
+  while !head < !tail do
+    let n = queue.(!head) in
+    incr head;
+    for k = first.(n) to first.(n + 1) - 1 do
+      let idx = fanout.(k) in
+      let p = pending.(idx) in
+      pending.(idx) <- p - 1;
+      if p = 1 then fire comb.(idx)
+    done
   done;
   if !done_gates <> total_gates then raise Combinational_cycle;
   (f, arrival)

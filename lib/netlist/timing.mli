@@ -14,5 +14,9 @@ exception Combinational_cycle
 val critical_path : ?delay:(Gate.kind -> int) -> Circuit.t -> int
 
 (** Arrival time of every net, same model; index by net id of the
-    flattened circuit (also returned). *)
+    flattened circuit (also returned).  One topological sweep in
+    O(n + p) time and space for n nets and p gate input pins: pending
+    input counts are an int array and each net's fanout a row of a
+    compressed array.
+    @raise Combinational_cycle when the combinational core is cyclic. *)
 val arrival_times : ?delay:(Gate.kind -> int) -> Circuit.t -> Circuit.t * int array

@@ -175,19 +175,22 @@ for limit in place:65536 emit:40960; do
   fi
 done
 
-# Hostile CIF is a diagnostic, never an uncaught exception (exit 125):
-# a port labelled twice in one symbol, an instance name no call follows.
+# Hostile CIF is a diagnostic and exit 3, never an uncaught exception
+# (exit 125) nor the DRC-dirty 1: a port labelled twice in one symbol,
+# an instance name no call follows.
 printf 'DS 1 250 1;\n9 t;\nL NM;\nB 8 8 4 4;\n94 a 4 4 NM;\n94 a 4 4 NM;\nDF;\nC 1;\nE\n' \
   >"$dir/twice.cif"
 printf 'DS 1 250 1;\nL NM;\nB 8 8 4 4;\nDF;\nDS 2 250 1;\n91 g;\nDF;\nC 2;\nE\n' >"$dir/dangling.cif"
 for f in twice dangling; do
   for verb in extract drc stats; do
-    expect 1 "$verb of $f.cif" "$scc" "$verb" "$dir/$f.cif"
+    expect 3 "$verb of $f.cif" "$scc" "$verb" "$dir/$f.cif"
     if ! grep -q 'structure: symbol' "$dir/err"; then
       echo "FAIL: $verb of $f.cif: no structure diagnostic" >&2
       fail=1
     fi
   done
 done
+# a file that cannot be read is the same exit 3
+expect 3 "drc of a directory" "$scc" drc "$dir"
 
 exit $fail

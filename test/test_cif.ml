@@ -165,6 +165,56 @@ let test_promoted_ports_by_name () =
     check_bool "find_port reaches into the named instance" true
       (Point.equal (Rect.center (Cell.find_port c "i0.p").Cell.rect) (Point.make 4 1))
 
+(* Names that are not legal CIF text roundtrip escaped: instances whose
+   names the old writer mapped to one text ("a b" and "a_b", "a[0]" and
+   "a_0_"), and the empty name, under a cell and with a port whose names
+   need escaping. *)
+let test_names_roundtrip_escaped () =
+  let odd =
+    Cell.make ~name:"odd cell;"
+      ~ports:[ Cell.port "p q%" Layer.Metal (Rect.make 4 0 4 2) ]
+      [ Cell.box Layer.Metal (Rect.make 0 0 4 2) ]
+  in
+  let roundtrip names =
+    let c =
+      Compose.of_instances ~name:""
+        (List.mapi
+           (fun k name -> Cell.instantiate ~name ~trans:(Transform.translation (10 * k) 0) odd)
+           names)
+    in
+    check_bool "roundtrip_ok" true (Elaborate.roundtrip_ok c);
+    match Elaborate.of_string (Emit.to_string c) with
+    | Error e -> Alcotest.fail (Elaborate.error_to_string e)
+    | Ok c' ->
+      Alcotest.(check (list string)) "instance names" names
+        (List.map (fun (i : Cell.inst) -> i.inst_name) c'.Cell.instances);
+      Alcotest.(check (list string)) "cell names" [ ""; "odd cell;" ]
+        (List.map (fun (c : Cell.t) -> c.Cell.name) [ c'; (List.hd c'.Cell.instances).cell ]);
+      Alcotest.(check (list string)) "ports"
+        (List.map (fun n -> n ^ ".p q%") names)
+        (List.map (fun (p : Cell.port) -> p.pname) (Cell.ports c'))
+  in
+  roundtrip [ "a b"; "a_b" ];
+  (* a bus bit is written "a_0_", so the name "a_0_" needs the escape *)
+  roundtrip [ "a[0]"; "a_0_"; "a[0]x" ];
+  roundtrip [ "" ]
+
+let prop_escape_injective =
+  let byte = QCheck.Gen.oneofl [ 'a'; '_'; '.'; '-'; '%'; ' '; ';'; '1'; 'F'; '['; ']'; '\xff' ] in
+  let name = QCheck.Gen.(string_size ~gen:byte (int_range 0 5)) in
+  (* the text [Emit] writes for a cell named [n] *)
+  let text n =
+    match Emit.file_of_cell (Cell.make ~name:n []) with
+    | _ :: _ :: Ast.User (9, t) :: _ -> t
+    | _ -> QCheck.Test.fail_report "no name command"
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xE5C; 27 |])
+    (QCheck.Test.make ~name:"escaped names are never empty and decode back" ~count:500
+       (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b) (QCheck.Gen.pair name name))
+       (fun (a, b) ->
+         let ta = text a in
+         ta <> "" && Emit.unescape ta = a && (a = b || ta <> text b)))
+
 (* Hostile symbol structure: each is a [Structure] error, never an
    exception.  A leaf symbol 1, then the case's own text. *)
 let hostile =
@@ -362,4 +412,7 @@ let suite =
   ; prop_printer_is_reference
   ; Alcotest.test_case "emit = reference printer over file_of_cell" `Quick
       test_emit_like_reference
+  ; Alcotest.test_case "names that need escaping roundtrip" `Quick
+      test_names_roundtrip_escaped
+  ; prop_escape_injective
   ]

@@ -186,6 +186,40 @@ let with_agree f =
             (Stats.transistor_count layout);
           expected))
 
+(* The root decides what is still open by union-find roots: a spacing
+   gap or a bare contact inherited from two levels down, which a sibling
+   at the root closes or leaves open. *)
+let test_root_decides_inherited () =
+  let metal r = Cell.box Layer.Metal r in
+  (* two metal bars 2 apart (the rule is 3), one level down *)
+  let pair = cell "pair" [ metal (Rect.make 0 0 4 3); metal (Rect.make 0 5 4 8) ] in
+  (* a contact whose metal stops short of the margin above it *)
+  let via =
+    cell "via" [ Cell.box Layer.Contact (Rect.make 1 1 3 3); metal (Rect.make 0 0 4 3) ]
+  in
+  let mid name sub = Cell.make ~name ~instances:[ Cell.instantiate ~name:"s" sub ] [] in
+  let root name sub sibling =
+    Cell.make ~name
+      ~instances:
+        [ Cell.instantiate ~name:"m" (mid (name ^ "_mid") sub)
+        ; Cell.instantiate ~name:"n" (cell (name ^ "_side") [ metal sibling ])
+        ]
+      []
+  in
+  let spacing v = v.Checker.rule = Rules.Min_spacing (Layer.Metal, Layer.Metal, 3) in
+  let enclosure v = v.Checker.rule = Rules.Min_enclosure (Layer.Contact, Layer.Metal, 1) in
+  with_agree (fun agree ->
+      check_bool "the pair alone violates" true
+        (List.exists spacing (agree "pair" (mid "pair_mid" pair)));
+      check_int "a sibling joining the bars closes the gap" 0
+        (List.length (agree "joined" (root "joined" pair (Rect.make 0 2 4 6))));
+      check_bool "a sibling touching one bar leaves it open" true
+        (List.exists spacing (agree "open" (root "open" pair (Rect.make 0 8 4 11))));
+      check_bool "the via alone is bare" true
+        (List.exists enclosure (agree "via" (mid "via_mid" via)));
+      check_int "a sibling's metal completes the enclosure" 0
+        (List.length (agree "covered" (root "covered" via (Rect.make 0 2 4 5)))))
+
 let compiled name = function
   | Ok (c : Sc_core.Compiler.compiled) -> c
   | Error d -> Alcotest.fail (name ^ ": " ^ Sc_pipeline.Diag.to_string d)
@@ -772,6 +806,8 @@ let suite =
       test_wide_rect_not_missed_by_sweep
   ; Alcotest.test_case "wide outer still encloses" `Quick
       test_wide_outer_still_encloses
+  ; Alcotest.test_case "the root decides inherited gaps and enclosures" `Quick
+      test_root_decides_inherited
   ; Alcotest.test_case "pdp8 DRC time budget" `Slow test_pdp8_drc_time_budget
   ; Alcotest.test_case "check = check_flat on every compiled chip" `Slow
       test_chip_scale_equality

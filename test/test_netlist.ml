@@ -329,6 +329,177 @@ let prop_optimize_preserves_function =
          done;
          !ok))
 
+(* --- the optimizer and static timing against their references --- *)
+
+(* [simplify] must equal the old optimizer's result, and [arrival_times]
+   the old pass's arrays, or both raise [Combinational_cycle] *)
+let agree_with_references c =
+  let arrivals c =
+    match Timing.arrival_times c with
+    | r -> Some r
+    | exception Timing.Combinational_cycle -> None
+  in
+  let reference_arrivals c =
+    match Timing_reference.arrival_times c with
+    | r -> Some r
+    | exception Timing.Combinational_cycle -> None
+  in
+  let s = Optimize.simplify c in
+  s = Optimize_reference.simplify c
+  && arrivals c = reference_arrivals c
+  && arrivals s = reference_arrivals s
+
+let all_kinds = Array.of_list Gate.all
+
+(* A random netlist on [Random.State] [st]: gates of all 15 kinds on
+   random earlier nets (constants and duplicate inputs included), Buf
+   and Inv chains, [Mux2]s with equal data inputs, [Dffe]s with constant
+   enables, and up to two levels of instances through [Builder.inst].
+   One net, read like any other, is driven last: by a flip-flop or by
+   a combinational gate, which closes a cycle when its inputs depend on
+   that net. *)
+let random_netlist st =
+  let int n = Random.State.int st n in
+  let rec build name depth =
+    let b = Builder.create name in
+    let xs = Builder.input b "x" 3 in
+    let fb = Builder.fresh b in
+    let pool = ref (fb :: Builder.const0 :: Builder.const1 :: Array.to_list xs) in
+    let pick () = List.nth !pool (int (List.length !pool)) in
+    let add n = pool := n :: !pool in
+    let gate k ins = add (Builder.gate b k ins) in
+    for _ = 1 to 4 + int 16 do
+      match int 10 with
+      | 0 ->
+        let n = ref (pick ()) in
+        for _ = 0 to int 5 do
+          n := Builder.gate b (if int 2 = 0 then Gate.Inv else Gate.Buf) [| !n |]
+        done;
+        add !n
+      | 1 ->
+        let a = pick () in
+        gate [| Gate.And2; Gate.Or2; Gate.Xor2; Gate.Xnor2; Gate.Nand2; Gate.Nor2 |].(int 6)
+          [| a; a |]
+      | 2 ->
+        let a = pick () in
+        gate Gate.Mux2 [| a; a; pick () |]
+      | 3 -> gate Gate.Dffe [| pick (); (if int 2 = 0 then Builder.const0 else Builder.const1) |]
+      | 4 when depth > 0 ->
+        let sub = build (name ^ "s") (depth - 1) in
+        let ys = Builder.fresh_vec b 2 in
+        Builder.inst b sub [ ("x", [| pick (); pick (); pick () |]); ("y", ys) ];
+        Array.iter add ys
+      | _ ->
+        let k = all_kinds.(int (Array.length all_kinds)) in
+        gate k (Array.init (Gate.arity k) (fun _ -> pick ()))
+    done;
+    let k =
+      if int 2 = 0 then [| Gate.Inv; Gate.And2; Gate.Mux2; Gate.Buf |].(int 4)
+      else Gate.Dff
+    in
+    Builder.gate_into b k (Array.init (Gate.arity k) (fun _ -> pick ())) fb;
+    Builder.output b "y" [| pick (); pick () |];
+    Builder.finish b
+  in
+  build "r" (int 3)
+
+let prop_passes_match_references =
+  let cycles = ref 0 and kinds = Hashtbl.create 16 and insts = ref 0 in
+  let gen st =
+    let c = random_netlist st in
+    if Circuit.has_combinational_cycle c then incr cycles;
+    if c.Circuit.insts <> [] then incr insts;
+    List.iter
+      (fun g -> Hashtbl.replace kinds g.Circuit.kind ())
+      (Circuit.flatten c).Circuit.gates;
+    c
+  in
+  let print c = Printf.sprintf "%d gates" (List.length (Circuit.flatten c).Circuit.gates) in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x0917; 27 |])
+    (QCheck.Test.make ~name:"simplify and arrival times match their references"
+       ~count:300 (QCheck.make ~print gen) (fun c ->
+         agree_with_references c
+         || QCheck.Test.fail_reportf "differs from the reference on %s" (print c)))
+  |> fun (name, speed, run) ->
+  ( name
+  , speed
+  , fun () ->
+      run ();
+      (* the generator reached what the property is about *)
+      check_bool "cyclic netlists drawn" true (!cycles > 10);
+      check_bool "nested instances drawn" true (!insts > 10);
+      check_int "every gate kind drawn" (Array.length all_kinds) (Hashtbl.length kinds) )
+
+(* the unoptimized circuits of the builtin designs (each module of the
+   modular [system]) and of examples/counter12.v *)
+let compiled_designs () =
+  let design src =
+    match Sc_rtl.Parser.parse src with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "parse error: %s" e
+  in
+  let builtin name = Option.get (Sc_core.Designs.builtin name) in
+  let system =
+    match Sc_core.Chipdesc.split (builtin "system") with
+    | Ok t -> List.map (fun m -> (m.Sc_core.Chipdesc.sm_name, design m.sm_text)) t.modules
+    | Error e -> Alcotest.failf "system: %s" e
+  in
+  let counter12 =
+    let path =
+      if Sys.file_exists "../examples/counter12.v" then "../examples/counter12.v"
+      else "examples/counter12.v"
+    in
+    match
+      Sc_verilog.Elaborate.design_of_source
+        (In_channel.with_open_text path In_channel.input_all)
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "counter12.v: %s" e
+  in
+  List.map
+    (fun (name, d) -> (name, Sc_synth.Synth.translate d))
+    (List.map
+       (fun n -> (n, design (builtin n)))
+       [ "counter"; "traffic"; "alu4"; "gray"; "seqdet"; "pdp8"; "pdp8_dp" ]
+    @ system
+    @ [ ("counter12.v", counter12) ])
+
+(* inv(a) met twice, with [a]'s own inverter between them in gate order:
+   the second is the first's copy, not inv(inv x) *)
+let inverter_order () =
+  let b = Builder.create "order" in
+  let x = (Builder.input b "x" 1).(0) in
+  let a = Builder.fresh b in
+  let first = Builder.not_ b a in
+  Builder.gate_into b Gate.Inv [| x |] a;
+  Builder.output b "y" [| first; Builder.not_ b a |];
+  Builder.finish b
+
+let test_designs_match_references () =
+  List.iter
+    (fun (name, c) -> check_bool name true (agree_with_references c))
+    (("inverter order", inverter_order ()) :: compiled_designs ())
+
+let test_pdp8_optimize_allocation () =
+  let c = List.assoc "pdp8" (compiled_designs ()) in
+  ignore (Optimize.simplify c);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Optimize.simplify c));
+  let words = int_of_float (Gc.minor_words () -. before) in
+  check_bool (Printf.sprintf "%d minor words <= 130000" words) true (words <= 130_000)
+
+let test_inverters_simplify_fast () =
+  let n = 16_000 in
+  let b = Builder.create "invs" in
+  let xs = Builder.input b "x" n in
+  Builder.output b "y" (Array.map (Builder.not_ b) xs);
+  let c = Builder.finish b in
+  let t0 = Unix.gettimeofday () in
+  let s = Optimize.simplify c in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_int "all inverters kept" n (List.length s.Circuit.gates);
+  check_bool (Printf.sprintf "%.3f s < 1 s" dt) true (dt < 1.0)
+
 let suite =
   [ Alcotest.test_case "builder produces clean circuit" `Quick test_builder_check_clean
   ; Alcotest.test_case "hierarchy is clean" `Quick test_hierarchy_check_clean
@@ -354,4 +525,11 @@ let suite =
   ; Alcotest.test_case "optimize removes dead gates" `Quick test_optimize_removes_dead
   ; Alcotest.test_case "optimize double inverter" `Quick test_optimize_double_inverter
   ; prop_optimize_preserves_function
+  ; prop_passes_match_references
+  ; Alcotest.test_case "builtins and counter12.v match the references" `Quick
+      test_designs_match_references
+  ; Alcotest.test_case "pdp8's optimize allocates <= 130,000 minor words" `Quick
+      test_pdp8_optimize_allocation
+  ; Alcotest.test_case "16,000 independent inverters simplify in < 1 s" `Quick
+      test_inverters_simplify_fast
   ]
