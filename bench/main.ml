@@ -18,6 +18,15 @@ let section title claim =
 
 let ratio a b = float_of_int a /. float_of_int (max b 1)
 
+(* a PLA controller's area: the PLA block plus a Dff per state bit *)
+let pla_area design (pla : Sc_pla.Generator.t) =
+  let state_bits =
+    List.fold_left (fun a (r : Sc_rtl.Ast.decl) -> a + r.width) 0
+      design.Sc_rtl.Ast.regs
+  in
+  let dff = Sc_stdcell.Library.get Sc_netlist.Gate.Dff in
+  Sc_layout.Cell.area pla.layout + (state_bits * dff.Sc_stdcell.Library.area)
+
 (* constructive row placement of a gate netlist, as standard-cell artwork *)
 let place ~name circuit =
   Sc_place.Placer.to_layout ~name
@@ -50,9 +59,10 @@ let e1 () =
   row "gates" cs.Sc_netlist.Circuit.gate_total hs.Sc_netlist.Circuit.gate_total;
   row "flip-flops" cs.Sc_netlist.Circuit.flipflops hs.Sc_netlist.Circuit.flipflops;
   row "transistors" cs.Sc_netlist.Circuit.transistors hs.Sc_netlist.Circuit.transistors;
-  row "cell area (sq lambda)" compiled.Sc_synth.Synth.cell_area
+  let c = compiled.Sc_synth.Synth.circuit in
+  row "cell area (sq lambda)" (Sc_stdcell.Library.circuit_cell_area c)
     (Sc_stdcell.Library.circuit_cell_area hand);
-  row "critical path (tau)" compiled.Sc_synth.Synth.critical_path
+  row "critical path (tau)" (Sc_netlist.Timing.critical_path c)
     (Sc_netlist.Timing.critical_path hand);
   Printf.printf
     "\npaper: ratio <= 1.5; measured transistor ratio %.2f (shape holds: same \
@@ -72,19 +82,17 @@ let e2 () =
   List.iter
     (fun (name, src, hand, _stim, _cycles) ->
       let d = Sc_core.Designs.parse src in
-      let r = Sc_synth.Synth.gates d in
+      let c = (Sc_synth.Synth.gates d).Sc_synth.Synth.circuit in
+      let a = Sc_stdcell.Library.circuit_cell_area c in
+      let p = Sc_netlist.Timing.critical_path c in
       match hand with
       | Some h ->
         let ha = Sc_stdcell.Library.circuit_cell_area h in
         let hp = Sc_netlist.Timing.critical_path h in
-        Printf.printf "%-10s %12d %12d %7.2f %9d %9d %7.2f\n" name
-          r.Sc_synth.Synth.cell_area ha
-          (ratio r.Sc_synth.Synth.cell_area ha)
-          r.Sc_synth.Synth.critical_path hp
-          (ratio r.Sc_synth.Synth.critical_path hp)
+        Printf.printf "%-10s %12d %12d %7.2f %9d %9d %7.2f\n" name a ha
+          (ratio a ha) p hp (ratio p hp)
       | None ->
-        Printf.printf "%-10s %12d %12s %7s %9d %9s %7s\n" name
-          r.Sc_synth.Synth.cell_area "-" "-" r.Sc_synth.Synth.critical_path "-"
+        Printf.printf "%-10s %12d %12s %7s %9d %9s %7s\n" name a "-" "-" p "-"
           "-")
     (Sc_core.Designs.all ());
   Printf.printf
@@ -231,26 +239,25 @@ let e5 () =
   List.iter
     (fun (name, src, hand, _, _) ->
       let d = Sc_core.Designs.parse src in
-      let g = Sc_synth.Synth.gates d in
+      let costs c =
+        (Sc_stdcell.Library.circuit_cell_area c, Sc_netlist.Timing.critical_path c)
+      in
+      let g = costs (Sc_synth.Synth.gates d).Sc_synth.Synth.circuit in
       let pla_cells =
         match Sc_synth.Synth.pla_fsm d with
-        | r, _ -> Some (r.Sc_synth.Synth.cell_area, r.Sc_synth.Synth.critical_path)
+        | r, pla ->
+          Some
+            ( pla_area d pla
+            , Sc_netlist.Timing.critical_path r.Sc_synth.Synth.circuit )
         | exception Sc_pipeline.Diag.Error _ -> None
       in
-      let hand_cells =
-        Option.map
-          (fun h ->
-            ( Sc_stdcell.Library.circuit_cell_area h
-            , Sc_netlist.Timing.critical_path h ))
-          hand
-      in
+      let hand_cells = Option.map costs hand in
       let cell = function
         | Some (a, t) -> Printf.sprintf "%10d %10d" a t
         | None -> Printf.sprintf "%10s %10s" "-" "-"
       in
-      Printf.printf "%-10s %6d | %10d %10d | %s | %s\n" name
-        (String.length src) g.Sc_synth.Synth.cell_area
-        g.Sc_synth.Synth.critical_path (cell pla_cells) (cell hand_cells))
+      Printf.printf "%-10s %6d | %s | %s | %s\n" name (String.length src)
+        (cell (Some g)) (cell pla_cells) (cell hand_cells))
     (Sc_core.Designs.all ());
   Printf.printf
     "\npaper: behavioral descriptions are the cheapest to write; structural \
@@ -619,12 +626,14 @@ let ablate () =
     (fun w ->
       let d = Sc_core.Designs.parse (counter_src_of_width w) in
       let g = Sc_synth.Synth.gates d in
-      let pla_area =
+      let pla =
         match Sc_synth.Synth.pla_fsm d with
-        | r, _ -> string_of_int r.Sc_synth.Synth.cell_area
+        | _, pla -> string_of_int (pla_area d pla)
         | exception Sc_pipeline.Diag.Error _ -> "(too large)"
       in
-      Printf.printf "    %5d %12d %12s\n" w g.Sc_synth.Synth.cell_area pla_area)
+      Printf.printf "    %5d %12d %12s\n" w
+        (Sc_stdcell.Library.circuit_cell_area g.Sc_synth.Synth.circuit)
+        pla)
     [ 2; 4; 6; 8; 10 ];
   (* A5: the netlist optimizer *)
   Printf.printf "\nA5  netlist optimizer (gates backend, transistors):\n";
@@ -644,6 +653,7 @@ let ablate () =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* only hot paths that bench/perf's layers do not time *)
 let micro () =
   section "Micro-benchmarks" "compiler hot paths, ns per run (Bechamel OLS)";
   let open Bechamel in
@@ -664,13 +674,6 @@ let micro () =
       (Sc_synth.Synth.gates (Sc_core.Designs.parse Sc_core.Designs.pdp8_src))
         .Sc_synth.Synth.circuit
   in
-  let chan_spec =
-    let open Sc_route.Channel in
-    { top = List.init 6 (fun i -> { x = i * 14; net = i })
-    ; bottom = List.init 6 (fun i -> { x = (i * 14) + 7; net = i })
-    ; width = 92
-    }
-  in
   let trans =
     Sc_geom.Transform.make ~orient:Sc_geom.Transform.R90
       (Sc_geom.Point.make 17 (-3))
@@ -680,12 +683,8 @@ let micro () =
       [ Test.make ~name:"transform.apply_rect"
           (Staged.stage (fun () ->
                Sc_geom.Transform.apply_rect trans (Sc_geom.Rect.make 1 2 30 40)))
-      ; Test.make ~name:"cif.emit(stdcell row)"
-          (Staged.stage (fun () -> Sc_cif.Emit.to_string cell_row))
       ; Test.make ~name:"cif.parse(stdcell row)"
           (Staged.stage (fun () -> Sc_cif.Parse.parse cif_text))
-      ; Test.make ~name:"drc.check(stdcell row)"
-          (Staged.stage (fun () -> Sc_drc.Checker.check cell_row))
       ; Test.make ~name:"qm.minimize(full adder)"
           (Staged.stage (fun () ->
                Sc_logic.Minimize.minimize ~exact:true full_adder_cover))
@@ -693,10 +692,6 @@ let micro () =
           (Staged.stage (fun () ->
                Sc_sim.Engine.set_input_int pdp8_engine "inst" 0xE5;
                Sc_sim.Engine.step pdp8_engine))
-      ; Test.make ~name:"route.channel(6 nets)"
-          (Staged.stage (fun () -> Sc_route.Channel.route chan_spec))
-      ; Test.make ~name:"layout.flatten(stdcell row)"
-          (Staged.stage (fun () -> Sc_layout.Flatten.run cell_row))
       ; (* the observability bargain: a span must cost one branch when
            disabled, so instrumented hot paths stay at their old numbers *)
         Test.make ~name:"obs.span(disabled)"

@@ -36,8 +36,12 @@ let () =
   row "gates" cs.Sc_netlist.Circuit.gate_total hand_stats.Sc_netlist.Circuit.gate_total;
   row "transistors" cs.Sc_netlist.Circuit.transistors
     hand_stats.Sc_netlist.Circuit.transistors;
-  row "cell area (sq lambda)" compiled.Sc_synth.Synth.cell_area hand_area;
-  row "critical path (tau)" compiled.Sc_synth.Synth.critical_path hand_path;
+  row "cell area (sq lambda)"
+    (Sc_stdcell.Library.circuit_cell_area compiled.Sc_synth.Synth.circuit)
+    hand_area;
+  row "critical path (tau)"
+    (Sc_netlist.Timing.critical_path compiled.Sc_synth.Synth.circuit)
+    hand_path;
   Printf.printf
     "\npaper's claim (ref [6]): chip count within 50%% of the commercial design\n";
   (* run the little program and show the machine working *)

@@ -29,10 +29,22 @@ let () =
      else "VIOLATIONS");
   (* structural path for comparison *)
   let gates = Sc_synth.Synth.gates design in
+  (* the PLA controller's area: the block plus a Dff per state bit *)
+  let state_bits =
+    List.fold_left (fun a (r : Sc_rtl.Ast.decl) -> a + r.width) 0
+      design.Sc_rtl.Ast.regs
+  in
+  let pla_area =
+    Sc_layout.Cell.area pla.Sc_pla.Generator.layout
+    + (state_bits
+      * (Sc_stdcell.Library.get Sc_netlist.Gate.Dff).Sc_stdcell.Library.area)
+  in
+  let path r = Sc_netlist.Timing.critical_path r.Sc_synth.Synth.circuit in
   Printf.printf
     "area (sq lambda): PLA control %d vs random logic %d; critical path: %d vs %d tau\n"
-    pla_result.Sc_synth.Synth.cell_area gates.Sc_synth.Synth.cell_area
-    pla_result.Sc_synth.Synth.critical_path gates.Sc_synth.Synth.critical_path;
+    pla_area
+    (Sc_stdcell.Library.circuit_cell_area gates.Sc_synth.Synth.circuit)
+    (path pla_result) (path gates);
   (* drive the PLA-based controller through a day at the junction *)
   let eng = Sc_sim.Engine.create pla_result.Sc_synth.Synth.circuit in
   Printf.printf "\n cycle car | NS  EW\n";

@@ -318,29 +318,6 @@ let find_or_add t key compute =
     add t key v;
     v
 
-let remove t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some n ->
-        unlink t n;
-        Hashtbl.remove t.tbl key
-      | None -> ());
-  match file_of t key with
-  | Some path when Sys.file_exists path -> ( try Sys.remove path with _ -> ())
-  | _ -> ()
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.head <- None;
-      t.tail <- None;
-      t.hits <- 0;
-      t.disk_hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0;
-      t.disk_evictions <- 0;
-      t.stale <- 0)
-
 let stats t =
   locked t (fun () ->
       { entries = Hashtbl.length t.tbl

@@ -63,9 +63,6 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
     (refreshing its recency), or runs [compute], stores the result
     under [key], and returns it. *)
 
-val find : 'a t -> string -> 'a option
-(** Lookup without computing; refreshes recency on hit. *)
-
 val lookup : 'a t -> string -> [ `Memory of 'a | `Disk of 'a | `Absent ]
 (** Value-level lookup that distinguishes where the hit came from.
     [`Memory] refreshes recency and counts a hit; [`Disk] loads the
@@ -80,17 +77,10 @@ val add : 'a t -> string -> 'a -> unit
     inserts [v] under [key] (refreshing nothing if the key raced in
     already), and persists it when the store has a [dir]. *)
 
-val remove : 'a t -> string -> unit
-(** Drop a key from memory and, when persistent, from disk. *)
-
-val clear : 'a t -> unit
-(** Drop every in-memory entry (the disk store is left alone) and
-    reset the hit/miss counters. *)
-
 type stats =
   { entries : int  (** live in-memory entries *)
   ; capacity : int
-  ; hits : int  (** in-memory hits since creation/clear *)
+  ; hits : int  (** in-memory hits since creation *)
   ; disk_hits : int  (** misses served from [dir] *)
   ; misses : int  (** computed from scratch *)
   ; evictions : int  (** in-memory LRU evictions *)

@@ -6,6 +6,8 @@ let pad_size = 80
 let ring = 120 (* pad depth (100) + clearance to the core *)
 let pitch = 100
 
+(* the bonding pad: an 80x80 metal square with a 60x60 glass opening
+   and an inward stub carrying the "pin" port on its outer stub end *)
 let pad_cell =
   lazy
     (Cell.make ~name:"pad"
@@ -156,6 +158,9 @@ let gutter = 2 * grid
 
 let round_up n = (n + grid - 1) / grid * grid
 
+(* [cell] translated to the origin with one poly pin stub per [pins]
+   entry along its top edge at x = 0, 14, 28, ..., each exposed as a
+   port of that name *)
 let macro ~name ~pins cell =
   let body = Cell.translate_to_origin cell in
   let h = Cell.height body in

@@ -13,10 +13,6 @@
 
 open Sc_layout
 
-(** The bonding pad: an 80x80 metal square with a 60x60 glass opening
-    and an inward stub carrying the ["pin"] port on its outer stub end. *)
-val pad : unit -> Cell.t
-
 type assembly =
   { chip : Cell.t
   ; pads : int
@@ -49,11 +45,6 @@ val assemble :
     succeeds by construction.  The packed core exposes the chip's port
     bits as named poly ports on its top edge, so the existing pad frame
     ({!assemble}) wraps it unchanged. *)
-
-val macro : name:string -> pins:string list -> Cell.t -> Cell.t
-(** [macro ~name ~pins cell] — [cell] translated to the origin with one
-    poly pin stub per [pins] entry along its top edge at x = 0, 14, 28,
-    ..., each exposed as a port of that name. *)
 
 type macro_spec =
   { mi_name : string  (** instance name, unique in the chip *)

@@ -19,42 +19,6 @@ type command =
 
 type file = command list
 
-let check file =
-  let errs = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-  let in_def = ref None in
-  let ended = ref false in
-  let defined = Hashtbl.create 16 in
-  List.iter
-    (fun cmd ->
-      if !ended then err "command after E";
-      match cmd with
-      | Def_start (n, _, b) ->
-        if b = 0 then err "DS %d: zero scale denominator" n;
-        (match !in_def with
-        | Some m -> err "DS %d nested inside DS %d" n m
-        | None -> in_def := Some n);
-        if Hashtbl.mem defined n then err "symbol %d defined twice" n;
-        Hashtbl.replace defined n ()
-      | Def_finish -> (
-        match !in_def with
-        | Some _ -> in_def := None
-        | None -> err "DF without matching DS")
-      | Def_delete _ -> ()
-      | Layer _ | Box _ | Polygon _ | Wire _ ->
-        if !in_def = None then err "geometry outside a symbol definition"
-      | Call (n, _) ->
-        if (not (Hashtbl.mem defined n)) && !in_def = None then
-          err "call of undefined symbol %d" n
-      | Comment _ | User _ -> ()
-      | End ->
-        if !in_def <> None then err "E inside a symbol definition";
-        ended := true)
-    file;
-  if not !ended then err "missing E command";
-  (match !in_def with Some n -> err "unterminated DS %d" n | None -> ());
-  List.rev !errs
-
 (* Decimal digits of [n <= 0], most significant first; working on the
    negative side keeps [min_int] exact. *)
 let rec add_neg_digits b n =
@@ -144,8 +108,3 @@ let add_command b cmd =
     Buffer.add_char b ';'
   | End -> Buffer.add_char b 'E');
   Buffer.add_char b '\n'
-
-let to_string file =
-  let b = Buffer.create 4096 in
-  List.iter (add_command b) file;
-  Buffer.contents b

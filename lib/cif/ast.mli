@@ -26,15 +26,7 @@ type command =
 
 type file = command list
 
-(** Well-formedness: definitions properly bracketed, no nested DS, no
-    geometry outside a definition except calls after all definitions, file
-    terminated by [End].  Returns the list of violations (empty = ok). *)
-val check : file -> string list
-
 (** [add_command b c] appends [c]'s text and a newline to [b]: one line
     of a CIF file.  This is the only CIF printer; it writes integers
     itself, without [Printf] or [Format]. *)
 val add_command : Buffer.t -> command -> unit
-
-(** The file's text: each command on its own line, in order. *)
-val to_string : file -> string

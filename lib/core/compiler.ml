@@ -84,9 +84,10 @@ let cert_of_circuits reference candidate =
          (Sc_equiv.Checker.Not_equivalent cex))
 
 (* the fault-injection knob rides in the value but is pinned by the
-   run-site ~param, mirroring the restarts discipline on place *)
+   run-site ~param, mirroring the restarts discipline on place; version
+   2: the result no longer carries cell area and critical path *)
 let optimize_pass : (Sc_netlist.Circuit.t * int option, optimized) P.pass =
-  P.register ~name:"optimize"
+  P.register ~name:"optimize" ~version:2
     ~replay:(fun _ o ->
       Obs.count "optimize.gates_in" o.gates_in;
       Obs.count "optimize.gates_out" o.gates_out;
@@ -199,8 +200,9 @@ type pla_compiled =
   ; pname : string
   }
 
+(* version 2: the result no longer carries cell area and critical path *)
 let compile_pla_pass : (Sc_rtl.Ast.design, pla_compiled) P.pass =
-  P.register ~name:"compile"
+  P.register ~name:"compile" ~version:2
     ~certify:(fun design pc ->
       (* the minimize sub-step is what needs a certificate: the realized
          (minimized) cover against the cover enumerated straight from

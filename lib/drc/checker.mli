@@ -84,6 +84,4 @@ val check_flat : ?pool:Sc_par.Pool.t -> Flatten.flat_box list -> violation list
 
 val is_clean : Cell.t -> bool
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val report : Format.formatter -> violation list -> unit

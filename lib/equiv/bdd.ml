@@ -148,34 +148,8 @@ let rec ite m f g h =
       Hashtbl.add m.ite_cache key r;
       r
 
-let equal (a : t) (b : t) = a = b
-let is_true x = x = one
 let is_false x = x = zero
 let node_count m = m.n
-
-let reachable m x =
-  let seen = Hashtbl.create 64 in
-  let rec go x =
-    if x > one && not (Hashtbl.mem seen x) then begin
-      Hashtbl.add seen x ();
-      go m.lo.(x);
-      go m.hi.(x)
-    end
-  in
-  go x;
-  seen
-
-let size m x = Hashtbl.length (reachable m x)
-
-let support m x =
-  let vars = Hashtbl.create 16 in
-  Hashtbl.iter (fun id () -> Hashtbl.replace vars m.vr.(id) ()) (reachable m x);
-  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
-
-let rec eval m x env =
-  if x = zero then false
-  else if x = one then true
-  else eval m (if env m.vr.(x) then m.hi.(x) else m.lo.(x)) env
 
 let sat_one m x =
   if x = zero then invalid_arg "Bdd.sat_one: unsatisfiable";

@@ -50,26 +50,11 @@ val xnor : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
 (** [ite m f g h] = if [f] then [g] else [h]. *)
 
-val equal : t -> t -> bool
-(** Function equality — integer equality of handles (hash-consing). *)
-
-val is_true : t -> bool
-(** Is this the {!one} terminal (a tautology)? *)
-
 val is_false : t -> bool
 (** Is this the {!zero} terminal (unsatisfiable)? *)
 
 val node_count : man -> int
 (** Nodes allocated in the manager so far (terminals included). *)
-
-val size : man -> t -> int
-(** Nodes reachable from a handle, terminals excluded. *)
-
-val support : man -> t -> int list
-(** Variables the function actually depends on, ascending. *)
-
-val eval : man -> t -> (int -> bool) -> bool
-(** Evaluate under an assignment. *)
 
 val sat_one : man -> t -> (int * bool) list
 (** One satisfying assignment, as [(variable, value)] pairs on a root-to-

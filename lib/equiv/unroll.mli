@@ -17,8 +17,5 @@ open Sc_netlist
 (** @raise Invalid_argument when [k < 1] or on a combinational cycle. *)
 val frames : k:int -> Circuit.t -> Circuit.t
 
-(** [frame_port p f] = ["p@f"], the per-frame port naming. *)
-val frame_port : string -> int -> string
-
 (** [split_port "p@f"] = [(p, f)]; [(name, 0)] when unsuffixed. *)
 val split_port : string -> string * int

@@ -13,9 +13,6 @@ let is_manhattan p =
     (fun (a, b) -> Point.colinear_axis a b <> None)
     (segments p.points)
 
-let length p =
-  List.fold_left (fun acc (a, b) -> acc + Point.manhattan a b) 0 (segments p.points)
-
 let to_rects p =
   if p.width mod 2 <> 0 then
     invalid_arg "Path.to_rects: width must be even (half-width padding)";

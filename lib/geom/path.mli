@@ -13,9 +13,6 @@ val make : width:int -> Point.t list -> t
 (** [is_manhattan p] is true when every segment is axis-parallel. *)
 val is_manhattan : t -> bool
 
-(** Total centre-line length. *)
-val length : t -> int
-
 (** [to_rects p] converts a Manhattan path to covering rectangles.
 
     @raise Invalid_argument on a non-Manhattan segment or an odd width. *)

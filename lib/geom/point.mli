@@ -18,12 +18,7 @@ val neg : t -> t
 
 val equal : t -> t -> bool
 
-(** Manhattan (L1) distance. *)
-val manhattan : t -> t -> int
-
 (** [colinear_axis p q] is [Some `H] when the two points share a y
     coordinate, [Some `V] when they share an x coordinate (a degenerate
     point is reported as [`H]), and [None] for a diagonal pair. *)
 val colinear_axis : t -> t -> [ `H | `V ] option
-
-val pp : Format.formatter -> t -> unit

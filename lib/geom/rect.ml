@@ -49,10 +49,6 @@ let overlaps a b =
 let touches_or_overlaps a b =
   a.xmin <= b.xmax && b.xmin <= a.xmax && a.ymin <= b.ymax && b.ymin <= a.ymax
 
-let contains outer inner =
-  outer.xmin <= inner.xmin && outer.ymin <= inner.ymin
-  && inner.xmax <= outer.xmax && inner.ymax <= outer.ymax
-
 let inter a b =
   if overlaps a b then
     Some

@@ -43,9 +43,6 @@ val overlaps : t -> t -> bool
 
 val touches_or_overlaps : t -> t -> bool
 
-val contains : t -> t -> bool
-(** [contains outer inner]. *)
-
 val inter : t -> t -> t option
 (** Intersection, [None] if the interiors are disjoint. *)
 

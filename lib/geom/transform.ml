@@ -97,6 +97,3 @@ let orient_of_string = function
   | _ -> None
 
 let all_orients = [ R0; R90; R180; R270; MX; MX90; MY; MY90 ]
-
-let pp ppf t =
-  Format.fprintf ppf "%s%a" (orient_to_string t.orient) Point.pp t.shift

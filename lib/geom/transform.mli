@@ -36,11 +36,7 @@ val compose : t -> t -> t
 
 val invert : t -> t
 
-val orient_compose : orient -> orient -> orient
-
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
 
 val orient_to_string : orient -> string
 

@@ -142,10 +142,6 @@ let instantiate ?name ?(trans = Transform.identity) cell =
   in
   { inst_name; cell; trans }
 
-let add c es =
-  make ~name:c.name ~ports:c.ports ~instances:c.instances ~promote:c.promotes
-    (c.elements @ es)
-
 let add_ports c ps =
   make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances
     ~promote:c.promotes c.elements
@@ -175,8 +171,6 @@ let find_port c n =
   match find_port_opt c n with
   | Some p -> p
   | None -> raise Not_found
-
-let bbox c = c.bbox
 
 let bbox_or_zero c =
   match c.bbox with Some r -> r | None -> Rect.make 0 0 0 0

@@ -80,9 +80,6 @@ val port : string -> Layer.t -> Rect.t -> port
 
 val instantiate : ?name:string -> ?trans:Transform.t -> t -> inst
 
-(** [add c es] returns a copy of [c] with extra elements. *)
-val add : t -> element list -> t
-
 (** [add_ports c ps] adds own ports; on a promoting cell they follow
     the promoted ones in {!ports}. *)
 val add_ports : t -> port list -> t
@@ -103,9 +100,6 @@ val find_port_opt : t -> string -> port option
 (** [port_in_parent inst p] is [p]'s rectangle seen through the instance
     transform. *)
 val port_in_parent : inst -> port -> port
-
-(** Bounding box including all instances; [None] when empty. *)
-val bbox : t -> Rect.t option
 
 (** Bounding box or a zero rect at the origin. *)
 val bbox_or_zero : t -> Rect.t

@@ -181,8 +181,6 @@ let measure c =
   ; instances = s.insts
   }
 
-let layer_area t l = t.layer_area.(Layer.index l)
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>cell %s: %dx%d lambda (area %d)@ transistors %d, rects %d, cells %d, insts %d@]"

@@ -5,8 +5,6 @@
     geometry itself, so the numbers do not depend on how a layout was
     produced. *)
 
-open Sc_tech
-
 type t =
   { cell_name : string
   ; bbox_area : int  (** bounding-box area, square lambda *)
@@ -69,7 +67,5 @@ val channels :
     routed modules: there a group flattens its subtree again at each
     level of the hierarchy. *)
 val transistor_count : Cell.t -> int
-
-val layer_area : t -> Layer.t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -53,18 +53,6 @@ let of_function ~ninputs ~noutputs f =
 
 let term_count t = List.length t.cubes
 
-let literal_count t =
-  List.fold_left
-    (fun acc c -> acc + (t.ninputs - Cube.free_count c))
-    0 t.cubes
-
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
-
-let output_count t =
-  List.fold_left (fun acc c -> acc + popcount c.Cube.outputs) 0 t.cubes
-
 let eval t bits =
   let out = Array.make t.noutputs false in
   List.iter
@@ -161,8 +149,3 @@ let union a b =
     invalid_arg "Cover.union: arity mismatch";
   { a with cubes = a.cubes @ b.cubes }
 
-let covered_by a b = List.for_all (fun c -> cube_covered c b) a.cubes
-
-let equivalent a b =
-  a.ninputs = b.ninputs && a.noutputs = b.noutputs && covered_by a b
-  && covered_by b a

@@ -22,29 +22,12 @@ val of_function :
 
 val term_count : t -> int
 
-(** Total number of non-Dash literals, the AND-plane contact count. *)
-val literal_count : t -> int
-
-(** OR-plane contact count: sum of output-mask popcounts. *)
-val output_count : t -> int
-
 val eval : t -> bool array -> bool array
-
-(** Single-output tautology: does the cover (whose cubes are taken as an
-    OR regardless of masks) cover the whole input space? *)
-val tautology : t -> bool
 
 (** [cube_covered cube t] — is every (input minterm, output) pair of [cube]
     covered by [t]?  Decided per output bit by cofactor tautology, without
     enumerating minterms. *)
 val cube_covered : Cube.t -> t -> bool
-
-(** [covered_by a b] — every cube of [a] is functionally covered by [b]. *)
-val covered_by : t -> t -> bool
-
-(** Semantic equivalence, by tautology-based mutual covering (no minterm
-    enumeration, any arity). *)
-val equivalent : t -> t -> bool
 
 (** [union a b]
     @raise Invalid_argument on arity mismatch. *)

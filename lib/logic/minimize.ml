@@ -247,10 +247,3 @@ let minimize ?dontcare ?exact:(want_exact = false) cover =
     if Cover.term_count candidate <= Cover.term_count baseline then candidate
     else baseline
   end
-
-let verify ?dontcare ~original ~minimized () =
-  let widen c =
-    match dontcare with Some dc -> Cover.union c dc | None -> c
-  in
-  Cover.covered_by original (widen minimized)
-  && Cover.covered_by minimized (widen original)

@@ -20,8 +20,3 @@ val minimize : ?dontcare:Cover.t -> ?exact:bool -> Cover.t -> Cover.t
 
 (** The heuristic engine directly, regardless of size. *)
 val heuristic : ?dontcare:Cover.t -> Cover.t -> Cover.t
-
-(** [verify ?dontcare ~original ~minimized ()] — equivalence on the care
-    set. *)
-val verify :
-  ?dontcare:Cover.t -> original:Cover.t -> minimized:Cover.t -> unit -> bool

@@ -31,13 +31,11 @@
 (** {2 Snapshots} *)
 
 type snapshot =
-  { version : int  (** format version; {!schema_version} when captured *)
+  { version : int  (** format version, stamped at capture *)
   ; design : string
   ; qor : (string * float) list  (** sorted by key; deterministic *)
   ; runtime : (string * float) list  (** sorted by key; volatile *)
   }
-
-val schema_version : int
 
 val is_runtime_key : string -> bool
 (** Keys under ["stage."], ["cache."], ["pool."], ["pipeline."] or
@@ -57,11 +55,6 @@ val capture :
 
 val to_json : snapshot -> Sc_obs.Json.t
 val of_json : Sc_obs.Json.t -> (snapshot, string) result
-
-val to_string : snapshot -> string
-(** Compact single-line JSON; deterministic (sections sorted by key). *)
-
-val of_string : string -> (snapshot, string) result
 
 val qor_string : snapshot -> string
 (** The QoR section alone, serialized — the byte string the [-j]
@@ -96,8 +89,6 @@ val thresholds_of_string : string -> (thresholds, string) result
 (** Parse a thresholds file: a JSON object mapping key-or-pattern to
     [{"rel": r, "abs": a}] (either field may be omitted). *)
 
-val threshold_for : thresholds -> string -> threshold
-
 type verdict = Improved | Neutral | Regressed
 
 type delta =
@@ -118,13 +109,10 @@ val diff : ?thresholds:thresholds -> snapshot -> snapshot -> report
 (** [diff base current] — classify every metric present in either
     snapshot. *)
 
-val regressions : ?runtime:bool -> report -> int
-(** Count of [Regressed] deltas; QoR only unless [runtime] (default
-    [false]) also counts the runtime section. *)
-
 val gate : ?runtime:bool -> report -> bool
-(** [true] when the report should fail a quality gate:
-    [regressions ?runtime report > 0]. *)
+(** [true] when the report should fail a quality gate: some QoR delta
+    is [Regressed], or with [runtime] (default [false]) some runtime
+    delta is. *)
 
 (** {2 Rendering} *)
 

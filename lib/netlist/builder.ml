@@ -72,12 +72,8 @@ let const1 = Circuit.true_net
 let not_ b a = gate b Gate.Inv [| a |]
 let and2 b x y = gate b Gate.And2 [| x; y |]
 let or2 b x y = gate b Gate.Or2 [| x; y |]
-let nand2 b x y = gate b Gate.Nand2 [| x; y |]
-let nor2 b x y = gate b Gate.Nor2 [| x; y |]
 let xor2 b x y = gate b Gate.Xor2 [| x; y |]
 let mux2 b ~sel a0 a1 = gate b Gate.Mux2 [| a0; a1; sel |]
-let dff b d = gate b Gate.Dff [| d |]
-let dffe b ~en d = gate b Gate.Dffe [| d; en |]
 
 let rec reduce op neutral b = function
   | [] -> neutral

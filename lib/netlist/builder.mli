@@ -14,8 +14,6 @@ val input : t -> string -> int -> Circuit.net array
 (** Declare an output port driven by existing nets. *)
 val output : t -> string -> Circuit.net array -> unit
 
-val fresh : t -> Circuit.net
-
 val fresh_vec : t -> int -> Circuit.net array
 
 val name_net : t -> Circuit.net -> string -> unit
@@ -44,18 +42,10 @@ val and2 : t -> Circuit.net -> Circuit.net -> Circuit.net
 
 val or2 : t -> Circuit.net -> Circuit.net -> Circuit.net
 
-val nand2 : t -> Circuit.net -> Circuit.net -> Circuit.net
-
-val nor2 : t -> Circuit.net -> Circuit.net -> Circuit.net
-
 val xor2 : t -> Circuit.net -> Circuit.net -> Circuit.net
 
 (** [mux2 b ~sel a0 a1] = if sel then a1 else a0. *)
 val mux2 : t -> sel:Circuit.net -> Circuit.net -> Circuit.net -> Circuit.net
-
-val dff : t -> Circuit.net -> Circuit.net
-
-val dffe : t -> en:Circuit.net -> Circuit.net -> Circuit.net
 
 (** Balanced AND / OR trees; empty input gives the neutral constant. *)
 

@@ -7,9 +7,9 @@
     {!digest} alone: as long as an edit leaves the signature unchanged,
     every consumer's own compilation stays cache-valid.
 
-    Signatures render to a canonical one-line string ({!to_string});
-    {!digest} is the MD5 of that rendering, making it stable across
-    processes and usable inside pipeline cache keys. *)
+    Signatures render to a canonical one-line string; {!digest} is the
+    MD5 of that rendering, making it stable across processes and usable
+    inside pipeline cache keys. *)
 
 type port_sig =
   { sname : string
@@ -29,14 +29,11 @@ val of_circuit : Circuit.t -> t
 
 val find : t -> string -> port_sig option
 
-val to_string : t -> string
-(** Canonical rendering, e.g.
-    ["module alu (in a[4], in b[4], out y[4]) comb"].  Equal signatures
-    render equally; this is the digest's preimage. *)
-
 val digest : t -> string
-(** Hex MD5 of {!to_string} — stable across processes and OCaml
-    versions, safe to embed in pipeline cache keys. *)
+(** Hex MD5 of the canonical rendering, e.g.
+    ["module alu (in a[4], in b[4], out y[4]) comb"] — stable across
+    processes and OCaml versions, safe to embed in pipeline cache
+    keys. *)
 
 val compatible : expected:t -> got:t -> (unit, string) result
 (** Structural compatibility: same port set with identical directions

@@ -18,7 +18,6 @@ type t =
   ; counts : int array
   ; sums : float array
   ; mutable n : int
-  ; mutable vmin : int
   ; mutable vmax : int
   }
 
@@ -27,7 +26,6 @@ let create () =
   ; counts = Array.make nbuckets 0
   ; sums = Array.make nbuckets 0.0
   ; n = 0
-  ; vmin = max_int
   ; vmax = 0
   }
 
@@ -41,9 +39,6 @@ let bucket_of v =
     bits 0 v
   end
 
-let bounds i =
-  if i = 0 then (0, 0) else (1 lsl (i - 1), (1 lsl i) - 1)
-
 let add t v =
   let v = max 0 v in
   let b = bucket_of v in
@@ -51,18 +46,9 @@ let add t v =
       t.counts.(b) <- t.counts.(b) + 1;
       t.sums.(b) <- t.sums.(b) +. float_of_int v;
       t.n <- t.n + 1;
-      if v < t.vmin then t.vmin <- v;
       if v > t.vmax then t.vmax <- v)
 
 let count t = locked t (fun () -> t.n)
-let min_value t = locked t (fun () -> if t.n = 0 then 0 else t.vmin)
-let max_value t = locked t (fun () -> t.vmax)
-
-let mean t =
-  locked t (fun () ->
-      if t.n = 0 then 0.0
-      else Array.fold_left ( +. ) 0.0 t.sums /. float_of_int t.n)
-
 (* rank r (1-based) = the r-th smallest recorded value; percentile p
    uses the nearest-rank definition r = ceil(p/100 * n), clamped to
    [1, n]. *)
@@ -96,10 +82,7 @@ let merge a b =
           t.sums.(i) <- t.sums.(i) +. src.sums.(i)
         done;
         t.n <- t.n + src.n;
-        if src.n > 0 then begin
-          if src.vmin < t.vmin then t.vmin <- src.vmin;
-          if src.vmax > t.vmax then t.vmax <- src.vmax
-        end)
+        if src.vmax > t.vmax then t.vmax <- src.vmax)
   in
   fold a;
   fold b;

@@ -25,15 +25,6 @@ val add : t -> int -> unit
 val count : t -> int
 (** Number of samples recorded. *)
 
-val min_value : t -> int
-(** Smallest sample recorded (0 when empty). *)
-
-val max_value : t -> int
-(** Largest sample recorded (0 when empty). *)
-
-val mean : t -> float
-(** Arithmetic mean of all samples (0.0 when empty). *)
-
 val percentile : t -> float -> int
 (** [percentile t p] for [p] in [0..100]: the nearest-rank percentile,
     estimated as the mean of the rank's bucket.  [percentile t 50.0] is
@@ -43,9 +34,3 @@ val merge : t -> t -> t
 (** [merge a b] is a fresh histogram holding the samples of both —
     used to aggregate per-recorder or per-verb histograms.  [a] and [b]
     are unchanged. *)
-
-val bucket_of : int -> int
-(** The bucket index a value lands in (exposed for the unit tests). *)
-
-val bounds : int -> int * int
-(** [bounds i] is the inclusive [(lo, hi)] value range of bucket [i]. *)

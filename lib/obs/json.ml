@@ -255,21 +255,3 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Num x, Num y -> x = y
-  | Str x, Str y -> x = y
-  | Arr xs, Arr ys ->
-    List.length xs = List.length ys && List.for_all2 equal xs ys
-  | Obj xs, Obj ys ->
-    List.length xs = List.length ys
-    && List.for_all
-         (fun (k, v) ->
-           match List.assoc_opt k ys with
-           | Some w -> equal v w
-           | None -> false)
-         xs
-  | _ -> false

@@ -26,6 +26,3 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** [member key (Obj _)] — field lookup; [None] on missing key or
     non-object. *)
-
-val equal : t -> t -> bool
-(** Structural equality; object fields compare order-insensitively. *)

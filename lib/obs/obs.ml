@@ -13,13 +13,7 @@
    only, and a context's first span is top-level on its own [tid]
    track.  The completed-event list and the global counters are shared
    per recorder and guarded by its mutex; frame-local counter bumps
-   touch only the context's own open frame and need no lock.
-
-   [Recorder.reset] must be safe while spans are open (a daemon can be
-   asked to reset mid-request): it bumps the recorder's generation and
-   drops the stack table, so a frame opened before the reset is
-   orphaned — its [finish] still unwinds bookkeeping but records no
-   event into the cleared buffer. *)
+   touch only the context's own open frame and need no lock. *)
 
 type event =
   { path : string
@@ -37,7 +31,6 @@ type frame =
   ; fpath : string
   ; fdepth : int
   ; fstart : float
-  ; fgen : int  (* recorder generation at open; stale frames record nothing *)
   ; mutable fcounters : (string * int) list  (* reverse insertion order *)
   ; mutable fchildren : float  (* seconds spent in completed children *)
   }
@@ -55,20 +48,19 @@ module Recorder = struct
   type t =
     { mutable on : bool
     ; mutable epoch : float
-    ; mutable generation : int
     ; lock : Mutex.t
     ; mutable finished : event list  (* reverse completion order *)
     ; globals : (string, int) Hashtbl.t
     ; stacks : (int * int, frame list ref) Hashtbl.t
       (* keyed by (domain id, thread id): each execution context owns
-         one stack.  Entries persist until [reset]; a handful of stale
-         keys is cheaper than precise cleanup on every span exit. *)
+         one stack.  Entries persist for the recorder's life; a handful
+         of stale keys is cheaper than precise cleanup on every span
+         exit. *)
     }
 
   let create () =
     { on = false
     ; epoch = 0.0
-    ; generation = 0
     ; lock = Mutex.create ()
     ; finished = []
     ; globals = Hashtbl.create 32
@@ -93,16 +85,6 @@ module Recorder = struct
 
   let disable t = t.on <- false
 
-  let reset t =
-    locked t (fun () ->
-        t.finished <- [];
-        Hashtbl.reset t.globals;
-        (* orphan every open frame: their captured stack refs survive,
-           but a bumped generation keeps their finish from recording *)
-        Hashtbl.reset t.stacks;
-        t.generation <- t.generation + 1);
-    t.epoch <- Unix.gettimeofday ()
-
   let span t name f =
     if not t.on then f ()
     else begin
@@ -121,7 +103,7 @@ module Recorder = struct
         let fdepth = match parent with None -> 0 | Some p -> p.fdepth + 1 in
         let fr =
           { fname = name; fpath; fdepth; fstart = Unix.gettimeofday ()
-          ; fgen = t.generation; fcounters = []; fchildren = 0.0
+          ; fcounters = []; fchildren = 0.0
           }
         in
         stack := fr :: !stack;
@@ -144,8 +126,7 @@ module Recorder = struct
             ; counters = List.rev fr.fcounters
             }
           in
-          locked t (fun () ->
-              if fr.fgen = t.generation then t.finished <- e :: t.finished)
+          locked t (fun () -> t.finished <- e :: t.finished)
         in
         (match f () with
         | r ->

@@ -38,7 +38,7 @@
     - {!Recorder.pp_summary} / {!Recorder.stage_table}: one row per
       distinct span path — call count, total and self milliseconds,
       share of the run, and the counters attributed to that span;
-    - {!Recorder.chrome_trace} / {!Recorder.write_trace}: the Chrome
+    - {!Recorder.write_trace}: the Chrome
       trace-event JSON format (load in [chrome://tracing] or
       [ui.perfetto.dev]); spans become complete ("ph":"X") events with
       their counters as [args], global counters become counter
@@ -52,7 +52,7 @@ type event =
   ; name : string  (** the name passed to {!span} *)
   ; depth : int  (** 0 = top level *)
   ; tid : int  (** id of the domain that recorded the span (0 = main) *)
-  ; start_us : float  (** microseconds since the epoch ({!Recorder.reset}) *)
+  ; start_us : float  (** microseconds since the epoch ({!Recorder.enable}) *)
   ; dur_us : float
   ; self_us : float  (** [dur_us] minus time spent in child spans *)
   ; counters : (string * int) list  (** counts attributed to this occurrence *)
@@ -80,18 +80,11 @@ module Recorder : sig
   (** A fresh, disabled recorder, timed by [Unix.gettimeofday]. *)
 
   val enable : t -> unit
-  (** Start recording.  The first [enable] (or any {!reset}) stamps the
-      trace epoch all timestamps are relative to. *)
+  (** Start recording.  The first [enable] stamps the trace epoch all
+      timestamps are relative to. *)
 
   val disable : t -> unit
   (** Stop recording; already-collected events are kept. *)
-
-  val reset : t -> unit
-  (** Drop all events and counters and restamp the epoch.  Safe while
-      spans are open — even on other threads: frames opened before the
-      reset are orphaned (their exit unwinds normally but records
-      nothing), so the event buffer and the span stacks can never
-      disagree about what the current recording contains. *)
 
   val span : t -> string -> (unit -> 'a) -> 'a
 
@@ -109,12 +102,10 @@ module Recorder : sig
   (** The per-stage table plus the global counters, human-readable.
       Percentages are of the summed top-level span time. *)
 
-  val chrome_trace : t -> string
-  (** The whole recording as Chrome trace-event JSON (an object with a
-      ["traceEvents"] array).  Parses back with {!Json.parse}. *)
-
   val write_trace : t -> string -> unit
-  (** [write_trace r path] writes {!chrome_trace} to [path]. *)
+  (** [write_trace r path] writes the whole recording to [path] as
+      Chrome trace-event JSON (an object with a ["traceEvents"] array),
+      which parses back with {!Json.parse}. *)
 end
 
 val with_recorder : Recorder.t -> (unit -> 'a) -> 'a

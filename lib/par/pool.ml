@@ -211,8 +211,6 @@ let wanted = ref 1
 let current : t option ref = ref None
 let current_lock = Mutex.create ()
 
-let default_size () = !wanted
-
 let drop_current () =
   match !current with
   | Some p ->

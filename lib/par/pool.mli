@@ -79,7 +79,5 @@ val set_default_size : int -> unit
 (** Resize the process-default pool (existing default workers are
     joined; the new pool is created lazily on first use). *)
 
-val default_size : unit -> int
-
 val default : unit -> t
 (** The process-default pool, created on first use. *)

@@ -14,8 +14,6 @@ let source text = { value = text; key = Cache.digest ("source\x00" ^ text) }
 let inject ~tag ~repr v =
   { value = v; key = Cache.digest (tag ^ "\x00" ^ repr) }
 
-let pair a b = { value = (a.value, b.value); key = Cache.digest (a.key ^ "+" ^ b.key) }
-
 let map f s = { value = f s.value; key = s.key }
 
 (* --- global cache configuration --- *)
@@ -108,7 +106,6 @@ let enable_cache ?(capacity = 256) ?disk_capacity ?dir () =
   config.cenabled <- true
 
 let disable_cache () = config.cenabled <- false
-let cache_enabled () = config.cenabled
 
 let clear_caches () =
   Mutex.protect reg_lock (fun () -> List.iter (fun r -> r.rclear ()) !registry)

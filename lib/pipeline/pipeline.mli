@@ -79,9 +79,6 @@ val inject : tag:string -> repr:string -> 'a -> 'a staged
     faithful rendering: equal reprs ⇒ interchangeable values).  [tag]
     namespaces the digest. *)
 
-val pair : 'a staged -> 'b staged -> ('a * 'b) staged
-(** Combine two staged values; the key chains both keys. *)
-
 val map : ('a -> 'b) -> 'a staged -> 'b staged
 (** A pure view of a staged value: the key is unchanged, so [f] must
     not add information that isn't already pinned by the key. *)
@@ -144,8 +141,6 @@ val enable_cache : ?capacity:int -> ?disk_capacity:int -> ?dir:string -> unit ->
 val disable_cache : unit -> unit
 (** Stop consulting/filling the stores (their contents are kept and
     revived by a later {!enable_cache} with the same [dir]). *)
-
-val cache_enabled : unit -> bool
 
 (** {2 The run context}
 

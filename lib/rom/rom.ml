@@ -34,12 +34,6 @@ let generate ?(optimize = false) ?(name = "rom") ~bits contents =
 let layout t = t.pla.Sc_pla.Generator.layout
 let netlist t = t.pla.Sc_pla.Generator.netlist
 
-let predicted_area ~words ~bits =
-  let addr_width = max 1 (clog2 words) in
-  (* all-zero words produce no row; the closed form assumes the dense case *)
-  Sc_pla.Generator.predicted_area ~ninputs:addr_width ~noutputs:bits
-    ~terms:words
-
 let pp_summary ppf t =
   Format.fprintf ppf "ROM %dx%d (addr %d): %a" t.words t.bits t.addr_width
     Sc_pla.Generator.pp_summary t.pla

@@ -25,7 +25,4 @@ val layout : t -> Sc_layout.Cell.t
 
 val netlist : t -> Sc_netlist.Circuit.t
 
-(** Closed-form area of the unoptimized ROM. *)
-val predicted_area : words:int -> bits:int -> int
-
 val pp_summary : Format.formatter -> t -> unit

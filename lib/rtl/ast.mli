@@ -49,6 +49,4 @@ type design =
   ; body : stmt list
   }
 
-val pp_expr : Format.formatter -> expr -> unit
-
 val pp : Format.formatter -> design -> unit

@@ -341,12 +341,3 @@ let parse text =
   match parse_design { toks = tokenize text } with
   | d -> Ok d
   | exception Error msg -> Error msg
-
-let parse_expr text =
-  let st = { toks = tokenize text } in
-  match
-    let e = parse_or st in
-    match peek st with Teof -> e | _ -> fail "trailing input"
-  with
-  | e -> Ok e
-  | exception Error msg -> Error msg

@@ -24,6 +24,3 @@
     or [0b...].  [name\[i\]] selects a bit. *)
 
 val parse : string -> (Ast.design, string) result
-
-(** Parse a single expression, for tests and tools. *)
-val parse_expr : string -> (Ast.expr, string) result

@@ -17,9 +17,5 @@ val rpc :
 
 val close : Unix.file_descr -> unit
 
-val with_connection :
-  string -> (Unix.file_descr -> ('a, string) result) -> ('a, string) result
-(** Connect, run, always close. *)
-
 val one_shot : string -> Protocol.request -> (Protocol.response, string) result
 (** [one_shot path req] — a whole session for a single request. *)

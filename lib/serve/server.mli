@@ -65,9 +65,6 @@ type stats =
         (** high-water mark of concurrently running executions *)
   }
 
-val server_version : string
-(** Identifies the daemon generation in the [Stats] reply. *)
-
 val run :
   ?jobs:int ->
   ?stage_cache:string ->

@@ -82,8 +82,6 @@ let drc_violations kind =
 
 let drc_clean kind = drc_violations kind = 0
 
-let all () = List.map get Gate.all
-
 (* the same artwork and the same hierarchy, whatever the cells' ids *)
 let rec same_shape (a : Cell.t) (b : Cell.t) =
   a == b

@@ -39,8 +39,6 @@ val drc_violations : Gate.kind -> int
 (** [drc_clean kind] = [drc_violations kind = 0]. *)
 val drc_clean : Gate.kind -> bool
 
-val all : unit -> cell list
-
 (** [intern c] — [c] with every cell that has a library cell's name and
     artwork replaced by that library cell, so the process holds one
     copy of each.  A layout read back from a disk cache brings its own

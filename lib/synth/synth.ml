@@ -5,8 +5,6 @@ module SMap = Map.Make (String)
 type result =
   { circuit : Circuit.t
   ; stats : Circuit.stats
-  ; cell_area : int
-  ; critical_path : int
   }
 
 (* --- the gates backend: direct structural translation --- *)
@@ -207,13 +205,7 @@ let replay_gauges r =
   Sc_obs.Obs.gauge "transistors" r.stats.Circuit.transistors
 
 let result_of circuit =
-  let r =
-    { circuit
-    ; stats = Circuit.stats circuit
-    ; cell_area = Sc_stdcell.Library.circuit_cell_area circuit
-    ; critical_path = Timing.critical_path circuit
-    }
-  in
+  let r = { circuit; stats = Circuit.stats circuit } in
   replay_gauges r;
   r
 
@@ -341,17 +333,7 @@ let pla_fsm ?(minimize = true) design =
       opos := !opos + d.width)
     design.Ast.outputs;
   let circuit = Builder.finish b in
-  let dff_area = (Sc_stdcell.Library.get Gate.Dff).Sc_stdcell.Library.area in
-  let result =
-    { circuit
-    ; stats = Circuit.stats circuit
-    ; cell_area =
-        Sc_layout.Cell.area pla.Sc_pla.Generator.layout
-        + (state_bits * dff_area)
-    ; critical_path = Timing.critical_path circuit
-    }
-  in
-  (result, pla)
+  ({ circuit; stats = Circuit.stats circuit }, pla)
 
 let verify_against_interp design circuit cycles stim =
   let interp = Sc_rtl.Interp.create design in

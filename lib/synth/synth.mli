@@ -25,8 +25,6 @@ open Sc_netlist
 type result =
   { circuit : Circuit.t
   ; stats : Circuit.stats
-  ; cell_area : int  (** summed standard-cell area, square lambda *)
-  ; critical_path : int  (** tau units *)
   }
 
 val translate : Sc_rtl.Ast.design -> Circuit.t
@@ -37,8 +35,8 @@ val translate : Sc_rtl.Ast.design -> Circuit.t
 
 val optimize_result : ?inject:int -> Circuit.t -> result
 (** Run {!Sc_netlist.Optimize.simplify} and package the outcome with
-    its stats/area/timing, emitting the gate-count gauges — the
-    pipeline's "optimize" pass.  [inject] deliberately miscompiles:
+    its stats, emitting the gate-count gauges — the pipeline's
+    "optimize" pass.  [inject] deliberately miscompiles:
     after simplification the first mutable gate at or after index
     [inject] (wrapping) is flipped with {!Sc_equiv.Checker.mutate} — a
     live fault for the certificate machinery to refuse.

@@ -77,41 +77,3 @@ let expr_pos = function
   | Id (_, p) | Index (_, _, p) | Slice (_, _, _, p) -> p
   | Unop (_, _, p) | Binop (_, _, _, p) | Concat (_, p) -> p
   | Cond { cpos; _ } -> cpos
-
-let binop_to_string = function
-  | Add -> "+"
-  | Sub -> "-"
-  | And -> "&"
-  | Or -> "|"
-  | Xor -> "^"
-  | Eq -> "=="
-  | Ne -> "!="
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Shl -> "<<"
-  | Shr -> ">>"
-
-let rec pp_expr ppf = function
-  | Number { value; width = Some w; _ } -> Format.fprintf ppf "%d'd%d" w value
-  | Number { value; width = None; _ } -> Format.fprintf ppf "%d" value
-  | Id (n, _) -> Format.pp_print_string ppf n
-  | Index (n, i, _) -> Format.fprintf ppf "%s[%d]" n i
-  | Slice (n, h, l, _) -> Format.fprintf ppf "%s[%d:%d]" n h l
-  | Unop (Bnot, e, _) -> Format.fprintf ppf "~%a" pp_atom e
-  | Binop (op, a, b, _) ->
-    Format.fprintf ppf "%a %s %a" pp_atom a (binop_to_string op) pp_atom b
-  | Cond { cond; t; f; _ } ->
-    Format.fprintf ppf "%a ? %a : %a" pp_atom cond pp_atom t pp_atom f
-  | Concat (parts, _) ->
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_expr)
-      parts
-
-and pp_atom ppf e =
-  match e with
-  | Number _ | Id _ | Index _ | Slice _ | Concat _ -> pp_expr ppf e
-  | _ -> Format.fprintf ppf "(%a)" pp_expr e

@@ -113,6 +113,3 @@ type module_ =
 
 val expr_pos : expr -> Lexer.pos
 (** The position of an expression's first token. *)
-
-val pp_expr : Format.formatter -> expr -> unit
-(** Concrete-syntax rendering, for tests and diagnostics. *)

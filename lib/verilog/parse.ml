@@ -590,10 +590,3 @@ let with_tokens text k =
     | exception Parse_error (p, msg) -> Error (Lexer.pos_to_string p ^ ": " ^ msg))
 
 let parse text = with_tokens text parse_module
-
-let parse_expr text =
-  with_tokens text (fun st ->
-      let e = parse_cond st in
-      match peek st with
-      | Lexer.Eof -> e
-      | _ -> unexpected st "end of input")

@@ -37,6 +37,3 @@
 val parse : string -> (Ast.module_, string) result
 (** Parse one module.  Errors are ["line:col: message"] strings, never
     exceptions. *)
-
-val parse_expr : string -> (Ast.expr, string) result
-(** Parse a single expression — for tests and tools. *)

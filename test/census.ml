@@ -1,18 +1,24 @@
 (* The export census: every value a lib/**/*.mli exports must have a
-   caller outside its own module, or a line in the allow list naming it
-   with a reason.
+   production caller outside its own module, or a line in an allow list
+   naming it with a reason.
 
-     census.exe ALLOW LIBDIR DIR...
+     census.exe [--tests TESTS_ALLOW TESTDIR] ALLOW LIBDIR DIR...
 
    LIBDIR holds one directory per library (its dune file names the
-   library); every .ml under LIBDIR and the DIRs is a possible caller.
+   library); every .ml under LIBDIR and the DIRs is a production caller,
+   and with [--tests] every .ml directly in TESTDIR is a test caller.
    A caller writes the value qualified ([Rect.area], [Sc_geom.Rect.area],
    [R.area] after [module R = Sc_geom.Rect]) or bare inside the module's
    scope ([open Rect], [let open Rect in], [Rect.( ... )], [include
-   Rect]).  Comments and string literals are not code.  An allow-list
-   line is [Library.Module.value reason]; a listed value that has gained
-   a caller, or no longer exists, is an error too, so the list stays as
-   short as the truth.  Exits 1 with one line per finding. *)
+   Rect]).  Comments and string literals are not code.
+
+   A value with no caller at all needs a line [Library.Module.value
+   reason] in ALLOW; a value only tests call needs a line
+   [Library.Module.value test_file.ml reason] in TESTS_ALLOW, whose test
+   module calls it.  A line whose value has gained a (production)
+   caller, no longer exists, or names a test that does not call it is
+   an error too, so the lists stay as short as the truth.  Exits 1 with
+   one line per finding. *)
 
 (* ---------------------------------------------------------------- *)
 (* Lexing: long identifiers and the punctuation after them            *)
@@ -325,19 +331,25 @@ let library_of dir =
     in
     find (List.map fst (tokens (read_file dune)))
 
+(* the lines of an allow list that are not blank or comments, split at
+   blanks: (line number, fields) *)
 let read_allow path =
   String.split_on_char '\n' (read_file path)
   |> List.mapi (fun i l -> (i + 1, String.trim l))
   |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
   |> List.map (fun (i, l) ->
-         match String.index_opt l ' ' with
-         | Some k ->
-           (i, String.sub l 0 k, String.trim (String.sub l k (String.length l - k)))
-         | None -> (i, l, ""))
+         (i, String.split_on_char ' ' l |> List.filter (( <> ) "")))
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: allow_file :: libdir :: dirs ->
+  let tests, args =
+    match List.tl (Array.to_list Sys.argv) with
+    | "--tests" :: tests_allow :: testdir :: args ->
+      (Some (tests_allow, testdir), args)
+    | "--tests" :: _ -> (None, [])
+    | args -> (None, args)
+  in
+  match args with
+  | allow_file :: libdir :: dirs ->
     let libdirs =
       Sys.readdir libdir |> Array.to_list |> List.sort compare
       |> List.map (Filename.concat libdir)
@@ -362,44 +374,94 @@ let () =
             List.concat_map (fun file -> exports ~lib ~file) (files dir ".mli"))
         libdirs
     in
-    let callers =
+    let production =
       List.map uses_of (List.concat_map (fun d -> files d ".ml") (libdir :: dirs))
     in
-    let dead =
+    (* the test modules: the .ml files directly in TESTDIR *)
+    let tests_of =
+      match tests with
+      | None -> []
+      | Some (_, testdir) ->
+        List.map uses_of
+          (List.filter
+             (fun f -> Filename.dirname f = testdir)
+             (files testdir ".ml"))
+    in
+    let callers within (e : export) =
+      let own = Filename.remove_extension e.file ^ ".ml" in
+      let own_dir = Filename.dirname e.file in
       List.filter
-        (fun (e : export) ->
-          let own = Filename.remove_extension e.file ^ ".ml" in
-          let own_dir = Filename.dirname e.file in
-          not
-            (List.exists
-               (fun (u : uses) -> u.file <> own && calls ~siblings ~own_dir u e)
-               callers))
+        (fun (u : uses) -> u.file <> own && calls ~siblings ~own_dir u e)
+        within
+    in
+    (* the exports no production code calls, with the tests that do *)
+    let unused =
+      List.filter_map
+        (fun e ->
+          if callers production e <> [] then None
+          else
+            Some
+              ( e
+              , List.map
+                  (fun (u : uses) -> Filename.basename u.file)
+                  (callers tests_of e) ))
         exports
     in
-    let allow = read_allow allow_file in
     let errors = ref 0 in
     let report fmt =
       incr errors;
       Printf.printf (fmt ^^ "\n")
     in
+    let allow = read_allow allow_file in
+    let tests_allow_file, tests_allow =
+      match tests with None -> ("", []) | Some (f, _) -> (f, read_allow f)
+    in
+    let listed lines e =
+      List.exists (function _, k :: _ -> k = key e | _ -> false) lines
+    in
+    let find k = List.find_opt (fun (e, _) -> key e = k) unused in
     List.iter
-      (fun e ->
-        if not (List.exists (fun (_, k, _) -> k = key e) allow) then
+      (fun ((e : export), tested) ->
+        if tested = [] && not (listed allow e) then
           report "%s:%d: %s is exported but has no caller outside its module \
                   (delete it, drop it from the .mli, or list it in %s with a reason)"
-            e.file e.line (key e) allow_file)
-      dead;
+            e.file e.line (key e) allow_file
+        else if tested <> [] && not (listed tests_allow e) then
+          report "%s:%d: %s is exported but only tests call it (%s): delete it, \
+                  drop it from the .mli, or list it in %s with a test and a reason"
+            e.file e.line (key e) (String.concat ", " tested) tests_allow_file)
+      unused;
+    let exists k = List.exists (fun e -> key e = k) exports in
     List.iter
-      (fun (line, k, reason) ->
-        if reason = "" then
-          report "%s:%d: %s is listed without a reason" allow_file line k;
-        if not (List.exists (fun e -> key e = k) exports) then
-          report "%s:%d: %s is listed but no .mli exports it" allow_file line k
-        else if not (List.exists (fun e -> key e = k) dead) then
-          report "%s:%d: %s is listed but has a caller now: drop the line"
-            allow_file line k)
+      (fun (line, fields) ->
+        match fields with
+        | [ k ] -> report "%s:%d: %s is listed without a reason" allow_file line k
+        | k :: _ ->
+          if not (exists k) then
+            report "%s:%d: %s is listed but no .mli exports it" allow_file line k
+          else if
+            match find k with Some (_, tested) -> tested <> [] | None -> true
+          then
+            report "%s:%d: %s is listed but has a caller now: drop the line"
+              allow_file line k
+        | [] -> ())
       allow;
+    List.iter
+      (fun (line, fields) ->
+        let say fmt = report ("%s:%d: " ^^ fmt) tests_allow_file line in
+        match fields with
+        | k :: test :: reason ->
+          if reason = [] then say "%s is listed without a reason" k
+          else if not (exists k) then say "%s is listed but no .mli exports it" k
+          else (
+            match find k with
+            | None -> say "%s is listed but production code calls it now: drop the line" k
+            | Some (_, tested) ->
+              if not (List.mem test tested) then
+                say "%s is listed for %s, which does not call it" k test)
+        | _ -> say "expected: Library.Module.value test_file.ml reason")
+      tests_allow;
     if !errors > 0 then exit 1
   | _ ->
-    prerr_endline "usage: census ALLOW LIBDIR DIR...";
+    prerr_endline "usage: census [--tests TESTS_ALLOW TESTDIR] ALLOW LIBDIR DIR...";
     exit 2

@@ -15,8 +15,15 @@ let core_with_ports () =
       ]
     [ Cell.box Sc_tech.Layer.Metal (Sc_geom.Rect.make 0 0 200 200) ]
 
+(* the pad cell, as every assembly instantiates it *)
 let test_pad_is_clean () =
-  check_bool "pad DRC" true (Sc_drc.Checker.is_clean (Assemble.pad ()))
+  let a = Assemble.assemble ~name:"chip" ~core:(core_with_ports ()) ~pads:4 () in
+  let pad =
+    List.find
+      (fun (i : Cell.inst) -> i.inst_name = "pad0")
+      a.Assemble.chip.Cell.instances
+  in
+  check_bool "pad DRC" true (Sc_drc.Checker.is_clean pad.cell)
 
 let test_assembly_structure () =
   let a = Assemble.assemble ~name:"chip" ~core:(core_with_ports ()) ~pads:12 () in
@@ -29,9 +36,8 @@ let test_assembly_structure () =
 
 let test_assembly_drc_clean () =
   let a = Assemble.assemble ~name:"chip" ~core:(core_with_ports ()) ~pads:8 () in
-  Alcotest.(check (list string)) "clean" []
-    (List.map
-       (Format.asprintf "%a" Sc_drc.Checker.pp_violation)
+  Alcotest.(check string) "clean" "DRC clean\n"
+    (Format.asprintf "%a" Sc_drc.Checker.report
        (Sc_drc.Checker.check a.Assemble.chip))
 
 let test_assembly_with_bindings () =

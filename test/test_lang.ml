@@ -99,7 +99,7 @@ cell main() {
 }
 |}
   in
-  check_bool "has geometry" true (Cell.bbox c <> None);
+  check_bool "has geometry" true (c.Cell.bbox <> None);
   check_int "bbox height" 24 (Cell.height c)
 
 let test_stdcell_builtins_and_combinators () =

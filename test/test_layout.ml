@@ -128,7 +128,10 @@ let test_transistor_count () =
       ]
   in
   check_int "one gate" 1 (Stats.transistor_count one);
-  let two = Cell.add one [ Cell.box Layer.Poly (Rect.make 8 0 10 8) ] in
+  let two =
+    Cell.make ~name:"t1"
+      (one.Cell.elements @ [ Cell.box Layer.Poly (Rect.make 8 0 10 8) ])
+  in
   check_int "two gates" 2 (Stats.transistor_count two);
   (* a gate drawn as two abutting poly boxes still counts once *)
   let split =
@@ -156,7 +159,7 @@ let test_stats_measure () =
   let a = Compose.array ~name:"arr" ~nx:2 ~ny:2 t in
   let s = Stats.measure a in
   check_int "bbox area" 64 s.Stats.bbox_area;
-  check_int "metal area" 64 (Stats.layer_area s Layer.Metal);
+  check_int "metal area" 64 s.Stats.layer_area.(Layer.index Layer.Metal);
   check_int "instances" 4 s.Stats.instances;
   check_int "cells" 2 s.Stats.cells;
   check_int "rects" (Cell.flat_rect_count a) s.Stats.rects;
@@ -198,7 +201,7 @@ let folded_bbox elements instances =
     (fun acc (i : Cell.inst) ->
       Option.fold ~none:acc
         ~some:(fun r -> union acc (Transform.apply_rect i.trans r))
-        (Cell.bbox i.cell))
+        i.cell.Cell.bbox)
     acc instances
 
 (* Up to five boxes and two Manhattan wires of even width around the
@@ -249,11 +252,11 @@ let prop_bbox_is_folded_union =
       (QCheck.make gen_cell_parts) (fun (elements, instances) ->
         List.iter (fun (i : Cell.inst) -> Hashtbl.replace seen i.trans.orient ()) instances;
         let c = Cell.make ~name:"c" ~instances elements in
-        Option.equal Rect.equal (Cell.bbox c) (folded_bbox elements instances))
+        Option.equal Rect.equal c.Cell.bbox (folded_bbox elements instances))
   in
   Alcotest.test_case "Cell.make bbox = folded union" `Quick (fun () ->
       QCheck.Test.check_exn ~rand:(Random.State.make [| 0xBB0C; 22 |]) prop;
-      check_bool "an empty cell has no bbox" true (Cell.bbox (Cell.empty "e") = None);
+      check_bool "an empty cell has no bbox" true ((Cell.empty "e").Cell.bbox = None);
       check_bool "every orientation occurs" true
         (List.for_all (Hashtbl.mem seen) Transform.all_orients))
 

@@ -26,7 +26,7 @@ let alu_like name ow =
 let clocked_circuit () =
   let b = Builder.create "reg1" in
   let d = Builder.input b "d" 1 in
-  let q = Builder.dff b d.(0) in
+  let q = Builder.gate b Gate.Dff [| d.(0) |] in
   Builder.output b "q" [| q |];
   Builder.finish b
 
@@ -35,8 +35,10 @@ let test_signature_extract () =
   check_string "name" "alu" s.Sig.mname;
   check_int "ports" 3 (List.length s.Sig.sports);
   check_bool "comb" false s.Sig.clocked;
-  check_string "canonical" "module alu (in a[4], in b[4], out y[4]) comb"
-    (Sig.to_string s);
+  check_string "canonical rendering is the digest's preimage"
+    (Digest.to_hex
+       (Digest.string "module alu (in a[4], in b[4], out y[4]) comb"))
+    (Sig.digest s);
   let r = Sig.of_circuit (clocked_circuit ()) in
   check_bool "clocked" true r.Sig.clocked
 
@@ -81,8 +83,22 @@ open Sc_chip
 let block name w h =
   Cell.make ~name [ Cell.box Sc_tech.Layer.Metal (Sc_geom.Rect.make 0 0 w h) ]
 
+(* the wrapper [pack] places for a module *)
 let test_macro_wrapper () =
-  let m = Assemble.macro ~name:"macro_b" ~pins:[ "x[0]"; "x[1]"; "q" ] (block "b" 60 40) in
+  let p =
+    Assemble.pack ~name:"one"
+      ~macros:
+        [ { Assemble.mi_name = "u0"
+          ; mi_pins = [ "x[0]"; "x[1]"; "q" ]
+          ; mi_cell = block "b" 60 40
+          }
+        ]
+      ~chip_ports:[] ~nets:[] ()
+  in
+  let u0 =
+    List.find (fun (i : Cell.inst) -> i.inst_name = "u0") p.Assemble.core.Cell.instances
+  in
+  let m = u0.cell in
   check_int "ports" 3 (List.length m.Cell.ports);
   let p1 = Cell.find_port m "x[1]" in
   check_int "pin on grid" 14 p1.Cell.rect.Sc_geom.Rect.xmin;
@@ -112,10 +128,8 @@ let test_pack_structure () =
 
 let test_pack_drc_clean () =
   let p = pack_two () in
-  Alcotest.(check (list string)) "clean" []
-    (List.map
-       (Format.asprintf "%a" Sc_drc.Checker.pp_violation)
-       (Sc_drc.Checker.check p.Assemble.core))
+  Alcotest.(check string) "clean" "DRC clean\n"
+    (Format.asprintf "%a" Sc_drc.Checker.report (Sc_drc.Checker.check p.Assemble.core))
 
 let test_pack_shares_wrappers () =
   let b = block "same" 60 40 in
@@ -338,9 +352,8 @@ let test_modular_incremental () =
    failure; the watchdog turns it into an exit instead of a stuck
    suite.  Every round must produce the same CIF. *)
 let test_modular_concurrent_dedup () =
-  let saved = Sc_par.Pool.default_size () in
   Sc_par.Pool.set_default_size 2;
-  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size saved)
+  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size 1)
   @@ fun () ->
   let rounds = 24 and deadline_s = 60. in
   let started = Unix.gettimeofday () in

@@ -55,13 +55,13 @@ let test_arity_rejected () =
   Alcotest.check_raises "wrong arity"
     (Invalid_argument "Circuit bad: gate g1 has 1 inputs, nand2 wants 2")
     (fun () ->
-      Builder.gate_into b Gate.Nand2 [| a |] (Builder.fresh b);
+      Builder.gate_into b Gate.Nand2 [| a |] (Builder.fresh_vec b 1).(0);
       ignore (Builder.finish b))
 
 let test_undriven_detected () =
   let b = Builder.create "undriven" in
   let _ = Builder.input b "a" 1 in
-  let floating = Builder.fresh b in
+  let floating = (Builder.fresh_vec b 1).(0) in
   let y = Builder.not_ b floating in
   Builder.output b "y" [| y |];
   let c = Builder.finish b in
@@ -70,7 +70,7 @@ let test_undriven_detected () =
 let test_double_driver_detected () =
   let b = Builder.create "dd" in
   let a = (Builder.input b "a" 1).(0) in
-  let n = Builder.fresh b in
+  let n = (Builder.fresh_vec b 1).(0) in
   Builder.gate_into b Gate.Inv [| a |] n;
   Builder.gate_into b Gate.Buf [| a |] n;
   Builder.output b "y" [| n |];
@@ -91,7 +91,7 @@ let test_open_instance_port_rejected () =
         [ ("a", xs)
         ; ("b", [| Builder.const0 |])
         ; ("cin", [| Builder.const0 |])
-        ; ("s", [| Builder.fresh b |])
+        ; ("s", [| (Builder.fresh_vec b 1).(0) |])
         ];
       ignore (Builder.finish b))
 
@@ -113,8 +113,8 @@ let test_stats () =
 let test_cycle_detection () =
   let b = Builder.create "cyc" in
   let a = (Builder.input b "a" 1).(0) in
-  let n1 = Builder.fresh b in
-  let n2 = Builder.fresh b in
+  let n1 = (Builder.fresh_vec b 1).(0) in
+  let n2 = (Builder.fresh_vec b 1).(0) in
   Builder.gate_into b Gate.Nand2 [| a; n2 |] n1;
   Builder.gate_into b Gate.Inv [| n1 |] n2;
   Builder.output b "y" [| n2 |];
@@ -123,8 +123,8 @@ let test_cycle_detection () =
 
 let test_dff_breaks_cycle () =
   let b = Builder.create "reg_loop" in
-  let n1 = Builder.fresh b in
-  let q = Builder.dff b n1 in
+  let n1 = (Builder.fresh_vec b 1).(0) in
+  let q = Builder.gate b Gate.Dff [| n1 |] in
   Builder.gate_into b Gate.Inv [| q |] n1;
   Builder.output b "q" [| q |];
   let c = Builder.finish b in
@@ -153,7 +153,7 @@ let test_dff_cuts_path () =
   let b = Builder.create "cut" in
   let a = (Builder.input b "a" 1).(0) in
   let x1 = Builder.not_ b a in
-  let q = Builder.dff b x1 in
+  let q = Builder.gate b Gate.Dff [| x1 |] in
   let x2 = Builder.not_ b q in
   Builder.output b "y" [| x2 |];
   let c = Builder.finish b in
@@ -161,8 +161,8 @@ let test_dff_cuts_path () =
 
 let test_cycle_raises_in_timing () =
   let b = Builder.create "cyc2" in
-  let n1 = Builder.fresh b in
-  let n2 = Builder.fresh b in
+  let n1 = (Builder.fresh_vec b 1).(0) in
+  let n2 = (Builder.fresh_vec b 1).(0) in
   Builder.gate_into b Gate.Inv [| n2 |] n1;
   Builder.gate_into b Gate.Inv [| n1 |] n2;
   Builder.output b "y" [| n2 |];
@@ -178,8 +178,8 @@ let test_cycle_raises_in_arrival_times () =
      on the Or2 — the per-occurrence pending counts must not mask it *)
   let b = Builder.create "cyc3" in
   let a = (Builder.input b "a" 1).(0) in
-  let n1 = Builder.fresh b in
-  let n2 = Builder.fresh b in
+  let n1 = (Builder.fresh_vec b 1).(0) in
+  let n2 = (Builder.fresh_vec b 1).(0) in
   Builder.gate_into b Gate.And2 [| a; n2 |] n1;
   Builder.gate_into b Gate.Or2 [| n1; n1 |] n2;
   Builder.output b "y" [| n2 |];
@@ -250,8 +250,8 @@ let test_optimize_no_sequential_cse () =
      clock edge they hold independent state.  CSE must leave both. *)
   let b = Builder.create "c" in
   let a = (Builder.input b "a" 1).(0) in
-  let q1 = Builder.dff b a in
-  let q2 = Builder.dff b a in
+  let q1 = Builder.gate b Gate.Dff [| a |] in
+  let q2 = Builder.gate b Gate.Dff [| a |] in
   Builder.output b "y1" [| q1 |];
   Builder.output b "y2" [| q2 |];
   let c = Optimize.simplify (Builder.finish b) in
@@ -303,8 +303,8 @@ let prop_optimize_preserves_function =
                | 0 -> Builder.and2 b a c
                | 1 -> Builder.or2 b a c
                | 2 -> Builder.xor2 b a c
-               | 3 -> Builder.nand2 b a c
-               | 4 -> Builder.nor2 b a c
+               | 3 -> Builder.gate b Gate.Nand2 [| a; c |]
+               | 4 -> Builder.gate b Gate.Nor2 [| a; c |]
                | 5 -> Builder.not_ b a
                | _ -> Builder.mux2 b ~sel:a c (pick (i + j))
              in
@@ -363,7 +363,7 @@ let random_netlist st =
   let rec build name depth =
     let b = Builder.create name in
     let xs = Builder.input b "x" 3 in
-    let fb = Builder.fresh b in
+    let fb = (Builder.fresh_vec b 1).(0) in
     let pool = ref (fb :: Builder.const0 :: Builder.const1 :: Array.to_list xs) in
     let pick () = List.nth !pool (int (List.length !pool)) in
     let add n = pool := n :: !pool in
@@ -469,7 +469,7 @@ let compiled_designs () =
 let inverter_order () =
   let b = Builder.create "order" in
   let x = (Builder.input b "x" 1).(0) in
-  let a = Builder.fresh b in
+  let a = (Builder.fresh_vec b 1).(0) in
   let first = Builder.not_ b a in
   Builder.gate_into b Gate.Inv [| x |] a;
   Builder.output b "y" [| first; Builder.not_ b a |];

@@ -142,7 +142,7 @@ let test_route_through () =
   let r = route spec in
   check_int "no tracks needed" 0 r.tracks;
   check_bool "still has geometry" true
-    (Sc_layout.Cell.bbox (draw r) <> None)
+    ((draw r).Sc_layout.Cell.bbox <> None)
 
 let test_vertical_constraint_ordering () =
   (* column 10: net 1 on top, net 2 on bottom -> net 1's trunk above *)

@@ -206,7 +206,8 @@ let prop_optimize_preserves_sequential =
          let b = Builder.create "r" in
          let ins = Builder.input b "x" 3 in
          (* at least one register is always present *)
-         let pool = ref (Builder.dff b ins.(0) :: Array.to_list ins) in
+         let reg = Builder.gate b Sc_netlist.Gate.Dff [| ins.(0) |] in
+         let pool = ref (reg :: Array.to_list ins) in
          let pick k = List.nth !pool (k mod List.length !pool) in
          List.iter
            (fun (i, j, op) ->
@@ -217,7 +218,7 @@ let prop_optimize_preserves_sequential =
                | 1 -> Builder.or2 b a c
                | 2 -> Builder.xor2 b a c
                | 3 -> Builder.not_ b a
-               | _ -> Builder.dff b a
+               | _ -> Builder.gate b Sc_netlist.Gate.Dff [| a |]
              in
              pool := n :: !pool)
            spec;

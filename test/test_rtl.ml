@@ -33,19 +33,26 @@ let test_parse_counter () =
   check_int "registers" 1 (List.length d.Ast.regs);
   Alcotest.(check (list string)) "checks clean" [] (Check.check d)
 
+(* [text] as the right-hand side of the only statement of a design *)
+let parse_rhs text =
+  let d =
+    parse_ok
+      (Printf.sprintf
+         "module e; inputs a[4], b[4], c[4]; outputs y[8]; behavior y := %s; end"
+         text)
+  in
+  match d.Ast.body with
+  | [ Ast.Assign ("y", e) ] -> e
+  | _ -> Alcotest.failf "not one assignment: %s" (Format.asprintf "%a" Ast.pp d)
+
 let test_parse_expr_precedence () =
-  match Parser.parse_expr "a + b & c" with
-  | Ok (Ast.Binop (Ast.And, Ast.Binop (Ast.Add, _, _), _)) -> ()
-  | Ok e -> Alcotest.failf "wrong tree: %s" (Format.asprintf "%a" Ast.pp_expr e)
-  | Error e -> Alcotest.fail e
+  match parse_rhs "a + b & c" with
+  | Ast.Binop (Ast.And, Ast.Binop (Ast.Add, _, _), _) -> ()
+  | _ -> Alcotest.fail "wrong tree: & should bind looser than +"
 
 let test_parse_literals () =
-  (match Parser.parse_expr "0x1f" with
-  | Ok (Ast.Const 31) -> ()
-  | _ -> Alcotest.fail "hex literal");
-  match Parser.parse_expr "0b1010" with
-  | Ok (Ast.Const 10) -> ()
-  | _ -> Alcotest.fail "binary literal"
+  check_bool "hex literal" true (parse_rhs "0x1f" = Ast.Const 31);
+  check_bool "binary literal" true (parse_rhs "0b1010" = Ast.Const 10)
 
 let test_parse_errors () =
   List.iter

@@ -61,7 +61,7 @@ let test_uninitialized_ff_is_x () =
 let test_x_blocked_by_controlling_zero () =
   let b = Builder.create "ctrl" in
   let a = (Builder.input b "a" 1).(0) in
-  let q = Builder.dff b (Builder.not_ b a) in
+  let q = Builder.gate b Gate.Dff [| Builder.not_ b a |] in
   (* q is X before any clock; AND with 0 must still read 0 *)
   let y = Builder.and2 b q Builder.const0 in
   let z = Builder.or2 b q Builder.const1 in
@@ -75,7 +75,7 @@ let test_x_blocked_by_controlling_zero () =
 let test_mux_x_select_agreement () =
   let b = Builder.create "muxx" in
   let d = (Builder.input b "d" 1).(0) in
-  let sel_x = Builder.dff b d in
+  let sel_x = Builder.gate b Gate.Dff [| d |] in
   (* mux with equal data resolves despite X select *)
   let y = Builder.mux2 b ~sel:sel_x d d in
   Builder.output b "y" [| y |];
@@ -87,7 +87,7 @@ let test_dffe_holds () =
   let b = Builder.create "hold" in
   let d = (Builder.input b "d" 1).(0) in
   let en = (Builder.input b "en" 1).(0) in
-  let q = Builder.dffe b ~en d in
+  let q = Builder.gate b Gate.Dffe [| d; en |] in
   Builder.output b "q" [| q |];
   let t = Engine.create (Builder.finish b) in
   Engine.set_input_int t "d" 1;
@@ -104,8 +104,8 @@ let test_dffe_holds () =
 
 let test_rejects_cyclic () =
   let b = Builder.create "cyc" in
-  let n1 = Builder.fresh b in
-  let n2 = Builder.fresh b in
+  let n1 = (Builder.fresh_vec b 1).(0) in
+  let n2 = (Builder.fresh_vec b 1).(0) in
   Builder.gate_into b Gate.Inv [| n2 |] n1;
   Builder.gate_into b Gate.Inv [| n1 |] n2;
   Builder.output b "y" [| n2 |];

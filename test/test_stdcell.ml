@@ -8,19 +8,17 @@ let check_bool = Alcotest.(check bool)
 let test_all_cells_drc_clean () =
   List.iter
     (fun (c : Library.cell) ->
-      Alcotest.(check (list string))
+      Alcotest.(check string)
         (Gate.to_string c.kind)
-        []
-        (List.map
-           (Format.asprintf "%a" Sc_drc.Checker.pp_violation)
-           (Sc_drc.Checker.check c.layout)))
-    (Library.all ())
+        "DRC clean\n"
+        (Format.asprintf "%a" Sc_drc.Checker.report (Sc_drc.Checker.check c.layout)))
+    (List.map Library.get Gate.all)
 
 let test_uniform_height () =
   List.iter
     (fun (c : Library.cell) ->
       check_int (Gate.to_string c.kind) Nmos.cell_height c.height)
-    (Library.all ())
+    (List.map Library.get Gate.all)
 
 let test_primitive_transistor_geometry () =
   (* the drawn layouts contain the expected number of gate crossings *)
@@ -101,7 +99,7 @@ let test_cells_roundtrip_cif () =
         (Gate.to_string c.kind ^ " roundtrips")
         true
         (Sc_cif.Elaborate.roundtrip_ok c.layout))
-    (Library.all ())
+    (List.map Library.get Gate.all)
 
 (* A layout read back from a disk cache holds copies of the library
    cells; [intern] swaps the library's own back in and rebuilds the

@@ -147,10 +147,13 @@ end
 let test_results_carry_metrics () =
   let d = parse_ok traffic_src in
   let g = Sc_synth.Synth.gates d in
-  let p, _ = Sc_synth.Synth.pla_fsm d in
-  check_bool "gates area positive" true (g.Sc_synth.Synth.cell_area > 0);
-  check_bool "pla area positive" true (p.Sc_synth.Synth.cell_area > 0);
-  check_bool "gates path positive" true (g.Sc_synth.Synth.critical_path > 0);
+  let _, pla = Sc_synth.Synth.pla_fsm d in
+  check_bool "gates area positive" true
+    (Sc_stdcell.Library.circuit_cell_area g.Sc_synth.Synth.circuit > 0);
+  check_bool "pla area positive" true
+    (Sc_layout.Cell.area pla.Sc_pla.Generator.layout > 0);
+  check_bool "gates path positive" true
+    (Sc_netlist.Timing.critical_path g.Sc_synth.Synth.circuit > 0);
   check_int "traffic has 4 state ffs" 4 g.Sc_synth.Synth.stats.Sc_netlist.Circuit.flipflops
 
 let test_sub_and_compare_bits () =

@@ -11,40 +11,43 @@ module Json = Sc_obs.Json
 
 (* --- histograms --- *)
 
+(* A percentile answers with the mean of its rank's bucket, so the
+   median of two samples a < b is a exactly when they land in different
+   buckets, and their rounded mean when they share one. *)
+let median_of a b =
+  let h = H.create () in
+  H.add h a;
+  H.add h b;
+  H.percentile h 50.0
+
 let test_bucket_boundaries () =
-  Alcotest.(check int) "0 lands in bucket 0" 0 (H.bucket_of 0);
-  Alcotest.(check int) "negative clamps to bucket 0" 0 (H.bucket_of (-5));
-  Alcotest.(check int) "1 lands in bucket 1" 1 (H.bucket_of 1);
-  Alcotest.(check int) "2 lands in bucket 2" 2 (H.bucket_of 2);
-  Alcotest.(check int) "3 lands in bucket 2" 2 (H.bucket_of 3);
-  Alcotest.(check int) "4 lands in bucket 3" 3 (H.bucket_of 4);
+  let apart what a b = Alcotest.(check int) what a (median_of a b) in
+  let shared what a b =
+    Alcotest.(check int) what
+      (int_of_float (Float.round (float_of_int (a + b) /. 2.0)))
+      (median_of a b)
+  in
+  apart "0 and 1 in buckets 0 and 1" 0 1;
+  Alcotest.(check int) "negative clamps to bucket 0" 0 (median_of (-5) 1);
+  apart "1 and 2 in buckets 1 and 2" 1 2;
+  shared "2 and 3 share bucket 2" 2 3;
+  apart "4 opens bucket 3" 3 4;
   (* power-of-two edges: 2^i opens bucket i+1, 2^i - 1 closes bucket i *)
   for i = 1 to 20 do
     let lo = 1 lsl i in
-    Alcotest.(check int)
-      (Printf.sprintf "2^%d opens bucket %d" i (i + 1))
-      (i + 1) (H.bucket_of lo);
-    Alcotest.(check int)
-      (Printf.sprintf "2^%d - 1 closes bucket %d" i i)
-      i
-      (H.bucket_of (lo - 1))
+    apart (Printf.sprintf "2^%d opens bucket %d" i (i + 1)) (lo - 1) lo;
+    shared
+      (Printf.sprintf "2^%d .. 2^%d - 1 is bucket %d" i (i + 1) (i + 1))
+      lo
+      ((2 * lo) - 1)
   done;
-  Alcotest.(check (pair int int)) "bounds of bucket 0" (0, 0) (H.bounds 0);
-  Alcotest.(check (pair int int)) "bounds of bucket 1" (1, 1) (H.bounds 1);
-  Alcotest.(check (pair int int)) "bounds of bucket 5" (16, 31) (H.bounds 5);
-  (* bounds and bucket_of agree on every bucket edge *)
-  for i = 1 to 30 do
-    let lo, hi = H.bounds i in
-    Alcotest.(check int) "lo maps back" i (H.bucket_of lo);
-    Alcotest.(check int) "hi maps back" i (H.bucket_of hi)
-  done
+  shared "bucket 5 is 16 .. 31" 16 31;
+  apart "15 is below bucket 5" 15 16;
+  apart "32 is above bucket 5" 31 32
 
 let test_empty_histogram () =
   let h = H.create () in
   Alcotest.(check int) "count" 0 (H.count h);
-  Alcotest.(check int) "min" 0 (H.min_value h);
-  Alcotest.(check int) "max" 0 (H.max_value h);
-  Alcotest.(check (float 0.0)) "mean" 0.0 (H.mean h);
   Alcotest.(check int) "percentile" 0 (H.percentile h 99.0)
 
 let test_exact_percentiles () =
@@ -55,19 +58,13 @@ let test_exact_percentiles () =
   for _ = 1 to 45 do H.add h 100 done;
   for _ = 1 to 5 do H.add h 1000 done;
   Alcotest.(check int) "count" 100 (H.count h);
-  Alcotest.(check int) "min" 10 (H.min_value h);
-  Alcotest.(check int) "max" 1000 (H.max_value h);
   Alcotest.(check int) "p50 = 10us (rank 50 is the last 10)" 10
     (H.percentile h 50.0);
   Alcotest.(check int) "p95 = 100us (rank 95 is the last 100)" 100
     (H.percentile h 95.0);
   Alcotest.(check int) "p99 = 1000us" 1000 (H.percentile h 99.0);
   Alcotest.(check int) "p0 clamps to rank 1" 10 (H.percentile h 0.0);
-  Alcotest.(check int) "p100 is the top bucket" 1000 (H.percentile h 100.0);
-  let sum = (50 * 10) + (45 * 100) + (5 * 1000) in
-  Alcotest.(check (float 1e-9)) "mean"
-    (float_of_int sum /. 100.0)
-    (H.mean h)
+  Alcotest.(check int) "p100 is the top bucket" 1000 (H.percentile h 100.0)
 
 let test_percentile_bounded_error () =
   (* mixed values within one bucket: the estimate is the bucket mean,
@@ -88,8 +85,8 @@ let test_merge () =
   for _ = 1 to 10 do H.add b 64 done;
   let m = H.merge a b in
   Alcotest.(check int) "merged count" 20 (H.count m);
-  Alcotest.(check int) "merged min" 8 (H.min_value m);
-  Alcotest.(check int) "merged max" 64 (H.max_value m);
+  Alcotest.(check int) "merged p0" 8 (H.percentile m 0.0);
+  Alcotest.(check int) "merged p100" 64 (H.percentile m 100.0);
   Alcotest.(check int) "merged p25 from a's bucket" 8 (H.percentile m 25.0);
   Alcotest.(check int) "merged p75 from b's bucket" 64 (H.percentile m 75.0);
   (* inputs unchanged *)

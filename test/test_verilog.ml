@@ -139,20 +139,30 @@ let test_parse_non_ansi_header () =
   Alcotest.(check (list string)) "ports" [ "clk"; "a"; "y" ] m.Ast.ports;
   ignore (elab_ok non_ansi_src)
 
+(* [text] as the right-hand side of a module's continuous assignment *)
+let parse_rhs text =
+  let m =
+    parse_ok
+      (Printf.sprintf "module e(output [7:0] out);\n  assign out = %s;\nendmodule"
+         text)
+  in
+  let rhs = function Ast.Assign { rhs; _ } -> Some rhs | _ -> None in
+  match List.find_map rhs m.Ast.items with
+  | Some rhs -> rhs
+  | None -> Alcotest.failf "no assignment: %s" text
+
 let test_parse_expr_shapes () =
-  (match Parse.parse_expr "a + b & c" with
-  | Ok (Ast.Binop (Ast.And, Ast.Binop (Ast.Add, _, _, _), _, _)) -> ()
-  | Ok e -> Alcotest.failf "wrong tree: %s" (Format.asprintf "%a" Ast.pp_expr e)
-  | Error e -> Alcotest.fail e);
-  (match Parse.parse_expr "a == b ? x : y" with
-  | Ok (Ast.Cond { cond = Ast.Binop (Ast.Eq, _, _, _); _ }) -> ()
+  (match parse_rhs "a + b & c" with
+  | Ast.Binop (Ast.And, Ast.Binop (Ast.Add, _, _, _), _, _) -> ()
+  | _ -> Alcotest.fail "wrong tree: & should bind looser than +");
+  (match parse_rhs "a == b ? x : y" with
+  | Ast.Cond { cond = Ast.Binop (Ast.Eq, _, _, _); _ } -> ()
   | _ -> Alcotest.fail "?: over ==");
-  (match Parse.parse_expr "{a, b[3:0], 2'b01}" with
-  | Ok (Ast.Concat ([ _; Ast.Slice ("b", 3, 0, _); _ ], _)) -> ()
+  (match parse_rhs "{a, b[3:0], 2'b01}" with
+  | Ast.Concat ([ _; Ast.Slice ("b", 3, 0, _); _ ], _) -> ()
   | _ -> Alcotest.fail "concat parts");
-  match Parse.parse_expr "-a" with
-  | Ok (Ast.Binop (Ast.Sub, Ast.Number { value = 0; _ }, Ast.Id ("a", _), _))
-    -> ()
+  match parse_rhs "-a" with
+  | Ast.Binop (Ast.Sub, Ast.Number { value = 0; _ }, Ast.Id ("a", _), _) -> ()
   | _ -> Alcotest.fail "unary minus lowers to 0 - a"
 
 (* --- parser: every rejection is a positioned Error, never raised --- *)
@@ -441,8 +451,7 @@ let test_pipeline_pass_and_diag () =
 let test_warm_and_parallel_qor_identity () =
   with_clean_pipeline @@ fun () ->
   P.enable_cache ();
-  let saved = Sc_par.Pool.default_size () in
-  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size saved)
+  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size 1)
   @@ fun () ->
   Sc_par.Pool.set_default_size 1;
   let cold = capture_counter12 () in
