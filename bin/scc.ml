@@ -515,34 +515,27 @@ let cycles_arg =
 
 let sim_cmd =
   let run file cycles =
-    match Sc_rtl.Parser.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "parse error: %s\n" e;
-      1
-    | Ok design -> (
-      match Sc_rtl.Check.check design with
-      | e :: _ ->
-        Printf.eprintf "check error: %s\n" e;
-        1
-      | [] ->
-        let t = Sc_rtl.Interp.create design in
-        let has_reset =
-          List.exists
-            (fun (d : Sc_rtl.Ast.decl) -> d.dname = "reset")
-            design.Sc_rtl.Ast.inputs
-        in
-        for cyc = 0 to cycles - 1 do
-          if has_reset then
-            Sc_rtl.Interp.set_input t "reset" (if cyc = 0 then 1 else 0);
-          Sc_rtl.Interp.step t;
-          Printf.printf "cycle %2d:" cyc;
-          List.iter
-            (fun (d : Sc_rtl.Ast.decl) ->
-              Printf.printf " %s=%d" d.dname (Sc_rtl.Interp.output t d.dname))
-            design.Sc_rtl.Ast.outputs;
-          print_newline ()
-        done;
-        0)
+    match Sc_core.Compiler.isp_design (read_file file) with
+    | Error d -> report_diag d
+    | Ok design ->
+      let t = Sc_rtl.Interp.create design in
+      let has_reset =
+        List.exists
+          (fun (d : Sc_rtl.Ast.decl) -> d.dname = "reset")
+          design.Sc_rtl.Ast.inputs
+      in
+      for cyc = 0 to cycles - 1 do
+        if has_reset then
+          Sc_rtl.Interp.set_input t "reset" (if cyc = 0 then 1 else 0);
+        Sc_rtl.Interp.step t;
+        Printf.printf "cycle %2d:" cyc;
+        List.iter
+          (fun (d : Sc_rtl.Ast.decl) ->
+            Printf.printf " %s=%d" d.dname (Sc_rtl.Interp.output t d.dname))
+          design.Sc_rtl.Ast.outputs;
+        print_newline ()
+      done;
+      0
   in
   Cmd.v
     (Cmd.info "sim"
@@ -561,14 +554,14 @@ let resolve_circuit spec =
   | None -> (
     try
       if not (Sys.file_exists spec) then Error ("no such file: " ^ spec)
-      else if Filename.check_suffix spec ".v" then (
-        match Sc_core.Compiler.verilog_design (read_file spec) with
+      else
+        let frontend =
+          if Filename.check_suffix spec ".v" then Sc_core.Compiler.verilog_design
+          else Sc_core.Compiler.isp_design
+        in
+        match frontend (read_file spec) with
         | Error d -> Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d)
-        | Ok design -> Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit)
-      else (
-        match Sc_rtl.Parser.parse (read_file spec) with
-        | Error e -> Error (spec ^ ": " ^ e)
-        | Ok design -> Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit)
+        | Ok design -> Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit
     with Sc_pipeline.Diag.Error d ->
       Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d))
 

@@ -15,7 +15,6 @@ type stats =
   ; disk_hits : int
   ; misses : int
   ; evictions : int
-  ; disk_evictions : int
   ; stale : int
   }
 
@@ -23,8 +22,6 @@ type 'a t =
   { name : string
   ; cap : int
   ; dir : string option
-  ; disk_cap : int option
-  ; disk_max_bytes : int option
   ; tbl : (string, 'a node) Hashtbl.t
   ; lock : Mutex.t
   ; mutable head : 'a node option
@@ -33,21 +30,18 @@ type 'a t =
   ; mutable disk_hits : int
   ; mutable misses : int
   ; mutable evictions : int
-  ; mutable disk_evictions : int
   ; mutable stale : int
   }
 
 let digest s = Digest.to_hex (Digest.string s)
 
-let create ?(capacity = 256) ?disk_capacity ?disk_bytes ?dir ~name () =
+let create ?(capacity = 256) ?dir ~name () =
   (match dir with
   | Some d when not (Sys.file_exists d) -> (try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ())
   | _ -> ());
   { name
   ; cap = max 1 capacity
   ; dir
-  ; disk_cap = Option.map (max 1) disk_capacity
-  ; disk_max_bytes = Option.map (max 1) disk_bytes
   ; tbl = Hashtbl.create 64
   ; lock = Mutex.create ()
   ; head = None
@@ -56,7 +50,6 @@ let create ?(capacity = 256) ?disk_capacity ?disk_bytes ?dir ~name () =
   ; disk_hits = 0
   ; misses = 0
   ; evictions = 0
-  ; disk_evictions = 0
   ; stale = 0
   }
 
@@ -106,8 +99,7 @@ let format_version = 2
 
 (* Entries are sharded into per-prefix subdirectories so that a hot
    shared directory (many concurrent writers, e.g. under [scc serve])
-   never concentrates every rename in one inode, and listing stays
-   cheap as the store grows. *)
+   never concentrates every rename in one inode. *)
 let shard_of key =
   if String.length key < 2 then "00"
   else
@@ -153,11 +145,7 @@ let disk_read t key =
             | exception _ -> `Stale)
     in
     match read () with
-    | `Value v ->
-      (* refresh recency: the disk tier is LRU by mtime, so a read must
-         count as a use or hot entries get evicted first *)
-      (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-      Some v
+    | `Value v -> Some v
     | `Stale ->
       (* written by another build, or corrupt: a miss, never garbage *)
       locked t (fun () -> t.stale <- t.stale + 1);
@@ -171,7 +159,7 @@ let disk_read t key =
    in-flight file before the atomic rename *)
 let tmp_seq = Atomic.make 0
 
-let rec disk_write t key value =
+let disk_write t key value =
   match file_of t key with
   | None -> ()
   | Some path -> (
@@ -189,82 +177,8 @@ let rec disk_write t key value =
           output_string oc magic;
           output_binary_int oc format_version;
           Marshal.to_channel oc value []);
-      Sys.rename tmp path;
-      enforce_disk_bound t
+      Sys.rename tmp path
     with _ -> ())
-
-(* Walk this store's files across every shard subdirectory.  Other
-   stores sharing the directory are invisible (the [<name>-] prefix
-   namespaces them) and in-flight [.tmp.] files are skipped. *)
-and disk_files t =
-  match t.dir with
-  | None -> []
-  | Some d ->
-    let prefix = t.name ^ "-" in
-    let plen = String.length prefix in
-    let is_tmp f =
-      (* "<prefix><digest>.tmp.<pid>.<seq>" — an in-flight write *)
-      let rec scan i =
-        i + 4 <= String.length f
-        && (String.sub f i 4 = ".tmp" || scan (i + 1))
-      in
-      scan 0
-    in
-    let shards = try Sys.readdir d with Sys_error _ -> [||] in
-    Array.fold_left
-      (fun acc shard ->
-        let sdir = Filename.concat d shard in
-        if not (try Sys.is_directory sdir with Sys_error _ -> false) then acc
-        else
-          let files = try Sys.readdir sdir with Sys_error _ -> [||] in
-          Array.fold_left
-            (fun acc f ->
-              if
-                String.length f > plen
-                && String.sub f 0 plen = prefix
-                && not (is_tmp f)
-              then begin
-                let path = Filename.concat sdir f in
-                match Unix.stat path with
-                | { Unix.st_mtime; st_size; _ } ->
-                  (path, st_mtime, st_size) :: acc
-                | exception Unix.Unix_error _ -> acc
-              end
-              else acc)
-            acc files)
-      [] shards
-
-(* LRU across shards: when either disk bound is exceeded, delete
-   oldest-mtime entries until both hold again.  Runs only on stores
-   created with a bound, after each persisted write — unbounded stores
-   (the default) never pay the directory scan. *)
-and enforce_disk_bound t =
-  match (t.disk_cap, t.disk_max_bytes) with
-  | None, None -> ()
-  | cap, max_bytes ->
-    let files =
-      List.sort (fun (_, a, _) (_, b, _) -> compare a b) (disk_files t)
-    in
-    let count = ref (List.length files) in
-    let bytes = ref (List.fold_left (fun a (_, _, s) -> a + s) 0 files) in
-    let over () =
-      (match cap with Some c -> !count > c | None -> false)
-      || match max_bytes with Some b -> !bytes > b | None -> false
-    in
-    let evicted = ref 0 in
-    List.iter
-      (fun (path, _, size) ->
-        if over () then begin
-          (try Sys.remove path with Sys_error _ -> ());
-          decr count;
-          bytes := !bytes - size;
-          incr evicted
-        end)
-      files;
-    if !evicted > 0 then begin
-      locked t (fun () -> t.disk_evictions <- t.disk_evictions + !evicted);
-      note ~n:!evicted t "disk_evictions"
-    end
 
 (* --- lookup / insert --- *)
 
@@ -326,16 +240,12 @@ let stats t =
       ; disk_hits = t.disk_hits
       ; misses = t.misses
       ; evictions = t.evictions
-      ; disk_evictions = t.disk_evictions
       ; stale = t.stale
       })
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "%d/%d entries, %d hits (%d from disk), %d misses, %d evictions%s%s"
+    "%d/%d entries, %d hits (%d from disk), %d misses, %d evictions%s"
     s.entries s.capacity (s.hits + s.disk_hits) s.disk_hits s.misses
     s.evictions
-    (if s.disk_evictions > 0 then
-       Printf.sprintf ", %d disk evictions" s.disk_evictions
-     else "")
     (if s.stale > 0 then Printf.sprintf ", %d stale" s.stale else "")

@@ -35,25 +35,15 @@ type 'a t
 
 val create :
   ?capacity:int ->
-  ?disk_capacity:int ->
-  ?disk_bytes:int ->
   ?dir:string ->
   name:string ->
   unit ->
   'a t
 (** [create ~name ()] — an empty store.  [capacity] bounds the
     in-memory entry count (default 256; at least 1).  [dir] enables
-    on-disk persistence (created if missing).
-
-    [disk_capacity] / [disk_bytes] bound the {e disk} tier: after each
-    persisted write, this store's files across every shard subdirectory
-    are counted (and summed, for the byte bound) and least-recently-used
-    entries — by mtime; both writes and disk hits refresh it — are
-    deleted until the bounds hold, reported as
-    ["cache.<name>.disk_evictions"].  Unbounded (the default) stores
-    never pay the directory scan.  Stores sharing one directory are
-    independent: eviction only ever touches files with this store's
-    name prefix. *)
+    on-disk persistence (created if missing).  The disk tier is
+    unbounded: nothing in the store deletes a persisted entry, so
+    pruning the directory is left to whoever owns it. *)
 
 val digest : string -> string
 (** MD5 of a canonical byte string, in hex — the content address. *)
@@ -84,7 +74,6 @@ type stats =
   ; disk_hits : int  (** misses served from [dir] *)
   ; misses : int  (** computed from scratch *)
   ; evictions : int  (** in-memory LRU evictions *)
-  ; disk_evictions : int  (** files deleted by the disk-tier LRU bound *)
   ; stale : int
     (** disk entries rejected by the magic/format-version header *)
   }

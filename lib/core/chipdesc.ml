@@ -32,97 +32,39 @@ type t =
 
 (* --- lexical split ---------------------------------------------------- *)
 
-let strip_comment line =
-  let rec find i =
-    if i + 1 >= String.length line then None
-    else if line.[i] = '-' && line.[i + 1] = '-' then Some i
-    else find (i + 1)
-  in
-  match find 0 with None -> line | Some i -> String.sub line 0 i
+module L = Sc_rtl.Lexer
 
+(* the identifier a line starts with, past blanks; "" if none *)
 let first_word line =
-  let line = strip_comment line in
-  let n = String.length line in
-  let rec skip i = if i < n && (line.[i] = ' ' || line.[i] = '\t') then skip (i + 1) else i in
-  let s = skip 0 in
-  let rec take i =
-    if i < n && (line.[i] = '_' || ('a' <= line.[i] && line.[i] <= 'z')
-                 || ('A' <= line.[i] && line.[i] <= 'Z')
-                 || ('0' <= line.[i] && line.[i] <= '9'))
-    then take (i + 1)
-    else i
-  in
-  String.sub line s (take s - s)
+  match L.peek (L.create line) with
+  | L.Ident w -> w
+  | _ | (exception L.Error _) -> ""
 
 let is_modular src =
   List.exists (fun l -> first_word l = "chip") (String.split_on_char '\n' src)
 
 (* Cut at top-level "module"/"chip" keyword lines.  The ISP grammar
    nests [end]s, so keyword lines — not end-counting — delimit blocks;
-   both keywords are only ever top-level in this dialect. *)
+   both keywords are only ever top-level in this dialect.  Each block
+   carries the source line it starts on. *)
 let blocks src =
-  let lines = String.split_on_char '\n' src in
-  let flush acc cur =
-    match cur with
+  let flush acc = function
     | None -> acc
-    | Some (kw, ls) -> (kw, String.concat "\n" (List.rev ls)) :: acc
+    | Some (kw, first, ls) ->
+      (kw, first, String.concat "\n" (List.rev ls)) :: acc
   in
   let acc, cur =
     List.fold_left
-      (fun (acc, cur) line ->
-        match first_word line with
-        | ("module" | "chip") as kw -> (flush acc cur, Some (kw, [ line ]))
-        | _ -> (
-          match cur with
-          | None -> (acc, None) (* preamble before the first block *)
-          | Some (kw, ls) -> (acc, Some (kw, line :: ls))))
-      ([], None) lines
+      (fun (acc, cur) (lnum, line) ->
+        match (first_word line, cur) with
+        | (("module" | "chip") as kw), _ ->
+          (flush acc cur, Some (kw, lnum, [ line ]))
+        | _, None -> (acc, None) (* preamble before the first block *)
+        | _, Some (kw, first, ls) -> (acc, Some (kw, first, line :: ls)))
+      ([], None)
+      (List.mapi (fun i line -> (i + 1, line)) (String.split_on_char '\n' src))
   in
   List.rev (flush acc cur)
-
-(* --- chip block tokens ------------------------------------------------ *)
-
-type token = Ident of string | Int of int | Sym of char
-
-let tokenize text =
-  let buf = ref [] in
-  let lines = String.split_on_char '\n' text in
-  List.iter
-    (fun line ->
-      let line = strip_comment line in
-      let n = String.length line in
-      let i = ref 0 in
-      while !i < n do
-        let c = line.[!i] in
-        if c = ' ' || c = '\t' || c = '\r' then incr i
-        else if ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || c = '_'
-        then begin
-          let s = !i in
-          while
-            !i < n
-            &&
-            let c = line.[!i] in
-            ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
-            || ('0' <= c && c <= '9') || c = '_'
-          do
-            incr i
-          done;
-          buf := Ident (String.sub line s (!i - s)) :: !buf
-        end
-        else if '0' <= c && c <= '9' then begin
-          let s = !i in
-          while !i < n && '0' <= line.[!i] && line.[!i] <= '9' do
-            incr i
-          done;
-          buf := Int (int_of_string (String.sub line s (!i - s))) :: !buf
-        end
-        else begin
-          buf := Sym c :: !buf;
-          incr i
-        end
-      done)
-    lines;
-  List.rev !buf
 
 (* --- chip block parser ------------------------------------------------ *)
 
@@ -130,110 +72,88 @@ let ( let* ) = Result.bind
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-let parse_chip text =
-  let toks = ref (tokenize text) in
-  let peek () = match !toks with [] -> None | t :: _ -> Some t in
-  let next () =
-    match !toks with
-    | [] -> None
-    | t :: rest ->
-      toks := rest;
-      Some t
-  in
-  let expect_sym c =
-    match next () with
-    | Some (Sym s) when s = c -> Ok ()
-    | _ -> err "chip %s: expected '%c'" text c
-  in
-  let ident what =
-    match next () with
-    | Some (Ident s) -> Ok s
-    | _ -> err "chip block: expected %s" what
-  in
+(* [f] on a cursor over a block that starts on source line [first];
+   an error is positioned in the source, not in the block *)
+let parse_block ~first f text =
+  match f (L.create text) with
+  | v -> Ok v
+  | exception L.Error (p, msg) ->
+    err "%s: %s" (L.pos_to_string { p with line = p.line + first - 1 }) msg
+
+let parse_chip st =
+  let ident () = L.expect_ident st [] in
   let rec ports acc =
-    let* name = ident "a port name" in
-    let* () = expect_sym '[' in
-    let* w =
-      match next () with
-      | Some (Int w) when w >= 1 -> Ok w
-      | _ -> err "port %s: expected a positive width" name
+    let name = ident () in
+    L.expect_sym st "[";
+    let w =
+      match L.peek st with
+      | L.Int w when w >= 1 ->
+        L.advance st;
+        w
+      | t ->
+        L.fail st "port %s: expected a positive width, found %s" name
+          (L.describe t)
     in
-    let* () = expect_sym ']' in
+    L.expect_sym st "]";
     let acc = { pd_name = name; pd_width = w } :: acc in
-    match next () with
-    | Some (Sym ',') -> ports acc
-    | Some (Sym ';') -> Ok (List.rev acc)
-    | _ -> err "port list after %s: expected ',' or ';'" name
+    if L.accept st (L.Sym ",") then ports acc
+    else if L.accept st (L.Sym ";") then List.rev acc
+    else
+      L.fail st "port list after %s: expected \",\" or \";\", found %s" name
+        (L.describe (L.peek st))
   in
   let endpoint () =
-    let* a = ident "a port or instance reference" in
-    match peek () with
-    | Some (Sym '.') ->
-      ignore (next ());
-      let* p = ident (Printf.sprintf "a port of instance %s" a) in
-      Ok (Ipin (a, p))
-    | _ -> Ok (Cport a)
+    let a = ident () in
+    if L.accept st (L.Sym ".") then Ipin (a, ident ()) else Cport a
   in
-  match next () with
-  | Some (Ident "chip") -> (
-    let* name = ident "the chip name" in
-    let* () = expect_sym ';' in
-    let rec sections inputs outputs insts conns =
-      match next () with
-      | Some (Ident "inputs") ->
-        let* ps = ports [] in
-        sections (inputs @ ps) outputs insts conns
-      | Some (Ident "outputs") ->
-        let* ps = ports [] in
-        sections inputs (outputs @ ps) insts conns
-      | Some (Ident "instances") ->
-        let rec insts_loop acc =
-          match peek () with
-          | Some (Ident ("inputs" | "outputs" | "instances" | "connect" | "end"))
-          | None ->
-            Ok acc
-          | _ ->
-            let* iname = ident "an instance name" in
-            let* () = expect_sym ':' in
-            let* mname = ident "a module name" in
-            let* () = expect_sym ';' in
-            insts_loop (acc @ [ { ci_name = iname; ci_module = mname } ])
-        in
-        let* is = insts_loop [] in
-        sections inputs outputs (insts @ is) conns
-      | Some (Ident "connect") ->
-        let rec conns_loop acc =
-          match peek () with
-          | Some (Ident ("inputs" | "outputs" | "instances" | "connect" | "end"))
-          | None ->
-            Ok acc
-          | _ ->
-            let* sink = endpoint () in
-            let* () = expect_sym '=' in
-            let* src = endpoint () in
-            let* () = expect_sym ';' in
-            conns_loop (acc @ [ (sink, src) ])
-        in
-        let* cs = conns_loop [] in
-        sections inputs outputs insts (conns @ cs)
-      | Some (Ident "end") ->
-        Ok
-          { ch_name = name
-          ; ch_inputs = inputs
-          ; ch_outputs = outputs
-          ; ch_insts = insts
-          ; ch_connects = conns
-          }
-      | Some _ -> err "chip %s: unexpected token (expected a section or end)" name
-      | None -> err "chip %s: missing end" name
-    in
-    sections [] [] [] [])
-  | _ -> err "chip block does not start with 'chip'"
-
-let module_name text =
-  match tokenize text with
-  | Ident "module" :: Ident n :: _ -> Ok n
-  | _ -> Error "module block does not start with 'module <name>;'"
+  (* an instance or connection list runs to the next section keyword *)
+  let rec items parse acc =
+    match L.peek st with
+    | L.Ident ("inputs" | "outputs" | "instances" | "connect" | "end") | L.Eof ->
+      List.rev acc
+    | _ -> items parse (parse () :: acc)
+  in
+  let inst () =
+    let iname = ident () in
+    L.expect_sym st ":";
+    let mname = ident () in
+    L.expect_sym st ";";
+    { ci_name = iname; ci_module = mname }
+  in
+  let conn () =
+    let sink = endpoint () in
+    L.expect_sym st "=";
+    let src = endpoint () in
+    L.expect_sym st ";";
+    (sink, src)
+  in
+  L.expect_kw st "chip";
+  let name = ident () in
+  L.expect_sym st ";";
+  let rec sections ins outs insts conns =
+    let section s = L.accept st (L.Ident s) in
+    if section "inputs" then sections (ins @ ports []) outs insts conns
+    else if section "outputs" then sections ins (outs @ ports []) insts conns
+    else if section "instances" then
+      sections ins outs (insts @ items inst []) conns
+    else if section "connect" then
+      sections ins outs insts (conns @ items conn [])
+    else
+      match L.peek st with
+      | L.Ident "end" ->
+        (* nothing after the end is read *)
+        { ch_name = name
+        ; ch_inputs = ins
+        ; ch_outputs = outs
+        ; ch_insts = insts
+        ; ch_connects = conns
+        }
+      | L.Eof -> L.fail st "chip %s: missing end" name
+      | t ->
+        L.fail st "chip %s: expected a section or end, found %s" name
+          (L.describe t)
+  in
+  sections [] [] [] []
 
 let dup_by f l =
   let rec go seen = function
@@ -248,14 +168,15 @@ let split src =
   else
     let* modules, chips =
       List.fold_left
-        (fun acc (kw, text) ->
+        (fun acc (kw, first, text) ->
           let* ms, cs = acc in
           match kw with
           | "module" ->
-            let* n = module_name text in
+            let module_name st = L.expect_kw st "module"; L.expect_ident st [] in
+            let* n = parse_block ~first module_name text in
             Ok (ms @ [ { sm_name = n; sm_text = text } ], cs)
           | _ ->
-            let* c = parse_chip text in
+            let* c = parse_block ~first parse_chip text in
             Ok (ms, cs @ [ c ]))
         (Ok ([], []))
         bs

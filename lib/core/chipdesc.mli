@@ -64,7 +64,9 @@ val is_modular : string -> bool
 
 val split : string -> (t, string) result
 (** Cut the source into module blocks and parse the chip block.
-    Lexical/syntactic errors only; duplicate module or instance names
+    Lexical/syntactic errors ([Sc_rtl.Lexer]'s grammar, so widths may
+    be written [0x...]/[0b...]) name the offending token at its
+    ["line:col: "] in the source; duplicate module or instance names
     and instances of unknown modules are reported here too. *)
 
 (** {2 Signature-level resolution} *)

@@ -48,14 +48,16 @@ let route_placement placement =
    travel as params too, so editing one invalidates exactly the passes
    downstream of it. *)
 
+let isp_design src =
+  match Sc_rtl.Parser.parse src with
+  | Error e -> Error (Diag.v ~stage:"parse" e)
+  | Ok design -> (
+    match Sc_rtl.Check.check design with
+    | e :: _ -> Error (Diag.v ~stage:"parse" ("check: " ^ e))
+    | [] -> Ok design)
+
 let parse_pass : (string, Sc_rtl.Ast.design) P.pass =
-  P.register ~name:"parse" (fun src ->
-      match Sc_rtl.Parser.parse src with
-      | Error e -> Error (Diag.v ~stage:"parse" e)
-      | Ok design -> (
-        match Sc_rtl.Check.check design with
-        | e :: _ -> Error (Diag.v ~stage:"parse" ("check: " ^ e))
-        | [] -> Ok design))
+  P.register ~name:"parse" isp_design
 
 let compile_gates_pass : (Sc_rtl.Ast.design, Sc_netlist.Circuit.t) P.pass =
   P.register ~name:"compile" (fun design ->

@@ -117,6 +117,13 @@ val compile_verilog :
   string ->
   (compiled * Sc_netlist.Circuit.t, Sc_pipeline.Diag.t) result
 
+(** Parse and check ISP source without running the pipeline — the body
+    of the pipeline's parse pass (for [scc sim] and [scc equiv]).
+    Errors are stage ["parse"] diagnostics whose messages carry
+    [line:col:] positions; a design the RTL checker refuses reports
+    ["check: ..."]. *)
+val isp_design : string -> (Sc_rtl.Ast.design, Sc_pipeline.Diag.t) result
+
 (** Elaborate Verilog source to the shared design IR without running
     the pipeline (for [scc compile FILE.v --dump-isp], equivalence
     drivers and tests).  Same ["verilog.parse"] diagnostics as

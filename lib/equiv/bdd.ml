@@ -20,8 +20,8 @@ type man =
 let zero = 0
 let one = 1
 
-let create ?(size_hint = 1024) () =
-  let cap = max size_hint 16 in
+let create () =
+  let cap = 1024 in
   let vr = Array.make cap max_int in
   let lo = Array.make cap 0 in
   let hi = Array.make cap 0 in

@@ -19,8 +19,8 @@ type t = private int
 (** A node handle.  Handles from different managers must not be mixed.
     Equal handles (of one manager) denote equal functions. *)
 
-(** A fresh manager; [size_hint] pre-sizes the node arena. *)
-val create : ?size_hint:int -> unit -> man
+(** A fresh manager; its node arena starts at 1024 nodes and grows. *)
+val create : unit -> man
 
 val zero : t
 (** The constant-false terminal. *)

@@ -10,71 +10,12 @@ exception Err of error
 
 let fail line fmt = Format.kasprintf (fun s -> raise (Err { message = s; line })) fmt
 
-(* --- lexer --- *)
-
-type token =
-  | Tident of string
-  | Tint of int
-  | Tsym of string
-  | Teof
+module L = Sc_rtl.Lexer
 
 let keywords =
   [ "cell"; "let"; "for"; "to"; "if"; "else"; "inst"; "at"; "orient"; "box"
   ; "wire"; "port"
   ]
-
-let tokenize src =
-  let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 in
-  let pos = ref 0 in
-  let emit t = toks := (t, !line) :: !toks in
-  let is_ident c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_'
-  in
-  while !pos < n do
-    let c = src.[!pos] in
-    if c = '\n' then begin
-      incr line;
-      incr pos
-    end
-    else if c = ' ' || c = '\t' || c = '\r' then incr pos
-    else if c = '-' && !pos + 1 < n && src.[!pos + 1] = '-' then
-      while !pos < n && src.[!pos] <> '\n' do
-        incr pos
-      done
-    else if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' then begin
-      let start = !pos in
-      while !pos < n && is_ident src.[!pos] do
-        incr pos
-      done;
-      emit (Tident (String.sub src start (!pos - start)))
-    end
-    else if c >= '0' && c <= '9' then begin
-      let start = !pos in
-      while !pos < n && src.[!pos] >= '0' && src.[!pos] <= '9' do
-        incr pos
-      done;
-      emit (Tint (int_of_string (String.sub src start (!pos - start))))
-    end
-    else begin
-      let two = if !pos + 1 < n then String.sub src !pos 2 else "" in
-      match two with
-      | "==" | "!=" | "<=" | ">=" ->
-        emit (Tsym two);
-        pos := !pos + 2
-      | _ -> (
-        match c with
-        | '{' | '}' | '(' | ')' | ',' | ';' | '=' | '+' | '-' | '*' | '/'
-        | '<' | '>' | '%' ->
-          emit (Tsym (String.make 1 c));
-          incr pos
-        | _ -> fail !line "unexpected character %C" c)
-    end
-  done;
-  emit Teof;
-  List.rev !toks
 
 (* --- AST --- *)
 
@@ -98,215 +39,158 @@ type celldef = { cname : string; params : string list; body : stmt list; cline :
 
 (* --- parser --- *)
 
-type pstate = { mutable toks : (token * int) list }
+let line_of st = (L.pos st).line
 
-let peek st = match st.toks with (t, _) :: _ -> t | [] -> Teof
-let line_of st = match st.toks with (_, l) :: _ -> l | [] -> 0
-let advance st = match st.toks with _ :: r -> st.toks <- r | [] -> ()
+(* [item]s in parentheses, separated by commas *)
+let parenthesised item st =
+  L.expect_sym st "(";
+  if L.accept st (L.Sym ")") then []
+  else
+    let rec more acc =
+      let acc = item st :: acc in
+      if L.accept st (L.Sym ",") then more acc
+      else begin
+        L.expect_sym st ")";
+        List.rev acc
+      end
+    in
+    more []
 
-let expect_sym st s =
-  match peek st with
-  | Tsym s' when s = s' -> advance st
-  | _ -> fail (line_of st) "expected %S" s
-
-let expect_kw st k =
-  match peek st with
-  | Tident i when i = k -> advance st
-  | _ -> fail (line_of st) "expected %S" k
-
-let expect_ident st =
-  match peek st with
-  | Tident i when not (List.mem i keywords) ->
-    advance st;
-    i
-  | _ -> fail (line_of st) "expected identifier"
+(* operands of [next] joined by the operators [ops], folded to the left *)
+let left next ops st =
+  let rec loop a =
+    match L.peek st with
+    | L.Sym op when List.mem op ops ->
+      L.advance st;
+      loop (Ebin (op, a, next st))
+    | _ -> a
+  in
+  loop (next st)
 
 let rec parse_cmp st =
   let a = parse_add st in
-  match peek st with
-  | Tsym (("==" | "!=" | "<" | ">" | "<=" | ">=") as op) ->
-    advance st;
+  match L.peek st with
+  | L.Sym (("==" | "!=" | "<" | ">" | "<=" | ">=") as op) ->
+    L.advance st;
     Ebin (op, a, parse_add st)
   | _ -> a
 
-and parse_add st =
-  let rec loop a =
-    match peek st with
-    | Tsym (("+" | "-") as op) ->
-      advance st;
-      loop (Ebin (op, a, parse_mul st))
-    | _ -> a
-  in
-  loop (parse_mul st)
-
-and parse_mul st =
-  let rec loop a =
-    match peek st with
-    | Tsym (("*" | "/" | "%") as op) ->
-      advance st;
-      loop (Ebin (op, a, parse_atom st))
-    | _ -> a
-  in
-  loop (parse_atom st)
+and parse_add st = left parse_mul [ "+"; "-" ] st
+and parse_mul st = left parse_atom [ "*"; "/"; "%" ] st
 
 and parse_atom st =
-  match peek st with
-  | Tint v ->
-    advance st;
+  match L.peek st with
+  | L.Int v ->
+    L.advance st;
     Eint v
-  | Tsym "-" ->
-    advance st;
+  | L.Sym "-" ->
+    L.advance st;
     Eneg (parse_atom st)
-  | Tsym "(" ->
-    advance st;
+  | L.Sym "(" ->
+    L.advance st;
     let e = parse_cmp st in
-    expect_sym st ")";
+    L.expect_sym st ")";
     e
-  | Tident i when not (List.mem i keywords) -> (
+  | L.Ident i when not (List.mem i keywords) ->
     let ln = line_of st in
-    advance st;
-    match peek st with
-    | Tsym "(" ->
-      advance st;
-      let args = ref [] in
-      (match peek st with
-      | Tsym ")" -> advance st
-      | _ ->
-        let rec loop () =
-          args := parse_cmp st :: !args;
-          match peek st with
-          | Tsym "," ->
-            advance st;
-            loop ()
-          | _ -> expect_sym st ")"
-        in
-        loop ());
-      Ecall (i, List.rev !args, ln)
-    | _ -> Evar i)
-  | _ -> fail (line_of st) "expected expression"
+    L.advance st;
+    if L.peek st = L.Sym "(" then Ecall (i, parenthesised parse_cmp st, ln)
+    else Evar i
+  | t -> L.fail st "expected an expression, found %s" (L.describe t)
 
 let parse_point st =
-  expect_sym st "(";
+  L.expect_sym st "(";
   let x = parse_cmp st in
-  expect_sym st ",";
+  L.expect_sym st ",";
   let y = parse_cmp st in
-  expect_sym st ")";
+  L.expect_sym st ")";
   (x, y)
 
 let rec parse_stmt st =
   let ln = line_of st in
-  match peek st with
-  | Tident "box" ->
-    advance st;
-    let layer = expect_ident st in
+  match L.peek st with
+  | L.Ident "box" ->
+    L.advance st;
+    let layer = L.expect_ident st keywords in
     let x0 = parse_cmp st in
     let y0 = parse_cmp st in
     let x1 = parse_cmp st in
     let y1 = parse_cmp st in
-    expect_sym st ";";
+    L.expect_sym st ";";
     Sbox (layer, x0, y0, x1, y1, ln)
-  | Tident "wire" ->
-    advance st;
-    let layer = expect_ident st in
+  | L.Ident "wire" ->
+    L.advance st;
+    let layer = L.expect_ident st keywords in
     let w = parse_cmp st in
     let pts = ref [] in
-    while peek st = Tsym "(" do
+    while L.peek st = L.Sym "(" do
       pts := parse_point st :: !pts
     done;
-    expect_sym st ";";
+    L.expect_sym st ";";
     Swire (layer, w, List.rev !pts, ln)
-  | Tident "inst" ->
-    advance st;
+  | L.Ident "inst" ->
+    L.advance st;
     let e = parse_cmp st in
     let at =
-      match peek st with
-      | Tident "at" ->
-        advance st;
-        Some (parse_point st)
-      | _ -> None
+      if L.accept st (L.Ident "at") then Some (parse_point st) else None
     in
     let orient =
-      match peek st with
-      | Tident "orient" ->
-        advance st;
-        Some (expect_ident st)
-      | _ -> None
+      if L.accept st (L.Ident "orient") then Some (L.expect_ident st keywords)
+      else None
     in
-    expect_sym st ";";
+    L.expect_sym st ";";
     Sinst (e, at, orient, ln)
-  | Tident "port" ->
-    advance st;
-    let name = expect_ident st in
-    let layer = expect_ident st in
+  | L.Ident "port" ->
+    L.advance st;
+    let name = L.expect_ident st keywords in
+    let layer = L.expect_ident st keywords in
     let x0 = parse_cmp st in
     let y0 = parse_cmp st in
     let x1 = parse_cmp st in
     let y1 = parse_cmp st in
-    expect_sym st ";";
+    L.expect_sym st ";";
     Sport (name, layer, x0, y0, x1, y1, ln)
-  | Tident "let" ->
-    advance st;
-    let name = expect_ident st in
-    expect_sym st "=";
+  | L.Ident "let" ->
+    L.advance st;
+    let name = L.expect_ident st keywords in
+    L.expect_sym st "=";
     let e = parse_cmp st in
-    expect_sym st ";";
+    L.expect_sym st ";";
     Slet (name, e)
-  | Tident "for" ->
-    advance st;
-    let v = expect_ident st in
-    expect_sym st "=";
+  | L.Ident "for" ->
+    L.advance st;
+    let v = L.expect_ident st keywords in
+    L.expect_sym st "=";
     let lo = parse_cmp st in
-    expect_kw st "to";
+    L.expect_kw st "to";
     let hi = parse_cmp st in
     let body = parse_block st in
     Sfor (v, lo, hi, body, ln)
-  | Tident "if" ->
-    advance st;
+  | L.Ident "if" ->
+    L.advance st;
     let c = parse_cmp st in
     let t = parse_block st in
-    let e =
-      match peek st with
-      | Tident "else" ->
-        advance st;
-        parse_block st
-      | _ -> []
-    in
+    let e = if L.accept st (L.Ident "else") then parse_block st else [] in
     Sif (c, t, e)
-  | _ -> fail ln "expected statement"
+  | t -> L.fail st "expected a statement, found %s" (L.describe t)
 
 and parse_block st =
-  expect_sym st "{";
-  let acc = ref [] in
-  while peek st <> Tsym "}" && peek st <> Teof do
-    acc := parse_stmt st :: !acc
-  done;
-  expect_sym st "}";
-  List.rev !acc
+  L.expect_sym st "{";
+  let rec stmts acc =
+    if L.accept st (L.Sym "}") then List.rev acc
+    else stmts (parse_stmt st :: acc)
+  in
+  stmts []
 
-let parse_program st =
-  let cells = ref [] in
-  while peek st <> Teof do
+let rec parse_program st =
+  if L.peek st = L.Eof then []
+  else
     let ln = line_of st in
-    expect_kw st "cell";
-    let name = expect_ident st in
-    expect_sym st "(";
-    let params = ref [] in
-    (match peek st with
-    | Tsym ")" -> advance st
-    | _ ->
-      let rec loop () =
-        params := expect_ident st :: !params;
-        match peek st with
-        | Tsym "," ->
-          advance st;
-          loop ()
-        | _ -> expect_sym st ")"
-      in
-      loop ());
+    L.expect_kw st "cell";
+    let name = L.expect_ident st keywords in
+    let params = parenthesised (fun st -> L.expect_ident st keywords) st in
     let body = parse_block st in
-    cells := { cname = name; params = List.rev !params; body; cline = ln } :: !cells
-  done;
-  List.rev !cells
+    { cname = name; params; body; cline = ln } :: parse_program st
 
 (* --- evaluator --- *)
 
@@ -581,7 +465,7 @@ and eval_cell env def values =
 
 let compile ?entry ?(args = []) src =
   match
-    let defs = parse_program { toks = tokenize src } in
+    let defs = parse_program (L.create src) in
     if defs = [] then fail 0 "no cells defined";
     let env =
       { cells = Hashtbl.create 16; memo = Hashtbl.create 16; steps = 0; depth = 0 }
@@ -611,3 +495,4 @@ let compile ?entry ?(args = []) src =
   with
   | cell -> Ok cell
   | exception Err e -> Error e
+  | exception L.Error (p, message) -> Error { message; line = p.line }

@@ -31,7 +31,9 @@
     [port NAME LAYER x0 y0 x1 y1;], [let NAME = EXPR;],
     [for I = E to E { ... }], [if E { ... } else { ... }].
 
-    Expressions: integers, arithmetic [+ - * /], comparisons, cell calls
+    Expressions: integers (decimal, [0x...] or [0b...] — the literal
+    syntax of the ISP language, from the lexer the two share,
+    {!Sc_rtl.Lexer}), arithmetic [+ - * /], comparisons, cell calls
     [name(args)], and the built-in cells [inv()], [nand2()], [nand3()],
     [nor2()], [and2()], [or2()], [xor2()], [mux2()], [dff()], plus
     combinators [beside(a,b)], [above(a,b)], [rowof(n, c)],
@@ -40,6 +42,12 @@
     Layers: [diff], [poly], [contact], [metal], [implant], [buried],
     [glass]. *)
 
+(** A syntax or evaluation error.  A syntax error's [line] is the
+    offending lexeme's; its message names the lexeme, and a malformed
+    literal (a [0x] without digits, a value past the integer range) is
+    such an error, never an exception.  The shared lexer positions
+    lexemes by [line:col]; the ISP and chip-block frontends print both,
+    [error_to_string] prints [line N: message]. *)
 type error = { message : string; line : int }
 
 val error_to_string : error -> string

@@ -58,10 +58,9 @@ let col ~name ?(sep = 0) cells =
     ~step:(fun off c -> Point.add off (Point.make 0 (Cell.height c + sep)))
     cells
 
-let array ~name ~nx ~ny ?dx ?dy cell =
+let array ~name ~nx ~ny cell =
   if nx <= 0 || ny <= 0 then invalid_arg "Compose.array: nx and ny must be positive";
-  let dx = match dx with Some d -> d | None -> Cell.width cell in
-  let dy = match dy with Some d -> d | None -> Cell.height cell in
+  let dx = Cell.width cell and dy = Cell.height cell in
   let insts = ref [] in
   for j = ny - 1 downto 0 do
     for i = nx - 1 downto 0 do

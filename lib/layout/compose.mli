@@ -20,11 +20,11 @@ val row : name:string -> ?sep:int -> Cell.t list -> Cell.t
 (** [col ~name ?sep cells] chains [above]. *)
 val col : name:string -> ?sep:int -> Cell.t list -> Cell.t
 
-(** [array ~name ~nx ~ny ?dx ?dy cell] replicates [cell] into an [nx] by
-    [ny] array with pitches [dx], [dy] (defaulting to the cell's width and
-    height, i.e. pure abutment — the regular-structure idiom for memories
-    and PLAs).  Element ports are exported as "r<j>c<i>.<p>". *)
-val array : name:string -> nx:int -> ny:int -> ?dx:int -> ?dy:int -> Cell.t -> Cell.t
+(** [array ~name ~nx ~ny cell] replicates [cell] into an [nx] by [ny]
+    array pitched at the cell's width and height, i.e. pure abutment —
+    the regular-structure idiom for memories and PLAs.  Element ports
+    are exported as "r<j>c<i>.<p>". *)
+val array : name:string -> nx:int -> ny:int -> Cell.t -> Cell.t
 
 (** [abut ~name a pa b pb] translates [b] so that port [pb] of [b]
     coincides with port [pa] of [a] (centre on centre).

@@ -23,15 +23,11 @@ let map f s = { value = f s.value; key = s.key }
    their next use *)
 type config =
   { mutable cdir : string option
-  ; mutable ccap : int
-  ; mutable cdisk_cap : int option
   ; mutable cenabled : bool
   }
 
 let config =
   { cdir = None
-  ; ccap = 256
-  ; cdisk_cap = None
   ; cenabled = false
   }
 
@@ -99,10 +95,8 @@ let register ?(version = 1) ?replay ?certify ~name f =
   Mutex.protect reg_lock (fun () -> registry := entry :: !registry);
   pass
 
-let enable_cache ?(capacity = 256) ?disk_capacity ?dir () =
+let enable_cache ?dir () =
   config.cdir <- dir;
-  config.ccap <- capacity;
-  config.cdisk_cap <- disk_capacity;
   config.cenabled <- true
 
 let disable_cache () = config.cenabled <- false
@@ -132,8 +126,7 @@ let store_for pass =
         | Some (dir, c) when dir = config.cdir -> Some c
         | _ ->
           let c =
-            Cache.create ~capacity:config.ccap ?disk_capacity:config.cdisk_cap
-              ?dir:config.cdir ~name:pass.name ()
+            Cache.create ?dir:config.cdir ~name:pass.name ()
           in
           pass.store <- Some (config.cdir, c);
           Some c)
@@ -146,8 +139,7 @@ let cert_store_for pass =
         | Some (dir, c) when dir = config.cdir -> Some c
         | _ ->
           let c =
-            Cache.create ~capacity:config.ccap ?disk_capacity:config.cdisk_cap
-              ?dir:config.cdir ~name:(pass.name ^ ".cert") ()
+            Cache.create ?dir:config.cdir ~name:(pass.name ^ ".cert") ()
           in
           pass.cert_store <- Some (config.cdir, c);
           Some c)

@@ -130,13 +130,12 @@ val run : ?param:string -> ('a, 'b) pass -> 'a staged -> ('b staged, Diag.t) res
 
 (** {2 Cache control} *)
 
-val enable_cache : ?capacity:int -> ?disk_capacity:int -> ?dir:string -> unit -> unit
+val enable_cache : ?dir:string -> unit -> unit
 (** Turn on per-pass caching (process-global).  Without [dir] the
     stores are memory-only; with it, artifacts persist to
     [dir/<pass>-<digest>] and survive the process.  Calling again with
-    a different [dir] re-homes every store lazily.  [disk_capacity]
-    bounds each pass's on-disk entry count with LRU eviction (see
-    {!Sc_cache.Cache.create}); unbounded by default. *)
+    a different [dir] re-homes every store lazily.  Each pass's
+    in-memory store holds 256 entries; its disk tier is unbounded. *)
 
 val disable_cache : unit -> unit
 (** Stop consulting/filling the stores (their contents are kept and

@@ -140,10 +140,12 @@ let ordered ?nrows p =
   Heapsort.by_key pos order;
   fold_rows p order nrows
 
+(* the library cell height plus a nominal 30-lambda routing channel *)
+let row_pitch = Sc_stdcell.Nmos.cell_height + 30
+
 let item_center pl i =
   let cx = pl.x.(i) + (pl.problem.widths.(i) / 2) in
-  (* row pitch normalized to the library cell height plus a nominal channel *)
-  let cy = pl.row.(i) * (Sc_stdcell.Nmos.cell_height + 30) in
+  let cy = pl.row.(i) * row_pitch in
   (cx, cy)
 
 let hpwl pl =
@@ -256,7 +258,7 @@ let best_of ?pool ?(seeds = 4) ?iters ?nrows p =
          (fun (bp, bc) (cp, cc) -> if cc < bc then (cp, cc) else (bp, bc))
          first rest)
 
-let to_layout ?(channel = 30) ~name pl =
+let to_layout ~name pl =
   let open Sc_geom in
   let n = Array.length pl.problem.kinds in
   if Sc_obs.Obs.enabled () then begin
@@ -264,11 +266,10 @@ let to_layout ?(channel = 30) ~name pl =
     Sc_obs.Obs.gauge "place.rows" pl.nrows;
     Sc_obs.Obs.gauge "place.cells" n
   end;
-  let pitch = Sc_stdcell.Nmos.cell_height + channel in
   let insts = ref [] in
   for i = n - 1 downto 0 do
     let cell = Sc_stdcell.Library.layout_of pl.problem.kinds.(i) in
-    let y = pl.row.(i) * pitch in
+    let y = pl.row.(i) * row_pitch in
     (* flip odd rows so facing rails match (VDD against VDD) *)
     let trans =
       if pl.row.(i) land 1 = 1 then

@@ -60,14 +60,14 @@ val best_of :
 (** Half-perimeter wire length over all nets, cell centres as pins. *)
 val hpwl : placement -> int
 
-(** [to_layout ?channel ~name placement] — rows of library cells with
-    [channel] lambda of routing space between rows (default 30).
+(** [to_layout ~name placement] — rows of library cells with 30 lambda
+    of routing space between rows.
     Alternate rows are flipped in y so that power rails of facing rows
     line up.  The cell is {!Sc_layout.Compose.of_instances} of the
     placed gates, so its ports are the gates' ports as "g<item>.<port>",
     derived from the instances when read ({!Sc_layout.Cell.ports}):
     building it costs words per gate, not per port. *)
-val to_layout : ?channel:int -> name:string -> placement -> Sc_layout.Cell.t
+val to_layout : name:string -> placement -> Sc_layout.Cell.t
 
 (** Routed wiring-management cost of a placement: for every adjacent
     row pair, the nets crossing that boundary become a channel-routing

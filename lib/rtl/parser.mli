@@ -20,7 +20,14 @@
     [if e then ... else ... end] (else part optional); and
     [decode e  K: ... default: ... end].  Expression operators by
     loosening precedence: [~] (complement), [+ -], [<< >>] (constant
-    shifts), comparisons, [&], [^], [|].  Literals are decimal, [0x...]
-    or [0b...].  [name\[i\]] selects a bit. *)
+    shifts), comparisons, [&], [^], [|].  [name\[i\]] selects a bit.
+
+    Tokens come from {!Lexer}, the lexer the layout language and chip
+    blocks share: literals are decimal, [0x...] or [0b...], and a
+    literal without digits or past the integer range is an error, not
+    an exception. *)
 
 val parse : string -> (Ast.design, string) result
+(** The design, or the first lexical or syntax error as
+    ["line:col: message"] (the Verilog frontend's format), naming the
+    offending token: [3:5: expected ":=", found =]. *)

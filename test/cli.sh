@@ -133,6 +133,35 @@ if ! cmp "$dir/warm.cif" "$dir/cold.cif"; then
   fail=1
 fi
 
+# A malformed literal is a positioned diagnostic on every command that
+# reads ISP or chip-block text, never an uncaught exception (exit 125).
+# expect_at CODE WHAT LINE:COL CMD... — as expect, and stderr names
+# LINE:COL
+expect_at() {
+  local at=$3
+  expect "$1" "$2" "${@:4}"
+  if ! grep -q "$at: " "$dir/err"; then
+    echo "FAIL: $2: the diagnostic does not name $at" >&2
+    cat "$dir/err" >&2
+    fail=1
+  fi
+}
+cat >"$dir/badlit.isp" <<'EOF'
+module counter;
+inputs reset[1];
+outputs q[4];
+behavior
+  q := reset + 0x;
+end
+EOF
+sed 's/^inputs a\[4\], b\[4\], reset/inputs a[99999999999999999999], b[4], reset/' \
+  "$dir/system-edit.isp" >"$dir/badchip.isp"
+expect_at 1 "sim of a bare 0x" 5:16 "$scc" sim "$dir/badlit.isp"
+expect_at 2 "equiv of a bare 0x" 5:16 "$scc" equiv "$dir/badlit.isp" isp:counter
+expect_at 1 "compile of a bare 0x" 5:16 "$scc" compile "$dir/badlit.isp"
+expect_at 1 "compile of an oversized chip-block width" 20:10 \
+  "$scc" compile "$dir/badchip.isp"
+
 # The CIF text of the baseline designs, pinned by MD5 at two pool
 # widths.  A change that moves geometry on purpose updates these.
 while read -r design digest; do

@@ -208,60 +208,6 @@ let test_compiler_stage_cache () =
     check_int "failures not stored" 1 s.Cache.entries;
     check_int "failures not counted as stored misses" 1 s.Cache.misses
 
-(* the disk tier's LRU bound: oldest-mtime files go first, reads
-   refresh recency, and evictions are counted *)
-let test_disk_lru_eviction () =
-  with_temp_dir @@ fun dir ->
-  let c1 : int Cache.t =
-    Cache.create ~dir ~disk_capacity:3 ~name:"e" ()
-  in
-  List.iteri
-    (fun i key ->
-      Cache.add c1 (k key) i;
-      (* distinct mtimes so the LRU order is unambiguous *)
-      Unix.sleepf 0.02)
-    [ "a"; "b"; "c" ];
-  check_int "within bound, nothing evicted" 0
-    (Cache.stats c1).Cache.disk_evictions;
-  (* a fresh store reads "a" from disk, refreshing its recency *)
-  let c2 : int Cache.t =
-    Cache.create ~dir ~disk_capacity:3 ~name:"e" ()
-  in
-  (match Cache.lookup c2 (k "a") with
-  | `Disk 0 -> ()
-  | _ -> Alcotest.fail "a should be served from disk");
-  Unix.sleepf 0.02;
-  (* the fourth entry pushes the tier over its bound: the least
-     recently used file is now "b", not the refreshed "a" *)
-  Cache.add c2 (k "d") 3;
-  check_int "one eviction" 1 (Cache.stats c2).Cache.disk_evictions;
-  let c3 : int Cache.t = Cache.create ~dir ~name:"e" () in
-  (match Cache.lookup c3 (k "b") with
-  | `Absent -> ()
-  | _ -> Alcotest.fail "b should have been evicted");
-  (match Cache.lookup c3 (k "a") with
-  | `Disk 0 -> ()
-  | _ -> Alcotest.fail "refreshed a should survive");
-  match Cache.lookup c3 (k "d") with
-  | `Disk 3 -> ()
-  | _ -> Alcotest.fail "newest d should survive"
-
-(* the byte bound evicts independently of the entry-count bound *)
-let test_disk_byte_bound () =
-  with_temp_dir @@ fun dir ->
-  let c : string Cache.t =
-    Cache.create ~dir ~disk_bytes:400 ~name:"b" ()
-  in
-  Cache.add c (k "one") (String.make 300 'x');
-  Unix.sleepf 0.02;
-  Cache.add c (k "two") (String.make 300 'y');
-  check_bool "byte bound evicted the older entry" true
-    ((Cache.stats c).Cache.disk_evictions >= 1);
-  let c2 : string Cache.t = Cache.create ~dir ~name:"b" () in
-  match Cache.lookup c2 (k "two") with
-  | `Disk s -> check_int "newest survives intact" 300 (String.length s)
-  | _ -> Alcotest.fail "newest entry should survive the byte bound"
-
 let suite =
   [ Alcotest.test_case "digest is stable" `Quick test_digest_stable
   ; Alcotest.test_case "LRU eviction and stats" `Quick
@@ -274,6 +220,4 @@ let suite =
       test_disk_header_staleness
   ; Alcotest.test_case "compiler stage cache" `Quick
       test_compiler_stage_cache
-  ; Alcotest.test_case "disk LRU eviction" `Quick test_disk_lru_eviction
-  ; Alcotest.test_case "disk byte bound" `Quick test_disk_byte_bound
   ]

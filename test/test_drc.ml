@@ -271,7 +271,7 @@ let test_chip_scale_equality () =
   check_bool "four builtins compile to PLAs" true (List.length plas >= 4);
   let c = compiled "system" (Result.map fst (Sc_core.Compiler.compile_behavior (source "system"))) in
   ignore (agree "system" c.layout);
-  let counter12 = In_channel.with_open_text "../examples/counter12.v" In_channel.input_all in
+  let counter12 = Example_file.read "counter12.v" in
   let c = compiled "counter12.v" (Result.map fst (Sc_core.Compiler.compile_verilog counter12)) in
   ignore (agree "counter12.v" c.layout);
   (* seeded violations: metal pieces too close, a contact short of its

@@ -420,7 +420,7 @@ let test_compiled_chips_through_cif () =
     builtins;
   check_bool "four builtins compile to PLAs" true (!plas >= 4);
   through_cif "system" (Sc_core.Compiler.compile_behavior (source "system"));
-  let counter12 = In_channel.with_open_text "../examples/counter12.v" In_channel.input_all in
+  let counter12 = Example_file.read "counter12.v" in
   through_cif "counter12.v" (Sc_core.Compiler.compile_verilog counter12)
 
 let suite =

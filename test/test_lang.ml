@@ -172,6 +172,24 @@ let test_errors () =
     "cell r(n) { inst r(n) at (10, 0); } cell main() { inst r(3); }"
     "too deep"
 
+(* literals share the ISP lexer's syntax: hex and binary are accepted,
+   and a bare prefix or an oversized literal is an error on its line,
+   never an exception *)
+let test_literals () =
+  check_int "hex width" 16 (Cell.width (compile_ok "cell main() { box metal 0 0 0x10 0b100; }"));
+  let expect_error src want =
+    match Sc_lang.Lang.compile src with
+    | Ok _ -> Alcotest.failf "expected an error for %S" src
+    | Error e -> Alcotest.(check string) src want (Sc_lang.Lang.error_to_string e)
+    | exception ex -> Alcotest.failf "%S raised %s" src (Printexc.to_string ex)
+  in
+  expect_error "cell main() {\n  box metal 0 0 0x 4;\n}"
+    "line 2: literal 0x has no digits";
+  expect_error "cell main() {\n\n  box metal 0 0 4 99999999999999999999;\n}"
+    "line 3: literal 99999999999999999999 does not fit in an integer";
+  expect_error "cell main() { box metal 0 0 4 4 }"
+    "line 1: expected \";\", found }"
+
 let test_compiles_to_clean_cif () =
   (* the paper's end-to-end claim: text -> layout -> manufacturing data *)
   let c =
@@ -202,5 +220,6 @@ let suite =
   ; Alcotest.test_case "orientation" `Quick test_orient
   ; Alcotest.test_case "entry selection" `Quick test_entry_selection
   ; Alcotest.test_case "errors" `Quick test_errors
+  ; Alcotest.test_case "literals" `Quick test_literals
   ; Alcotest.test_case "text to clean CIF" `Quick test_compiles_to_clean_cif
   ]

@@ -233,9 +233,27 @@ let test_chip_split_errors () =
     (replace ~sub:"u_acc : accum" ~by:"u_acc : nosuch" base);
   expect_err ~needles:[ "chip" ]
     (base ^ "\nchip second;\ninputs a[1];\noutputs y[1];\nend\n");
-  (* chip-block syntax errors carry the offending token *)
-  expect_err ~needles:[ "=" ]
-    (replace ~sub:"u_mix.a = a" ~by:"u_mix.a a" base)
+  (* chip-block syntax errors carry the offending token and its line:col
+     in the source, not the block's text *)
+  let syntax = replace ~sub:"u_mix.a = a" ~by:"u_mix.a a" base in
+  expect_err ~needles:[ "31:11: expected \"=\", found a" ] syntax;
+  (match Chipdesc.split syntax with
+  | Error e ->
+    check_bool ("one chip keyword in " ^ e) false (contains ~needle:"chip" e)
+  | Ok _ -> ());
+  (* a bad literal is a positioned error, not an exception *)
+  let port_width w =
+    replace ~sub:"inputs a[4], b[4], reset"
+      ~by:(Printf.sprintf "inputs a[%s], b[4], reset" w) base
+  in
+  expect_err ~needles:[ "25:10: literal 99999999999999999999" ]
+    (port_width "99999999999999999999");
+  expect_err ~needles:[ "25:10: literal 0x has no digits" ] (port_width "0x");
+  (* and chip blocks read 0x/0b literals like ISP does *)
+  match Chipdesc.split (port_width "0x4") with
+  | Ok { Chipdesc.chip = Some c; _ } ->
+    check_int "a is 4 wide" 4 (List.hd c.Chipdesc.ch_inputs).Chipdesc.pd_width
+  | _ -> Alcotest.fail "0x4 width refused"
 
 (* interface mismatches surface as Diags through the compile path,
    naming the instances and ports involved *)

@@ -445,14 +445,7 @@ let compiled_designs () =
     | Error e -> Alcotest.failf "system: %s" e
   in
   let counter12 =
-    let path =
-      if Sys.file_exists "../examples/counter12.v" then "../examples/counter12.v"
-      else "examples/counter12.v"
-    in
-    match
-      Sc_verilog.Elaborate.design_of_source
-        (In_channel.with_open_text path In_channel.input_all)
-    with
+    match Sc_verilog.Elaborate.design_of_source (Example_file.read "counter12.v") with
     | Ok d -> d
     | Error e -> Alcotest.failf "counter12.v: %s" e
   in

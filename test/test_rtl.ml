@@ -65,6 +65,94 @@ let test_parse_errors () =
     ; "module x; behavior if a then end" (* missing end for module *)
     ]
 
+(* a bad literal or a syntax error is a positioned Error, never an
+   exception: line:col of the offending lexeme, then what went wrong *)
+let test_parse_positioned_errors () =
+  let expect_error src want =
+    match Parser.parse src with
+    | Ok _ -> Alcotest.failf "expected parse error for %S" src
+    | Error e -> Alcotest.(check string) src want e
+    | exception ex -> Alcotest.failf "%S raised %s" src (Printexc.to_string ex)
+  in
+  let rhs text =
+    Printf.sprintf
+      "module e; inputs a[4]; outputs y[8];\nbehavior\n  y := %s;\nend" text
+  in
+  expect_error (rhs "a + 0x") "3:12: literal 0x has no digits";
+  expect_error (rhs "0b") "3:8: literal 0b has no digits";
+  expect_error (rhs "a + 99999999999999999999")
+    "3:12: literal 99999999999999999999 does not fit in an integer";
+  expect_error (rhs "0x1FFFFFFFFFFFFFFFFF")
+    "3:8: literal 0x1FFFFFFFFFFFFFFFFF does not fit in an integer";
+  expect_error "module m;\nbehavior\n  y = 1;\nend"
+    "3:5: expected \":=\", found =";
+  expect_error "module m; inputs a[4]; behavior y := a $ 1; end"
+    "1:40: unexpected character '$'"
+
+(* the shared lexer against the ISP tokenizer it replaced: the same
+   tokens wherever the old one returned tokens, a positioned Error
+   wherever it raised.  Strings are drawn from the ISP alphabet.  The
+   shared symbol set also holds the layout language's [=], [<=] and
+   [>=]: ISP text never produces a lone [=], and a space separates
+   [==] from a preceding [<], [>] or [:], where the old tokenizer read
+   "<==" as [<] [==] and now "<=" is one token. *)
+let prop_lexer_matches_reference =
+  let atoms =
+    [ "a"; "b"; "x"; "f"; "Z"; "_"; "q9"; "0"; "1"; "7"; "9"; "0x"; "0b"
+    ; "99999999999999999999"; "0x7FFFFFFFFFFFFFFF"; " "; "\n"; "\t"; "\r"
+    ; "--"; ";"; ","; ":"; "<"; ">"; "+"; "-"; "&"; "^"; "|"; "~"; "("; ")"
+    ; "["; "]"; ":="; "=="; "!="; "<<"; ">>"; "@"; "#"; "$"; "?"
+    ]
+  in
+  let spell parts =
+    let buf = Buffer.create 64 in
+    List.iter
+      (fun a ->
+        let n = Buffer.length buf in
+        if a.[0] = '=' && n > 0 && String.contains "<>:" (Buffer.nth buf (n - 1)) then
+          Buffer.add_char buf ' ';
+        Buffer.add_string buf a)
+      parts;
+    Buffer.contents buf
+  in
+  let gen = QCheck.Gen.(map spell (list_size (int_range 0 30) (oneofl atoms))) in
+  let old_token = function
+    | Lexer.Ident s -> Lexer_reference.Tident s
+    | Lexer.Int v -> Lexer_reference.Tint v
+    | Lexer.Sym s -> Lexer_reference.Tsym s
+    | Lexer.Eof -> Lexer_reference.Teof
+  in
+  (* the offset of a 1-based line:col in [text] *)
+  let offset text (p : Lexer.pos) =
+    let rec line_start i l =
+      if l = p.line then i
+      else line_start (String.index_from text i '\n' + 1) (l + 1)
+    in
+    line_start 0 1 + p.col - 1
+  in
+  let spelled text (l : Lexer.lexeme) =
+    let at = offset text l.pos in
+    let n = String.length text in
+    match l.tok with
+    | Lexer.Ident s | Lexer.Sym s ->
+      at + String.length s <= n && String.sub text at (String.length s) = s
+    | Lexer.Int _ -> at < n && text.[at] >= '0' && text.[at] <= '9'
+    | Lexer.Eof -> at <= n
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1E8; 30 |])
+    (QCheck.Test.make ~name:"shared lexer = old ISP tokenizer" ~count:2000
+       (QCheck.make ~print:(Printf.sprintf "%S") gen)
+       (fun text ->
+         match (Lexer_reference.tokenize text, Lexer.tokenize text) with
+         | old, Ok lexemes ->
+           List.map (fun (l : Lexer.lexeme) -> old_token l.tok) lexemes = old
+           && List.for_all (spelled text) lexemes
+         | exception (Failure _ | Lexer_reference.Error _) -> (
+           match Lexer.tokenize text with
+           | Error (p, _) -> offset text p < String.length text
+           | Ok _ -> false)
+         | _, Error _ -> false))
+
 let test_check_catches () =
   let reject src expect_substring =
     let d = parse_ok src in
@@ -331,6 +419,9 @@ let suite =
   ; Alcotest.test_case "expression precedence" `Quick test_parse_expr_precedence
   ; Alcotest.test_case "literals" `Quick test_parse_literals
   ; Alcotest.test_case "parse errors" `Quick test_parse_errors
+  ; Alcotest.test_case "parse errors are positioned" `Quick
+      test_parse_positioned_errors
+  ; prop_lexer_matches_reference
   ; Alcotest.test_case "checker catches misuse" `Quick test_check_catches
   ; Alcotest.test_case "interp counter" `Quick test_interp_counter
   ; Alcotest.test_case "non-blocking registers" `Quick test_interp_nonblocking_registers

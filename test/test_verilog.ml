@@ -11,16 +11,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* the committed reference design (a dune dep of this test); [dune
-   runtest] runs in the build's test directory, [dune exec] from the
-   project root *)
-let counter12_src =
-  let path =
-    if Sys.file_exists "../examples/counter12.v" then
-      "../examples/counter12.v"
-    else "examples/counter12.v"
-  in
-  In_channel.with_open_text path In_channel.input_all
+(* the committed reference design *)
+let counter12_src = Example_file.read "counter12.v"
 
 (* the same machine, written directly in ISP: the formal twin *)
 let counter12_isp =
