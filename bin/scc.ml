@@ -56,8 +56,18 @@ let report_compiled (c : Sc_core.Compiler.compiled) =
     (if c.Sc_core.Compiler.drc_violations = 0 then "clean"
      else string_of_int c.Sc_core.Compiler.drc_violations ^ " violations")
 
+(* Every input file argument goes through [inputs]: a missing file is
+   a usage error, exit 2 in every subcommand, as for a source that is
+   neither a builtin nor a file (cmdliner's [Arg.file] would exit 124). *)
+let inputs files k =
+  match List.find_opt (fun f -> not (Sys.file_exists f)) files with
+  | Some file ->
+    Printf.eprintf "error: no such file: %s\n" file;
+    2
+  | None -> k ()
+
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Input file.")
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Input file.")
 
 let output_arg =
   Arg.(
@@ -65,21 +75,7 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Write CIF to $(docv).")
 
-(* --- parallelism / caching --- *)
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel stages (DRC cells and windows, \
-           placement restarts, equivalence cones).  1 (the default) is \
-           strictly sequential; output is byte-identical at every level.")
-
-(* sizes the process-default pool before running [k] *)
-let with_jobs jobs k =
-  Sc_par.Pool.set_default_size jobs;
-  k ()
+(* --- caching --- *)
 
 let stage_cache_arg =
   Arg.(
@@ -106,7 +102,7 @@ let restarts_arg =
     value & opt int 0
     & info [ "restarts" ] ~docv:"N"
         ~doc:
-          "Extra random-start placements refined concurrently (best \
+          "Extra random-start placements, each refined in turn (best \
            HPWL wins; 0 = constructive placement only).")
 
 let certify_arg =
@@ -344,7 +340,7 @@ let verify_arg =
            extracted artwork equal to their gates with the BDD engine.")
 
 let compile_run src output style dump_isp entry args verify stats trace metrics
-    jobs stage_cache explain restarts certify inject_fault =
+    stage_cache explain restarts certify inject_fault =
   match resolve_source src with
   | Error e -> usage_error e
   | Ok (kind, text) -> (
@@ -372,7 +368,6 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
         Format.printf "%a@." Sc_rtl.Ast.pp design;
         0)
     | None -> (
-      with_jobs jobs @@ fun () ->
       with_pipeline ~stage_cache ~explain ~certify @@ fun () ->
       instrumented ~stats ~trace ~metrics ~design:(design_of_path src)
       @@ fun () ->
@@ -408,7 +403,7 @@ let compile_term =
   Term.(
     const compile_run $ src_arg $ output_arg $ style_arg $ dump_isp_arg
     $ entry_arg $ args_arg $ verify_arg $ stats_arg $ trace_arg $ metrics_arg
-    $ jobs_arg $ stage_cache_arg $ explain_arg $ restarts_arg $ certify_arg
+    $ stage_cache_arg $ explain_arg $ restarts_arg $ certify_arg
     $ inject_fault_arg)
 
 let compile_cmd =
@@ -442,6 +437,7 @@ let cif_exits ?dirty () =
   :: Cmd.Exit.defaults
 
 let with_cif file k =
+  inputs [ file ] @@ fun () ->
   match Sc_cif.Elaborate.of_string (read_file file) with
   | Error e ->
     Printf.eprintf "error: %s\n" (Sc_cif.Elaborate.error_to_string e);
@@ -452,8 +448,7 @@ let with_cif file k =
   | Ok cell -> k cell
 
 let drc_cmd =
-  let run file jobs =
-    with_jobs jobs @@ fun () ->
+  let run file =
     with_cif file (fun cell ->
         let vs = Sc_drc.Checker.check cell in
         Sc_drc.Checker.report Format.std_formatter vs;
@@ -462,7 +457,7 @@ let drc_cmd =
   Cmd.v
     (Cmd.info "drc" ~doc:"Design-rule-check a CIF file."
        ~exits:(cif_exits ~dirty:"when the chip violates a design rule." ()))
-    Term.(const run $ file_arg $ jobs_arg)
+    Term.(const run $ file_arg)
 
 let stats_cmd =
   let run file =
@@ -515,6 +510,7 @@ let cycles_arg =
 
 let sim_cmd =
   let run file cycles =
+    inputs [ file ] @@ fun () ->
     match Sc_core.Compiler.isp_design (read_file file) with
     | Error d -> report_diag d
     | Ok design ->
@@ -598,8 +594,7 @@ let equiv_cmd =
       & info [ "order" ] ~docv:"ORDER"
           ~doc:"BDD variable order: $(b,decl) or $(b,dfs) (default).")
   in
-  let run a_spec b_spec k mutate order jobs =
-    with_jobs jobs @@ fun () ->
+  let run a_spec b_spec k mutate order =
     match (resolve_circuit a_spec, resolve_circuit b_spec) with
     | Error e, _ | _, Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -611,17 +606,8 @@ let equiv_cmd =
           | None -> b
           | Some i -> Sc_equiv.Checker.mutate b i
         in
-        (* -j > 1 checks one output cone per task, each with its own
-           manager; the single-manager path reports its node count *)
-        let verdict, nodes =
-          if jobs > 1 then
-            (Sc_equiv.Checker.check_cones ~order ~k a b, None)
-          else begin
-            let man = Sc_equiv.Bdd.create () in
-            (Sc_equiv.Checker.check ~man ~order ~k a b, Some man)
-          end
-        in
-        (verdict, nodes, b)
+        let man = Sc_equiv.Bdd.create () in
+        (Sc_equiv.Checker.check ~man ~order ~k a b, man, b)
       with
       | exception Invalid_argument e ->
         Printf.eprintf "error: %s\n" e;
@@ -629,12 +615,8 @@ let equiv_cmd =
       | exception Sc_equiv.Miter.Mismatch e ->
         Printf.eprintf "port mismatch: %s\n" e;
         2
-      | Sc_equiv.Checker.Equivalent, nodes, _ ->
-        (match nodes with
-        | Some man ->
-          Printf.printf "equivalent (%d BDD nodes)\n"
-            (Sc_equiv.Bdd.node_count man)
-        | None -> Printf.printf "equivalent\n");
+      | Sc_equiv.Checker.Equivalent, man, _ ->
+        Printf.printf "equivalent (%d BDD nodes)\n" (Sc_equiv.Bdd.node_count man);
         0
       | (Sc_equiv.Checker.Not_equivalent cex as v), _, b ->
         Format.printf "@[<v>%a@]@." Sc_equiv.Checker.pp_verdict v;
@@ -654,12 +636,13 @@ let equiv_cmd =
           counterexample.")
     Term.(
       const run $ spec_arg 0 "A" $ spec_arg 1 "B" $ k_arg $ mutate_arg
-      $ order_arg $ jobs_arg)
+      $ order_arg)
 
 (* --- report / diff: the QoR telemetry surface --- *)
 
 let report_cmd =
   let run file =
+    inputs [ file ] @@ fun () ->
     match Sc_metrics.Metrics.read file with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -679,19 +662,19 @@ let diff_cmd =
   let baseline_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot JSON.")
   in
   let current_arg =
     Arg.(
       required
-      & pos 1 (some file) None
+      & pos 1 (some string) None
       & info [] ~docv:"CURRENT" ~doc:"Current snapshot JSON.")
   in
   let thresholds_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some string) None
       & info [ "thresholds" ] ~docv:"FILE"
           ~doc:
             "Per-metric neutrality thresholds: a JSON object mapping a \
@@ -709,6 +692,7 @@ let diff_cmd =
              deltas are reported but only QoR regressions gate.")
   in
   let run baseline current thresholds gate_runtime =
+    inputs (baseline :: current :: Option.to_list thresholds) @@ fun () ->
     let load_thresholds () =
       match thresholds with
       | None -> Ok Sc_metrics.Metrics.default_thresholds
@@ -827,12 +811,12 @@ let serve_exec_domains_arg =
            its own recorder, so this bounds concurrent executions.  \
            Default: the runtime's recommended domain count, at least 2.  \
            A count that does not fit in the runtime's 128 domains beside \
-           the main domain and the $(b,-j) pool's workers exits 2.")
+           the main domain exits 2.")
 
 let serve_cmd =
-  let run socket jobs stage_cache exec_domains log log_level trace_dir
+  let run socket stage_cache exec_domains log log_level trace_dir
       trace_sample =
-    Sc_serve.Server.run ~jobs ?stage_cache ?exec_domains ?log ~log_level
+    Sc_serve.Server.run ?stage_cache ?exec_domains ?log ~log_level
       ?trace_dir ~trace_sample ~socket ()
   in
   Cmd.v
@@ -848,7 +832,7 @@ let serve_cmd =
           and sampled Chrome traces ($(b,--trace-dir)).  SIGTERM or \
           $(b,scc client shutdown) drains connections and exits.")
     Term.(
-      const run $ socket_arg $ jobs_arg $ stage_cache_arg
+      const run $ socket_arg $ stage_cache_arg
       $ serve_exec_domains_arg $ serve_log_arg $ serve_log_level_arg
       $ serve_trace_dir_arg $ serve_trace_sample_arg)
 
@@ -905,7 +889,7 @@ let client_compile_cmd =
   let baseline_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
             "Instead of printing the summary, diff the daemon's snapshot \
@@ -950,6 +934,7 @@ let client_compile_cmd =
     | _ -> unexpected ()
   in
   let run socket src style restarts certify metrics explain baseline =
+    inputs (Option.to_list baseline) @@ fun () ->
     match resolve_spec ~certify src style restarts with
     | Error e -> usage_error e
     | Ok spec -> (

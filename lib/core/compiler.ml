@@ -350,11 +350,10 @@ let compile_layout ?entry ?(args = []) src =
    A source with a [chip] block compiles at module granularity: each
    module block runs its own sub-pipeline (parse → compile → optimize →
    place → route → drc → emit → measure) keyed on that block's raw
-   text, as one task on the default Sc_par pool (in the caller at -j1)
-   with its own Obs recorder and run journal; the chip then assembles
-   the per-module layouts into a macro row with a routed channel
-   (Sc_chip.Assemble.pack) inside a pad frame, and whole-chip
-   drc/emit/measure finish the job.  Editing one module
+   text, in file order in the caller, each with its own Obs recorder
+   and run journal; the chip then assembles the per-module layouts into
+   a macro row with a routed channel (Sc_chip.Assemble.pack) inside a
+   pad frame, and whole-chip drc/emit/measure finish the job.  Editing one module
    invalidates exactly that module's stage keys plus the assembly. *)
 
 type module_compiled =
@@ -374,9 +373,10 @@ type module_run =
   ; mr_totals : (string * int) list
   }
 
-(* A fresh recorder isolates the module's QoR gauges (concurrent
-   modules would clobber each other's last-write gauges in a shared
-   recorder) and [with_log] its --explain rows; the caller merges both
+(* A fresh recorder isolates the module's QoR gauges (modules would
+   clobber each other's last-write gauges in a shared recorder, and a
+   run shared through the in-flight dedup records for two callers) and
+   [with_log] its --explain rows; the caller merges both
    deterministically. *)
 let run_module ~restarts text () =
   let rec_ = Obs.Recorder.create () in
@@ -644,17 +644,17 @@ let compile_modular ?(restarts = 0) src =
     in
     let certify = P.certify_enabled () in
     let runs =
-      Sc_par.Pool.run ~label:"module" (Sc_par.Pool.default ())
-        (List.map
-           (fun (m : Chipdesc.source_module) () ->
-             let key =
-               Sc_cache.Cache.digest
-                 (Printf.sprintf "modular-module\x00%s\x00restarts=%d;certify=%b"
-                    m.sm_text restarts certify)
-             in
-             Sc_par.Single_flight.run module_flights key
-               (run_module ~restarts m.sm_text))
-           used)
+      List.map
+        (fun (m : Chipdesc.source_module) ->
+          Obs.span "module" @@ fun () ->
+          let key =
+            Sc_cache.Cache.digest
+              (Printf.sprintf "modular-module\x00%s\x00restarts=%d;certify=%b"
+                 m.sm_text restarts certify)
+          in
+          Sc_par.Single_flight.run module_flights key
+            (run_module ~restarts m.sm_text))
+        used
     in
     if Obs.enabled () then Obs.gauge "modular.modules" (List.length runs);
     (* merge journals and telemetry deterministically, in file order;

@@ -86,9 +86,9 @@ val compile_behavior :
 (** Separate compilation: a multi-module source with a [chip] block
     ({!Sc_core.Chipdesc}).  Each module block runs its own sub-pipeline
     (parse → compile → optimize → place → route → drc → emit → measure)
-    keyed on that block's raw text, as one task on the default
-    {!Sc_par.Pool} (in the caller at [-j 1]) with its own recorder and
-    run journal, certifying when the caller does — editing one module
+    keyed on that block's raw text, in file order in the caller, each
+    with its own recorder and run journal, certifying when the caller
+    does — editing one module
     re-runs exactly that module's passes plus assembly.  Concurrent
     compiles of the same module text (the serve daemon) share one
     in-flight run.  The assembly pass packs the per-module layouts into

@@ -358,9 +358,12 @@ let layer_arrays flat =
   layers
 
 let check_flat ?pool flat =
-  let pool = match pool with Some p -> p | None -> Sc_par.Pool.default () in
   let rects = layer_arrays flat in
-  let s = scan (on_pool pool) ~shards:(4 * Sc_par.Pool.size pool) rects in
+  let s =
+    match pool with
+    | None -> scan inline ~shards:1 rects
+    | Some pool -> scan (on_pool pool) ~shards:(4 * Sc_par.Pool.size pool) rects
+  in
   let pair l (i, j) = (rects.(l).(i), rects.(l).(j)) in
   let copies l r =
     let n = ref 0 in
@@ -739,9 +742,8 @@ let settle ~root views verdicts (offset, total) v mets =
   ; crossing_below = List.length crossing + below (fun d -> d.crossing_below)
   }
 
-let check ?pool cell =
+let check cell =
   Sc_obs.Obs.span "drc" @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Sc_par.Pool.default () in
   (* the distinct cells, children before parents *)
   let cells = Array.of_list (Cell.all_cells cell) in
   let n = Array.length cells in
@@ -749,60 +751,25 @@ let check ?pool cell =
   Array.iteri (fun v c -> Cell.Tbl.replace ids c v) cells;
   let id_of c = Cell.Tbl.find ids c in
   let root = id_of cell in
-  let views =
-    Array.of_list
-      (Sc_par.Pool.run ~label:"drc.cells" pool
-         (Array.to_list (Array.map (fun c () -> make_view id_of c) cells)))
-  in
-  (* settle level by level: a cell's windows need its instances' regions *)
-  let height = Array.make n 0 in
-  Array.iteri
-    (fun v view ->
-      height.(v) <- Array.fold_left (fun h c -> Int.max h (height.(c) + 1)) 0 view.children)
-    views;
+  let views = Sc_obs.Obs.span "drc.cells" (fun () -> Array.map (make_view id_of) cells) in
+  (* settle each cell after its instances: its windows need their
+     regions *)
   let verdicts =
     Array.make n
       { regions = { offset = [||]; label = [||]; count = [||] }
       ; gaps = []; bare = []; crossing = []; narrow_below = 0; crossing_below = 0 }
   in
-  let mets = Array.make n [] in
-  for h = 0 to Array.fold_left Int.max 0 height do
-    let level = List.filter (fun v -> height.(v) = h) (List.init n Fun.id) in
-    let offsets = List.map (node_offsets views verdicts) level in
-    (* a list cut into slices: an array of this many fresh tuples would
-       force a minor collection *)
-    let work =
-      List.concat
-        (List.map2
-           (fun v (offset, _) -> List.map (fun w -> (v, offset, w)) (windows views.(v)))
-           level offsets)
-    in
-    let rec slices work = function
-      | [] -> []
-      | (lo, hi) :: ranges ->
-        let rec take k l =
-          match l with
-          | x :: rest when k > 0 ->
-            let slice, rest = take (k - 1) rest in
-            (x :: slice, rest)
-          | _ -> ([], l)
-        in
-        let slice, rest = take (hi - lo) work in
-        slice :: slices rest ranges
-    in
-    if work <> [] then
-      Sc_par.Pool.run ~label:"drc.windows" pool
-        (List.map
-           (fun slice () ->
-             List.map (fun (v, offset, w) -> (v, meet views verdicts offset v w)) slice)
-           (slices work (split (List.length work) (4 * Sc_par.Pool.size pool))))
-      |> List.iter (List.iter (fun (v, met) -> mets.(v) <- met :: mets.(v)));
-    Sc_par.Pool.run ~label:"drc.context" pool
-      (List.map2
-         (fun v offs () -> settle ~root:(v = root) views verdicts offs v mets.(v))
-         level offsets)
-    |> List.iter2 (fun v d -> verdicts.(v) <- d) level
-  done;
+  Array.iteri
+    (fun v view ->
+      let ((offset, _) as offs) = node_offsets views verdicts v in
+      let mets =
+        Sc_obs.Obs.span "drc.windows" (fun () ->
+            List.rev_map (meet views verdicts offset v) (windows view))
+      in
+      verdicts.(v) <-
+        Sc_obs.Obs.span "drc.context" (fun () ->
+            settle ~root:(v = root) views verdicts offs v mets))
+    views;
   (* expand the definite findings over every placement; what is still
      open at the root is a violation *)
   let vs =

@@ -24,7 +24,9 @@
     n rectangles and k violations, however many cell rows share an
     x-range.  Indexing runs one task per layer, then the rules run as
     independent tasks (per rule, per layer, and per slice of the inner
-    rectangles for enclosure) on an {!Sc_par.Pool}.
+    rectangles for enclosure): in the caller, or on [?pool] when one is
+    given, their results merged in submission order, so the violation
+    list is identical at every pool size.
 
     {b The hierarchical check.}  {!check} checks each distinct cell of
     the hierarchy once, in its own coordinates, and never flattens:
@@ -47,9 +49,9 @@
     union-find only when a gap on that layer is still open.  A pass
     stays a pass, and width and cross-layer
     violations are definite; they are expanded once per placement,
-    skipping subtrees that have none.  Per-cell scans, windows and
-    per-cell settling run as pool tasks.  The result equals
-    [check_flat (Flatten.run c)], order included.
+    skipping subtrees that have none.  The whole check runs in the
+    calling domain.  The result equals [check_flat (Flatten.run c)],
+    order included.
 
     Violation order: width violations come first, per layer in
     flattening order.  Spacing and enclosure violations follow in
@@ -59,11 +61,7 @@
     earlier member.  Apart from the width rule, the order is a function
     of the geometry alone, not of the order of the flattened boxes.  (A
     witness drawn several times lists its partners once per copy, as a
-    scan of the sorted rectangles meets them.)
-
-    Tasks run on [?pool], the process default unless given; their
-    results are merged in submission order, so the violation list is
-    identical at every pool size. *)
+    scan of the sorted rectangles meets them.) *)
 
 open Sc_geom
 open Sc_tech
@@ -76,7 +74,7 @@ type violation =
   }
 
 (** [check c] checks the hierarchy under [c], each distinct cell once. *)
-val check : ?pool:Sc_par.Pool.t -> Cell.t -> violation list
+val check : Cell.t -> violation list
 
 (** [check_flat boxes] runs the deck on already flattened geometry: the
     hierarchical check's kernel and its test oracle. *)

@@ -95,16 +95,19 @@ let check ?man ?order ?(k = 8) a b =
     Not_equivalent
       (cex_of_assignment ~seq ~nframes ~inputs env assignment name bit)
 
-(* Per-cone parallel check: one task per output port, each with its own
-   BDD manager.  All managers allocate variables from the same input
-   order, so every cone lives in the same variable space; the verdict is
-   the first differing port in declaration order, independent of how
-   many domains ran the cones. *)
-(* Shared core of {!check_cones} and {!certify}: the verdict plus the
-   cone count and summed node count.  Obs-quiet — the callers decide
-   what telemetry (if any) to emit. *)
-let cones_core ?pool ?order ?(k = 8) a b =
-  let pool = match pool with Some p -> p | None -> Sc_par.Pool.default () in
+type certificate =
+  { cert_cones : int
+  ; cert_nodes : int
+  }
+
+(* The per-cone proof behind {!certify}: one output port at a time,
+   each cone with a fresh BDD manager.  All managers allocate variables
+   from the same input order, so every cone lives in the same variable
+   space; the verdict is the first differing port in declaration
+   order.  Obs-quiet but for its span: the pass manager replays the
+   certificate's counters. *)
+let certify ?order ?(k = 8) a b =
+  Sc_obs.Obs.span "equiv.cone" @@ fun () ->
   let seq = is_sequential a || is_sequential b in
   let a', b' =
     if seq then (Unroll.frames ~k a, Unroll.frames ~k b) else (a, b)
@@ -117,50 +120,23 @@ let cones_core ?pool ?order ?(k = 8) a b =
         if p.dir = Circuit.Out then Some p.port_name else None)
       (Circuit.flatten a').Circuit.ports
   in
-  let tasks =
-    List.map
-      (fun pname () ->
-        let man = Bdd.create () in
-        let env = Miter.env_of_order man bits in
-        let oa = Miter.cone_outputs env a' [ pname ] in
-        let ob = Miter.cone_outputs env b' [ pname ] in
-        let diff =
-          match first_diff man oa ob with
-          | None -> None
-          | Some (name, bit, d) -> Some (name, bit, Bdd.sat_one man d, env)
-        in
-        (diff, Bdd.node_count man))
-      out_ports
+  let rec cones nodes = function
+    | [] -> Ok { cert_cones = List.length out_ports; cert_nodes = nodes }
+    | pname :: rest -> (
+      let man = Bdd.create () in
+      let env = Miter.env_of_order man bits in
+      let oa = Miter.cone_outputs env a' [ pname ] in
+      let ob = Miter.cone_outputs env b' [ pname ] in
+      match first_diff man oa ob with
+      | None -> cones (nodes + Bdd.node_count man) rest
+      | Some (name, bit, d) ->
+        let nframes = if seq then k else 1 in
+        let inputs = Circuit.inputs (Circuit.flatten a) in
+        Error
+          (cex_of_assignment ~seq ~nframes ~inputs env (Bdd.sat_one man d)
+             name bit))
   in
-  let results = Sc_par.Pool.run ~label:"equiv.cone" pool tasks in
-  let nodes = List.fold_left (fun acc (_, nc) -> acc + nc) 0 results in
-  let verdict =
-    match List.find_map fst results with
-    | None -> Equivalent
-    | Some (name, bit, assignment, env) ->
-      let nframes = if seq then k else 1 in
-      let inputs = Circuit.inputs (Circuit.flatten a) in
-      Not_equivalent
-        (cex_of_assignment ~seq ~nframes ~inputs env assignment name bit)
-  in
-  (verdict, List.length out_ports, nodes)
-
-let check_cones ?pool ?order ?k a b =
-  Sc_obs.Obs.span "equiv" @@ fun () ->
-  let verdict, cones, nodes = cones_core ?pool ?order ?k a b in
-  Sc_obs.Obs.count "equiv.cones" cones;
-  Sc_obs.Obs.gauge "bdd.nodes" nodes;
-  verdict
-
-type certificate =
-  { cert_cones : int
-  ; cert_nodes : int
-  }
-
-let certify ?pool ?order ?k a b =
-  match cones_core ?pool ?order ?k a b with
-  | Equivalent, cones, nodes -> Ok { cert_cones = cones; cert_nodes = nodes }
-  | Not_equivalent cex, _, _ -> Error cex
+  cones 0 out_ports
 
 type replay_verdict = Reproduced | Not_reproduced | Indeterminate
 

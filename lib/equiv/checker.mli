@@ -44,20 +44,6 @@ val check :
   ?man:Bdd.man -> ?order:Miter.order -> ?k:int -> Circuit.t -> Circuit.t ->
   verdict
 
-(** [check_cones ?pool ?order ?k a b] — same verdict contract as
-    {!check}, computed one output-port cone at a time
-    ({!Miter.cone_outputs}), each cone with a fresh BDD manager, run
-    concurrently on [pool] (default {!Sc_par.Pool.default}).  Every
-    manager allocates variables from the same shared input order, so
-    cones agree on the variable space.  The reported disagreement is the
-    first differing port in declaration order regardless of pool size;
-    the counterexample assignment may differ from {!check}'s (different
-    manager, same distinguishing property).  ["bdd.nodes"] gauges the
-    sum over all cone managers. *)
-val check_cones :
-  ?pool:Sc_par.Pool.t -> ?order:Miter.order -> ?k:int -> Circuit.t ->
-  Circuit.t -> verdict
-
 (** Proof summary of a successful {!certify}: how many output cones
     were proved and the summed BDD node count across their managers. *)
 type certificate =
@@ -65,15 +51,20 @@ type certificate =
   ; cert_nodes : int
   }
 
-(** [certify ?pool ?order ?k a b] — the same per-cone parallel proof as
-    {!check_cones}, packaged for the pass manager's [~certify] hooks:
-    [Ok certificate] when equivalent, [Error cex] with the
-    distinguishing stimulus otherwise.  Emits {b no} Obs telemetry —
-    the pass manager replays certificate counters from the cached
-    summary so warm and cold QoR snapshots stay byte-identical. *)
+(** [certify ?order ?k a b] — the verdict contract of {!check},
+    computed one output-port cone at a time ({!Miter.cone_outputs}),
+    each cone with a fresh BDD manager allocating variables from the
+    same shared input order, and packaged for the pass manager's
+    [~certify] hooks: [Ok certificate] when equivalent, [Error cex]
+    for the first differing port in declaration order otherwise (the
+    assignment may differ from {!check}'s: different manager, same
+    distinguishing property).  Emits {b no} Obs counters, only an
+    ["equiv.cone"] span — the pass manager replays certificate counters
+    from the cached summary so warm and cold QoR snapshots stay
+    byte-identical. *)
 val certify :
-  ?pool:Sc_par.Pool.t -> ?order:Miter.order -> ?k:int -> Circuit.t ->
-  Circuit.t -> (certificate, counterexample) result
+  ?order:Miter.order -> ?k:int -> Circuit.t -> Circuit.t ->
+  (certificate, counterexample) result
 
 (** Outcome of replaying a counterexample in simulation.
     [Indeterminate] means the named output bit was X on at least one

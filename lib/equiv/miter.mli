@@ -51,9 +51,9 @@ val outputs : env -> Circuit.t -> (string * Bdd.t array) list
 
 (** [cone_outputs env c names] — as {!outputs}, but only the output
     ports in [names], and only the gates in their fan-in cones are
-    evaluated.  One cone per BDD manager is the work unit for parallel
-    equivalence checking ({!Checker.check_cones}): cones are independent
-    once every manager allocates variables from the same input order. *)
+    evaluated.  One cone per BDD manager is the work unit of
+    {!Checker.certify}: cones are independent once every manager
+    allocates variables from the same input order. *)
 val cone_outputs : env -> Circuit.t -> string list -> (string * Bdd.t array) list
 
 (** [check_signatures a b] — raise {!exception:Mismatch} unless [a] and

@@ -7,17 +7,6 @@ let make x0 y0 x1 y1 =
   ; ymax = Int.max y0 y1
   }
 
-let of_center_wh ~cx ~cy ~w ~h =
-  assert (w >= 0 && h >= 0);
-  (* Centre coordinates are doubled-grid safe only for even w/h; we bias the
-     extra unit to the positive side so that generators stay deterministic. *)
-  let x0 = cx - (w / 2) and y0 = cy - (h / 2) in
-  { xmin = x0; ymin = y0; xmax = x0 + w; ymax = y0 + h }
-
-let of_corner_wh ~x ~y ~w ~h =
-  assert (w >= 0 && h >= 0);
-  { xmin = x; ymin = y; xmax = x + w; ymax = y + h }
-
 let width r = r.xmax - r.xmin
 let height r = r.ymax - r.ymin
 let area r = width r * height r

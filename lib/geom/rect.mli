@@ -10,14 +10,6 @@ type t = private { xmin : int; ymin : int; xmax : int; ymax : int }
 (** [make x0 y0 x1 y1] normalizes the corner order. *)
 val make : int -> int -> int -> int -> t
 
-(** [of_center_wh ~cx ~cy ~w ~h] builds the rectangle centred at
-    [(cx, cy)].  Width and height must be non-negative. *)
-val of_center_wh : cx:int -> cy:int -> w:int -> h:int -> t
-
-(** [of_corner_wh ~x ~y ~w ~h] builds the rectangle whose lower-left
-    corner is [(x, y)]. *)
-val of_corner_wh : x:int -> y:int -> w:int -> h:int -> t
-
 val width : t -> int
 
 val height : t -> int

@@ -142,10 +142,6 @@ let instantiate ?name ?(trans = Transform.identity) cell =
   in
   { inst_name; cell; trans }
 
-let add_ports c ps =
-  make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances
-    ~promote:c.promotes c.elements
-
 let port_in_parent i p = { p with rect = Transform.apply_rect i.trans p.rect }
 
 (* An own port, or "<inst>.<rest>" for the instance whose name is a

@@ -80,10 +80,6 @@ val port : string -> Layer.t -> Rect.t -> port
 
 val instantiate : ?name:string -> ?trans:Transform.t -> t -> inst
 
-(** [add_ports c ps] adds own ports; on a promoting cell they follow
-    the promoted ones in {!ports}. *)
-val add_ports : t -> port list -> t
-
 (** [ports c] — all of [c]'s ports: for a promoting cell, each
     instance's [ports] in instance order, named "<inst>.<port>" and
     seen through the instance transform, then [c.ports]; otherwise

@@ -71,29 +71,3 @@ let array ~name ~nx ~ny cell =
     done
   done;
   of_instances ~name !insts
-
-let abut ~name a pa b pb =
-  let port_a = Cell.find_port a pa in
-  let port_b = Cell.find_port b pb in
-  let ca = Rect.center port_a.Cell.rect in
-  let cb = Rect.center port_b.Cell.rect in
-  let shift = Point.sub ca cb in
-  of_instances ~name
-    [ Cell.instantiate ~name:"i0" a
-    ; Cell.instantiate ~name:"i1" ~trans:(Transform.make shift) b
-    ]
-
-let expose cell renames =
-  let all = Flatten.ports cell in
-  let extra =
-    List.map
-      (fun (qualified, fresh) ->
-        match
-          List.find_opt (fun (p : Cell.port) -> String.equal p.pname qualified) all
-        with
-        | Some p -> { p with Cell.pname = fresh }
-        | None ->
-          invalid_arg (Printf.sprintf "Compose.expose: no port %S" qualified))
-      renames
-  in
-  Cell.add_ports cell extra

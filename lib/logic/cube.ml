@@ -50,26 +50,6 @@ let input_covers c c' =
 
 let covers c c' = c.outputs land c'.outputs = c'.outputs && input_covers c c'
 
-let inter c c' =
-  let outputs = c.outputs land c'.outputs in
-  if outputs = 0 then None
-  else
-    let n = Array.length c.lits in
-    let lits = Array.make n Dash in
-    let rec go i =
-      if i >= n then Some (make lits outputs)
-      else
-        match (c.lits.(i), c'.lits.(i)) with
-        | Zero, One | One, Zero -> None
-        | Dash, l | l, Dash ->
-          lits.(i) <- l;
-          go (i + 1)
-        | l, _ ->
-          lits.(i) <- l;
-          go (i + 1)
-    in
-    go 0
-
 let distance c c' =
   let d = ref 0 in
   Array.iteri

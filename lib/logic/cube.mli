@@ -32,10 +32,6 @@ val covers_input : t -> bool array -> bool
     mask of [c] is a superset of [c']'s. *)
 val covers : t -> t -> bool
 
-(** Input-part intersection, [None] if empty. The output mask of the result
-    is the intersection; [None] as well if the masks are disjoint. *)
-val inter : t -> t -> t option
-
 (** [merge c c'] — when the input parts are at distance exactly 1 and the
     output masks intersect, the QM merge: the differing variable goes to
     Dash, outputs to the intersection. *)

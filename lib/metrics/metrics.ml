@@ -144,8 +144,7 @@ let direction_of_key k =
     || k = "equiv.certificate.nodes"
   then Informational
   else if
-    k = "equiv.cones" || k = "equiv.certified_passes"
-    || k = "equiv.certificate.cones"
+    k = "equiv.certified_passes" || k = "equiv.certificate.cones"
     || (has_prefix "cache." k && has_suffix "hit" k)
   then Higher_better
   else Lower_better

@@ -17,8 +17,8 @@
     - {e QoR} — gate/register/transistor counts, bounding-box area,
       placement HPWL, routed channel tracks, CIF rect counts per layer,
       DRC violations, BDD proof sizes.  Deterministic: byte-identical
-      across pool widths ([-j 1] vs [-j 4]) and across machines, so QoR
-      diffs are exact (default threshold zero).
+      across runs and across machines, so QoR diffs are exact (default
+      threshold zero).
     - {e runtime} — per-stage wall/self time (whole microseconds, so the
       JSON stays integral), cache hit/miss/eviction counts, pool width
       and per-domain task counts.  Volatile by nature; diffs are
@@ -57,8 +57,8 @@ val to_json : snapshot -> Sc_obs.Json.t
 val of_json : Sc_obs.Json.t -> (snapshot, string) result
 
 val qor_string : snapshot -> string
-(** The QoR section alone, serialized — the byte string the [-j]
-    determinism tests compare. *)
+(** The QoR section alone, serialized — the byte string the
+    determinism tests (warm = cold, run = run) compare. *)
 
 val write : string -> snapshot -> unit
 val read : string -> (snapshot, string) result

@@ -17,9 +17,9 @@
     event buffer.  The ~60 instrumentation sites across the compiler
     libraries never see a handle — attribution is decided by the
     binding above them, not by threading a recorder through every
-    signature.  [Sc_par.Pool] tasks run in their submitter's scope, so
-    spans and counters from pool tasks land in the submitter's
-    recorder, whichever domain ran them.
+    signature.  [Sc_par.Pool] tasks and offloaded calls run in their
+    submitter's scope, so their spans and counters land in the
+    submitter's recorder, whichever domain ran them.
 
     Spans nest by dynamic scope: a span opened while another is running
     becomes its child, and its path is the dot-joined ancestry

@@ -5,9 +5,8 @@
    no-op.  The submitting caller claims from its own batch directly and
    never takes a ticket, so it only ever runs its own tasks: a task
    that calls [run] again waits on work it can always finish itself,
-   which is what makes nested submission safe.  Several batches can be
-   in flight at once — the serve daemon's executions submit from its
-   execution domains concurrently.
+   which is what makes nested submission safe.  Several batches, from
+   different domains, can be in flight at once.
 
    [offload] queues a single job instead of a batch: a worker runs it
    and hands the result back, while the caller sleeps on [settled]
@@ -24,10 +23,6 @@ type t =
   }
 
 let size t = t.pool_size
-
-(* the default width: as many domains as the runtime recommends, at
-   most 8 (the widest pool the width-determinism tests use) *)
-let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 
 (* the pool a domain works for, so [offload] can tell a nested call *)
 let member : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -49,12 +44,8 @@ let worker_loop t () =
   in
   loop ()
 
-let create ?domains () =
-  let pool_size =
-    match domains with
-    | Some n -> max 1 n
-    | None -> recommended_domains ()
-  in
+let create ~domains () =
+  let pool_size = max 1 domains in
   let t =
     { pool_size
     ; lock = Mutex.create ()
@@ -86,13 +77,12 @@ type 'a slot =
 let in_scope label =
   let scope = Sc_obs.Scope.capture () in
   let obs = Sc_obs.Obs.enabled () in
-  ( obs
-  , fun f ->
-      Sc_obs.Scope.within scope
-        (if obs then fun () -> Sc_obs.Obs.span label f else f) )
+  fun f ->
+    Sc_obs.Scope.within scope
+      (if obs then fun () -> Sc_obs.Obs.span label f else f)
 
 let offload t f =
-  let _, exec = in_scope "par.offload" in
+  let exec = in_scope "par.offload" in
   let nested =
     match Domain.DLS.get member with Some p -> p == t | None -> false
   in
@@ -127,33 +117,19 @@ let offload t f =
 let run ?(label = "par.task") t thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
-  let obs, exec = in_scope label in
-  if obs then Sc_obs.Obs.gauge "pool.width" t.pool_size;
-  if t.pool_size <= 1 || n <= 1 then begin
+  let exec = in_scope label in
+  if t.pool_size <= 1 || n <= 1 then
     (* sequential path: no queueing, natural exception propagation *)
-    if obs then Sc_obs.Obs.count "pool.d0.tasks" n;
     Array.to_list (Array.map (fun f -> exec f) thunks)
-  end
   else begin
     let slots = Array.make n Pending in
     let next = Atomic.make 0 in
     let remaining = ref n in
-    (* which domain completed each task, for the load-imbalance gauges:
-       rank 0 is the caller, workers rank by spawn order *)
-    let ran_on = Array.make n (-1) in
-    let caller = (Domain.self () :> int) in
-    let rank_of =
-      let workers =
-        List.mapi (fun i d -> ((Domain.get_id d :> int), i + 1)) t.workers
-      in
-      fun id -> if id = caller then 0 else List.assoc id workers
-    in
     (* run the next unclaimed task; false once every task is claimed *)
     let claim () =
       let i = Atomic.fetch_and_add next 1 in
       if i >= n then false
       else begin
-        ran_on.(i) <- (Domain.self () :> int);
         (slots.(i) <-
           (match exec thunks.(i) with
           | v -> Done v
@@ -183,19 +159,6 @@ let run ?(label = "par.task") t thunks =
       Condition.wait t.settled t.lock
     done;
     Mutex.unlock t.lock;
-    if obs then begin
-      Sc_obs.Obs.count (label ^ ".tasks") n;
-      let per_rank = Array.make t.pool_size 0 in
-      Array.iter
-        (fun id ->
-          let r = rank_of id in
-          per_rank.(r) <- per_rank.(r) + 1)
-        ran_on;
-      Array.iteri
-        (fun r c ->
-          if c > 0 then Sc_obs.Obs.count (Printf.sprintf "pool.d%d.tasks" r) c)
-        per_rank
-    end;
     Array.to_list
       (Array.map
          (function
@@ -204,36 +167,3 @@ let run ?(label = "par.task") t thunks =
            | Pending -> assert false)
          slots)
   end
-
-(* --- the process-default pool --- *)
-
-let wanted = ref 1
-let current : t option ref = ref None
-let current_lock = Mutex.create ()
-
-let drop_current () =
-  match !current with
-  | Some p ->
-    current := None;
-    shutdown p
-  | None -> ()
-
-let () = at_exit drop_current
-
-let set_default_size n =
-  let n = max 1 n in
-  if n <> !wanted then begin
-    wanted := n;
-    drop_current ()
-  end
-
-(* locked: concurrent daemon executions must not each create (and
-   leak) a pool *)
-let default () =
-  Mutex.protect current_lock (fun () ->
-      match !current with
-      | Some p -> p
-      | None ->
-        let p = create ~domains:!wanted () in
-        current := Some p;
-        p)

@@ -1,11 +1,14 @@
-(** A fixed-size OCaml 5 [Domain] worker pool with deterministic,
-    ordered reduction.
+(** A fixed-size OCaml 5 [Domain] worker pool: the program's one
+    concurrency mechanism.
 
-    The pipeline's parallel stages (DRC cells and windows, multi-seed
-    placement restarts, per-output equivalence cones) all follow the
-    same shape: a list of independent pure tasks whose results must come
-    back {e in submission order} so that parallel runs are byte-for-byte
-    identical to sequential ones.  [run] provides exactly that contract:
+    A compile runs on the domain that calls it.  The serve daemon
+    starts one pool at start-up, and its workers are the execution
+    domains: each request's compilation or equivalence check is
+    {!offload}ed to one of them, so concurrent requests overlap without
+    a domain spawned per request.
+
+    {!run} keeps one batch caller, [Sc_drc.Checker.check_flat]'s
+    [?pool], which the benchmark times on a pool of two.  Its contract:
 
     - results are returned in the order the thunks were given,
       regardless of which domain finished first;
@@ -13,7 +16,7 @@
       re-raised in the caller once all tasks have settled — again
       independent of scheduling;
     - a pool of size 1 spawns no domains at all and runs every task in
-      the calling domain, so [-j 1] is the sequential code path.
+      the calling domain.
 
     The calling domain participates in the work (a pool of size [n]
     spawns [n - 1] worker domains), so no core idles while the caller
@@ -23,25 +26,21 @@
     task may call [run] on the pool it runs on, and the inner caller
     can always finish its inner batch by itself.
 
-    Every task runs in its submitter's {!Sc_obs.Scope}: whatever the
-    submitter had bound — its recorder, whether it certifies, the
-    journal its pass outcomes go to — is bound for the task too, on
-    any domain, so no caller threads that state into its tasks by
-    hand.  Every task runs inside an {!Sc_obs.Obs.span} (named by
-    [~label]) when recording; spans carry the worker's domain id,
-    so a Chrome trace shows one track per domain and the summary table
-    aggregates per-label totals across domains.  Each [run] also
-    records the pool width (gauge ["pool.width"]) and per-domain
-    completed-task counts (["pool.d<rank>.tasks"], rank 0 = the
-    caller), so [Sc_metrics] snapshots expose load imbalance. *)
+    Every task and offloaded call runs in its submitter's
+    {!Sc_obs.Scope}: whatever the submitter had bound — its recorder,
+    whether it certifies, the journal its pass outcomes go to — is bound
+    for the task too, on any domain, so no caller threads that state
+    into its tasks by hand.  Every task runs inside an
+    {!Sc_obs.Obs.span} (named by [~label]) when recording; spans carry
+    the worker's domain id, so a Chrome trace shows one track per
+    domain. *)
 
 type t
 
-val create : ?domains:int -> unit -> t
+val create : domains:int -> unit -> t
 (** [create ~domains ()] — a pool executing on [domains] domains total
-    (the caller plus [domains - 1] spawned workers).  [domains]
-    defaults to [Domain.recommended_domain_count], capped at 8; values
-    below 1 are clamped to 1. *)
+    (the caller plus [domains - 1] spawned workers); values below 1 are
+    clamped to 1. *)
 
 val size : t -> int
 (** Number of domains the pool executes on, including the caller. *)
@@ -64,20 +63,4 @@ val offload : t -> (unit -> 'a) -> 'a
     pool's own workers, [f] runs inline, so nesting cannot deadlock. *)
 
 val shutdown : t -> unit
-(** Join the pool's worker domains.  Idempotent; the pool must be idle.
-    Pools are also shut down automatically at process exit. *)
-
-(** {2 The process-default pool}
-
-    [scc -j N] sets the default size once at startup; library code
-    ([Sc_drc.Checker.check], [Placer.best_of], ...) picks the default
-    pool up without threading a handle through every signature.  The
-    default size is 1 — all parallel call sites degrade to the
-    sequential path unless a pool or [-j] says otherwise. *)
-
-val set_default_size : int -> unit
-(** Resize the process-default pool (existing default workers are
-    joined; the new pool is created lazily on first use). *)
-
-val default : unit -> t
-(** The process-default pool, created on first use. *)
+(** Join the pool's worker domains.  Idempotent; the pool must be idle. *)

@@ -23,8 +23,8 @@
 
     {2 Key discipline}
 
-    The cache key never includes observability state or pool width, so
-    instrumented/uninstrumented and [-j 1]/[-j 4] runs share entries.
+    The cache key never includes observability state, so instrumented
+    and uninstrumented runs share entries.
     Everything that {e does} affect the artifact must reach the key:
     either via the staged input (its key chains all upstream digests)
     or via [run ~param] for out-of-band knobs (placement restarts,
@@ -148,9 +148,9 @@ val disable_cache : unit -> unit
     for the extent of a function on the calling context, nest, and
     restore the outer binding on exit (also on exceptions).
     Concurrent compiles — one per daemon request — never see each
-    other's choices, while {!Sc_par.Pool} tasks see their submitter's:
-    a module compiled on a worker domain certifies when its requester
-    does, and journals into the requester's {!with_log}.  Outside any
+    other's choices, while a {!Sc_par.Pool.offload}ed execution sees its
+    submitter's, and every module of a modular compile certifies when
+    its requester does and journals into the requester's {!with_log}.  Outside any
     binding nothing is certified and nothing is journaled. *)
 
 val with_certify : bool -> (unit -> 'a) -> 'a

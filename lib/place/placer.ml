@@ -241,22 +241,17 @@ let improve_cost ?(iters = 2000) pl =
 
 let improve ?iters pl = fst (improve_cost ?iters pl)
 
-let best_of ?pool ?(seeds = 4) ?iters ?nrows p =
-  let pool = match pool with Some q -> q | None -> Sc_par.Pool.default () in
-  let starts =
-    (fun () -> improve_cost ?iters (ordered ?nrows p))
-    :: List.init seeds (fun k () ->
-           improve_cost ?iters (random ~seed:(100 + k) ?nrows p))
-  in
-  let results = Sc_par.Pool.run ~label:"place.restart" pool starts in
-  match results with
-  | [] -> assert false
-  | first :: rest ->
-    (* strict < keeps the earliest start on ties, independent of pool size *)
-    fst
-      (List.fold_left
-         (fun (bp, bc) (cp, cc) -> if cc < bc then (cp, cc) else (bp, bc))
-         first rest)
+let best_of ?(seeds = 4) ?iters ?nrows p =
+  Sc_obs.Obs.span "place.restart" @@ fun () ->
+  let start pl = improve_cost ?iters pl in
+  (* strict < keeps the earliest start on ties *)
+  fst
+    (List.fold_left
+       (fun (bp, bc) k ->
+         let cp, cc = start (random ~seed:(100 + k) ?nrows p) in
+         if cc < bc then (cp, cc) else (bp, bc))
+       (start (ordered ?nrows p))
+       (List.init seeds Fun.id))
 
 let to_layout ~name pl =
   let open Sc_geom in

@@ -48,14 +48,11 @@ val improve : ?iters:int -> placement -> placement
     final HPWL (always equal to [hpwl] of the returned placement). *)
 val improve_cost : ?iters:int -> placement -> placement * int
 
-(** [best_of ?pool ?seeds ?iters ?nrows p] — multi-start placement: the
+(** [best_of ?seeds ?iters ?nrows p] — multi-start placement: the
     constructive {!ordered} start plus [seeds] (default 4) {!random}
-    restarts, each refined by {!improve}, run concurrently on [pool]
-    (default {!Sc_par.Pool.default}).  Returns the placement with the
-    lowest HPWL; ties keep the earliest start, so the result does not
-    depend on the pool size. *)
-val best_of :
-  ?pool:Sc_par.Pool.t -> ?seeds:int -> ?iters:int -> ?nrows:int -> problem -> placement
+    restarts, each refined by {!improve} in turn.  Returns the placement
+    with the lowest HPWL; ties keep the earliest start. *)
+val best_of : ?seeds:int -> ?iters:int -> ?nrows:int -> problem -> placement
 
 (** Half-perimeter wire length over all nets, cell centres as pins. *)
 val hpwl : placement -> int

@@ -214,11 +214,10 @@ let do_equiv st ~a ~b ~k =
   | Error e, _ | _, Error e -> P.Error_reply { stage = "equiv"; message = e }
   | Ok ca, Ok cb -> (
     (* like a compile, the check runs on an execution domain and
-       overlaps with everything else; its BDD cones go to the shared
-       [-j] pool *)
+       overlaps with everything else *)
     match
       run_on_domain st (fun () ->
-          match Sc_equiv.Checker.check_cones ~k ca cb with
+          match Sc_equiv.Checker.check ~k ca cb with
           | v -> `Verdict v
           | exception Invalid_argument e -> `Invalid e
           | exception Sc_equiv.Miter.Mismatch e -> `Mismatch e)
@@ -489,24 +488,23 @@ let serve_connection st conn fd =
    included; spawning one more raises *)
 let max_domains = 128
 
-let exec_domain_count ~jobs requested =
-  let room = max_domains - max 1 jobs in
+let exec_domain_count requested =
+  let room = max_domains - 1 in
   let n =
     match requested with
     | Some n -> max 1 n
-    | None -> max 1 (min room (max 2 (Domain.recommended_domain_count ())))
+    | None -> min room (max 2 (Domain.recommended_domain_count ()))
   in
   if n <= room then Ok n
   else
     Error
       (Printf.sprintf
          "%d execution domains do not fit: the runtime runs at most %d \
-          domains, and the main domain and -j %d's workers leave room for %d"
-         n max_domains jobs (max 0 room))
+          domains, and the main domain leaves room for %d"
+         n max_domains room)
 
-let serve ~jobs ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
+let serve ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
     ?trace_dir ~trace_sample ~socket () =
-  Sc_par.Pool.set_default_size jobs;
   (match stage_cache with
   | Some dir -> Pipeline.enable_cache ~dir ()
   | None -> Pipeline.enable_cache ());
@@ -572,15 +570,14 @@ let serve ~jobs ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
       with Invalid_argument _ -> ()
     end;
     Printf.eprintf
-      "scc serve: listening on %s (%s, jobs %d, %d execution domains)\n%!"
+      "scc serve: listening on %s (%s, %d execution domains)\n%!"
       socket
       (match stage_cache with
       | Some dir -> "stage cache " ^ dir
       | None -> "stage cache in memory")
-      jobs exec_domains;
+      exec_domains;
     slog st Slog.Info ~event:"start"
       ([ ("socket", Json.Str socket)
-       ; ("jobs", jnum jobs)
        ; ("exec_domains", jnum exec_domains)
        ; ("version", Json.Str server_version)
        ]
@@ -646,12 +643,12 @@ let serve ~jobs ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
       s.requests s.executions s.dedup_hits s.peak_executions;
     0
 
-let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
+let run ?stage_cache ?(handle_signals = true) ?exec_domains ?log
     ?(log_level = Slog.Info) ?trace_dir ?(trace_sample = (1, 1)) ~socket () =
-  match exec_domain_count ~jobs exec_domains with
+  match exec_domain_count exec_domains with
   | Error e ->
     Printf.eprintf "scc serve: %s\n%!" e;
     2
   | Ok exec_domains ->
-    serve ~jobs ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
+    serve ?stage_cache ~handle_signals ~exec_domains ?log ~log_level
       ?trace_dir ~trace_sample ~socket ()

@@ -5,10 +5,10 @@
     connection gets its own lightweight thread for socket I/O; each
     {e execution} (a compile or equiv the dedup table didn't already
     have in flight) runs on one of a fixed set of execution domains,
-    spawned once at start-up ({!Sc_par.Pool.offload}), so the
-    process-global pass manager ({!Sc_pipeline.Pipeline}), its
-    content-addressed stage cache ({!Sc_cache.Cache}, sharded on disk
-    when [stage_cache] is given) and the {!Sc_par.Pool} worker domains
+    spawned once at start-up ({!Sc_par.Pool.offload}), and runs there
+    start to finish.  The process-global pass manager
+    ({!Sc_pipeline.Pipeline}) and its content-addressed stage cache
+    ({!Sc_cache.Cache}, sharded on disk when [stage_cache] is given)
     are shared by every client — the second client to ask for a design
     pays cache-hit prices for work the first one caused.
 
@@ -66,7 +66,6 @@ type stats =
   }
 
 val run :
-  ?jobs:int ->
   ?stage_cache:string ->
   ?handle_signals:bool ->
   ?exec_domains:int ->
@@ -79,8 +78,7 @@ val run :
   int
 (** [run ~socket ()] — bind [socket] (an existing file is replaced),
     serve until shutdown, unlink the socket, and return the process
-    exit code.  [jobs] sizes the default worker pool (default 1);
-    [stage_cache] persists pass artifacts under the given directory so
+    exit code.  [stage_cache] persists pass artifacts under the given directory so
     a restarted daemon comes back warm; [handle_signals] (default
     [true]) installs SIGTERM/SIGINT handlers for clean shutdown — pass
     [false] when embedding the server in a test or bench thread.
@@ -95,9 +93,9 @@ val run :
     [trace_sample = (n, m)]: the first [n] of every [m] executions
     (default [(1, 1)] — every execution). *)
 
-val exec_domain_count : jobs:int -> int option -> (int, string) result
-(** [exec_domain_count ~jobs requested] — how many execution domains
-    [run ~jobs ?exec_domains:requested] starts: [requested] (clamped to
-    at least 1) or the default, which is capped to fit.  [Error] when
-    they would not fit in the runtime's 128 domains beside the main
-    domain and the [jobs - 1] workers of the [-j] pool. *)
+val exec_domain_count : int option -> (int, string) result
+(** [exec_domain_count requested] — how many execution domains
+    [run ?exec_domains:requested] starts: [requested] (clamped to at
+    least 1) or the default, which is capped to fit.  [Error] when they
+    would not fit in the runtime's 128 domains beside the main
+    domain. *)

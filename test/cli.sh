@@ -2,8 +2,9 @@
 # End-to-end checks of the scc command line: the compile front door on
 # every source kind, its exit codes, the isp alias, the circuit specs
 # equiv resolves, serve's --exec-domains bound, a warm module edit over
-# the disk stage cache, the pinned CIF text of the baseline designs, the
-# size of pdp8's stage-cache entries and hostile CIF.
+# the disk stage cache, the pinned CIF text of the baseline designs, one
+# domain per compile, missing input files, the size of pdp8's
+# stage-cache entries and hostile CIF.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -162,25 +163,58 @@ expect_at 1 "compile of a bare 0x" 5:16 "$scc" compile "$dir/badlit.isp"
 expect_at 1 "compile of an oversized chip-block width" 20:10 \
   "$scc" compile "$dir/badchip.isp"
 
-# The CIF text of the baseline designs, pinned by MD5 at two pool
-# widths.  A change that moves geometry on purpose updates these.
-while read -r design digest; do
-  for j in 1 4; do
-    expect 0 "compile $design -j $j" "$scc" compile "$design" -j "$j" -o "$dir/pinned.cif"
-    got=$(md5sum <"$dir/pinned.cif" | cut -d' ' -f1)
-    if [ "$got" != "$digest" ]; then
-      echo "FAIL: $design -j $j: CIF MD5 $got, pinned $digest" >&2
-      fail=1
-    fi
-  done
+# The CIF text of the baseline designs, and of two multi-start
+# placements, pinned by MD5.  A change that moves geometry on purpose
+# updates these.
+while read -r digest design flags; do
+  # shellcheck disable=SC2086 # $flags is a word list
+  expect 0 "compile $design $flags" "$scc" compile "$design" $flags -o "$dir/pinned.cif"
+  got=$(md5sum <"$dir/pinned.cif" | cut -d' ' -f1)
+  if [ "$got" != "$digest" ]; then
+    echo "FAIL: $design $flags: CIF MD5 $got, pinned $digest" >&2
+    fail=1
+  fi
 done <<PINS
-pdp8 f8bddfd33c7135c47f067005c3aa443c
-counter 3a694bff220815d4f787431f02fe74cb
-traffic 51431483cb032a63e56925bb047f6e89
-alu4 2f57cc1c8e49e1686d61025d3b228827
-system e633bf78a2f1d308307f087011910894
-$counter12 a973b02bd68d68be1b9fc29bfc984da6
+f8bddfd33c7135c47f067005c3aa443c pdp8
+3a694bff220815d4f787431f02fe74cb counter
+51431483cb032a63e56925bb047f6e89 traffic
+2f57cc1c8e49e1686d61025d3b228827 alu4
+e633bf78a2f1d308307f087011910894 system
+a973b02bd68d68be1b9fc29bfc984da6 $counter12
+b5e886bcd204ac81495a098ae5baf1cb pdp8 --restarts 4
+ed8c7bb2aa27593d2b41471b4c52a23b $counter12 --restarts 4
 PINS
+
+# A compile runs on the domain that calls it: every span of a certified
+# modular compile with placement restarts carries the same trace tid.
+expect 0 "compile system --trace" "$scc" compile system --certify --restarts 4 \
+  --trace "$dir/trace.json" -o /dev/null
+spans=$(grep -o '"ph":"X"' "$dir/trace.json" | wc -l)
+tids=$(grep -o '"tid":[0-9]*' "$dir/trace.json" | sort | uniq -c)
+if [ "$spans" -eq 0 ] || [ "$(printf '%s\n' "$tids" | wc -l)" -ne 1 ] ||
+  [ "$(printf '%s\n' "$tids" | awk '{ print $1 }')" -ne "$spans" ]; then
+  echo "FAIL: the spans of one compile carry tids other than one: $spans spans, tids:" >&2
+  printf '%s\n' "$tids" >&2
+  fail=1
+fi
+
+# A missing input file is a usage error, exit 2, in every subcommand
+# that reads one.
+for verb in drc stats extract svg sim report; do
+  expect 2 "$verb of a missing file" "$scc" "$verb" "$dir/nonesuch"
+  if ! grep -q "no such file" "$dir/err"; then
+    echo "FAIL: $verb of a missing file: no diagnostic" >&2
+    cat "$dir/err" >&2
+    fail=1
+  fi
+done
+expect 2 "equiv of a missing file" "$scc" equiv "$dir/nonesuch" isp:counter
+expect 0 "compile counter --metrics" "$scc" compile counter --metrics "$dir/m.json"
+expect 2 "diff against a missing baseline" "$scc" diff "$dir/nonesuch" "$dir/m.json"
+expect 2 "diff with missing thresholds" "$scc" diff "$dir/m.json" "$dir/m.json" \
+  --thresholds "$dir/nonesuch"
+expect 2 "client compile --baseline of a missing file" "$scc" client compile counter \
+  --socket "$dir/no.sock" --baseline "$dir/nonesuch"
 
 # A placed layout is stored as its instances: the composed cell keeps no
 # copy of its gates' ports, so pdp8's place entry in the stage cache,

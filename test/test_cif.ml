@@ -284,7 +284,7 @@ let gen_cell =
     in
     let* own = frequency [ (3, pure []); (1, map (fun p -> [ p ]) (gen_port "q")) ] in
     frequency
-      [ (3, pure (Cell.add_ports (Compose.of_instances ~name insts) own))
+      [ (3, pure (Cell.make ~name ~ports:own ~instances:insts ~promote:true []))
       ; (1, pure (Cell.make ~name ~ports:own ~instances:insts []))
       ]
   in

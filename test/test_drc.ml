@@ -167,24 +167,16 @@ let test_wide_outer_still_encloses () =
   check_bool "wide metal accepted as cover" true (Checker.is_clean c)
 
 (* [with_agree f] passes [f] a function that checks a layout with the
-   hierarchical checker against the flat deck at pool sizes 1 and 2,
-   and its transistor count against the flat count, and returns the
-   violations. *)
+   hierarchical checker against the flat deck, and its transistor count
+   against the flat count, and returns the violations. *)
 let with_agree f =
-  let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Sc_par.Pool.shutdown p1; Sc_par.Pool.shutdown p2)
-    (fun () ->
-      f (fun name layout ->
-          let expected = Checker.check_flat ~pool:p1 (Flatten.run layout) in
-          check_bool (name ^ ": check = check_flat, -j 1") true
-            (Checker.check ~pool:p1 layout = expected);
-          check_bool (name ^ ": check = check_flat, -j 2") true
-            (Checker.check ~pool:p2 layout = expected);
-          check_int (name ^ ": transistor_count = flat count")
-            (Stats_reference.transistor_count layout)
-            (Stats.transistor_count layout);
-          expected))
+  f (fun name layout ->
+      let expected = Checker.check_flat (Flatten.run layout) in
+      check_bool (name ^ ": check = check_flat") true (Checker.check layout = expected);
+      check_int (name ^ ": transistor_count = flat count")
+        (Stats_reference.transistor_count layout)
+        (Stats.transistor_count layout);
+      expected)
 
 (* The root decides what is still open by union-find roots: a spacing
    gap or a bare contact inherited from two levels down, which a sibling
@@ -648,16 +640,15 @@ let test_matches_reference () =
   check_bool "some case has several gates" true (!most_gates >= 3)
 
 (* The hierarchical check against the flat deck on random hierarchies,
-   at pool sizes 1 and 2, checking that the hierarchies exercise what
-   they are meant to: deep nesting, every orientation, mirrored rows,
-   arrays, and each case where context decides. *)
+   checking that the hierarchies exercise what they are meant to: deep
+   nesting, every orientation, mirrored rows, arrays, and each case
+   where context decides. *)
 let test_hierarchical_matches_flat () =
-  let p1 = Sc_par.Pool.create ~domains:1 () and p2 = Sc_par.Pool.create ~domains:2 () in
   let seen = Hashtbl.create 16 in
   let note k = Hashtbl.replace seen k () in
   let metal_spacing = Rules.Min_spacing (Layer.Metal, Layer.Metal, 3) in
   let contact_enclosure = Rules.Min_enclosure (Layer.Contact, Layer.Metal, 1) in
-  let flat c = Checker.check_flat ~pool:p1 (Flatten.run c) in
+  let flat c = Checker.check_flat (Flatten.run c) in
   let violates rule c = List.exists (fun v -> v.Checker.rule = rule) (flat c) in
   let features layout =
     let rec depth (c : Cell.t) =
@@ -683,18 +674,14 @@ let test_hierarchical_matches_flat () =
         | _ -> ())
       (Cell.all_cells layout)
   in
-  Fun.protect
-    ~finally:(fun () -> Sc_par.Pool.shutdown p1; Sc_par.Pool.shutdown p2)
-    (fun () ->
-      QCheck.Test.check_exn ~rand:(Random.State.make [| 0x41E7; 21 |])
-        (QCheck.Test.make ~name:"check = check_flat after Flatten.run" ~count:300
-           (QCheck.make ~print:(fun c -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c)) gen_layout)
-           (fun layout ->
-             features layout;
-             let expected = flat layout in
-             List.iter (fun v -> Hashtbl.replace seen (Format.asprintf "%a" Rules.pp_rule v.Checker.rule) ()) expected;
-             Checker.check ~pool:p1 layout = expected
-             && Checker.check ~pool:p2 layout = expected)));
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0x41E7; 21 |])
+    (QCheck.Test.make ~name:"check = check_flat after Flatten.run" ~count:300
+       (QCheck.make ~print:(fun c -> Printf.sprintf "%d flat boxes" (Cell.flat_rect_count c)) gen_layout)
+       (fun layout ->
+         features layout;
+         let expected = flat layout in
+         List.iter (fun v -> Hashtbl.replace seen (Format.asprintf "%a" Rules.pp_rule v.Checker.rule) ()) expected;
+         Checker.check layout = expected));
   List.iter
     (fun case -> check_bool ("some case has " ^ case) true (Hashtbl.mem seen case))
     ([ "three levels of nesting"; "mirrored rows"; "one cell placed many times"

@@ -405,6 +405,35 @@ let test_artwork_wrong_spec_caught () =
   in
   Alcotest.(check string) "output named" "y" cex.Checker.output
 
+(* the per-cone certificate and the single-manager check agree: an
+   equivalent pair certifies one cone per output port, and a difference
+   is refused at the port and bit [check] reports first *)
+let test_certify_agrees_with_check () =
+  let b = Builder.create "blk" in
+  let xs = Builder.input b "x" 4 and ys = Builder.input b "y" 4 in
+  let sums, cout = Builder.adder b xs ys in
+  Builder.output b "sum" sums;
+  Builder.output b "co" [| cout |];
+  let c = Builder.finish b in
+  (match Checker.certify c (Optimize.simplify c) with
+  | Ok cert -> check_int "one cone per output port" 2 cert.Checker.cert_cones
+  | Error _ -> Alcotest.fail "adder refused");
+  let bad = Checker.mutate (Circuit.flatten c) 0 in
+  (match (Checker.certify c bad, Checker.check c bad) with
+  | Error cex, Checker.Not_equivalent cex' ->
+    Alcotest.(check string) "same differing port" cex'.Checker.output cex.Checker.output;
+    check_int "same differing bit" cex'.Checker.bit cex.Checker.bit
+  | _ -> Alcotest.fail "mutation missed");
+  (* the 48-input pdp8 datapath: synthesized from ISP vs the hand
+     design, one BDD manager per cone *)
+  let dp = Sc_core.Designs.parse Sc_core.Designs.pdp8_dp_src in
+  let synth_dp = (Sc_synth.Synth.gates dp).Sc_synth.Synth.circuit in
+  match Checker.certify synth_dp (Sc_core.Designs.hand_pdp8_dp ()) with
+  | Ok _ -> ()
+  | Error cex ->
+    Alcotest.failf "pdp8_dp refused: %a" Checker.pp_verdict
+      (Checker.Not_equivalent cex)
+
 let suite =
   [ Alcotest.test_case "bdd laws" `Quick test_bdd_laws
   ; Alcotest.test_case "bdd sat/eval" `Quick test_bdd_sat_eval
@@ -439,4 +468,6 @@ let suite =
       test_artwork_primitives_equivalent
   ; Alcotest.test_case "artwork wrong spec caught" `Quick
       test_artwork_wrong_spec_caught
+  ; Alcotest.test_case "certify agrees with check" `Quick
+      test_certify_agrees_with_check
   ]

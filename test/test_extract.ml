@@ -337,7 +337,7 @@ let gen_ported =
            if u < 0.6 then [ Cell.port (Printf.sprintf "p%d" k) l r ] else [])
          (List.combine conductors keep))
   in
-  pure (Cell.add_ports layout ports)
+  pure (Test_layout.add_ports layout ports)
 
 (* a poly/diffusion crossing overlapped by a buried contact *)
 let buried_cuts_channel layout =

@@ -51,14 +51,6 @@ let test_rect_normalizes () =
   check "height" 4 (Rect.height r);
   check "area" 12 (Rect.area r)
 
-let test_rect_center_corner () =
-  let r = Rect.of_corner_wh ~x:2 ~y:3 ~w:4 ~h:6 in
-  Alcotest.check Alcotest.bool "center" true
-    (Point.equal (Rect.center r) (Point.make 4 6));
-  let c = Rect.of_center_wh ~cx:0 ~cy:0 ~w:4 ~h:4 in
-  check "cxmin" (-2) c.Rect.xmin;
-  check "cxmax" 2 c.Rect.xmax
-
 let test_rect_relations () =
   let a = Rect.make 0 0 4 4 and b = Rect.make 4 0 8 4 in
   check_bool "abutting do not overlap" false (Rect.overlaps a b);
@@ -272,7 +264,7 @@ let prop_minus_pieces =
 
 let suite =
   [ Alcotest.test_case "rect normalizes" `Quick test_rect_normalizes
-  ; Alcotest.test_case "rect center/corner constructors" `Quick test_rect_center_corner
+  ; Alcotest.test_case "index edge cases" `Quick test_index_edge_cases
   ; Alcotest.test_case "rect relations" `Quick test_rect_relations
   ; Alcotest.test_case "rect negative inflate" `Quick test_rect_inflate_negative
   ; Alcotest.test_case "path to rects" `Quick test_path_rects
@@ -287,7 +279,6 @@ let suite =
   ; prop_invert_roundtrip
   ; prop_apply_rect_matches_corners
   ; prop_rect_area_preserved
-  ; Alcotest.test_case "index edge cases" `Quick test_index_edge_cases
   ; prop_index_near_is_filter
   ; prop_index_components
   ; prop_minus_pieces

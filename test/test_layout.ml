@@ -6,6 +6,12 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* A 4x4 metal tile with a port on its east edge. *)
+(* [c] with own ports [ps] added; on a promoting cell they follow the
+   promoted ones in [Cell.ports] *)
+let add_ports (c : Cell.t) ps =
+  Cell.make ~name:c.name ~ports:(c.ports @ ps) ~instances:c.instances
+    ~promote:c.promotes c.elements
+
 let tile ?(name = "tile") () =
   Cell.make ~name
     ~ports:[ Cell.port "e" Layer.Metal (Rect.make 4 1 4 3) ]
@@ -88,36 +94,12 @@ let test_array_shares_definition () =
   let a = Compose.array ~name:"arr" ~nx:10 ~ny:10 t in
   check_int "two distinct cells" 2 (List.length (Cell.all_cells a))
 
-let test_abut_aligns_ports () =
-  let a = tile ~name:"a" () in
-  let b =
-    Cell.make ~name:"b"
-      ~ports:[ Cell.port "w" Layer.Metal (Rect.make 0 1 0 3) ]
-      [ Cell.box Layer.Metal (Rect.make 0 0 4 4) ]
-  in
-  let j = Compose.abut ~name:"j" a "e" b "w" in
-  (* b's west port centre lands on a's east port centre: b spans x=4..8 *)
-  check_bool "joined bbox" true
-    (Rect.equal (Cell.bbox_or_zero j) (Rect.make 0 0 8 4));
-  let pa = List.find (fun (p : Cell.port) -> p.pname = "i0.e") (Cell.ports j) in
-  let pb = List.find (fun (p : Cell.port) -> p.pname = "i1.w") (Cell.ports j) in
-  check_bool "port rects coincide" true
-    (Point.equal (Rect.center pa.rect) (Rect.center pb.rect))
-
 let test_all_cells_children_first () =
   let leaf = tile ~name:"leaf" () in
   let mid = Compose.row ~name:"mid" [ leaf; leaf ] in
   let top = Compose.col ~name:"top" [ mid; mid ] in
   let names = List.map (fun (c : Cell.t) -> c.name) (Cell.all_cells top) in
   Alcotest.(check (list string)) "order" [ "leaf"; "mid"; "top" ] names
-
-let test_expose () =
-  let t = tile () in
-  let r = Compose.row ~name:"r" [ t; t ] in
-  let r = Compose.expose r [ ("i1.e", "out") ] in
-  let p = Cell.find_port r "out" in
-  check_bool "exposed at east of second tile" true
-    (Point.equal (Rect.center p.Cell.rect) (Point.make 8 2))
 
 let test_transistor_count () =
   (* poly crossing diffusion = 1 transistor; two parallel gates = 2 *)
@@ -269,7 +251,7 @@ type step =
   | Leaf of Cell.port list * Cell.element list
   | Composed of (string * Transform.t * int) list * Cell.port list * bool
       (** instances (name, transform, an earlier step), own ports added
-          afterwards with [Cell.add_ports], and whether to move the
+          afterwards with [add_ports], and whether to move the
           result to the origin *)
 
 (* Names with '.' (so promoted names can collide) and with characters
@@ -344,7 +326,7 @@ let build of_instances steps =
             of_instances ~name
               (List.map (fun (n, trans, j) -> Cell.instantiate ~name:n ~trans cells.(j)) insts)
           in
-          let c = if extra = [] then c else Cell.add_ports c extra in
+          let c = if extra = [] then c else add_ports c extra in
           if origin then Cell.translate_to_origin c else c
       with
       | c ->
@@ -422,7 +404,7 @@ let test_promoted_names_checked () =
   check_bool "\"a.b\" + \"c\" beside \"a\" + \"b.d\"" false
     (raises_invalid (compose "a.b" "c" "a" "b.d"));
   let r = Compose.row ~name:"r" [ tile (); tile () ] in
-  let add name () = Cell.add_ports r [ Cell.port name Layer.Metal (Rect.make 0 0 1 1) ] in
+  let add name () = add_ports r [ Cell.port name Layer.Metal (Rect.make 0 0 1 1) ] in
   check_bool "own port named as a promoted one" true (raises_invalid (add "i1.e"));
   check_bool "own dotted port beside the promoted ones" false (raises_invalid (add "i1.w"));
   check_bool "own port" false (raises_invalid (add "out"));
@@ -439,9 +421,7 @@ let suite =
   ; Alcotest.test_case "row and col" `Quick test_row_col
   ; Alcotest.test_case "array" `Quick test_array
   ; Alcotest.test_case "array shares definition" `Quick test_array_shares_definition
-  ; Alcotest.test_case "abut aligns ports" `Quick test_abut_aligns_ports
   ; Alcotest.test_case "all_cells children first" `Quick test_all_cells_children_first
-  ; Alcotest.test_case "expose" `Quick test_expose
   ; Alcotest.test_case "transistor count" `Quick test_transistor_count
   ; Alcotest.test_case "stats measure" `Quick test_stats_measure
   ; Alcotest.test_case "flatten ports qualified" `Quick test_flatten_ports_qualified

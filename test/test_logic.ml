@@ -56,16 +56,6 @@ let test_cube_merge () =
   check_bool "no merge with misaligned dashes" true
     (Cube.merge (Cube.of_string "0-0" 1) (Cube.of_string "100" 1) = None)
 
-let test_cube_inter () =
-  let a = Cube.of_string "1--" 3 and b = Cube.of_string "-0-" 1 in
-  (match Cube.inter a b with
-  | Some i -> Alcotest.(check string) "inter" "10-#1" (Cube.to_string i)
-  | None -> Alcotest.fail "expected intersection");
-  check_bool "disjoint inputs" true
-    (Cube.inter (Cube.of_string "1--" 1) (Cube.of_string "0--" 1) = None);
-  check_bool "disjoint outputs" true
-    (Cube.inter (Cube.of_string "---" 2) (Cube.of_string "---" 1) = None)
-
 (* --- cover tests --- *)
 
 (* a cover is a tautology when it covers the cube of all Dashes *)
@@ -208,7 +198,6 @@ let prop_exact_not_bigger =
 let suite =
   [ Alcotest.test_case "cube basics" `Quick test_cube_basics
   ; Alcotest.test_case "cube merge" `Quick test_cube_merge
-  ; Alcotest.test_case "cube intersection" `Quick test_cube_inter
   ; Alcotest.test_case "tautology" `Quick test_tautology
   ; Alcotest.test_case "cube covered by cover" `Quick test_cube_covered
   ; Alcotest.test_case "cover equivalence" `Quick test_equivalent

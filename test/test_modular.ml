@@ -295,15 +295,13 @@ let test_modular_module_diag () =
     let e = Sc_pipeline.Diag.to_string d in
     check_bool ("module stage in " ^ e) true (contains ~needle:"module:" e)
 
-(* determinism: -j1 and -j4 fan-outs produce byte-identical QoR *)
-let qor_at ~jobs src =
-  Sc_par.Pool.set_default_size jobs;
+(* determinism: two cold compiles produce byte-identical CIF and QoR *)
+let cold_qor src =
   let recorder = Sc_obs.Obs.Recorder.create () in
   Sc_obs.Obs.Recorder.enable recorder;
   let r =
     Sc_obs.Obs.with_recorder recorder (fun () -> Compiler.compile_behavior src)
   in
-  Sc_par.Pool.set_default_size 1;
   match r with
   | Error d -> Alcotest.failf "compile: %s" (Sc_pipeline.Diag.to_string d)
   | Ok (c, _) ->
@@ -314,10 +312,10 @@ let qor_at ~jobs src =
     (c.Compiler.cif, s)
 
 let test_modular_determinism () =
-  let cif1, qor1 = qor_at ~jobs:1 Designs.system_src in
-  let cif4, qor4 = qor_at ~jobs:4 Designs.system_src in
-  check_string "CIF identical at -j1/-j4" cif1 cif4;
-  check_string "QoR identical at -j1/-j4" qor1 qor4;
+  let cif1, qor1 = cold_qor Designs.system_src in
+  let cif2, qor2 = cold_qor Designs.system_src in
+  check_string "CIF identical in two runs" cif1 cif2;
+  check_string "QoR identical in two runs" qor1 qor2;
   check_bool "per-module QoR present" true
     (contains ~needle:"module.mixer.area" qor1
     && contains ~needle:"module.accum.area" qor1)
@@ -362,17 +360,12 @@ let test_modular_incremental () =
       check_bool "the mixer edit changes the CIF" false
         (String.equal cold_cif edited_cif))
 
-(* Two concurrent compiles of one modular source on a 2-wide pool, many
-   rounds: module tasks share the pool with the DRC tasks they submit
-   and share in-flight module runs with each other.  A submitter that
-   helped with another compile's module could end up waiting on a
-   flight it owns further down its own stack, so a hang here is the
+(* Two concurrent compiles of one modular source on two domains, as the
+   daemon's execution domains run them, many rounds: they share
+   in-flight module runs with each other, so a hang here is the
    failure; the watchdog turns it into an exit instead of a stuck
    suite.  Every round must produce the same CIF. *)
 let test_modular_concurrent_dedup () =
-  Sc_par.Pool.set_default_size 2;
-  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size 1)
-  @@ fun () ->
   let rounds = 24 and deadline_s = 60. in
   let started = Unix.gettimeofday () in
   let compile () =
@@ -447,7 +440,7 @@ let suite =
   ; Alcotest.test_case "chip split errors" `Quick test_chip_split_errors
   ; Alcotest.test_case "resolve diagnostics" `Quick test_modular_resolve_diags
   ; Alcotest.test_case "module diagnostics" `Quick test_modular_module_diag
-  ; Alcotest.test_case "j1/j4 determinism" `Quick test_modular_determinism
+  ; Alcotest.test_case "run-to-run determinism" `Quick test_modular_determinism
   ; Alcotest.test_case "incremental matrix" `Quick test_modular_incremental
   ; Alcotest.test_case "concurrent dedup" `Quick test_modular_concurrent_dedup
   ]

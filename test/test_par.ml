@@ -1,6 +1,6 @@
 (* The domain worker pool: ordered reduction, deterministic exception
-   propagation, and — the contract every parallel pipeline stage leans
-   on — byte-identical results at any pool width. *)
+   propagation, byte-identical results at any pool width, and the
+   offloaded calls the daemon's execution domains run. *)
 
 open Sc_par
 
@@ -254,17 +254,7 @@ let test_single_flight_raises () =
   | `Fresh, 7 -> ()
   | _ -> Alcotest.fail "the key is freed: the next call recomputes"
 
-(* --- byte-identical pipeline stages at any width --- *)
-
-let small_circuit () =
-  let open Sc_netlist in
-  let b = Builder.create "blk" in
-  let xs = Builder.input b "x" 4 in
-  let ys = Builder.input b "y" 4 in
-  let sums, cout = Builder.adder b xs ys in
-  Builder.output b "sum" sums;
-  Builder.output b "co" [| cout |];
-  Builder.finish b
+(* --- the one batch caller: the flat DRC kernel at any width --- *)
 
 let dirty_cell () =
   let open Sc_geom in
@@ -282,61 +272,14 @@ let dirty_cell () =
 
 let test_drc_identical_across_widths () =
   let c = dirty_cell () in
-  let seq = with_pool 1 (fun pool -> Sc_drc.Checker.check ~pool c) in
+  let seq = Sc_drc.Checker.check c in
   check_bool "the cell is dirty" true (List.length seq > 0);
+  let flat = Sc_layout.Flatten.run c in
   List.iter
     (fun n ->
-      let par = with_pool n (fun pool -> Sc_drc.Checker.check ~pool c) in
+      let par = with_pool n (fun pool -> Sc_drc.Checker.check_flat ~pool flat) in
       check_bool (Printf.sprintf "same violation list at %d domains" n) true
         (par = seq))
-    [ 2; 4; 8 ]
-
-let test_placement_cif_identical_across_widths () =
-  let p = Sc_place.Placer.problem_of_circuit (small_circuit ()) in
-  let cif n =
-    with_pool n @@ fun pool ->
-    Sc_cif.Emit.to_string
-      (Sc_place.Placer.to_layout ~name:"blk"
-         (Sc_place.Placer.best_of ~pool ~seeds:5 p))
-  in
-  let seq = cif 1 in
-  List.iter
-    (fun n ->
-      check_bool (Printf.sprintf "same CIF at %d domains" n) true
-        (String.equal seq (cif n)))
-    [ 2; 4 ]
-
-let equivalent_at_widths what a b widths =
-  List.iter
-    (fun n ->
-      with_pool n @@ fun pool ->
-      match Sc_equiv.Checker.check_cones ~pool a b with
-      | Sc_equiv.Checker.Equivalent -> ()
-      | v ->
-        Alcotest.failf "%s equivalent at %d domains expected, got %a" what n
-          Sc_equiv.Checker.pp_verdict v)
-    widths
-
-let test_equiv_cones_across_widths () =
-  let c = small_circuit () in
-  equivalent_at_widths "adder" c (Sc_netlist.Optimize.simplify c) [ 1; 4 ];
-  (* a real difference reports the same first output port at any width *)
-  let bad = Sc_equiv.Checker.mutate (Sc_netlist.Circuit.flatten c) 0 in
-  let port n =
-    with_pool n @@ fun pool ->
-    match Sc_equiv.Checker.check_cones ~pool c bad with
-    | Sc_equiv.Checker.Not_equivalent cex ->
-      (cex.Sc_equiv.Checker.output, cex.Sc_equiv.Checker.bit)
-    | Sc_equiv.Checker.Equivalent -> Alcotest.fail "mutation missed"
-  in
-  let o1, b1 = port 1 and o4, b4 = port 4 in
-  Alcotest.(check string) "same differing port" o1 o4;
-  check_int "same differing bit" b1 b4;
-  (* the 48-input pdp8 datapath: synthesized from ISP vs the hand
-     design, one BDD manager per cone *)
-  let dp = Sc_core.Designs.parse Sc_core.Designs.pdp8_dp_src in
-  let synth_dp = (Sc_synth.Synth.gates dp).Sc_synth.Synth.circuit in
-  equivalent_at_widths "pdp8_dp" synth_dp (Sc_core.Designs.hand_pdp8_dp ())
     [ 1; 2; 4; 8 ]
 
 (* a task runs in its submitter's whole scope, whichever domain claims
@@ -403,10 +346,6 @@ let suite =
       test_single_flight_raises
   ; Alcotest.test_case "DRC identical at any width" `Quick
       test_drc_identical_across_widths
-  ; Alcotest.test_case "placement CIF identical at any width" `Quick
-      test_placement_cif_identical_across_widths
-  ; Alcotest.test_case "equiv cones identical at any width" `Quick
-      test_equiv_cones_across_widths
   ; Alcotest.test_case "pool tasks run in their submitter's scope" `Quick
       test_tasks_inherit_scope
   ]

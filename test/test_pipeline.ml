@@ -225,13 +225,9 @@ let test_route_in_snapshot () =
 let test_warm_qor_identity () =
   with_clean_pipeline @@ fun () ->
   P.enable_cache ();
-  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size 1)
-  @@ fun () ->
-  Sc_par.Pool.set_default_size 1;
   let cold = capture_counter ~restarts:3 () in
-  Sc_par.Pool.set_default_size 4;
   let warm = capture_counter ~restarts:3 () in
-  Alcotest.(check string) "warm -j4 QoR bytes = cold -j1 QoR bytes"
+  Alcotest.(check string) "warm QoR bytes = cold QoR bytes"
     (M.qor_string cold) (M.qor_string warm);
   check_bool "snapshot is non-trivial" true (List.length cold.M.qor > 5);
   (* the warm run was all hits, visible in the runtime section *)

@@ -155,7 +155,7 @@ let test_frame_oversized () =
 
 (* --- the live daemon --- *)
 
-let with_server ?(jobs = 1) ?exec_domains ?log ?log_level ?trace_dir
+let with_server ?exec_domains ?log ?log_level ?trace_dir
     ?trace_sample f =
   let socket =
     Filename.temp_file "scc-test-serve" ".sock"
@@ -166,7 +166,7 @@ let with_server ?(jobs = 1) ?exec_domains ?log ?log_level ?trace_dir
     Thread.create
       (fun () ->
         exit_code :=
-          Sc_serve.Server.run ~jobs ~handle_signals:false ?exec_domains ?log
+          Sc_serve.Server.run ~handle_signals:false ?exec_domains ?log
             ?log_level ?trace_dir ?trace_sample ~socket ())
       ()
   in
@@ -190,8 +190,7 @@ let with_server ?(jobs = 1) ?exec_domains ?log ?log_level ?trace_dir
       (* the daemon enables the process-global stage cache; put the
          world back for whatever test runs next *)
       Sc_pipeline.Pipeline.disable_cache ();
-      Sc_pipeline.Pipeline.clear_caches ();
-      Sc_par.Pool.set_default_size 1)
+      Sc_pipeline.Pipeline.clear_caches ())
     (fun () -> f socket)
 
 let rpc socket req =
@@ -524,13 +523,13 @@ let test_log_and_trace () =
 
 (* Executions run on the daemon's execution domains, spawned once: the
    Chrome traces of 14 executions — sequential, concurrent, and one
-   that fails — carry at most [exec_domains] domain ids, plus one per
-   worker of the [-j] pool.  A domain per execution would give 14. *)
-let test_executions_reuse_domains jobs () =
+   that fails — carry at most [exec_domains] domain ids, and each
+   trace one.  A domain per execution would give 14. *)
+let test_executions_reuse_domains () =
   let trace_dir = Filename.temp_file "scc-test-serve" ".traces" in
   Sys.remove trace_dir;
   Fun.protect ~finally:(fun () -> rm_rf trace_dir) @@ fun () ->
-  with_server ~jobs ~exec_domains:2 ~trace_dir ~trace_sample:(1, 1)
+  with_server ~exec_domains:2 ~trace_dir ~trace_sample:(1, 1)
   @@ fun socket ->
   let compiled what = function
     | P.Compiled _ -> ()
@@ -569,32 +568,31 @@ let test_executions_reuse_domains jobs () =
     |> List.filter (fun f -> Filename.check_suffix f ".trace.json")
   in
   check_int "one trace per execution" 14 (List.length traces);
-  let tids =
-    List.concat_map
-      (fun f ->
-        match
-          Json.parse
-            (String.concat "\n" (read_lines (Filename.concat trace_dir f)))
-        with
-        | Ok v -> (
-          match Json.member "traceEvents" v with
-          | Some (Json.Arr evs) ->
-            List.filter_map
-              (fun e ->
-                match Json.member "tid" e with
-                | Some (Json.Num t) -> Some t
-                | _ -> None)
-              evs
-          | _ -> Alcotest.failf "%s: no traceEvents" f)
-        | Error e -> Alcotest.failf "%s does not parse: %s" f e)
-      traces
-    |> List.sort_uniq compare
+  let tids_of f =
+    match
+      Json.parse (String.concat "\n" (read_lines (Filename.concat trace_dir f)))
+    with
+    | Ok v -> (
+      match Json.member "traceEvents" v with
+      | Some (Json.Arr evs) ->
+        List.filter_map
+          (fun e ->
+            match Json.member "tid" e with
+            | Some (Json.Num t) -> Some t
+            | _ -> None)
+          evs
+        |> List.sort_uniq compare
+      | _ -> Alcotest.failf "%s: no traceEvents" f)
+    | Error e -> Alcotest.failf "%s does not parse: %s" f e
   in
+  let per_trace = List.map tids_of traces in
+  check_bool "each execution runs on one domain" true
+    (List.for_all (fun tids -> List.length tids = 1) per_trace);
+  let tids = List.sort_uniq compare (List.concat per_trace) in
   check_bool
-    (Printf.sprintf "traces carry at most %d domain ids (got %d)" (jobs + 1)
-       (List.length tids))
+    (Printf.sprintf "traces carry at most 2 domain ids (got %d)" (List.length tids))
     true
-    (tids <> [] && List.length tids <= jobs + 1)
+    (tids <> [] && List.length tids <= 2)
 
 (* --exec-domains must fit in the runtime's 128 domains: checked before
    the daemon binds its socket or starts a domain *)
@@ -605,11 +603,10 @@ let test_exec_domain_count () =
     | Ok n -> check_int what want n
     | Error e -> Alcotest.failf "%s: unexpected error %s" what e
   in
-  ok "an explicit count is kept" 2 (count ~jobs:1 (Some 2));
-  ok "below 1 clamps to 1" 1 (count ~jobs:1 (Some 0));
-  ok "the last domain that fits beside main" 127 (count ~jobs:1 (Some 127));
-  ok "beside main and -j 4's three workers" 124 (count ~jobs:4 (Some 124));
-  (match count ~jobs:1 None with
+  ok "an explicit count is kept" 2 (count (Some 2));
+  ok "below 1 clamps to 1" 1 (count (Some 0));
+  ok "the last domain that fits beside main" 127 (count (Some 127));
+  (match count None with
   | Ok n -> check_bool "the default fits" true (n >= 1 && n <= 127)
   | Error e -> Alcotest.failf "default rejected: %s" e);
   let rejected what got =
@@ -617,9 +614,7 @@ let test_exec_domain_count () =
     | Error e -> check_bool (what ^ ": one line") false (String.contains e '\n')
     | Ok n -> Alcotest.failf "%s: accepted %d" what n
   in
-  rejected "128 beside the main domain" (count ~jobs:1 (Some 128));
-  rejected "125 beside -j 4" (count ~jobs:4 (Some 125));
-  rejected "no room left at -j 128" (count ~jobs:128 None)
+  rejected "128 beside the main domain" (count (Some 128))
 
 (* one request's --certify must not leak into a concurrent plain
    compile: run them together and check the snapshots disagree about
@@ -735,9 +730,7 @@ let suite =
   ; Alcotest.test_case "modular design via daemon" `Quick
       test_modular_via_daemon
   ; Alcotest.test_case "executions reuse the daemon's domains" `Quick
-      (test_executions_reuse_domains 1)
-  ; Alcotest.test_case "executions reuse the daemon's domains at -j 2" `Quick
-      (test_executions_reuse_domains 2)
+      test_executions_reuse_domains
   ; Alcotest.test_case "--exec-domains bounded by the runtime" `Quick
       test_exec_domain_count
   ]

@@ -396,7 +396,7 @@ let test_counter12_equiv_isp () =
     Alcotest.failf "counter12.v is not equivalent to its ISP twin: %s"
       (Format.asprintf "%a" Sc_equiv.Checker.pp_verdict v)
 
-(* --- the shared pipeline: pass identity, warm/cold and j1/j4 QoR --- *)
+(* --- the shared pipeline: pass identity, warm/cold QoR --- *)
 
 module P = Sc_pipeline.Pipeline
 module M = Sc_metrics.Metrics
@@ -440,16 +440,12 @@ let test_pipeline_pass_and_diag () =
   | Error d ->
     check_string "diag stage" "verilog.parse" d.Sc_pipeline.Diag.stage
 
-let test_warm_and_parallel_qor_identity () =
+let test_warm_qor_identity () =
   with_clean_pipeline @@ fun () ->
   P.enable_cache ();
-  Fun.protect ~finally:(fun () -> Sc_par.Pool.set_default_size 1)
-  @@ fun () ->
-  Sc_par.Pool.set_default_size 1;
   let cold = capture_counter12 () in
-  Sc_par.Pool.set_default_size 4;
   let warm = capture_counter12 () in
-  check_string "warm -j4 QoR bytes = cold -j1 QoR bytes" (M.qor_string cold)
+  check_string "warm QoR bytes = cold QoR bytes" (M.qor_string cold)
     (M.qor_string warm);
   let rt key =
     match List.assoc_opt key warm.M.runtime with Some v -> v | None -> 0.
@@ -475,6 +471,5 @@ let suite =
       test_counter12_equiv_isp
   ; Alcotest.test_case "pipeline pass and diag" `Quick
       test_pipeline_pass_and_diag
-  ; Alcotest.test_case "warm and -j QoR identity" `Quick
-      test_warm_and_parallel_qor_identity
+  ; Alcotest.test_case "warm QoR identity" `Quick test_warm_qor_identity
   ]
