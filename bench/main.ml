@@ -331,7 +331,7 @@ cell main(n, m) {
    with
   | Ok cell -> check "shift8x4" "lang" cell
   | Error e ->
-    Printf.printf "lang compile failed: %s\n" (Sc_lang.Lang.error_to_string e));
+    Printf.printf "lang compile failed: %s\n" (Sc_pipeline.Diag.to_string e));
   Printf.printf "\npaper: every row must be clean and exact — they are\n"
 
 

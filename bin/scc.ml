@@ -56,14 +56,24 @@ let report_compiled (c : Sc_core.Compiler.compiled) =
     (if c.Sc_core.Compiler.drc_violations = 0 then "clean"
      else string_of_int c.Sc_core.Compiler.drc_violations ^ " violations")
 
-(* Every input file argument goes through [inputs]: a missing file is
-   a usage error, exit 2 in every subcommand, as for a source that is
-   neither a builtin nor a file (cmdliner's [Arg.file] would exit 124). *)
+let usage_error msg =
+  Printf.eprintf "error: %s\n" msg;
+  2
+
+(* why [file] cannot be read as an input, if it cannot *)
+let not_input file =
+  if not (Sys.file_exists file) then Some ("no such file: " ^ file)
+  else if not (Sys.is_regular_file file) then
+    Some ("not a regular file: " ^ file)
+  else None
+
+(* Every input file argument goes through [inputs]: a missing file or a
+   directory is a usage error, exit 2 in every subcommand, as for a
+   source that is neither a builtin nor a file (cmdliner's [Arg.file]
+   would exit 124). *)
 let inputs files k =
-  match List.find_opt (fun f -> not (Sys.file_exists f)) files with
-  | Some file ->
-    Printf.eprintf "error: no such file: %s\n" file;
-    2
+  match List.find_map not_input files with
+  | Some msg -> usage_error msg
   | None -> k ()
 
 let file_arg =
@@ -270,18 +280,18 @@ let kind_name = function
 let resolve_source src =
   match Sc_core.Designs.builtin src with
   | Some text -> Ok (Isp, text)
-  | None when Sys.file_exists src ->
-    let kind =
-      if Filename.check_suffix src ".v" then Verilog
-      else if Filename.check_suffix src ".lsl" then Layout
-      else Isp
-    in
-    Ok (kind, read_file src)
-  | None -> Error (src ^ " is neither a builtin design nor a file")
-
-let usage_error msg =
-  Printf.eprintf "error: %s\n" msg;
-  2
+  | None when not (Sys.file_exists src) ->
+    Error (src ^ " is neither a builtin design nor a file")
+  | None -> (
+    match not_input src with
+    | Some msg -> Error msg
+    | None ->
+      let kind =
+        if Filename.check_suffix src ".v" then Verilog
+        else if Filename.check_suffix src ".lsl" then Layout
+        else Isp
+      in
+      Ok (kind, read_file src))
 
 let src_arg =
   Arg.(
@@ -362,7 +372,7 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
       usage_error
         (Printf.sprintf "%s does not apply to %s sources" flag (kind_name kind))
     | None when dump_isp -> (
-      match Sc_core.Compiler.verilog_design text with
+      match Sc_verilog.Elaborate.design text with
       | Error d -> report_diag d
       | Ok design ->
         Format.printf "%a@." Sc_rtl.Ast.pp design;
@@ -511,7 +521,7 @@ let cycles_arg =
 let sim_cmd =
   let run file cycles =
     inputs [ file ] @@ fun () ->
-    match Sc_core.Compiler.isp_design (read_file file) with
+    match Sc_rtl.Parser.design (read_file file) with
     | Error d -> report_diag d
     | Ok design ->
       let t = Sc_rtl.Interp.create design in
@@ -549,11 +559,12 @@ let resolve_circuit spec =
   | Some r -> r
   | None -> (
     try
-      if not (Sys.file_exists spec) then Error ("no such file: " ^ spec)
-      else
+      match not_input spec with
+      | Some msg -> Error msg
+      | None ->
         let frontend =
-          if Filename.check_suffix spec ".v" then Sc_core.Compiler.verilog_design
-          else Sc_core.Compiler.isp_design
+          if Filename.check_suffix spec ".v" then Sc_verilog.Elaborate.design
+          else Sc_rtl.Parser.design
         in
         match frontend (read_file spec) with
         | Error d -> Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d)
@@ -640,6 +651,21 @@ let equiv_cmd =
 
 (* --- report / diff: the QoR telemetry surface --- *)
 
+(* the rendering of scc report and scc client report *)
+let print_snapshot s =
+  Format.printf "%a@?" Sc_metrics.Metrics.pp_snapshot s;
+  0
+
+(* the rendering and gate of scc diff and scc client compile --baseline *)
+let print_diff ?thresholds ?runtime ~baseline base cur =
+  let report = Sc_metrics.Metrics.diff ?thresholds base cur in
+  Format.printf "%a@?" Sc_metrics.Metrics.pp_report report;
+  if Sc_metrics.Metrics.gate ?runtime report then begin
+    Printf.eprintf "quality gate: REGRESSED against %s\n" baseline;
+    1
+  end
+  else 0
+
 let report_cmd =
   let run file =
     inputs [ file ] @@ fun () ->
@@ -647,9 +673,7 @@ let report_cmd =
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       2
-    | Ok s ->
-      Format.printf "%a@?" Sc_metrics.Metrics.pp_snapshot s;
-      0
+    | Ok s -> print_snapshot s
   in
   Cmd.v
     (Cmd.info "report"
@@ -709,13 +733,7 @@ let diff_cmd =
       Printf.eprintf "error: %s\n" e;
       2
     | Ok base, Ok cur, Ok thresholds ->
-      let report = Sc_metrics.Metrics.diff ~thresholds base cur in
-      Format.printf "%a@?" Sc_metrics.Metrics.pp_report report;
-      if Sc_metrics.Metrics.gate ~runtime:gate_runtime report then begin
-        Printf.eprintf "quality gate: REGRESSED against %s\n" baseline;
-        1
-      end
-      else 0
+      print_diff ~thresholds ~runtime:gate_runtime ~baseline base cur
   in
   Cmd.v
     (Cmd.info "diff"
@@ -885,6 +903,18 @@ let unexpected () =
   Printf.eprintf "error: unexpected response from daemon\n";
   2
 
+(* a compile through the daemon, its snapshot decoded as [scc report]
+   reads a file: the client renders what the daemon measured *)
+let client_compile socket spec k =
+  client_call socket (Sc_serve.Protocol.Compile spec) (function
+    | Sc_serve.Protocol.Compiled r -> (
+      match Sc_metrics.Metrics.of_json r.Sc_serve.Protocol.snapshot with
+      | Error e ->
+        Printf.eprintf "error: bad snapshot from daemon: %s\n" e;
+        2
+      | Ok s -> k r s)
+    | _ -> unexpected ())
+
 let client_compile_cmd =
   let baseline_arg =
     Arg.(
@@ -895,43 +925,24 @@ let client_compile_cmd =
             "Instead of printing the summary, diff the daemon's snapshot \
              against this baseline; exit 1 when the quality gate trips.")
   in
-  let compiled spec metrics explain = function
-    | Sc_serve.Protocol.Compiled r -> (
-      Printf.eprintf
-        "%s: %d gates, %d flip-flops, %d transistors, area %d, CIF %d \
-         bytes, DRC %s\n%!"
-        spec.Sc_serve.Protocol.design r.Sc_serve.Protocol.gates
-        r.Sc_serve.Protocol.flipflops r.Sc_serve.Protocol.transistors
-        r.Sc_serve.Protocol.area r.Sc_serve.Protocol.cif_bytes
-        (if r.Sc_serve.Protocol.drc_violations = 0 then "clean"
-         else
-           string_of_int r.Sc_serve.Protocol.drc_violations ^ " violations");
-      if explain then
-        List.iter
-          (fun (pass, status) -> Printf.eprintf "  %-10s %s\n%!" pass status)
-          r.Sc_serve.Protocol.passes;
-      match metrics with
-      | None -> 0
-      | Some path -> (
-        match Sc_metrics.Metrics.of_json r.Sc_serve.Protocol.snapshot with
-        | Error e ->
-          Printf.eprintf "error: bad snapshot from daemon: %s\n" e;
-          2
-        | Ok s ->
-          Sc_metrics.Metrics.write path s;
-          Printf.eprintf "metrics written to %s\n%!" path;
-          0))
-    | _ -> unexpected ()
-  in
-  let diffed bpath = function
-    | Sc_serve.Protocol.Diffed { report; regressed } ->
-      print_string report;
-      if regressed then begin
-        Printf.eprintf "quality gate: REGRESSED against %s\n" bpath;
-        1
-      end
-      else 0
-    | _ -> unexpected ()
+  let compiled spec metrics explain (r : Sc_serve.Protocol.compiled) s =
+    Printf.eprintf
+      "%s: %d gates, %d flip-flops, %d transistors, area %d, CIF %d \
+       bytes, DRC %s\n%!"
+      spec.Sc_serve.Protocol.design r.gates r.flipflops r.transistors r.area
+      r.cif_bytes
+      (if r.drc_violations = 0 then "clean"
+       else string_of_int r.drc_violations ^ " violations");
+    if explain then
+      List.iter
+        (fun (pass, status) -> Printf.eprintf "  %-10s %s\n%!" pass status)
+        r.passes;
+    Option.iter
+      (fun path ->
+        Sc_metrics.Metrics.write path s;
+        Printf.eprintf "metrics written to %s\n%!" path)
+      metrics;
+    0
   in
   let run socket src style restarts certify metrics explain baseline =
     inputs (Option.to_list baseline) @@ fun () ->
@@ -939,16 +950,13 @@ let client_compile_cmd =
     | Error e -> usage_error e
     | Ok spec -> (
       match baseline with
-      | None ->
-        client_call socket (Sc_serve.Protocol.Compile spec)
-          (compiled spec metrics explain)
+      | None -> client_compile socket spec (compiled spec metrics explain)
       | Some bpath -> (
-        match Sc_obs.Json.parse (read_file bpath) with
-        | Error e -> usage_error (bpath ^ ": " ^ e)
+        match Sc_metrics.Metrics.read bpath with
+        | Error e -> usage_error e
         | Ok base ->
-          client_call socket
-            (Sc_serve.Protocol.Diff { spec; baseline = base })
-            (diffed bpath)))
+          client_compile socket spec (fun _ cur ->
+              print_diff ~baseline:bpath base cur)))
   in
   Cmd.v
     (Cmd.info "compile"
@@ -957,7 +965,7 @@ let client_compile_cmd =
           sent with style \"verilog\"); $(b,--metrics) captures the \
           per-request QoR snapshot, byte-identical to a single-shot \
           $(b,scc compile) run; $(b,--baseline) diffs it against a \
-          baseline snapshot instead.")
+          baseline snapshot instead, as $(b,scc diff) does.")
     Term.(
       const run $ socket_arg $ client_src_arg $ style_arg $ restarts_arg
       $ certify_arg $ metrics_arg $ explain_arg $ baseline_arg)
@@ -966,16 +974,13 @@ let client_report_cmd =
   let run socket src style restarts =
     match resolve_spec src style restarts with
     | Error e -> usage_error e
-    | Ok spec ->
-      client_call socket (Sc_serve.Protocol.Report spec) (function
-        | Sc_serve.Protocol.Reported table ->
-          print_string table;
-          0
-        | _ -> unexpected ())
+    | Ok spec -> client_compile socket spec (fun _ s -> print_snapshot s)
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Compile through the daemon and render the metrics table.")
+       ~doc:
+         "Compile through the daemon and render the metrics table, as \
+          $(b,scc report) renders a $(b,--metrics) file.")
     Term.(const run $ socket_arg $ client_src_arg $ style_arg $ restarts_arg)
 
 let client_equiv_cmd =

@@ -1,11 +1,21 @@
-exception Error of string
+module Diag = Sc_pipeline.Diag
 
-let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
+(* a failure at a byte offset of the text; [parse] turns the offset
+   into a line and column *)
+exception Error of int * string
+
+let fail at fmt = Format.kasprintf (fun s -> raise (Error (at, s))) fmt
 
 (* A tiny cursor over the input string.  CIF separators are generous: any
    character that cannot start a token separates tokens, so the scanner
-   mostly skips until it sees something meaningful. *)
-type cursor = { text : string; mutable pos : int }
+   mostly skips until it sees something meaningful.  [cmd] is the offset
+   of the current command's first character, where an error about the
+   command as a whole points. *)
+type cursor =
+  { text : string
+  ; mutable pos : int
+  ; mutable cmd : int
+  }
 
 let peek cur = if cur.pos < String.length cur.text then Some cur.text.[cur.pos] else None
 
@@ -14,19 +24,20 @@ let advance cur = cur.pos <- cur.pos + 1
 let is_digit c = c >= '0' && c <= '9'
 let is_upper c = c >= 'A' && c <= 'Z'
 
-(* Comments nest and may appear between any two tokens. *)
-let rec skip_comment cur depth =
+(* Comments nest and may appear between any two tokens; [start] is the
+   offset of the outermost '('. *)
+let rec skip_comment cur start depth =
   match peek cur with
-  | None -> fail "unterminated comment"
+  | None -> fail start "unterminated comment"
   | Some '(' ->
     advance cur;
-    skip_comment cur (depth + 1)
+    skip_comment cur start (depth + 1)
   | Some ')' ->
     advance cur;
-    if depth > 1 then skip_comment cur (depth - 1)
+    if depth > 1 then skip_comment cur start (depth - 1)
   | Some _ ->
     advance cur;
-    skip_comment cur depth
+    skip_comment cur start depth
 
 let rec skip_separators cur =
   match peek cur with
@@ -34,8 +45,9 @@ let rec skip_separators cur =
     advance cur;
     skip_separators cur
   | Some '(' ->
+    let start = cur.pos in
     advance cur;
-    skip_comment cur 1;
+    skip_comment cur start 1;
     skip_separators cur
   | _ -> ()
 
@@ -57,9 +69,11 @@ let read_int cur =
     | _ -> ()
   in
   loop ();
-  if cur.pos = start then fail "expected integer at position %d" start;
-  let v = int_of_string (String.sub cur.text start (cur.pos - start)) in
-  if neg then -v else v
+  if cur.pos = start then fail start "expected integer";
+  let digits = String.sub cur.text start (cur.pos - start) in
+  match int_of_string_opt digits with
+  | Some v -> if neg then -v else v
+  | None -> fail start "integer %s out of range" digits
 
 let read_int_opt cur =
   skip_separators cur;
@@ -72,8 +86,8 @@ let expect_semi cur =
   skip_separators cur;
   match peek cur with
   | Some ';' -> advance cur
-  | Some c -> fail "expected ';', found %c at %d" c cur.pos
-  | None -> fail "expected ';', found end of input"
+  | Some c -> fail cur.pos "expected ';', found %c" c
+  | None -> fail cur.pos "expected ';', found end of input"
 
 let read_ints_until_semi cur =
   let rec loop acc =
@@ -85,11 +99,11 @@ let read_ints_until_semi cur =
   expect_semi cur;
   vs
 
-let pair_up cmd vs =
+let pair_up cur cmd vs =
   let rec go = function
     | x :: y :: rest -> (x, y) :: go rest
     | [] -> []
-    | [ _ ] -> fail "%s: odd number of coordinates" cmd
+    | [ _ ] -> fail cur.cmd "%s: odd number of coordinates" cmd
   in
   go vs
 
@@ -102,7 +116,7 @@ let read_until_semi cur =
     | Some _ ->
       advance cur;
       loop ()
-    | None -> fail "unterminated command"
+    | None -> fail cur.cmd "unterminated command"
   in
   loop ();
   let s = String.sub cur.text start (cur.pos - start) in
@@ -120,7 +134,7 @@ let read_layer_name cur =
     | _ -> ()
   in
   loop ();
-  if cur.pos = start then fail "L: missing layer name";
+  if cur.pos = start then fail start "L: missing layer name";
   let name = String.sub cur.text start (cur.pos - start) in
   expect_semi cur;
   name
@@ -144,7 +158,7 @@ let read_trans_ops cur =
       | Some 'Y' ->
         advance cur;
         loop (Ast.Mirror_y :: acc)
-      | _ -> fail "M must be followed by X or Y")
+      | _ -> fail cur.pos "M must be followed by X or Y")
     | Some 'R' ->
       advance cur;
       let a = read_int cur in
@@ -158,6 +172,7 @@ let read_trans_ops cur =
 
 let rec parse_command cur : Ast.command option =
   skip_separators cur;
+  cur.cmd <- cur.pos;
   match peek cur with
   | None -> None
   | Some ';' ->
@@ -184,7 +199,7 @@ let rec parse_command cur : Ast.command option =
       let n = read_int cur in
       expect_semi cur;
       Some (Ast.Def_delete n)
-    | _ -> fail "D must be followed by S, F or D")
+    | _ -> fail cur.pos "D must be followed by S, F or D")
   | Some 'L' ->
     advance cur;
     Some (Ast.Layer (read_layer_name cur))
@@ -197,16 +212,16 @@ let rec parse_command cur : Ast.command option =
       if dy = 0 && dx <> 0 then Some (Ast.Box { length = l; width = w; cx; cy })
       else if dx = 0 && dy <> 0 then
         Some (Ast.Box { length = w; width = l; cx; cy })
-      else fail "B: non-Manhattan box direction %d %d" dx dy
-    | vs -> fail "B: expected 4 or 6 integers, got %d" (List.length vs))
+      else fail cur.cmd "B: non-Manhattan box direction %d %d" dx dy
+    | vs -> fail cur.cmd "B: expected 4 or 6 integers, got %d" (List.length vs))
   | Some 'P' ->
     advance cur;
-    Some (Ast.Polygon (pair_up "P" (read_ints_until_semi cur)))
+    Some (Ast.Polygon (pair_up cur "P" (read_ints_until_semi cur)))
   | Some 'W' ->
     advance cur;
     (match read_ints_until_semi cur with
-    | w :: rest -> Some (Ast.Wire { width = w; points = pair_up "W" rest })
-    | [] -> fail "W: missing width")
+    | w :: rest -> Some (Ast.Wire { width = w; points = pair_up cur "W" rest })
+    | [] -> fail cur.cmd "W: missing width")
   | Some 'C' ->
     advance cur;
     let n = read_int cur in
@@ -217,12 +232,23 @@ let rec parse_command cur : Ast.command option =
   | Some c when is_digit c ->
     advance cur;
     Some (Ast.User (Char.code c - Char.code '0', read_until_semi cur))
-  | Some c -> fail "unexpected character %c at %d" c cur.pos
+  | Some c -> fail cur.pos "unexpected character %c" c
 
 and parse_command_again cur = parse_command cur
 
+(* the line and column of a byte offset, counted only when parsing fails *)
+let position text off =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to min off (String.length text) - 1 do
+    if text.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  { Diag.line = !line; col = off - !bol + 1 }
+
 let parse text =
-  let cur = { text; pos = 0 } in
+  let cur = { text; pos = 0; cmd = 0 } in
   let rec loop acc =
     match parse_command cur with
     | Some (Ast.End as cmd) -> List.rev (cmd :: acc)
@@ -231,4 +257,5 @@ let parse text =
   in
   match loop [] with
   | file -> Ok file
-  | exception Error msg -> Error msg
+  | exception Error (off, msg) ->
+    Error (Diag.located (Diag.v ~loc:(position text off) ~stage:"cif" msg))

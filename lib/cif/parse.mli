@@ -7,3 +7,7 @@
     command letter, '-', '(' or ';' separates tokens. *)
 
 val parse : string -> (Ast.file, string) result
+(** The commands, or the first syntax error as ["line:col: message"],
+    at the offending character or, for an error about a whole command
+    (a box with the wrong number of integers), at the command's first
+    character. *)

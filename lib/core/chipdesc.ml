@@ -1,6 +1,7 @@
 type source_module =
   { sm_name : string
   ; sm_text : string
+  ; sm_line : int
   }
 
 type port_decl =
@@ -33,6 +34,7 @@ type t =
 (* --- lexical split ---------------------------------------------------- *)
 
 module L = Sc_rtl.Lexer
+module Diag = Sc_pipeline.Diag
 
 (* the identifier a line starts with, past blanks; "" if none *)
 let first_word line =
@@ -70,15 +72,18 @@ let blocks src =
 
 let ( let* ) = Result.bind
 
-let err fmt = Printf.ksprintf (fun s -> Error s) fmt
+let err fmt = Printf.ksprintf (fun s -> Error (Diag.v ~stage:"chip" s)) fmt
 
-(* [f] on a cursor over a block that starts on source line [first];
-   an error is positioned in the source, not in the block *)
+let in_source ~first (d : Diag.t) =
+  let shift (p : Diag.pos) = { p with line = p.line + first - 1 } in
+  { d with loc = Option.map shift d.loc }
+
+(* [f] on a cursor over a block that starts on source line [first] *)
 let parse_block ~first f text =
   match f (L.create text) with
   | v -> Ok v
-  | exception L.Error (p, msg) ->
-    err "%s: %s" (L.pos_to_string { p with line = p.line + first - 1 }) msg
+  | exception L.Error (loc, msg) ->
+    Error (in_source ~first (Diag.v ~loc ~stage:"chip" msg))
 
 let parse_chip st =
   let ident () = L.expect_ident st [] in
@@ -174,7 +179,7 @@ let split src =
           | "module" ->
             let module_name st = L.expect_kw st "module"; L.expect_ident st [] in
             let* n = parse_block ~first module_name text in
-            Ok (ms @ [ { sm_name = n; sm_text = text } ], cs)
+            Ok (ms @ [ { sm_name = n; sm_text = text; sm_line = first } ], cs)
           | _ ->
             let* c = parse_block ~first parse_chip text in
             Ok (ms, cs @ [ c ]))

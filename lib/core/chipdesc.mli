@@ -30,6 +30,7 @@
 type source_module =
   { sm_name : string
   ; sm_text : string  (** the raw block text, the digest unit *)
+  ; sm_line : int  (** the source line the block starts on *)
   }
 
 type port_decl =
@@ -62,12 +63,19 @@ type t =
 val is_modular : string -> bool
 (** The source contains a top-level [chip] block (cheap, lexical). *)
 
-val split : string -> (t, string) result
+val split : string -> (t, Sc_pipeline.Diag.t) result
 (** Cut the source into module blocks and parse the chip block.
     Lexical/syntactic errors ([Sc_rtl.Lexer]'s grammar, so widths may
     be written [0x...]/[0b...]) name the offending token at its
-    ["line:col: "] in the source; duplicate module or instance names
-    and instances of unknown modules are reported here too. *)
+    position in the source; duplicate module or instance names and
+    instances of unknown modules are reported here too.  Every error
+    is a diagnostic of stage ["chip"]. *)
+
+val in_source : first:int -> Sc_pipeline.Diag.t -> Sc_pipeline.Diag.t
+(** A diagnostic positioned in a block that starts on source line
+    [first], positioned in the source instead: chip-block errors and a
+    module's diagnostics ({!source_module.sm_line}) both go through
+    it. *)
 
 (** {2 Signature-level resolution} *)
 
@@ -89,14 +97,14 @@ val bit_name : endpoint -> width:int -> int -> string
 val resolve :
   chip_decl ->
   sigs:(string -> Sc_netlist.Signature.t option) ->
-  (chip_net list, string) result
+  (chip_net list, Sc_pipeline.Diag.t) result
 (** Bind the chip's connections against each instance module's
     interface signature: directions (a sink is a chip output or an
     instance input; a source is a chip input or an instance output),
     widths, single-driver discipline, and completeness (every instance
     input and chip output driven).  Nets are grouped by source bit, so
-    fanout shares one net.  Errors name the instances, modules and
-    ports involved. *)
+    fanout shares one net.  Errors, of stage ["chip"], name the
+    instances, modules and ports involved. *)
 
 val decl_repr : chip_decl -> string
 (** Canonical one-line rendering of the chip declaration — the chip

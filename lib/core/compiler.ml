@@ -48,16 +48,8 @@ let route_placement placement =
    travel as params too, so editing one invalidates exactly the passes
    downstream of it. *)
 
-let isp_design src =
-  match Sc_rtl.Parser.parse src with
-  | Error e -> Error (Diag.v ~stage:"parse" e)
-  | Ok design -> (
-    match Sc_rtl.Check.check design with
-    | e :: _ -> Error (Diag.v ~stage:"parse" ("check: " ^ e))
-    | [] -> Ok design)
-
 let parse_pass : (string, Sc_rtl.Ast.design) P.pass =
-  P.register ~name:"parse" isp_design
+  P.register ~name:"parse" Sc_rtl.Parser.design
 
 let compile_gates_pass : (Sc_rtl.Ast.design, Sc_netlist.Circuit.t) P.pass =
   P.register ~name:"compile" (fun design ->
@@ -252,17 +244,10 @@ let place_pla_pass : (pla_compiled, Cell.t) P.pass =
 
 let elaborate_pass : (string * (string option * int list), Cell.t) P.pass =
   P.register ~name:"elaborate" (fun (src, (entry, args)) ->
-      match Sc_lang.Lang.compile ?entry ~args src with
-      | Ok cell -> Ok cell
-      | Error e -> Error (Diag.v ~stage:"elaborate" (Sc_lang.Lang.error_to_string e)))
-
-let verilog_design src =
-  match Sc_verilog.Elaborate.design_of_source src with
-  | Ok d -> Ok d
-  | Error e -> Error (Diag.v ~stage:"verilog.parse" e)
+      Sc_lang.Lang.compile ?entry ~args src)
 
 let parse_verilog_pass : (string, Sc_rtl.Ast.design) P.pass =
-  P.register ~name:"verilog.parse" verilog_design
+  P.register ~name:"verilog.parse" Sc_verilog.Elaborate.design
 
 (* --- drivers --- *)
 
@@ -459,7 +444,7 @@ let assemble_pass : (Chipdesc.chip_decl * module_compiled list, assembled) P.pas
       in
       let sig_of name = Option.map (fun mc -> mc.mc_sig) (mod_of name) in
       match Chipdesc.resolve chip ~sigs:sig_of with
-      | Error e -> Error (Diag.v ~stage:"assemble" e)
+      | Error d -> Error d
       | Ok nets ->
         let macros =
           List.map
@@ -629,7 +614,7 @@ let stitch chip mods nets =
 
 let compile_modular ?(restarts = 0) src =
   match Chipdesc.split src with
-  | Error e -> Error (Diag.v ~stage:"chip" e)
+  | Error d -> Error d
   | Ok { Chipdesc.chip = None; _ } ->
     Error (Diag.v ~stage:"chip" "modular source has no chip block")
   | Ok { Chipdesc.modules; chip = Some chip } ->
@@ -678,14 +663,16 @@ let compile_modular ?(restarts = 0) src =
             r.mr_totals)
       used runs;
     let* mods =
-      List.fold_left
-        (fun acc (_, r) ->
+      List.fold_left2
+        (fun acc (m : Chipdesc.source_module) (_, r) ->
           let* acc = acc in
           match r.mr with
           | Ok mc -> Ok (mc :: acc)
           | Error d ->
-            Error { d with Diag.stage = "module:" ^ d.Diag.stage })
-        (Ok []) runs
+            Error
+              (Chipdesc.in_source ~first:m.sm_line
+                 { d with Diag.stage = "module:" ^ d.Diag.stage }))
+        (Ok []) used runs
     in
     let mods = List.rev mods in
     let staged =
@@ -704,13 +691,9 @@ let compile_modular ?(restarts = 0) src =
     let* assembled = P.run assemble_pass staged in
     let* c = finish_layout (P.map (fun a -> a.aframed) assembled) in
     let* nets =
-      match
-        Chipdesc.resolve chip ~sigs:(fun n ->
-            List.find_opt (fun mc -> mc.mc_name = n) mods
-            |> Option.map (fun mc -> mc.mc_sig))
-      with
-      | Ok nets -> Ok nets
-      | Error e -> Error (Diag.v ~stage:"chip" e)
+      Chipdesc.resolve chip ~sigs:(fun n ->
+          List.find_opt (fun mc -> mc.mc_name = n) mods
+          |> Option.map (fun mc -> mc.mc_sig))
     in
     let circuit = stitch chip mods nets in
     Ok (c, circuit)

@@ -27,8 +27,9 @@
     boundary from the manager; enable {!Sc_pipeline.Pipeline.enable_cache}
     (or [scc --stage-cache DIR]) and recompiling after a [--restarts]
     change reruns only place→measure.  Failures come back as
-    {!Sc_pipeline.Diag.t} values — stage name plus message — never as
-    raw exceptions, and are never cached. *)
+    {!Sc_pipeline.Diag.t} values — stage name, source position when
+    the input text is at fault, and message — never as raw
+    exceptions, and are never cached. *)
 
 open Sc_layout
 
@@ -97,7 +98,9 @@ val compile_behavior :
     hierarchical stitch of the optimized module circuits under the
     chip's connections.  Per-module journal rows appear as
     [module:pass]; per-module QoR totals merge into the recorder in
-    scope as [module.NAME.key] gauges. *)
+    scope as [module.NAME.key] gauges.  A module's diagnostic comes
+    back with stage [module:STAGE], positioned in the source file, not
+    in its block. *)
 val compile_modular :
   ?restarts:int ->
   string ->
@@ -108,25 +111,11 @@ val compile_modular :
     route → drc → emit → measure sequence as {!compile_behavior} (the
     frontends differ only in their parse pass, so everything downstream
     shares the stage cache's behavior).  Parse and elaboration failures
-    come back as stage ["verilog.parse"] diagnostics whose messages
-    carry [line:col:] positions.  [inject_fault] as in
+    come back as stage ["verilog.parse"] diagnostics positioned in the
+    source.  [inject_fault] as in
     {!compile_behavior}. *)
 val compile_verilog :
   ?restarts:int ->
   ?inject_fault:int ->
   string ->
   (compiled * Sc_netlist.Circuit.t, Sc_pipeline.Diag.t) result
-
-(** Parse and check ISP source without running the pipeline — the body
-    of the pipeline's parse pass (for [scc sim] and [scc equiv]).
-    Errors are stage ["parse"] diagnostics whose messages carry
-    [line:col:] positions; a design the RTL checker refuses reports
-    ["check: ..."]. *)
-val isp_design : string -> (Sc_rtl.Ast.design, Sc_pipeline.Diag.t) result
-
-(** Elaborate Verilog source to the shared design IR without running
-    the pipeline (for [scc compile FILE.v --dump-isp], equivalence
-    drivers and tests).  Same ["verilog.parse"] diagnostics as
-    {!compile_verilog}. *)
-val verilog_design :
-  string -> (Sc_rtl.Ast.design, Sc_pipeline.Diag.t) result

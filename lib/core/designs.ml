@@ -202,9 +202,9 @@ end
 |}
 
 let parse src =
-  match Sc_rtl.Parser.parse src with
+  match Sc_rtl.Parser.design src with
   | Ok d -> d
-  | Error e -> Sc_pipeline.Diag.fail ~stage:"parse" e
+  | Error d -> raise (Sc_pipeline.Diag.Error d)
 
 (* --- hand-built structural baselines --- *)
 

@@ -41,7 +41,7 @@ val pdp8_dp_src : string
     compilation workload ({!Sc_core.Chipdesc}). *)
 val system_src : string
 
-(** Parsed designs (panics on internal parse error — these are fixtures). *)
+(** Parsed and checked designs (a failure raises {!Sc_pipeline.Diag.Error} — these are fixtures). *)
 val parse : string -> Sc_rtl.Ast.design
 
 (** {2 Hand-built structural baselines} *)

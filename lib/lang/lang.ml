@@ -2,15 +2,12 @@ open Sc_geom
 open Sc_tech
 open Sc_layout
 
-type error = { message : string; line : int }
-
-let error_to_string e = Printf.sprintf "line %d: %s" e.line e.message
-
-exception Err of error
-
-let fail line fmt = Format.kasprintf (fun s -> raise (Err { message = s; line })) fmt
-
 module L = Sc_rtl.Lexer
+module Diag = Sc_pipeline.Diag
+
+(* every error of the language, syntax or evaluation, is the lexer's,
+   at a statement's (or a cell definition's) position *)
+let fail at fmt = Format.kasprintf (fun s -> raise (L.Error (at, s))) fmt
 
 let keywords =
   [ "cell"; "let"; "for"; "to"; "if"; "else"; "inst"; "at"; "orient"; "box"
@@ -24,22 +21,30 @@ type expr =
   | Evar of string
   | Ebin of string * expr * expr
   | Eneg of expr
-  | Ecall of string * expr list * int  (** call site line *)
+  | Ecall of string * expr list
 
 type stmt =
-  | Sbox of string * expr * expr * expr * expr * int
-  | Swire of string * expr * (expr * expr) list * int
-  | Sinst of expr * (expr * expr) option * string option * int
-  | Sport of string * string * expr * expr * expr * expr * int
+  { kind : kind
+  ; at : Diag.pos  (** of its first lexeme *)
+  }
+
+and kind =
+  | Sbox of string * expr * expr * expr * expr
+  | Swire of string * expr * (expr * expr) list
+  | Sinst of expr * (expr * expr) option * string option
+  | Sport of string * string * expr * expr * expr * expr
   | Slet of string * expr
-  | Sfor of string * expr * expr * stmt list * int
+  | Sfor of string * expr * expr * stmt list
   | Sif of expr * stmt list * stmt list
 
-type celldef = { cname : string; params : string list; body : stmt list; cline : int }
+type celldef =
+  { cname : string
+  ; params : string list
+  ; body : stmt list
+  ; cpos : Diag.pos
+  }
 
 (* --- parser --- *)
-
-let line_of st = (L.pos st).line
 
 (* [item]s in parentheses, separated by commas *)
 let parenthesised item st =
@@ -92,9 +97,8 @@ and parse_atom st =
     L.expect_sym st ")";
     e
   | L.Ident i when not (List.mem i keywords) ->
-    let ln = line_of st in
     L.advance st;
-    if L.peek st = L.Sym "(" then Ecall (i, parenthesised parse_cmp st, ln)
+    if L.peek st = L.Sym "(" then Ecall (i, parenthesised parse_cmp st)
     else Evar i
   | t -> L.fail st "expected an expression, found %s" (L.describe t)
 
@@ -107,72 +111,75 @@ let parse_point st =
   (x, y)
 
 let rec parse_stmt st =
-  let ln = line_of st in
-  match L.peek st with
-  | L.Ident "box" ->
-    L.advance st;
-    let layer = L.expect_ident st keywords in
-    let x0 = parse_cmp st in
-    let y0 = parse_cmp st in
-    let x1 = parse_cmp st in
-    let y1 = parse_cmp st in
-    L.expect_sym st ";";
-    Sbox (layer, x0, y0, x1, y1, ln)
-  | L.Ident "wire" ->
-    L.advance st;
-    let layer = L.expect_ident st keywords in
-    let w = parse_cmp st in
-    let pts = ref [] in
-    while L.peek st = L.Sym "(" do
-      pts := parse_point st :: !pts
-    done;
-    L.expect_sym st ";";
-    Swire (layer, w, List.rev !pts, ln)
-  | L.Ident "inst" ->
-    L.advance st;
-    let e = parse_cmp st in
-    let at =
-      if L.accept st (L.Ident "at") then Some (parse_point st) else None
-    in
-    let orient =
-      if L.accept st (L.Ident "orient") then Some (L.expect_ident st keywords)
-      else None
-    in
-    L.expect_sym st ";";
-    Sinst (e, at, orient, ln)
-  | L.Ident "port" ->
-    L.advance st;
-    let name = L.expect_ident st keywords in
-    let layer = L.expect_ident st keywords in
-    let x0 = parse_cmp st in
-    let y0 = parse_cmp st in
-    let x1 = parse_cmp st in
-    let y1 = parse_cmp st in
-    L.expect_sym st ";";
-    Sport (name, layer, x0, y0, x1, y1, ln)
-  | L.Ident "let" ->
-    L.advance st;
-    let name = L.expect_ident st keywords in
-    L.expect_sym st "=";
-    let e = parse_cmp st in
-    L.expect_sym st ";";
-    Slet (name, e)
-  | L.Ident "for" ->
-    L.advance st;
-    let v = L.expect_ident st keywords in
-    L.expect_sym st "=";
-    let lo = parse_cmp st in
-    L.expect_kw st "to";
-    let hi = parse_cmp st in
-    let body = parse_block st in
-    Sfor (v, lo, hi, body, ln)
-  | L.Ident "if" ->
-    L.advance st;
-    let c = parse_cmp st in
-    let t = parse_block st in
-    let e = if L.accept st (L.Ident "else") then parse_block st else [] in
-    Sif (c, t, e)
-  | t -> L.fail st "expected a statement, found %s" (L.describe t)
+  let at = L.pos st in
+  let kind =
+    match L.peek st with
+    | L.Ident "box" ->
+      L.advance st;
+      let layer = L.expect_ident st keywords in
+      let x0 = parse_cmp st in
+      let y0 = parse_cmp st in
+      let x1 = parse_cmp st in
+      let y1 = parse_cmp st in
+      L.expect_sym st ";";
+      Sbox (layer, x0, y0, x1, y1)
+    | L.Ident "wire" ->
+      L.advance st;
+      let layer = L.expect_ident st keywords in
+      let w = parse_cmp st in
+      let pts = ref [] in
+      while L.peek st = L.Sym "(" do
+        pts := parse_point st :: !pts
+      done;
+      L.expect_sym st ";";
+      Swire (layer, w, List.rev !pts)
+    | L.Ident "inst" ->
+      L.advance st;
+      let e = parse_cmp st in
+      let place =
+        if L.accept st (L.Ident "at") then Some (parse_point st) else None
+      in
+      let orient =
+        if L.accept st (L.Ident "orient") then Some (L.expect_ident st keywords)
+        else None
+      in
+      L.expect_sym st ";";
+      Sinst (e, place, orient)
+    | L.Ident "port" ->
+      L.advance st;
+      let name = L.expect_ident st keywords in
+      let layer = L.expect_ident st keywords in
+      let x0 = parse_cmp st in
+      let y0 = parse_cmp st in
+      let x1 = parse_cmp st in
+      let y1 = parse_cmp st in
+      L.expect_sym st ";";
+      Sport (name, layer, x0, y0, x1, y1)
+    | L.Ident "let" ->
+      L.advance st;
+      let name = L.expect_ident st keywords in
+      L.expect_sym st "=";
+      let e = parse_cmp st in
+      L.expect_sym st ";";
+      Slet (name, e)
+    | L.Ident "for" ->
+      L.advance st;
+      let v = L.expect_ident st keywords in
+      L.expect_sym st "=";
+      let lo = parse_cmp st in
+      L.expect_kw st "to";
+      let hi = parse_cmp st in
+      let body = parse_block st in
+      Sfor (v, lo, hi, body)
+    | L.Ident "if" ->
+      L.advance st;
+      let c = parse_cmp st in
+      let t = parse_block st in
+      let e = if L.accept st (L.Ident "else") then parse_block st else [] in
+      Sif (c, t, e)
+    | t -> L.fail st "expected a statement, found %s" (L.describe t)
+  in
+  { kind; at }
 
 and parse_block st =
   L.expect_sym st "{";
@@ -185,18 +192,18 @@ and parse_block st =
 let rec parse_program st =
   if L.peek st = L.Eof then []
   else
-    let ln = line_of st in
+    let cpos = L.pos st in
     L.expect_kw st "cell";
     let name = L.expect_ident st keywords in
     let params = parenthesised (fun st -> L.expect_ident st keywords) st in
     let body = parse_block st in
-    { cname = name; params; body; cline = ln } :: parse_program st
+    { cname = name; params; body; cpos } :: parse_program st
 
 (* --- evaluator --- *)
 
 type value = Vint of int | Vcell of Cell.t
 
-let layer_of_name ln = function
+let layer_of_name at = function
   | "diff" -> Layer.Diffusion
   | "poly" -> Layer.Poly
   | "contact" -> Layer.Contact
@@ -204,7 +211,7 @@ let layer_of_name ln = function
   | "implant" -> Layer.Implant
   | "buried" -> Layer.Buried
   | "glass" -> Layer.Glass
-  | l -> fail ln "unknown layer %S" l
+  | l -> fail at "unknown layer %S" l
 
 let stdcell_builtins =
   [ ("inv", Sc_netlist.Gate.Inv)
@@ -232,23 +239,24 @@ type env =
 let max_steps = 2_000_000
 let max_depth = 64
 
-let tick env ln =
+let tick env at =
   env.steps <- env.steps + 1;
-  if env.steps > max_steps then fail ln "evaluation budget exceeded"
+  if env.steps > max_steps then fail at "evaluation budget exceeded"
 
-let rec eval_expr env vars e : value =
+(* [at]: the enclosing statement's position, which every error names *)
+let rec eval_expr env vars at e : value =
   match e with
   | Eint v -> Vint v
   | Evar n -> (
     match List.assoc_opt n vars with
     | Some v -> v
-    | None -> fail 0 "unbound variable %S" n)
+    | None -> fail at "unbound variable %S" n)
   | Eneg e' -> (
-    match eval_expr env vars e' with
+    match eval_expr env vars at e' with
     | Vint v -> Vint (-v)
-    | Vcell _ -> fail 0 "cannot negate a cell")
+    | Vcell _ -> fail at "cannot negate a cell")
   | Ebin (op, a, b) -> (
-    let va = eval_expr env vars a and vb = eval_expr env vars b in
+    let va = eval_expr env vars at a and vb = eval_expr env vars at b in
     match (va, vb) with
     | Vint x, Vint y ->
       let r =
@@ -257,10 +265,10 @@ let rec eval_expr env vars e : value =
         | "-" -> x - y
         | "*" -> x * y
         | "/" ->
-          if y = 0 then fail 0 "division by zero";
+          if y = 0 then fail at "division by zero";
           x / y
         | "%" ->
-          if y = 0 then fail 0 "division by zero";
+          if y = 0 then fail at "division by zero";
           x mod y
         | "==" -> if x = y then 1 else 0
         | "!=" -> if x <> y then 1 else 0
@@ -268,28 +276,28 @@ let rec eval_expr env vars e : value =
         | ">" -> if x > y then 1 else 0
         | "<=" -> if x <= y then 1 else 0
         | ">=" -> if x >= y then 1 else 0
-        | _ -> fail 0 "unknown operator %S" op
+        | _ -> fail at "unknown operator %S" op
       in
       Vint r
-    | _ -> fail 0 "operator %S needs integers" op)
-  | Ecall (name, args, ln) -> eval_call env vars name args ln
+    | _ -> fail at "operator %S needs integers" op)
+  | Ecall (name, args) -> eval_call env vars at name args
 
-and eval_call env vars name args ln =
-  tick env ln;
-  let values = List.map (eval_expr env vars) args in
+and eval_call env vars at name args =
+  tick env at;
+  let values = List.map (eval_expr env vars at) args in
   let int_arg i =
     match List.nth_opt values i with
     | Some (Vint v) -> v
-    | _ -> fail ln "%s: argument %d must be an integer" name (i + 1)
+    | _ -> fail at "%s: argument %d must be an integer" name (i + 1)
   in
   let cell_arg i =
     match List.nth_opt values i with
     | Some (Vcell c) -> c
-    | _ -> fail ln "%s: argument %d must be a cell" name (i + 1)
+    | _ -> fail at "%s: argument %d must be a cell" name (i + 1)
   in
   let arity k =
     if List.length values <> k then
-      fail ln "%s expects %d arguments, got %d" name k (List.length values)
+      fail at "%s expects %d arguments, got %d" name k (List.length values)
   in
   match List.assoc_opt name stdcell_builtins with
   | Some kind ->
@@ -306,12 +314,12 @@ and eval_call env vars name args ln =
     | "rowof" ->
       arity 2;
       let n = int_arg 0 in
-      if n < 1 then fail ln "rowof: count must be positive";
+      if n < 1 then fail at "rowof: count must be positive";
       Vcell (Compose.row ~name:"rowof" (List.init n (fun _ -> cell_arg 1)))
     | "arrayof" ->
       arity 3;
       let nx = int_arg 0 and ny = int_arg 1 in
-      if nx < 1 || ny < 1 then fail ln "arrayof: counts must be positive";
+      if nx < 1 || ny < 1 then fail at "arrayof: counts must be positive";
       Vcell (Compose.array ~name:"arrayof" ~nx ~ny (cell_arg 2))
     | "width" ->
       arity 1;
@@ -321,10 +329,10 @@ and eval_call env vars name args ln =
       Vint (Cell.height (cell_arg 0))
     | _ -> (
       match Hashtbl.find_opt env.cells name with
-      | None -> fail ln "unknown cell or function %S" name
+      | None -> fail at "unknown cell or function %S" name
       | Some def ->
         if List.length values <> List.length def.params then
-          fail ln "cell %s expects %d arguments, got %d" name
+          fail at "cell %s expects %d arguments, got %d" name
             (List.length def.params) (List.length values);
         (* share evaluated definitions: same cell + same integer actuals
            yield the same Cell.t, so instances share one CIF symbol *)
@@ -343,7 +351,7 @@ and eval_call env vars name args ln =
         | Some k when Hashtbl.mem env.memo k -> Vcell (Hashtbl.find env.memo k)
         | _ ->
           env.depth <- env.depth + 1;
-          if env.depth > max_depth then fail ln "cell nesting too deep";
+          if env.depth > max_depth then fail at "cell nesting too deep";
           let cell = eval_cell env def values in
           env.depth <- env.depth - 1;
           (match key with Some k -> Hashtbl.replace env.memo k cell | None -> ());
@@ -355,56 +363,51 @@ and eval_cell env def values =
   let instances = ref [] in
   let ports = ref [] in
   let counter = ref 0 in
-  let int_of vars e ln what =
-    match eval_expr env vars e with
+  let int_of vars at e what =
+    match eval_expr env vars at e with
     | Vint v -> v
-    | Vcell _ -> fail ln "%s must be an integer" what
+    | Vcell _ -> fail at "%s must be an integer" what
   in
   let rec exec vars stmts = List.fold_left exec_stmt vars stmts
-  and exec_stmt vars stmt =
-    (match stmt with
-    | Slet _ -> ()
-    | Sbox (_, _, _, _, _, ln)
-    | Swire (_, _, _, ln)
-    | Sinst (_, _, _, ln)
-    | Sport (_, _, _, _, _, _, ln)
-    | Sfor (_, _, _, _, ln) -> tick env ln
-    | Sif _ -> ());
-    match stmt with
-    | Sbox (layer, x0, y0, x1, y1, ln) ->
-      let l = layer_of_name ln layer in
+  and exec_stmt vars { kind; at } =
+    (match kind with Slet _ | Sif _ -> () | _ -> tick env at);
+    match kind with
+    | Sbox (layer, x0, y0, x1, y1) ->
+      let l = layer_of_name at layer in
       let r =
-        Rect.make (int_of vars x0 ln "box") (int_of vars y0 ln "box")
-          (int_of vars x1 ln "box") (int_of vars y1 ln "box")
+        Rect.make (int_of vars at x0 "box") (int_of vars at y0 "box")
+          (int_of vars at x1 "box") (int_of vars at y1 "box")
       in
       elements := Cell.box l r :: !elements;
       vars
-    | Swire (layer, w, pts, ln) ->
-      let l = layer_of_name ln layer in
-      let width = int_of vars w ln "wire width" in
+    | Swire (layer, w, pts) ->
+      let l = layer_of_name at layer in
+      let width = int_of vars at w "wire width" in
       if width <= 0 || width mod 2 <> 0 then
-        fail ln "wire width must be positive and even";
+        fail at "wire width must be positive and even";
       let points =
         List.map
           (fun (x, y) ->
-            Point.make (int_of vars x ln "wire point") (int_of vars y ln "wire point"))
+            Point.make
+              (int_of vars at x "wire point")
+              (int_of vars at y "wire point"))
           pts
       in
-      if List.length points < 2 then fail ln "wire needs at least two points";
+      if List.length points < 2 then fail at "wire needs at least two points";
       let path = Path.make ~width points in
-      if not (Path.is_manhattan path) then fail ln "wire must be Manhattan";
+      if not (Path.is_manhattan path) then fail at "wire must be Manhattan";
       elements := Cell.Wire (l, path) :: !elements;
       vars
-    | Sinst (e, at, orient, ln) ->
+    | Sinst (e, place, orient) ->
       let cell =
-        match eval_expr env vars e with
+        match eval_expr env vars at e with
         | Vcell c -> c
-        | Vint _ -> fail ln "inst needs a cell"
+        | Vint _ -> fail at "inst needs a cell"
       in
       let shift =
-        match at with
+        match place with
         | Some (x, y) ->
-          Point.make (int_of vars x ln "inst at") (int_of vars y ln "inst at")
+          Point.make (int_of vars at x "inst at") (int_of vars at y "inst at")
         | None -> Point.origin
       in
       let o =
@@ -413,7 +416,7 @@ and eval_cell env def values =
         | Some s -> (
           match Transform.orient_of_string s with
           | Some o -> o
-          | None -> fail ln "unknown orientation %S" s)
+          | None -> fail at "unknown orientation %S" s)
       in
       incr counter;
       instances :=
@@ -423,28 +426,29 @@ and eval_cell env def values =
           cell
         :: !instances;
       vars
-    | Sport (pname, layer, x0, y0, x1, y1, ln) ->
-      let l = layer_of_name ln layer in
+    | Sport (pname, layer, x0, y0, x1, y1) ->
+      let l = layer_of_name at layer in
       let r =
-        Rect.make (int_of vars x0 ln "port") (int_of vars y0 ln "port")
-          (int_of vars x1 ln "port") (int_of vars y1 ln "port")
+        Rect.make (int_of vars at x0 "port") (int_of vars at y0 "port")
+          (int_of vars at x1 "port") (int_of vars at y1 "port")
       in
       if List.exists (fun (p : Cell.port) -> p.pname = pname) !ports then
-        fail ln "duplicate port %S" pname;
+        fail at "duplicate port %S" pname;
       ports := Cell.port pname l r :: !ports;
       vars
-    | Slet (n, e) -> (n, eval_expr env vars e) :: vars
-    | Sfor (v, lo, hi, body, ln) ->
-      let lo = int_of vars lo ln "for bound" and hi = int_of vars hi ln "for bound" in
+    | Slet (n, e) -> (n, eval_expr env vars at e) :: vars
+    | Sfor (v, lo, hi, body) ->
+      let lo = int_of vars at lo "for bound"
+      and hi = int_of vars at hi "for bound" in
       for i = lo to hi do
         ignore (exec ((v, Vint i) :: vars) body)
       done;
       vars
     | Sif (c, t, e) ->
       let cond =
-        match eval_expr env vars c with
+        match eval_expr env vars at c with
         | Vint v -> v <> 0
-        | Vcell _ -> fail 0 "if condition must be an integer"
+        | Vcell _ -> fail at "if condition must be an integer"
       in
       ignore (exec vars (if cond then t else e));
       vars
@@ -464,18 +468,20 @@ and eval_cell env def values =
     (List.rev !elements)
 
 let compile ?entry ?(args = []) src =
+  let stage = "elaborate" in
   match
-    let defs = parse_program (L.create src) in
-    if defs = [] then fail 0 "no cells defined";
+    let st = L.create src in
+    let defs = parse_program st in
+    if defs = [] then fail (L.pos st) "no cells defined";
     let env =
       { cells = Hashtbl.create 16; memo = Hashtbl.create 16; steps = 0; depth = 0 }
     in
     List.iter
       (fun d ->
         if Hashtbl.mem env.cells d.cname then
-          fail d.cline "cell %S defined twice" d.cname;
+          fail d.cpos "cell %S defined twice" d.cname;
         if List.mem_assoc d.cname stdcell_builtins then
-          fail d.cline "cell %S shadows a builtin" d.cname;
+          fail d.cpos "cell %S shadows a builtin" d.cname;
         Hashtbl.replace env.cells d.cname d)
       defs;
     let entry_def =
@@ -483,16 +489,16 @@ let compile ?entry ?(args = []) src =
       | Some name -> (
         match Hashtbl.find_opt env.cells name with
         | Some d -> d
-        | None -> fail 0 "entry cell %S not found" name)
+        | None -> Diag.failf ~stage "entry cell %S not found" name)
       | None -> List.nth defs (List.length defs - 1)
     in
     if List.length args <> List.length entry_def.params then
-      fail entry_def.cline "entry cell %s expects %d arguments, got %d"
+      fail entry_def.cpos "entry cell %s expects %d arguments, got %d"
         entry_def.cname
         (List.length entry_def.params)
         (List.length args);
     eval_cell env entry_def (List.map (fun v -> Vint v) args)
   with
   | cell -> Ok cell
-  | exception Err e -> Error e
-  | exception L.Error (p, message) -> Error { message; line = p.line }
+  | exception L.Error (loc, msg) -> Error (Diag.v ~loc ~stage msg)
+  | exception Diag.Error d -> Error d

@@ -42,18 +42,17 @@
     Layers: [diff], [poly], [contact], [metal], [implant], [buried],
     [glass]. *)
 
-(** A syntax or evaluation error.  A syntax error's [line] is the
-    offending lexeme's; its message names the lexeme, and a malformed
-    literal (a [0x] without digits, a value past the integer range) is
-    such an error, never an exception.  The shared lexer positions
-    lexemes by [line:col]; the ISP and chip-block frontends print both,
-    [error_to_string] prints [line N: message]. *)
-type error = { message : string; line : int }
-
-val error_to_string : error -> string
-
 (** [compile ?entry ?args src] parses and evaluates; [entry] defaults to
     the last cell defined (commonly ["main"]), applied to [args]
-    (default [[]]). *)
+    (default [[]]).  A syntax or evaluation error is a diagnostic of
+    stage ["elaborate"].  A syntax error is positioned at the offending
+    lexeme and names it; a malformed literal (a [0x] without digits, a
+    value past the integer range) is such an error, never an exception.
+    An evaluation error is positioned at the statement being evaluated
+    (an argument-count or duplicate-definition error at its cell
+    definition); only an [entry] no cell defines has no position. *)
 val compile :
-  ?entry:string -> ?args:int list -> string -> (Sc_layout.Cell.t, error) result
+  ?entry:string ->
+  ?args:int list ->
+  string ->
+  (Sc_layout.Cell.t, Sc_pipeline.Diag.t) result

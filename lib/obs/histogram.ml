@@ -72,18 +72,3 @@ let percentile t p =
         in
         walk 0 0
       end)
-
-let merge a b =
-  let t = create () in
-  let fold src =
-    locked src (fun () ->
-        for i = 0 to nbuckets - 1 do
-          t.counts.(i) <- t.counts.(i) + src.counts.(i);
-          t.sums.(i) <- t.sums.(i) +. src.sums.(i)
-        done;
-        t.n <- t.n + src.n;
-        if src.vmax > t.vmax then t.vmax <- src.vmax)
-  in
-  fold a;
-  fold b;
-  t

@@ -30,7 +30,3 @@ val percentile : t -> float -> int
     estimated as the mean of the rank's bucket.  [percentile t 50.0] is
     the median estimate; 0 when empty. *)
 
-val merge : t -> t -> t
-(** [merge a b] is a fresh histogram holding the samples of both —
-    used to aggregate per-recorder or per-verb histograms.  [a] and [b]
-    are unchanged. *)

@@ -1,10 +1,18 @@
-(** Structured stage diagnostics.
+(** Structured stage diagnostics, and the one source position of the
+    compiler.
 
     Every pass failure in the compiler is a [Diag.t]: the name of the
-    stage that failed plus a human-readable message.  Drivers print
-    ["stage: message"] and exit nonzero — the user never sees a raw
-    OCaml backtrace for an input problem (a malformed design, an FSM
-    too wide for the PLA generator, an unbound entry cell).
+    stage that failed, where in the source text it failed when the
+    failure has a place there, and a human-readable message.  Drivers
+    print ["stage: line:col: message"] and exit nonzero — the user
+    never sees a raw OCaml backtrace for an input problem (a malformed
+    design, an FSM too wide for the PLA generator, an unbound entry
+    cell).
+
+    The frontends (the ISP, chip-block and layout-language lexer
+    [Sc_rtl.Lexer], the Verilog frontend and the CIF parser) position
+    their lexemes and errors with {!pos}; this library depends on
+    neither of them, so each can depend on it.
 
     Deep code that cannot return a [result] raises {!Error}; the pass
     manager ({!Pipeline.run}) catches it at the stage boundary and
@@ -12,20 +20,31 @@
     such a function directly (tests, benches) should match on
     [exception Diag.Error d]. *)
 
+(** A source position, 1-based in both coordinates. *)
+type pos =
+  { line : int
+  ; col : int
+  }
+
+val pos_to_string : pos -> string
+(** ["line:col"]. *)
+
 type t =
   { stage : string  (** pass that failed, e.g. ["parse"], ["compile"] *)
+  ; loc : pos option  (** where in the source, when the input is text *)
   ; message : string
   }
 
 exception Error of t
 
-val v : stage:string -> string -> t
-(** [v ~stage msg] — a diagnostic value. *)
+val v : ?loc:pos -> stage:string -> string -> t
+(** [v ?loc ~stage msg] — a diagnostic value. *)
 
-val fail : stage:string -> string -> 'a
-(** [fail ~stage msg] raises {!Error}. *)
+val fail : ?loc:pos -> stage:string -> string -> 'a
+(** [fail ?loc ~stage msg] raises {!Error}. *)
 
-val failf : stage:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+val failf :
+  ?loc:pos -> stage:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Formatted {!fail}. *)
 
 val of_exn : stage:string -> exn -> t
@@ -33,5 +52,9 @@ val of_exn : stage:string -> exn -> t
     keeps its own stage; anything else is printed with
     [Printexc.to_string] under [stage]. *)
 
+val located : t -> string
+(** ["line:col: message"], or the message alone without a location. *)
+
 val to_string : t -> string
-(** ["stage: message"]. *)
+(** ["stage: line:col: message"] (["stage: message"] without a
+    location). *)

@@ -1,9 +1,4 @@
-type pos =
-  { line : int
-  ; col : int
-  }
-
-let pos_to_string p = Printf.sprintf "%d:%d" p.line p.col
+module Diag = Sc_pipeline.Diag
 
 type token =
   | Ident of string
@@ -13,10 +8,10 @@ type token =
 
 type lexeme =
   { tok : token
-  ; pos : pos
+  ; pos : Diag.pos
   }
 
-exception Error of pos * string
+exception Error of Diag.pos * string
 
 let describe = function
   | Ident i -> i
@@ -78,7 +73,7 @@ let scan st =
   skip st;
   let text = st.text and n = String.length st.text in
   let start = st.i in
-  let pos = { line = st.line; col = start - st.bol + 1 } in
+  let pos = { Diag.line = st.line; col = start - st.bol + 1 } in
   let tok =
     if start = n then Eof
     else
@@ -118,7 +113,7 @@ let scan st =
   { tok; pos }
 
 let create text =
-  let cur = { tok = Eof; pos = { line = 1; col = 1 } } in
+  let cur = { tok = Eof; pos = { Diag.line = 1; col = 1 } } in
   let st = { text; i = 0; line = 1; bol = 0; cur } in
   st.cur <- scan st;
   st

@@ -13,16 +13,9 @@
 
     The cursor scans one lexeme ahead of its parser, so text after the
     point where a parser stops is never read.  Every failure, lexical
-    or syntactic, is the one exception {!Error}, at a [line:col]. *)
-
-(** A source position, 1-based in both coordinates. *)
-type pos =
-  { line : int
-  ; col : int
-  }
-
-val pos_to_string : pos -> string
-(** ["line:col"], the prefix of a positioned diagnostic. *)
+    or syntactic, is the one exception {!Error}, at a
+    {!Sc_pipeline.Diag.pos}; each language turns it into a diagnostic
+    of its own stage. *)
 
 type token =
   | Ident of string
@@ -32,15 +25,15 @@ type token =
 
 type lexeme =
   { tok : token
-  ; pos : pos  (** of its first character *)
+  ; pos : Sc_pipeline.Diag.pos  (** of its first character *)
   }
 
-exception Error of pos * string
+exception Error of Sc_pipeline.Diag.pos * string
 
 val describe : token -> string
 (** The token as a diagnostic names it ([end of input] for {!Eof}). *)
 
-val tokenize : string -> (lexeme list, pos * string) result
+val tokenize : string -> (lexeme list, Sc_pipeline.Diag.pos * string) result
 (** Every lexeme of a text, {!Eof} last, or the first lexical error. *)
 
 (** {2 The parsers' cursor} *)
@@ -51,7 +44,7 @@ val create : string -> t
 (** A cursor on the text's first lexeme. *)
 
 val peek : t -> token
-val pos : t -> pos
+val pos : t -> Sc_pipeline.Diag.pos
 
 val advance : t -> unit
 (** Scan the next lexeme (a no-op at {!Eof}). *)

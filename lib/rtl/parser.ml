@@ -178,7 +178,17 @@ let parse_design st =
   ; body
   }
 
-let parse text =
+module Diag = Sc_pipeline.Diag
+
+let syntax text =
   match parse_design (create text) with
   | d -> Ok d
-  | exception Error (p, msg) -> Error (pos_to_string p ^ ": " ^ msg)
+  | exception Error (loc, msg) -> Error (Diag.v ~loc ~stage:"parse" msg)
+
+let parse text = Result.map_error Diag.located (syntax text)
+
+let design text =
+  Result.bind (syntax text) (fun d ->
+      match Check.check d with
+      | [] -> Ok d
+      | e :: _ -> Error (Diag.v ~stage:"parse" ("check: " ^ e)))

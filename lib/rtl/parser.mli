@@ -27,7 +27,13 @@
     literal without digits or past the integer range is an error, not
     an exception. *)
 
+val design : string -> (Ast.design, Sc_pipeline.Diag.t) result
+(** The ISP frontend: the design, {!Check}-clean, or a diagnostic of
+    stage ["parse"].  A lexical or syntax error is positioned at the
+    offending token and names it ([parse: 3:5: expected ":=", found =]);
+    a check failure has no position ([parse: check: ...]). *)
+
 val parse : string -> (Ast.design, string) result
-(** The design, or the first lexical or syntax error as
-    ["line:col: message"] (the Verilog frontend's format), naming the
-    offending token: [3:5: expected ":=", found =]. *)
+(** The syntax alone, unchecked; an error is {!design}'s message with
+    its position and without the stage ([3:5: expected ":=", found =]),
+    for callers that only print it. *)

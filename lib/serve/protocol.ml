@@ -69,8 +69,6 @@ type compile_spec =
 
 type request =
   | Compile of compile_spec
-  | Report of compile_spec
-  | Diff of { spec : compile_spec; baseline : Json.t }
   | Equiv of { a : string; b : string; k : int }
   | Stats
   | Shutdown
@@ -95,8 +93,6 @@ type stats_payload =
 
 type response =
   | Compiled of compiled
-  | Reported of string
-  | Diffed of { report : string; regressed : bool }
   | Equiv_verdict of { equivalent : bool; detail : string }
   | Stats_reply of stats_payload
   | Bye
@@ -116,11 +112,6 @@ let spec_fields s =
 
 let json_of_request = function
   | Compile s -> Json.Obj (("t", Json.Str "compile") :: spec_fields s)
-  | Report s -> Json.Obj (("t", Json.Str "report") :: spec_fields s)
-  | Diff { spec; baseline } ->
-    Json.Obj
-      ((("t", Json.Str "diff") :: spec_fields spec)
-      @ [ ("baseline", baseline) ])
   | Equiv { a; b; k } ->
     Json.Obj
       [ ("t", Json.Str "equiv"); ("a", Json.Str a); ("b", Json.Str b)
@@ -146,13 +137,6 @@ let json_of_response = function
                (fun (name, st) ->
                  Json.Obj [ ("pass", Json.Str name); ("status", Json.Str st) ])
                c.passes) )
-      ]
-  | Reported text ->
-    Json.Obj [ ("t", Json.Str "reported"); ("text", Json.Str text) ]
-  | Diffed { report; regressed } ->
-    Json.Obj
-      [ ("t", Json.Str "diffed"); ("report", Json.Str report)
-      ; ("regressed", Json.Bool regressed)
       ]
   | Equiv_verdict { equivalent; detail } ->
     Json.Obj
@@ -217,17 +201,6 @@ let request_of_json j =
   | "compile" ->
     let* s = spec_of_json j in
     Ok (Compile s)
-  | "report" ->
-    let* s = spec_of_json j in
-    Ok (Report s)
-  | "diff" ->
-    let* spec = spec_of_json j in
-    let* baseline =
-      match Json.member "baseline" j with
-      | Some b -> Ok b
-      | None -> Error "missing field \"baseline\""
-    in
-    Ok (Diff { spec; baseline })
   | "equiv" ->
     let* a = str_field "a" j in
     let* b = str_field "b" j in
@@ -270,13 +243,6 @@ let response_of_json j =
          { snapshot; cif_bytes; gates; flipflops; transistors; area
          ; drc_violations; passes
          })
-  | "reported" ->
-    let* text = str_field "text" j in
-    Ok (Reported text)
-  | "diffed" ->
-    let* report = str_field "report" j in
-    let* regressed = bool_field "regressed" j in
-    Ok (Diffed { report; regressed })
   | "equiv" ->
     let* equivalent = bool_field "equivalent" j in
     let* detail = str_field "detail" j in

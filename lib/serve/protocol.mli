@@ -46,11 +46,9 @@ type compile_spec =
   }
 
 type request =
-  | Compile of compile_spec  (** compile; answer with the snapshot *)
-  | Report of compile_spec  (** compile; answer with the human table *)
-  | Diff of { spec : compile_spec; baseline : Sc_obs.Json.t }
-      (** compile; diff the snapshot against [baseline] (a snapshot the
-          client read from disk) *)
+  | Compile of compile_spec
+      (** compile; answer with the snapshot, which the client renders
+          or diffs itself *)
   | Equiv of { a : string; b : string; k : int }
       (** prove two circuits equivalent; specs are [hand:NAME] or
           [isp:NAME] *)
@@ -89,13 +87,13 @@ type stats_payload =
 
 type response =
   | Compiled of compiled
-  | Reported of string  (** rendered {!Sc_metrics.Metrics.pp_snapshot} *)
-  | Diffed of { report : string; regressed : bool }
   | Equiv_verdict of { equivalent : bool; detail : string }
   | Stats_reply of stats_payload
   | Bye  (** acknowledges [Shutdown] *)
   | Error_reply of { stage : string; message : string }
-      (** a {!Sc_pipeline.Diag.t} (or protocol error) as a value *)
+      (** a {!Sc_pipeline.Diag.t} (or protocol error) as a value; a
+          diagnostic's position leads its [message], as in
+          {!Sc_pipeline.Diag.located} *)
 
 (** {2 Codecs}
 

@@ -235,11 +235,9 @@ let do_equiv st ~a ~b ~k =
 
 (* --- request dispatch --- *)
 
-let compiled_response (o : outcome) mk =
-  match o with
-  | O_diag d ->
-    P.Error_reply { stage = d.Diag.stage; message = d.Diag.message }
-  | O_ok r -> mk r
+(* the wire keeps two fields: the position leads the message *)
+let error_reply (d : Diag.t) =
+  P.Error_reply { stage = d.stage; message = Diag.located d }
 
 let server_stats st =
   locked st (fun () ->
@@ -333,37 +331,20 @@ let handle st (req : P.request) : P.response * (string * Json.t) list =
   match req with
   | P.Compile spec ->
     let ((outcome, _, _) as c) = compile st spec in
-    ( compiled_response outcome (fun r ->
-          P.Compiled
-            { snapshot = Metrics.to_json r.snapshot
-            ; cif_bytes = r.cif_bytes
-            ; gates = r.gates
-            ; flipflops = r.flipflops
-            ; transistors = r.transistors
-            ; area = r.area
-            ; drc_violations = r.drc_violations
-            ; passes = r.passes
-            })
+    ( (match outcome with
+      | O_diag d -> error_reply d
+      | O_ok r ->
+        P.Compiled
+          { snapshot = Metrics.to_json r.snapshot
+          ; cif_bytes = r.cif_bytes
+          ; gates = r.gates
+          ; flipflops = r.flipflops
+          ; transistors = r.transistors
+          ; area = r.area
+          ; drc_violations = r.drc_violations
+          ; passes = r.passes
+          })
     , compile_fields c spec )
-  | P.Report spec ->
-    let ((outcome, _, _) as c) = compile st spec in
-    ( compiled_response outcome (fun r ->
-          P.Reported (Format.asprintf "%a" Metrics.pp_snapshot r.snapshot))
-    , compile_fields c spec )
-  | P.Diff { spec; baseline } -> (
-    match Metrics.of_json baseline with
-    | Error e ->
-      ( P.Error_reply { stage = "diff"; message = "baseline: " ^ e }
-      , [ ("design", Json.Str spec.design) ] )
-    | Ok base ->
-      let ((outcome, _, _) as c) = compile st spec in
-      ( compiled_response outcome (fun r ->
-            let report = Metrics.diff base r.snapshot in
-            P.Diffed
-              { report = Format.asprintf "%a" Metrics.pp_report report
-              ; regressed = Metrics.gate report
-              })
-      , compile_fields c spec ))
   | P.Equiv { a; b; k } ->
     ( do_equiv st ~a ~b ~k
     , [ ("a", Json.Str a); ("b", Json.Str b); ("k", jnum k) ] )
@@ -372,9 +353,7 @@ let handle st (req : P.request) : P.response * (string * Json.t) list =
 
 let safe_handle st req =
   try handle st req
-  with e ->
-    let d = Diag.of_exn ~stage:"serve" e in
-    (P.Error_reply { stage = d.Diag.stage; message = d.Diag.message }, [])
+  with e -> (error_reply (Diag.of_exn ~stage:"serve" e), [])
 
 (* --- connections --- *)
 
@@ -393,8 +372,6 @@ let request_stop st =
 
 let verb_of_request = function
   | P.Compile _ -> "compile"
-  | P.Report _ -> "report"
-  | P.Diff _ -> "diff"
   | P.Equiv _ -> "equiv"
   | P.Stats -> "stats"
   | P.Shutdown -> "shutdown"

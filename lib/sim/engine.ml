@@ -7,7 +7,6 @@ type t =
   ; fanout : int list array  (* net -> indices of gates reading it *)
   ; queued : bool array  (* per gate: already scheduled *)
   ; queue : int Queue.t
-  ; mutable events : int
   }
 
 let schedule t idx =
@@ -28,7 +27,6 @@ let settle t =
     t.queued.(idx) <- false;
     let g = t.gates.(idx) in
     if not (Gate.is_sequential g.Circuit.kind) then begin
-      t.events <- t.events + 1;
       let ins = Array.map (fun n -> t.values.(n)) g.Circuit.ins in
       set_net t g.Circuit.out (Value.eval_gate g.Circuit.kind ins)
     end
@@ -57,7 +55,6 @@ let create c =
     ; fanout
     ; queued = Array.make (Array.length gates) false
     ; queue = Queue.create ()
-    ; events = 0
     }
   in
   (* evaluate everything once so constants and defaults propagate *)
@@ -131,19 +128,3 @@ let get_output_int t name =
       | None -> None
   in
   go 0 0
-
-let events t = t.events
-
-let port_snapshot t =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf p.Circuit.port_name;
-      Buffer.add_char buf '=';
-      (* msb first for readability *)
-      for i = Array.length p.Circuit.bits - 1 downto 0 do
-        Buffer.add_char buf (Value.to_char t.values.(p.Circuit.bits.(i)))
-      done;
-      Buffer.add_char buf ' ')
-    t.flat.Circuit.ports;
-  String.trim (Buffer.contents buf)

@@ -35,8 +35,3 @@ val get_output : t -> string -> Value.t array
 (** [None] when any bit is X. *)
 val get_output_int : t -> string -> int option
 
-(** Number of gate evaluations performed so far (simulation effort). *)
-val events : t -> int
-
-(** [vcd_line t] — all port values, as a compact "name=bits" string. *)
-val port_snapshot : t -> string

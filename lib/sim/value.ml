@@ -48,4 +48,3 @@ let eval_gate kind ins =
   | Gate.Dff | Gate.Dffe -> invalid_arg "Value.eval_gate: sequential gate"
 
 let equal (a : t) b = a = b
-let to_char = function V0 -> '0' | V1 -> '1' | VX -> 'x'

@@ -18,6 +18,3 @@ val eval_gate : Sc_netlist.Gate.kind -> t array -> t
 
 (** Structural equality ([VX] equals only [VX]). *)
 val equal : t -> t -> bool
-
-(** ['0'], ['1'] or ['x'] — the waveform-dump alphabet. *)
-val to_char : t -> char

@@ -1,3 +1,5 @@
+open Sc_pipeline
+
 type unop = Bnot
 
 type binop =
@@ -16,23 +18,23 @@ type binop =
   | Shr
 
 type expr =
-  | Number of { value : int; width : int option; npos : Lexer.pos }
-  | Id of string * Lexer.pos
-  | Index of string * int * Lexer.pos
-  | Slice of string * int * int * Lexer.pos
-  | Unop of unop * expr * Lexer.pos
-  | Binop of binop * expr * expr * Lexer.pos
-  | Cond of { cond : expr; t : expr; f : expr; cpos : Lexer.pos }
-  | Concat of expr list * Lexer.pos
+  | Number of { value : int; width : int option; npos : Diag.pos }
+  | Id of string * Diag.pos
+  | Index of string * int * Diag.pos
+  | Slice of string * int * int * Diag.pos
+  | Unop of unop * expr * Diag.pos
+  | Binop of binop * expr * expr * Diag.pos
+  | Cond of { cond : expr; t : expr; f : expr; cpos : Diag.pos }
+  | Concat of expr list * Diag.pos
 
 type stmt =
-  | Nonblocking of { target : string; rhs : expr; spos : Lexer.pos }
-  | If of { cond : expr; then_ : stmt list; else_ : stmt list; spos : Lexer.pos }
+  | Nonblocking of { target : string; rhs : expr; spos : Diag.pos }
+  | If of { cond : expr; then_ : stmt list; else_ : stmt list; spos : Diag.pos }
   | Case of
       { scrutinee : expr
       ; arms : (expr * stmt list) list
       ; default : stmt list
-      ; spos : Lexer.pos
+      ; spos : Diag.pos
       }
 
 type dir =
@@ -53,23 +55,23 @@ type decl =
   ; dir : dir option
   ; kind : kind
   ; range : range option
-  ; dpos : Lexer.pos
+  ; dpos : Diag.pos
   }
 
 type item =
   | Decl of decl
-  | Assign of { lhs : string; rhs : expr; apos : Lexer.pos }
+  | Assign of { lhs : string; rhs : expr; apos : Diag.pos }
   | Always of
-      { edges : (string * Lexer.pos) list
+      { edges : (string * Diag.pos) list
       ; body : stmt list
-      ; apos : Lexer.pos
+      ; apos : Diag.pos
       }
 
 type module_ =
   { mname : string
   ; ports : string list
   ; items : item list
-  ; mpos : Lexer.pos
+  ; mpos : Diag.pos
   }
 
 let expr_pos = function

@@ -1,8 +1,7 @@
 module R = Sc_rtl.Ast
+module Diag = Sc_pipeline.Diag
 
-exception Elab_error of Lexer.pos * string
-
-let fail pos fmt = Format.kasprintf (fun s -> raise (Elab_error (pos, s))) fmt
+let fail = Lexer.fail
 
 let max_width = 30
 
@@ -10,14 +9,14 @@ let rec min_const_width v = if v <= 1 then 1 else 1 + min_const_width (v / 2)
 
 (* who drives a signal; at most one per wire/reg *)
 type driver =
-  | Dassign of Lexer.pos
-  | Dalways of int * Lexer.pos
+  | Dassign of Diag.pos
+  | Dalways of int * Diag.pos
 
 type info =
   { kind : Ast.kind
   ; dir : Ast.dir option
   ; width : int
-  ; dpos : Lexer.pos
+  ; dpos : Diag.pos
   ; sc_name : string
       (* name inside the ISP design: outputs get a [$]-prefixed carrier
          because ISP outputs are write-only in expressions *)
@@ -48,7 +47,7 @@ type lv =
 type node =
   { nstmts : R.stmt list
   ; defines : string list
-  ; npos : Lexer.pos
+  ; npos : Diag.pos
   ; nlabel : string
   }
 
@@ -393,7 +392,7 @@ let elaborate_exn (m : Ast.module_) : R.design =
           match i.driver with
           | Some (Dassign p0 | Dalways (_, p0)) ->
             fail apos "'%s' has multiple drivers (also driven at %s)" lhs
-              (Lexer.pos_to_string p0)
+              (Diag.pos_to_string p0)
           | None -> i.driver <- Some (Dassign apos)))
       | Ast.Always { body; _ } ->
         incr block;
@@ -417,12 +416,12 @@ let elaborate_exn (m : Ast.module_) : R.design =
                 fail spos
                   "'%s' is driven by both an assign (at %s) and an always \
                    block"
-                  target (Lexer.pos_to_string p0)
+                  target (Diag.pos_to_string p0)
               | Some (Dalways (_, p0)) ->
                 fail spos
                   "'%s' is driven from more than one always block (also at \
                    %s)"
-                  target (Lexer.pos_to_string p0)
+                  target (Diag.pos_to_string p0)
               | None -> i.driver <- Some (Dalways (b, spos))))
           | Ast.If { then_; else_; _ } ->
             List.iter targets then_;
@@ -579,12 +578,10 @@ let elaborate_exn (m : Ast.module_) : R.design =
   | e :: _ -> fail m.mpos "internal elaboration error: %s" e);
   design
 
-let elaborate m =
-  match elaborate_exn m with
-  | d -> Ok d
-  | exception Elab_error (p, msg) -> Error (Lexer.pos_to_string p ^ ": " ^ msg)
+let design src =
+  Result.bind (Parse.parse src) (fun m ->
+      match elaborate_exn m with
+      | d -> Ok d
+      | exception Diag.Error d -> Error d)
 
-let design_of_source src =
-  match Parse.parse src with
-  | Error e -> Error e
-  | Ok m -> elaborate m
+let design_of_source src = Result.map_error Diag.located (design src)

@@ -25,12 +25,17 @@
     Expressions are evaluated {e self-determined}: every operation is
     masked at the width of its widest operand, so an addition's carry
     out is lost unless an operand is widened explicitly (e.g.
-    [{1'b0, a} + b]).  All diagnostics are positioned
-    ["line:col: message"] strings — elaboration never raises. *)
+    [{1'b0, a} + b]).  All diagnostics are positioned — elaboration
+    never raises. *)
+
+val design : string -> (Sc_rtl.Ast.design, Sc_pipeline.Diag.t) result
+(** [Parse.parse] composed with the lowering above: Verilog source text
+    to an ISP design in one step, or a positioned diagnostic of stage
+    ["verilog.parse"].  This is the pipeline's [verilog.parse] pass.
+    The design is {!Sc_rtl.Check}-clean by construction; a residual
+    check failure is reported as an internal error rather than
+    raised. *)
 
 val design_of_source : string -> (Sc_rtl.Ast.design, string) result
-(** [Parse.parse] composed with the lowering above: Verilog source text
-    to an ISP design in one step.  This is the function the pipeline's
-    [verilog.parse] pass wraps.  The design is {!Sc_rtl.Check}-clean by
-    construction; a residual check failure is reported as an internal
-    error rather than raised. *)
+(** {!design} with its diagnostic printed as ["line:col: message"],
+    for callers that only print it. *)

@@ -1,9 +1,4 @@
-type pos =
-  { line : int
-  ; col : int
-  }
-
-let pos_to_string p = Printf.sprintf "%d:%d" p.line p.col
+module Diag = Sc_pipeline.Diag
 
 type token =
   | Id of string
@@ -13,7 +8,7 @@ type token =
 
 type lexeme =
   { tok : token
-  ; pos : pos
+  ; pos : Diag.pos
   }
 
 let token_to_string = function
@@ -23,9 +18,7 @@ let token_to_string = function
   | Sym s -> Printf.sprintf "'%s'" s
   | Eof -> "end of input"
 
-exception Error of pos * string
-
-let fail pos fmt = Format.kasprintf (fun s -> raise (Error (pos, s))) fmt
+let fail loc fmt = Diag.failf ~loc ~stage:"verilog.parse" fmt
 
 (* literal widths share sc_rtl's 1..30 ceiling: the interpreter and the
    synthesizer both hold buses in OCaml ints *)
@@ -49,7 +42,7 @@ let tokenize text =
   let pos = ref 0 in
   let line = ref 1 in
   let bol = ref 0 (* offset of the current line's first character *) in
-  let here () = { line = !line; col = !pos - !bol + 1 } in
+  let here () = { Diag.line = !line; col = !pos - !bol + 1 } in
   let advance () =
     (if !pos < n && text.[!pos] = '\n' then begin
        incr line;
@@ -159,8 +152,3 @@ let tokenize text =
   done;
   emit (here ()) Eof;
   List.rev !tokens
-
-let tokenize text =
-  match tokenize text with
-  | toks -> Ok toks
-  | exception Error (p, msg) -> Error (pos_to_string p ^ ": " ^ msg)

@@ -1,9 +1,10 @@
 (** Lexical analysis for the synthesizable-Verilog frontend.
 
-    Every lexeme carries its source position, and every failure is a
-    positioned message ([line:col: ...]) rather than an exception — the
-    frontend's contract is that a malformed design produces a
-    {!Sc_pipeline.Diag.t} the user can act on, never a backtrace.
+    Every lexeme carries its source position, and every failure of the
+    frontend — lexer, {!Parse} and {!Elaborate} — is one positioned
+    {!Sc_pipeline.Diag.t} of stage ["verilog.parse"]: the frontend's
+    contract is that a malformed design produces a diagnostic the user
+    can act on, never a backtrace.
 
     The token set covers the supported subset only: identifiers (with
     Verilog's [$] allowed after the first character, and a leading [$]
@@ -12,15 +13,6 @@
     emitted verbatim as {!Sym} — including symbols the parser only ever
     {e rejects} (such as [#], [*] and [&&]), which are lexed so their
     diagnostics can name the construct instead of the character. *)
-
-(** A source position, 1-based in both coordinates. *)
-type pos =
-  { line : int  (** 1-based line number *)
-  ; col : int  (** 1-based column number *)
-  }
-
-val pos_to_string : pos -> string
-(** ["line:col"] — the prefix every frontend diagnostic carries. *)
 
 (** One lexical token. *)
 type token =
@@ -40,14 +32,17 @@ type token =
 (** A token plus the position of its first character. *)
 type lexeme =
   { tok : token
-  ; pos : pos
+  ; pos : Sc_pipeline.Diag.pos
   }
 
 val token_to_string : token -> string
 (** Human rendering for diagnostics: [identifier 'clk'], [number 12'd0],
     ['<='], [end of input]. *)
 
-val tokenize : string -> (lexeme list, string) result
+val tokenize : string -> lexeme list
 (** Scan a whole source text.  The result always ends with an {!Eof}
     lexeme.  Errors (stray characters, malformed or oversized literals,
-    unterminated block comments) come back as positioned messages. *)
+    unterminated block comments) raise {!Sc_pipeline.Diag.Error}. *)
+
+val fail : Sc_pipeline.Diag.pos -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise the frontend's diagnostic at a position. *)

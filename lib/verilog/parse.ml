@@ -1,6 +1,4 @@
-exception Parse_error of Lexer.pos * string
-
-let fail pos fmt = Format.kasprintf (fun s -> raise (Parse_error (pos, s))) fmt
+let fail = Lexer.fail
 
 (* words with reserved meaning in full Verilog; the subset's parser
    refuses them as identifiers so diagnostics name the construct *)
@@ -580,13 +578,7 @@ let parse_module st =
   | _ -> unexpected st "end of input");
   { Ast.mname; ports; items = List.rev !items; mpos }
 
-let with_tokens text k =
-  match Lexer.tokenize text with
-  | Error e -> Error e
-  | Ok toks -> (
-    let st = { toks = Array.of_list toks; i = 0 } in
-    match k st with
-    | v -> Ok v
-    | exception Parse_error (p, msg) -> Error (Lexer.pos_to_string p ^ ": " ^ msg))
-
-let parse text = with_tokens text parse_module
+let parse text =
+  match parse_module { toks = Array.of_list (Lexer.tokenize text); i = 0 } with
+  | m -> Ok m
+  | exception Sc_pipeline.Diag.Error d -> Error d

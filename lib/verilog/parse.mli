@@ -34,6 +34,6 @@
     documented surface (see [docs/VERILOG.md]) and are exercised by the
     error-path tests. *)
 
-val parse : string -> (Ast.module_, string) result
-(** Parse one module.  Errors are ["line:col: message"] strings, never
-    exceptions. *)
+val parse : string -> (Ast.module_, Sc_pipeline.Diag.t) result
+(** Parse one module.  A lexical or syntax error is a positioned
+    diagnostic, never an exception. *)

@@ -4,7 +4,8 @@
 # equiv resolves, serve's --exec-domains bound, a warm module edit over
 # the disk stage cache, the pinned CIF text of the baseline designs, one
 # domain per compile, missing input files, the size of pdp8's
-# stage-cache entries and hostile CIF.
+# stage-cache entries, hostile CIF and the exact text of positioned
+# diagnostics.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -163,6 +164,38 @@ expect_at 1 "compile of a bare 0x" 5:16 "$scc" compile "$dir/badlit.isp"
 expect_at 1 "compile of an oversized chip-block width" 20:10 \
   "$scc" compile "$dir/badchip.isp"
 
+# Every frontend's diagnostic is one line, "error: STAGE: LINE:COL:
+# MESSAGE", positioned in the file.
+# expect_line CODE WHAT TEXT CMD... — as expect, and stderr has the
+# line TEXT
+expect_line() {
+  local text=$3
+  expect "$1" "$2" "${@:4}"
+  if ! grep -qxF "$text" "$dir/err"; then
+    echo "FAIL: $2: no line '$text' on stderr" >&2
+    cat "$dir/err" >&2
+    fail=1
+  fi
+}
+printf 'cell main() {\n  box metal 0 0 n 4;\n}\n' >"$dir/unbound.lsl"
+expect_line 1 "an unbound layout-language variable" \
+  'error: elaborate: 2:3: unbound variable "n"' "$scc" compile "$dir/unbound.lsl"
+# a module block's error is at its line in the file (the mixer starts
+# on line 3), not in the block (5:12)
+{
+  printf -- '-- two modules and a chip\n\n'
+  sed 's/y := ((a | b) ^ 7) + 1;/y := a ^ 0x;/' "$dir/system-edit.isp"
+} >"$dir/badmix.isp"
+expect_line 1 "a bad literal in a module block" \
+  'error: module:parse: 7:12: literal 0x has no digits' "$scc" compile "$dir/badmix.isp"
+printf 'module t(input a, output w);\n  assign w = a |;\nendmodule\n' >"$dir/bad.v"
+expect_line 1 "a Verilog syntax error" \
+  "error: verilog.parse: 2:17: expected an expression, found ';'" \
+  "$scc" compile "$dir/bad.v"
+printf 'DS 1 250 1;\nL NM;\nB 4 4 2 x;\nDF;\nE\n' >"$dir/badbox.cif"
+expect_line 3 "a CIF box with three integers" \
+  'error: syntax: 3:1: B: expected 4 or 6 integers, got 3' "$scc" drc "$dir/badbox.cif"
+
 # The CIF text of the baseline designs, and of two multi-start
 # placements, pinned by MD5.  A change that moves geometry on purpose
 # updates these.
@@ -216,6 +249,17 @@ expect 2 "diff with missing thresholds" "$scc" diff "$dir/m.json" "$dir/m.json" 
 expect 2 "client compile --baseline of a missing file" "$scc" client compile counter \
   --socket "$dir/no.sock" --baseline "$dir/nonesuch"
 
+# So is an input that is not a regular file, never an uncaught
+# Sys_error (exit 125).
+mkdir "$dir/adir"
+for cmd in "sim $dir/adir" "equiv $dir/adir isp:counter" "compile $dir/adir" \
+  "diff $dir/m.json $dir/m.json --thresholds $dir/adir" \
+  "client compile counter --socket $dir/no.sock --baseline $dir/adir" \
+  "drc $dir/adir"; do
+  # shellcheck disable=SC2086 # $cmd is a word list
+  expect_line 2 "$cmd" "error: not a regular file: $dir/adir" "$scc" $cmd
+done
+
 # A placed layout is stored as its instances: the composed cell keeps no
 # copy of its gates' ports, so pdp8's place entry in the stage cache,
 # which every warm rebuild reads back, stays small (362 047 bytes when
@@ -253,7 +297,10 @@ for f in twice dangling; do
     fi
   done
 done
-# a file that cannot be read is the same exit 3
-expect 3 "drc of a directory" "$scc" drc "$dir"
+# an integer past the native range is a syntax error too
+printf 'DS 1 250 1;\nL NM;\nB 99999999999999999999 4 2 2;\nDF;\nE\n' >"$dir/big.cif"
+expect_line 3 "drc of an oversized CIF integer" \
+  'error: syntax: 3:3: integer 99999999999999999999 out of range' \
+  "$scc" drc "$dir/big.cif"
 
 exit $fail

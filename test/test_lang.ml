@@ -6,7 +6,7 @@ let check_bool = Alcotest.(check bool)
 let compile_ok ?entry ?args src =
   match Sc_lang.Lang.compile ?entry ?args src with
   | Ok c -> c
-  | Error e -> Alcotest.failf "compile error: %s" (Sc_lang.Lang.error_to_string e)
+  | Error e -> Alcotest.failf "compile error: %s" (Sc_pipeline.Diag.to_string e)
 
 let test_box_and_port () =
   let c =
@@ -153,7 +153,7 @@ let test_errors () =
     match Sc_lang.Lang.compile ?entry ?args src with
     | Ok _ -> Alcotest.failf "expected error matching %s" pattern
     | Error e ->
-      let msg = Sc_lang.Lang.error_to_string e in
+      let msg = Sc_pipeline.Diag.to_string e in
       let contains =
         let n = String.length msg and m = String.length pattern in
         let rec go i = i + m <= n && (String.sub msg i m = pattern || go (i + 1)) in
@@ -161,13 +161,17 @@ let test_errors () =
       in
       check_bool (pattern ^ " in " ^ msg) true contains
   in
-  expect_error "cell main() { box copper 0 0 4 4; }" "unknown layer";
-  expect_error "cell main() { inst ghost(); }" "unknown cell";
+  (* an evaluation error names its statement's position, an argument
+     count its cell definition's *)
+  expect_error "cell main() { box copper 0 0 4 4; }" "1:15: unknown layer";
+  expect_error "cell main() { inst ghost(); }" "1:15: unknown cell";
   expect_error "cell main() { wire metal 3 (0,0) (8,0); }" "even";
   expect_error "cell main() { wire metal 4 (0,0) (8,6); }" "Manhattan";
-  expect_error "cell main(n) { box metal 0 0 n 4; }" "expects 1 arguments";
+  expect_error "cell main(n) { box metal 0 0 n 4; }" "1:1: entry cell main expects 1 arguments";
   expect_error "cell inv() { box metal 0 0 4 4; }" "shadows a builtin";
-  expect_error "cell main() { let x = 1/0; box metal 0 0 4 4; }" "division";
+  expect_error "cell main() { let x = 1/0; box metal 0 0 4 4; }" "1:15: division";
+  expect_error "cell main() {\n  if 1/0 { }\n}" "2:3: division";
+  expect_error ~entry:"nosuch" "cell main() { }" "elaborate: entry cell \"nosuch\" not found";
   expect_error
     "cell r(n) { inst r(n) at (10, 0); } cell main() { inst r(3); }"
     "too deep"
@@ -180,15 +184,15 @@ let test_literals () =
   let expect_error src want =
     match Sc_lang.Lang.compile src with
     | Ok _ -> Alcotest.failf "expected an error for %S" src
-    | Error e -> Alcotest.(check string) src want (Sc_lang.Lang.error_to_string e)
+    | Error e -> Alcotest.(check string) src want (Sc_pipeline.Diag.located e)
     | exception ex -> Alcotest.failf "%S raised %s" src (Printexc.to_string ex)
   in
   expect_error "cell main() {\n  box metal 0 0 0x 4;\n}"
-    "line 2: literal 0x has no digits";
+    "2:17: literal 0x has no digits";
   expect_error "cell main() {\n\n  box metal 0 0 4 99999999999999999999;\n}"
-    "line 3: literal 99999999999999999999 does not fit in an integer";
+    "3:19: literal 99999999999999999999 does not fit in an integer";
   expect_error "cell main() { box metal 0 0 4 4 }"
-    "line 1: expected \";\", found }"
+    "1:33: expected \";\", found }"
 
 let test_compiles_to_clean_cif () =
   (* the paper's end-to-end claim: text -> layout -> manufacturing data *)

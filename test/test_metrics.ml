@@ -202,6 +202,28 @@ let test_qor_run_identity () =
   Alcotest.(check bool) "snapshot is non-trivial" true
     (List.length s1.M.qor > 5)
 
+(* the daemon sends a snapshot as JSON and the client renders it: the
+   table and the diff report of the decoded snapshot are the ones of
+   the captured snapshot *)
+let test_render_after_json () =
+  let s = capture_counter () in
+  let wire s =
+    match M.of_json (M.to_json s) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "snapshot does not decode: %s" e
+  in
+  let show pp v = Format.asprintf "%a" pp v in
+  Alcotest.(check string) "pp_snapshot" (show M.pp_snapshot s)
+    (show M.pp_snapshot (wire s));
+  let base =
+    { s with
+      qor = List.mapi (fun i (k, v) -> (k, if i mod 2 = 0 then v +. 1. else v)) s.qor
+    }
+  in
+  Alcotest.(check string) "pp_report of diff"
+    (show M.pp_report (M.diff base s))
+    (show M.pp_report (M.diff (wire base) (wire s)))
+
 let suite =
   [ Alcotest.test_case "runtime/QoR key split" `Quick test_runtime_key
   ; Alcotest.test_case "JSON roundtrip" `Quick test_roundtrip
@@ -210,4 +232,6 @@ let suite =
   ; Alcotest.test_case "thresholds" `Quick test_thresholds
   ; Alcotest.test_case "QoR identical across runs" `Quick
       test_qor_run_identity
+  ; Alcotest.test_case "rendering after a JSON roundtrip" `Quick
+      test_render_after_json
   ]

@@ -217,7 +217,8 @@ let test_chip_split_errors () =
   let expect_err ~needles src =
     match Chipdesc.split src with
     | Ok _ -> Alcotest.failf "accepted: %s" (String.concat "/" needles)
-    | Error e ->
+    | Error d ->
+      let e = Sc_pipeline.Diag.located d in
       List.iter
         (fun needle ->
           check_bool (needle ^ " named in " ^ e) true (contains ~needle e))
@@ -238,7 +239,8 @@ let test_chip_split_errors () =
   let syntax = replace ~sub:"u_mix.a = a" ~by:"u_mix.a a" base in
   expect_err ~needles:[ "31:11: expected \"=\", found a" ] syntax;
   (match Chipdesc.split syntax with
-  | Error e ->
+  | Error d ->
+    let e = Sc_pipeline.Diag.located d in
     check_bool ("one chip keyword in " ^ e) false (contains ~needle:"chip" e)
   | Ok _ -> ());
   (* a bad literal is a positioned error, not an exception *)

@@ -442,7 +442,7 @@ let compiled_designs () =
   let system =
     match Sc_core.Chipdesc.split (builtin "system") with
     | Ok t -> List.map (fun m -> (m.Sc_core.Chipdesc.sm_name, design m.sm_text)) t.modules
-    | Error e -> Alcotest.failf "system: %s" e
+    | Error d -> Alcotest.failf "system: %s" (Sc_pipeline.Diag.to_string d)
   in
   let counter12 =
     match Sc_verilog.Elaborate.design_of_source (Example_file.read "counter12.v") with

@@ -183,7 +183,7 @@ let test_lang_budget () =
   with
   | Error e ->
     check_bool "budget error" true
-      (let msg = Sc_lang.Lang.error_to_string e in
+      (let msg = Sc_pipeline.Diag.to_string e in
        String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected budget exhaustion"
 

@@ -123,7 +123,7 @@ let prop_lexer_matches_reference =
     | Lexer.Eof -> Lexer_reference.Teof
   in
   (* the offset of a 1-based line:col in [text] *)
-  let offset text (p : Lexer.pos) =
+  let offset text (p : Sc_pipeline.Diag.pos) =
     let rec line_start i l =
       if l = p.line then i
       else line_start (String.index_from text i '\n' + 1) (l + 1)

@@ -21,13 +21,6 @@ let spec =
 let requests : (string * P.request) list =
   [ ("compile", P.Compile spec)
   ; ("compile certified", P.Compile { spec with P.certify = true })
-  ; ("report", P.Report { spec with P.style = "pla"; restarts = 0 })
-  ; ( "diff"
-    , P.Diff
-        { spec
-        ; baseline =
-            Json.Obj [ ("qor", Json.Obj [ ("area", Json.Num 84000.) ]) ]
-        } )
   ; ("equiv", P.Equiv { a = "isp:counter"; b = "hand:counter"; k = 8 })
   ; ("stats", P.Stats)
   ; ("shutdown", P.Shutdown)
@@ -45,8 +38,6 @@ let responses : (string * P.response) list =
         ; drc_violations = 0
         ; passes = [ ("parse", "ran"); ("emit", "hit (memory)") ]
         } )
-  ; ("reported", P.Reported "a table\nwith lines\n")
-  ; ("diffed", P.Diffed { report = "all neutral"; regressed = false })
   ; ("equiv", P.Equiv_verdict { equivalent = true; detail = "equivalent" })
   ; ( "stats"
     , P.Stats_reply
@@ -261,10 +252,6 @@ let test_two_client_dedup () =
 
 let test_server_verbs_and_errors () =
   with_server @@ fun socket ->
-  (* report renders the same compile as a table *)
-  (match rpc socket (P.Report counter_spec) with
-  | P.Reported text -> check_bool "report has content" true (String.length text > 0)
-  | _ -> Alcotest.fail "expected Reported");
   (* equiv through the daemon *)
   (match rpc socket (P.Equiv { a = "isp:counter"; b = "hand:counter"; k = 8 }) with
   | P.Equiv_verdict { equivalent = true; _ } -> ()

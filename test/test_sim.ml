@@ -116,25 +116,6 @@ let test_rejects_cyclic () =
        false
      with Invalid_argument _ -> true)
 
-let test_events_counted () =
-  let t = Engine.create (adder4 ()) in
-  let e0 = Engine.events t in
-  Engine.set_input_int t "x" 5;
-  Engine.set_input_int t "y" 7;
-  check_bool "events advance" true (Engine.events t > e0)
-
-let test_snapshot () =
-  let t = Engine.create (adder4 ()) in
-  Engine.set_input_int t "x" 3;
-  Engine.set_input_int t "y" 1;
-  let s = Engine.port_snapshot t in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "mentions sum" true (contains "sum=0100")
-
 (* property: simulated ripple adder equals machine addition on random pairs
    of widths up to 8 *)
 let prop_adder_random =
@@ -163,7 +144,5 @@ let suite =
   ; Alcotest.test_case "mux X select agreement" `Quick test_mux_x_select_agreement
   ; Alcotest.test_case "dffe holds" `Quick test_dffe_holds
   ; Alcotest.test_case "cyclic circuit rejected" `Quick test_rejects_cyclic
-  ; Alcotest.test_case "events counted" `Quick test_events_counted
-  ; Alcotest.test_case "port snapshot" `Quick test_snapshot
   ; prop_adder_random
   ]

@@ -79,20 +79,6 @@ let test_percentile_bounded_error () =
     (int_of_float (Float.round (float_of_int (17 + 19 + 23 + 29 + 31) /. 5.0)))
     p
 
-let test_merge () =
-  let a = H.create () and b = H.create () in
-  for _ = 1 to 10 do H.add a 8 done;
-  for _ = 1 to 10 do H.add b 64 done;
-  let m = H.merge a b in
-  Alcotest.(check int) "merged count" 20 (H.count m);
-  Alcotest.(check int) "merged p0" 8 (H.percentile m 0.0);
-  Alcotest.(check int) "merged p100" 64 (H.percentile m 100.0);
-  Alcotest.(check int) "merged p25 from a's bucket" 8 (H.percentile m 25.0);
-  Alcotest.(check int) "merged p75 from b's bucket" 64 (H.percentile m 75.0);
-  (* inputs unchanged *)
-  Alcotest.(check int) "a unchanged" 10 (H.count a);
-  Alcotest.(check int) "b unchanged" 10 (H.count b)
-
 let test_histogram_concurrent_add () =
   let h = H.create () in
   let per_thread = 1000 in
@@ -233,7 +219,6 @@ let suite =
   ; Alcotest.test_case "exact percentiles" `Quick test_exact_percentiles
   ; Alcotest.test_case "percentile bounded error" `Quick
       test_percentile_bounded_error
-  ; Alcotest.test_case "merge" `Quick test_merge
   ; Alcotest.test_case "concurrent add" `Quick test_histogram_concurrent_add
   ; Alcotest.test_case "jsonl lines parse" `Quick test_slog_lines_parse
   ; Alcotest.test_case "level filtering" `Quick test_slog_level_filter

@@ -39,7 +39,7 @@ end
 let parse_ok src =
   match Parse.parse src with
   | Ok m -> m
-  | Error e -> Alcotest.failf "parse error: %s" e
+  | Error d -> Alcotest.failf "parse error: %s" (Sc_pipeline.Diag.to_string d)
 
 let elab_ok src =
   match Elaborate.design_of_source src with
@@ -49,27 +49,26 @@ let elab_ok src =
 (* --- lexer --- *)
 
 let test_lexer_positions () =
-  match Lexer.tokenize "wire a;\n  assign b = 2'd3;" with
-  | Error e -> Alcotest.fail e
-  | Ok toks ->
-    let nth n = List.nth toks n in
-    (match (nth 0).Lexer.tok with
-    | Lexer.Id "wire" -> ()
-    | t -> Alcotest.failf "token 0: %s" (Lexer.token_to_string t));
-    check_int "line of 'assign'" 2 (nth 3).Lexer.pos.Lexer.line;
-    check_int "col of 'assign'" 3 (nth 3).Lexer.pos.Lexer.col;
-    (match (nth 6).Lexer.tok with
-    | Lexer.Number { value = 3; width = Some 2 } -> ()
-    | t -> Alcotest.failf "sized literal: %s" (Lexer.token_to_string t));
-    match List.rev toks with
-    | { Lexer.tok = Lexer.Eof; _ } :: _ -> ()
-    | _ -> Alcotest.fail "stream must end with Eof"
+  let toks = Lexer.tokenize "wire a;\n  assign b = 2'd3;" in
+  let nth n = List.nth toks n in
+  (match (nth 0).Lexer.tok with
+  | Lexer.Id "wire" -> ()
+  | t -> Alcotest.failf "token 0: %s" (Lexer.token_to_string t));
+  check_int "line of 'assign'" 2 (nth 3).Lexer.pos.Sc_pipeline.Diag.line;
+  check_int "col of 'assign'" 3 (nth 3).Lexer.pos.Sc_pipeline.Diag.col;
+  (match (nth 6).Lexer.tok with
+  | Lexer.Number { value = 3; width = Some 2 } -> ()
+  | t -> Alcotest.failf "sized literal: %s" (Lexer.token_to_string t));
+  match List.rev toks with
+  | { Lexer.tok = Lexer.Eof; _ } :: _ -> ()
+  | _ -> Alcotest.fail "stream must end with Eof"
 
 let test_lexer_literals () =
   let value s =
     match Lexer.tokenize s with
-    | Ok ({ Lexer.tok = Lexer.Number { value; _ }; _ } :: _) -> value
-    | Ok _ | Error _ -> Alcotest.failf "expected a number for %S" s
+    | { Lexer.tok = Lexer.Number { value; _ }; _ } :: _ -> value
+    | _ | (exception Sc_pipeline.Diag.Error _) ->
+      Alcotest.failf "expected a number for %S" s
   in
   check_int "12'hfff" 4095 (value "12'hfff");
   check_int "4'b10_10" 10 (value "4'b10_10");
@@ -78,10 +77,10 @@ let test_lexer_literals () =
   List.iter
     (fun s ->
       match Lexer.tokenize s with
-      | Error e ->
+      | exception Sc_pipeline.Diag.Error d ->
         check_bool (s ^ " error is positioned") true
-          (String.contains e ':')
-      | Ok _ -> Alcotest.failf "lexer must reject %S" s)
+          (d.Sc_pipeline.Diag.loc <> None)
+      | _ -> Alcotest.failf "lexer must reject %S" s)
     [ "2'd9" (* value does not fit *)
     ; "31'd0" (* width out of range *)
     ; "0'd0"
@@ -162,7 +161,8 @@ let test_parse_expr_shapes () =
 let expect_error ~sub src =
   match Parse.parse src with
   | Ok _ -> Alcotest.failf "parser accepted %S" src
-  | Error e ->
+  | Error d ->
+    let e = Sc_pipeline.Diag.located d in
     (* "line:col: message" *)
     (match String.split_on_char ':' e with
     | l :: c :: _ ->
