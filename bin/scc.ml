@@ -367,10 +367,21 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
         ; ("--inject-fault", inject_fault <> None, [ Isp; Verilog ])
         ]
     in
-    match misapplied with
-    | Some (flag, _, _) ->
-      usage_error
-        (Printf.sprintf "%s does not apply to %s sources" flag (kind_name kind))
+    (* a layout-language entry the program cannot run is a command-line
+       mistake too, reported as the compile would report it *)
+    let mistake =
+      match misapplied with
+      | Some (flag, _, _) ->
+        Some
+          (Printf.sprintf "%s does not apply to %s sources" flag
+             (kind_name kind))
+      | None when kind = Layout ->
+        Option.map Sc_pipeline.Diag.to_string
+          (Sc_lang.Lang.entry_error ?entry ~args text)
+      | None -> None
+    in
+    match mistake with
+    | Some msg -> usage_error msg
     | None when dump_isp -> (
       match Sc_verilog.Elaborate.design text with
       | Error d -> report_diag d

@@ -79,9 +79,12 @@ let cert_of_circuits reference candidate =
 
 (* the fault-injection knob rides in the value but is pinned by the
    run-site ~param, mirroring the restarts discipline on place; version
-   2: the result no longer carries cell area and critical path *)
+   2: the result no longer carries cell area and critical path; version
+   3: certificates are cached under this pass's output key, and their
+   node counts now come from one BDD manager instead of a sum over one
+   manager per output port, so a cache written before must not replay *)
 let optimize_pass : (Sc_netlist.Circuit.t * int option, optimized) P.pass =
-  P.register ~name:"optimize" ~version:2
+  P.register ~name:"optimize" ~version:3
     ~replay:(fun _ o ->
       Obs.count "optimize.gates_in" o.gates_in;
       Obs.count "optimize.gates_out" o.gates_out;

@@ -74,9 +74,11 @@ let cex_of_assignment ~seq ~nframes ~(inputs : Circuit.port list) env
   in
   { frames; output; bit = out_bit; cycle }
 
-let check ?man ?order ?(k = 8) a b =
-  Sc_obs.Obs.span "equiv" @@ fun () ->
-  let man = match man with Some m -> m | None -> Bdd.create () in
+(* The miter behind [check] and [certify]: both circuits unrolled once,
+   one variable order, every output bit in one manager.  [Ok n] when
+   all [n] output ports agree, else the counterexample of the first
+   differing bit in port declaration order. *)
+let miter man ?order ~k a b =
   let seq = is_sequential a || is_sequential b in
   let a', b' =
     if seq then (Unroll.frames ~k a, Unroll.frames ~k b) else (a, b)
@@ -84,59 +86,36 @@ let check ?man ?order ?(k = 8) a b =
   Miter.check_signatures a' b';
   let env = Miter.env_of ?order man a' in
   let oa = Miter.outputs env a' and ob = Miter.outputs env b' in
-  let verdict = first_diff man oa ob in
-  Sc_obs.Obs.gauge "bdd.nodes" (Bdd.node_count man);
-  match verdict with
-  | None -> Equivalent
+  match first_diff man oa ob with
+  | None -> Ok (List.length oa)
   | Some (name, bit, diff) ->
     let assignment = Bdd.sat_one man diff in
     let nframes = if seq then k else 1 in
     let inputs = Circuit.inputs (Circuit.flatten a) in
-    Not_equivalent
-      (cex_of_assignment ~seq ~nframes ~inputs env assignment name bit)
+    Error (cex_of_assignment ~seq ~nframes ~inputs env assignment name bit)
+
+let check ?man ?order ?(k = 8) a b =
+  Sc_obs.Obs.span "equiv" @@ fun () ->
+  let man = match man with Some m -> m | None -> Bdd.create () in
+  let verdict = miter man ?order ~k a b in
+  Sc_obs.Obs.gauge "bdd.nodes" (Bdd.node_count man);
+  match verdict with
+  | Ok _ -> Equivalent
+  | Error cex -> Not_equivalent cex
 
 type certificate =
   { cert_cones : int
   ; cert_nodes : int
   }
 
-(* The per-cone proof behind {!certify}: one output port at a time,
-   each cone with a fresh BDD manager.  All managers allocate variables
-   from the same input order, so every cone lives in the same variable
-   space; the verdict is the first differing port in declaration
-   order.  Obs-quiet but for its span: the pass manager replays the
-   certificate's counters. *)
+(* Obs-quiet but for its span: the pass manager replays the
+   certificate's counters *)
 let certify ?order ?(k = 8) a b =
-  Sc_obs.Obs.span "equiv.cone" @@ fun () ->
-  let seq = is_sequential a || is_sequential b in
-  let a', b' =
-    if seq then (Unroll.frames ~k a, Unroll.frames ~k b) else (a, b)
-  in
-  Miter.check_signatures a' b';
-  let bits = Miter.input_order ?order a' in
-  let out_ports =
-    List.filter_map
-      (fun (p : Circuit.port) ->
-        if p.dir = Circuit.Out then Some p.port_name else None)
-      (Circuit.flatten a').Circuit.ports
-  in
-  let rec cones nodes = function
-    | [] -> Ok { cert_cones = List.length out_ports; cert_nodes = nodes }
-    | pname :: rest -> (
-      let man = Bdd.create () in
-      let env = Miter.env_of_order man bits in
-      let oa = Miter.cone_outputs env a' [ pname ] in
-      let ob = Miter.cone_outputs env b' [ pname ] in
-      match first_diff man oa ob with
-      | None -> cones (nodes + Bdd.node_count man) rest
-      | Some (name, bit, d) ->
-        let nframes = if seq then k else 1 in
-        let inputs = Circuit.inputs (Circuit.flatten a) in
-        Error
-          (cex_of_assignment ~seq ~nframes ~inputs env (Bdd.sat_one man d)
-             name bit))
-  in
-  cones 0 out_ports
+  Sc_obs.Obs.span "equiv" @@ fun () ->
+  let man = Bdd.create () in
+  Result.map
+    (fun ports -> { cert_cones = ports; cert_nodes = Bdd.node_count man })
+    (miter man ?order ~k a b)
 
 type replay_verdict = Reproduced | Not_reproduced | Indeterminate
 

@@ -44,24 +44,21 @@ val check :
   ?man:Bdd.man -> ?order:Miter.order -> ?k:int -> Circuit.t -> Circuit.t ->
   verdict
 
-(** Proof summary of a successful {!certify}: how many output cones
-    were proved and the summed BDD node count across their managers. *)
+(** Proof summary of a successful {!certify}: how many output ports
+    (cones) were proved and the node count of the proof's BDD manager. *)
 type certificate =
   { cert_cones : int
   ; cert_nodes : int
   }
 
-(** [certify ?order ?k a b] — the verdict contract of {!check},
-    computed one output-port cone at a time ({!Miter.cone_outputs}),
-    each cone with a fresh BDD manager allocating variables from the
-    same shared input order, and packaged for the pass manager's
-    [~certify] hooks: [Ok certificate] when equivalent, [Error cex]
-    for the first differing port in declaration order otherwise (the
-    assignment may differ from {!check}'s: different manager, same
-    distinguishing property).  Emits {b no} Obs counters, only an
-    ["equiv.cone"] span — the pass manager replays certificate counters
-    from the cached summary so warm and cold QoR snapshots stay
-    byte-identical. *)
+(** [certify ?order ?k a b] — {!check}'s proof, in a fresh BDD manager,
+    packaged for the pass manager's [~certify] hooks: [Ok certificate]
+    when equivalent, [Error cex] otherwise, where [cex] is the
+    counterexample {!check} returns (the first differing port, bit and
+    cycle in declaration order, under the same assignment).  Emits
+    {b no} Obs counters, only an ["equiv"] span — the pass manager
+    replays certificate counters from the cached summary so warm and
+    cold QoR snapshots stay byte-identical. *)
 val certify :
   ?order:Miter.order -> ?k:int -> Circuit.t -> Circuit.t ->
   (certificate, counterexample) result

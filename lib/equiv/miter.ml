@@ -18,8 +18,11 @@ let declaration_order c =
 
 let fanin_dfs_order c =
   let f = Circuit.flatten c in
-  let driver = Hashtbl.create 256 in
-  List.iter (fun (g : Circuit.gate_inst) -> Hashtbl.replace driver g.out g) f.Circuit.gates;
+  (* net -> the inputs of its driving gate *)
+  let fanin = Array.make f.Circuit.net_count [||] in
+  List.iter
+    (fun (g : Circuit.gate_inst) -> fanin.(g.out) <- g.ins)
+    f.Circuit.gates;
   (* net -> (port, bit) for input bits *)
   let input_bit = Hashtbl.create 64 in
   List.iter
@@ -32,81 +35,65 @@ let fanin_dfs_order c =
           p.bits)
     f.Circuit.ports;
   let visited = Array.make f.Circuit.net_count false in
+  let seen = Hashtbl.create 64 in
   let acc = ref [] in
   let rec visit n =
     if not visited.(n) then begin
       visited.(n) <- true;
       (match Hashtbl.find_opt input_bit n with
-      | Some pb -> acc := pb :: !acc
+      | Some pb ->
+        Hashtbl.replace seen pb ();
+        acc := pb :: !acc
       | None -> ());
-      match Hashtbl.find_opt driver n with
-      | Some g -> Array.iter visit g.Circuit.ins
-      | None -> ()
+      Array.iter visit fanin.(n)
     end
   in
   List.iter
     (fun (p : Circuit.port) ->
       if p.dir = Circuit.Out then Array.iter visit p.bits)
     f.Circuit.ports;
-  let seen = List.rev !acc in
   (* inputs never reached from an output keep their declaration slot *)
-  let missing =
-    List.filter (fun pb -> not (List.mem pb seen)) (declaration_order c)
-  in
-  seen @ missing
-
-let input_order ?(order = Fanin_dfs) c =
-  match order with
-  | Declaration -> declaration_order c
-  | Fanin_dfs -> fanin_dfs_order c
+  List.rev_append !acc
+    (List.filter (fun pb -> not (Hashtbl.mem seen pb)) (declaration_order c))
 
 let env_of_order man bits =
   let var_of = Hashtbl.create 64 in
   List.iteri (fun i pb -> Hashtbl.replace var_of pb i) bits;
   { man; var_of; names = Array.of_list bits }
 
-let env_of ?order man c = env_of_order man (input_order ?order c)
+let env_of ?(order = Fanin_dfs) man c =
+  env_of_order man
+    (match order with
+    | Declaration -> declaration_order c
+    | Fanin_dfs -> fanin_dfs_order c)
 
-(* [restrict = Some names] evaluates only the fan-in cone of the named
-   output ports — the work unit for per-cone parallel checking *)
-let outputs_gen env c restrict =
+let outputs env c =
   let f, topo = Circuit.comb_topo c in
   if List.exists (fun (g : Circuit.gate_inst) -> Gate.is_sequential g.kind) f.Circuit.gates
   then
     invalid_arg
       ("Miter.outputs: " ^ f.Circuit.cname
      ^ " has flip-flops; unroll it first (Unroll.frames)");
-  let selected =
-    List.filter
-      (fun (p : Circuit.port) ->
-        p.dir = Circuit.Out
-        &&
-        match restrict with
-        | None -> true
-        | Some names -> List.mem p.port_name names)
-      f.Circuit.ports
+  let outs =
+    List.filter (fun (p : Circuit.port) -> p.dir = Circuit.Out) f.Circuit.ports
   in
-  let keep =
-    match restrict with
-    | None -> fun _ -> true
-    | Some _ ->
-      let driver = Hashtbl.create 256 in
-      List.iter
-        (fun (g : Circuit.gate_inst) -> Hashtbl.replace driver g.out g)
-        f.Circuit.gates;
-      let needed = Array.make f.Circuit.net_count false in
-      let rec need n =
-        if not needed.(n) then begin
-          needed.(n) <- true;
-          match Hashtbl.find_opt driver n with
-          | Some g -> Array.iter need g.Circuit.ins
-          | None -> ()
+  (* only the outputs' fan-in is evaluated: an unrolled circuit's
+     last-frame next-state logic, for one, feeds no output.  Walking the
+     topological order backwards visits every reader of a net before
+     its driver, and the fold hands the cone back in forward order. *)
+  let needed = Array.make f.Circuit.net_count false in
+  List.iter
+    (fun (p : Circuit.port) -> Array.iter (fun n -> needed.(n) <- true) p.bits)
+    outs;
+  let cone =
+    List.fold_left
+      (fun cone (g : Circuit.gate_inst) ->
+        if needed.(g.out) then begin
+          Array.iter (fun n -> needed.(n) <- true) g.ins;
+          g :: cone
         end
-      in
-      List.iter
-        (fun (p : Circuit.port) -> Array.iter need p.bits)
-        selected;
-      fun n -> needed.(n)
+        else cone)
+      [] (List.rev topo)
   in
   let m = env.man in
   let vals = Array.make f.Circuit.net_count Bdd.zero in
@@ -127,35 +114,30 @@ let outputs_gen env c restrict =
     f.Circuit.ports;
   List.iter
     (fun (g : Circuit.gate_inst) ->
-      if keep g.out then begin
-        let i k = vals.(g.ins.(k)) in
-        let v =
-          match g.kind with
-          | Gate.Inv -> Bdd.not_ m (i 0)
-          | Gate.Buf -> i 0
-          | Gate.Nand2 -> Bdd.not_ m (Bdd.and_ m (i 0) (i 1))
-          | Gate.Nand3 -> Bdd.not_ m (Bdd.and_ m (i 0) (Bdd.and_ m (i 1) (i 2)))
-          | Gate.Nor2 -> Bdd.not_ m (Bdd.or_ m (i 0) (i 1))
-          | Gate.Nor3 -> Bdd.not_ m (Bdd.or_ m (i 0) (Bdd.or_ m (i 1) (i 2)))
-          | Gate.And2 -> Bdd.and_ m (i 0) (i 1)
-          | Gate.Or2 -> Bdd.or_ m (i 0) (i 1)
-          | Gate.Xor2 -> Bdd.xor m (i 0) (i 1)
-          | Gate.Xnor2 -> Bdd.xnor m (i 0) (i 1)
-          | Gate.Mux2 -> Bdd.ite m (i 2) (i 1) (i 0)
-          | Gate.Const0 -> Bdd.zero
-          | Gate.Const1 -> Bdd.one
-          | Gate.Dff | Gate.Dffe -> assert false
-        in
-        vals.(g.out) <- v
-      end)
-    topo;
+      let i k = vals.(g.ins.(k)) in
+      let v =
+        match g.kind with
+        | Gate.Inv -> Bdd.not_ m (i 0)
+        | Gate.Buf -> i 0
+        | Gate.Nand2 -> Bdd.not_ m (Bdd.and_ m (i 0) (i 1))
+        | Gate.Nand3 -> Bdd.not_ m (Bdd.and_ m (i 0) (Bdd.and_ m (i 1) (i 2)))
+        | Gate.Nor2 -> Bdd.not_ m (Bdd.or_ m (i 0) (i 1))
+        | Gate.Nor3 -> Bdd.not_ m (Bdd.or_ m (i 0) (Bdd.or_ m (i 1) (i 2)))
+        | Gate.And2 -> Bdd.and_ m (i 0) (i 1)
+        | Gate.Or2 -> Bdd.or_ m (i 0) (i 1)
+        | Gate.Xor2 -> Bdd.xor m (i 0) (i 1)
+        | Gate.Xnor2 -> Bdd.xnor m (i 0) (i 1)
+        | Gate.Mux2 -> Bdd.ite m (i 2) (i 1) (i 0)
+        | Gate.Const0 -> Bdd.zero
+        | Gate.Const1 -> Bdd.one
+        | Gate.Dff | Gate.Dffe -> assert false
+      in
+      vals.(g.out) <- v)
+    cone;
   List.map
     (fun (p : Circuit.port) ->
       (p.Circuit.port_name, Array.map (fun n -> vals.(n)) p.Circuit.bits))
-    selected
-
-let outputs env c = outputs_gen env c None
-let cone_outputs env c names = outputs_gen env c (Some names)
+    outs
 
 let signature dir c =
   List.sort compare

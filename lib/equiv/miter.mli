@@ -32,29 +32,23 @@ type env =
   ; names : (string * int) array  (** variable -> (port, bit) *)
   }
 
-(** [input_order ?order c] — the heuristic order over [c]'s input bits. *)
-val input_order : ?order:order -> Circuit.t -> (string * int) list
-
 (** Allocate variables for an explicit input-bit order. *)
 val env_of_order : Bdd.man -> (string * int) list -> env
 
-(** [env_of ?order man c] = [env_of_order man (input_order ?order c)]. *)
+(** [env_of ?order man c] — variables for [c]'s input bits in the
+    [order] heuristic's order (default [Fanin_dfs]). *)
 val env_of : ?order:order -> Bdd.man -> Circuit.t -> env
 
 (** [outputs env c] — the BDD of every output-port bit of [c], in port
-    declaration order.  Flattens and evaluates gates in topological
-    order; every evaluation is memoized inside the manager.
+    declaration order.  Flattens [c] and evaluates, in topological
+    order, only the gates in the output ports' fan-in: logic no output
+    reads (an unrolled circuit's last-frame next-state logic) adds no
+    node to the manager.  Every evaluation is memoized inside the
+    manager.
     @raise Mismatch when [c] reads an input bit with no variable.
     @raise Invalid_argument on sequential gates or a combinational
     cycle. *)
 val outputs : env -> Circuit.t -> (string * Bdd.t array) list
-
-(** [cone_outputs env c names] — as {!outputs}, but only the output
-    ports in [names], and only the gates in their fan-in cones are
-    evaluated.  One cone per BDD manager is the work unit of
-    {!Checker.certify}: cones are independent once every manager
-    allocates variables from the same input order. *)
-val cone_outputs : env -> Circuit.t -> string list -> (string * Bdd.t array) list
 
 (** [check_signatures a b] — raise {!exception:Mismatch} unless [a] and
     [b] have identical input and output port signatures. *)

@@ -467,38 +467,58 @@ and eval_cell env def values =
   Cell.make ~name ~ports:(List.rev !ports) ~instances:(List.rev !instances)
     (List.rev !elements)
 
-let compile ?entry ?(args = []) src =
-  let stage = "elaborate" in
-  match
-    let st = L.create src in
-    let defs = parse_program st in
-    if defs = [] then fail (L.pos st) "no cells defined";
-    let env =
-      { cells = Hashtbl.create 16; memo = Hashtbl.create 16; steps = 0; depth = 0 }
-    in
-    List.iter
-      (fun d ->
-        if Hashtbl.mem env.cells d.cname then
-          fail d.cpos "cell %S defined twice" d.cname;
-        if List.mem_assoc d.cname stdcell_builtins then
-          fail d.cpos "cell %S shadows a builtin" d.cname;
-        Hashtbl.replace env.cells d.cname d)
-      defs;
-    let entry_def =
-      match entry with
-      | Some name -> (
-        match Hashtbl.find_opt env.cells name with
-        | Some d -> d
-        | None -> Diag.failf ~stage "entry cell %S not found" name)
-      | None -> List.nth defs (List.length defs - 1)
-    in
-    if List.length args <> List.length entry_def.params then
-      fail entry_def.cpos "entry cell %s expects %d arguments, got %d"
-        entry_def.cname
-        (List.length entry_def.params)
-        (List.length args);
-    eval_cell env entry_def (List.map (fun v -> Vint v) args)
-  with
-  | cell -> Ok cell
+let stage = "elaborate"
+
+(* the program's cells by name, after every syntax and definition error *)
+let define src =
+  let st = L.create src in
+  let defs = parse_program st in
+  if defs = [] then fail (L.pos st) "no cells defined";
+  let env =
+    { cells = Hashtbl.create 16; memo = Hashtbl.create 16; steps = 0; depth = 0 }
+  in
+  List.iter
+    (fun d ->
+      if Hashtbl.mem env.cells d.cname then
+        fail d.cpos "cell %S defined twice" d.cname;
+      if List.mem_assoc d.cname stdcell_builtins then
+        fail d.cpos "cell %S shadows a builtin" d.cname;
+      Hashtbl.replace env.cells d.cname d)
+    defs;
+  (env, defs)
+
+(* the cell [entry] names (default: the last defined), refused unless
+   it takes as many parameters as [args] holds *)
+let entry_cell (env, defs) entry args =
+  let d =
+    match entry with
+    | Some name -> (
+      match Hashtbl.find_opt env.cells name with
+      | Some d -> d
+      | None -> Diag.failf ~stage "entry cell %S not found" name)
+    | None -> List.nth defs (List.length defs - 1)
+  in
+  if List.length args <> List.length d.params then
+    fail d.cpos "entry cell %s expects %d arguments, got %d" d.cname
+      (List.length d.params) (List.length args);
+  d
+
+let elaborate f =
+  match f () with
+  | v -> Ok v
   | exception L.Error (loc, msg) -> Error (Diag.v ~loc ~stage msg)
   | exception Diag.Error d -> Error d
+
+let compile ?entry ?(args = []) src =
+  elaborate (fun () ->
+      let ((env, _) as program) = define src in
+      eval_cell env (entry_cell program entry args)
+        (List.map (fun v -> Vint v) args))
+
+let entry_error ?entry ?(args = []) src =
+  match elaborate (fun () -> define src) with
+  | Error _ -> None
+  | Ok program -> (
+    match elaborate (fun () -> entry_cell program entry args) with
+    | Ok _ -> None
+    | Error d -> Some d)

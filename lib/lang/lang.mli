@@ -56,3 +56,12 @@ val compile :
   ?args:int list ->
   string ->
   (Sc_layout.Cell.t, Sc_pipeline.Diag.t) result
+
+(** [entry_error ?entry ?args src] — the diagnostic {!compile} gives
+    when [entry] names no cell of [src] or its entry cell takes another
+    number of arguments than [args] holds; [None] otherwise, and when
+    [src] itself is refused first (a syntax or definition error is
+    {!compile}'s to report).  The command line checks its [--entry] and
+    [--args] with it, so that a mistake there is a usage error. *)
+val entry_error :
+  ?entry:string -> ?args:int list -> string -> Sc_pipeline.Diag.t option

@@ -86,8 +86,8 @@ val map : ('a -> 'b) -> 'a staged -> 'b staged
 (** {2 Translation certificates} *)
 
 type cert_summary =
-  { cert_cones : int  (** independently proven output cones *)
-  ; cert_nodes : int  (** peak BDD nodes across the proof (0 if n/a) *)
+  { cert_cones : int  (** output ports (cones) proven equal *)
+  ; cert_nodes : int  (** BDD nodes of the proof (0 if n/a) *)
   }
 (** What remains of a successful equivalence proof: enough to replay
     the certificate counters on a warm run.  [Marshal]-safe. *)

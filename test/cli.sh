@@ -180,6 +180,19 @@ expect_line() {
 printf 'cell main() {\n  box metal 0 0 n 4;\n}\n' >"$dir/unbound.lsl"
 expect_line 1 "an unbound layout-language variable" \
   'error: elaborate: 2:3: unbound variable "n"' "$scc" compile "$dir/unbound.lsl"
+# a layout-language entry the program cannot run is a command-line
+# mistake, exit 2, with the compile's message; a program that does not
+# parse is still refused as a compile failure first
+expect_line 2 "an --entry no cell defines" \
+  'error: elaborate: entry cell "nosuch" not found' \
+  "$scc" compile "$dir/shifter.lsl" --entry nosuch -a 2
+expect_line 2 "an --args count the entry cell does not take" \
+  'error: elaborate: 2:1: entry cell main expects 1 arguments, got 3' \
+  "$scc" compile "$dir/shifter.lsl" -a 1,2,3
+printf 'cell main() { box metal 0 0 8 ; }\n' >"$dir/badbox.lsl"
+expect_line 1 "a layout-language syntax error before a bad --entry" \
+  'error: elaborate: 1:31: expected an expression, found ;' \
+  "$scc" compile "$dir/badbox.lsl" --entry nosuch
 # a module block's error is at its line in the file (the mixer starts
 # on line 3), not in the block (5:12)
 {

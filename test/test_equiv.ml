@@ -405,9 +405,9 @@ let test_artwork_wrong_spec_caught () =
   in
   Alcotest.(check string) "output named" "y" cex.Checker.output
 
-(* the per-cone certificate and the single-manager check agree: an
-   equivalent pair certifies one cone per output port, and a difference
-   is refused at the port and bit [check] reports first *)
+(* the certificate and [check] agree: an equivalent pair certifies
+   every output port (one cone each), and a difference is refused at the
+   port and bit [check] reports first *)
 let test_certify_agrees_with_check () =
   let b = Builder.create "blk" in
   let xs = Builder.input b "x" 4 and ys = Builder.input b "y" 4 in
@@ -425,7 +425,7 @@ let test_certify_agrees_with_check () =
     check_int "same differing bit" cex'.Checker.bit cex.Checker.bit
   | _ -> Alcotest.fail "mutation missed");
   (* the 48-input pdp8 datapath: synthesized from ISP vs the hand
-     design, one BDD manager per cone *)
+     design, every output in one BDD manager *)
   let dp = Sc_core.Designs.parse Sc_core.Designs.pdp8_dp_src in
   let synth_dp = (Sc_synth.Synth.gates dp).Sc_synth.Synth.circuit in
   match Checker.certify synth_dp (Sc_core.Designs.hand_pdp8_dp ()) with
@@ -433,6 +433,99 @@ let test_certify_agrees_with_check () =
   | Error cex ->
     Alcotest.failf "pdp8_dp refused: %a" Checker.pp_verdict
       (Checker.Not_equivalent cex)
+
+(* A random sequential circuit on [st]: inputs x[2] and s[1], three
+   registers (Dff or Dffe) whose next state is drawn like any other
+   gate, random gates over earlier nets (so no combinational cycle),
+   and outputs y[2] and z[1] over the whole pool. *)
+let random_sequential st =
+  let int n = Random.State.int st n in
+  let b = Builder.create "rseq" in
+  let xs = Builder.input b "x" 2 and s = Builder.input b "s" 1 in
+  let regs = Builder.fresh_vec b 3 in
+  let pool =
+    ref (Builder.const1 :: s.(0) :: Array.to_list xs @ Array.to_list regs)
+  in
+  let pick () = List.nth !pool (int (List.length !pool)) in
+  let comb =
+    [| Gate.Inv; Gate.Nand2; Gate.Nor2; Gate.Nand3; Gate.Xor2; Gate.Mux2
+     ; Gate.And2; Gate.Or2; Gate.Xnor2
+    |]
+  in
+  for _ = 1 to 6 + int 14 do
+    let k = comb.(int (Array.length comb)) in
+    pool := Builder.gate b k (Array.init (Gate.arity k) (fun _ -> pick ())) :: !pool
+  done;
+  Array.iter
+    (fun r ->
+      if int 2 = 0 then Builder.gate_into b Gate.Dff [| pick () |] r
+      else Builder.gate_into b Gate.Dffe [| pick (); pick () |] r)
+    regs;
+  Builder.output b "y" [| pick (); pick () |];
+  Builder.output b "z" [| pick () |];
+  Builder.finish b
+
+(* certify is check's proof: the same verdict on random sequential
+   circuits against random single-gate faults, and on a refusal the same
+   counterexample *)
+let prop_certify_is_check =
+  let refused = ref 0 and certified = ref 0 in
+  let gen st =
+    let c = random_sequential st in
+    let gates = Array.of_list (Circuit.flatten c).Circuit.gates in
+    let faultable =
+      List.filter
+        (fun i ->
+          match gates.(i).Circuit.kind with
+          | Gate.Dff | Gate.Dffe | Gate.Const0 | Gate.Const1 -> false
+          | _ -> true)
+        (List.init (Array.length gates) Fun.id)
+    in
+    let i = List.nth faultable (Random.State.int st (List.length faultable)) in
+    (c, Checker.mutate c i, 1 + Random.State.int st 4)
+  in
+  let print (_, _, k) = Printf.sprintf "k = %d" k in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xCE47; 34 |])
+    (QCheck.Test.make ~name:"certify gives check's verdict and counterexample"
+       ~count:150 (QCheck.make ~print gen) (fun (c, m, k) ->
+         match (Checker.certify ~k c m, Checker.check ~k c m) with
+         | Ok cert, Checker.Equivalent ->
+           incr certified;
+           cert.Checker.cert_cones = 2 * k
+         | Error cex, Checker.Not_equivalent cex' ->
+           incr refused;
+           cex = cex'
+         | _ -> false))
+  |> fun (name, speed, run) ->
+  ( name
+  , speed
+  , fun () ->
+      run ();
+      (* the faults drew both verdicts *)
+      check_bool "masked faults drawn" true (!certified > 10);
+      check_bool "refused faults drawn" true (!refused > 10) )
+
+(* An output register loaded with a 12-bit sum: the sum of the last
+   unrolled frame feeds no output, and its operands, which no output
+   reaches, keep their declaration order (all of a, then all of b),
+   under which an adder's BDD is exponential.  Evaluating only the
+   outputs' fan-in leaves it out of the manager. *)
+let test_dead_next_state_costs_nothing () =
+  let b = Builder.create "dead_next" in
+  let xs = Builder.input b "a" 12 and ys = Builder.input b "b" 12 in
+  let regs = Builder.fresh_vec b 12 in
+  let sums, _ = Builder.adder b xs ys in
+  Array.iteri (fun i r -> Builder.gate_into b Gate.Dff [| sums.(i) |] r) regs;
+  Builder.output b "q" regs;
+  let c = Builder.finish b in
+  match Checker.certify ~k:2 c (Optimize.simplify c) with
+  | Ok cert ->
+    check_int "both frames' outputs" 2 cert.Checker.cert_cones;
+    check_bool
+      (Printf.sprintf "small certificate (%d nodes)" cert.Checker.cert_nodes)
+      true
+      (cert.Checker.cert_nodes < 2_000)
+  | Error _ -> Alcotest.fail "register of a sum refused"
 
 let suite =
   [ Alcotest.test_case "bdd laws" `Quick test_bdd_laws
@@ -470,4 +563,7 @@ let suite =
       test_artwork_wrong_spec_caught
   ; Alcotest.test_case "certify agrees with check" `Quick
       test_certify_agrees_with_check
+  ; prop_certify_is_check
+  ; Alcotest.test_case "dead next-state logic costs no nodes" `Quick
+      test_dead_next_state_costs_nothing
   ]
