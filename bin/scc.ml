@@ -137,7 +137,8 @@ let inject_fault_arg =
           "Deliberately miscompile: flip the first mutable gate at or \
            after index $(docv) of the optimized netlist before it \
            leaves the optimize pass (fault-injection demo — with \
-           $(b,--certify) the pipeline must refuse it).")
+           $(b,--certify) the pipeline must refuse it).  A modular \
+           source (one with a chip block) refuses the option.")
 
 (* enable the pipeline store (when asked), run certified (when asked),
    then print the per-pass outcomes (--explain) and cache stats to

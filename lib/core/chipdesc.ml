@@ -221,6 +221,7 @@ let split src =
 type bit =
   { b_end : endpoint
   ; b_idx : int
+  ; b_width : int
   }
 
 type chip_net =
@@ -348,26 +349,24 @@ let resolve chip ~sigs =
       (Ok ()) chip.ch_insts
   in
   (* group by source bit so fanout shares one net *)
-  let tbl : (endpoint * int, bit list ref) Hashtbl.t = Hashtbl.create 32 in
+  let tbl : (bit, bit list ref) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
     (fun (sink, src, w, _) ->
       for k = 0 to w - 1 do
-        let key = (src, k) in
-        (if not (Hashtbl.mem tbl key) then begin
-           Hashtbl.add tbl key (ref []);
-           order := key :: !order
+        let src_bit = { b_end = src; b_idx = k; b_width = w } in
+        (if not (Hashtbl.mem tbl src_bit) then begin
+           Hashtbl.add tbl src_bit (ref []);
+           order := src_bit :: !order
          end);
-        let r = Hashtbl.find tbl key in
-        r := { b_end = sink; b_idx = k } :: !r
+        let r = Hashtbl.find tbl src_bit in
+        r := { b_end = sink; b_idx = k; b_width = w } :: !r
       done)
     conns;
   Ok
     (List.rev_map
-       (fun ((src_ep, k) as key) ->
-         { cn_src = { b_end = src_ep; b_idx = k }
-         ; cn_sinks = List.rev !(Hashtbl.find tbl key)
-         })
+       (fun src_bit ->
+         { cn_src = src_bit; cn_sinks = List.rev !(Hashtbl.find tbl src_bit) })
        !order)
 
 let endpoint_repr = function

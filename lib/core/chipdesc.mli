@@ -82,6 +82,7 @@ val in_source : first:int -> Sc_pipeline.Diag.t -> Sc_pipeline.Diag.t
 type bit =
   { b_end : endpoint
   ; b_idx : int
+  ; b_width : int  (** the width of [b_end]'s port *)
   }
 
 type chip_net =
@@ -104,7 +105,9 @@ val resolve :
     widths, single-driver discipline, and completeness (every instance
     input and chip output driven).  Nets are grouped by source bit, so
     fanout shares one net.  Errors, of stage ["chip"], name the
-    instances, modules and ports involved. *)
+    instances, modules and ports involved.  This is the one interface
+    check: the modular driver calls it once per compile, and assembly
+    and stitching read its nets. *)
 
 val decl_repr : chip_decl -> string
 (** Canonical one-line rendering of the chip declaration — the chip

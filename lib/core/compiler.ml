@@ -299,12 +299,15 @@ let gates_path ~restarts ?inject design =
   let* _route = P.run route_pass (P.map (fun p -> p.placement) placed) in
   Ok (P.map (fun p -> p.playout) placed, circuit)
 
-let compile_behavior_flat ?(style = Random_logic) ?(restarts = 0) ?inject_fault
-    src =
-  let* design = P.run parse_pass (P.source src) in
+(* The behavioral body of flat ISP, Verilog and every module of a chip:
+   a frontend pass to the design IR, the standard-cell (or PLA) middle,
+   then drc/emit/measure.  Also returns the staged layout's key, which
+   the chip assembly is keyed on. *)
+let behavioral frontend ?(style = Random_logic) ~restarts ?inject src =
+  let* design = P.run frontend (P.source src) in
   let* layout_staged, circuit =
     match style with
-    | Random_logic -> gates_path ~restarts ?inject:inject_fault design
+    | Random_logic -> gates_path ~restarts ?inject design
     | Pla_control ->
       let* pc = P.run ~param:"style=pla" compile_pla_pass design in
       let circuit = (P.value pc).presult.Sc_synth.Synth.circuit in
@@ -312,15 +315,12 @@ let compile_behavior_flat ?(style = Random_logic) ?(restarts = 0) ?inject_fault
       Ok (layout, circuit)
   in
   let* c = finish_layout layout_staged in
-  Ok (c, circuit)
+  Ok (c, circuit, P.key layout_staged)
+
+let without_key r = Result.map (fun (c, circuit, _) -> (c, circuit)) r
 
 let compile_verilog ?(restarts = 0) ?inject_fault src =
-  let* design = P.run parse_verilog_pass (P.source src) in
-  let* layout_staged, circuit =
-    gates_path ~restarts ?inject:inject_fault design
-  in
-  let* c = finish_layout layout_staged in
-  Ok (c, circuit)
+  without_key (behavioral parse_verilog_pass ~restarts ?inject:inject_fault src)
 
 let compile_layout ?entry ?(args = []) src =
   let param =
@@ -336,12 +336,12 @@ let compile_layout ?entry ?(args = []) src =
 
 (* --- modular compilation ----------------------------------------------
    A source with a [chip] block compiles at module granularity: each
-   module block runs its own sub-pipeline (parse → compile → optimize →
-   place → route → drc → emit → measure) keyed on that block's raw
+   module block runs the behavioral body keyed on that block's raw
    text, in file order in the caller, each with its own Obs recorder
-   and run journal; the chip then assembles the per-module layouts into
-   a macro row with a routed channel (Sc_chip.Assemble.pack) inside a
-   pad frame, and whole-chip drc/emit/measure finish the job.  Editing one module
+   and run journal; the chip is resolved once against the modules'
+   signatures, then assembles the per-module layouts into a macro row
+   with a routed channel (Sc_chip.Assemble.pack) inside a pad frame,
+   and whole-chip drc/emit/measure finish the job.  Editing one module
    invalidates exactly that module's stage keys plus the assembly. *)
 
 type module_compiled =
@@ -350,50 +350,42 @@ type module_compiled =
   ; mc_circuit : Sc_netlist.Circuit.t  (** optimized *)
   ; mc_layout : Cell.t
   ; mc_key : string  (** staged key of the module layout *)
-  ; mc_drc : int
-  ; mc_measure : measured
-  }
-
-(* one module run, with the journal and telemetry the caller merges *)
-type module_run =
-  { mr : (module_compiled, Diag.t) result
-  ; mr_log : (string * P.status) list
-  ; mr_totals : (string * int) list
   }
 
 (* A fresh recorder isolates the module's QoR gauges (modules would
-   clobber each other's last-write gauges in a shared recorder, and a
-   run shared through the in-flight dedup records for two callers) and
-   [with_log] its --explain rows; the caller merges both
-   deterministically. *)
-let run_module ~restarts text () =
+   clobber each other's last-write gauges in a shared recorder) and
+   [with_log] its --explain rows; both merge into the caller's as soon
+   as the module finishes, rows prefixed "NAME:" and gauges
+   "module.NAME.". *)
+let run_module ~restarts (m : Chipdesc.source_module) =
+  let enabled = Obs.enabled () in
   let rec_ = Obs.Recorder.create () in
-  if Obs.enabled () then Obs.Recorder.enable rec_;
-  Obs.with_recorder rec_ @@ fun () ->
-  let mr, mr_log =
-    P.with_log @@ fun () ->
-    let* design = P.run parse_pass (P.source text) in
-    let* layout_staged, circuit = gates_path ~restarts design in
-    let* drc = P.run drc_pass layout_staged in
-    let* _emitted = P.run emit_pass layout_staged in
-    let* m = P.run measure_pass layout_staged in
+  if enabled then Obs.Recorder.enable rec_;
+  let r, log =
+    Obs.span "module" @@ fun () ->
+    Obs.with_recorder rec_ @@ fun () ->
+    P.with_log @@ fun () -> behavioral parse_pass ~restarts m.sm_text
+  in
+  P.append_log (List.map (fun (n, st) -> (m.sm_name ^ ":" ^ n, st)) log);
+  if enabled then
+    List.iter
+      (fun (k, v) ->
+        if Sc_metrics.Metrics.is_runtime_key k then Obs.count k v
+        else Obs.gauge ("module." ^ m.sm_name ^ "." ^ k) v)
+      (Obs.Recorder.totals rec_);
+  match r with
+  | Ok (c, circuit, key) ->
     Ok
       { mc_name = circuit.Sc_netlist.Circuit.cname
       ; mc_sig = Sc_netlist.Signature.of_circuit circuit
       ; mc_circuit = circuit
-      ; mc_layout = P.value layout_staged
-      ; mc_key = P.key layout_staged
-      ; mc_drc = P.value drc
-      ; mc_measure = P.value m
+      ; mc_layout = c.layout
+      ; mc_key = key
       }
-  in
-  { mr; mr_log; mr_totals = Obs.Recorder.totals rec_ }
-
-(* In-flight dedup across concurrent modular compiles (the serve
-   daemon's overlapping requests): the first arrival computes, everyone
-   else shares its run.  Afterwards the stage cache serves repeats. *)
-let module_flights : module_run Sc_par.Single_flight.t =
-  Sc_par.Single_flight.create ()
+  | Error d ->
+    Error
+      (Chipdesc.in_source ~first:m.sm_line
+         { d with Diag.stage = "module:" ^ d.Diag.stage })
 
 (* --- the assembly pass --- *)
 
@@ -419,21 +411,25 @@ let assembly_gauges a =
   Obs.gauge "assembly.core_area" a.acore_area;
   Obs.gauge "assembly.pads" a.apads
 
-let sig_port_bits (s : Sc_netlist.Signature.t) =
-  List.concat_map
-    (fun (p : Sc_netlist.Signature.port_sig) ->
-      List.init p.swidth (fun k ->
-          Chipdesc.bit_name (Chipdesc.Cport p.sname) ~width:p.swidth k))
-    s.Sc_netlist.Signature.sports
+(* the bit-level pin names of a port *)
+let port_bits name ~width =
+  List.init width (fun k -> Chipdesc.bit_name (Chipdesc.Cport name) ~width k)
 
-let assemble_pass : (Chipdesc.chip_decl * module_compiled list, assembled) P.pass
-    =
+let pin_name (b : Chipdesc.bit) =
+  Chipdesc.bit_name b.b_end ~width:b.b_width b.b_idx
+
+(* the chip's nets come resolved: every instance's module is compiled
+   and every endpoint exists with the width its bit carries *)
+let assemble_pass :
+    ( Chipdesc.chip_decl * module_compiled list * Chipdesc.chip_net list
+    , assembled )
+    P.pass =
   P.register ~name:"assemble"
     ~replay:(fun _ a ->
       Obs.count "route.tracks" a.atracks;
       Obs.count "route.height" a.achannel_height;
       assembly_gauges a)
-    (fun (chip, mods) ->
+    (fun (chip, mods, nets) ->
       (* one copy of each library cell, whichever process built a
          module's layout: the CIF then matches a cold compile's *)
       let mods =
@@ -442,107 +438,62 @@ let assemble_pass : (Chipdesc.chip_decl * module_compiled list, assembled) P.pas
             { mc with mc_layout = Sc_stdcell.Library.intern mc.mc_layout })
           mods
       in
-      let mod_of name =
-        List.find_opt (fun mc -> mc.mc_name = name) mods
+      let macros =
+        List.map
+          (fun (i : Chipdesc.instance) ->
+            let mc = List.find (fun mc -> mc.mc_name = i.ci_module) mods in
+            { Sc_chip.Assemble.mi_name = i.ci_name
+            ; mi_pins =
+                List.concat_map
+                  (fun (p : Sc_netlist.Signature.port_sig) ->
+                    port_bits p.sname ~width:p.swidth)
+                  mc.mc_sig.Sc_netlist.Signature.sports
+            ; mi_cell = mc.mc_layout
+            })
+          chip.Chipdesc.ch_insts
       in
-      let sig_of name = Option.map (fun mc -> mc.mc_sig) (mod_of name) in
-      match Chipdesc.resolve chip ~sigs:sig_of with
-      | Error d -> Error d
-      | Ok nets ->
-        let macros =
-          List.map
-            (fun (i : Chipdesc.instance) ->
-              match mod_of i.ci_module with
-              | None ->
-                Diag.fail ~stage:"assemble"
-                  (Printf.sprintf "no compiled module %s" i.ci_module)
-              | Some mc ->
-                { Sc_chip.Assemble.mi_name = i.ci_name
-                ; mi_pins = sig_port_bits mc.mc_sig
-                ; mi_cell = mc.mc_layout
-                })
-            chip.Chipdesc.ch_insts
-        in
-        let port_bits decls =
-          List.concat_map
-            (fun (d : Chipdesc.port_decl) ->
-              List.init d.pd_width (fun k ->
-                  Chipdesc.bit_name (Chipdesc.Cport d.pd_name) ~width:d.pd_width
-                    k))
-            decls
-        in
-        let chip_ports =
-          port_bits chip.Chipdesc.ch_inputs @ port_bits chip.Chipdesc.ch_outputs
-        in
-        let width_of (ep : Chipdesc.endpoint) =
-          match ep with
-          | Chipdesc.Cport p -> (
-            match
-              List.find_opt
-                (fun (d : Chipdesc.port_decl) -> d.pd_name = p)
-                (chip.Chipdesc.ch_inputs @ chip.Chipdesc.ch_outputs)
-            with
-            | Some d -> d.pd_width
-            | None -> Diag.fail ~stage:"assemble" ("no chip port " ^ p))
-          | Chipdesc.Ipin (i, p) -> (
-            match
-              List.find_opt
-                (fun (x : Chipdesc.instance) -> x.ci_name = i)
-                chip.Chipdesc.ch_insts
-            with
-            | None -> Diag.fail ~stage:"assemble" ("no instance " ^ i)
-            | Some inst -> (
-              match
-                Option.bind (sig_of inst.ci_module) (fun s ->
-                    Sc_netlist.Signature.find s p)
-              with
-              | Some ps -> ps.Sc_netlist.Signature.swidth
-              | None -> Diag.fail ~stage:"assemble" ("no pin " ^ i ^ "." ^ p)))
-        in
-        let endpoint (b : Chipdesc.bit) =
-          let w = width_of b.Chipdesc.b_end in
-          match b.Chipdesc.b_end with
-          | Chipdesc.Cport _ ->
-            Sc_chip.Assemble.Chip
-              (Chipdesc.bit_name b.Chipdesc.b_end ~width:w b.Chipdesc.b_idx)
-          | Chipdesc.Ipin (i, _) ->
-            Sc_chip.Assemble.Pin
-              (i, Chipdesc.bit_name b.Chipdesc.b_end ~width:w b.Chipdesc.b_idx)
-        in
-        let anets =
-          List.map
-            (fun (n : Chipdesc.chip_net) ->
-              { Sc_chip.Assemble.net_name =
-                  (let w = width_of n.cn_src.Chipdesc.b_end in
-                   Chipdesc.bit_name n.cn_src.Chipdesc.b_end ~width:w
-                     n.cn_src.Chipdesc.b_idx)
-              ; ends = List.map endpoint (n.cn_src :: n.cn_sinks)
-              })
-            nets
-        in
-        let packed =
-          Sc_chip.Assemble.pack ~name:(chip.Chipdesc.ch_name ^ "_core") ~macros
-            ~chip_ports ~nets:anets ()
-        in
-        let pads = max 4 (List.length chip_ports) in
-        let framed =
-          Sc_chip.Assemble.assemble ~name:chip.Chipdesc.ch_name
-            ~core:packed.Sc_chip.Assemble.core ~pads ()
-        in
-        let a =
-          { aframed = framed.Sc_chip.Assemble.chip
-          ; acore_area = framed.Sc_chip.Assemble.core_area
-          ; amacros = packed.Sc_chip.Assemble.macro_count
-          ; arow_width = packed.Sc_chip.Assemble.row_width
-          ; arow_height = packed.Sc_chip.Assemble.row_height
-          ; atracks = packed.Sc_chip.Assemble.channel_tracks
-          ; achannel_height = packed.Sc_chip.Assemble.channel_height
-          ; atrunk = packed.Sc_chip.Assemble.trunk_length
-          ; apads = framed.Sc_chip.Assemble.pads
-          }
-        in
-        assembly_gauges a;
-        Ok a)
+      let chip_ports =
+        List.concat_map
+          (fun (d : Chipdesc.port_decl) ->
+            port_bits d.pd_name ~width:d.pd_width)
+          (chip.Chipdesc.ch_inputs @ chip.Chipdesc.ch_outputs)
+      in
+      let endpoint (b : Chipdesc.bit) =
+        match b.b_end with
+        | Chipdesc.Cport _ -> Sc_chip.Assemble.Chip (pin_name b)
+        | Chipdesc.Ipin (i, _) -> Sc_chip.Assemble.Pin (i, pin_name b)
+      in
+      let anets =
+        List.map
+          (fun (n : Chipdesc.chip_net) ->
+            { Sc_chip.Assemble.net_name = pin_name n.cn_src
+            ; ends = List.map endpoint (n.cn_src :: n.cn_sinks)
+            })
+          nets
+      in
+      let packed =
+        Sc_chip.Assemble.pack ~name:(chip.Chipdesc.ch_name ^ "_core") ~macros
+          ~chip_ports ~nets:anets ()
+      in
+      let pads = max 4 (List.length chip_ports) in
+      let framed =
+        Sc_chip.Assemble.assemble ~name:chip.Chipdesc.ch_name
+          ~core:packed.Sc_chip.Assemble.core ~pads ()
+      in
+      let a =
+        { aframed = framed.Sc_chip.Assemble.chip
+        ; acore_area = framed.Sc_chip.Assemble.core_area
+        ; amacros = packed.Sc_chip.Assemble.macro_count
+        ; arow_width = packed.Sc_chip.Assemble.row_width
+        ; arow_height = packed.Sc_chip.Assemble.row_height
+        ; atracks = packed.Sc_chip.Assemble.channel_tracks
+        ; achannel_height = packed.Sc_chip.Assemble.channel_height
+        ; atrunk = packed.Sc_chip.Assemble.trunk_length
+        ; apads = framed.Sc_chip.Assemble.pads
+        }
+      in
+      assembly_gauges a;
+      Ok a)
 
 (* --- stitching: the whole-chip hierarchical circuit --- *)
 
@@ -616,11 +567,10 @@ let stitch chip mods nets =
 (* --- the modular driver --- *)
 
 let compile_modular ?(restarts = 0) src =
-  match Chipdesc.split src with
-  | Error d -> Error d
-  | Ok { Chipdesc.chip = None; _ } ->
-    Error (Diag.v ~stage:"chip" "modular source has no chip block")
-  | Ok { Chipdesc.modules; chip = Some chip } ->
+  let* { Chipdesc.modules; chip } = Chipdesc.split src in
+  match chip with
+  | None -> Error (Diag.v ~stage:"chip" "modular source has no chip block")
+  | Some chip ->
     (* compile each instantiated module once, in file order *)
     let used =
       List.filter
@@ -630,54 +580,23 @@ let compile_modular ?(restarts = 0) src =
             chip.Chipdesc.ch_insts)
         modules
     in
-    let certify = P.certify_enabled () in
-    let runs =
-      List.map
-        (fun (m : Chipdesc.source_module) ->
-          Obs.span "module" @@ fun () ->
-          let key =
-            Sc_cache.Cache.digest
-              (Printf.sprintf "modular-module\x00%s\x00restarts=%d;certify=%b"
-                 m.sm_text restarts certify)
-          in
-          Sc_par.Single_flight.run module_flights key
-            (run_module ~restarts m.sm_text))
-        used
-    in
-    if Obs.enabled () then Obs.gauge "modular.modules" (List.length runs);
-    (* merge journals and telemetry deterministically, in file order;
-       a run served by the in-flight dedup reports its passes as hits *)
-    List.iter2
-      (fun (m : Chipdesc.source_module) (how, r) ->
-        let entries =
-          match how with
-          | `Fresh -> r.mr_log
-          | `Shared ->
-            Obs.count "modular.shared.calls" 1;
-            List.map (fun (n, _) -> (n, P.Hit)) r.mr_log
-        in
-        P.append_log
-          (List.map (fun (n, st) -> (m.sm_name ^ ":" ^ n, st)) entries);
-        if Obs.enabled () then
-          List.iter
-            (fun (k, v) ->
-              if Sc_metrics.Metrics.is_runtime_key k then Obs.count k v
-              else Obs.gauge ("module." ^ m.sm_name ^ "." ^ k) v)
-            r.mr_totals)
-      used runs;
+    if Obs.enabled () then Obs.gauge "modular.modules" (List.length used);
     let* mods =
-      List.fold_left2
-        (fun acc (m : Chipdesc.source_module) (_, r) ->
+      List.fold_left
+        (fun acc m ->
           let* acc = acc in
-          match r.mr with
-          | Ok mc -> Ok (mc :: acc)
-          | Error d ->
-            Error
-              (Chipdesc.in_source ~first:m.sm_line
-                 { d with Diag.stage = "module:" ^ d.Diag.stage }))
-        (Ok []) used runs
+          let* mc = run_module ~restarts m in
+          Ok (mc :: acc))
+        (Ok []) used
     in
     let mods = List.rev mods in
+    let* nets =
+      Chipdesc.resolve chip ~sigs:(fun n ->
+          List.find_opt (fun mc -> mc.mc_name = n) mods
+          |> Option.map (fun mc -> mc.mc_sig))
+    in
+    (* the nets are a function of the chip declaration and the
+       signatures, both in the key *)
     let staged =
       P.inject ~tag:"assembly"
         ~repr:
@@ -689,26 +608,26 @@ let compile_modular ?(restarts = 0) src =
                      (Sc_netlist.Signature.digest mc.mc_sig))
                  mods)
           ^ Printf.sprintf "\x00restarts=%d" restarts)
-        (chip, mods)
+        (chip, mods, nets)
     in
     let* assembled = P.run assemble_pass staged in
     let* c = finish_layout (P.map (fun a -> a.aframed) assembled) in
-    let* nets =
-      Chipdesc.resolve chip ~sigs:(fun n ->
-          List.find_opt (fun mc -> mc.mc_name = n) mods
-          |> Option.map (fun mc -> mc.mc_sig))
-    in
-    let circuit = stitch chip mods nets in
-    Ok (c, circuit)
+    Ok (c, stitch chip mods nets)
 
 (* the behavioral front door dispatches on the source: a [chip] block
    means separate compilation, anything else takes the flat path *)
 let compile_behavior ?(style = Random_logic) ?(restarts = 0) ?inject_fault src =
-  if Chipdesc.is_modular src then
-    match style with
-    | Pla_control ->
+  if not (Chipdesc.is_modular src) then
+    without_key
+      (behavioral parse_pass ~style ~restarts ?inject:inject_fault src)
+  else
+    match (style, inject_fault) with
+    | Pla_control, _ ->
       Error
         (Diag.v ~stage:"chip"
            "modular designs use the gates style (no --style pla)")
-    | Random_logic -> compile_modular ~restarts src
-  else compile_behavior_flat ~style ~restarts ?inject_fault src
+    | _, Some _ ->
+      Error
+        (Diag.v ~stage:"chip"
+           "modular designs take no fault injection (no --inject-fault)")
+    | Random_logic, None -> compile_modular ~restarts src

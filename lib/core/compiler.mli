@@ -47,10 +47,9 @@ type compiled =
   ; transistors : int
   }
 
-(** Every front door records into the recorder in scope
-    ({!Sc_obs.Obs.with_recorder}) — the whole pass sequence, and the
-    pool tasks it fans out — and certifies and journals as the
-    caller's {!Sc_pipeline.Pipeline.with_certify} /
+(** Every front door runs on the domain that calls it, records into
+    the recorder in scope ({!Sc_obs.Obs.with_recorder}), and certifies
+    and journals as the caller's {!Sc_pipeline.Pipeline.with_certify} /
     {!Sc_pipeline.Pipeline.with_log} say.  The serve daemon binds a
     fresh recorder per request so concurrent compiles record
     independently. *)
@@ -68,7 +67,8 @@ val compile_layout :
     A source containing a top-level [chip] block
     ({!Sc_core.Chipdesc.is_modular}) dispatches to separate compilation
     ({!compile_modular}); [style] must then be [Random_logic] and
-    [inject_fault] is ignored.
+    [inject_fault] absent, or the compile is refused with a ["chip"]
+    diagnostic.
     [restarts] selects multi-start placement (default 0; it is a
     place-pass parameter, so under a stage cache changing it leaves
     parse/compile/optimize hits).  [inject_fault] deliberately
@@ -91,8 +91,10 @@ val compile_behavior :
     with its own recorder and run journal, certifying when the caller
     does — editing one module
     re-runs exactly that module's passes plus assembly.  Concurrent
-    compiles of the same module text (the serve daemon) share one
-    in-flight run.  The assembly pass packs the per-module layouts into
+    compiles of one source (the serve daemon's executions) each run
+    every module; they meet only in the stage cache.  The chip is
+    resolved once ({!Sc_core.Chipdesc.resolve}) against the modules'
+    signatures; the assembly pass packs the per-module layouts into
     a macro row with a routed channel ({!Sc_chip.Assemble.pack}) inside
     the pad frame; whole-chip drc/emit/measure finish.  The returned circuit is the
     hierarchical stitch of the optimized module circuits under the

@@ -37,34 +37,3 @@ let to_string t =
     (if t.clocked then "clocked" else "comb")
 
 let digest t = Digest.to_hex (Digest.string (to_string t))
-
-let compatible ~expected ~got =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec ports = function
-    | [] -> (
-      (* every expected port matched; anything extra on [got]? *)
-      match
-        List.find_opt (fun p -> find expected p.sname = None) got.sports
-      with
-      | Some p ->
-        err "port %s: %s declares %s but %s has no such port" p.sname
-          got.mname (port_to_string p) expected.mname
-      | None -> Ok ())
-    | e :: rest -> (
-      match find got e.sname with
-      | None ->
-        err "port %s: %s declares %s but %s has no such port" e.sname
-          expected.mname (port_to_string e) got.mname
-      | Some g when g.sdir <> e.sdir || g.swidth <> e.swidth ->
-        err "port %s: %s declares %s but %s declares %s" e.sname
-          expected.mname (port_to_string e) got.mname (port_to_string g)
-      | Some _ -> ports rest)
-  in
-  match ports expected.sports with
-  | Error _ as e -> e
-  | Ok () when expected.clocked <> got.clocked ->
-    err "%s is %s but %s is %s" expected.mname
-      (if expected.clocked then "clocked" else "combinational")
-      got.mname
-      (if got.clocked then "clocked" else "combinational")
-  | Ok () -> Ok ()

@@ -34,9 +34,3 @@ val digest : t -> string
     ["module alu (in a[4], in b[4], out y[4]) comb"] — stable across
     processes and OCaml versions, safe to embed in pipeline cache
     keys. *)
-
-val compatible : expected:t -> got:t -> (unit, string) result
-(** Structural compatibility: same port set with identical directions
-    and widths (module names and port order are not compared; clocking
-    must match).  The error names both modules and the offending port,
-    e.g. ["port y: alu_ref declares out y[4] but alu declares out y[8]"]. *)

@@ -13,8 +13,8 @@
 
     Requests carry the design {e source text} inline (the client
     resolves builtin names and file paths before sending), so the
-    daemon's dedup key — style, restarts and the source digest — is a
-    pure function of the frame and two clients editing the same file
+    daemon's dedup key — style, restarts, certify and the source
+    digest — is a pure function of the frame and two clients editing the same file
     share one in-flight execution. *)
 
 (** {2 Framing} *)

@@ -334,8 +334,10 @@ let handle st (req : P.request) : P.response * (string * Json.t) list =
     ( (match outcome with
       | O_diag d -> error_reply d
       | O_ok r ->
+        (* a request that joined another's flight shares its outcome,
+           but the snapshot names this requester's design *)
         P.Compiled
-          { snapshot = Metrics.to_json r.snapshot
+          { snapshot = Metrics.to_json { r.snapshot with design = spec.design }
           ; cif_bytes = r.cif_bytes
           ; gates = r.gates
           ; flipflops = r.flipflops

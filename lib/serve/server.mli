@@ -18,7 +18,9 @@
     source)].  While a compilation for a key is in flight, further
     requests for the same key do not execute: they wait on the first
     one and share its result through one {!Sc_par.Single_flight} (the
-    server's [dedup_hits] counter records each such join).  Two clients saving the same file and recompiling
+    server's [dedup_hits] counter records each such join); the design
+    name is not in the key, and each reply's snapshot carries its own
+    requester's.  Two clients saving the same file and recompiling
     cost one pipeline execution.
 
     {2 Observability}

@@ -55,6 +55,15 @@ expect 0 "compile a Verilog file" "$scc" compile "$counter12"
 expect 0 "compile a layout-language file" "$scc" compile "$dir/shifter.lsl" -a 2
 expect 2 "compile a missing source" "$scc" compile "$dir/nonesuch.isp"
 expect 2 "--style on a Verilog source" "$scc" compile "$counter12" --style pla
+# fault injection targets the flat optimize pass: a modular source
+# refuses it rather than compiling, and certifying, without the fault
+expect 1 "--inject-fault on a modular source" \
+  "$scc" compile system --inject-fault 1 --certify
+if ! grep -q '^error: chip: .*--inject-fault' "$dir/err"; then
+  echo "FAIL: --inject-fault on a modular source: want a chip diagnostic" >&2
+  cat "$dir/err" >&2
+  fail=1
+fi
 
 expect 0 "compile -o" "$scc" compile counter -o "$dir/compile.cif"
 expect 0 "isp -o" "$scc" isp counter -o "$dir/isp.cif"

@@ -49,32 +49,6 @@ let test_signature_digest_stability () =
   let s3 = Sig.of_circuit (alu_like "alu" 8) in
   check_bool "width change, new digest" true (Sig.digest s1 <> Sig.digest s3)
 
-let test_signature_compatible () =
-  let a4 = Sig.of_circuit (alu_like "alu_ref" 4) in
-  let b4 = Sig.of_circuit (alu_like "alu" 4) in
-  (match Sig.compatible ~expected:a4 ~got:b4 with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "expected compatible: %s" e);
-  match Sig.compatible ~expected:a4 ~got:(Sig.of_circuit (alu_like "alu" 8)) with
-  | Ok () -> Alcotest.fail "width mismatch accepted"
-  | Error e ->
-    (* the Diag material must name both modules and the port *)
-    List.iter
-      (fun needle ->
-        check_bool (needle ^ " named") true (contains ~needle e))
-      [ "alu_ref"; "alu"; "y" ]
-
-let test_signature_missing_port () =
-  let b = Builder.create "half" in
-  let a = Builder.input b "a" 4 in
-  Builder.output b "y" (Array.map (fun n -> n) a);
-  let half = Sig.of_circuit (Builder.finish b) in
-  let full = Sig.of_circuit (alu_like "alu" 4) in
-  match Sig.compatible ~expected:full ~got:half with
-  | Ok () -> Alcotest.fail "missing port accepted"
-  | Error e ->
-    check_bool "names the port" true (contains ~needle:"b" e)
-
 (* --- macro assembly --- *)
 
 open Sc_layout
@@ -363,11 +337,14 @@ let test_modular_incremental () =
         (String.equal cold_cif edited_cif))
 
 (* Two concurrent compiles of one modular source on two domains, as the
-   daemon's execution domains run them, many rounds: they share
-   in-flight module runs with each other, so a hang here is the
-   failure; the watchdog turns it into an exit instead of a stuck
-   suite.  Every round must produce the same CIF. *)
+   daemon's execution domains run them, many rounds, over the in-memory
+   stage cache emptied before each round: both compiles miss on the
+   same keys and race to [Cache.add] them (the second insert is a
+   no-op), so a hang here is the failure; the watchdog turns it into an
+   exit instead of a stuck suite.  Every round must produce the same
+   CIF. *)
 let test_modular_concurrent_dedup () =
+  let module P = Sc_pipeline.Pipeline in
   let rounds = 24 and deadline_s = 60. in
   let started = Unix.gettimeofday () in
   let compile () =
@@ -375,9 +352,17 @@ let test_modular_concurrent_dedup () =
     | Ok (c, _) -> Ok c.Compiler.cif
     | Error d -> Error (Sc_pipeline.Diag.to_string d)
   in
+  P.disable_cache ();
+  P.clear_caches ();
+  P.enable_cache ();
+  Fun.protect ~finally:(fun () ->
+      P.disable_cache ();
+      P.clear_caches ())
+  @@ fun () ->
   let cifs =
     List.concat
       (List.init rounds (fun _ ->
+           P.clear_caches ();
            let finished = Atomic.make 0 in
            let go = Atomic.make false in
            let ds =
@@ -423,12 +408,20 @@ let test_modular_rejects_pla () =
     check_bool "mentions gates style" true
       (contains ~needle:"gates" (Sc_pipeline.Diag.to_string d))
 
+(* fault injection targets the flat optimize pass; a modular source
+   refuses it instead of compiling without it *)
+let test_modular_rejects_inject_fault () =
+  match Compiler.compile_behavior ~inject_fault:1 Designs.system_src with
+  | Ok _ -> Alcotest.fail "--inject-fault accepted for modular source"
+  | Error d ->
+    check_string "chip stage" "chip" d.Sc_pipeline.Diag.stage;
+    check_bool "names the flag" true
+      (contains ~needle:"--inject-fault" (Sc_pipeline.Diag.to_string d))
+
 let suite =
   [ Alcotest.test_case "signature extract" `Quick test_signature_extract
   ; Alcotest.test_case "signature digest stability" `Quick
       test_signature_digest_stability
-  ; Alcotest.test_case "signature compatibility" `Quick test_signature_compatible
-  ; Alcotest.test_case "signature missing port" `Quick test_signature_missing_port
   ; Alcotest.test_case "macro wrapper" `Quick test_macro_wrapper
   ; Alcotest.test_case "pack structure" `Quick test_pack_structure
   ; Alcotest.test_case "pack DRC clean" `Quick test_pack_drc_clean
@@ -439,6 +432,8 @@ let suite =
   ; Alcotest.test_case "modular detect" `Quick test_modular_detect
   ; Alcotest.test_case "modular compile" `Quick test_modular_compile
   ; Alcotest.test_case "modular rejects pla" `Quick test_modular_rejects_pla
+  ; Alcotest.test_case "modular rejects fault injection" `Quick
+      test_modular_rejects_inject_fault
   ; Alcotest.test_case "chip split errors" `Quick test_chip_split_errors
   ; Alcotest.test_case "resolve diagnostics" `Quick test_modular_resolve_diags
   ; Alcotest.test_case "module diagnostics" `Quick test_modular_module_diag

@@ -7,6 +7,7 @@ module Json = Sc_obs.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 (* --- codecs: every variant survives encode -> decode --- *)
 
@@ -218,26 +219,37 @@ let pdp8_spec =
 let test_two_client_dedup () =
   with_server @@ fun socket ->
   (* two clients, one slow cold compile in flight: exactly one pipeline
-     execution, the second rides along as a dedup hit *)
+     execution, the second rides along as a dedup hit.  The second
+     names the same source differently; the design name is not part of
+     the dedup key, and each snapshot carries its own requester's. *)
+  let specs = [| pdp8_spec; { pdp8_spec with P.design = "pdp8-copy" } |] in
   let replies = Array.make 2 None in
   let threads =
     List.init 2 (fun i ->
         Thread.create
-          (fun () ->
-            replies.(i) <- Some (rpc socket (P.Compile pdp8_spec)))
+          (fun () -> replies.(i) <- Some (rpc socket (P.Compile specs.(i))))
           ())
   in
   List.iter Thread.join threads;
   let snapshots =
     Array.to_list replies
     |> List.map (function
-         | Some (P.Compiled c) -> Json.to_string c.P.snapshot
+         | Some (P.Compiled c) -> (
+           match Sc_metrics.Metrics.of_json c.P.snapshot with
+           | Ok s -> s
+           | Error e -> Alcotest.failf "snapshot: %s" e)
          | Some (P.Error_reply { stage; message }) ->
            Alcotest.failf "compile failed: %s: %s" stage message
          | _ -> Alcotest.fail "expected Compiled")
   in
   (match snapshots with
-  | [ a; b ] -> check_bool "both clients share one snapshot" true (a = b)
+  | [ a; b ] ->
+    check_string "first snapshot names its design" "pdp8"
+      a.Sc_metrics.Metrics.design;
+    check_string "second snapshot names its design" "pdp8-copy"
+      b.Sc_metrics.Metrics.design;
+    check_bool "both clients share one snapshot otherwise" true
+      (a = { b with Sc_metrics.Metrics.design = "pdp8" })
   | _ -> assert false);
   check_int "one pipeline execution" 1 (stat socket "serve.executions");
   check_bool "dedup hit counted" true (stat socket "serve.dedup_hits" >= 1);
