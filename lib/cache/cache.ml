@@ -31,6 +31,13 @@ type 'a t =
   ; mutable misses : int
   ; mutable evictions : int
   ; mutable stale : int
+  (* the "cache.<name>.<what>" counter names, built once per store:
+     [note] runs on every lookup *)
+  ; on_hit : string
+  ; on_disk_hit : string
+  ; on_miss : string
+  ; on_eviction : string
+  ; on_stale : string
   }
 
 let digest s = Digest.to_hex (Digest.string s)
@@ -51,6 +58,11 @@ let create ?(capacity = 256) ?dir ~name () =
   ; misses = 0
   ; evictions = 0
   ; stale = 0
+  ; on_hit = "cache." ^ name ^ ".hit"
+  ; on_disk_hit = "cache." ^ name ^ ".disk_hit"
+  ; on_miss = "cache." ^ name ^ ".miss"
+  ; on_eviction = "cache." ^ name ^ ".eviction"
+  ; on_stale = "cache." ^ name ^ ".stale"
   }
 
 (* --- list surgery; caller holds the lock --- *)
@@ -120,8 +132,7 @@ let file_of t key =
 
 let locked t f = Mutex.protect t.lock f
 
-let note ?(n = 1) t what =
-  if n > 0 then Sc_obs.Obs.count ("cache." ^ t.name ^ "." ^ what) n
+let note counter n = if n > 0 then Sc_obs.Obs.count counter n
 
 let disk_read t key =
   match file_of t key with
@@ -149,7 +160,7 @@ let disk_read t key =
     | `Stale ->
       (* written by another build, or corrupt: a miss, never garbage *)
       locked t (fun () -> t.stale <- t.stale + 1);
-      note t "stale";
+      note t.on_stale 1;
       None
     | exception _ -> None)
   | _ -> None
@@ -193,7 +204,7 @@ let find t key =
           Some n.nvalue
         | None -> None)
   in
-  (match hit with Some _ -> note t "hit" | None -> ());
+  (match hit with Some _ -> note t.on_hit 1 | None -> ());
   hit
 
 let lookup t key =
@@ -207,8 +218,8 @@ let lookup t key =
             t.disk_hits <- t.disk_hits + 1;
             insert t key v)
       in
-      note t "disk_hit";
-      note ~n:evicted t "eviction";
+      note t.on_disk_hit 1;
+      note t.on_eviction evicted;
       `Disk v
     | None -> `Absent)
 
@@ -219,8 +230,8 @@ let add t key v =
         insert t key v)
   in
   disk_write t key v;
-  note t "miss";
-  note ~n:evicted t "eviction"
+  note t.on_miss 1;
+  note t.on_eviction evicted
 
 let find_or_add t key compute =
   match lookup t key with

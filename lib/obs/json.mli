@@ -3,7 +3,9 @@
     {!Obs} tests rely on), with no third-party dependency.
 
     Numbers are [float] (as in JSON itself); integers that fit a float
-    exactly print without a fractional part.  Strings are assumed to be
+    exactly print without a fractional part.  JSON has no [nan] or
+    infinity: a non-finite number prints as [null], so every printed
+    text parses back (to [Null] in that place).  Strings are assumed to be
     UTF-8; the printer escapes the two mandatory characters and control
     codes, the parser understands the full escape set including
     [\uXXXX]. *)

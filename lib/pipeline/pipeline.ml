@@ -42,6 +42,14 @@ type cert_result =
   | Certified of cert_summary
   | Refuted of string
 
+type status = Ran | Hit | Disk_hit | Failed
+
+let status_key = function
+  | Ran -> "ran"
+  | Hit -> "hit"
+  | Disk_hit -> "disk_hit"
+  | Failed -> "failed"
+
 type ('a, 'b) pass =
   { name : string
   ; version : int
@@ -54,6 +62,9 @@ type ('a, 'b) pass =
        [Cache.t] (losing stats and doubling memory) *)
   ; mutable store : (string option * 'b Cache.t) option
   ; mutable cert_store : (string option * cert_summary Cache.t) option
+  ; counters : status -> string
+    (* "pipeline.<name>.<status>", built once per pass: a pass outcome
+       is noted on every run, hits included *)
   }
 
 (* existentially-packed view of each pass for stats/clear *)
@@ -73,6 +84,15 @@ let register ?(version = 1) ?replay ?certify ~name f =
     ; plock = Mutex.create ()
     ; store = None
     ; cert_store = None
+    ; counters =
+        (let key st = "pipeline." ^ name ^ "." ^ status_key st in
+         let ran = key Ran and hit = key Hit in
+         let disk_hit = key Disk_hit and failed = key Failed in
+         function
+         | Ran -> ran
+         | Hit -> hit
+         | Disk_hit -> disk_hit
+         | Failed -> failed)
     }
   in
   let entry =
@@ -146,18 +166,10 @@ let cert_store_for pass =
 
 (* --- run log --- *)
 
-type status = Ran | Hit | Disk_hit | Failed
-
 let status_to_string = function
   | Ran -> "ran"
   | Hit -> "hit (memory)"
   | Disk_hit -> "hit (disk)"
-  | Failed -> "failed"
-
-let status_key = function
-  | Ran -> "ran"
-  | Hit -> "hit"
-  | Disk_hit -> "disk_hit"
   | Failed -> "failed"
 
 (* --- the run context ---
@@ -200,9 +212,9 @@ let append_log entries =
         j.entries <- List.rev_append entries j.entries)
   | None -> ()
 
-let note_status name st =
-  append_log [ (name, st) ];
-  Obs.count ("pipeline." ^ name ^ "." ^ status_key st) 1
+let note_status pass st =
+  append_log [ (pass.name, st) ];
+  Obs.count (pass.counters st) 1
 
 let pp_explain ppf entries =
   List.iter
@@ -277,11 +289,11 @@ let run ?(param = "") pass input =
     | _ -> Ok ()
   in
   let ok st v =
-    note_status pass.name st;
+    note_status pass st;
     Ok { value = v; key = out_key }
   in
   let failed d =
-    note_status pass.name Failed;
+    note_status pass Failed;
     Error d
   in
   match store_for pass with

@@ -143,19 +143,30 @@ let ordered ?nrows p =
 (* the library cell height plus a nominal 30-lambda routing channel *)
 let row_pitch = Sc_stdcell.Nmos.cell_height + 30
 
-let item_center pl i =
-  let cx = pl.x.(i) + (pl.problem.widths.(i) / 2) in
-  let cy = pl.row.(i) * row_pitch in
-  (cx, cy)
+(* the half-perimeter of one net's item centres, one pass in ints *)
+let net_hpwl pl net =
+  let { problem = { widths; _ }; x; row; _ } = pl in
+  let xmin = ref max_int and xmax = ref min_int in
+  let ymin = ref max_int and ymax = ref min_int in
+  for k = 0 to Array.length net - 1 do
+    let i = net.(k) in
+    let cx = x.(i) + (widths.(i) / 2) and cy = row.(i) * row_pitch in
+    if cx < !xmin then xmin := cx;
+    if cx > !xmax then xmax := cx;
+    if cy < !ymin then ymin := cy;
+    if cy > !ymax then ymax := cy
+  done;
+  !xmax - !xmin + (!ymax - !ymin)
 
+(* the place pass replays this on every recorded hit, so it allocates
+   nothing *)
 let hpwl pl =
-  Array.fold_left
-    (fun acc net ->
-      let xs = Array.map (fun i -> fst (item_center pl i)) net in
-      let ys = Array.map (fun i -> snd (item_center pl i)) net in
-      let min_a = Array.fold_left min max_int and max_a = Array.fold_left max min_int in
-      acc + (max_a xs - min_a xs) + (max_a ys - min_a ys))
-    0 pl.problem.nets
+  let nets = pl.problem.nets in
+  let total = ref 0 in
+  for ni = 0 to Array.length nets - 1 do
+    total := !total + net_hpwl pl nets.(ni)
+  done;
+  !total
 
 (* Swap descent with incremental cost: each item knows its nets, each
    net caches its half-perimeter, and a candidate swap re-prices only
@@ -176,19 +187,7 @@ let improve_cost ?(iters = 2000) pl =
     Array.iteri
       (fun ni net -> Array.iter (fun i -> member.(i) <- ni :: member.(i)) net)
       nets;
-    let cost_of_net ni =
-      let xmin = ref max_int and xmax = ref min_int in
-      let ymin = ref max_int and ymax = ref min_int in
-      Array.iter
-        (fun i ->
-          let cx, cy = item_center current i in
-          if cx < !xmin then xmin := cx;
-          if cx > !xmax then xmax := cx;
-          if cy < !ymin then ymin := cy;
-          if cy > !ymax then ymax := cy)
-        nets.(ni);
-      !xmax - !xmin + (!ymax - !ymin)
-    in
+    let cost_of_net ni = net_hpwl current nets.(ni) in
     let net_cost = Array.init nnets cost_of_net in
     let cost = ref (Array.fold_left ( + ) 0 net_cost) in
     (* per-candidate scratch: stamp dedups the two items' net lists *)

@@ -5,7 +5,9 @@
    [Sc_place.Placer.best_of] in test_place_route.ml.  Positions are
    whole numbers, so the per-net sums need only reach the same values,
    not add the same floats in the same order, for placements to agree
-   bit for bit. *)
+   bit for bit.  [hpwl] is the wire-length measure as it was before it
+   became one loop over ints: the oracle of test_place_route's
+   "hpwl = reference" property. *)
 
 open Sc_place.Placer
 
@@ -76,3 +78,17 @@ let best_of ?(seeds = 4) ?iters ?nrows p =
     (List.fold_left
        (fun (bp, bc) (cp, cc) -> if cc < bc then (cp, cc) else (bp, bc))
        (List.hd starts) (List.tl starts))
+
+(* two arrays per net, folded with the polymorphic [min] and [max] *)
+let hpwl pl =
+  let item_center i =
+    ( pl.x.(i) + (pl.problem.widths.(i) / 2)
+    , pl.row.(i) * (Sc_stdcell.Nmos.cell_height + 30) )
+  in
+  Array.fold_left
+    (fun acc net ->
+      let xs = Array.map (fun i -> fst (item_center i)) net in
+      let ys = Array.map (fun i -> snd (item_center i)) net in
+      let min_a = Array.fold_left min max_int and max_a = Array.fold_left max min_int in
+      acc + (max_a xs - min_a xs) + (max_a ys - min_a ys))
+    0 pl.problem.nets

@@ -182,6 +182,174 @@ let test_json_parser () =
       (Json.member "k" v = Some (Json.Num 1.0))
   | Error e -> Alcotest.fail e
 
+(* --- the codec against its reference (test/json_reference.ml) --- *)
+
+(* structural equality that tells -0.0 from 0.0 *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys ->
+    List.length xs = List.length ys && List.for_all2 same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && same_json x y) xs ys
+  | _ -> a = b
+
+let gen_number =
+  QCheck.Gen.(
+    oneof
+      [ map float_of_int (int_range (-1000) 1000)
+      ; (* integral values either side of 1e15, where printing switches
+           from an int to [%.17g] *)
+        map
+          (fun (base, d) -> base +. float_of_int d)
+          (pair (oneofl [ 1e15; -1e15; 9007199254740992.; -1e17; 1e20 ]) (int_range (-3) 3))
+      ; map float_of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000)
+      ; return (-0.0)
+      ; return 0.0
+      ; float_range (-1000.) 1000.
+      ; map (fun (m, e) -> ldexp m e) (pair (float_range (-1.) 1.) (int_range (-1070) 1020))
+      ])
+
+(* every byte value, with the ones the printer rewrites over-weighted *)
+let gen_string =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [ (4, char)
+        ; (2, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\000'; '\031'; '\127' ])
+        ; (3, printable)
+        ]
+    in
+    oneof
+      [ string_size ~gen:byte (int_range 0 24)
+      ; oneofl [ ""; "unicode \xc3\xa9 \xe4\xb8\x96 \xf0\x9f\x98\x80"; "a\"b\\c"; "\x00\x1f\x7f\xff" ]
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [ return Json.Null
+               ; map (fun b -> Json.Bool b) bool
+               ; map (fun f -> Json.Num f) gen_number
+               ; map (fun s -> Json.Str s) gen_string
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [ (2, leaf)
+               ; (1, map (fun l -> Json.Arr l) (list_size (int_range 0 5) (self (depth - 1))))
+               ; ( 1
+                 , map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 5) (pair gen_string (self (depth - 1)))) )
+               ]))
+
+(* what a parser says about a text: the reference raises [Failure] on a
+   [\u] escape that is not hex, where the codec returns an error *)
+let verdict parse text =
+  match parse text with
+  | Ok v -> `Ok v
+  | Error e -> `Error e
+  | exception Failure _ -> `Raised
+
+let parses_like_reference text =
+  match (verdict Json.parse text, verdict Json_reference.parse text) with
+  | `Ok v, `Ok w -> same_json v w
+  | `Error e, `Error f -> String.equal e f
+  | `Error e, `Raised ->
+    let suffix = "bad \\u escape" in
+    let le = String.length e and ls = String.length suffix in
+    le >= ls && String.sub e (le - ls) ls = suffix
+  | _ -> false
+
+let prop_json_prints_like_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150B; 1 |])
+    (QCheck.Test.make ~name:"json: to_string = reference, byte for byte" ~count:2000
+       (QCheck.make ~print:Json_reference.to_string gen_json) (fun v ->
+         String.equal (Json.to_string v) (Json_reference.to_string v)))
+
+(* a printed value, then damaged: a byte replaced, inserted or deleted,
+   or the text cut short *)
+let gen_text =
+  QCheck.Gen.(
+    let* text = map Json.to_string gen_json in
+    let n = String.length text in
+    let byte =
+      frequency
+        [ (1, char)
+        ; (3, oneofl [ '"'; '\\'; 'u'; '-'; '+'; '.'; 'e'; 'E'; '0'; '1'; '9'; ','; ':'; '['; ']'; '{'; '}'; ' '; 'n'; 't'; 'f' ])
+        ]
+    in
+    let* at = int_range 0 n in
+    let* c = byte in
+    oneof
+      [ return text
+      ; return (String.sub text 0 at)
+      ; return (String.sub text 0 at ^ String.make 1 c ^ String.sub text at (n - at))
+      ; (if at < n then
+           return (String.sub text 0 at ^ String.make 1 c ^ String.sub text (at + 1) (n - at - 1))
+         else return text)
+      ; (if at < n then return (String.sub text 0 at ^ String.sub text (at + 1) (n - at - 1))
+         else return text)
+      ])
+
+let prop_json_parses_like_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150B; 2 |])
+    (QCheck.Test.make ~name:"json: parse = reference on printed and damaged texts"
+       ~count:3000 (QCheck.make ~print:String.escaped gen_text) parses_like_reference)
+
+(* number texts over the characters a number may start with, where the
+   codec's int fast path and the float fallback divide the work *)
+let prop_json_numbers_like_reference =
+  let gen =
+    QCheck.Gen.(
+      let* body = string_size ~gen:(oneofl [ '0'; '0'; '1'; '5'; '9'; '9'; '-'; '+'; '.'; 'e'; 'E' ]) (int_range 0 20) in
+      oneofl [ body; "[" ^ body ^ "]"; "[" ^ body ^ ",1]"; {|{"k":|} ^ body ^ "}" ])
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150B; 3 |])
+    (QCheck.Test.make ~name:"json: number texts parse as the reference" ~count:3000
+       (QCheck.make ~print:String.escaped gen) parses_like_reference)
+
+let test_json_edges_like_reference () =
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("parse " ^ String.escaped text) true (parses_like_reference text))
+    [ "0"; "-0"; "-00"; "007"; "-007"; "00.5"; "1."; "1e"; "1e+"; "-"; "+1"; ".5"; "-.5"
+    ; "999999999999999"; "-999999999999999"; "1000000000000000"; "9007199254740993"
+    ; "-9007199254740993"; "123456789012345e0"; "1234567890123456"; "12345678901234567890"
+    ; "1e999"; "-1e999"; "[-0,0,-0.0]"; {|"é😀"|}; {|"\uzzzz"|}; {|"\u12"|}
+    ; {|"\ud800x"|}; {|"\q"|}; {|"abc|}; {|"ab\|}; "tru"; "nul"; "[1,]"; "{\"a\":1,}" ];
+  (* the one printing difference: JSON has no nan or infinity *)
+  List.iter
+    (fun f ->
+      let text = Json.to_string (Json.Arr [ Json.Num f ]) in
+      Alcotest.(check string) "non-finite prints as null" "[null]" text;
+      Alcotest.(check bool) "and parses back" true (Json.parse text = Ok (Json.Arr [ Json.Null ])))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string) "-0.0 keeps its sign" "-0" (Json.to_string (Json.Num (-0.0)))
+
+(* every committed snapshot reads back and prints to its own bytes *)
+let test_json_baselines_roundtrip () =
+  let dir = "../bench/baselines" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "baselines found" true (List.length files >= 5);
+  List.iter
+    (fun f ->
+      let text = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      match Json.parse text with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok v -> Alcotest.(check string) f text (Json.to_string v ^ "\n"))
+    files
+
 (* the whole point: a real compilation, observed end to end *)
 let test_compiler_stages () =
   with_recorder @@ fun r ->
@@ -292,6 +460,13 @@ let suite =
   ; Alcotest.test_case "stage table" `Quick test_stage_table
   ; Alcotest.test_case "chrome trace roundtrip" `Quick test_trace_roundtrip
   ; Alcotest.test_case "json parser" `Quick test_json_parser
+  ; prop_json_prints_like_reference
+  ; prop_json_parses_like_reference
+  ; prop_json_numbers_like_reference
+  ; Alcotest.test_case "json edge cases parse as the reference" `Quick
+      test_json_edges_like_reference
+  ; Alcotest.test_case "json baselines re-print to their bytes" `Quick
+      test_json_baselines_roundtrip
   ; Alcotest.test_case "compiler stages observed" `Quick test_compiler_stages
   ; Alcotest.test_case "recorder isolation" `Quick test_recorder_isolation
   ; Alcotest.test_case "ambient dispatch across threads" `Quick

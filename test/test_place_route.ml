@@ -599,6 +599,47 @@ let prop_ordered_like_reference =
       QCheck.Test.check_exn ~rand:(Random.State.make [| 0xBA7C; 19 |]) prop;
       check_bool "some net fans out to more than 50 items" true (!fanout > 50))
 
+(* [hpwl] is the place pass's replay: it runs on every recorded stage
+   cache hit, so it must give the reference's number from any
+   placement, and allocate nothing doing it *)
+let prop_hpwl_like_reference =
+  let gen =
+    QCheck.Gen.(
+      let* design = oneofl [ "counter"; "traffic"; "alu4"; "gray"; "seqdet"; "pdp8_dp"; "pdp8" ] in
+      let* seed = opt (int_range 0 999) in
+      let* nrows = opt (int_range 1 40) in
+      return (design, seed, nrows))
+  in
+  let print (design, seed, nrows) =
+    Printf.sprintf "%s %s nrows=%s" design
+      (match seed with
+      | Some s -> Printf.sprintf "random ~seed:%d" s
+      | None -> "ordered")
+      (match nrows with Some r -> string_of_int r | None -> "default")
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x4B91; 5 |])
+    (QCheck.Test.make ~name:"hpwl = reference" ~count:100
+       (QCheck.make ~print gen) (fun (design, seed, nrows) ->
+         let p = builtin_problem design in
+         let pl =
+           match seed with
+           | Some seed -> Sc_place.Placer.random ~seed ?nrows p
+           | None -> Sc_place.Placer.ordered ?nrows p
+         in
+         Sc_place.Placer.hpwl pl = Placer_reference.hpwl pl))
+
+let test_pdp8_hpwl_allocates_nothing () =
+  let pl = Sc_place.Placer.ordered (builtin_problem "pdp8") in
+  let expected = Placer_reference.hpwl pl in
+  check_int "pdp8 hpwl = reference" expected (Sc_place.Placer.hpwl pl);
+  let before = Gc.minor_words () in
+  let h = Sc_place.Placer.hpwl pl in
+  let words = Gc.minor_words () -. before in
+  check_int "again" expected h;
+  check_bool
+    (Printf.sprintf "%.0f minor words for pdp8's hpwl, under 100" words)
+    true (words < 100.)
+
 let suite =
   [ Alcotest.test_case "problem extraction" `Quick test_problem_extraction
   ; Alcotest.test_case "placements disjoint" `Quick test_placements_disjoint
@@ -636,4 +677,7 @@ let suite =
   ; Alcotest.test_case "pdp8's transistor count allocates per distinct cell, not per flat box"
       `Quick test_transistor_count_words_per_cell
   ; prop_ordered_like_reference
+  ; prop_hpwl_like_reference
+  ; Alcotest.test_case "pdp8's hpwl allocates nothing" `Quick
+      test_pdp8_hpwl_allocates_nothing
   ]

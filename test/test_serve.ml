@@ -84,7 +84,10 @@ let test_decode_rejects_garbage () =
   bad "{\"t\": \"launch_missiles\"}";
   bad "{\"no\": \"tag\"}";
   (* a request with the right tag but a missing field *)
-  bad "{\"t\": \"compile\", \"design\": \"counter\"}"
+  bad "{\"t\": \"compile\", \"design\": \"counter\"}";
+  (* a \u escape that is not hex is an error, not an exception that
+     kills the connection's thread *)
+  bad "{\"t\": \"compile\", \"design\": \"\\uzzzz\"}"
 
 (* --- framing on real file descriptors --- *)
 
