@@ -27,10 +27,11 @@ let pla_area design (pla : Sc_pla.Generator.t) =
   let dff = Sc_stdcell.Library.get Sc_netlist.Gate.Dff in
   Sc_layout.Cell.area pla.layout + (state_bits * dff.Sc_stdcell.Library.area)
 
-(* constructive row placement of a gate netlist, as standard-cell artwork *)
-let place ~name circuit =
-  Sc_place.Placer.to_layout ~name
-    (Sc_place.Placer.ordered (Sc_place.Placer.problem_of_circuit circuit))
+(* a compile through the compiler's one entry, [Compiler.run] *)
+let compile ?style ?(args = []) kind source =
+  (Sc_core.Compiler.run
+     { (Sc_core.Compiler.request kind source) with style; args })
+    .result
 
 (* ------------------------------------------------------------------ *)
 (* E1: compiled PDP-8 vs hand design (claim C4)                        *)
@@ -274,16 +275,18 @@ let e6 () =
     "chip area" "overhead" "DRC";
   List.iter
     (fun (name, src, pads) ->
-      let c =
-        (Sc_synth.Synth.gates (Sc_core.Designs.parse src)).Sc_synth.Synth.circuit
-      in
-      let core = place ~name c in
-      let a = Sc_chip.Assemble.assemble ~name:(name ^ "_chip") ~core ~pads () in
-      Printf.printf "%-10s %5d %12d %12d %9.2f %6s\n" name pads
-        a.Sc_chip.Assemble.core_area a.Sc_chip.Assemble.chip_area
-        a.Sc_chip.Assemble.overhead
-        (if Sc_drc.Checker.is_clean a.Sc_chip.Assemble.chip then "clean"
-         else "FAIL"))
+      match compile Sc_core.Compiler.Isp src with
+      | Error d ->
+        Printf.printf "%-10s %s\n" name (Sc_pipeline.Diag.to_string d)
+      | Ok ({ Sc_core.Compiler.layout = core; _ }, _) ->
+        let a =
+          Sc_chip.Assemble.assemble ~name:(name ^ "_chip") ~core ~pads ()
+        in
+        Printf.printf "%-10s %5d %12d %12d %9.2f %6s\n" name pads
+          a.Sc_chip.Assemble.core_area a.Sc_chip.Assemble.chip_area
+          a.Sc_chip.Assemble.overhead
+          (if Sc_drc.Checker.is_clean a.Sc_chip.Assemble.chip then "clean"
+           else "FAIL"))
     [ ("gray", Sc_core.Designs.gray_src, 4)
     ; ("counter", Sc_core.Designs.counter_src, 8)
     ; ("alu4", Sc_core.Designs.alu_src, 12)
@@ -303,35 +306,34 @@ let e7 () =
      it to layout data";
   Printf.printf "%-10s %-6s %10s %6s %6s %10s\n" "design" "path" "CIF bytes"
     "DRC" "exact" "rects";
-  let check name path cell =
-    let cif = Sc_cif.Emit.to_string cell in
-    Printf.printf "%-10s %-6s %10d %6s %6b %10d\n" name path
-      (String.length cif)
-      (if Sc_drc.Checker.is_clean cell then "clean" else "FAIL")
-      (Sc_cif.Elaborate.roundtrip_ok cell)
-      (Sc_layout.Cell.flat_rect_count cell)
+  let check name path = function
+    | Error d ->
+      Printf.printf "%-10s %-6s %s\n" name path (Sc_pipeline.Diag.to_string d)
+    | Ok ((c : Sc_core.Compiler.compiled), _) ->
+      Printf.printf "%-10s %-6s %10d %6s %6b %10d\n" name path
+        (String.length c.cif)
+        (if c.drc_violations = 0 then "clean" else "FAIL")
+        (Sc_cif.Elaborate.roundtrip_ok c.layout)
+        (Sc_layout.Cell.flat_rect_count c.layout)
   in
   List.iter
     (fun (name, src, _, _, _) ->
-      let d = Sc_core.Designs.parse src in
-      let g = Sc_synth.Synth.gates d in
-      check name "gates" (place ~name g.Sc_synth.Synth.circuit);
-      match Sc_synth.Synth.pla_fsm d with
-      | _, pla -> check name "pla" pla.Sc_pla.Generator.layout
-      | exception Sc_pipeline.Diag.Error _ -> ())
+      check name "gates" (compile Sc_core.Compiler.Isp src);
+      (* a design with no FSM has no PLA controller *)
+      match
+        compile ~style:Sc_core.Compiler.Pla_control Sc_core.Compiler.Isp src
+      with
+      | Error _ -> ()
+      | pla -> check name "pla" pla)
     (Sc_core.Designs.all ());
-  (match
-     Sc_lang.Lang.compile ~args:[ 8; 4 ]
+  check "shift8x4" "lang"
+    (compile ~args:[ 8; 4 ] Sc_core.Compiler.Layout
        {|
 cell stage() { inst dff() at (0,0); inst inv() at (width(dff()),0); }
 cell main(n, m) {
   for j = 0 to m-1 { for i = 0 to n-1 { inst stage() at (i*(width(stage())), j*60); } }
 }
-|}
-   with
-  | Ok cell -> check "shift8x4" "lang" cell
-  | Error e ->
-    Printf.printf "lang compile failed: %s\n" (Sc_pipeline.Diag.to_string e));
+|});
   Printf.printf "\npaper: every row must be clean and exact — they are\n"
 
 

@@ -113,7 +113,8 @@ let restarts_arg =
     & info [ "restarts" ] ~docv:"N"
         ~doc:
           "Extra random-start placements, each refined in turn (best \
-           HPWL wins; 0 = constructive placement only).")
+           HPWL wins; 0 = constructive placement only); not with \
+           $(b,--style pla).")
 
 let certify_arg =
   Arg.(
@@ -138,26 +139,8 @@ let inject_fault_arg =
            after index $(docv) of the optimized netlist before it \
            leaves the optimize pass (fault-injection demo — with \
            $(b,--certify) the pipeline must refuse it).  A modular \
-           source (one with a chip block) refuses the option.")
-
-(* enable the pipeline store (when asked), run certified (when asked),
-   then print the per-pass outcomes (--explain) and cache stats to
-   stderr *)
-let with_pipeline ~stage_cache ~explain ~certify k =
-  Option.iter (fun dir -> Sc_pipeline.Pipeline.enable_cache ~dir ()) stage_cache;
-  let r, log =
-    Sc_pipeline.Pipeline.with_certify certify (fun () ->
-        Sc_pipeline.Pipeline.with_log k)
-  in
-  if explain then
-    Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain log;
-  if stage_cache <> None then
-    List.iter
-      (fun (name, s) ->
-        Printf.eprintf "cache %s: %s\n%!" name
-          (Format.asprintf "%a" Sc_cache.Cache.pp_stats s))
-      (Sc_pipeline.Pipeline.cache_stats ());
-  r
+           source (one with a chip block) and $(b,--style pla) refuse \
+           the option.")
 
 let report_diag d =
   Printf.eprintf "error: %s\n" (Sc_pipeline.Diag.to_string d);
@@ -269,18 +252,11 @@ let verify_cell_library () =
 
 (* --- compile: one front door for every textual description --- *)
 
-type kind = Isp | Verilog | Layout
-
-let kind_name = function
-  | Isp -> "ISP"
-  | Verilog -> "Verilog"
-  | Layout -> "layout-language"
-
 (* A builtin design name or any file is ISP unless its suffix names
    another language.  Shared by compile and the client verbs. *)
 let resolve_source src =
   match Sc_core.Designs.builtin src with
-  | Some text -> Ok (Isp, text)
+  | Some text -> Ok (Sc_core.Compiler.Isp, text)
   | None when not (Sys.file_exists src) ->
     Error (src ^ " is neither a builtin design nor a file")
   | None -> (
@@ -288,9 +264,9 @@ let resolve_source src =
     | Some msg -> Error msg
     | None ->
       let kind =
-        if Filename.check_suffix src ".v" then Verilog
-        else if Filename.check_suffix src ".lsl" then Layout
-        else Isp
+        if Filename.check_suffix src ".v" then Sc_core.Compiler.Verilog
+        else if Filename.check_suffix src ".lsl" then Sc_core.Compiler.Layout
+        else Sc_core.Compiler.Isp
       in
       Ok (kind, read_file src))
 
@@ -354,72 +330,62 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
     stage_cache explain restarts certify inject_fault =
   match resolve_source src with
   | Error e -> usage_error e
-  | Ok (kind, text) -> (
-    (* flags that apply to some source kinds only *)
-    let misapplied =
-      List.find_opt
-        (fun (_, given, kinds) -> given && not (List.mem kind kinds))
-        [ ("--style", style <> None, [ Isp ])
-        ; ("--dump-isp", dump_isp, [ Verilog ])
-        ; ("--entry", entry <> None, [ Layout ])
-        ; ("--args", args <> [], [ Layout ])
-        ; ("--verify", verify, [ Layout ])
-        ; ("--restarts", restarts <> 0, [ Isp; Verilog ])
-        ; ("--inject-fault", inject_fault <> None, [ Isp; Verilog ])
-        ]
+  | Ok (kind, source) -> (
+    let request =
+      { Sc_core.Compiler.kind; source; style; restarts; certify; inject_fault
+      ; entry; args }
     in
-    (* a layout-language entry the program cannot run is a command-line
-       mistake too, reported as the compile would report it *)
-    let mistake =
-      match misapplied with
-      | Some (flag, _, _) ->
-        Some
-          (Printf.sprintf "%s does not apply to %s sources" flag
-             (kind_name kind))
-      | None when kind = Layout ->
-        Option.map Sc_pipeline.Diag.to_string
-          (Sc_lang.Lang.entry_error ?entry ~args text)
-      | None -> None
+    (* this command's own two flags; every other rule is the request's *)
+    let valid =
+      if dump_isp && kind <> Sc_core.Compiler.Verilog then
+        Error "--dump-isp applies to Verilog sources only"
+      else if verify && kind <> Sc_core.Compiler.Layout then
+        Error "--verify applies to layout-language sources only"
+      else
+        Result.map_error Sc_pipeline.Diag.to_string
+          (Sc_core.Compiler.validate request)
     in
-    match mistake with
-    | Some msg -> usage_error msg
-    | None when dump_isp -> (
-      match Sc_verilog.Elaborate.design text with
+    match valid with
+    | Error msg -> usage_error msg
+    | Ok () when dump_isp -> (
+      match Sc_verilog.Elaborate.design source with
       | Error d -> report_diag d
       | Ok design ->
         Format.printf "%a@." Sc_rtl.Ast.pp design;
         0)
-    | None -> (
-      with_pipeline ~stage_cache ~explain ~certify @@ fun () ->
-      instrumented ~stats ~trace ~metrics ~design:(design_of_path src)
-      @@ fun () ->
-      let with_circuit = Result.map (fun (c, circuit) -> (c, Some circuit)) in
-      let compiled =
-        match kind with
-        | Isp ->
-          with_circuit
-            (Sc_core.Compiler.compile_behavior ?style ~restarts ?inject_fault
-               text)
-        | Verilog ->
-          with_circuit
-            (Sc_core.Compiler.compile_verilog ~restarts ?inject_fault text)
-        | Layout ->
-          Result.map
-            (fun c -> (c, None))
-            (Sc_core.Compiler.compile_layout ?entry ~args text)
+    | Ok () ->
+      Option.iter
+        (fun dir -> Sc_pipeline.Pipeline.enable_cache ~dir ())
+        stage_cache;
+      let code, journal =
+        instrumented ~stats ~trace ~metrics ~design:(design_of_path src)
+        @@ fun () ->
+        let o = Sc_core.Compiler.run request in
+        ( (match o.result with
+          | Error d -> report_diag d
+          | Ok (c, circuit) ->
+            Option.iter
+              (fun circuit ->
+                let s = Sc_netlist.Circuit.stats circuit in
+                Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
+                  s.Sc_netlist.Circuit.gate_total
+                  s.Sc_netlist.Circuit.flipflops)
+              circuit;
+            report_compiled c;
+            if output <> None then write_out output c.Sc_core.Compiler.cif;
+            if verify && verify_cell_library () > 0 then 1 else 0)
+        , o.journal )
       in
-      match compiled with
-      | Error d -> report_diag d
-      | Ok (c, circuit) ->
-        Option.iter
-          (fun circuit ->
-            let s = Sc_netlist.Circuit.stats circuit in
-            Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-              s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops)
-          circuit;
-        report_compiled c;
-        if output <> None then write_out output c.Sc_core.Compiler.cif;
-        if verify && verify_cell_library () > 0 then 1 else 0))
+      (* the per-pass outcomes and the stage cache's statistics *)
+      if explain then
+        Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain journal;
+      if stage_cache <> None then
+        List.iter
+          (fun (name, s) ->
+            Printf.eprintf "cache %s: %s\n%!" name
+              (Format.asprintf "%a" Sc_cache.Cache.pp_stats s))
+          (Sc_pipeline.Pipeline.cache_stats ());
+      code)
 
 let compile_term =
   Term.(
@@ -868,28 +834,17 @@ let serve_cmd =
 
 (* client compile specs are sent with the source inlined, so the
    daemon's dedup key is a pure function of the frame: resolve builtin
-   names and file paths here, before anything hits the wire *)
+   names and file paths here, before anything hits the wire, and refuse
+   here what the daemon would refuse, with the same message *)
 let resolve_spec ?(certify = false) src style restarts =
-  match resolve_source src with
-  | Error e -> Error e
-  | Ok (Layout, _) ->
-    Error (src ^ ": the daemon compiles ISP and Verilog sources only")
-  | Ok (Verilog, _) when style <> None ->
-    Error "--style does not apply to Verilog sources"
-  | Ok (kind, source) ->
-    let style =
-      match (kind, style) with
-      | Verilog, _ -> "verilog"
-      | _, Some Sc_core.Compiler.Pla_control -> "pla"
-      | _ -> "gates"
-    in
-    Ok
-      { Sc_serve.Protocol.design = design_of_path src
-      ; source
-      ; style
-      ; restarts
-      ; certify
-      }
+  Result.bind (resolve_source src) @@ fun (kind, source) ->
+  let request =
+    { (Sc_core.Compiler.request kind source) with style; restarts; certify }
+  in
+  match Sc_core.Compiler.validate request with
+  | Error d -> Error (Sc_pipeline.Diag.to_string d)
+  | Ok () ->
+    Ok (Sc_serve.Protocol.spec_of_request ~design:(design_of_path src) request)
 
 let client_src_arg =
   Arg.(
@@ -897,8 +852,9 @@ let client_src_arg =
     & pos 0 (some string) None
     & info [] ~docv:"SRC"
         ~doc:
-          "A builtin design name, an ISP file or a Verilog file \
-           ($(b,*.v)), read locally; the source text is sent inline.")
+          "A builtin design name, an ISP file, a Verilog file \
+           ($(b,*.v)) or a layout-language file ($(b,*.lsl)), read \
+           locally; the source text is sent inline.")
 
 (* one RPC against the daemon; protocol/transport failures exit 2 *)
 let client_call socket req k =
@@ -974,7 +930,9 @@ let client_compile_cmd =
     (Cmd.info "compile"
        ~doc:
          "Compile a design through the daemon (a $(b,*.v) source is \
-          sent with style \"verilog\"); $(b,--metrics) captures the \
+          sent with style \"verilog\", a $(b,*.lsl) source with style \
+          \"layout\", at its default entry cell with no arguments); \
+          $(b,--metrics) captures the \
           per-request QoR snapshot, byte-identical to a single-shot \
           $(b,scc compile) run; $(b,--baseline) diffs it against a \
           baseline snapshot instead, as $(b,scc diff) does.")

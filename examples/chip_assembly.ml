@@ -56,12 +56,18 @@ let () =
      interface pin stubs — under one routed inter-macro channel.  The
      modular driver does all of this from a chip-block source. *)
   Printf.printf "\nmacro assembly (separate compilation of %s):\n" "system";
-  (match Sc_core.Compiler.compile_behavior Sc_core.Designs.system_src with
+  (match
+     (Sc_core.Compiler.run
+        (Sc_core.Compiler.request Sc_core.Compiler.Isp
+           Sc_core.Designs.system_src))
+       .result
+   with
   | Error d ->
     Printf.printf "  modular compile failed: %s\n"
       (Sc_pipeline.Diag.to_string d)
   | Ok (c, circuit) ->
-    let s = Sc_netlist.Circuit.stats circuit in
+    (* a behavioral compile always returns its circuit *)
+    let s = Sc_netlist.Circuit.stats (Option.get circuit) in
     Printf.printf
       "  chip %s: %d sq lambda, %d transistors, %d gates + %d FFs, DRC %s\n"
       c.Sc_core.Compiler.layout.Sc_layout.Cell.name c.Sc_core.Compiler.area

@@ -29,11 +29,16 @@ cell main(n, m) { inst bank(n, m) at (0, 0); }
 |}
 
 let () =
-  match Sc_core.Compiler.compile_layout ~args:[ 4; 3 ] source with
+  let request =
+    { (Sc_core.Compiler.request Sc_core.Compiler.Layout source) with
+      args = [ 4; 3 ]
+    }
+  in
+  match (Sc_core.Compiler.run request).result with
   | Error d ->
     prerr_endline ("compile error: " ^ Sc_pipeline.Diag.to_string d);
     exit 1
-  | Ok compiled ->
+  | Ok (compiled, _) ->
     let cell = compiled.Sc_core.Compiler.layout in
     Printf.printf "compiled %s: %d x %d lambda, %d transistors\n"
       cell.Sc_layout.Cell.name (Sc_layout.Cell.width cell)

@@ -631,3 +631,90 @@ let compile_behavior ?(style = Random_logic) ?(restarts = 0) ?inject_fault src =
         (Diag.v ~stage:"chip"
            "modular designs take no fault injection (no --inject-fault)")
     | Random_logic, None -> compile_modular ~restarts src
+
+(* --- the compile request: every driver's one way in --- *)
+
+type kind = Isp | Verilog | Layout
+
+type request =
+  { kind : kind
+  ; source : string
+  ; style : behavior_style option
+  ; restarts : int
+  ; certify : bool
+  ; inject_fault : int option
+  ; entry : string option
+  ; args : int list
+  }
+
+let request kind source =
+  { kind; source; style = None; restarts = 0; certify = false
+  ; inject_fault = None; entry = None; args = []
+  }
+
+let kind_name = function
+  | Isp -> "ISP"
+  | Verilog -> "Verilog"
+  | Layout -> "layout-language"
+
+(* a flag set where it does not apply, named as the command line spells
+   it; then a layout-language entry the program cannot run *)
+let validate r =
+  let off kinds =
+    if List.mem r.kind kinds then None else Some (kind_name r.kind ^ " sources")
+  in
+  (* the PLA path has no placement restarts and no optimize pass to fault *)
+  let placed =
+    if r.style = Some Pla_control then Some "--style pla"
+    else off [ Isp; Verilog ]
+  in
+  match
+    List.find_map
+      (fun (flag, given, where) ->
+        match where with
+        | Some w when given -> Some (flag ^ " does not apply to " ^ w)
+        | _ -> None)
+      [ ("--style", r.style <> None, off [ Isp ])
+      ; ("--entry", r.entry <> None, off [ Layout ])
+      ; ("--args", r.args <> [], off [ Layout ])
+      ; ("--restarts", r.restarts <> 0, placed)
+      ; ("--inject-fault", r.inject_fault <> None, placed)
+      ]
+  with
+  | Some msg -> Error (Diag.v ~stage:"request" msg)
+  | None when r.kind = Layout ->
+    Option.fold ~none:(Ok ()) ~some:Result.error
+      (Sc_lang.Lang.entry_error ?entry:r.entry ~args:r.args r.source)
+  | None -> Ok ()
+
+(* a request holds no closure and no mutable or shared part, so its
+   unshared marshalling is a canonical encoding *)
+let digest (r : request) =
+  Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
+
+type outcome =
+  { result : (compiled * Sc_netlist.Circuit.t option, Diag.t) result
+  ; journal : (string * P.status) list
+  }
+
+let run r =
+  match validate r with
+  | Error d -> { result = Error d; journal = [] }
+  | Ok () ->
+    let result, journal =
+      P.with_certify r.certify @@ fun () ->
+      P.with_log @@ fun () ->
+      let restarts = r.restarts and inject_fault = r.inject_fault in
+      let with_circuit = Result.map (fun (c, circuit) -> (c, Some circuit)) in
+      match r.kind with
+      | Layout ->
+        Result.map
+          (fun c -> (c, None))
+          (compile_layout ?entry:r.entry ~args:r.args r.source)
+      | Isp ->
+        with_circuit
+          (compile_behavior ?style:r.style ~restarts ?inject_fault r.source)
+      | Verilog ->
+        with_circuit (compile_verilog ~restarts ?inject_fault r.source)
+    in
+    { result; journal }

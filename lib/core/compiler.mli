@@ -1,15 +1,14 @@
 (** The silicon compiler facade: "a completely textual description of a
     design translated to layout data".
 
-    Two front doors, one per definition of silicon compilation debated in
-    the paper:
-
-    - {!compile_layout}: structural/graphical path — layout-language text
-      straight to artwork;
-    - {!compile_behavior}: behavioral path — ISP text through synthesis,
-      placement and cell layout.
-
-    Both are thin drivers over {!Sc_pipeline.Pipeline} pass sequences:
+    One way in: [scc compile], the serve daemon and the experiments
+    all hand a {!request} to {!run}.  Its kind picks one of the two
+    definitions of silicon compilation debated in the paper: the
+    structural path ([Layout]: layout-language text straight to
+    artwork) or the behavioral path ([Isp], or a [Verilog] module
+    elaborated to the same design IR, through synthesis, placement and
+    cell layout).  Every path is a thin driver over
+    {!Sc_pipeline.Pipeline} pass sequences:
 
     {v
     behavioral  parse ────────┐
@@ -18,10 +17,6 @@
     structural  elaborate
     then, for every path:       ─ drc ─ emit ─ measure
     v}
-
-    The Verilog front door ({!compile_verilog}) elaborates a
-    synthesizable-Verilog module to the same design IR the ISP parser
-    produces, then runs the identical standard-cell pass sequence.
 
     Each pass gets a span, a stage-cache entry and a [Diag] error
     boundary from the manager; enable {!Sc_pipeline.Pipeline.enable_cache}
@@ -47,36 +42,74 @@ type compiled =
   ; transistors : int
   }
 
-(** Every front door runs on the domain that calls it, records into
-    the recorder in scope ({!Sc_obs.Obs.with_recorder}), and certifies
-    and journals as the caller's {!Sc_pipeline.Pipeline.with_certify} /
-    {!Sc_pipeline.Pipeline.with_log} say.  The serve daemon binds a
-    fresh recorder per request so concurrent compiles record
-    independently. *)
+(** {2 The compile request} *)
 
-(** Structural path: layout-language source to artwork. *)
-val compile_layout :
-  ?entry:string ->
-  ?args:int list ->
-  string ->
-  (compiled, Sc_pipeline.Diag.t) result
+(** The source language: ISP, Verilog ([*.v]) or the layout language
+    ([*.lsl]). *)
+type kind = Isp | Verilog | Layout
+
+(** One compile, as every driver asks for it.  It names no design: a
+    display name is the caller's concern. *)
+type request =
+  { kind : kind
+  ; source : string
+  ; style : behavior_style option  (** ISP only; [None]: gates *)
+  ; restarts : int  (** extra random-start placements *)
+  ; certify : bool  (** as {!Sc_pipeline.Pipeline.with_certify} *)
+  ; inject_fault : int option  (** see {!compile_behavior} *)
+  ; entry : string option  (** layout-language entry cell *)
+  ; args : int list  (** its arguments *)
+  }
+
+val request : kind -> string -> request
+(** [request kind source] — gates style, no restarts, no certificate,
+    no fault, the last cell as entry with no arguments. *)
+
+val validate : request -> (unit, Sc_pipeline.Diag.t) result
+(** The request's one validation.  A field set where it does not apply
+    ([style] off ISP, [entry]/[args] off the layout language,
+    [restarts]/[inject_fault] on it or under [Pla_control]) is refused
+    with a stage ["request"] diagnostic naming the command-line flag:
+    "--restarts does not apply to --style pla".  A layout-language entry
+    the source cannot run gets {!Sc_lang.Lang.entry_error}'s. *)
+
+val digest : request -> string
+(** The hex digest of the request's canonical encoding, equal exactly
+    for equal requests: the serve daemon's in-flight dedup key. *)
+
+(** The compiled artwork with its circuit (none for the layout
+    language), or the refusal or failed pass; and the pass journal (the
+    [--explain] rows), on failure too. *)
+type outcome =
+  { result : (compiled * Sc_netlist.Circuit.t option, Sc_pipeline.Diag.t) result
+  ; journal : (string * Sc_pipeline.Pipeline.status) list
+  }
+
+val run : request -> outcome
+(** [run r] — {!validate} [r], then compile it on the calling domain
+    under {!Sc_pipeline.Pipeline.with_certify} [r.certify] and a fresh
+    {!Sc_pipeline.Pipeline.with_log}, recording into the recorder in
+    scope ({!Sc_obs.Obs.with_recorder}) and through the stage cache the
+    caller enabled. *)
+
+(** {2 The per-path drivers}
+
+    {!run} calls these; they certify and journal as the caller's
+    {!Sc_pipeline.Pipeline.with_certify} and
+    {!Sc_pipeline.Pipeline.with_log} say. *)
 
 (** Behavioral path: ISP source to a placed layout of standard cells (or
-    a PLA plus registers).  Also returns the synthesized circuit.
-
-    A source containing a top-level [chip] block
-    ({!Sc_core.Chipdesc.is_modular}) dispatches to separate compilation
-    ({!compile_modular}); [style] must then be [Random_logic] and
-    [inject_fault] absent, or the compile is refused with a ["chip"]
-    diagnostic.
-    [restarts] selects multi-start placement (default 0; it is a
-    place-pass parameter, so under a stage cache changing it leaves
-    parse/compile/optimize hits).  [inject_fault] deliberately
-    miscompiles the optimize pass on the gates path
-    ({!Sc_synth.Synth.optimize_result}'s [inject]) — a live target for
-    {!Sc_pipeline.Pipeline.with_certify}; like restarts it is pinned
-    by a pass param, so faulty artifacts never share cache keys with
-    honest ones (ignored by [Pla_control]). *)
+    a PLA plus registers), with the synthesized circuit.  A source with
+    a top-level [chip] block ({!Sc_core.Chipdesc.is_modular}) goes to
+    {!compile_modular}; any [style] but [Random_logic], or an
+    [inject_fault], is then refused with a ["chip"] diagnostic.
+    [restarts] selects multi-start placement (default 0).
+    [inject_fault] miscompiles the optimize pass on the gates path
+    ({!Sc_synth.Synth.optimize_result}'s [inject]), a live target for
+    {!Sc_pipeline.Pipeline.with_certify}.  Both knobs are pass params,
+    so changing one reruns only the passes downstream of it and faulty
+    artifacts never share cache keys with honest ones.  [Pla_control]
+    ignores both; {!validate} refuses a request that sets either. *)
 val compile_behavior :
   ?style:behavior_style ->
   ?restarts:int ->
@@ -86,36 +119,29 @@ val compile_behavior :
 
 (** Separate compilation: a multi-module source with a [chip] block
     ({!Sc_core.Chipdesc}).  Each module block runs its own sub-pipeline
-    (parse → compile → optimize → place → route → drc → emit → measure)
-    keyed on that block's raw text, in file order in the caller, each
-    with its own recorder and run journal, certifying when the caller
-    does — editing one module
-    re-runs exactly that module's passes plus assembly.  Concurrent
-    compiles of one source (the serve daemon's executions) each run
-    every module; they meet only in the stage cache.  The chip is
-    resolved once ({!Sc_core.Chipdesc.resolve}) against the modules'
-    signatures; the assembly pass packs the per-module layouts into
-    a macro row with a routed channel ({!Sc_chip.Assemble.pack}) inside
-    the pad frame; whole-chip drc/emit/measure finish.  The returned circuit is the
-    hierarchical stitch of the optimized module circuits under the
-    chip's connections.  Per-module journal rows appear as
-    [module:pass]; per-module QoR totals merge into the recorder in
-    scope as [module.NAME.key] gauges.  A module's diagnostic comes
-    back with stage [module:STAGE], positioned in the source file, not
-    in its block. *)
+    keyed on that block's raw text, in file order, with its own
+    recorder and run journal, certifying when the caller does: editing
+    one module reruns exactly that module's passes plus assembly.
+    Concurrent compiles of one source each run every module; they meet
+    only in the stage cache.  The chip is resolved once
+    ({!Sc_core.Chipdesc.resolve}) against the modules' signatures; the
+    assembly pass packs the module layouts into a macro row with a
+    routed channel ({!Sc_chip.Assemble.pack}) inside the pad frame, and
+    whole-chip drc/emit/measure finish.  The circuit is the
+    hierarchical stitch of the optimized module circuits.  Module
+    journal rows read [module:pass], module QoR merges into the
+    recorder in scope as [module.NAME.key] gauges, and a module's
+    diagnostic has stage [module:STAGE], positioned in the source
+    file. *)
 val compile_modular :
   ?restarts:int ->
   string ->
   (compiled * Sc_netlist.Circuit.t, Sc_pipeline.Diag.t) result
 
-(** Verilog path: a synthesizable-Verilog module to a placed
-    standard-cell layout, through the same compile → optimize → place →
-    route → drc → emit → measure sequence as {!compile_behavior} (the
-    frontends differ only in their parse pass, so everything downstream
-    shares the stage cache's behavior).  Parse and elaboration failures
-    come back as stage ["verilog.parse"] diagnostics positioned in the
-    source.  [inject_fault] as in
-    {!compile_behavior}. *)
+(** Verilog path: a synthesizable-Verilog module through the pass
+    sequence of {!compile_behavior}'s gates path, which shares its
+    stage-cache entries from compile on.  Parse and elaboration
+    failures are positioned stage ["verilog.parse"] diagnostics. *)
 val compile_verilog :
   ?restarts:int ->
   ?inject_fault:int ->

@@ -61,7 +61,7 @@ val compile :
     when [entry] names no cell of [src] or its entry cell takes another
     number of arguments than [args] holds; [None] otherwise, and when
     [src] itself is refused first (a syntax or definition error is
-    {!compile}'s to report).  The command line checks its [--entry] and
-    [--args] with it, so that a mistake there is a usage error. *)
+    {!compile}'s to report).  A compile request's validation
+    ({!Sc_core.Compiler.validate}) refuses a request with it. *)
 val entry_error :
   ?entry:string -> ?args:int list -> string -> Sc_pipeline.Diag.t option

@@ -98,6 +98,44 @@ type response =
   | Bye
   | Error_reply of { stage : string; message : string }
 
+(* --- the compile spec as a compile request: the one mapping between
+   the wire's style and a request's kind and style; the record has no
+   field for an entry cell, its arguments or a fault --- *)
+
+module C = Sc_core.Compiler
+
+let styles =
+  [ ("gates", (C.Isp, None)); ("pla", (C.Isp, Some C.Pla_control))
+  ; ("verilog", (C.Verilog, None)); ("layout", (C.Layout, None))
+  ]
+
+let request_of_spec s =
+  match List.assoc_opt s.style styles with
+  | Some (kind, style) ->
+    Ok
+      { (C.request kind s.source) with
+        style
+      ; restarts = s.restarts
+      ; certify = s.certify
+      }
+  | None ->
+    Error
+      (Sc_pipeline.Diag.v ~stage:"serve"
+         (Printf.sprintf "unknown style %S (expected %s)" s.style
+            (String.concat ", "
+               (List.map (fun (n, _) -> Printf.sprintf "%S" n) styles))))
+
+let spec_of_request ~design (r : C.request) =
+  let pla = if r.style = Some C.Pla_control then r.style else None in
+  let ks = (r.kind, if r.kind = C.Isp then pla else None) in
+  let style = fst (List.find (fun (_, ks') -> ks' = ks) styles) in
+  { design
+  ; source = r.source
+  ; style
+  ; restarts = r.restarts
+  ; certify = r.certify
+  }
+
 (* --- encoding --- *)
 
 let num i = Json.Num (float_of_int i)

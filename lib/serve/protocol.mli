@@ -13,9 +13,9 @@
 
     Requests carry the design {e source text} inline (the client
     resolves builtin names and file paths before sending), so the
-    daemon's dedup key — style, restarts, certify and the source
-    digest — is a pure function of the frame and two clients editing the same file
-    share one in-flight execution. *)
+    daemon's dedup key — the decoded request's digest, which leaves out
+    the design name — is a pure function of the frame, and two clients
+    editing the same file share one in-flight execution. *)
 
 (** {2 Framing} *)
 
@@ -32,9 +32,9 @@ val read_frame : Unix.file_descr -> (string option, string) result
 
 (** What to compile: the display name (snapshot [design] field), the
     full source text, the frontend/control style (["gates"] or ["pla"]
-    for ISP source, ["verilog"] for Verilog source), the placement
-    restart count, and whether every netlist-to-netlist pass must emit
-    a translation certificate
+    for ISP source, ["verilog"] for Verilog source, ["layout"] for a
+    layout-language program), the placement restart count, and whether
+    every netlist-to-netlist pass must emit a translation certificate
     ({!Sc_pipeline.Pipeline.with_certify}).  [certify] may be absent
     on the wire (pre-certify clients): it decodes as [false]. *)
 type compile_spec =
@@ -54,6 +54,22 @@ type request =
           [isp:NAME] *)
   | Stats  (** server counters: requests, in-flight, dedup hits, ... *)
   | Shutdown  (** stop accepting and exit cleanly *)
+
+(** {2 The spec as a compile request}
+
+    The one mapping between a spec's [style] and a
+    {!Sc_core.Compiler.request}: ["gates"] and ["pla"] are ISP at that
+    style, ["verilog"] and ["layout"] the other two kinds.  A spec has
+    no entry cell, arguments or fault, so a layout-language request
+    travels at its default entry with no arguments. *)
+
+val request_of_spec :
+  compile_spec -> (Sc_core.Compiler.request, Sc_pipeline.Diag.t) result
+(** Any other style is refused with a stage ["serve"] diagnostic. *)
+
+val spec_of_request : design:string -> Sc_core.Compiler.request -> compile_spec
+(** Drops what a spec cannot carry, so validate the request
+    ({!Sc_core.Compiler.validate}) first. *)
 
 (** {2 Responses} *)
 

@@ -18,19 +18,10 @@ type stats =
   ; peak_executions : int
   }
 
-(* the outcome of one execution, shared by identical in-flight requests *)
-type compiled =
-  { snapshot : Metrics.snapshot
-  ; cif_bytes : int
-  ; gates : int
-  ; flipflops : int
-  ; transistors : int
-  ; area : int
-  ; drc_violations : int
-  ; passes : (string * string) list
-  }
-
-type outcome = O_ok of compiled | O_diag of Diag.t
+(* the outcome of one execution, shared by identical in-flight
+   requests: the snapshot, which each reply encodes under its own
+   requester's design name, and the rest of the reply *)
+type outcome = (Metrics.snapshot * P.compiled, Diag.t) result
 
 type state =
   { lock : Mutex.t  (* counters, conns, stop flag *)
@@ -121,85 +112,60 @@ let maybe_trace st ~recorder ~design ~key =
            [ ("file", Json.Str file); ("error", Json.Str e) ])
     end
 
-(* The per-request sequence on the execution domain — fresh recorder,
-   enable, compile, capture — is exactly the single-shot
-   [scc compile D --metrics] sequence, which is what keeps a daemon
-   snapshot byte-identical to the committed baselines.  [with_certify]
-   and [with_log] scope certification and the pass journal to this
-   request: a concurrent plain compile never sees a neighbour's
-   [--certify] or passes. *)
-let do_compile st ~key (spec : P.compile_spec) =
-  match spec.style with
-  | "gates" | "pla" | "verilog" ->
-    run_on_domain st (fun () ->
-        locked st (fun () -> st.executions <- st.executions + 1);
-        let recorder = Obs.Recorder.create () in
-        Obs.Recorder.enable recorder;
-        Obs.with_recorder recorder (fun () ->
-            let res, log =
-              Pipeline.with_certify spec.certify (fun () ->
-                  Pipeline.with_log (fun () ->
-                      match spec.style with
-                      | "verilog" ->
-                        Sc_core.Compiler.compile_verilog
-                          ~restarts:spec.restarts spec.source
-                      | "pla" ->
-                        Sc_core.Compiler.compile_behavior
-                          ~style:Sc_core.Compiler.Pla_control
-                          ~restarts:spec.restarts spec.source
-                      | _ ->
-                        Sc_core.Compiler.compile_behavior
-                          ~style:Sc_core.Compiler.Random_logic
-                          ~restarts:spec.restarts spec.source))
-            in
-            let passes =
-              List.map
-                (fun (name, s) -> (name, Pipeline.status_to_string s))
-                log
-            in
-            Obs.Recorder.disable recorder;
-            maybe_trace st ~recorder ~design:spec.design ~key;
-            match res with
-            | Ok (c, circuit) ->
-              let snapshot = Metrics.capture ~recorder ~design:spec.design () in
-              let s = Sc_netlist.Circuit.stats circuit in
-              O_ok
-                { snapshot
-                ; cif_bytes = String.length c.Sc_core.Compiler.cif
-                ; gates = s.Sc_netlist.Circuit.gate_total
-                ; flipflops = s.Sc_netlist.Circuit.flipflops
-                ; transistors = c.Sc_core.Compiler.transistors
-                ; area = c.Sc_core.Compiler.area
-                ; drc_violations = c.Sc_core.Compiler.drc_violations
-                ; passes
-                }
-            | Error d -> O_diag d))
-  | other ->
-    O_diag
-      (Diag.v ~stage:"serve"
-         (Printf.sprintf
-            "unknown style %S (expected \"gates\", \"pla\" or \"verilog\")"
-            other))
-
-let compile_key (spec : P.compile_spec) =
-  Sc_cache.Cache.digest
-    (spec.style ^ "|" ^ string_of_int spec.restarts ^ "|"
-    ^ (if spec.certify then "certify" else "")
-    ^ "\x00" ^ spec.source)
+(* One execution: a fresh recorder around [Compiler.run], which scopes
+   certification and the pass journal to this request, then the
+   snapshot, captured from that recorder as [scc compile D --metrics]
+   captures it. *)
+let do_compile st ~key ~design req =
+  run_on_domain st (fun () ->
+      locked st (fun () -> st.executions <- st.executions + 1);
+      let recorder = Obs.Recorder.create () in
+      Obs.Recorder.enable recorder;
+      let o =
+        Obs.with_recorder recorder (fun () -> Sc_core.Compiler.run req)
+      in
+      Obs.Recorder.disable recorder;
+      maybe_trace st ~recorder ~design ~key;
+      o.result
+      |> Result.map (fun ((c : Sc_core.Compiler.compiled), circuit) ->
+             let gates, flipflops =
+               match circuit with
+               | None -> (0, 0)
+               | Some circuit ->
+                 let s = Sc_netlist.Circuit.stats circuit in
+                 Sc_netlist.Circuit.(s.gate_total, s.flipflops)
+             in
+             ( Metrics.capture ~recorder ~design ()
+             , { P.snapshot = Json.Null
+               ; cif_bytes = String.length c.cif
+               ; gates
+               ; flipflops
+               ; transistors = c.transistors
+               ; area = c.area
+               ; drc_violations = c.drc_violations
+               ; passes =
+                   List.map
+                     (fun (name, s) -> (name, Pipeline.status_to_string s))
+                     o.journal
+               } )))
 
 (* the first requester of a key executes; concurrent identical
    requests share its outcome.  [executed] tells the request log which
-   one this was. *)
-let compile st spec =
-  let key = compile_key spec in
-  let how, outcome =
-    Sc_par.Single_flight.run st.flights key (fun () ->
-        try do_compile st ~key spec
-        with e -> O_diag (Diag.of_exn ~stage:"serve" e))
-  in
-  let executed = how = `Fresh in
-  if not executed then locked st (fun () -> st.dedup_hits <- st.dedup_hits + 1);
-  (outcome, key, executed)
+   one this was; a spec that decodes to no request has no key. *)
+let compile st (spec : P.compile_spec) =
+  match P.request_of_spec spec with
+  | Error d -> (Error d, "", true)
+  | Ok req ->
+    let key = Sc_core.Compiler.digest req in
+    let how, outcome =
+      Sc_par.Single_flight.run st.flights key (fun () ->
+          try do_compile st ~key ~design:spec.design req
+          with e -> Error (Diag.of_exn ~stage:"serve" e))
+    in
+    let executed = how = `Fresh in
+    if not executed then
+      locked st (fun () -> st.dedup_hits <- st.dedup_hits + 1);
+    (outcome, key, executed)
 
 (* --- equiv --- *)
 
@@ -322,30 +288,22 @@ let compile_fields (outcome, key, executed) (spec : P.compile_spec) =
     ]
   in
   match outcome with
-  | O_ok r ->
+  | Ok (_, (r : P.compiled)) ->
     let hit, ran = pass_counts r.passes in
     base @ [ ("passes_hit", jnum hit); ("passes_ran", jnum ran) ]
-  | O_diag _ -> base
+  | Error _ -> base
 
 let handle st (req : P.request) : P.response * (string * Json.t) list =
   match req with
   | P.Compile spec ->
     let ((outcome, _, _) as c) = compile st spec in
     ( (match outcome with
-      | O_diag d -> error_reply d
-      | O_ok r ->
+      | Error d -> error_reply d
+      | Ok (s, r) ->
         (* a request that joined another's flight shares its outcome,
            but the snapshot names this requester's design *)
         P.Compiled
-          { snapshot = Metrics.to_json { r.snapshot with design = spec.design }
-          ; cif_bytes = r.cif_bytes
-          ; gates = r.gates
-          ; flipflops = r.flipflops
-          ; transistors = r.transistors
-          ; area = r.area
-          ; drc_violations = r.drc_violations
-          ; passes = r.passes
-          })
+          { r with snapshot = Metrics.to_json { s with design = spec.design } })
     , compile_fields c spec )
   | P.Equiv { a; b; k } ->
     ( do_equiv st ~a ~b ~k

@@ -12,10 +12,20 @@
     are shared by every client — the second client to ask for a design
     pays cache-hit prices for work the first one caused.
 
+    {2 One compile request}
+
+    A compile spec decodes to a {!Sc_core.Compiler.request}
+    ({!Protocol.request_of_spec}) and runs through
+    {!Sc_core.Compiler.run}, the call [scc compile] makes: the daemon
+    accepts the ISP, Verilog and layout-language sources a single-shot
+    compile accepts, and refuses what it refuses with the same
+    diagnostic.
+
     {2 Deduplication}
 
-    Requests are keyed on [digest (style | restarts | certify |
-    source)].  While a compilation for a key is in flight, further
+    Requests are keyed on the request's digest
+    ({!Sc_core.Compiler.digest}).  While a compilation for a key is in
+    flight, further
     requests for the same key do not execute: they wait on the first
     one and share its result through one {!Sc_par.Single_flight} (the
     server's [dedup_hits] counter records each such join); the design
@@ -28,15 +38,15 @@
     Every execution gets its own {!Sc_obs.Obs.Recorder.t}, bound around
     it with {!Sc_obs.Obs.with_recorder}, so instrumented compiles
     overlap — there is no shared recorder state and no lock
-    serializing executions.  Certification and the pass journal are scoped
-    the same way ({!Sc_pipeline.Pipeline.with_certify},
-    {!Sc_pipeline.Pipeline.with_log}): one request's [--certify] or
-    [--explain] rows never leak into a concurrent compile.  The per-request sequence —
-    fresh recorder, compile, {!Sc_metrics.Metrics.capture} — is exactly
-    what single-shot [scc compile D --metrics] does, so daemon snapshots
-    stay byte-identical QoR to the committed baselines even under
-    concurrency, which the serve-smoke CI job and the benchmark's
-    [daemon] workload assert.
+    serializing executions.  {!Sc_core.Compiler.run} scopes
+    certification and the pass journal to its request: one request's
+    [--certify] or [--explain] rows never leak into a concurrent
+    compile.  The snapshot is captured from the execution's recorder
+    ({!Sc_metrics.Metrics.capture}) as [scc compile D --metrics]
+    captures it, so daemon snapshots stay byte-identical QoR to
+    single-shot ones and to the committed baselines even under
+    concurrency, which test_serve, the serve-smoke CI job and the
+    benchmark's [daemon] workload assert.
     At most [exec_domains] executions run at once, one per execution
     domain; the rest queue.  The high-water mark of concurrently running
     executions is served as [serve.peak_executions].

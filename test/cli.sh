@@ -55,6 +55,30 @@ expect 0 "compile a Verilog file" "$scc" compile "$counter12"
 expect 0 "compile a layout-language file" "$scc" compile "$dir/shifter.lsl" -a 2
 expect 2 "compile a missing source" "$scc" compile "$dir/nonesuch.isp"
 expect 2 "--style on a Verilog source" "$scc" compile "$counter12" --style pla
+# the PLA path has no placement restarts and no optimize pass to fault:
+# both flags are refused, not silently dropped
+expect 2 "--inject-fault under --style pla" \
+  "$scc" compile counter --style pla --inject-fault 1 --certify
+expect 2 "--restarts under --style pla" \
+  "$scc" compile counter --style pla --restarts 3
+# a misapplied flag is the request's mistake, so the client refuses it
+# before connecting, with the message scc compile prints
+printf 'cell main() { box metal 0 0 8 4; }\n' >"$dir/tile.lsl"
+for flags in "$counter12 --style pla" "$dir/tile.lsl --style gates" \
+  "$dir/tile.lsl --restarts 2" "counter --style pla --restarts 2"; do
+  # shellcheck disable=SC2086
+  expect 2 "compile $flags" "$scc" compile $flags
+  mv "$dir/err" "$dir/compile.err"
+  # shellcheck disable=SC2086
+  expect 2 "client compile $flags" \
+    "$scc" client compile $flags --socket "$dir/nowhere.sock"
+  if ! grep -q '^error: request: ' "$dir/err" ||
+    ! cmp -s "$dir/compile.err" "$dir/err"; then
+    echo "FAIL: $flags: compile and client compile refuse differently" >&2
+    cat "$dir/compile.err" "$dir/err" >&2
+    fail=1
+  fi
+done
 # fault injection targets the flat optimize pass: a modular source
 # refuses it rather than compiling, and certifying, without the fault
 expect 1 "--inject-fault on a modular source" \

@@ -92,15 +92,19 @@ let test_e1_chip_count_band () =
     (ratio > 1.0 && ratio < 2.0)
 
 let test_compile_layout_path () =
-  match
-    Compiler.compile_layout ~args:[ 4 ]
-      {|
+  let source =
+    {|
 cell tile() { box metal 0 0 8 4; box diff 0 6 8 9; }
 cell main(n) { for i = 0 to n-1 { inst tile() at (i*12, 0); } }
 |}
+  in
+  match
+    (Compiler.run
+       { (Compiler.request Compiler.Layout source) with args = [ 4 ] })
+      .result
   with
   | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d)
-  | Ok c ->
+  | Ok (c, _) ->
     check_int "drc clean" 0 c.Compiler.drc_violations;
     check_bool "cif emitted" true (String.length c.Compiler.cif > 0)
 

@@ -284,7 +284,10 @@ cell main() {
 }
 |}
   in
-  let c = compiled "seeded.lsl" (Sc_core.Compiler.compile_layout seeded) in
+  let c = compiled "seeded.lsl" (Result.map fst
+       (Sc_core.Compiler.run
+          (Sc_core.Compiler.request Sc_core.Compiler.Layout seeded))
+         .result) in
   check_bool "seeded violations found" true (List.length (agree "seeded.lsl" c.layout) >= 5)
 
 (* property: inflating every metal rect's position apart by >= spacing keeps

@@ -703,6 +703,101 @@ let test_modular_via_daemon () =
       && List.for_all (fun (_, st) -> st = "hit (memory)") c.P.passes)
   | _ -> Alcotest.fail "expected Compiled"
 
+(* --- one compile request: the daemon runs what scc compile runs --- *)
+
+module C = Sc_core.Compiler
+
+let shifter_lsl =
+  "cell stage() { inst dff() at (0,0); inst inv() at (width(dff()),0); }\n\
+   cell main() { for i = 0 to 3 { inst stage() at (i*width(stage()), 0); } }\n"
+
+let qor_of_json j =
+  match Sc_metrics.Metrics.of_json j with
+  | Ok s -> s.Sc_metrics.Metrics.qor
+  | Error e -> Alcotest.failf "snapshot: %s" e
+
+(* a layout-language source sent as style "layout" compiles through the
+   daemon, and its QoR is that of a single-shot [Compiler.run] *)
+let test_layout_via_daemon () =
+  let recorder = Sc_obs.Obs.Recorder.create () in
+  Sc_obs.Obs.Recorder.enable recorder;
+  let single =
+    Sc_obs.Obs.with_recorder recorder (fun () ->
+        C.run (C.request C.Layout shifter_lsl))
+  in
+  Sc_obs.Obs.Recorder.disable recorder;
+  (match single.C.result with
+  | Ok (_, None) -> ()
+  | Ok (_, Some _) -> Alcotest.fail "a layout source has no circuit"
+  | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d));
+  let expected =
+    (Sc_metrics.Metrics.capture ~recorder ~design:"shifter" ()).qor
+  in
+  check_bool "single-shot QoR is measured" true
+    (List.mem_assoc "layout.transistors" expected);
+  with_server @@ fun socket ->
+  let spec =
+    { P.design = "shifter"; source = shifter_lsl; style = "layout"
+    ; restarts = 0; certify = false
+    }
+  in
+  match rpc socket (P.Compile spec) with
+  | P.Compiled c ->
+    check_int "no netlist" 0 c.P.gates;
+    check_bool "daemon QoR = single-shot QoR" true
+      (qor_of_json c.P.snapshot = expected)
+  | P.Error_reply { stage; message } ->
+    Alcotest.failf "layout compile failed: %s: %s" stage message
+  | _ -> Alcotest.fail "expected Compiled"
+
+(* each flag the client can misapply is refused with one message: the
+   request's validation, which scc compile and scc client compile
+   print, and the daemon's reply wherever the wire can carry the flag *)
+let test_misapplied_flags () =
+  let counter12 = Example_file.read "counter12.v" in
+  let cases =
+    [ ( { (C.request C.Verilog counter12) with style = Some C.Pla_control }
+      , "--style does not apply to Verilog sources"
+      , false )
+    ; ( { (C.request C.Layout shifter_lsl) with style = Some C.Random_logic }
+      , "--style does not apply to layout-language sources"
+      , false )
+    ; ( { (C.request C.Layout shifter_lsl) with restarts = 2 }
+      , "--restarts does not apply to layout-language sources"
+      , true )
+    ; ( { (C.request C.Isp counter_spec.P.source) with
+          style = Some C.Pla_control
+        ; restarts = 2
+        }
+      , "--restarts does not apply to --style pla"
+      , true )
+    ]
+  in
+  let refused (d : Sc_pipeline.Diag.t) =
+    (d.stage, Sc_pipeline.Diag.located d)
+  in
+  List.iter
+    (fun (r, msg, _) ->
+      (match C.validate r with
+      | Error d ->
+        Alcotest.(check (pair string string)) msg ("request", msg) (refused d)
+      | Ok () -> Alcotest.failf "%s: not refused" msg);
+      match (C.run r).C.result with
+      | Error d ->
+        Alcotest.(check (pair string string)) ("run: " ^ msg) ("request", msg)
+          (refused d)
+      | Ok _ -> Alcotest.failf "%s: compiled" msg)
+    cases;
+  with_server @@ fun socket ->
+  List.iter
+    (fun (r, msg, _) ->
+      match rpc socket (P.Compile (P.spec_of_request ~design:"d" r)) with
+      | P.Error_reply { stage; message } ->
+        Alcotest.(check (pair string string)) ("daemon: " ^ msg)
+          ("request", msg) (stage, message)
+      | _ -> Alcotest.failf "daemon: %s: not refused" msg)
+    (List.filter (fun (_, _, on_wire) -> on_wire) cases)
+
 let suite =
   [ Alcotest.test_case "request codecs roundtrip" `Quick test_request_roundtrip
   ; Alcotest.test_case "response codecs roundtrip" `Quick
@@ -735,4 +830,8 @@ let suite =
       test_executions_reuse_domains
   ; Alcotest.test_case "--exec-domains bounded by the runtime" `Quick
       test_exec_domain_count
+  ; Alcotest.test_case "layout-language source via daemon" `Quick
+      test_layout_via_daemon
+  ; Alcotest.test_case "misapplied flags: one message" `Quick
+      test_misapplied_flags
   ]
