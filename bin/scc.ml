@@ -378,7 +378,11 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
       in
       (* the per-pass outcomes and the stage cache's statistics *)
       if explain then
-        Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain journal;
+        Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain
+          (List.map
+             (fun (pass, st) ->
+               (pass, Sc_pipeline.Pipeline.status_to_string st))
+             journal);
       if stage_cache <> None then
         List.iter
           (fun (name, s) ->
@@ -902,9 +906,7 @@ let client_compile_cmd =
       (if r.drc_violations = 0 then "clean"
        else string_of_int r.drc_violations ^ " violations");
     if explain then
-      List.iter
-        (fun (pass, status) -> Printf.eprintf "  %-10s %s\n%!" pass status)
-        r.passes;
+      Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain r.passes;
     Option.iter
       (fun path ->
         Sc_metrics.Metrics.write path s;

@@ -1,15 +1,16 @@
 (** Log-bucketed histograms for latency tracking.
 
     Values are non-negative integers (negative inputs clamp to 0) —
-    typically microseconds.  Bucket 0 holds the value 0; bucket [i]
-    holds [2^(i-1) .. 2^i - 1], so 63 buckets cover the whole [int]
-    range and {!add} never saturates.  Memory is two 63-entry arrays
-    per histogram, independent of sample count.
+    typically microseconds.  Bucket 0 holds the value 0; bucket [i >= 1]
+    holds the integers v with 2^((i-1)/4) <= v < 2^(i/4), four buckets
+    per octave, so 253 buckets cover the whole [int] range and {!add}
+    never saturates.  Memory is two 253-entry arrays per histogram,
+    independent of sample count.
 
     Percentiles use the nearest-rank definition answered with the mean
-    of the bucket the rank lands in: relative error is bounded by the
-    bucket width (< 2x), and the answer is exact whenever all samples
-    in that bucket are equal.
+    of the bucket the rank lands in: the relative error is below the
+    bucket width, 2^(1/4) - 1 < 18.9 %, and the answer is exact whenever
+    all samples in that bucket are equal.
 
     Instances are thread-safe (one internal mutex); the serve daemon
     shares one histogram per verb across all connection threads. *)

@@ -216,11 +216,10 @@ let note_status pass st =
   append_log [ (pass.name, st) ];
   Obs.count (pass.counters st) 1
 
-let pp_explain ppf entries =
+let pp_explain ppf rows =
   List.iter
-    (fun (name, st) ->
-      Format.fprintf ppf "explain: %-10s %s@." name (status_to_string st))
-    entries
+    (fun (name, status) -> Format.fprintf ppf "explain: %-10s %s@." name status)
+    rows
 
 (* --- the manager --- *)
 

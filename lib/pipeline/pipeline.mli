@@ -194,5 +194,8 @@ val append_log : (string * status) list -> unit
     prefixed ["<module>:"]) to the requesting compile's journal so
     [--explain] shows one merged, deterministic sequence. *)
 
-val pp_explain : Format.formatter -> (string * status) list -> unit
-(** One ["explain: <pass> <status>"] line per journal entry. *)
+val pp_explain : Format.formatter -> (string * string) list -> unit
+(** One ["explain: <pass> <status>"] line per journal row, its status
+    in {!status_to_string}'s words: [scc compile --explain] prints its
+    own journal so, and [scc client compile --explain] the rows the
+    daemon sent. *)

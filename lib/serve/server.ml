@@ -151,9 +151,14 @@ let do_compile st ~key ~design req =
 
 (* the first requester of a key executes; concurrent identical
    requests share its outcome.  [executed] tells the request log which
-   one this was; a spec that decodes to no request has no key. *)
+   one this was; a spec that decodes to no request, or to one
+   [Compiler.validate] refuses, has no key and is answered here, with
+   no hop to an execution domain. *)
 let compile st (spec : P.compile_spec) =
-  match P.request_of_spec spec with
+  match
+    Result.bind (P.request_of_spec spec) (fun req ->
+        Result.map (fun () -> req) (Sc_core.Compiler.validate req))
+  with
   | Error d -> (Error d, "", true)
   | Ok req ->
     let key = Sc_core.Compiler.digest req in

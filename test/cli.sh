@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# End-to-end checks of the scc command line: the compile front door on
-# every source kind, its exit codes, the isp alias, the circuit specs
-# equiv resolves, serve's --exec-domains bound, a warm module edit over
-# the disk stage cache, the pinned CIF text of the baseline designs, one
-# domain per compile, missing input files, the size of pdp8's
-# stage-cache entries, hostile CIF and the exact text of positioned
-# diagnostics.
+# End-to-end checks of the scc command line: a static, non-PIE link,
+# the compile front door on every source kind, its exit codes, the isp
+# alias, one --explain format through the daemon and without it, the
+# circuit specs equiv resolves, serve's --exec-domains bound, a warm
+# module edit over the disk stage cache, the pinned CIF text of the
+# baseline designs, one domain per compile, missing input files, the
+# size of pdp8's stage-cache entries, hostile CIF and the exact text of
+# positioned diagnostics.
 #
 # Usage: cli.sh SCC COUNTER12_V   (run by `dune runtest`)
 set -u
@@ -28,6 +29,29 @@ expect() {
     fail=1
   fi
 }
+
+# scc is linked static (bin/dune): an ELF executable of type ET_EXEC
+# with no PT_INTERP program header, so no process of it starts in the
+# dynamic loader.  The header is read with od, so no binutils are needed.
+# u OFFSET SIZE — the little-endian unsigned integer at OFFSET in scc
+u() { od -An -t "u$2" -j "$1" -N "$2" "$scc" | tr -d ' '; }
+if [ "$(od -An -c -j 1 -N 3 "$scc" | tr -d ' ')" != ELF ] ||
+  [ "$(u 4 1)" -ne 2 ] || [ "$(u 5 1)" -ne 1 ]; then
+  echo "FAIL: $scc is not a 64-bit little-endian ELF file" >&2
+  fail=1
+else
+  if [ "$(u 16 2)" -ne 2 ]; then
+    echo "FAIL: scc's ELF type is $(u 16 2), want 2 (ET_EXEC: static, non-PIE)" >&2
+    fail=1
+  fi
+  phoff=$(u 32 8) phentsize=$(u 54 2) phnum=$(u 56 2)
+  for ((i = 0; i < phnum; i++)); do
+    if [ "$(u $((phoff + i * phentsize)) 4)" -eq 3 ]; then
+      echo "FAIL: scc has a PT_INTERP program header: it starts in the dynamic loader" >&2
+      fail=1
+    fi
+  done
+fi
 
 cat >"$dir/counter.isp" <<'EOF'
 module counter;
@@ -105,6 +129,26 @@ if [ "$(wc -l <"$dir/err")" -ne 1 ] || [ -e "$dir/serve.sock" ]; then
   cat "$dir/err" >&2
   fail=1
 fi
+
+# one --explain renderer: a cold compile through the daemon prints the
+# same `explain:` lines as a cold single-shot compile
+"$scc" serve --socket "$dir/scc.sock" 2>"$dir/serve.err" &
+serve_pid=$!
+for _ in $(seq 200); do [ -S "$dir/scc.sock" ] && break; sleep 0.05; done
+expect 0 "compile --explain" "$scc" compile counter --explain
+grep '^explain: ' "$dir/err" >"$dir/explain.single"
+expect 0 "client compile --explain" \
+  "$scc" client compile counter --explain --socket "$dir/scc.sock"
+grep '^explain: ' "$dir/err" >"$dir/explain.daemon"
+if [ ! -s "$dir/explain.single" ] ||
+  ! cmp -s "$dir/explain.single" "$dir/explain.daemon"; then
+  echo "FAIL: compile --explain and client compile --explain differ" >&2
+  cat "$dir/explain.single" "$dir/explain.daemon" >&2
+  fail=1
+fi
+"$scc" client shutdown --socket "$dir/scc.sock" >/dev/null 2>&1 ||
+  kill "$serve_pid"
+wait "$serve_pid"
 
 expect 0 "equiv hand:alu4 hand:alu" "$scc" equiv hand:alu4 hand:alu
 

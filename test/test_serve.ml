@@ -752,7 +752,9 @@ let test_layout_via_daemon () =
 
 (* each flag the client can misapply is refused with one message: the
    request's validation, which scc compile and scc client compile
-   print, and the daemon's reply wherever the wire can carry the flag *)
+   print, and the daemon's reply wherever the wire can carry the flag.
+   The daemon refuses on the request's connection, so no refusal
+   reaches an execution domain or counts in serve.executions. *)
 let test_misapplied_flags () =
   let counter12 = Example_file.read "counter12.v" in
   let cases =
@@ -796,7 +798,8 @@ let test_misapplied_flags () =
         Alcotest.(check (pair string string)) ("daemon: " ^ msg)
           ("request", msg) (stage, message)
       | _ -> Alcotest.failf "daemon: %s: not refused" msg)
-    (List.filter (fun (_, _, on_wire) -> on_wire) cases)
+    (List.filter (fun (_, _, on_wire) -> on_wire) cases);
+  check_int "no refusal executed" 0 (stat socket "serve.executions")
 
 let suite =
   [ Alcotest.test_case "request codecs roundtrip" `Quick test_request_roundtrip

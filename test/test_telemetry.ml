@@ -20,6 +20,12 @@ let median_of a b =
   H.add h b;
   H.percentile h 50.0
 
+(* the quarter-octave a value v >= 1 lies in: floor (4 log2 v), the
+   largest k with 2^k <= v^4 (exact for v < 2^15) *)
+let quarter_octave v =
+  let rec bits acc x = if x = 0 then acc else bits (acc + 1) (x lsr 1) in
+  bits 0 (v * v * v * v) - 1
+
 let test_bucket_boundaries () =
   let apart what a b = Alcotest.(check int) what a (median_of a b) in
   let shared what a b =
@@ -29,21 +35,55 @@ let test_bucket_boundaries () =
   in
   apart "0 and 1 in buckets 0 and 1" 0 1;
   Alcotest.(check int) "negative clamps to bucket 0" 0 (median_of (-5) 1);
-  apart "1 and 2 in buckets 1 and 2" 1 2;
-  shared "2 and 3 share bucket 2" 2 3;
-  apart "4 opens bucket 3" 3 4;
-  (* power-of-two edges: 2^i opens bucket i+1, 2^i - 1 closes bucket i *)
-  for i = 1 to 20 do
-    let lo = 1 lsl i in
-    apart (Printf.sprintf "2^%d opens bucket %d" i (i + 1)) (lo - 1) lo;
-    shared
-      (Printf.sprintf "2^%d .. 2^%d - 1 is bucket %d" i (i + 1) (i + 1))
-      lo
-      ((2 * lo) - 1)
+  (* every edge below 2^13: v and v + 1 share a bucket exactly when
+     they share a quarter-octave *)
+  for v = 1 to 8192 do
+    let what = Printf.sprintf "%d and %d" v (v + 1) in
+    if quarter_octave v = quarter_octave (v + 1) then shared what v (v + 1)
+    else apart what v (v + 1)
   done;
-  shared "bucket 5 is 16 .. 31" 16 31;
-  apart "15 is below bucket 5" 15 16;
-  apart "32 is above bucket 5" 31 32
+  shared "128 .. 152 is one bucket (2^7.25 = 152.2)" 128 152;
+  apart "153 opens the next" 152 153;
+  (* power-of-two edges above that: 2^i opens a bucket, and 2^i + 2^i/8
+     (below 2^(i + 1/4)) is still in it *)
+  for i = 13 to 52 do
+    let lo = 1 lsl i in
+    apart (Printf.sprintf "2^%d opens a bucket" i) (lo - 1) lo;
+    shared (Printf.sprintf "2^%d + 2^%d/8 shares it" i i) lo (lo + (lo / 8))
+  done
+
+(* any percentile of any samples is within 19 % of the true
+   nearest-rank value: both lie in one bucket, whose largest value is
+   below 2^(1/4) times its smallest *)
+let test_percentile_relative_error () =
+  let rng = Random.State.make [| 38 |] in
+  for trial = 1 to 40 do
+    let h = H.create () in
+    let n = 1 + Random.State.int rng 2000 in
+    (* log-uniform over 1 .. 2^(4 + trial / 2) *)
+    let top = 4.0 +. (float_of_int trial /. 2.0) in
+    let xs =
+      Array.init n (fun _ ->
+          let v =
+            int_of_float (Float.pow 2.0 (Random.State.float rng top))
+          in
+          H.add h v;
+          v)
+    in
+    Array.sort compare xs;
+    List.iter
+      (fun p ->
+        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+        let exact = xs.(max 1 (min n rank) - 1) in
+        let est = H.percentile h p in
+        let err =
+          Float.abs (float_of_int (est - exact)) /. float_of_int exact
+        in
+        if err >= 0.19 then
+          Alcotest.failf "trial %d, p%g of %d samples: %d for %d (%.1f %%)"
+            trial p n est exact (100.0 *. err))
+      [ 0.0; 1.0; 10.0; 25.0; 50.0; 75.0; 90.0; 95.0; 99.0; 99.9; 100.0 ]
+  done
 
 let test_empty_histogram () =
   let h = H.create () in
@@ -70,13 +110,14 @@ let test_percentile_bounded_error () =
   (* mixed values within one bucket: the estimate is the bucket mean,
      which must sit inside the bucket's bounds *)
   let h = H.create () in
-  List.iter (H.add h) [ 17; 19; 23; 29; 31 ];
-  (* all in bucket [16..31] *)
+  List.iter (H.add h) [ 129; 133; 140; 147; 151 ];
+  (* all in bucket [128..152] *)
   let p = H.percentile h 50.0 in
   Alcotest.(check bool) "estimate within the rank's bucket" true
-    (p >= 16 && p <= 31);
+    (p >= 128 && p <= 152);
   Alcotest.(check int) "estimate is the rounded bucket mean"
-    (int_of_float (Float.round (float_of_int (17 + 19 + 23 + 29 + 31) /. 5.0)))
+    (int_of_float
+       (Float.round (float_of_int (129 + 133 + 140 + 147 + 151) /. 5.0)))
     p
 
 let test_histogram_concurrent_add () =
@@ -219,6 +260,8 @@ let suite =
   ; Alcotest.test_case "exact percentiles" `Quick test_exact_percentiles
   ; Alcotest.test_case "percentile bounded error" `Quick
       test_percentile_bounded_error
+  ; Alcotest.test_case "percentile relative error under 19 %" `Quick
+      test_percentile_relative_error
   ; Alcotest.test_case "concurrent add" `Quick test_histogram_concurrent_add
   ; Alcotest.test_case "jsonl lines parse" `Quick test_slog_lines_parse
   ; Alcotest.test_case "level filtering" `Quick test_slog_level_filter
