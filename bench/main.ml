@@ -29,9 +29,10 @@ let pla_area design (pla : Sc_pla.Generator.t) =
 
 (* a compile through the compiler's one entry, [Compiler.run] *)
 let compile ?style ?(args = []) kind source =
-  (Sc_core.Compiler.run
-     { (Sc_core.Compiler.request kind source) with style; args })
-    .result
+  Result.bind
+    (Sc_core.Compiler.validate
+       { (Sc_core.Compiler.request kind source) with style; args })
+    (fun r -> (Sc_core.Compiler.run r).result)
 
 (* ------------------------------------------------------------------ *)
 (* E1: compiled PDP-8 vs hand design (claim C4)                        *)

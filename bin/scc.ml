@@ -347,13 +347,13 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
     in
     match valid with
     | Error msg -> usage_error msg
-    | Ok () when dump_isp -> (
+    | Ok _ when dump_isp -> (
       match Sc_verilog.Elaborate.design source with
       | Error d -> report_diag d
       | Ok design ->
         Format.printf "%a@." Sc_rtl.Ast.pp design;
         0)
-    | Ok () ->
+    | Ok request ->
       Option.iter
         (fun dir -> Sc_pipeline.Pipeline.enable_cache ~dir ())
         stage_cache;
@@ -363,14 +363,12 @@ let compile_run src output style dump_isp entry args verify stats trace metrics
         let o = Sc_core.Compiler.run request in
         ( (match o.result with
           | Error d -> report_diag d
-          | Ok (c, circuit) ->
+          | Ok (c, netlist) ->
             Option.iter
-              (fun circuit ->
-                let s = Sc_netlist.Circuit.stats circuit in
-                Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-                  s.Sc_netlist.Circuit.gate_total
-                  s.Sc_netlist.Circuit.flipflops)
-              circuit;
+              (fun (n : Sc_core.Compiler.netlist) ->
+                Printf.eprintf "netlist: %d gates, %d flip-flops\n%!" n.gates
+                  n.flipflops)
+              netlist;
             report_compiled c;
             if output <> None then write_out output c.Sc_core.Compiler.cif;
             if verify && verify_cell_library () > 0 then 1 else 0)
@@ -847,8 +845,10 @@ let resolve_spec ?(certify = false) src style restarts =
   in
   match Sc_core.Compiler.validate request with
   | Error d -> Error (Sc_pipeline.Diag.to_string d)
-  | Ok () ->
-    Ok (Sc_serve.Protocol.spec_of_request ~design:(design_of_path src) request)
+  | Ok request ->
+    Ok
+      (Sc_serve.Protocol.spec_of_request ~design:(design_of_path src)
+         (request :> Sc_core.Compiler.request))
 
 let client_src_arg =
   Arg.(

@@ -57,22 +57,23 @@ let () =
      modular driver does all of this from a chip-block source. *)
   Printf.printf "\nmacro assembly (separate compilation of %s):\n" "system";
   (match
-     (Sc_core.Compiler.run
-        (Sc_core.Compiler.request Sc_core.Compiler.Isp
-           Sc_core.Designs.system_src))
-       .result
+     Result.bind
+       (Sc_core.Compiler.validate
+          (Sc_core.Compiler.request Sc_core.Compiler.Isp
+             Sc_core.Designs.system_src))
+       (fun r -> (Sc_core.Compiler.run r).result)
    with
   | Error d ->
     Printf.printf "  modular compile failed: %s\n"
       (Sc_pipeline.Diag.to_string d)
-  | Ok (c, circuit) ->
-    (* a behavioral compile always returns its circuit *)
-    let s = Sc_netlist.Circuit.stats (Option.get circuit) in
+  | Ok (c, netlist) ->
+    (* a behavioral compile always returns its netlist *)
+    let n = Option.get netlist in
     Printf.printf
       "  chip %s: %d sq lambda, %d transistors, %d gates + %d FFs, DRC %s\n"
       c.Sc_core.Compiler.layout.Sc_layout.Cell.name c.Sc_core.Compiler.area
-      c.Sc_core.Compiler.transistors s.Sc_netlist.Circuit.gate_total
-      s.Sc_netlist.Circuit.flipflops
+      c.Sc_core.Compiler.transistors n.Sc_core.Compiler.gates
+      n.Sc_core.Compiler.flipflops
       (if c.Sc_core.Compiler.drc_violations = 0 then "clean"
        else string_of_int c.Sc_core.Compiler.drc_violations ^ " violations"));
   (* the raw pack API, for cores that never came from the pipeline *)

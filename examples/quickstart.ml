@@ -34,7 +34,10 @@ let () =
       args = [ 4; 3 ]
     }
   in
-  match (Sc_core.Compiler.run request).result with
+  match
+    Result.bind (Sc_core.Compiler.validate request) (fun r ->
+        (Sc_core.Compiler.run r).result)
+  with
   | Error d ->
     prerr_endline ("compile error: " ^ Sc_pipeline.Diag.to_string d);
     exit 1

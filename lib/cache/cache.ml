@@ -233,16 +233,6 @@ let add t key v =
   note t.on_miss 1;
   note t.on_eviction evicted
 
-let find_or_add t key compute =
-  match lookup t key with
-  | `Memory v | `Disk v -> v
-  | `Absent ->
-    (* compute outside the lock: a racing domain at worst repeats the
-       work and the second insert is a no-op *)
-    let v = compute () in
-    add t key v;
-    v
-
 let stats t =
   locked t (fun () ->
       { entries = Hashtbl.length t.tbl

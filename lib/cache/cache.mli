@@ -1,11 +1,11 @@
 (** A content-addressed memo store: digest keys to compiled results.
 
-    The pipeline recompiles identical content constantly — every [Dff]
-    instance shares one library layout, every repeated [scc] run of the
-    same source re-places and re-checks the same netlist.  A store maps
-    a {e content digest} (MD5 of a canonical serialization — source
-    text, flattened geometry, netlist) to the result of compiling it:
-    layouts, DRC verdicts, whole [Compiler.compiled] records.
+    The pipeline recompiles identical content constantly — every
+    repeated [scc] run of the same source re-places and re-checks the
+    same netlist.  A store maps a {e content digest} (MD5 of a
+    canonical serialization of a pass's input) to that pass's result:
+    the stage cache of {!Sc_pipeline.Pipeline} keeps one store per
+    pass.
 
     In memory the store is a bounded LRU (least-recently-used entries
     evicted at [capacity]).  With [~dir] it also persists: every insert
@@ -22,10 +22,10 @@
     separate processes: each goes to a unique temp name
     ([.tmp.<pid>.<seq>]) and lands with one atomic rename.
 
-    Stores are domain-safe (one mutex each); the computation given to
-    {!find_or_add} runs outside the lock, so two domains may race to
-    compute the same key — both results are equal by construction and
-    the second insert is a no-op.  Cache effectiveness is reported to
+    Stores are domain-safe (one mutex each); a value is computed
+    outside the lock, between a {!lookup} and its {!add}, so two
+    domains may race to compute the same key — both results are equal
+    by construction and the second insert is a no-op.  Cache effectiveness is reported to
     {!Sc_obs.Obs} as ["cache.<name>.hit"] / ["cache.<name>.disk_hit"] /
     ["cache.<name>.miss"] / ["cache.<name>.eviction"], so [--stats]
     tables and [Sc_metrics] snapshots show it; {!stats} exposes the
@@ -48,17 +48,12 @@ val create :
 val digest : string -> string
 (** MD5 of a canonical byte string, in hex — the content address. *)
 
-val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
-(** [find_or_add t key compute] returns the cached value for [key]
-    (refreshing its recency), or runs [compute], stores the result
-    under [key], and returns it. *)
-
 val lookup : 'a t -> string -> [ `Memory of 'a | `Disk of 'a | `Absent ]
 (** Value-level lookup that distinguishes where the hit came from.
     [`Memory] refreshes recency and counts a hit; [`Disk] loads the
     value into memory and counts a disk hit; [`Absent] counts nothing —
     pair with {!add} to record the miss once the value is computed.
-    This is the stage-cache API: callers that must keep errors out of
+    This is the store's API: callers that must keep errors out of
     the store (see {!Sc_pipeline.Pipeline}) probe with [lookup] and
     only {!add} successful results, with no exception round-trip. *)
 

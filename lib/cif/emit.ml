@@ -164,10 +164,19 @@ type emitted =
   ; rects_total : int
   }
 
+(* the per-layer counter names, built once *)
+let rect_counters =
+  List.map
+    (fun l -> (Layer.cif_name l, "cif.rects." ^ Layer.cif_name l))
+    Layer.all
+
+let rect_counter l =
+  try List.assoc l rect_counters with Not_found -> "cif.rects." ^ l
+
 let replay_counters e =
   Sc_obs.Obs.count "cif.commands" e.commands;
   Sc_obs.Obs.count "cif.bytes" (String.length e.text);
-  List.iter (fun (l, n) -> Sc_obs.Obs.count ("cif.rects." ^ l) n) e.rects;
+  List.iter (fun (l, n) -> Sc_obs.Obs.count (rect_counter l) n) e.rects;
   Sc_obs.Obs.count "cif.rects" e.rects_total
 
 (* One walk prints every command into one buffer and takes the census

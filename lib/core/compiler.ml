@@ -108,15 +108,18 @@ let optimize_pass : (Sc_netlist.Circuit.t * int option, optimized) P.pass =
 type placed =
   { placement : Sc_place.Placer.placement
   ; playout : Cell.t
+  ; phpwl : int  (* the placement's HPWL, for the replay *)
   }
 
 (* the restarts knob rides in the value but is pinned by the run-site
    ~param (see the key discipline above), so a --restarts edit
-   invalidates place and everything downstream, nothing upstream *)
+   invalidates place and everything downstream, nothing upstream;
+   version 2: the value carries its HPWL, so a hit does not recompute
+   it *)
 let place_pass : (Sc_netlist.Circuit.t * string * int, placed) P.pass =
-  P.register ~name:"place"
+  P.register ~name:"place" ~version:2
     ~replay:(fun _ p ->
-      Obs.gauge "place.hpwl" (Sc_place.Placer.hpwl p.placement);
+      Obs.gauge "place.hpwl" p.phpwl;
       Obs.gauge "place.rows" p.placement.Sc_place.Placer.nrows;
       Obs.gauge "place.cells"
         (Array.length p.placement.Sc_place.Placer.x))
@@ -126,7 +129,11 @@ let place_pass : (Sc_netlist.Circuit.t * string * int, placed) P.pass =
         if restarts <= 0 then Sc_place.Placer.ordered problem
         else Sc_place.Placer.best_of ~seeds:restarts problem
       in
-      Ok { placement = pl; playout = Sc_place.Placer.to_layout ~name pl })
+      Ok
+        { placement = pl
+        ; playout = Sc_place.Placer.to_layout ~name pl
+        ; phpwl = Sc_place.Placer.hpwl pl
+        })
 
 let route_pass : (Sc_place.Placer.placement, route_summary option) P.pass =
   P.register ~name:"route"
@@ -270,6 +277,21 @@ let finish_layout layout_staged =
     ; transistors = mv.mtransistors
     }
 
+(* A compile's circuit with its gate and flip-flop counts, taken from
+   the synthesis result the stage cache holds, so a hit walks no
+   netlist to report them. *)
+type netlist =
+  { circuit : Sc_netlist.Circuit.t
+  ; gates : int
+  ; flipflops : int
+  }
+
+let netlist_of (r : Sc_synth.Synth.result) =
+  { circuit = r.circuit
+  ; gates = r.stats.Sc_netlist.Circuit.gate_total
+  ; flipflops = r.stats.Sc_netlist.Circuit.flipflops
+  }
+
 (* the standard-cell middle shared by both behavioral frontends: the
    ISP and Verilog parse passes produce the same design IR, so
    compile → optimize → place → route run identically (and share cache
@@ -285,7 +307,7 @@ let gates_path ~restarts ?inject design =
       optimize_pass
       (P.map (fun c -> (c, inject)) raw)
   in
-  let circuit = (P.value opt).oresult.Sc_synth.Synth.circuit in
+  let netlist = netlist_of (P.value opt).oresult in
   let* placed =
     P.run
       ~param:(Printf.sprintf "style=gates;restarts=%d" restarts)
@@ -297,7 +319,7 @@ let gates_path ~restarts ?inject design =
          opt)
   in
   let* _route = P.run route_pass (P.map (fun p -> p.placement) placed) in
-  Ok (P.map (fun p -> p.playout) placed, circuit)
+  Ok (P.map (fun p -> p.playout) placed, netlist)
 
 (* The behavioral body of flat ISP, Verilog and every module of a chip:
    a frontend pass to the design IR, the standard-cell (or PLA) middle,
@@ -305,22 +327,26 @@ let gates_path ~restarts ?inject design =
    the chip assembly is keyed on. *)
 let behavioral frontend ?(style = Random_logic) ~restarts ?inject src =
   let* design = P.run frontend (P.source src) in
-  let* layout_staged, circuit =
+  let* layout_staged, netlist =
     match style with
     | Random_logic -> gates_path ~restarts ?inject design
     | Pla_control ->
       let* pc = P.run ~param:"style=pla" compile_pla_pass design in
-      let circuit = (P.value pc).presult.Sc_synth.Synth.circuit in
+      let netlist = netlist_of (P.value pc).presult in
       let* layout = P.run ~param:"style=pla" place_pla_pass pc in
-      Ok (layout, circuit)
+      Ok (layout, netlist)
   in
   let* c = finish_layout layout_staged in
-  Ok (c, circuit, P.key layout_staged)
+  Ok (c, netlist, P.key layout_staged)
 
-let without_key r = Result.map (fun (c, circuit, _) -> (c, circuit)) r
+let without_key r = Result.map (fun (c, netlist, _) -> (c, netlist)) r
+let with_circuit r = Result.map (fun (c, n) -> (c, n.circuit)) r
+
+let verilog ~restarts ?inject_fault src =
+  without_key (behavioral parse_verilog_pass ~restarts ?inject:inject_fault src)
 
 let compile_verilog ?(restarts = 0) ?inject_fault src =
-  without_key (behavioral parse_verilog_pass ~restarts ?inject:inject_fault src)
+  with_circuit (verilog ~restarts ?inject_fault src)
 
 let compile_layout ?entry ?(args = []) src =
   let param =
@@ -347,7 +373,7 @@ let compile_layout ?entry ?(args = []) src =
 type module_compiled =
   { mc_name : string
   ; mc_sig : Sc_netlist.Signature.t
-  ; mc_circuit : Sc_netlist.Circuit.t  (** optimized *)
+  ; mc_netlist : netlist  (** optimized *)
   ; mc_layout : Cell.t
   ; mc_key : string  (** staged key of the module layout *)
   }
@@ -374,11 +400,11 @@ let run_module ~restarts (m : Chipdesc.source_module) =
         else Obs.gauge ("module." ^ m.sm_name ^ "." ^ k) v)
       (Obs.Recorder.totals rec_);
   match r with
-  | Ok (c, circuit, key) ->
+  | Ok (c, netlist, key) ->
     Ok
-      { mc_name = circuit.Sc_netlist.Circuit.cname
-      ; mc_sig = Sc_netlist.Signature.of_circuit circuit
-      ; mc_circuit = circuit
+      { mc_name = netlist.circuit.Sc_netlist.Circuit.cname
+      ; mc_sig = Sc_netlist.Signature.of_circuit netlist.circuit
+      ; mc_netlist = netlist
       ; mc_layout = c.layout
       ; mc_key = key
       }
@@ -522,7 +548,7 @@ let stitch chip mods nets =
                 Hashtbl.add source_nets (C.Ipin (i.ci_name, p.port_name), k) n)
               v
           end)
-        mc.mc_circuit.Sc_netlist.Circuit.ports)
+        mc.mc_netlist.circuit.Sc_netlist.Circuit.ports)
     chip.C.ch_insts;
   (* sink bit -> the net of its driving source bit *)
   let sink_nets : (C.endpoint * int, Sc_netlist.Circuit.net) Hashtbl.t =
@@ -552,9 +578,9 @@ let stitch chip mods nets =
                     Hashtbl.find source_nets (C.Ipin (i.ci_name, p.port_name), k))
             in
             (p.port_name, arr))
-          mc.mc_circuit.Sc_netlist.Circuit.ports
+          mc.mc_netlist.circuit.Sc_netlist.Circuit.ports
       in
-      B.inst b ~name:i.ci_name mc.mc_circuit conns)
+      B.inst b ~name:i.ci_name mc.mc_netlist.circuit conns)
     chip.C.ch_insts;
   List.iter
     (fun (d : C.port_decl) ->
@@ -566,7 +592,7 @@ let stitch chip mods nets =
 
 (* --- the modular driver --- *)
 
-let compile_modular ?(restarts = 0) src =
+let modular ~restarts src =
   let* { Chipdesc.modules; chip } = Chipdesc.split src in
   match chip with
   | None -> Error (Diag.v ~stage:"chip" "modular source has no chip block")
@@ -612,11 +638,25 @@ let compile_modular ?(restarts = 0) src =
     in
     let* assembled = P.run assemble_pass staged in
     let* c = finish_layout (P.map (fun a -> a.aframed) assembled) in
-    Ok (c, stitch chip mods nets)
+    (* the stitch adds no gates: the chip's counts are its instances' *)
+    let sum field =
+      List.fold_left
+        (fun a (i : Chipdesc.instance) ->
+          a + field (List.find (fun mc -> mc.mc_name = i.ci_module) mods).mc_netlist)
+        0 chip.Chipdesc.ch_insts
+    in
+    Ok
+      ( c
+      , { circuit = stitch chip mods nets
+        ; gates = sum (fun n -> n.gates)
+        ; flipflops = sum (fun n -> n.flipflops)
+        } )
+
+let compile_modular ?(restarts = 0) src = with_circuit (modular ~restarts src)
 
 (* the behavioral front door dispatches on the source: a [chip] block
    means separate compilation, anything else takes the flat path *)
-let compile_behavior ?(style = Random_logic) ?(restarts = 0) ?inject_fault src =
+let behavior ?(style = Random_logic) ~restarts ?inject_fault src =
   if not (Chipdesc.is_modular src) then
     without_key
       (behavioral parse_pass ~style ~restarts ?inject:inject_fault src)
@@ -630,7 +670,10 @@ let compile_behavior ?(style = Random_logic) ?(restarts = 0) ?inject_fault src =
       Error
         (Diag.v ~stage:"chip"
            "modular designs take no fault injection (no --inject-fault)")
-    | Random_logic, None -> compile_modular ~restarts src
+    | Random_logic, None -> modular ~restarts src
+
+let compile_behavior ?style ?(restarts = 0) ?inject_fault src =
+  with_circuit (behavior ?style ~restarts ?inject_fault src)
 
 (* --- the compile request: every driver's one way in --- *)
 
@@ -646,6 +689,8 @@ type request =
   ; entry : string option
   ; args : int list
   }
+
+type validated = request
 
 let request kind source =
   { kind; source; style = None; restarts = 0; certify = false
@@ -683,9 +728,9 @@ let validate r =
   with
   | Some msg -> Error (Diag.v ~stage:"request" msg)
   | None when r.kind = Layout ->
-    Option.fold ~none:(Ok ()) ~some:Result.error
+    Option.fold ~none:(Ok r) ~some:Result.error
       (Sc_lang.Lang.entry_error ?entry:r.entry ~args:r.args r.source)
-  | None -> Ok ()
+  | None -> Ok r
 
 (* a request holds no closure and no mutable or shared part, so its
    unshared marshalling is a canonical encoding *)
@@ -693,28 +738,22 @@ let digest (r : request) =
   Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
 
 type outcome =
-  { result : (compiled * Sc_netlist.Circuit.t option, Diag.t) result
+  { result : (compiled * netlist option, Diag.t) result
   ; journal : (string * P.status) list
   }
 
 let run r =
-  match validate r with
-  | Error d -> { result = Error d; journal = [] }
-  | Ok () ->
-    let result, journal =
-      P.with_certify r.certify @@ fun () ->
-      P.with_log @@ fun () ->
-      let restarts = r.restarts and inject_fault = r.inject_fault in
-      let with_circuit = Result.map (fun (c, circuit) -> (c, Some circuit)) in
-      match r.kind with
-      | Layout ->
-        Result.map
-          (fun c -> (c, None))
-          (compile_layout ?entry:r.entry ~args:r.args r.source)
-      | Isp ->
-        with_circuit
-          (compile_behavior ?style:r.style ~restarts ?inject_fault r.source)
-      | Verilog ->
-        with_circuit (compile_verilog ~restarts ?inject_fault r.source)
-    in
-    { result; journal }
+  let result, journal =
+    P.with_certify r.certify @@ fun () ->
+    P.with_log @@ fun () ->
+    let restarts = r.restarts and inject_fault = r.inject_fault in
+    let some = Result.map (fun (c, n) -> (c, Some n)) in
+    match r.kind with
+    | Layout ->
+      Result.map
+        (fun c -> (c, None))
+        (compile_layout ?entry:r.entry ~args:r.args r.source)
+    | Isp -> some (behavior ?style:r.style ~restarts ?inject_fault r.source)
+    | Verilog -> some (verilog ~restarts ?inject_fault r.source)
+  in
+  { result; journal }

@@ -65,7 +65,11 @@ val request : kind -> string -> request
 (** [request kind source] — gates style, no restarts, no certificate,
     no fault, the last cell as entry with no arguments. *)
 
-val validate : request -> (unit, Sc_pipeline.Diag.t) result
+type validated = private request
+(** A request {!validate} accepted: the only kind {!run} takes, so a
+    request is validated once, by whoever builds it. *)
+
+val validate : request -> (validated, Sc_pipeline.Diag.t) result
 (** The request's one validation.  A field set where it does not apply
     ([style] off ISP, [entry]/[args] off the layout language,
     [restarts]/[inject_fault] on it or under [Pla_control]) is refused
@@ -77,16 +81,25 @@ val digest : request -> string
 (** The hex digest of the request's canonical encoding, equal exactly
     for equal requests: the serve daemon's in-flight dedup key. *)
 
-(** The compiled artwork with its circuit (none for the layout
-    language), or the refusal or failed pass; and the pass journal (the
+(** A compile's synthesized circuit with its gate and flip-flop counts
+    ({!Sc_netlist.Circuit.stats}), read from the synthesis result the
+    stage cache holds rather than by walking the circuit. *)
+type netlist =
+  { circuit : Sc_netlist.Circuit.t
+  ; gates : int
+  ; flipflops : int
+  }
+
+(** The compiled artwork with its netlist (none for the layout
+    language), or the failed pass; and the pass journal (the
     [--explain] rows), on failure too. *)
 type outcome =
-  { result : (compiled * Sc_netlist.Circuit.t option, Sc_pipeline.Diag.t) result
+  { result : (compiled * netlist option, Sc_pipeline.Diag.t) result
   ; journal : (string * Sc_pipeline.Pipeline.status) list
   }
 
-val run : request -> outcome
-(** [run r] — {!validate} [r], then compile it on the calling domain
+val run : validated -> outcome
+(** [run r] — compile [r] on the calling domain
     under {!Sc_pipeline.Pipeline.with_certify} [r.certify] and a fresh
     {!Sc_pipeline.Pipeline.with_log}, recording into the recorder in
     scope ({!Sc_obs.Obs.with_recorder}) and through the stage cache the

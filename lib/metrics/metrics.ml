@@ -13,11 +13,17 @@ type snapshot =
 
 (* --- section classification --- *)
 
-let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* [s] holds [p] at offset [o] from its byte [i] on: no substring, no
+   closure *)
+let rec holds_at s o p i =
+  i = String.length p
+  || (String.unsafe_get s (o + i) = String.unsafe_get p i && holds_at s o p (i + 1))
+
+let has_prefix p s = String.length s >= String.length p && holds_at s 0 p 0
 
 let has_suffix suf s =
-  let n = String.length suf and m = String.length s in
-  m >= n && String.sub s (m - n) n = suf
+  let o = String.length s - String.length suf in
+  o >= 0 && holds_at s o suf 0
 
 let is_runtime_key k =
   has_prefix "stage." k || has_prefix "cache." k || has_prefix "pool." k
@@ -27,33 +33,45 @@ let is_runtime_key k =
 
 (* --- capture --- *)
 
+module Key = Obs.Key
+
 let round_us ms = Float.round (ms *. 1000.0)
 
 let by_key (a, _) (b, _) = String.compare a b
 
+(* a counter's section, decided once per key for the process *)
+let runtime_key = Key.memo (fun k -> is_runtime_key (Key.text k))
+
+(* a path's three runtime keys, named once per process *)
+let stage_keys =
+  Key.memo (fun path ->
+      let base = "stage." ^ Key.text path in
+      ( Key.intern (base ^ ".total_us")
+      , Key.intern (base ^ ".self_us")
+      , Key.intern (base ^ ".calls") ))
+
 let capture ~recorder:r ~design () =
   let qor, runtime =
-    List.fold_left
-      (fun (q, r) (k, v) ->
+    Obs.Recorder.fold_totals r
+      (fun k v (q, rt) ->
         let e = (k, float_of_int v) in
-        if is_runtime_key k then (q, e :: r) else (e :: q, r))
+        if runtime_key k then (q, e :: rt) else (e :: q, rt))
       ([], [])
-      (Obs.Recorder.totals r)
   in
-  let stages =
-    List.concat_map
-      (fun (row : Obs.row) ->
-        let base = "stage." ^ row.rpath in
-        [ (base ^ ".total_us", round_us row.total_ms)
-        ; (base ^ ".self_us", round_us row.self_ms)
-        ; (base ^ ".calls", float_of_int row.calls)
-        ])
-      (Obs.Recorder.stage_table r)
+  let runtime =
+    Obs.Recorder.fold_stages r
+      (fun path ~calls ~total_ms ~self_ms acc ->
+        let total, self, ncalls = stage_keys path in
+        (total, round_us total_ms)
+        :: (self, round_us self_ms)
+        :: (ncalls, float_of_int calls)
+        :: acc)
+      runtime
   in
   { version = schema_version
   ; design
-  ; qor = List.sort by_key qor
-  ; runtime = List.sort by_key (stages @ runtime)
+  ; qor = Key.sorted qor
+  ; runtime = Key.sorted runtime
   }
 
 (* --- JSON --- *)

@@ -26,12 +26,22 @@
     (["place"] inside nothing, ["route.channel"] for a channel routed
     during the route stage).
 
-    Each recorder is domain- and thread-safe: span stacks are kept per
-    execution context ({!Scope.context}), so spans opened on an
-    [Sc_par] worker domain nest within that domain and carry its
-    {!event.tid}; the Chrome trace shows one track per domain.
-    Completed events and global counters are shared per recorder,
-    under its mutex.
+    Each recorder is domain- and thread-safe, and recording takes no
+    lock.  Every execution context (a domain and a thread) records
+    into its own part of the recorder: its span stack, completed
+    spans, per-path rows and counter cells.  A domain caches the part
+    it used last, so only a context's first span or counter takes a
+    lock.  Spans opened on an
+    [Sc_par] worker domain therefore nest within that domain and carry
+    its {!event.tid}; the Chrome trace shows one track per domain.
+    Names and span paths are interned once per process ({!Key}): a
+    counter update hashes its name once, a span's dotted path is built
+    once per (parent, name), and a closing span adds its time and
+    counters to its path's row.  Readers merge the contexts: counts
+    add up, and a gauge wins over the updates of the same key that
+    precede it on any context.  Read a recorder once the work it
+    records has returned; a read that races a recording context may
+    miss that context's latest updates.
 
     Two sinks:
 
@@ -68,6 +78,25 @@ type row =
   ; rcounters : (string * int) list  (** summed over the path's occurrences *)
   }
 
+(** {2 Keys} *)
+
+(** Counter names and span paths, interned once per process.  Keys are
+    never released, so a process holds each distinct name once. *)
+module Key : sig
+  type t
+
+  val intern : string -> t
+  val text : t -> string
+
+  val sorted : (t * 'a) list -> (string * 'a) list
+  (** The pairs ordered by their keys' text ([String.compare]), with
+      the text in place of the key. *)
+
+  val memo : (t -> 'a) -> t -> 'a
+  (** [memo f] — [f], computed once per key for the life of the
+      process (domain-safe; racing first calls may both run [f]). *)
+end
+
 (** {2 Recorder instances} *)
 
 module Recorder : sig
@@ -93,6 +122,20 @@ module Recorder : sig
 
   val totals : t -> (string * int) list
   (** Global counter/gauge values, sorted by name. *)
+
+  val fold_totals : t -> (Key.t -> int -> 'a -> 'a) -> 'a -> 'a
+  (** The values {!totals} lists, in no particular order. *)
+
+  val fold_stages :
+    t ->
+    (Key.t -> calls:int -> total_ms:float -> self_ms:float -> 'a -> 'a) ->
+    'a ->
+    'a
+  (** The rows {!stage_table} lists, keyed by path, in no particular
+      order and without their counters. *)
+
+  val updates : t -> int
+  (** How many {!count} and {!gauge} calls the recorder has taken. *)
 
   val stage_table : t -> row list
   (** Events aggregated by path, ordered so children follow their

@@ -31,5 +31,3 @@ val within : t -> (unit -> 'a) -> 'a
 (** [within s f] runs [f] with [s] as the calling context's whole
     scope, then restores the previous one. *)
 
-val context : unit -> int * int
-(** The calling execution context: (domain id, thread id). *)

@@ -116,7 +116,7 @@ let maybe_trace st ~recorder ~design ~key =
    certification and the pass journal to this request, then the
    snapshot, captured from that recorder as [scc compile D --metrics]
    captures it. *)
-let do_compile st ~key ~design req =
+let do_compile st ~key ~design (req : Sc_core.Compiler.validated) =
   run_on_domain st (fun () ->
       locked st (fun () -> st.executions <- st.executions + 1);
       let recorder = Obs.Recorder.create () in
@@ -127,13 +127,11 @@ let do_compile st ~key ~design req =
       Obs.Recorder.disable recorder;
       maybe_trace st ~recorder ~design ~key;
       o.result
-      |> Result.map (fun ((c : Sc_core.Compiler.compiled), circuit) ->
+      |> Result.map (fun ((c : Sc_core.Compiler.compiled), netlist) ->
              let gates, flipflops =
-               match circuit with
+               match netlist with
                | None -> (0, 0)
-               | Some circuit ->
-                 let s = Sc_netlist.Circuit.stats circuit in
-                 Sc_netlist.Circuit.(s.gate_total, s.flipflops)
+               | Some (n : Sc_core.Compiler.netlist) -> (n.gates, n.flipflops)
              in
              ( Metrics.capture ~recorder ~design ()
              , { P.snapshot = Json.Null
@@ -155,13 +153,10 @@ let do_compile st ~key ~design req =
    [Compiler.validate] refuses, has no key and is answered here, with
    no hop to an execution domain. *)
 let compile st (spec : P.compile_spec) =
-  match
-    Result.bind (P.request_of_spec spec) (fun req ->
-        Result.map (fun () -> req) (Sc_core.Compiler.validate req))
-  with
+  match Result.bind (P.request_of_spec spec) Sc_core.Compiler.validate with
   | Error d -> (Error d, "", true)
   | Ok req ->
-    let key = Sc_core.Compiler.digest req in
+    let key = Sc_core.Compiler.digest (req :> Sc_core.Compiler.request) in
     let how, outcome =
       Sc_par.Single_flight.run st.flights key (fun () ->
           try do_compile st ~key ~design:spec.design req

@@ -48,14 +48,31 @@ let rec build_layout kind =
       ; Cell.box Sc_tech.Layer.Metal (Sc_geom.Rect.make 0 37 4 40)
       ]
 
-(* Domain-safe (placement restarts characterize cells from pool
-   workers); the kind name is the key — cell generators are
-   deterministic per kind. *)
-let cells : cell Sc_cache.Cache.t =
-  Sc_cache.Cache.create ~capacity:64 ~name:"stdcell" ()
+let index : Gate.kind -> int = function
+  | Gate.Inv -> 0
+  | Gate.Buf -> 1
+  | Gate.Nand2 -> 2
+  | Gate.Nand3 -> 3
+  | Gate.Nor2 -> 4
+  | Gate.Nor3 -> 5
+  | Gate.And2 -> 6
+  | Gate.Or2 -> 7
+  | Gate.Xor2 -> 8
+  | Gate.Xnor2 -> 9
+  | Gate.Mux2 -> 10
+  | Gate.Dff -> 11
+  | Gate.Dffe -> 12
+  | Gate.Const0 -> 13
+  | Gate.Const1 -> 14
 
-let get kind =
-  Sc_cache.Cache.find_or_add cells (Gate.to_string kind) @@ fun () ->
+(* One cell per kind, characterized on the kind's first use under the
+   lock and published atomically: every later [get] is an array read.
+   Building kinds in first-use order keeps the cell ids, and so the
+   CIF, that compiles have always produced. *)
+let cells = Array.init (List.length Gate.all) (fun _ -> Atomic.make None)
+let lock = Mutex.create ()
+
+let characterize kind =
   let layout = build_layout kind in
   { kind
   ; layout
@@ -66,19 +83,34 @@ let get kind =
   ; delay = Gate.delay kind
   }
 
+let get kind =
+  let slot = cells.(index kind) in
+  match Atomic.get slot with
+  | Some c -> c
+  | None ->
+    Mutex.protect lock (fun () ->
+        match Atomic.get slot with
+        | Some c -> c
+        | None ->
+          let c = characterize kind in
+          Atomic.set slot (Some c);
+          c)
+
 let layout_of kind = (get kind).layout
 
-(* Per-cell DRC, content-addressed: the key is the digest of the
-   flattened geometry, not the kind, so editing a generator invalidates
-   exactly the layouts whose artwork changed. *)
-let cell_drc : int Sc_cache.Cache.t =
-  Sc_cache.Cache.create ~capacity:64 ~name:"celldrc" ()
+(* per kind, checked once: racing first calls compute the same count *)
+let violations = Array.init (List.length Gate.all) (fun _ -> Atomic.make None)
 
 let drc_violations kind =
-  let flat = Flatten.run (layout_of kind) in
-  let key = Sc_cache.Cache.digest (Marshal.to_string flat []) in
-  Sc_cache.Cache.find_or_add cell_drc key (fun () ->
-      List.length (Sc_drc.Checker.check_flat flat))
+  let slot = violations.(index kind) in
+  match Atomic.get slot with
+  | Some n -> n
+  | None ->
+    let n =
+      List.length (Sc_drc.Checker.check_flat (Flatten.run (layout_of kind)))
+    in
+    Atomic.set slot (Some n);
+    n
 
 let drc_clean kind = drc_violations kind = 0
 

@@ -24,16 +24,15 @@ type cell =
   ; delay : int
   }
 
-(** Memoized (domain-safe, {!Sc_cache.Cache}); all cells share one
+(** One characterized cell per kind, built on the kind's first use and
+    then read from a per-kind table (domain-safe); all cells share one
     layout definition per kind. *)
 val get : Gate.kind -> cell
 
 val layout_of : Gate.kind -> Cell.t
 
 (** [drc_violations kind] — design-rule violation count of the cell's
-    layout, memoized content-addressed: keyed by the digest of the
-    flattened geometry, so a changed generator re-checks only the kinds
-    whose artwork actually changed. *)
+    layout, checked once per kind. *)
 val drc_violations : Gate.kind -> int
 
 (** [drc_clean kind] = [drc_violations kind = 0]. *)

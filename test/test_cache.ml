@@ -9,6 +9,15 @@ let check_bool = Alcotest.(check bool)
 
 let k name = Cache.digest name
 
+(* the memo idiom over the store's two calls *)
+let find_or_add c key compute =
+  match Cache.lookup c key with
+  | `Memory v | `Disk v -> v
+  | `Absent ->
+    let v = compute () in
+    Cache.add c key v;
+    v
+
 let test_digest_stable () =
   Alcotest.(check string) "md5 hex" "900150983cd24fb0d6963f7d28e17f72"
     (Cache.digest "abc");
@@ -17,12 +26,12 @@ let test_digest_stable () =
 
 let test_lru_eviction_and_stats () =
   let c : int Cache.t = Cache.create ~capacity:2 ~name:"t" () in
-  check_int "k1 computed" 1 (Cache.find_or_add c (k "k1") (fun () -> 1));
-  check_int "k2 computed" 2 (Cache.find_or_add c (k "k2") (fun () -> 2));
+  check_int "k1 computed" 1 (find_or_add c (k "k1") (fun () -> 1));
+  check_int "k2 computed" 2 (find_or_add c (k "k2") (fun () -> 2));
   (* refresh k1 so k2 is the least recently used *)
-  check_int "k1 hit" 1 (Cache.find_or_add c (k "k1") (fun () -> 99));
+  check_int "k1 hit" 1 (find_or_add c (k "k1") (fun () -> 99));
   check_int "k3 computed, evicting k2" 3
-    (Cache.find_or_add c (k "k3") (fun () -> 3));
+    (find_or_add c (k "k3") (fun () -> 3));
   check_bool "k2 evicted" true (Cache.lookup c (k "k2") = `Absent);
   check_bool "k1 survives (was refreshed)" true
     (Cache.lookup c (k "k1") = `Memory 1);
@@ -58,12 +67,12 @@ let entry_path dir name key =
 let test_disk_persistence () =
   with_temp_dir @@ fun dir ->
   let c1 : int Cache.t = Cache.create ~dir ~name:"d" () in
-  check_int "computed once" 42 (Cache.find_or_add c1 (k "pdp8") (fun () -> 42));
+  check_int "computed once" 42 (find_or_add c1 (k "pdp8") (fun () -> 42));
   (* a fresh store over the same directory serves the key from disk *)
   let c2 : int Cache.t = Cache.create ~dir ~name:"d" () in
   let computed = ref false in
   check_int "served from disk" 42
-    (Cache.find_or_add c2 (k "pdp8")
+    (find_or_add c2 (k "pdp8")
        (fun () ->
          computed := true;
          0));

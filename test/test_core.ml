@@ -99,9 +99,10 @@ cell main(n) { for i = 0 to n-1 { inst tile() at (i*12, 0); } }
 |}
   in
   match
-    (Compiler.run
-       { (Compiler.request Compiler.Layout source) with args = [ 4 ] })
-      .result
+    Result.bind
+      (Compiler.validate
+         { (Compiler.request Compiler.Layout source) with args = [ 4 ] })
+      (fun r -> (Compiler.run r).result)
   with
   | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d)
   | Ok (c, _) ->

@@ -285,9 +285,10 @@ cell main() {
 |}
   in
   let c = compiled "seeded.lsl" (Result.map fst
-       (Sc_core.Compiler.run
-          (Sc_core.Compiler.request Sc_core.Compiler.Layout seeded))
-         .result) in
+       (Result.bind
+          (Sc_core.Compiler.validate
+             (Sc_core.Compiler.request Sc_core.Compiler.Layout seeded))
+          (fun r -> (Sc_core.Compiler.run r).result))) in
   check_bool "seeded violations found" true (List.length (agree "seeded.lsl" c.layout) >= 5)
 
 (* property: inflating every metal rect's position apart by >= spacing keeps

@@ -452,6 +452,201 @@ let test_ambient_dispatch () =
   Alcotest.(check bool) "no recorder outside the bindings" false
     (Obs.enabled ())
 
+(* --- the recorder against its reference (obs_reference.ml) --- *)
+
+exception Raised
+
+(* a recording program: spans nest, [Try] catches what [Raise] throws
+   through the spans between them *)
+type op =
+  | Span of string * op list
+  | Count of string * int
+  | Gauge of string * int
+  | Try of op list
+  | Raise
+
+let rec op_to_string = function
+  | Span (n, b) -> Printf.sprintf "span %s {%s}" n (prog_to_string b)
+  | Count (k, v) -> Printf.sprintf "count %s %d" k v
+  | Gauge (k, v) -> Printf.sprintf "gauge %s %d" k v
+  | Try b -> Printf.sprintf "try {%s}" (prog_to_string b)
+  | Raise -> "raise"
+
+and prog_to_string p = String.concat "; " (List.map op_to_string p)
+
+(* few names, so spans re-enter and paths and counters repeat; the
+   counter names cover both metrics sections *)
+let gen_program =
+  let open QCheck.Gen in
+  let key = oneofl [ "n"; "m"; "gates"; "cache.x.hit"; "stage.k"; "t_us"; "a.calls" ] in
+  let leaf =
+    frequency
+      [ (4, map2 (fun k v -> Count (k, v)) key (int_range (-3) 9))
+      ; (3, map2 (fun k v -> Gauge (k, v)) key (int_range 0 9))
+      ; (1, return Raise)
+      ]
+  in
+  sized_size (int_bound 10)
+  @@ fix (fun self n ->
+         if n = 0 then list_size (int_bound 3) leaf
+         else
+           list_size (int_range 1 4)
+             (frequency
+                [ (3, leaf)
+                ; ( 4
+                  , map2
+                      (fun name body -> Span (name, body))
+                      (oneofl [ "a"; "b"; "c"; "a.b" ])
+                      (self (n / 2)) )
+                ; (1, map (fun body -> Try body) (self (n / 2)))
+                ]))
+
+(* the three entry points of one recorder *)
+type sink =
+  { span : string -> (unit -> unit) -> unit
+  ; count : string -> int -> unit
+  ; gauge : string -> int -> unit
+  }
+
+(* every span starts on a clock tick of its own, so both recorders see
+   the same start order and no ties *)
+let rec tick t0 = if Unix.gettimeofday () = t0 then tick t0
+
+let rec run sink = function
+  | Span (name, body) ->
+    tick (Unix.gettimeofday ());
+    sink.span name (fun () -> List.iter (run sink) body)
+  | Count (k, v) -> sink.count k v
+  | Gauge (k, v) -> sink.gauge k v
+  | Try body -> ( try List.iter (run sink) body with Raised -> ())
+  | Raise -> raise Raised
+
+let run_segment sink ops = try List.iter (run sink) ops with Raised -> ()
+
+(* the program in four consecutive parts, taking turns: a thread of
+   the calling domain, a pool's worker domain, a second thread, the
+   worker domain again *)
+let run_split pool ~bind sink prog =
+  let n = List.length prog in
+  let part k = List.filteri (fun i _ -> i * 4 / max n 1 = k) prog in
+  let on_thread ops =
+    Thread.join (Thread.create (fun () -> bind (fun () -> run_segment sink ops)) ())
+  in
+  let on_domain ops =
+    Sc_par.Pool.offload pool (fun () -> bind (fun () -> run_segment sink ops))
+  in
+  on_thread (part 0);
+  on_domain (part 1);
+  on_thread (part 2);
+  on_domain (part 3)
+
+let observed_like_reference pool prog =
+  let recorded split =
+    let r = R.create () and o = Obs_reference.create () in
+    R.enable r;
+    Obs_reference.enable o;
+    let bind f = Obs.with_recorder r f in
+    let sink = { span = Obs.span; count = Obs.count; gauge = Obs.gauge } in
+    let reference =
+      { span = Obs_reference.span o
+      ; count = Obs_reference.count o
+      ; gauge = Obs_reference.gauge o
+      }
+    in
+    if split then begin
+      run_split pool ~bind sink prog;
+      run_split pool ~bind:(fun f -> f ()) reference prog
+    end
+    else begin
+      bind (fun () -> run_segment sink prog);
+      run_segment reference prog
+    end;
+    (r, o)
+  in
+  let row (x : Obs.row) = (x.rpath, x.rdepth, x.calls, x.rcounters) in
+  let event (e : Obs.event) = (e.path, e.depth, e.tid, e.counters) in
+  List.for_all
+    (fun split ->
+      let r, o = recorded split in
+      let snap = Sc_metrics.Metrics.capture ~recorder:r ~design:"p" () in
+      let qor, runtime = Obs_reference.capture o in
+      R.totals r = Obs_reference.totals o
+      && List.map row (R.stage_table r) = List.map row (Obs_reference.stage_table o)
+      && List.map event (R.events r) = List.map event (Obs_reference.events o)
+      && snap.Sc_metrics.Metrics.qor = qor
+      && List.map fst snap.Sc_metrics.Metrics.runtime = List.map fst runtime)
+    [ false; true ]
+
+let test_recorder_like_reference () =
+  let pool = Sc_par.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Sc_par.Pool.shutdown pool)
+    (fun () ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 0x0B5; 1 |])
+        (QCheck.Test.make ~count:2000
+           ~name:"recorder = reference on one context and on three taking turns"
+           (QCheck.make ~print:prog_to_string gen_program)
+           (observed_like_reference pool)))
+
+(* A recorded cold compile updates the recorder per pass and per
+   sub-span, never per gate: pdp8's 685 gates once made 1,370 standard
+   cell lookups, each a counter update. *)
+let test_updates_per_pass () =
+  let module P = Sc_pipeline.Pipeline in
+  P.disable_cache ();
+  P.clear_caches ();
+  let r = R.create () in
+  R.enable r;
+  let (result, log) =
+    Obs.with_recorder r (fun () ->
+        P.with_log (fun () ->
+            Sc_core.Compiler.compile_behavior Sc_core.Designs.pdp8_src))
+  in
+  let gates =
+    match result with
+    | Ok (_, circuit) -> (Sc_netlist.Circuit.stats circuit).Sc_netlist.Circuit.gate_total
+    | Error d -> Alcotest.fail (Sc_pipeline.Diag.to_string d)
+  in
+  let passes = List.length log in
+  Alcotest.(check bool) "every pass ran" true
+    (List.for_all (fun (_, st) -> P.status_to_string st = "ran") log);
+  let updates = R.updates r in
+  if updates > 16 * passes || updates >= gates / 4 then
+    Alcotest.failf "%d recorder updates for %d passes and %d gates" updates
+      passes gates
+
+(* an all-hit compile recorded and captured, as the daemon answers a
+   memory hit, allocates a bounded number of words: 7,468 minor words
+   on counter before the recorder kept per-context rows *)
+let test_recorded_hit_allocation () =
+  let module P = Sc_pipeline.Pipeline in
+  let module C = Sc_core.Compiler in
+  P.disable_cache ();
+  P.clear_caches ();
+  P.enable_cache ();
+  Fun.protect
+    ~finally:(fun () ->
+      P.disable_cache ();
+      P.clear_caches ())
+    (fun () ->
+      let req =
+        Result.get_ok (C.validate (C.request C.Isp Sc_core.Designs.counter_src))
+      in
+      ignore (C.run req);
+      let words () =
+        let w0 = Gc.minor_words () in
+        let r = R.create () in
+        R.enable r;
+        ignore (Obs.with_recorder r (fun () -> C.run req));
+        R.disable r;
+        ignore (Sc_metrics.Metrics.capture ~recorder:r ~design:"counter" ());
+        Gc.minor_words () -. w0
+      in
+      let least = List.fold_left min infinity (List.init 5 (fun _ -> words ())) in
+      if least > 5500. then
+        Alcotest.failf "a recorded hit and its capture allocated %.0f minor words"
+          least)
+
 let suite =
   [ Alcotest.test_case "disabled mode is a no-op" `Quick test_disabled_noop
   ; Alcotest.test_case "span nesting" `Quick test_span_nesting
@@ -473,4 +668,10 @@ let suite =
       test_ambient_dispatch
   ; Alcotest.test_case "route records pins and channel sub-spans" `Quick
       test_route_subspans
+  ; Alcotest.test_case "recorder = reference recorder on random programs"
+      `Quick test_recorder_like_reference
+  ; Alcotest.test_case "a cold compile updates the recorder per pass" `Quick
+      test_updates_per_pass
+  ; Alcotest.test_case "a recorded hit's allocation is bounded" `Quick
+      test_recorded_hit_allocation
   ]

@@ -723,7 +723,7 @@ let test_layout_via_daemon () =
   Sc_obs.Obs.Recorder.enable recorder;
   let single =
     Sc_obs.Obs.with_recorder recorder (fun () ->
-        C.run (C.request C.Layout shifter_lsl))
+        C.run (Result.get_ok (C.validate (C.request C.Layout shifter_lsl))))
   in
   Sc_obs.Obs.Recorder.disable recorder;
   (match single.C.result with
@@ -780,15 +780,10 @@ let test_misapplied_flags () =
   in
   List.iter
     (fun (r, msg, _) ->
-      (match C.validate r with
+      match C.validate r with
       | Error d ->
         Alcotest.(check (pair string string)) msg ("request", msg) (refused d)
-      | Ok () -> Alcotest.failf "%s: not refused" msg);
-      match (C.run r).C.result with
-      | Error d ->
-        Alcotest.(check (pair string string)) ("run: " ^ msg) ("request", msg)
-          (refused d)
-      | Ok _ -> Alcotest.failf "%s: compiled" msg)
+      | Ok _ -> Alcotest.failf "%s: not refused" msg)
     cases;
   with_server @@ fun socket ->
   List.iter
@@ -800,6 +795,54 @@ let test_misapplied_flags () =
       | _ -> Alcotest.failf "daemon: %s: not refused" msg)
     (List.filter (fun (_, _, on_wire) -> on_wire) cases);
   check_int "no refusal executed" 0 (stat socket "serve.executions")
+
+(* a reply's gate and flip-flop counts come from the synthesis result
+   the stage cache holds: a first request and its memory hit both
+   report a fresh compile's [Circuit.stats] *)
+let test_reply_counts () =
+  let builtin name =
+    match Sc_core.Designs.builtin name with
+    | Some src -> src
+    | None -> Alcotest.failf "no builtin %s" name
+  in
+  let cases =
+    List.map
+      (fun name -> (name, builtin name, "gates"))
+      [ "counter"; "traffic"; "alu4"; "gray"; "seqdet"; "pdp8"; "pdp8_dp"
+      ; "system" ]
+    @ [ ("counter12", Example_file.read "counter12.v", "verilog")
+      ; ("traffic", builtin "traffic", "pla")
+      ]
+  in
+  let stats (name, src, style) =
+    let r =
+      match style with
+      | "verilog" -> C.compile_verilog src
+      | "pla" -> C.compile_behavior ~style:C.Pla_control src
+      | _ -> C.compile_behavior src
+    in
+    match r with
+    | Ok (_, circuit) -> Sc_netlist.Circuit.stats circuit
+    | Error d -> Alcotest.failf "%s: %s" name (Sc_pipeline.Diag.to_string d)
+  in
+  with_server @@ fun socket ->
+  List.iter
+    (fun ((name, source, style) as case) ->
+      let s = stats case in
+      for _ = 1 to 2 do
+        match
+          rpc socket
+            (P.Compile
+               { P.design = name; source; style; restarts = 0; certify = false })
+        with
+        | P.Compiled c ->
+          check_int (name ^ " " ^ style ^ " gates") s.Sc_netlist.Circuit.gate_total
+            c.P.gates;
+          check_int (name ^ " " ^ style ^ " flip-flops") s.Sc_netlist.Circuit.flipflops
+            c.P.flipflops
+        | _ -> Alcotest.failf "%s: expected Compiled" name
+      done)
+    cases
 
 let suite =
   [ Alcotest.test_case "request codecs roundtrip" `Quick test_request_roundtrip
@@ -835,6 +878,8 @@ let suite =
       test_exec_domain_count
   ; Alcotest.test_case "layout-language source via daemon" `Quick
       test_layout_via_daemon
+  ; Alcotest.test_case "reply counts = a fresh compile's circuit stats" `Quick
+      test_reply_counts
   ; Alcotest.test_case "misapplied flags: one message" `Quick
       test_misapplied_flags
   ]
