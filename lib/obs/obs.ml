@@ -51,52 +51,66 @@ module Key = struct
     ; id : int
     }
 
-  module Stbl = Hashtbl.Make (String)
-
-  (* a registry is never mutated once published: an insert copies it *)
-  type registry =
-    { by_text : t Stbl.t
-    ; keys : t list  (* newest first *)
-    ; count : int
-    ; ranks : int array option Atomic.t  (* id -> place in text order *)
-    }
-
-  let registry =
-    Atomic.make
-      { by_text = Stbl.create 64; keys = []; count = 0; ranks = Atomic.make None }
-
+  (* Reads take no lock: each bucket is an immutable list behind an
+     atomic.  An insert takes the lock, prepends to its bucket and, past
+     two keys a bucket, rehashes into a table twice the size that it
+     then publishes, so inserts cost O(1) amortized however many names
+     a long-lived process meets.  A reader holding a table that has
+     since been replaced misses the newer keys and retries under the
+     lock. *)
+  let table = Atomic.make (Array.init 64 (fun _ -> Atomic.make []))
   let lock = Mutex.create ()
+  let count = ref 0  (* under [lock] *)
+  let all = ref []  (* under [lock]: every key, newest first *)
+
+  let rec find text = function
+    | [] -> raise Not_found
+    | k :: rest -> if String.equal k.text text then k else find text rest
+
+  let bucket tb text = tb.(String.hash text land (Array.length tb - 1))
 
   let intern text =
-    match Stbl.find (Atomic.get registry).by_text text with
+    match find text (Atomic.get (bucket (Atomic.get table) text)) with
     | k -> k
     | exception Not_found ->
       Mutex.protect lock (fun () ->
-          let r = Atomic.get registry in
-          match Stbl.find r.by_text text with
+          let tb = Atomic.get table in
+          let b = bucket tb text in
+          match find text (Atomic.get b) with
           | k -> k
           | exception Not_found ->
-            let k = { text; id = r.count } in
-            let by_text = Stbl.copy r.by_text in
-            Stbl.replace by_text text k;
-            Atomic.set registry
-              { by_text; keys = k :: r.keys; count = r.count + 1
-              ; ranks = Atomic.make None }
-            ;
+            let k = { text; id = !count } in
+            incr count;
+            all := k :: !all;
+            Atomic.set b (k :: Atomic.get b);
+            if !count > 2 * Array.length tb then begin
+              let tb = Array.init (2 * Array.length tb) (fun _ -> Atomic.make []) in
+              List.iter
+                (fun k ->
+                  let b = bucket tb k.text in
+                  Atomic.set b (k :: Atomic.get b))
+                !all;
+              Atomic.set table tb
+            end;
             k)
 
   let text k = k.text
 
-  let ranks r =
-    match Atomic.get r.ranks with
-    | Some a -> a
-    | None ->
-      let a = Array.make r.count 0 in
-      List.iteri
-        (fun i k -> a.(k.id) <- i)
-        (List.sort (fun a b -> String.compare a.text b.text) r.keys);
-      Atomic.set r.ranks (Some a);
-      a
+  (* Text-order ranks of the keys interned before the last ranking,
+     indexed by id.  A sort that meets a newer key compares texts
+     instead; after enough such sorts the keys are ranked again, so a
+     process whose names stop growing soon sorts by rank alone. *)
+  let ranked = Atomic.make [||]
+  let unranked_sorts = Atomic.make 0
+
+  let rank_all () =
+    let keys = Mutex.protect lock (fun () -> !all) in
+    let a = Array.make (List.length keys) 0 in
+    List.iteri
+      (fun i k -> a.(k.id) <- i)
+      (List.sort (fun a b -> String.compare a.text b.text) keys);
+    Atomic.set unranked_sorts 0;
+    Atomic.set ranked a
 
   (* ascending, in place: insertion for the few dozen keys a capture
      sorts, else the library's sort *)
@@ -114,11 +128,9 @@ module Key = struct
         a.(!j + 1) <- x
       done
 
-  (* every key in [l] was interned before this read of the registry, so
-     the snapshot ranks them all; each entry sorts as [rank * n + index],
-     so equal keys keep their order *)
-  let sorted l =
-    let rank = ranks (Atomic.get registry) in
+  (* each entry sorts as [rank * n + index], so equal keys keep their
+     order *)
+  let by_rank rank l =
     let entries = Array.of_list l in
     let n = Array.length entries in
     let order = Array.mapi (fun i (k, _) -> (rank.(k.id) * n) + i) entries in
@@ -130,6 +142,16 @@ module Key = struct
         build (i - 1) ((k.text, v) :: acc)
     in
     build (n - 1) []
+
+  let sorted l =
+    let rank = Atomic.get ranked in
+    if List.for_all (fun (k, _) -> k.id < Array.length rank) l then by_rank rank l
+    else begin
+      if Atomic.fetch_and_add unranked_sorts 1 >= max 16 (Array.length rank / 64)
+      then rank_all ();
+      List.stable_sort (fun (a, _) (b, _) -> String.compare a.text b.text) l
+      |> List.map (fun (k, v) -> (k.text, v))
+    end
 
   (* a table indexed by key id, grown and written under the lock; a
      racing reader at worst misses a fresh entry and computes it again *)

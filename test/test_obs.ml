@@ -642,7 +642,8 @@ let test_recorded_hit_allocation () =
         ignore (Sc_metrics.Metrics.capture ~recorder:r ~design:"counter" ());
         Gc.minor_words () -. w0
       in
-      let least = List.fold_left min infinity (List.init 5 (fun _ -> words ())) in
+      (* past a few captures the keys are ranked, as in a daemon *)
+      let least = List.fold_left min infinity (List.init 20 (fun _ -> words ())) in
       if least > 5500. then
         Alcotest.failf "a recorded hit and its capture allocated %.0f minor words"
           least)
