@@ -10,9 +10,9 @@
    The recording path takes no lock and hashes one string per counter
    update:
    - names are interned once per process ({!Key}): a counter update
-     finds its key in a table that is never mutated once published, and
-     a span finds its path among its parent path's children, so a
-     dotted path is built once per (parent, name);
+     finds its key in a table it reads without a lock, and a span finds
+     its path among its parent path's children, so a dotted path is
+     built once per (parent, name);
    - each execution context — a (domain, thread) pair — records into
      its own [ctx]: its frame stack, its completed frames, its
      per-path rows and its counter cells.  A domain caches the context
