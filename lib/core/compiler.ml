@@ -378,11 +378,20 @@ type module_compiled =
   ; mc_key : string  (** staged key of the module layout *)
   }
 
+(* per (module, key), named once per process: a runtime key adds to
+   the caller's own, a QoR key becomes the gauge "module.NAME.KEY" *)
+let module_gauge_name =
+  Obs.Key.memo (fun m ->
+      Obs.Key.memo (fun k ->
+          let k = Obs.Key.text k in
+          if Sc_metrics.Metrics.is_runtime_key k then None
+          else Some ("module." ^ Obs.Key.text m ^ "." ^ k)))
+
 (* A fresh recorder isolates the module's QoR gauges (modules would
    clobber each other's last-write gauges in a shared recorder) and
    [with_log] its --explain rows; both merge into the caller's as soon
-   as the module finishes, rows prefixed "NAME:" and gauges
-   "module.NAME.". *)
+   as the module finishes, rows prefixed "NAME:" and gauges named by
+   [module_gauge_name]. *)
 let run_module ~restarts (m : Chipdesc.source_module) =
   let enabled = Obs.enabled () in
   let rec_ = Obs.Recorder.create () in
@@ -393,12 +402,15 @@ let run_module ~restarts (m : Chipdesc.source_module) =
     P.with_log @@ fun () -> behavioral parse_pass ~restarts m.sm_text
   in
   P.append_log (List.map (fun (n, st) -> (m.sm_name ^ ":" ^ n, st)) log);
-  if enabled then
-    List.iter
-      (fun (k, v) ->
-        if Sc_metrics.Metrics.is_runtime_key k then Obs.count k v
-        else Obs.gauge ("module." ^ m.sm_name ^ "." ^ k) v)
-      (Obs.Recorder.totals rec_);
+  if enabled then begin
+    let gauge_name = module_gauge_name (Obs.Key.intern m.sm_name) in
+    Obs.Recorder.fold_totals rec_
+      (fun k v () ->
+        match gauge_name k with
+        | None -> Obs.count (Obs.Key.text k) v
+        | Some name -> Obs.gauge name v)
+      ()
+  end;
   match r with
   | Ok (c, netlist, key) ->
     Ok

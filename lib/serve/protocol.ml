@@ -4,24 +4,18 @@ module Json = Sc_obs.Json
 
 let max_frame = 1 lsl 26 (* 64 MiB *)
 
-let encode_frame payload =
+(* the header and the payload in one buffer, written by as few calls
+   as the socket takes *)
+let write_frame fd payload =
   let n = String.length payload in
   let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
+  Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b 4 n;
-  Bytes.to_string b
-
-let write_frame fd payload =
-  let data = Bytes.of_string (encode_frame payload) in
-  let len = Bytes.length data in
   let off = ref 0 in
-  while !off < len do
-    let n = Unix.write fd data !off (len - !off) in
-    if n = 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    off := !off + n
+  while !off < 4 + n do
+    let k = Unix.write fd b !off (4 + n - !off) in
+    if k = 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
+    off := !off + k
   done
 
 (* read exactly [n] bytes; [`Eof got] when the stream ends first *)
@@ -51,7 +45,9 @@ let read_frame fd =
       Error (Printf.sprintf "oversized frame: %d bytes (max %d)" len max_frame)
     else
       match read_exact fd len with
-      | `Bytes b -> Ok (Some (Bytes.to_string b))
+      (* [b] is fresh and never written again: the parser reads it as
+         it came off the socket *)
+      | `Bytes b -> Ok (Some (Bytes.unsafe_to_string b))
       | `Eof got ->
         Error (Printf.sprintf "truncated frame: got %d of %d bytes" got len))
   | exception Unix.Unix_error (e, _, _) ->

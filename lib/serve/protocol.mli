@@ -20,11 +20,13 @@
 (** {2 Framing} *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** Write one frame, looping over partial writes.  Raises [Unix_error]
-    if the peer is gone. *)
+(** Write one frame from one buffer holding its header and payload,
+    looping over partial writes.  Raises [Unix_error] if the peer is
+    gone. *)
 
 val read_frame : Unix.file_descr -> (string option, string) result
-(** Read one frame.  [Ok None] is a clean end-of-stream (the peer
+(** Read one frame; the payload is the buffer it was read into, not a
+    copy.  [Ok None] is a clean end-of-stream (the peer
     closed between frames); [Error _] is a truncated frame, a negative
     or oversized length, or an I/O failure. *)
 

@@ -4,11 +4,14 @@
    numbers, and every number through [float_of_string_opt].  Kept as
    the differential oracle of test_obs's codec properties: the printer
    must be byte-identical on every finite value, and the parser must
-   return the same value or the same error message.  Two deliberate
+   return the same value or the same error message.  Three deliberate
    differences are not the oracle's to judge: a non-finite number,
    which this printer writes as invalid JSON ([nan], [inf]) and the
-   codec writes as [null]; and a [\u] escape that is not hex, on which
-   this parser raises [Failure] and the codec returns an error. *)
+   codec writes as [null]; a [\u] escape that is not hex, on which
+   this parser raises [Failure] and the codec returns an error; and a
+   [\u] escape this parser decodes to garbage, which the codec refuses
+   with a positioned error (['_'] among the digits, which
+   [int_of_string] skips, and a surrogate out of its pair). *)
 
 type t = Sc_obs.Json.t =
   | Null

@@ -257,14 +257,52 @@ let verdict parse text =
   | Error e -> `Error e
   | exception Failure _ -> `Raised
 
+let error_at e = Scanf.sscanf_opt e "JSON error at byte %d: %[^\n]" (fun at msg -> (at, msg))
+
+(* the value of four hex digits at [i] of [text], else -1 *)
+let hex_at text i =
+  if i < 0 || i + 4 > String.length text then -1
+  else
+    let digits = String.sub text i 4 in
+    if String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) digits
+    then int_of_string ("0x" ^ digits)
+    else -1
+
+let escape_at text i = i >= 0 && i + 2 <= String.length text && String.sub text i 2 = "\\u"
+let low v = v >= 0xDC00 && v <= 0xDFFF
+let high v = v >= 0xD800 && v <= 0xDBFF
+
+(* The codec's deliberate differences from the reference: it refuses
+   the [\u] escapes the reference decodes to garbage.  The error must
+   name the rule and point at such an escape in the text: digits that
+   are not all hex (the reference's [int_of_string] takes ['_']), a low
+   surrogate with no high one before it, or a high one followed by an
+   escape that is not a low one.  The reference meets the escape later,
+   so whatever it says, it says nothing before that offset. *)
+let refuses_escape text e reference =
+  match error_at e with
+  | None -> false
+  | Some (at, msg) ->
+    (match msg with
+    | "bad \\u escape" -> escape_at text (at - 2) && hex_at text at < 0
+    | "lone low surrogate" -> escape_at text (at - 2) && low (hex_at text at)
+    | "lone high surrogate" ->
+      escape_at text (at - 6)
+      && high (hex_at text (at - 4))
+      && escape_at text at
+      && hex_at text (at + 2) >= 0
+      && not (low (hex_at text (at + 2)))
+    | _ -> false)
+    &&
+    match reference with
+    | `Error f -> ( match error_at f with Some (at', _) -> at' >= at | None -> false)
+    | `Ok _ | `Raised -> true
+
 let parses_like_reference text =
   match (verdict Json.parse text, verdict Json_reference.parse text) with
   | `Ok v, `Ok w -> same_json v w
-  | `Error e, `Error f -> String.equal e f
-  | `Error e, `Raised ->
-    let suffix = "bad \\u escape" in
-    let le = String.length e and ls = String.length suffix in
-    le >= ls && String.sub e (le - ls) ls = suffix
+  | `Error e, `Error f when String.equal e f -> true
+  | `Error e, reference -> refuses_escape text e reference
   | _ -> false
 
 let prop_json_prints_like_reference =
@@ -323,7 +361,9 @@ let test_json_edges_like_reference () =
     ; "999999999999999"; "-999999999999999"; "1000000000000000"; "9007199254740993"
     ; "-9007199254740993"; "123456789012345e0"; "1234567890123456"; "12345678901234567890"
     ; "1e999"; "-1e999"; "[-0,0,-0.0]"; {|"é😀"|}; {|"\uzzzz"|}; {|"\u12"|}
-    ; {|"\ud800x"|}; {|"\q"|}; {|"abc|}; {|"ab\|}; "tru"; "nul"; "[1,]"; "{\"a\":1,}" ];
+    ; {|"\ud800x"|}; {|"\q"|}; {|"abc|}; {|"ab\|}; "tru"; "nul"; "[1,]"; "{\"a\":1,}"
+    ; {|"\ud83d\ude00"|}; {|"\u1_23"|}; {|"\udc00"|}; {|"\ud800\u0041"|}; {|"\udc00|}
+    ; {|"\ud800\u00|}; {|["\u12_3", 1e]|} ];
   (* the one printing difference: JSON has no nan or infinity *)
   List.iter
     (fun f ->
@@ -332,6 +372,24 @@ let test_json_edges_like_reference () =
       Alcotest.(check bool) "and parses back" true (Json.parse text = Ok (Json.Arr [ Json.Null ])))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
   Alcotest.(check string) "-0.0 keeps its sign" "-0" (Json.to_string (Json.Num (-0.0)))
+
+(* the [\u] escapes the reference decodes to garbage are refused, each
+   with its offset: [int_of_string] took ['_'] for a hex digit, a lone
+   low surrogate became the invalid UTF-8 ED B0 80, and a high
+   surrogate before a non-surrogate decoded to U+2441 *)
+let test_json_refuses_bad_escapes () =
+  List.iter
+    (fun (text, expected) ->
+      match Json.parse text with
+      | Ok v -> Alcotest.failf "%s parsed, to %s" text (Json.to_string v)
+      | Error e -> Alcotest.(check string) text expected e)
+    [ ({|"\u1_23"|}, "JSON error at byte 3: bad \\u escape")
+    ; ({|"\udc00"|}, "JSON error at byte 3: lone low surrogate")
+    ; ({|"\ud800\u0041"|}, "JSON error at byte 7: lone high surrogate")
+    ; ({|{"k":["\ud800\udbff"]}|}, "JSON error at byte 13: lone high surrogate")
+    ];
+  Alcotest.(check bool) "a surrogate pair decodes" true
+    (Json.parse {|"\ud83d\ude00\u00e9"|} = Ok (Json.Str "\xf0\x9f\x98\x80\xc3\xa9"))
 
 (* every committed snapshot reads back and prints to its own bytes *)
 let test_json_baselines_roundtrip () =
@@ -615,12 +673,12 @@ let test_updates_per_pass () =
     Alcotest.failf "%d recorder updates for %d passes and %d gates" updates
       passes gates
 
-(* an all-hit compile recorded and captured, as the daemon answers a
-   memory hit, allocates a bounded number of words: 7,468 minor words
-   on counter before the recorder kept per-context rows *)
-let test_recorded_hit_allocation () =
+module C = Sc_core.Compiler
+
+(* [k req] with [src]'s validated request primed in the memory cache,
+   so that every run of it is an all-hit compile *)
+let with_memory_hits src k =
   let module P = Sc_pipeline.Pipeline in
-  let module C = Sc_core.Compiler in
   P.disable_cache ();
   P.clear_caches ();
   P.enable_cache ();
@@ -629,24 +687,50 @@ let test_recorded_hit_allocation () =
       P.disable_cache ();
       P.clear_caches ())
     (fun () ->
-      let req =
-        Result.get_ok (C.validate (C.request C.Isp Sc_core.Designs.counter_src))
-      in
+      let req = Result.get_ok (C.validate (C.request C.Isp src)) in
       ignore (C.run req);
-      let words () =
-        let w0 = Gc.minor_words () in
-        let r = R.create () in
-        R.enable r;
-        ignore (Obs.with_recorder r (fun () -> C.run req));
-        R.disable r;
-        ignore (Sc_metrics.Metrics.capture ~recorder:r ~design:"counter" ());
-        Gc.minor_words () -. w0
-      in
-      (* past a few captures the keys are ranked, as in a daemon *)
-      let least = List.fold_left min infinity (List.init 20 (fun _ -> words ())) in
-      if least > 5500. then
-        Alcotest.failf "a recorded hit and its capture allocated %.0f minor words"
-          least)
+      k req)
+
+(* the fewest minor words [f] allocates in [n] runs *)
+let least_words n f =
+  List.fold_left min infinity
+    (List.init n (fun _ ->
+         let w0 = Gc.minor_words () in
+         f ();
+         Gc.minor_words () -. w0))
+
+let recorded req =
+  let r = R.create () in
+  R.enable r;
+  ignore (Obs.with_recorder r (fun () -> C.run req));
+  R.disable r;
+  r
+
+(* an all-hit compile recorded and captured, as the daemon answers a
+   memory hit, allocates a bounded number of words: 7,468 minor words
+   on counter before the recorder kept per-context rows *)
+let test_recorded_hit_allocation () =
+  with_memory_hits Sc_core.Designs.counter_src @@ fun req ->
+  (* past a few captures the keys are ranked, as in a daemon *)
+  let least =
+    least_words 20 (fun () ->
+        ignore (Sc_metrics.Metrics.capture ~recorder:(recorded req) ~design:"counter" ()))
+  in
+  if least > 5500. then
+    Alcotest.failf "a recorded hit and its capture allocated %.0f minor words" least
+
+(* recording a memory hit of the modular [system] allocates a bounded
+   number of words beyond the same hit unrecorded: 9,215 when each
+   module's totals were sorted and each QoR key's "module.NAME.KEY"
+   concatenated on every request *)
+let test_recorded_modular_hit_allocation () =
+  with_memory_hits Sc_core.Designs.system_src @@ fun req ->
+  let extra =
+    least_words 10 (fun () -> ignore (recorded req))
+    -. least_words 10 (fun () -> ignore (C.run req))
+  in
+  if extra > 8000. then
+    Alcotest.failf "recording a system hit allocated %.0f extra minor words" extra
 
 let suite =
   [ Alcotest.test_case "disabled mode is a no-op" `Quick test_disabled_noop
@@ -661,6 +745,8 @@ let suite =
   ; prop_json_numbers_like_reference
   ; Alcotest.test_case "json edge cases parse as the reference" `Quick
       test_json_edges_like_reference
+  ; Alcotest.test_case "json refuses malformed \\u escapes" `Quick
+      test_json_refuses_bad_escapes
   ; Alcotest.test_case "json baselines re-print to their bytes" `Quick
       test_json_baselines_roundtrip
   ; Alcotest.test_case "compiler stages observed" `Quick test_compiler_stages
@@ -675,4 +761,6 @@ let suite =
       test_updates_per_pass
   ; Alcotest.test_case "a recorded hit's allocation is bounded" `Quick
       test_recorded_hit_allocation
+  ; Alcotest.test_case "a recorded modular hit's allocation is bounded" `Quick
+      test_recorded_modular_hit_allocation
   ]

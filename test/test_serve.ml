@@ -148,6 +148,110 @@ let test_frame_oversized () =
       (String.length e >= 9 && String.sub e 0 9 = "oversized")
   | _ -> Alcotest.fail "an oversized length must be rejected"
 
+(* --- the wire's bytes: frames in test/wire/, as the daemon and client
+   exchanged them before the codec printed and parsed in one pass (a
+   `scc client compile pdp8` request, a memory hit's reply to `scc
+   client compile counter`, a stats reply and a parse error's reply) --- *)
+
+let fixture name =
+  In_channel.with_open_bin (Filename.concat "wire" name) In_channel.input_all
+
+let payload_of frame = String.sub frame 4 (String.length frame - 4)
+
+(* the bytes [write_frame] puts on a pipe *)
+let framed payload =
+  with_pipe @@ fun r w ->
+  P.write_frame w payload;
+  Unix.close w;
+  let buf = Buffer.create 4096 and b = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read r b 0 4096 with
+    | 0 -> Buffer.contents buf
+    | k ->
+      Buffer.add_subbytes buf b 0 k;
+      drain ()
+  in
+  drain ()
+
+(* a fixture read back through [read_frame] *)
+let read_fixture name =
+  with_pipe @@ fun r w ->
+  write_all w (fixture name);
+  Unix.close w;
+  match P.read_frame r with
+  | Ok (Some payload) -> payload
+  | _ -> Alcotest.failf "%s: no frame" name
+
+let wire_responses =
+  [ ( "stats_reply.frame"
+    , P.Stats_reply
+        { counters =
+            [ ("serve.requests", 5); ("serve.in_flight", 1); ("serve.dedup_hits", 0)
+            ; ("serve.executions", 4); ("serve.peak_executions", 1); ("cache.hits", 8)
+            ; ("cache.disk_hits", 0); ("cache.misses", 16); ("cache.stale", 0)
+            ; ("cache.evictions", 0); ("latency.compile.count", 4)
+            ; ("latency.compile.p50_us", 149); ("latency.compile.p95_us", 12881)
+            ; ("latency.compile.p99_us", 12881)
+            ]
+        ; uptime_s = Some 2
+        ; server_version = Some "serve/2"
+        ; verbs = [ ("compile", 4) ]
+        } )
+  ; ( "error_reply.frame"
+    , P.Error_reply { stage = "parse"; message = "1:1: expected \"module\", found this" } )
+  ]
+
+let test_wire_fixtures () =
+  (* the request *)
+  let req =
+    P.Compile
+      { P.design = "pdp8"; source = Sc_core.Designs.pdp8_src; style = "gates"
+      ; restarts = 0; certify = false }
+  in
+  let frame = fixture "pdp8_compile.frame" in
+  check_bool "pdp8 request decodes" true
+    (P.request_of_string (read_fixture "pdp8_compile.frame") = Ok req);
+  check_string "pdp8 request frame" frame (framed (P.string_of_request req));
+  (* the memory hit's reply: its snapshot as the reference parser reads it *)
+  let frame = fixture "counter_compiled.frame" in
+  (match P.response_of_string (read_fixture "counter_compiled.frame") with
+  | Ok (P.Compiled c as resp) ->
+    check_bool "counter reply's tree" true
+      (Json.parse (payload_of frame) = Json_reference.parse (payload_of frame));
+    check_bool "counter reply's snapshot" true
+      (Json.member "snapshot" (Result.get_ok (Json_reference.parse (payload_of frame)))
+      = Some c.P.snapshot);
+    check_bool "counter reply's fields" true
+      ((c.P.cif_bytes, c.P.gates, c.P.flipflops, c.P.transistors, c.P.area, c.P.drc_violations)
+      = (7156, 22, 4, 250, 84000, 0));
+    check_bool "every pass a memory hit" true
+      (c.P.passes
+      = List.map
+          (fun pass -> (pass, "hit (memory)"))
+          [ "parse"; "compile"; "optimize"; "place"; "route"; "drc"; "emit"; "measure" ]);
+    check_string "counter reply frame" frame (framed (P.string_of_response resp))
+  | Ok _ -> Alcotest.fail "counter reply decodes to another variant"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (name, resp) ->
+      check_bool (name ^ " decodes") true
+        (P.response_of_string (read_fixture name) = Ok resp);
+      check_string name (fixture name) (framed (P.string_of_response resp)))
+    wire_responses
+
+(* decoding a 1.9 KB reply allocates its tree and little else: 5,542
+   minor words when every string went through its own [Buffer] *)
+let test_reply_decode_allocation () =
+  let payload = payload_of (fixture "counter_compiled.frame") in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (P.response_of_string payload));
+    Gc.minor_words () -. w0
+  in
+  let least = List.fold_left min infinity (List.init 5 (fun _ -> words ())) in
+  if least >= 2500. then
+    Alcotest.failf "decoding the counter reply allocated %.0f minor words" least
+
 (* --- the live daemon --- *)
 
 let with_server ?exec_domains ?log ?log_level ?trace_dir
@@ -857,6 +961,10 @@ let suite =
   ; Alcotest.test_case "truncated payload rejected" `Quick
       test_frame_truncated_payload
   ; Alcotest.test_case "oversized length rejected" `Quick test_frame_oversized
+  ; Alcotest.test_case "wire frames match the golden bytes" `Quick
+      test_wire_fixtures
+  ; Alcotest.test_case "a reply's decode allocation is bounded" `Quick
+      test_reply_decode_allocation
   ; Alcotest.test_case "two-client dedup" `Quick test_two_client_dedup
   ; Alcotest.test_case "verbs and structured errors" `Quick
       test_server_verbs_and_errors
