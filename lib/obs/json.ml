@@ -20,7 +20,7 @@ let escapes =
       | '\t' -> "\\t"
       | '\b' -> "\\b"
       | '\012' -> "\\f"
-      | c when c < ' ' -> Printf.sprintf "\\u%04x" i
+      | c when c < ' ' -> "\\u00" ^ String.make 1 "0123456789abcdef".[i lsr 4] ^ String.make 1 "0123456789abcdef".[i land 15]
       | _ -> "")
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
@@ -355,7 +355,7 @@ let unescape p start esc =
    to the one its slot holds is returned without a copy.  Domains may
    race on a slot: it holds a whole string either way, and the text is
    compared before the string is shared. *)
-let shared = Array.make 4096 ""
+let shared = Array.make 1024 ""
 
 (* [t] = the [String.length t] bytes of [s] from [i], from byte [k] on;
    a word at a time, the last word overlapping the one before it *)
@@ -407,7 +407,7 @@ let is_digit p =
 
 (* Integers recur as much: a number read on the int path is shared
    through a table of the last one read at each slot *)
-let shared_ints = Array.make 4096 Null
+let shared_ints = Array.make 1024 Null
 
 let int_value v =
   let slot = v land (Array.length shared_ints - 1) in
